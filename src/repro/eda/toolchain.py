@@ -652,11 +652,7 @@ class Toolchain:
         """
         from repro.sim import compile as simcompile
 
-        if (
-            simcompile.batch_disabled()
-            or simcompile.interpreter_forced()
-            or simcompile.level_disabled()
-        ):
+        if simcompile.batch_disabled() or simcompile.level_disabled():
             return None
         from repro.designs import tbgen
         from repro.sim import batch as _batch

@@ -5,8 +5,8 @@ expressions into one straight-line function. When no X/Z is live on the
 cone's inputs, four-state :class:`~repro.sim.values.Logic` semantics
 collapse to plain unsigned integer arithmetic masked to the operand width —
 so these emitters lower an HDL expression to Python *source* computing the
-member's value as an int, mirroring the interpreter's width/context rules
-(:func:`repro.sim.elab_verilog._eval`, :func:`repro.sim.elab_vhdl._eval`)
+member's value as an int, following the closure compilers' width/context
+rules (:mod:`repro.sim.compile.verilog`, :mod:`repro.sim.compile.vhdl`)
 construct for construct.
 
 The soundness invariant is **known inputs ⇒ known outputs**: any construct
@@ -19,7 +19,7 @@ this code runs.
 
 Emitters return ``(source, width)`` where ``source`` is a parenthesized
 Python expression over the local names supplied in *names* (one per read
-signal), and the int value is exactly ``interpreter_result.bits``.
+signal), and the int value is exactly the compiled closure's ``.bits``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _lit(value: Logic) -> tuple[str, int]:
 
 
 # --------------------------------------------------------------------------
-# Verilog (mirrors elab_verilog._eval)
+# Verilog (same rules as compile.verilog.compile_expr)
 # --------------------------------------------------------------------------
 
 
@@ -128,7 +128,7 @@ def _v(expr, scope, ctxw, names) -> tuple[str, int]:
         return _v_select(expr, scope, names)
     if isinstance(expr, vast.SystemFunctionCall):
         if expr.name in ("$signed", "$unsigned") and len(expr.args) == 1:
-            # mirrors _eval_system_function: no context width on the argument
+            # as in compile.verilog: no context width on the argument
             return _v(expr.args[0], scope, None, names)
         if expr.name == "$clog2" and len(expr.args) == 1:
             src, _ = _v(expr.args[0], scope, None, names)
@@ -138,10 +138,10 @@ def _v(expr, scope, ctxw, names) -> tuple[str, int]:
 
 
 def _v_unary(expr, scope, ctxw, names) -> tuple[str, int]:
-    from repro.sim import elab_verilog as ev
+    from repro.sim.compile.verilog import _CONTEXT_UNARY
 
     op = expr.op
-    inner_ctx = ctxw if op in ev._CONTEXT_UNARY else None
+    inner_ctx = ctxw if op in _CONTEXT_UNARY else None
     src, width = _v(expr.operand, scope, inner_ctx, names)
     if inner_ctx is not None:
         width = max(width, inner_ctx)
@@ -169,10 +169,10 @@ def _v_unary(expr, scope, ctxw, names) -> tuple[str, int]:
 
 
 def _v_binary(expr, scope, ctxw, names) -> tuple[str, int]:
-    from repro.sim import elab_verilog as ev
+    from repro.sim.compile.verilog import _CONTEXT_BINARY
 
     op = expr.op
-    if op in ev._CONTEXT_BINARY:
+    if op in _CONTEXT_BINARY:
         l_src, lw = _v(expr.lhs, scope, ctxw, names)
         r_src, rw = _v(expr.rhs, scope, ctxw, names)
         width = max(lw, rw, ctxw or 0)
@@ -291,15 +291,15 @@ def _v_select(expr, scope, names) -> tuple[str, int]:
 
 
 # --------------------------------------------------------------------------
-# VHDL (mirrors elab_vhdl._eval / _eval_binary / _eval_call)
+# VHDL (same rules as compile.vhdl.compile_expr)
 # --------------------------------------------------------------------------
 
 
 def vhdl_expr(expr, scope, hint, names) -> tuple[str, int] | None:
     """Two-state source for a VHDL expression, or None.
 
-    *hint* is the width context forwarded to aggregates, mirroring
-    ``_eval_with_width``.
+    *hint* is the width context forwarded to aggregates, as in
+    ``compile.vhdl.compile_with_width``.
     """
     try:
         return _h(expr, scope, hint, names)
@@ -496,7 +496,7 @@ def _h_attribute(expr, scope) -> tuple[str, int]:
 
 
 def _h_operand_width(expr, scope) -> int:
-    """Static mirror of elab_vhdl._operand_width (aggregate width hints)."""
+    """Static width hint for an aggregate operand (as in compile.vhdl)."""
     if isinstance(expr, hast.Name):
         info = scope.types.get(expr.name)
         if info is not None:

@@ -2,8 +2,9 @@
 
 The elaborator instantiates the module hierarchy (flattening instance names
 with a ``dot`` separator), sizes every signal from its declared range under
-the active parameter environment, and compiles procedural code into generator
-based interpreter processes for the shared kernel:
+the active parameter environment, and compiles procedural code through
+:mod:`repro.sim.compile.verilog` into generator processes for the shared
+kernel:
 
 * ``assign`` → a process that re-evaluates on any change of its read set;
 * ``always @(...)`` → wait-then-execute loop (``@(*)`` runs once at time 0 so
@@ -13,18 +14,19 @@ based interpreter processes for the shared kernel:
 
 Elaboration-time problems (bad widths, non-constant bounds, unsupported
 targets) are emitted as diagnostics, never exceptions: the toolchain reports
-them in the compile log like any other error.
+them in the compile log like any other error. Constant expressions are
+evaluated by calling their compiled closures with no simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile
-from repro.sim.kernel import Delay, Finish, Simulator, WaitChange
-from repro.sim.runtime import Design, Edge, Process, Sensitivity, Signal
+from repro.sim import compile as simcompile
+from repro.sim.kernel import SimulationError
+from repro.sim.runtime import Design, Edge, Sensitivity, Signal
 from repro.sim.values import Logic
 from repro.verilog import ast
 
@@ -32,9 +34,6 @@ _CODE_ELAB = "VRFC 10-3370"
 
 #: hierarchy separator in flattened signal names
 SEP = "."
-
-
-from repro.sim.kernel import SimulationError
 
 
 class _ElabAbort(SimulationError):
@@ -216,46 +215,32 @@ class VerilogElaborator:
 
     def _const_eval(self, expr: ast.Expression, scope: _Scope) -> Logic:
         """Evaluate a constant expression (parameters and literals only)."""
-        value = _eval(expr, scope, None, self)
-        return value
+        from repro.sim.compile import verilog as _cv
+
+        return _cv.compile_expr(expr, scope, self)(None)
 
     # ------------------------------------------------------------------
-    # compiled tier
+    # compiled processes
     # ------------------------------------------------------------------
 
     def _compiled(self, build):
-        """Run a compile-tier builder under the fallback safety net.
+        """A cone member or sync update from *build*, or None if ineligible.
 
-        Returns the compiled process factory, or None when the interpreter
-        must be used: the tier is disabled (``REPRO_SIM_INTERP``), the
-        builder declined (returned None), raised, or emitted diagnostics
-        (compilation must be silent — anything it would report, the
-        interpreter reports at the same point it always did).
+        The builders return None for shapes they do not accept; one that
+        raises is treated the same way, leaving the process on the closure
+        tier it already has.
         """
-        from repro.sim.compile import interpreter_forced
-
-        if interpreter_forced():
-            return None
-        mark = len(self.collector.diagnostics)
         try:
-            factory = build()
+            return build()
         except Exception:
-            factory = None
-        if len(self.collector.diagnostics) != mark:
-            del self.collector.diagnostics[mark:]
-            factory = None
-        return factory
+            return None
 
     # ------------------------------------------------------------------
     # levelized tier
     # ------------------------------------------------------------------
 
     def _install_cones(self) -> None:
-        from repro.sim import compile as simcompile
-
-        if not self._cone_members:
-            return
-        if simcompile.interpreter_forced() or simcompile.level_disabled():
+        if not self._cone_members or simcompile.level_disabled():
             return
         from repro.sim.compile import level as _level
 
@@ -299,15 +284,9 @@ class VerilogElaborator:
         elif isinstance(item, ast.InitialBlock):
             from repro.sim.compile import verilog as _cv
 
-            factory = self._compiled(
-                lambda: _cv.initial_factory(item.body, scope, self)
-            )
-            if factory is None:
-                factory = lambda sim, body=item.body, sc=scope: _exec(
-                    body, sc, sim, self
-                )
-            self.design.add_process(
-                Process(f"{scope.prefix}initial@{_line(self, item)}", factory)
+            simcompile.add_process(
+                self, f"{scope.prefix}initial@{_line(self, item)}", item,
+                lambda: _cv.initial_factory(item.body, scope, self),
             )
             self._external_writes |= _written_signals(item.body, scope)
         elif isinstance(item, ast.Instantiation):
@@ -323,29 +302,14 @@ class VerilogElaborator:
 
         from repro.sim.compile import verilog as _cv
 
-        factory = self._compiled(
+        process = simcompile.add_process(
+            self, f"{scope.prefix}assign@{_line(self, target)}", target,
             lambda: _cv.continuous_assign_factory(
                 target, value, scope, self, read_signals
-            )
+            ),
         )
-        if factory is None:
-
-            def factory(sim, target=target, value=value, scope=scope,
-                        reads=read_signals):
-                def body():
-                    width = _lvalue_width(target, scope, sim, self)
-                    while True:
-                        result = _eval(value, scope, sim, self, width)
-                        _assign(target, result, scope, sim, self, blocking=True)
-                        if not reads:
-                            return
-                        yield WaitChange.on(*reads)
-
-                return body()
-
-        name = f"{scope.prefix}assign@{_line(self, target)}"
-        process = Process(name, factory)
-        self.design.add_process(process)
+        if process is None:
+            return
 
         from repro.sim.compile import level as _level
 
@@ -373,19 +337,10 @@ class VerilogElaborator:
 
             from repro.sim.compile import verilog as _cv
 
-            factory = self._compiled(
-                lambda: _cv.free_always_factory(block.body, scope, self)
+            simcompile.add_process(
+                self, name, block,
+                lambda: _cv.free_always_factory(block.body, scope, self),
             )
-            if factory is None:
-
-                def factory(sim, body=block.body, sc=scope):
-                    def run():
-                        while True:
-                            yield from _exec(body, sc, sim, self)
-
-                    return run()
-
-            self.design.add_process(Process(name, factory))
             self._external_writes |= _written_signals(block.body, scope)
             return
 
@@ -405,30 +360,15 @@ class VerilogElaborator:
 
         from repro.sim.compile import verilog as _cv
 
-        factory = self._compiled(
+        process = simcompile.add_process(
+            self, name, block,
             lambda: _cv.always_factory(
                 block.body, scope, self, entries,
                 initial_run=sens.star or not edge_triggered,
-            )
+            ),
         )
-        if factory is None:
-
-            def factory(sim, body=block.body, sc=scope, entries=entries,
-                        star=sens.star, edge_triggered=edge_triggered):
-                def run():
-                    if star or not edge_triggered:
-                        # settle combinational logic at time zero
-                        yield from _exec(body, sc, sim, self)
-                    while True:
-                        if not entries:
-                            return
-                        yield WaitChange(entries)
-                        yield from _exec(body, sc, sim, self)
-
-                return run()
-
-        process = Process(name, factory)
-        self.design.add_process(process)
+        if process is None:
+            return
 
         writes = _written_signals(block.body, scope)
         raw_reads = self._read_set_stmt_raw(block.body, scope)
@@ -561,28 +501,12 @@ class VerilogElaborator:
 
         from repro.sim.compile import verilog as _cv
 
-        factory = self._compiled(
-            lambda: _cv.wire_input_factory(expr, child_signal, scope, self, reads)
+        process = simcompile.add_process(
+            self, f"{scope.prefix}{inst.instance}.in.{child_signal.name}", inst,
+            lambda: _cv.wire_input_factory(expr, child_signal, scope, self, reads),
         )
-        if factory is None:
-
-            def factory(sim, expr=expr, scope=scope, child=child_signal,
-                        reads=reads):
-                def body():
-                    while True:
-                        sim.write_signal(
-                            child, _eval(expr, scope, sim, self, child.width)
-                        )
-                        if not reads:
-                            return
-                        yield WaitChange.on(*reads)
-
-                return body()
-
-        process = Process(
-            f"{scope.prefix}{inst.instance}.in.{child_signal.name}", factory
-        )
-        self.design.add_process(process)
+        if process is None:
+            return
 
         from repro.sim.compile import level as _level
 
@@ -615,23 +539,12 @@ class VerilogElaborator:
 
         from repro.sim.compile import verilog as _cv
 
-        factory = self._compiled(
-            lambda: _cv.wire_output_factory(expr, child_signal, scope, self)
+        process = simcompile.add_process(
+            self, f"{scope.prefix}{inst.instance}.out.{child_signal.name}", inst,
+            lambda: _cv.wire_output_factory(expr, child_signal, scope, self),
         )
-        if factory is None:
-
-            def factory(sim, target=expr, scope=scope, child=child_signal):
-                def body():
-                    while True:
-                        _assign(target, child.value, scope, sim, self, blocking=True)
-                        yield WaitChange.on(child)
-
-                return body()
-
-        process = Process(
-            f"{scope.prefix}{inst.instance}.out.{child_signal.name}", factory
-        )
-        self.design.add_process(process)
+        if process is None:
+            return
 
         from repro.sim.compile import level as _level
 
@@ -756,533 +669,6 @@ class VerilogElaborator:
 
     def _error(self, span, message: str) -> None:
         self.collector.error(_CODE_ELAB, message, source=self.source, span=span)
-
-
-# --------------------------------------------------------------------------
-# expression evaluation
-# --------------------------------------------------------------------------
-
-
-#: binary operators whose operands take the assignment-context width
-_CONTEXT_BINARY = frozenset({"+", "-", "*", "/", "%", "&", "|", "^"})
-#: unary operators whose operand takes the assignment-context width
-_CONTEXT_UNARY = frozenset({"+", "-", "~"})
-
-
-def _eval(
-    expr: ast.Expression,
-    scope: _Scope,
-    sim: Simulator | None,
-    elab: VerilogElaborator,
-    ctx_width: int | None = None,
-) -> Logic:
-    """Evaluate an expression.
-
-    ``ctx_width`` implements IEEE 1364 context-determined sizing: in an
-    assignment, arithmetic/bitwise operands are extended to the larger of
-    their self-determined width and the target width *before* the operation,
-    so carries out of narrow operands are preserved
-    (e.g. ``{cout, sum} = a + b + cin``).
-    """
-    if isinstance(expr, ast.Number):
-        return expr.value
-    if isinstance(expr, ast.StringLiteral):
-        # strings in expression position: pack ASCII (rare; used by $display only)
-        data = expr.value.encode("ascii", "replace") or b"\0"
-        bits = int.from_bytes(data, "big")
-        return Logic.from_int(bits, max(8, 8 * len(data)))
-    if isinstance(expr, ast.Identifier):
-        resolved = scope.resolve(expr.name)
-        if isinstance(resolved, Signal):
-            return resolved.value
-        if isinstance(resolved, Logic):
-            return resolved
-        elab._error(expr.span, f"'{expr.name}' is not declared")
-        raise _ElabAbort
-    if isinstance(expr, ast.Unary):
-        inner_ctx = ctx_width if expr.op in _CONTEXT_UNARY else None
-        operand = _eval(expr.operand, scope, sim, elab, inner_ctx)
-        if inner_ctx is not None and operand.width < inner_ctx:
-            operand = operand.resize(inner_ctx)
-        return _apply_unary(expr.op, operand)
-    if isinstance(expr, ast.Binary):
-        if expr.op in _CONTEXT_BINARY:
-            lhs = _eval(expr.lhs, scope, sim, elab, ctx_width)
-            rhs = _eval(expr.rhs, scope, sim, elab, ctx_width)
-            width = max(lhs.width, rhs.width, ctx_width or 0)
-            return _apply_binary(expr.op, lhs.resize(width), rhs.resize(width))
-        if expr.op in ("<<", ">>", "<<<", ">>>"):
-            lhs = _eval(expr.lhs, scope, sim, elab, ctx_width)
-            if ctx_width is not None and lhs.width < ctx_width:
-                lhs = lhs.resize(ctx_width)
-            rhs = _eval(expr.rhs, scope, sim, elab)
-            return _apply_binary(expr.op, lhs, rhs)
-        lhs = _eval(expr.lhs, scope, sim, elab)
-        rhs = _eval(expr.rhs, scope, sim, elab)
-        return _apply_binary(expr.op, lhs, rhs)
-    if isinstance(expr, ast.Ternary):
-        cond = _eval(expr.cond, scope, sim, elab)
-        if cond.truthy().has_x:
-            # IEEE: merge both branches; approximate with all-X of merged width
-            a = _eval(expr.if_true, scope, sim, elab, ctx_width)
-            b = _eval(expr.if_false, scope, sim, elab, ctx_width)
-            return Logic.unknown(max(a.width, b.width))
-        if cond.is_true():
-            return _eval(expr.if_true, scope, sim, elab, ctx_width)
-        return _eval(expr.if_false, scope, sim, elab, ctx_width)
-    if isinstance(expr, ast.Concat):
-        result: Logic | None = None
-        for part in expr.parts:
-            value = _eval(part, scope, sim, elab)
-            result = value if result is None else result.concat(value)
-        assert result is not None
-        return result
-    if isinstance(expr, ast.Replicate):
-        count = _eval(expr.count, scope, sim, elab)
-        value = _eval(expr.value, scope, sim, elab)
-        try:
-            n = count.to_int()
-        except ValueError:
-            elab._error(expr.span, "replication count has unknown bits")
-            raise _ElabAbort
-        if n <= 0 or n > 4096:
-            message = f"invalid replication count {n}"
-            elab._error(expr.span, message)
-            raise _ElabAbort(message)
-        if n * value.width > VerilogElaborator.MAX_SIGNAL_WIDTH:
-            message = (
-                f"replication result width {n * value.width} exceeds the "
-                "supported maximum"
-            )
-            elab._error(expr.span, message)
-            raise _ElabAbort(message)
-        return value.replicate(n)
-    if isinstance(expr, ast.BitSelect):
-        base = _resolve_vector(expr.target, expr.span, scope, elab)
-        index = _eval(expr.index, scope, sim, elab)
-        if index.has_x:
-            return Logic.unknown(1)
-        return base.bit(index.to_int())
-    if isinstance(expr, ast.PartSelect):
-        base = _resolve_vector(expr.target, expr.span, scope, elab)
-        msb = _eval(expr.msb, scope, sim, elab)
-        lsb = _eval(expr.lsb, scope, sim, elab)
-        if msb.has_x or lsb.has_x:
-            return Logic.unknown(1)
-        _check_select_width(msb.to_int(), lsb.to_int(), expr.span, elab)
-        return base.slice(msb.to_int(), lsb.to_int())
-    if isinstance(expr, ast.IndexedPartSelect):
-        base_value = _resolve_vector(expr.target, expr.span, scope, elab)
-        start = _eval(expr.base, scope, sim, elab)
-        width = _eval(expr.width, scope, sim, elab)
-        if start.has_x or width.has_x:
-            return Logic.unknown(1)
-        w = width.to_int()
-        lo = start.to_int() if expr.ascending else start.to_int() - w + 1
-        return base_value.slice(lo + w - 1, lo)
-    if isinstance(expr, ast.SystemFunctionCall):
-        return _eval_system_function(expr, scope, sim, elab)
-    elab._error(expr.span, f"cannot evaluate {type(expr).__name__}")
-    raise _ElabAbort
-
-
-def _check_select_width(msb: int, lsb: int, span, elab: VerilogElaborator) -> None:
-    """Reject part selects whose width would exhaust memory."""
-    width = msb - lsb + 1
-    if width > VerilogElaborator.MAX_SIGNAL_WIDTH:
-        message = (
-            f"part-select width {width} exceeds the supported maximum"
-        )
-        elab._error(span, message)
-        raise _ElabAbort(message)
-
-
-def _resolve_vector(
-    name: str, span, scope: _Scope, elab: VerilogElaborator
-) -> Logic:
-    resolved = scope.resolve(name)
-    if isinstance(resolved, Signal):
-        return resolved.value
-    if isinstance(resolved, Logic):
-        return resolved
-    elab._error(span, f"'{name}' is not declared")
-    raise _ElabAbort
-
-
-def _eval_system_function(
-    expr: ast.SystemFunctionCall,
-    scope: _Scope,
-    sim: Simulator | None,
-    elab: VerilogElaborator,
-) -> Logic:
-    if expr.name == "$time":
-        if sim is None:
-            elab._error(expr.span, "$time used in a constant expression")
-            raise _ElabAbort
-        return Logic.from_int(sim.time, 64)
-    if expr.name in ("$signed", "$unsigned"):
-        if len(expr.args) != 1:
-            elab._error(expr.span, f"{expr.name} takes exactly one argument")
-            raise _ElabAbort
-        return _eval(expr.args[0], scope, sim, elab)
-    if expr.name == "$random":
-        return Logic.from_int(elab.rng.next(), 32)
-    if expr.name == "$clog2":
-        if len(expr.args) != 1:
-            elab._error(expr.span, "$clog2 takes exactly one argument")
-            raise _ElabAbort
-        value = _eval(expr.args[0], scope, sim, elab)
-        if value.has_x:
-            return Logic.unknown(32)
-        n = value.to_int()
-        return Logic.from_int(max(0, (n - 1).bit_length()), 32)
-    elab._error(expr.span, f"unsupported system function '{expr.name}'")
-    raise _ElabAbort
-
-
-_UNARY_OPS: dict[str, Callable[[Logic], Logic]] = {
-    "+": lambda v: v,
-    "-": Logic.neg,
-    "~": Logic.__invert__,
-    "!": Logic.logical_not,
-    "&": Logic.reduce_and,
-    "|": Logic.reduce_or,
-    "^": Logic.reduce_xor,
-    "~&": lambda v: v.reduce_and().logical_not(),
-    "~|": lambda v: v.reduce_or().logical_not(),
-    "~^": lambda v: v.reduce_xor().logical_not(),
-}
-
-_BINARY_OPS: dict[str, Callable[[Logic, Logic], Logic]] = {
-    "+": Logic.add,
-    "-": Logic.sub,
-    "*": Logic.mul,
-    "/": Logic.div,
-    "%": Logic.mod,
-    "&": Logic.__and__,
-    "|": Logic.__or__,
-    "^": Logic.__xor__,
-    "==": Logic.eq,
-    "!=": Logic.ne,
-    "===": Logic.case_eq,
-    "!==": lambda a, b: a.case_eq(b).logical_not(),
-    "<": Logic.lt,
-    "<=": Logic.le,
-    ">": Logic.gt,
-    ">=": Logic.ge,
-    "<<": Logic.shl,
-    "<<<": Logic.shl,
-    ">>": Logic.shr,
-    ">>>": Logic.ashr,
-    "&&": Logic.logical_and,
-    "||": Logic.logical_or,
-}
-
-
-def _apply_unary(op: str, operand: Logic) -> Logic:
-    try:
-        return _UNARY_OPS[op](operand)
-    except KeyError:
-        raise _ElabAbort from None
-
-
-def _apply_binary(op: str, lhs: Logic, rhs: Logic) -> Logic:
-    if op == "**":
-        if lhs.has_x or rhs.has_x:
-            return Logic.unknown(max(lhs.width, 32))
-        return Logic.from_int(lhs.bits ** min(rhs.bits, 64), max(lhs.width, 32))
-    try:
-        return _BINARY_OPS[op](lhs, rhs)
-    except KeyError:
-        raise _ElabAbort from None
-
-
-# --------------------------------------------------------------------------
-# statement execution (generator interpreter)
-# --------------------------------------------------------------------------
-
-
-def _exec(
-    stmt: ast.Statement,
-    scope: _Scope,
-    sim: Simulator,
-    elab: VerilogElaborator,
-):
-    """Execute a statement; a generator yielding kernel commands."""
-    if isinstance(stmt, ast.Block):
-        for inner in stmt.statements:
-            yield from _exec(inner, scope, sim, elab)
-    elif isinstance(stmt, ast.If):
-        condition = _eval(stmt.condition, scope, sim, elab)
-        if condition.is_true():
-            yield from _exec(stmt.then_branch, scope, sim, elab)
-        elif stmt.else_branch is not None:
-            yield from _exec(stmt.else_branch, scope, sim, elab)
-    elif isinstance(stmt, ast.Case):
-        yield from _exec_case(stmt, scope, sim, elab)
-    elif isinstance(stmt, ast.Assign):
-        width = _lvalue_width(stmt.target, scope, sim, elab)
-        value = _eval(stmt.value, scope, sim, elab, width)
-        _assign(stmt.target, value, scope, sim, elab, blocking=stmt.blocking)
-    elif isinstance(stmt, ast.For):
-        yield from _exec(stmt.init, scope, sim, elab)
-        iterations = 0
-        while _eval(stmt.condition, scope, sim, elab).is_true():
-            yield from _exec(stmt.body, scope, sim, elab)
-            yield from _exec(stmt.step, scope, sim, elab)
-            iterations += 1
-            if iterations > VerilogElaborator.LOOP_LIMIT:
-                from repro.sim.kernel import SimulationError
-
-                raise SimulationError("for-loop iteration limit exceeded")
-    elif isinstance(stmt, ast.Repeat):
-        count = _eval(stmt.count, scope, sim, elab)
-        times = 0 if count.has_x else count.to_int()
-        for _ in range(times):
-            yield from _exec(stmt.body, scope, sim, elab)
-    elif isinstance(stmt, ast.While):
-        iterations = 0
-        while _eval(stmt.condition, scope, sim, elab).is_true():
-            yield from _exec(stmt.body, scope, sim, elab)
-            iterations += 1
-            if iterations > VerilogElaborator.LOOP_LIMIT:
-                from repro.sim.kernel import SimulationError
-
-                raise SimulationError("while-loop iteration limit exceeded")
-    elif isinstance(stmt, ast.Forever):
-        while True:
-            yield from _exec(stmt.body, scope, sim, elab)
-    elif isinstance(stmt, ast.DelayControl):
-        delay = _eval(stmt.delay, scope, sim, elab)
-        yield Delay(0 if delay.has_x else delay.to_int())
-        if stmt.statement is not None:
-            yield from _exec(stmt.statement, scope, sim, elab)
-    elif isinstance(stmt, ast.EventControl):
-        entries = []
-        for item in stmt.sensitivity.items:
-            signal = elab._sens_signal(item.signal, scope)
-            if signal is not None:
-                edge = {"pos": Edge.POS, "neg": Edge.NEG, "any": Edge.ANY}[item.edge]
-                entries.append(Sensitivity(signal, edge))
-        if entries:
-            yield WaitChange(tuple(entries))
-        if stmt.statement is not None:
-            yield from _exec(stmt.statement, scope, sim, elab)
-    elif isinstance(stmt, ast.SystemTaskCall):
-        yield from _exec_system_task(stmt, scope, sim, elab)
-    elif isinstance(stmt, ast.NullStatement):
-        pass
-    else:
-        elab._error(stmt.span, f"cannot execute {type(stmt).__name__}")
-        raise _ElabAbort
-
-
-def _exec_case(stmt: ast.Case, scope: _Scope, sim, elab):
-    subject = _eval(stmt.subject, scope, sim, elab)
-    default_body = None
-    for item in stmt.items:
-        if not item.labels:
-            default_body = item.body
-            continue
-        for label_expr in item.labels:
-            label = _eval(label_expr, scope, sim, elab)
-            if _case_match(stmt.kind, subject, label):
-                yield from _exec(item.body, scope, sim, elab)
-                return
-    if default_body is not None:
-        yield from _exec(default_body, scope, sim, elab)
-
-
-def _case_match(kind: str, subject: Logic, label: Logic) -> bool:
-    width = max(subject.width, label.width)
-    subject = subject.resize(width)
-    label = label.resize(width)
-    if kind == "case":
-        return subject.case_eq(label).is_true()
-    # casez/casex: X/Z bits of the label (and for casex, the subject) are wildcards
-    wildcard = label.xmask
-    if kind == "casex":
-        wildcard |= subject.xmask
-    considered = ((1 << width) - 1) & ~wildcard
-    if subject.xmask & considered:
-        return False
-    return ((subject.bits ^ label.bits) & considered) == 0
-
-
-def _exec_system_task(stmt: ast.SystemTaskCall, scope: _Scope, sim, elab):
-    name = stmt.name
-    if name in ("$display", "$write", "$monitor", "$strobe", "$error"):
-        text = _format_display(stmt, scope, sim, elab)
-        if name == "$error":
-            text = f"ERROR: {text}"
-        sim.display(text)
-    elif name == "$fatal":
-        sim.display("FATAL: " + _format_display(stmt, scope, sim, elab))
-        yield Finish(1)
-    elif name in ("$finish", "$stop"):
-        yield Finish(0)
-    else:
-        elab._error(stmt.span, f"unsupported system task '{name}'")
-        raise _ElabAbort
-    return
-    yield  # pragma: no cover - makes this a generator even on non-yield paths
-
-
-def _format_display(stmt: ast.SystemTaskCall, scope, sim, elab) -> str:
-    if not stmt.args:
-        return ""
-    first = stmt.args[0]
-    if isinstance(first, ast.StringLiteral):
-        return _format_string(first.value, list(stmt.args[1:]), scope, sim, elab)
-    rendered = []
-    for arg in stmt.args:
-        value = _eval(arg, scope, sim, elab)
-        rendered.append(value.format("d") if value.is_fully_known else value.format("b"))
-    return " ".join(rendered)
-
-
-def _format_string(fmt: str, args: list, scope, sim, elab) -> str:
-    out: list[str] = []
-    i = 0
-    arg_index = 0
-    fmt = fmt.replace("\\n", "\n").replace("\\t", "\t").replace('\\"', '"')
-    while i < len(fmt):
-        char = fmt[i]
-        if char != "%":
-            out.append(char)
-            i += 1
-            continue
-        i += 1
-        if i >= len(fmt):
-            out.append("%")
-            break
-        # optional width / zero-pad digits
-        width_digits = ""
-        while i < len(fmt) and fmt[i].isdigit():
-            width_digits += fmt[i]
-            i += 1
-        spec = fmt[i].lower() if i < len(fmt) else "%"
-        i += 1
-        if spec == "%":
-            out.append("%")
-            continue
-        if arg_index >= len(args):
-            out.append("<missing>")
-            continue
-        arg = args[arg_index]
-        arg_index += 1
-        if spec == "s" and isinstance(arg, ast.StringLiteral):
-            out.append(arg.value)
-            continue
-        value = _eval(arg, scope, sim, elab)
-        if spec == "t":
-            out.append(str(value.to_int() if value.is_fully_known else "x"))
-        elif spec in ("b", "d", "h", "o"):
-            text = value.format(spec)
-            if width_digits and spec == "d":
-                text = text.rjust(int(width_digits) or len(text), "0" if width_digits.startswith("0") else " ")
-            out.append(text)
-        elif spec == "c":
-            out.append(chr(value.bits & 0x7F) if value.is_fully_known else "x")
-        elif spec == "s":
-            out.append(_logic_to_text(value))
-        else:
-            out.append(f"%{spec}")
-    return "".join(out)
-
-
-def _logic_to_text(value: Logic) -> str:
-    if value.has_x:
-        return "x"
-    data = value.bits.to_bytes(max(1, (value.width + 7) // 8), "big")
-    return data.lstrip(b"\0").decode("ascii", "replace")
-
-
-# --------------------------------------------------------------------------
-# assignment
-# --------------------------------------------------------------------------
-
-
-def _assign(
-    target: ast.LValue,
-    value: Logic,
-    scope: _Scope,
-    sim: Simulator,
-    elab: VerilogElaborator,
-    *,
-    blocking: bool,
-) -> None:
-    if isinstance(target, ast.Concat):
-        # {a, b} = value — split from the high end
-        offset = value.width
-        for part in target.parts:
-            signal = _target_signal(part, scope, elab)
-            width = _lvalue_width(part, scope, sim, elab)
-            offset -= width
-            lo = max(offset, 0)
-            part_value = value.slice(lo + width - 1, lo)
-            _assign(part, part_value, scope, sim, elab, blocking=blocking)
-        return
-    signal = _target_signal(target, scope, elab)
-    if isinstance(target, ast.Identifier):
-        if blocking:
-            sim.write_signal(signal, value.resize(signal.width))
-        else:
-            sim.schedule_nba(signal, value.resize(signal.width))
-        return
-    msb, lsb = _select_bounds(target, scope, sim, elab)
-    if msb is None or lsb is None:
-        return  # X index: assignment has no effect (IEEE)
-    if blocking:
-        sim.write_signal(signal, signal.value.set_slice(msb, lsb, value))
-    else:
-        sim.schedule_nba_update(
-            signal, lambda old, m=msb, l=lsb, v=value: old.set_slice(m, l, v)
-        )
-
-
-def _target_signal(target: ast.LValue, scope: _Scope, elab: VerilogElaborator) -> Signal:
-    name = target.name if isinstance(target, ast.Identifier) else target.target
-    resolved = scope.resolve(name)
-    if isinstance(resolved, Signal):
-        return resolved
-    elab._error(target.span, f"cannot assign to '{name}'")
-    raise _ElabAbort
-
-
-def _lvalue_width(target: ast.LValue, scope, sim, elab) -> int:
-    if isinstance(target, ast.Concat):
-        return sum(_lvalue_width(p, scope, sim, elab) for p in target.parts)
-    if isinstance(target, ast.Identifier):
-        return _target_signal(target, scope, elab).width
-    msb, lsb = _select_bounds(target, scope, sim, elab)
-    if msb is None or lsb is None:
-        return 1
-    return msb - lsb + 1
-
-
-def _select_bounds(target: ast.LValue, scope, sim, elab) -> tuple[int | None, int | None]:
-    if isinstance(target, ast.BitSelect):
-        index = _eval(target.index, scope, sim, elab)
-        if index.has_x:
-            return None, None
-        return index.to_int(), index.to_int()
-    if isinstance(target, ast.PartSelect):
-        msb = _eval(target.msb, scope, sim, elab)
-        lsb = _eval(target.lsb, scope, sim, elab)
-        if msb.has_x or lsb.has_x:
-            return None, None
-        _check_select_width(msb.to_int(), lsb.to_int(), target.span, elab)
-        return msb.to_int(), lsb.to_int()
-    if isinstance(target, ast.IndexedPartSelect):
-        base = _eval(target.base, scope, sim, elab)
-        width = _eval(target.width, scope, sim, elab)
-        if base.has_x or width.has_x:
-            return None, None
-        w = width.to_int()
-        lo = base.to_int() if target.ascending else base.to_int() - w + 1
-        return lo + w - 1, lo
-    raise TypeError(f"not a select lvalue: {target!r}")
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.sim import batch
 from repro.sim.values import Logic
 
 _TIER_FLAGS = (
-    "REPRO_SIM_INTERP",
     "REPRO_SIM_NO_LEVEL",
     "REPRO_SIM_NO_TWOSTATE",
     "REPRO_SIM_NO_BATCH",

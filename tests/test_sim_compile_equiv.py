@@ -1,23 +1,25 @@
-"""Engine equivalence: all four simulation tiers must agree.
+"""Engine equivalence: all simulation tiers must agree.
 
-The closure compiler (``repro.sim.compile``), the levelized cone tier
-(``repro.sim.compile.level``), and the vectorized batch tier
-(``repro.sim.batch``) must be observationally identical to the generator
-interpreters they accelerate. These tests drive the same sources through
-all tiers — the batch default (plus its ``REPRO_SIM_NO_NUMPY=1`` list
-fallback), the levelized event kernel (``REPRO_SIM_NO_BATCH=1``), the
-closure-only tier (``REPRO_SIM_NO_LEVEL=1``), and the pure interpreter
-(``REPRO_SIM_INTERP=1``) — and require identical results:
+The levelized cone tier (``repro.sim.compile.level``) and the vectorized
+batch tier (``repro.sim.batch``) must be observationally identical to the
+closure compiler (``repro.sim.compile``) they accelerate. These tests drive
+the same sources through every tier — the batch default (plus its
+``REPRO_SIM_NO_NUMPY=1`` list fallback), the levelized event kernel
+(``REPRO_SIM_NO_BATCH=1``) and the closure-only tier
+(``REPRO_SIM_NO_LEVEL=1``) — and require identical results:
 
 * a Hypothesis property over ``repro.qa.spec.generate_spec`` programs,
   comparing the full simulation observables in both languages;
 * a directed forced-X stimulus that drives X onto a cone input
   mid-simulation, exercising the two-state→four-state fallback and the
   recovery back to the fast path;
-* a replay of the seed corpus under the interpreter and closure tiers
-  (the recorded verdicts were produced with the full compiled stack);
-* a small fuzz campaign judged by all three engines, comparing every
-  verdict and source hash.
+* a replay of the seed corpus under every tier (the recorded verdicts were
+  produced with the full stack);
+* a small fuzz campaign judged by every tier, comparing every verdict and
+  source hash.
+
+The closure tier's own reference answers for dynamic selects and the VHDL
+library functions live in ``tests/test_sim_construct_reference.py``.
 
 The compared observables are the printed output, the rendered log (which
 embeds the reported end time), the end time, the clean-finish flag, and
@@ -41,7 +43,6 @@ from repro.qa.oracle import QaCase, case_sources
 from repro.qa.spec import generate_spec
 
 _TIER_FLAGS = (
-    "REPRO_SIM_INTERP",
     "REPRO_SIM_NO_LEVEL",
     "REPRO_SIM_NO_BATCH",
     "REPRO_SIM_NO_NUMPY",
@@ -61,11 +62,6 @@ def _tier(**flags):
                 os.environ.pop(flag, None)
             else:
                 os.environ[flag] = value
-
-
-def interpreter_tier():
-    """Force the pure-interpreter tier for the duration of the block."""
-    return _tier(REPRO_SIM_INTERP="1", REPRO_SIM_NO_BATCH="1")
 
 
 def closure_tier():
@@ -105,7 +101,6 @@ def _simulate_all_tiers(files, top):
     for name, tier in (
         ("levelized", levelized_tier),
         ("closure", closure_tier),
-        ("interp", interpreter_tier),
         ("batch", batch_tier),
         ("batch_list", batch_list_tier),
     ):
@@ -117,7 +112,7 @@ def _simulate_all_tiers(files, top):
 def _assert_tiers_agree(files, top, context):
     results = _simulate_all_tiers(files, top)
     reference = _observables(results["levelized"])
-    for name in ("closure", "interp", "batch", "batch_list"):
+    for name in ("closure", "batch", "batch_list"):
         assert _observables(results[name]) == reference, (
             f"{context}: levelized vs {name} divergence"
         )
@@ -216,8 +211,8 @@ def test_forced_x_fallback_identical_across_tiers():
     The stimulus drives a known value (two-state fast path), then X bits
     (aggregated xmask test fails, the cone falls back to its Logic-based
     closure bodies for that evaluation), then a known value again (the
-    fast path resumes). All three tiers must print the same x-propagated
-    bits and the same recovery.
+    fast path resumes). Every tier must print the same x-propagated bits
+    and the same recovery.
     """
     files = [HdlFile("x.v", X_FALLBACK_V, Language.VERILOG)]
     result = _assert_tiers_agree(files, "tb", "verilog forced-X")
@@ -232,14 +227,13 @@ def test_forced_x_fallback_identical_across_tiers():
 
 
 def test_corpus_verdicts_hold_under_every_tier():
-    """The seed corpus replays clean on the interpreter and closure tiers.
+    """The seed corpus replays clean on every tier.
 
-    The recorded failure classes were produced by the full compiled stack;
-    the demoted tiers must classify every case the same way, including the
+    The recorded failure classes were produced by the full stack; the
+    demoted tiers must classify every case the same way, including the
     defect-injected entries that exercise crash and mismatch paths.
     """
     for tier in (
-        interpreter_tier,
         closure_tier,
         levelized_tier,
         batch_tier,
@@ -261,8 +255,6 @@ def test_fuzz_verdicts_identical_across_tiers():
         report_levelized = run_fuzz(seed=20260806, count=6)
     with closure_tier():
         report_closure = run_fuzz(seed=20260806, count=6)
-    with interpreter_tier():
-        report_interp = run_fuzz(seed=20260806, count=6)
     with batch_tier():
         report_batch = run_fuzz(seed=20260806, count=6)
 
@@ -273,8 +265,6 @@ def test_fuzz_verdicts_identical_across_tiers():
         ]
 
     assert digest(report_levelized) == digest(report_closure)
-    assert digest(report_levelized) == digest(report_interp)
     assert digest(report_levelized) == digest(report_batch)
-    assert report_levelized.class_counts == report_interp.class_counts
     assert report_levelized.class_counts == report_closure.class_counts
     assert report_levelized.class_counts == report_batch.class_counts

@@ -1,0 +1,636 @@
+"""Frozen reference answers for the dynamic-select and VHDL library constructs.
+
+Each program below exercises one construct whose semantics depend on a value
+only known while simulating: dynamic bit/part/indexed-part selects, dynamic
+stores, dynamic replication counts, and the VHDL ``shift_*``/``rotate_*``/
+``std_match`` functions plus dynamic index and slice stores, slice reads and
+aggregates sized by a dynamic slice. Every construct has a second case
+driving an X index, bound, count or operand.
+
+The expected observables (``ok``, printed lines, rendered log and runtime
+error) are literals recorded from the original tree-walking interpreter, so
+these cases are the reference for the constructs now that the closure
+compiler is the only evaluator. The one exception is ``v_replicate_x``:
+an X replication count used to abort without a message (``ok=True``); it
+records the fixed, loud behaviour instead.
+
+The module also pins the refusal contract: a process the compiler fails to
+build is a named elaboration error, never a silent fallback.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+
+import pytest
+
+from repro.eda.toolchain import HdlFile, Language, Toolchain
+from repro.hdl.diagnostics import DiagnosticCollector
+from repro.obs import NullSink, Tracer, get_tracer, set_tracer
+from repro.sim.compile import verilog as compile_verilog
+from repro.sim.compile import vhdl as compile_vhdl
+
+_VHDL_HEADER = (
+    "library ieee;\n"
+    "use ieee.std_logic_1164.all;\n"
+    "use ieee.numeric_std.all;\n"
+)
+
+# -- Verilog --------------------------------------------------------------
+
+_V_BIT_STORE = """
+module tb;
+    reg [7:0] q;
+    reg [2:0] i;
+    reg clk;
+    always @(posedge clk) q[i] <= 1'b1;
+    initial begin
+        q = 8'b0; i = {index1}; clk = 0;
+        #1 clk = 1;
+        #1 $display("q=%b", q);
+        i = {index2}; clk = 0;
+        #1 clk = 1;
+        #1 $display("q=%b", q);
+        $finish;
+    end
+endmodule
+"""
+
+_V_PART_SELECT = """
+module tb;
+    reg [7:0] a;
+    reg [2:0] hi, lo;
+    wire [7:0] y;
+    assign y = a[hi:lo];
+    initial begin
+        a = 8'b1011_0110; hi = 3'd5; lo = 3'd2;
+        #1 $display("y=%b", y);
+        hi = 3'd7; lo = {lo2};
+        #1 $display("y=%b", y);
+        $finish;
+    end
+endmodule
+"""
+
+_V_INDEXED_SELECT = """
+module tb;
+    reg [7:0] a;
+    reg [2:0] s;
+    wire [1:0] y;
+    assign y = a[s +: 2];
+    initial begin
+        a = 8'b1011_0110; s = 3'd1;
+        #1 $display("y=%b", y);
+        s = {s2};
+        #1 $display("y=%b", y);
+        $finish;
+    end
+endmodule
+"""
+
+_V_REPLICATE = """
+module tb;
+    reg [2:0] n{init};
+    wire [7:0] y;
+    assign y = {{n{{1'b1}}}};
+    initial begin
+        #1 $display("y=%b", y);
+        n = 3'd5;
+        #1 $display("y=%b", y);
+        $finish;
+    end
+endmodule
+"""
+
+# -- VHDL -----------------------------------------------------------------
+
+_VH_SHIFT = _VHDL_HEADER + """
+entity tb is end entity;
+architecture sim of tb is
+    signal a : unsigned(7 downto 0) := "10110110";
+    signal n : integer{init};
+    signal y : unsigned(7 downto 0);
+begin
+    y <= {fn}(a, n);
+    stim: process begin
+        wait for 1 ns;
+        report "y=" & y;
+        n <= 5;
+        wait for 1 ns;
+        report "y=" & y;
+        wait;
+    end process;
+end architecture;
+"""
+
+_VH_STD_MATCH = _VHDL_HEADER + """
+entity tb is end entity;
+architecture sim of tb is
+    signal a : std_logic_vector(7 downto 0) := "10110110";
+    signal b : std_logic_vector(7 downto 0) := {b};
+    signal m : std_logic;
+begin
+    m <= std_match(a, b);
+    stim: process begin
+        wait for 1 ns;
+        report "m=" & m;
+        a <= "00000110";
+        wait for 1 ns;
+        report "m=" & m;
+        wait;
+    end process;
+end architecture;
+"""
+
+_VH_INDEX_STORE = _VHDL_HEADER + """
+entity tb is end entity;
+architecture sim of tb is
+    signal q : std_logic_vector(7 downto 0) := (others => '0');
+    signal i : integer{init};
+    signal clk : std_logic := '0';
+begin
+    reg: process(clk) begin
+        if rising_edge(clk) then
+            q(i) <= '1';
+        end if;
+    end process;
+    stim: process begin
+        clk <= '1';
+        wait for 1 ns;
+        report "q=" & q;
+        i <= 2;
+        clk <= '0';
+        wait for 1 ns;
+        clk <= '1';
+        wait for 1 ns;
+        report "q=" & q;
+        wait;
+    end process;
+end architecture;
+"""
+
+_VH_SLICE_READ = _VHDL_HEADER + """
+entity tb is end entity;
+architecture sim of tb is
+    signal a : std_logic_vector(15 downto 0) := x"B6C3";
+    signal lo : integer{init};
+    signal y : std_logic_vector(3 downto 0);
+begin
+    y <= a(lo + 3 downto lo);
+    stim: process begin
+        wait for 1 ns;
+        report "y=" & y;
+        lo <= 8;
+        wait for 1 ns;
+        report "y=" & y;
+        wait;
+    end process;
+end architecture;
+"""
+
+_V_PART_STORE = """
+module tb;
+    reg [7:0] q;
+    reg [3:0] a, b;
+    reg [2:0] hi, lo;
+    initial begin
+        q = 8'b0; a = 4'd9; b = 4'd8; hi = 3'd6; lo = 3'd2;
+        q[hi:lo] = a + b;
+        $display("q=%b", q);
+        lo = {lo2};
+        q[hi:lo] = 5'b11111;
+        $display("q=%b", q);
+        $finish;
+    end
+endmodule
+"""
+
+_VH_SLICE_STORE = _VHDL_HEADER + """
+entity tb is end entity;
+architecture sim of tb is
+    signal q : std_logic_vector(7 downto 0) := (others => '0');
+    signal lo : integer{init};
+begin
+    stim: process
+        variable v : std_logic_vector(7 downto 0) := (others => '0');
+    begin
+        q(lo + 3 downto lo) <= (others => '1');
+        wait for 1 ns;
+        report "q=" & q;
+        if q(lo + 3 downto lo) = (others => '1') then
+            report "all ones";
+        else
+            report "not all ones";
+        end if;
+        case q(lo + 1 downto lo) is
+            when (others => '1') => report "low pair set";
+            when others => report "low pair clear";
+        end case;
+        v(lo + 1 downto lo) := "11";
+        report "v=" & v;
+        wait;
+    end process;
+end architecture;
+"""
+
+_SHIFTS = ("shift_left", "shift_right", "rotate_left", "rotate_right")
+
+#: case name → (language, full testbench source with top ``tb``)
+CASES: dict[str, tuple[Language, str]] = {
+    "v_bit_store": (
+        Language.VERILOG, _V_BIT_STORE.format(index1="3'd5", index2="3'd2")
+    ),
+    "v_bit_store_x": (
+        Language.VERILOG, _V_BIT_STORE.format(index1="3'd5", index2="3'bx1x")
+    ),
+    "v_part_select": (Language.VERILOG, _V_PART_SELECT.format(lo2="3'd4")),
+    "v_part_select_x": (
+        Language.VERILOG, _V_PART_SELECT.format(lo2="3'bxx0")
+    ),
+    "v_indexed_select": (
+        Language.VERILOG, _V_INDEXED_SELECT.format(s2="3'd5")
+    ),
+    "v_indexed_select_x": (
+        Language.VERILOG, _V_INDEXED_SELECT.format(s2="3'bx")
+    ),
+    "v_replicate": (Language.VERILOG, _V_REPLICATE.format(init=" = 3'd3")),
+    "v_replicate_x": (Language.VERILOG, _V_REPLICATE.format(init="")),
+    **{
+        f"vh_{fn}": (Language.VHDL, _VH_SHIFT.format(fn=fn, init=" := 3"))
+        for fn in _SHIFTS
+    },
+    **{
+        f"vh_{fn}_x": (Language.VHDL, _VH_SHIFT.format(fn=fn, init=""))
+        for fn in _SHIFTS
+    },
+    "vh_std_match": (
+        Language.VHDL, _VH_STD_MATCH.format(b='"10110110"')
+    ),
+    "vh_std_match_x": (
+        Language.VHDL, _VH_STD_MATCH.format(b='"1-11X110"')
+    ),
+    "vh_index_store": (Language.VHDL, _VH_INDEX_STORE.format(init=" := 5")),
+    "vh_index_store_x": (Language.VHDL, _VH_INDEX_STORE.format(init="")),
+    "vh_slice_read": (Language.VHDL, _VH_SLICE_READ.format(init=" := 4")),
+    "vh_slice_read_x": (Language.VHDL, _VH_SLICE_READ.format(init="")),
+    "v_part_store": (Language.VERILOG, _V_PART_STORE.format(lo2="3'd4")),
+    "v_part_store_x": (Language.VERILOG, _V_PART_STORE.format(lo2="3'bx")),
+    "vh_slice_store": (Language.VHDL, _VH_SLICE_STORE.format(init=" := 2")),
+    "vh_slice_store_x": (Language.VHDL, _VH_SLICE_STORE.format(init="")),
+}
+
+#: case name → (ok, printed lines, rendered log, runtime error)
+EXPECTED: dict[str, tuple[bool, tuple[str, ...], str, str]] = {
+    "v_bit_store": (
+        True,
+        ("q=00100000", "q=00100100"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "q=00100000\n"
+        "q=00100100\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 4 ns",
+        "",
+    ),
+    "v_bit_store_x": (
+        True,
+        ("q=00100000", "q=00100000"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "q=00100000\n"
+        "q=00100000\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 4 ns",
+        "",
+    ),
+    "v_part_select": (
+        True,
+        ("y=00001101", "y=00001011"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=00001101\n"
+        "y=00001011\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "v_part_select_x": (
+        True,
+        ("y=00001101", "y=0000000x"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=00001101\n"
+        "y=0000000x\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "v_indexed_select": (
+        True,
+        ("y=11", "y=01"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=11\n"
+        "y=01\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "v_indexed_select_x": (
+        True,
+        ("y=11", "y=0x"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=11\n"
+        "y=0x\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "v_replicate": (
+        True,
+        ("y=00000111", "y=00011111"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=00000111\n"
+        "y=00011111\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "v_replicate_x": (
+        False,
+        (),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "ERROR: [XSIM 43-3861] replication count has unknown bits",
+        "replication count has unknown bits",
+    ),
+    "vh_shift_left": (
+        True,
+        ("y=10110000", "y=11000000"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=10110000\n"
+        "y=11000000\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_shift_right": (
+        True,
+        ("y=00010110", "y=00000101"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=00010110\n"
+        "y=00000101\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_rotate_left": (
+        True,
+        ("y=10110101", "y=11010110"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=10110101\n"
+        "y=11010110\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_rotate_right": (
+        True,
+        ("y=11010110", "y=10110101"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=11010110\n"
+        "y=10110101\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_shift_left_x": (
+        True,
+        ("y=xxxxxxxx", "y=11000000"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=xxxxxxxx\n"
+        "y=11000000\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_shift_right_x": (
+        True,
+        ("y=xxxxxxxx", "y=00000101"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=xxxxxxxx\n"
+        "y=00000101\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_rotate_left_x": (
+        True,
+        ("y=xxxxxxxx", "y=11010110"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=xxxxxxxx\n"
+        "y=11010110\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_rotate_right_x": (
+        True,
+        ("y=xxxxxxxx", "y=10110101"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=xxxxxxxx\n"
+        "y=10110101\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_std_match": (
+        True,
+        ("m=1", "m=0"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "m=1\n"
+        "m=0\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_std_match_x": (
+        True,
+        ("m=1", "m=0"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "m=1\n"
+        "m=0\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_index_store": (
+        True,
+        ("q=00100000", "q=00100100"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "q=00100000\n"
+        "q=00100100\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 3 ns",
+        "",
+    ),
+    "vh_index_store_x": (
+        True,
+        ("q=00000000", "q=00000100"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "q=00000000\n"
+        "q=00000100\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 3 ns",
+        "",
+    ),
+    "vh_slice_read": (
+        True,
+        ("y=1100", "y=0110"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=1100\n"
+        "y=0110\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "vh_slice_read_x": (
+        True,
+        ("y=000x", "y=0110"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=000x\n"
+        "y=0110\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "v_part_store": (
+        True,
+        ("q=01000100", "q=01110100"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "q=01000100\n"
+        "q=01110100\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 0 ns",
+        "",
+    ),
+    "v_part_store_x": (
+        True,
+        ("q=01000100", "q=01000100"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "q=01000100\n"
+        "q=01000100\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 0 ns",
+        "",
+    ),
+    "vh_slice_store": (
+        True,
+        ("q=00111100", "all ones", "low pair set", "v=00001100"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "q=00111100\n"
+        "all ones\n"
+        "low pair set\n"
+        "v=00001100\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 1 ns",
+        "",
+    ),
+    "vh_slice_store_x": (
+        False,
+        ("q=00000000", "not all ones", "low pair clear"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "q=00000000\n"
+        "not all ones\n"
+        "low pair clear\n"
+        "ERROR: [XSIM 43-3861] expression with unknown ('X') bits used as an integer",
+        "expression with unknown ('X') bits used as an integer",
+    ),
+}
+
+_TIER_FLAGS = ("REPRO_SIM_NO_LEVEL", "REPRO_SIM_NO_BATCH")
+
+
+@contextmanager
+def _tier(**flags):
+    """Pin the simulation tier flags for the duration of the block."""
+    previous = {flag: os.environ.pop(flag, None) for flag in _TIER_FLAGS}
+    os.environ.update(flags)
+    try:
+        yield
+    finally:
+        for flag, value in previous.items():
+            if value is None:
+                os.environ.pop(flag, None)
+            else:
+                os.environ[flag] = value
+
+
+def _simulate(name):
+    language, source = CASES[name]
+    files = [HdlFile(f"t{language.file_extension}", source, language)]
+    result = Toolchain().simulate(files, "tb")
+    return (
+        result.ok,
+        tuple(result.output_lines),
+        result.log,
+        result.runtime_error,
+    )
+
+
+def test_every_case_has_a_recorded_answer():
+    assert sorted(CASES) == sorted(EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize(
+    "flags", [{}, {"REPRO_SIM_NO_LEVEL": "1"}], ids=["levelized", "closure"]
+)
+def test_construct_matches_frozen_answer(name, flags):
+    with _tier(**flags):
+        assert _simulate(name) == EXPECTED[name]
+
+
+def test_x_replication_count_aborts_loudly():
+    """An X replication count fails the run with its diagnostic text."""
+    ok, lines, log, runtime_error = _simulate("v_replicate_x")
+    assert not ok
+    assert runtime_error == "replication count has unknown bits"
+    assert "ERROR: [XSIM 43-3861] replication count has unknown bits" in log
+    assert "Simulation completed" not in log
+    assert lines == ()
+
+
+@pytest.mark.parametrize(
+    "name, module, builder, processes",
+    [
+        ("v_part_select", compile_verilog, "continuous_assign_factory",
+         ["assign@6"]),
+        ("vh_index_store", compile_vhdl, "process_factory", ["reg", "stim"]),
+    ],
+)
+def test_raising_process_builder_is_a_counted_refusal(
+    name, module, builder, processes, monkeypatch
+):
+    """A builder that raises fails elaboration with a named error."""
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("builder exploded")
+
+    monkeypatch.setattr(module, builder, broken)
+    language, source = CASES[name]
+    collector = DiagnosticCollector()
+    previous = get_tracer()
+    set_tracer(Tracer(NullSink()))
+    try:
+        design = Toolchain()._build_design(
+            [HdlFile(f"t{language.file_extension}", source, language)],
+            "tb", collector,
+        )
+        refusals = get_tracer().metrics.counter("sim.compile.refusals").value
+    finally:
+        set_tracer(previous)
+    assert design is None
+    assert refusals == len(processes)
+    assert [d.message for d in collector.diagnostics] == [
+        f"simulation compiler refused process '{process}': "
+        "RuntimeError: builder exploded"
+        for process in processes
+    ]

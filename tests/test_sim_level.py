@@ -16,9 +16,7 @@ from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.sim.kernel import Simulator
 
-_TIER_FLAGS = (
-    "REPRO_SIM_INTERP", "REPRO_SIM_NO_LEVEL", "REPRO_SIM_NO_TWOSTATE"
-)
+_TIER_FLAGS = ("REPRO_SIM_NO_LEVEL", "REPRO_SIM_NO_TWOSTATE")
 
 
 @contextmanager
@@ -85,10 +83,10 @@ class TestConeFormation:
     def test_cone_calls_not_counted_as_process_activations(self):
         design = build(CHAIN_V)
         _, stats = run(design)
-        interp_design = build(CHAIN_V, REPRO_SIM_INTERP="1")
-        _, interp_stats = run(interp_design)
-        assert stats.process_activations < interp_stats.process_activations
-        assert interp_stats.cone_calls == 0
+        closure_design = build(CHAIN_V, REPRO_SIM_NO_LEVEL="1")
+        _, closure_stats = run(closure_design)
+        assert stats.process_activations < closure_stats.process_activations
+        assert closure_stats.cone_calls == 0
 
     def test_no_level_env_flag_disables_cones(self):
         design = build(CHAIN_V, REPRO_SIM_NO_LEVEL="1")
