@@ -379,7 +379,11 @@ class Toolchain:
             memo.popitem(last=False)
 
     def _parse_cached(self, hdl_file: HdlFile):
-        """Parse one file through the memo; returns (ast, diagnostics)."""
+        """Parse one file through the memo.
+
+        Returns (ast, diagnostics, source): the entry keeps the file's
+        :class:`SourceFile`, so a hit does not rebuild its line index.
+        """
         key = ToolchainCache.key("parse", [hdl_file], "")
         entry = self._parse_memo.get(key)
         if entry is not None:
@@ -395,7 +399,8 @@ class Toolchain:
             tree, _ = parse_vhdl(
                 hdl_file.text, name=hdl_file.name, collector=sub
             )
-        entry = (tree, tuple(sub.diagnostics))
+        source = SourceFile(hdl_file.name, hdl_file.text)
+        entry = (tree, tuple(sub.diagnostics), source)
         self._memo_put(self._parse_memo, key, entry, self.FRONTEND_MEMO_MAX)
         return entry
 
@@ -425,8 +430,7 @@ class Toolchain:
         sources: dict[str, SourceFile] = {}
         units = []
         for hdl_file in files:
-            source = SourceFile(hdl_file.name, hdl_file.text)
-            unit, parse_diags = self._parse_cached(hdl_file)
+            unit, parse_diags, source = self._parse_cached(hdl_file)
             collector.diagnostics.extend(parse_diags)
             units.append((unit, source))
             for module in unit.modules:
@@ -445,7 +449,7 @@ class Toolchain:
         self._analyze_memoized(files, collector, analyze)
         if collector.has_errors:
             return None
-        top_source = sources.get(top, SourceFile(files[0].name, files[0].text))
+        top_source = sources.get(top) or units[0][1]
         design, _ = elaborate_verilog(modules, top, top_source, collector)
         return design
 
@@ -455,8 +459,7 @@ class Toolchain:
         sources: dict[str, SourceFile] = {}
         design_files = []
         for hdl_file in files:
-            source = SourceFile(hdl_file.name, hdl_file.text)
-            design_file, parse_diags = self._parse_cached(hdl_file)
+            design_file, parse_diags, source = self._parse_cached(hdl_file)
             collector.diagnostics.extend(parse_diags)
             design_files.append((design_file, source))
             for entity in design_file.entities:
@@ -481,7 +484,7 @@ class Toolchain:
         if collector.has_errors:
             return None
         top = top.lower()
-        top_source = sources.get(top, SourceFile(files[0].name, files[0].text))
+        top_source = sources.get(top) or design_files[0][1]
         from repro.vhdl.ast import DesignFile
         from repro.hdl.source import SourceSpan
 

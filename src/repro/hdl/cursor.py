@@ -1,0 +1,152 @@
+"""Token cursor shared by the Verilog and VHDL recursive-descent parsers.
+
+Both parsers walk a token list ending in one EOF token. :meth:`_advance`
+never moves past that EOF, so the current token is always
+``tokens[pos]`` and only lookahead needs clamping.
+
+The cursor also enforces the expression depth bound. Parsing, analysis,
+elaboration and the compiled simulation closures all recurse over
+expressions, so one expression nested or chained deeper than
+:data:`MAX_EXPR_DEPTH` would exhaust Python's stack somewhere downstream;
+the parser reports it as a named diagnostic instead.
+"""
+
+from __future__ import annotations
+
+from repro.hdl.diagnostics import DiagnosticCollector
+from repro.hdl.source import SourceFile, SourceSpan
+from repro.hdl.tokens import Token, TokenKind
+
+_EOF = TokenKind.EOF
+
+#: deepest expression the frontends accept, in levels below the outermost
+#: expression: sub-expressions open at once while parsing (parentheses,
+#: selects, concatenations, call arguments, unary operators) and operators
+#: on the longest path of the syntax tree, so ``((a))``, ``~~a`` and
+#: ``a + a + a`` are all two levels deep. At this depth parsing, analysis,
+#: elaboration and simulation stay within Python's default recursion limit
+#: (``tests/test_expression_depth.py``).
+MAX_EXPR_DEPTH = 128
+
+EXPR_TOO_DEEP = (
+    f"expression is nested or chained more than {MAX_EXPR_DEPTH} levels deep"
+)
+
+
+class ParseError(Exception):
+    """Internal: unwinds to the nearest recovery point."""
+
+
+def describe(token: Token) -> str:
+    if token.kind is TokenKind.EOF:
+        return "end of file"
+    return f"'{token.text}'"
+
+
+def tree_depth(root, node_type) -> int:
+    """Levels below the root of a syntax tree, walked without recursion."""
+    deepest = 0
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        values = list(vars(node).values())
+        while values:
+            value = values.pop()
+            if isinstance(value, node_type):
+                stack.append((value, depth + 1))
+            elif isinstance(value, tuple):
+                values.extend(value)
+    return deepest
+
+
+class TokenCursor:
+    """Token plumbing and the expression depth bound of both parsers."""
+
+    _CODE_SYNTAX = "VRFC 10-1412"
+    _CODE_UNSUPPORTED = "VRFC 10-2951"
+
+    def __init__(self, source: SourceFile, collector: DiagnosticCollector,
+                 tokens: list[Token]):
+        self.source = source
+        self.collector = collector
+        self.tokens = tokens
+        self.pos = 0
+        #: sub-expressions open at the cursor
+        self._depth = 0
+
+    def _peek(self, ahead: int = 0) -> Token:
+        if not ahead:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def _advance(self) -> Token:
+        token = self.tokens[self.pos]
+        if token.kind is not _EOF:
+            self.pos += 1
+        return token
+
+    def _at_eof(self) -> bool:
+        return self.tokens[self.pos].kind is _EOF
+
+    def _error(self, message: str, token: Token | None = None,
+               code: str = _CODE_SYNTAX) -> ParseError:
+        token = token or self.tokens[self.pos]
+        span = token.span if token.span.length else SourceSpan(
+            token.span.start_offset, token.span.start_offset + 1
+        )
+        self.collector.error(code, message, source=self.source, span=span)
+        return ParseError(message)
+
+    def _expect_punct(self, text: str, context: str) -> Token:
+        token = self.tokens[self.pos]
+        if token.is_op(text):
+            self.pos += 1
+            return token
+        raise self._error(
+            f"syntax error near {describe(token)}: expected '{text}' {context}",
+            token,
+        )
+
+    def _expect_keyword(self, name: str, context: str) -> Token:
+        token = self.tokens[self.pos]
+        if token.is_kw(name):
+            self.pos += 1
+            return token
+        raise self._error(
+            f"syntax error near {describe(token)}: expected '{name}' {context}",
+            token,
+        )
+
+    def _expect_ident(self, context: str) -> Token:
+        token = self.tokens[self.pos]
+        if token.kind is TokenKind.IDENT:
+            self.pos += 1
+            return token
+        raise self._error(
+            f"syntax error near {describe(token)}: "
+            f"expected an identifier {context}",
+            token,
+        )
+
+    # -- expression depth ----------------------------------------------------
+
+    def _nest(self) -> int:
+        """Open one sub-expression; returns the depth to restore on exit."""
+        depth = self._depth
+        if depth > MAX_EXPR_DEPTH:
+            raise self._error(EXPR_TOO_DEEP, code=self._CODE_UNSUPPORTED)
+        self._depth = depth + 1
+        return depth
+
+    def _check_tree(self, expr, start: int, node_type) -> None:
+        """Bound the tree of an outermost expression parsed from ``start``.
+
+        Every level of a tree takes a token, so only long expressions are
+        walked.
+        """
+        if (self.pos - start > MAX_EXPR_DEPTH + 1
+                and tree_depth(expr, node_type) > MAX_EXPR_DEPTH):
+            raise self._error(
+                EXPR_TOO_DEEP, self.tokens[start], code=self._CODE_UNSUPPORTED
+            )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass(frozen=True, order=True)
@@ -22,18 +23,25 @@ class SourceLocation:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """A half-open [start, end) character range within one file."""
-
+class _Span(NamedTuple):
     start_offset: int
     end_offset: int
 
-    def __post_init__(self) -> None:
-        if self.end_offset < self.start_offset:
+
+class SourceSpan(_Span):
+    """A half-open [start, end) character range within one file.
+
+    An immutable tuple; construction rejects an end before the start.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start_offset: int, end_offset: int) -> "SourceSpan":
+        if end_offset < start_offset:
             raise ValueError(
-                f"span end {self.end_offset} precedes start {self.start_offset}"
+                f"span end {end_offset} precedes start {start_offset}"
             )
+        return tuple.__new__(cls, (start_offset, end_offset))
 
     @property
     def length(self) -> int:
@@ -41,10 +49,12 @@ class SourceSpan:
 
     def merge(self, other: "SourceSpan") -> "SourceSpan":
         """Smallest span covering both operands."""
-        return SourceSpan(
-            min(self.start_offset, other.start_offset),
-            max(self.end_offset, other.end_offset),
-        )
+        start, end = self
+        other_start, other_end = other
+        return tuple.__new__(SourceSpan, (
+            start if start < other_start else other_start,
+            end if end > other_end else other_end,
+        ))
 
 
 @dataclass
@@ -57,9 +67,11 @@ class SourceFile:
 
     def __post_init__(self) -> None:
         starts = [0]
-        for index, char in enumerate(self.text):
-            if char == "\n":
-                starts.append(index + 1)
+        find = self.text.find
+        index = find("\n")
+        while index >= 0:
+            starts.append(index + 1)
+            index = find("\n", index + 1)
         self._line_starts = starts
 
     @property

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.hdl.source import SourceSpan
 
@@ -28,9 +28,13 @@ class TokenKind(enum.Enum):
     ERROR = "invalid token"
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexed token with its source span and raw text."""
+_KEYWORD = TokenKind.KEYWORD
+_OPERATOR = TokenKind.OPERATOR
+_PUNCT = TokenKind.PUNCT
+
+
+class Token(NamedTuple):
+    """One lexed token with its source span and raw text (an immutable tuple)."""
 
     kind: TokenKind
     text: str
@@ -42,13 +46,11 @@ class Token:
         VHDL keyword comparison is case-insensitive; the VHDL lexer stores
         keyword text lower-cased so a plain comparison works for both languages.
         """
-        return self.kind is TokenKind.KEYWORD and self.text in names
+        return self.kind is _KEYWORD and self.text in names
 
     def is_op(self, *ops: str) -> bool:
-        return (
-            self.kind in (TokenKind.OPERATOR, TokenKind.PUNCT)
-            and self.text in ops
-        )
+        kind = self.kind
+        return (kind is _OPERATOR or kind is _PUNCT) and self.text in ops
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})"

@@ -1,4 +1,4 @@
-"""Verilog lexer.
+"""Verilog lexer: the token table of the shared scanner.
 
 Produces a flat token stream with source spans. Lexical errors (unterminated
 strings/comments, malformed based literals, stray characters) are reported
@@ -10,7 +10,8 @@ errors do.
 from __future__ import annotations
 
 from repro.hdl.diagnostics import DiagnosticCollector
-from repro.hdl.source import SourceFile, SourceSpan
+from repro.hdl.scanner import ESCAPED, SKIP, WORD, LexError, TokenTable
+from repro.hdl.source import SourceFile
 from repro.hdl.tokens import Token, TokenKind
 
 VERILOG_KEYWORDS = frozenset(
@@ -23,166 +24,54 @@ VERILOG_KEYWORDS = frozenset(
     """.split()
 )
 
-#: multi-character operators, longest first so maximal munch works
-_OPERATORS = [
-    "<<<", ">>>", "===", "!==",
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "**", "+:", "-:",
-    "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=", "?",
+_SIZE = r"[0-9][0-9_]*'[sS]?"  # decimal size, tick and signed marker
+_BASE = "[bBdDhHoO]"
+
+#: (rule name, pattern, action), tried in this order at every position
+VERILOG_RULES = [
+    ("space", r"[ \t\r\n]+", SKIP),
+    # line comment, block comment, compiler directive (`timescale ...)
+    ("comment", r"//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/|`[^\n]*", SKIP),
+    ("open_comment", r"/\*[\s\S]*",
+     LexError("unterminated block comment", token=False)),
+    ("word", r"[A-Za-z_][A-Za-z0-9_$]*", WORD),
+    # escaped identifier: up to the next whitespace character
+    ("escaped", r"\\[\x00-\x08\x0e-\x1b!-\x7f]*", ESCAPED),
+    ("based", rf"(?:{_SIZE}|'){_BASE}[A-Za-z0-9_?]+", TokenKind.BASED_NUMBER),
+    ("no_digits", rf"(?:{_SIZE}|'){_BASE}",
+     LexError("based literal is missing digits")),
+    ("bad_base", _SIZE,
+     LexError("invalid base specifier {next!r} in literal")),
+    ("number", "[0-9][0-9_]*", TokenKind.NUMBER),
+    # a backslash escapes any character but a newline
+    ("string", r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"', TokenKind.STRING),
+    ("open_string", r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*\\?',
+     LexError("unterminated string literal")),
+    ("system", r"\$[A-Za-z0-9_]+", TokenKind.SYSTEM_ID),
+    ("dollar", r"\$", LexError("expected system task name after '$'")),
+    # longest first, so maximal munch
+    ("operator",
+     r"<<<|>>>|===|!==|<<|>>|<=|>=|==|!=|&&|\|\||\*\*|\+:|-:|[-+*/%&|^~!<>=?]",
+     TokenKind.OPERATOR),
+    ("punct", r"[()\[\]{};:,.#@]", TokenKind.PUNCT),
+    ("unexpected", r"[\s\S]", LexError("unexpected character {text!r}")),
 ]
 
-_PUNCT = set("()[]{};:,.#@")
+VERILOG_TABLE = TokenTable(
+    VERILOG_RULES, keywords=VERILOG_KEYWORDS, fold_case=False,
+    error_code="VRFC 10-4982",
+)
 
 
 class VerilogLexer:
-    """Single-pass maximal-munch lexer for the supported Verilog subset."""
+    """Tokenizes one Verilog source with :data:`VERILOG_TABLE`."""
 
     def __init__(self, source: SourceFile, collector: DiagnosticCollector):
         self.source = source
         self.collector = collector
-        self._text = source.text
-        self._pos = 0
 
     def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # -- helpers -------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        """Character at the cursor (+ahead), or NUL at end of input.
-
-        Returning ``"\\0"`` rather than ``""`` matters: the empty string is a
-        substring of everything, so ``self._peek() in "_$"`` would be True at
-        EOF and scanning loops would never terminate.
-        """
-        index = self._pos + ahead
-        return self._text[index] if index < len(self._text) else "\0"
-
-    def _make(self, kind: TokenKind, start: int) -> Token:
-        span = SourceSpan(start, self._pos)
-        return Token(kind, self._text[start : self._pos], span)
-
-    def _error(self, message: str, start: int) -> Token:
-        span = SourceSpan(start, max(self._pos, start + 1))
-        self.collector.error("VRFC 10-4982", message, source=self.source, span=span)
-        return Token(TokenKind.ERROR, self._text[start : self._pos], span)
-
-    # -- scanning ------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._pos += 1
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._pos += 1
-            elif char == "/" and self._peek(1) == "*":
-                start = self._pos
-                self._pos += 2
-                while self._pos < len(self._text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._pos += 1
-                if self._pos >= len(self._text):
-                    self._error("unterminated block comment", start)
-                    return
-                self._pos += 2
-            elif char == "`":
-                # compiler directives (`timescale etc.): consume the full line
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._pos += 1
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        start = self._pos
-        if self._pos >= len(self._text):
-            return Token(TokenKind.EOF, "", SourceSpan(start, start))
-        char = self._peek()
-
-        if char.isalpha() or char == "_":
-            return self._lex_ident(start)
-        if char == "\\":
-            return self._lex_escaped_ident(start)
-        if char.isdigit() or (char == "'" and self._peek(1) in "bBdDhHoO"):
-            return self._lex_number(start)
-        if char == '"':
-            return self._lex_string(start)
-        if char == "$":
-            return self._lex_system_id(start)
-        for op in _OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._pos += len(op)
-                return self._make(TokenKind.OPERATOR, start)
-        if char in _PUNCT:
-            self._pos += 1
-            return self._make(TokenKind.PUNCT, start)
-        self._pos += 1
-        return self._error(f"unexpected character {char!r}", start)
-
-    def _lex_ident(self, start: int) -> Token:
-        while self._peek().isalnum() or self._peek() in "_$":
-            self._pos += 1
-        text = self._text[start : self._pos]
-        kind = TokenKind.KEYWORD if text in VERILOG_KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, SourceSpan(start, self._pos))
-
-    def _lex_escaped_ident(self, start: int) -> Token:
-        self._pos += 1
-        while self._pos < len(self._text) and not self._peek().isspace():
-            self._pos += 1
-        return Token(
-            TokenKind.IDENT,
-            self._text[start + 1 : self._pos],
-            SourceSpan(start, self._pos),
-        )
-
-    def _lex_number(self, start: int) -> Token:
-        # optional decimal size
-        while self._peek().isdigit() or self._peek() == "_":
-            self._pos += 1
-        if self._peek() == "'":
-            self._pos += 1
-            if self._peek() in "sS":
-                self._pos += 1
-            base = self._peek()
-            if base not in "bBdDhHoO":
-                return self._error(f"invalid base specifier {base!r} in literal", start)
-            self._pos += 1
-            digits_start = self._pos
-            while self._peek().isalnum() or self._peek() in "_?":
-                self._pos += 1
-            if self._pos == digits_start:
-                return self._error("based literal is missing digits", start)
-            return self._make(TokenKind.BASED_NUMBER, start)
-        return self._make(TokenKind.NUMBER, start)
-
-    def _lex_string(self, start: int) -> Token:
-        self._pos += 1
-        while self._pos < len(self._text) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._pos += 1
-            if self._peek() == "\n":
-                break
-            self._pos += 1
-        if self._peek() != '"':
-            return self._error("unterminated string literal", start)
-        self._pos += 1
-        return self._make(TokenKind.STRING, start)
-
-    def _lex_system_id(self, start: int) -> Token:
-        self._pos += 1
-        while self._peek().isalnum() or self._peek() == "_":
-            self._pos += 1
-        if self._pos == start + 1:
-            return self._error("expected system task name after '$'", start)
-        return self._make(TokenKind.SYSTEM_ID, start)
+        return VERILOG_TABLE.scan(self.source, self.collector)
 
 
 def lex_verilog(

@@ -9,16 +9,15 @@ the behaviour the paper's Review Agent depends on to batch corrections.
 
 from __future__ import annotations
 
-from repro.hdl.diagnostics import DiagnosticCollector, Severity
+from repro.hdl.cursor import ParseError as _ParseError
+from repro.hdl.cursor import TokenCursor
+from repro.hdl.cursor import describe as _describe
+from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile, SourceSpan
 from repro.hdl.tokens import Token, TokenKind
 from repro.sim.values import Logic
 from repro.verilog import ast
 from repro.verilog.lexer import VerilogLexer
-
-
-class _ParseError(Exception):
-    """Internal: unwinds to the nearest recovery point."""
 
 
 def parse_number_literal(text: str) -> tuple[Logic, bool]:
@@ -55,70 +54,12 @@ def parse_number_literal(text: str) -> tuple[Logic, bool]:
     return Logic(width, bits, xmask), bool(size_text)
 
 
-class VerilogParser:
+class VerilogParser(TokenCursor):
     """Parses a token stream into a :class:`repro.verilog.ast.SourceUnit`."""
 
-    _CODE_SYNTAX = "VRFC 10-1412"
-    _CODE_UNSUPPORTED = "VRFC 10-2951"
-
     def __init__(self, source: SourceFile, collector: DiagnosticCollector):
-        self.source = source
-        self.collector = collector
-        self.tokens = VerilogLexer(source, collector).tokenize()
-        self.pos = 0
-
-    # ------------------------------------------------------------------
-    # token plumbing
-    # ------------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def _advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
-            self.pos += 1
-        return token
-
-    def _at_eof(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
-
-    def _error(self, message: str, token: Token | None = None) -> _ParseError:
-        token = token or self._peek()
-        span = token.span if token.span.length else SourceSpan(
-            token.span.start_offset, token.span.start_offset + 1
-        )
-        self.collector.error(
-            self._CODE_SYNTAX, message, source=self.source, span=span
-        )
-        return _ParseError(message)
-
-    def _expect_punct(self, text: str, context: str) -> Token:
-        token = self._peek()
-        if token.is_op(text):
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected '{text}' {context}",
-            token,
-        )
-
-    def _expect_keyword(self, name: str, context: str) -> Token:
-        token = self._peek()
-        if token.is_kw(name):
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected '{name}' {context}",
-            token,
-        )
-
-    def _expect_ident(self, context: str) -> Token:
-        token = self._peek()
-        if token.kind is TokenKind.IDENT:
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected an identifier {context}",
-            token,
+        super().__init__(
+            source, collector, VerilogLexer(source, collector).tokenize()
         )
 
     def _sync_to_semicolon(self) -> None:
@@ -587,7 +528,9 @@ class VerilogParser:
     # ------------------------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:
-        token = self._peek()
+        token = self.tokens[self.pos]
+        if token.kind is TokenKind.IDENT or token.is_op("{"):
+            return self._parse_assignment_statement()
         if token.is_kw("begin"):
             return self._parse_block()
         if token.is_kw("if"):
@@ -613,8 +556,6 @@ class VerilogParser:
         if token.is_op(";"):
             self._advance()
             return ast.NullStatement(span=token.span)
-        if token.kind is TokenKind.IDENT or token.is_op("{"):
-            return self._parse_assignment_statement()
         raise self._error(
             f"syntax error near {_describe(token)}: expected a statement"
         )
@@ -843,67 +784,83 @@ class VerilogParser:
     # expressions (precedence climbing)
     # ------------------------------------------------------------------
 
-    _BINARY_LEVELS: list[list[str]] = [
-        ["||"],
-        ["&&"],
-        ["|"],
-        ["^"],
-        ["&"],
-        ["==", "!=", "===", "!=="],
-        ["<", "<=", ">", ">="],
-        ["<<", ">>", ">>>", "<<<"],
-        ["+", "-"],
-        ["*", "/", "%"],
-        ["**"],
-    ]
+    #: binding power of each binary operator; all associate to the left
+    _BINARY_PREC = {
+        "||": 1,
+        "&&": 2,
+        "|": 3,
+        "^": 4,
+        "&": 5,
+        "==": 6, "!=": 6, "===": 6, "!==": 6,
+        "<": 7, "<=": 7, ">": 7, ">=": 7,
+        "<<": 8, ">>": 8, ">>>": 8, "<<<": 8,
+        "+": 9, "-": 9,
+        "*": 10, "/": 10, "%": 10,
+        "**": 11,
+    }
 
     def parse_expression(self) -> ast.Expression:
-        return self._parse_ternary()
+        start = self.pos
+        depth = self._nest()
+        try:
+            expr = self._parse_binary(1)
+            if self.tokens[self.pos].is_op("?"):
+                self._advance()
+                if_true = self.parse_expression()
+                self._expect_punct(":", "in conditional expression")
+                if_false = self.parse_expression()
+                expr = ast.Ternary(
+                    span=expr.span.merge(if_false.span),
+                    cond=expr,
+                    if_true=if_true,
+                    if_false=if_false,
+                )
+        finally:
+            self._depth = depth
+        if not depth:
+            self._check_tree(expr, start, ast.Node)
+        return expr
 
-    def _parse_ternary(self) -> ast.Expression:
-        condition = self._parse_binary(0)
-        if self._peek().is_op("?"):
-            self._advance()
-            if_true = self.parse_expression()
-            self._expect_punct(":", "in conditional expression")
-            if_false = self.parse_expression()
-            return ast.Ternary(
-                span=_expr_span(condition).merge(_expr_span(if_false)),
-                cond=condition,
-                if_true=if_true,
-                if_false=if_false,
-            )
-        return condition
-
-    def _parse_binary(self, level: int) -> ast.Expression:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        lhs = self._parse_binary(level + 1)
-        while self._peek().is_op(*ops):
-            op = self._advance().text
-            rhs = self._parse_binary(level + 1)
+    def _parse_binary(self, min_prec: int) -> ast.Expression:
+        """Precedence climbing: fold operators binding at least ``min_prec``."""
+        lhs = self._parse_unary()
+        tokens = self.tokens
+        while True:
+            token = tokens[self.pos]
+            if token.kind is not TokenKind.OPERATOR:
+                return lhs
+            prec = self._BINARY_PREC.get(token.text, 0)
+            if prec < min_prec:
+                return lhs
+            self.pos += 1
+            rhs = self._parse_binary(prec + 1)
             lhs = ast.Binary(
-                span=_expr_span(lhs).merge(_expr_span(rhs)), op=op, lhs=lhs, rhs=rhs
+                span=lhs.span.merge(rhs.span), op=token.text, lhs=lhs, rhs=rhs
             )
-        return lhs
 
     def _parse_unary(self) -> ast.Expression:
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.is_op("+", "-", "!", "~", "&", "|", "^"):
+            depth = self._nest()
             self._advance()
             op = token.text
             # reduction nand/nor/xnor: ~& ~| ~^ arrive as '~' followed by op
             if op == "~" and self._peek().is_op("&", "|", "^"):
                 op = "~" + self._advance().text
             operand = self._parse_unary()
+            self._depth = depth
             return ast.Unary(
-                span=token.span.merge(_expr_span(operand)), op=op, operand=operand
+                span=token.span.merge(operand.span), op=op, operand=operand
             )
         return self.parse_primary()
 
     def parse_primary(self) -> ast.Expression:
-        token = self._peek()
+        token = self.tokens[self.pos]
+        if token.kind is TokenKind.IDENT:
+            self.pos += 1
+            if self.tokens[self.pos].is_op("["):
+                return self._parse_select(token)
+            return ast.Identifier(span=token.span, name=token.text)
         if token.kind in (TokenKind.NUMBER, TokenKind.BASED_NUMBER):
             self._advance()
             try:
@@ -930,11 +887,6 @@ class VerilogParser:
             return ast.SystemFunctionCall(
                 span=token.span, name=token.text, args=tuple(args)
             )
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self._peek().is_op("["):
-                return self._parse_select(token)
-            return ast.Identifier(span=token.span, name=token.text)
         if token.is_op("("):
             self._advance()
             inner = self.parse_expression()
@@ -1032,12 +984,6 @@ def _flatten_items(items) -> tuple:
         else:
             flat.append(item)
     return tuple(flat)
-
-
-def _describe(token: Token) -> str:
-    if token.kind is TokenKind.EOF:
-        return "end of file"
-    return f"'{token.text}'"
 
 
 def _expr_span(expr: ast.Expression) -> SourceSpan:

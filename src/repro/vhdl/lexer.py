@@ -1,4 +1,4 @@
-"""VHDL lexer.
+"""VHDL lexer: the token table of the shared scanner.
 
 Case-insensitive keywords (stored lower-cased), ``--`` comments, character
 literals (``'0'``), bit-string literals (``"0101"``, ``x"a5"``), and the VHDL
@@ -9,7 +9,8 @@ look alike.
 from __future__ import annotations
 
 from repro.hdl.diagnostics import DiagnosticCollector
-from repro.hdl.source import SourceFile, SourceSpan
+from repro.hdl.scanner import BIT_STRING, SKIP, WORD, LexError, TokenTable
+from repro.hdl.source import SourceFile
 from repro.hdl.tokens import Token, TokenKind
 
 VHDL_KEYWORDS = frozenset(
@@ -26,152 +27,42 @@ VHDL_KEYWORDS = frozenset(
     """.split()
 )
 
-_OPERATORS = [
-    "**", ":=", "=>", "/=", "<=", ">=", "<>",
-    "=", "<", ">", "+", "-", "*", "/", "&", "|",
+_UNTERMINATED = "unterminated string literal"
+
+#: (rule name, pattern, action), tried in this order at every position
+VHDL_RULES = [
+    ("space", r"[ \t\r\n]+", SKIP),
+    ("comment", r"--[^\n]*", SKIP),
+    # x"a5", b"0101", o"17"; an unterminated one is reported from its quote
+    ("bit_string", r'[xXbBoO]"[^"\n]*"', BIT_STRING),
+    ("open_bit_string", r'[xXbBoO]"[^"\n]*', LexError(_UNTERMINATED, skip=1)),
+    ("word", "[A-Za-z][A-Za-z0-9_]*", WORD),
+    # a real literal is lexed whole and rejected by the parser
+    ("number", r"[0-9][0-9_]*(?:\.[0-9]*)?", TokenKind.NUMBER),
+    ("string", r'"[^"\n]*"', TokenKind.STRING),
+    ("open_string", r'"[^"\n]*', LexError(_UNTERMINATED)),
+    # '0' is a character literal; any other tick is an attribute tick (punct)
+    ("char", r"'[\s\S]'", TokenKind.CHAR),
+    ("operator", r"\*\*|:=|=>|/=|<=|>=|<>|[=<>+\-*/&|]", TokenKind.OPERATOR),
+    ("punct", r"[()\[\];:,.']", TokenKind.PUNCT),
+    ("unexpected", r"[\s\S]", LexError("unexpected character {text!r}")),
 ]
 
-_PUNCT = set("()[];:,.'")
+VHDL_TABLE = TokenTable(
+    VHDL_RULES, keywords=VHDL_KEYWORDS, fold_case=True,
+    error_code="VRFC 10-1491",
+)
 
 
 class VhdlLexer:
-    """Single-pass lexer for the supported VHDL subset."""
+    """Tokenizes one VHDL source with :data:`VHDL_TABLE`."""
 
     def __init__(self, source: SourceFile, collector: DiagnosticCollector):
         self.source = source
         self.collector = collector
-        self._text = source.text
-        self._pos = 0
-        self._last_significant: Token | None = None
 
     def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            if token.kind is not TokenKind.ERROR:
-                self._last_significant = token
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # -- helpers -------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        """Character at the cursor (+ahead), or NUL at end of input.
-
-        NUL (not the empty string) keeps ``in``-string membership tests safe:
-        ``"" in "abc"`` is True in Python, which would turn scanning loops
-        into infinite loops at end of file.
-        """
-        index = self._pos + ahead
-        return self._text[index] if index < len(self._text) else "\0"
-
-    def _make(self, kind: TokenKind, start: int, text: str | None = None) -> Token:
-        span = SourceSpan(start, self._pos)
-        return Token(kind, text if text is not None else self._text[start : self._pos], span)
-
-    def _error(self, message: str, start: int) -> Token:
-        span = SourceSpan(start, max(self._pos, start + 1))
-        self.collector.error("VRFC 10-1491", message, source=self.source, span=span)
-        return Token(TokenKind.ERROR, self._text[start : self._pos], span)
-
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._pos += 1
-            elif char == "-" and self._peek(1) == "-":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._pos += 1
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        start = self._pos
-        if self._pos >= len(self._text):
-            return Token(TokenKind.EOF, "", SourceSpan(start, start))
-        char = self._peek()
-
-        if char.isalpha():
-            return self._lex_ident(start)
-        if char.isdigit():
-            return self._lex_number(start)
-        if char == '"':
-            return self._lex_string(start)
-        if char == "'":
-            return self._lex_tick(start)
-        for op in _OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._pos += len(op)
-                return self._make(TokenKind.OPERATOR, start)
-        if char in _PUNCT:
-            self._pos += 1
-            return self._make(TokenKind.PUNCT, start)
-        self._pos += 1
-        return self._error(f"unexpected character {char!r}", start)
-
-    def _lex_ident(self, start: int) -> Token:
-        while self._peek().isalnum() or self._peek() == "_":
-            self._pos += 1
-        text = self._text[start : self._pos]
-        lowered = text.lower()
-        # bit-string literal prefix: x"a5", b"0101", o"17"
-        if lowered in ("x", "b", "o") and self._peek() == '"':
-            string = self._lex_string(self._pos)
-            if string.kind is TokenKind.ERROR:
-                return string
-            return Token(
-                TokenKind.BASED_NUMBER,
-                lowered + string.text,
-                SourceSpan(start, self._pos),
-            )
-        if lowered in VHDL_KEYWORDS:
-            return self._make(TokenKind.KEYWORD, start, lowered)
-        return self._make(TokenKind.IDENT, start, text)
-
-    def _lex_number(self, start: int) -> Token:
-        while self._peek().isdigit() or self._peek() == "_":
-            self._pos += 1
-        if self._peek() == ".":
-            # real literal — consumed but flagged unsupported downstream
-            self._pos += 1
-            while self._peek().isdigit():
-                self._pos += 1
-        return self._make(TokenKind.NUMBER, start)
-
-    def _lex_string(self, start: int) -> Token:
-        self._pos += 1
-        while self._pos < len(self._text) and self._peek() != '"':
-            if self._peek() == "\n":
-                break
-            self._pos += 1
-        if self._peek() != '"':
-            return self._error("unterminated string literal", start)
-        self._pos += 1
-        return self._make(TokenKind.STRING, start)
-
-    def _lex_tick(self, start: int) -> Token:
-        """Either a character literal ``'0'`` or the attribute tick ``clk'event``."""
-        if self._peek(2) == "'" and self._peek(1):
-            prev = self._last_significant
-            # a tick right after an identifier/`)` is an attribute unless the
-            # quoted character form is unambiguous ('x'), e.g. q'length vs '0'
-            if prev is not None and (
-                prev.kind is TokenKind.IDENT or prev.text == ")"
-            ):
-                # identifier'x' could still be a char literal in e.g. q = '1';
-                # disambiguate: attribute names are longer than one char, so a
-                # closing quote two ahead means character literal except right
-                # after an identifier followed by no operator. Heuristic: after
-                # IDENT, `'` begins an attribute only when the char after the
-                # quote is a letter AND the char after that is NOT a quote.
-                pass
-            self._pos += 3
-            return self._make(TokenKind.CHAR, start)
-        # attribute tick
-        self._pos += 1
-        return self._make(TokenKind.PUNCT, start)
+        return VHDL_TABLE.scan(self.source, self.collector)
 
 
 def lex_vhdl(

@@ -8,6 +8,9 @@ corrective prompts.
 
 from __future__ import annotations
 
+from repro.hdl.cursor import ParseError as _ParseError
+from repro.hdl.cursor import TokenCursor
+from repro.hdl.cursor import describe as _describe
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile, SourceSpan
 from repro.hdl.tokens import Token, TokenKind
@@ -27,72 +30,12 @@ KNOWN_FUNCTIONS = frozenset(
 _SEVERITIES = ("note", "warning", "error", "failure")
 
 
-class _ParseError(Exception):
-    """Internal: unwinds to the nearest recovery point."""
-
-
-class VhdlParser:
+class VhdlParser(TokenCursor):
     """Parses a token stream into a :class:`repro.vhdl.ast.DesignFile`."""
 
-    _CODE_SYNTAX = "VRFC 10-1412"
-    _CODE_UNSUPPORTED = "VRFC 10-2951"
-
     def __init__(self, source: SourceFile, collector: DiagnosticCollector):
-        self.source = source
-        self.collector = collector
-        self.tokens = VhdlLexer(source, collector).tokenize()
-        self.pos = 0
-
-    # ------------------------------------------------------------------
-    # token plumbing
-    # ------------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def _advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
-            self.pos += 1
-        return token
-
-    def _at_eof(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
-
-    def _error(self, message: str, token: Token | None = None) -> _ParseError:
-        token = token or self._peek()
-        span = token.span if token.span.length else SourceSpan(
-            token.span.start_offset, token.span.start_offset + 1
-        )
-        self.collector.error(self._CODE_SYNTAX, message, source=self.source, span=span)
-        return _ParseError(message)
-
-    def _expect_punct(self, text: str, context: str) -> Token:
-        token = self._peek()
-        if token.is_op(text):
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected '{text}' {context}",
-            token,
-        )
-
-    def _expect_keyword(self, name: str, context: str) -> Token:
-        token = self._peek()
-        if token.is_kw(name):
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected '{name}' {context}",
-            token,
-        )
-
-    def _expect_ident(self, context: str) -> Token:
-        token = self._peek()
-        if token.kind is TokenKind.IDENT:
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected an identifier {context}",
-            token,
+        super().__init__(
+            source, collector, VhdlLexer(source, collector).tokenize()
         )
 
     def _sync_to_semicolon(self) -> None:
@@ -736,7 +679,9 @@ class VhdlParser:
         return tuple(statements)
 
     def _parse_sequential_statement(self) -> ast.SeqStatement:
-        token = self._peek()
+        token = self.tokens[self.pos]
+        if token.kind is TokenKind.IDENT:
+            return self._parse_assignment()
         if token.is_kw("if"):
             return self._parse_if()
         if token.is_kw("case"):
@@ -757,8 +702,6 @@ class VhdlParser:
             self._advance()
             semi = self._expect_punct(";", "after 'null'")
             return ast.NullStatement(span=token.span.merge(semi.span))
-        if token.kind is TokenKind.IDENT:
-            return self._parse_assignment()
         raise self._error(
             f"syntax error near {_describe(token)}: expected a sequential "
             "statement"
@@ -988,82 +931,81 @@ class VhdlParser:
     # expressions
     # ------------------------------------------------------------------
 
-    _LOGICAL = ("and", "or", "xor", "nand", "nor", "xnor")
-    _RELATIONAL = ("=", "/=", "<", "<=", ">", ">=")
+    #: binding power of each binary operator: logical, relational, adding,
+    #: multiplying. All associate to the left except the relational ones,
+    #: which do not chain (a relation compares two simple expressions).
+    _BINARY_PREC = {
+        "and": 1, "or": 1, "xor": 1, "nand": 1, "nor": 1, "xnor": 1,
+        "=": 2, "/=": 2, "<": 2, "<=": 2, ">": 2, ">=": 2,
+        "+": 3, "-": 3, "&": 3,
+        "*": 4, "/": 4, "mod": 4, "rem": 4,
+    }
+    _RELATION = 2
+    _TERM = 4
 
     def parse_expression(self) -> ast.Expression:
-        lhs = self._parse_relation()
-        while self._peek().is_kw(*self._LOGICAL):
-            op = self._advance().text
-            rhs = self._parse_relation()
-            lhs = ast.Binary(
-                span=_span(lhs).merge(_span(rhs)), op=op, lhs=lhs, rhs=rhs
-            )
-        return lhs
+        start = self.pos
+        depth = self._nest()
+        try:
+            expr = self._parse_binary(1)
+        finally:
+            self._depth = depth
+        if not depth:
+            self._check_tree(expr, start, ast.Node)
+        return expr
 
-    def _parse_relation(self) -> ast.Expression:
-        lhs = self._parse_simple()
-        if self._peek().is_op(*self._RELATIONAL):
-            op = self._advance().text
-            rhs = self._parse_simple()
-            return ast.Binary(
-                span=_span(lhs).merge(_span(rhs)), op=op, lhs=lhs, rhs=rhs
-            )
-        return lhs
-
-    def _parse_simple(self) -> ast.Expression:
-        token = self._peek()
-        if token.is_op("-", "+"):
+    def _parse_binary(self, min_prec: int) -> ast.Expression:
+        """Precedence climbing: fold operators binding at least ``min_prec``."""
+        token = self.tokens[self.pos]
+        if min_prec < self._TERM and token.is_op("-", "+"):
+            # a sign starts a simple expression and binds its first term
             self._advance()
-            operand = self._parse_term()
-            lhs: ast.Expression = ast.Unary(
-                span=token.span.merge(_span(operand)), op=token.text, operand=operand
+            operand = self._parse_binary(self._TERM)
+            lhs = ast.Unary(
+                span=token.span.merge(operand.span), op=token.text, operand=operand
             )
         else:
-            lhs = self._parse_term()
-        while self._peek().is_op("+", "-", "&"):
-            op = self._advance().text
-            rhs = self._parse_term()
+            lhs = self._parse_factor()
+        folded = self._TERM + 1  # binding power of lhs's top operator
+        tokens = self.tokens
+        while True:
+            token = tokens[self.pos]
+            kind = token.kind
+            if kind is not TokenKind.OPERATOR and kind is not TokenKind.KEYWORD:
+                return lhs
+            prec = self._BINARY_PREC.get(token.text, 0)
+            if prec < min_prec or (prec == self._RELATION and folded <= prec):
+                return lhs
+            self.pos += 1
+            rhs = self._parse_binary(prec + 1)
             lhs = ast.Binary(
-                span=_span(lhs).merge(_span(rhs)), op=op, lhs=lhs, rhs=rhs
+                span=lhs.span.merge(rhs.span), op=token.text, lhs=lhs, rhs=rhs
             )
-        return lhs
-
-    def _parse_term(self) -> ast.Expression:
-        lhs = self._parse_factor()
-        while self._peek().is_op("*", "/") or self._peek().is_kw("mod", "rem"):
-            op = self._advance().text
-            rhs = self._parse_factor()
-            lhs = ast.Binary(
-                span=_span(lhs).merge(_span(rhs)), op=op, lhs=lhs, rhs=rhs
-            )
-        return lhs
+            folded = prec
 
     def _parse_factor(self) -> ast.Expression:
-        token = self._peek()
-        if token.is_kw("not"):
+        token = self.tokens[self.pos]
+        if token.is_kw("not", "abs"):
+            depth = self._nest()
             self._advance()
             operand = self._parse_factor()
+            self._depth = depth
             return ast.Unary(
-                span=token.span.merge(_span(operand)), op="not", operand=operand
-            )
-        if token.is_kw("abs"):
-            self._advance()
-            operand = self._parse_factor()
-            return ast.Unary(
-                span=token.span.merge(_span(operand)), op="abs", operand=operand
+                span=token.span.merge(operand.span), op=token.text, operand=operand
             )
         primary = self._parse_primary()
-        if self._peek().is_op("**"):
+        if self.tokens[self.pos].is_op("**"):
             self._advance()
             rhs = self._parse_primary()
             return ast.Binary(
-                span=_span(primary).merge(_span(rhs)), op="**", lhs=primary, rhs=rhs
+                span=primary.span.merge(rhs.span), op="**", lhs=primary, rhs=rhs
             )
         return primary
 
     def _parse_primary(self) -> ast.Expression:
-        token = self._peek()
+        token = self.tokens[self.pos]
+        if token.kind is TokenKind.IDENT:
+            return self._parse_name()
         if token.kind is TokenKind.NUMBER:
             self._advance()
             text = token.text.replace("_", "")
@@ -1087,8 +1029,6 @@ class VhdlParser:
         if token.is_kw("others"):
             # bare (others => ...) handled in aggregates; here it's an error
             raise self._error("'others' is only valid inside an aggregate", token)
-        if token.kind is TokenKind.IDENT:
-            return self._parse_name()
         raise self._error(
             f"syntax error near {_describe(token)}: expected an expression"
         )
@@ -1183,12 +1123,6 @@ class VhdlParser:
                 span=name_token.span, name=base, attr=attr
             )
         return result
-
-
-def _describe(token: Token) -> str:
-    if token.kind is TokenKind.EOF:
-        return "end of file"
-    return f"'{token.text}'"
 
 
 def _span(node) -> SourceSpan:

@@ -62,11 +62,27 @@ class TestSourceFile:
         line = source.line_text(loc.line)
         assert loc.column - 1 <= len(line) + 1
 
+    @given(st.text(alphabet="ab\n\r", max_size=200))
+    def test_line_index_marks_every_newline(self, text):
+        starts = [0] + [i + 1 for i, char in enumerate(text) if char == "\n"]
+        source = SourceFile("t", text)
+        assert source.line_count == len(starts)
+        assert [source.location(start).line for start in starts] == list(
+            range(1, len(starts) + 1)
+        )
+
 
 class TestSourceSpan:
     def test_backwards_span_rejected(self):
         with pytest.raises(ValueError):
             SourceSpan(5, 3)
+
+    def test_is_an_immutable_tuple_value(self):
+        span = SourceSpan(3, 7)
+        assert span == (3, 7) and hash(span) == hash((3, 7))
+        assert repr(span) == "SourceSpan(start_offset=3, end_offset=7)"
+        with pytest.raises(AttributeError):
+            span.start_offset = 0
 
     def test_merge(self):
         merged = SourceSpan(3, 5).merge(SourceSpan(10, 12))

@@ -102,6 +102,30 @@ class TestCompile:
         )
         assert result.ok
 
+    @pytest.mark.parametrize("hdl_file", [
+        HdlFile("t.v", GOOD_V, Language.VERILOG),
+        HdlFile("t.vhd", GOOD_VHD, Language.VHDL),
+    ])
+    def test_parse_memo_hits_build_no_source_file(
+        self, toolchain, monkeypatch, hdl_file
+    ):
+        import repro.eda.toolchain as toolchain_module
+
+        assert toolchain.simulate([hdl_file], "top_module").ok
+        built = []
+
+        class CountingSourceFile(toolchain_module.SourceFile):
+            def __post_init__(self):
+                built.append(self.name)
+                super().__post_init__()
+
+        monkeypatch.setattr(toolchain_module, "SourceFile", CountingSourceFile)
+        # re-elaboration and an unknown top (the first file's source is the
+        # fallback) both reuse the SourceFile kept in the parse memo
+        assert toolchain.simulate([hdl_file], "top_module").ok
+        assert not toolchain.compile([hdl_file], "nonexistent").ok
+        assert built == []
+
 
 class TestSimulate:
     TB = """

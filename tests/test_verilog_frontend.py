@@ -8,7 +8,11 @@ from repro.hdl.tokens import TokenKind
 from repro.verilog import ast
 from repro.verilog.analyzer import analyze_verilog
 from repro.verilog.lexer import lex_verilog
-from repro.verilog.parser import parse_number_literal, parse_verilog
+from repro.verilog.parser import (
+    VerilogParser,
+    parse_number_literal,
+    parse_verilog,
+)
 
 
 def lex(text):
@@ -303,3 +307,37 @@ class TestAnalyzer:
             " always @(posedge clk) q <= 1'b1; endmodule"
         )
         assert not collector.has_errors
+
+
+def shape(expr) -> str:
+    """An expression tree as an s-expression of operators and names."""
+    if isinstance(expr, ast.Binary):
+        return f"({expr.op} {shape(expr.lhs)} {shape(expr.rhs)})"
+    if isinstance(expr, ast.Unary):
+        return f"({expr.op} {shape(expr.operand)})"
+    if isinstance(expr, ast.Ternary):
+        parts = (expr.cond, expr.if_true, expr.if_false)
+        return f"(? {' '.join(shape(part) for part in parts)})"
+    return expr.name
+
+
+class TestExpressionShapes:
+    """Precedence and associativity of the operator table."""
+
+    @pytest.mark.parametrize("text,expected", [
+        ("a - b - c", "(- (- a b) c)"),
+        ("a ** b ** c", "(** (** a b) c)"),
+        ("a || b && c | d", "(|| a (&& b (| c d)))"),
+        ("a ^ b & c", "(^ a (& b c))"),
+        ("a + b * c << d", "(<< (+ a (* b c)) d)"),
+        ("a == b < c", "(== a (< b c))"),
+        ("-a ** b", "(** (- a) b)"),
+        ("~&a | b", "(| (~& a) b)"),
+        ("a ? b : c ? d : e", "(? a b (? c d e))"),
+        ("a || b ? c : d", "(? (|| a b) c d)"),
+    ])
+    def test_tree_shape(self, text, expected):
+        collector = DiagnosticCollector()
+        parser = VerilogParser(SourceFile("t.v", text), collector)
+        assert shape(parser.parse_expression()) == expected
+        assert parser._at_eof() and not collector.diagnostics

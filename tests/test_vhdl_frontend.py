@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.hdl.cursor import ParseError
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile
 from repro.hdl.tokens import TokenKind
 from repro.vhdl import ast
 from repro.vhdl.analyzer import analyze_vhdl
 from repro.vhdl.lexer import lex_vhdl
-from repro.vhdl.parser import parse_vhdl
+from repro.vhdl.parser import VhdlParser, parse_vhdl
 
 ENTITY = """
 library ieee;
@@ -358,3 +359,43 @@ class TestAnalyzer:
             "end architecture;"
         )
         assert any("no port 'zz'" in d.message for d in collector.errors())
+
+
+def shape(expr) -> str:
+    """An expression tree as an s-expression of operators and names."""
+    if isinstance(expr, ast.Binary):
+        return f"({expr.op} {shape(expr.lhs)} {shape(expr.rhs)})"
+    if isinstance(expr, ast.Unary):
+        return f"({expr.op} {shape(expr.operand)})"
+    return expr.name
+
+
+class TestExpressionShapes:
+    """Precedence of the operator table and the operators that do not chain."""
+
+    @pytest.mark.parametrize("text,expected,rest", [
+        ("-a + b", "(+ (- a) b)", ""),
+        ("-a * b", "(- (* a b))", ""),  # the sign binds the first term
+        ("a = -b", "(= a (- b))", ""),
+        ("a and b or c", "(or (and a b) c)", ""),
+        ("a and b = c", "(and a (= b c))", ""),
+        ("not a and b", "(and (not a) b)", ""),
+        ("a + b mod c & d", "(& (+ a (mod b c)) d)", ""),
+        ("a = b = c", "(= a b)", "="),  # a relation does not chain
+        ("a and b = c = d", "(and a (= b c))", "="),
+        ("a ** b ** c", "(** a b)", "**"),  # nor does **
+    ])
+    def test_tree_shape(self, text, expected, rest):
+        collector = DiagnosticCollector()
+        parser = VhdlParser(SourceFile("t.vhd", text), collector)
+        assert shape(parser.parse_expression()) == expected
+        assert parser._peek().text == rest and not collector.diagnostics
+
+    def test_sign_only_starts_a_simple_expression(self):
+        collector = DiagnosticCollector()
+        parser = VhdlParser(SourceFile("t.vhd", "a + -b"), collector)
+        with pytest.raises(ParseError):
+            parser.parse_expression()
+        assert [d.message for d in collector.diagnostics] == [
+            "syntax error near '-': expected an expression"
+        ]
