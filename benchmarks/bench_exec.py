@@ -1,11 +1,12 @@
-"""Execution-engine benchmarks: serial vs parallel, cold vs warm cache.
+"""Execution-engine benchmarks: serial vs parallel, cold vs warm store.
 
-These are wall-clock A/B measurements (not ``pytest-benchmark`` fixtures):
-each test times two configurations of the same workload and prints a small
-report. The parallel-speedup assertion only fires on hosts with enough CPU
-cores — on a single-core box the measurement is still printed, because the
-*differential* guarantee (identical records) is what
-``tests/test_exec_differential.py`` enforces everywhere.
+These are wall-clock measurements (not ``pytest-benchmark`` fixtures):
+each test times its workload and prints a small report. The parallel
+sweep runs one worker per usable core, up to four, and records the core
+count; its speedup floor only fires with four workers — on a smaller host
+the measurement is still printed, because the *differential* guarantee
+(identical records) is what ``tests/test_exec_differential.py`` enforces
+everywhere.
 
 Each test also records its measurements into ``BENCH_exec.json``
 (``BENCH_EXEC_JSON`` overrides the path), which ``repro bench check``
@@ -27,18 +28,22 @@ from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.eval.runner import ExperimentRunner
 from repro.llm.profiles import PROFILES
 
-PARALLEL_WORKERS = 4
-#: acceptance floor: a Table-1-style sweep at 4 workers halves the wall-clock
-PARALLEL_SPEEDUP_FLOOR = 2.0
-#: acceptance floor: replaying an already-seen golden-testbench simulation
-WARM_CACHE_SPEEDUP_FLOOR = 5.0
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return os.cpu_count() or 1
+
+
+#: the worker count the parallel speedup floor is defined at
+FLOOR_WORKERS = 4
+#: one worker per usable core, up to the floor's count: more workers than
+#: cores only measure contention
+PARALLEL_WORKERS = min(FLOOR_WORKERS, _usable_cores())
+#: acceptance floor: a Table-1-style sweep at 4 workers halves the wall-clock
+PARALLEL_SPEEDUP_FLOOR = 2.0
+#: acceptance floor: replaying an already-seen golden-testbench simulation
+WARM_CACHE_SPEEDUP_FLOOR = 5.0
 
 
 def _record(section: str, values: dict) -> None:
@@ -69,7 +74,7 @@ def _timed_sweep(bench_suite, **kwargs) -> float:
 
 
 def test_parallel_sweep_speedup(bench_suite):
-    """Table-1-style sweep (3 profiles x 2 languages): serial vs 4 workers."""
+    """Table-1-style sweep (3 profiles x 2 languages): serial vs parallel."""
     serial = _timed_sweep(bench_suite, workers=1)
     parallel = _timed_sweep(bench_suite, workers=PARALLEL_WORKERS)
     speedup = serial / parallel if parallel else float("inf")
@@ -85,11 +90,13 @@ def test_parallel_sweep_speedup(bench_suite):
         "parallel_s": parallel,
         "speedup": speedup,
         "workers": PARALLEL_WORKERS,
+        "cores": cores,
     })
-    if cores < PARALLEL_WORKERS:
+    if PARALLEL_WORKERS < FLOOR_WORKERS:
         pytest.skip(
-            f"parallel speedup needs >= {PARALLEL_WORKERS} cores; host has "
-            f"{cores} (measured {speedup:.2f}x, reported above)"
+            f"parallel speedup floor needs {FLOOR_WORKERS} workers; host has "
+            f"{cores} usable core(s) (measured {speedup:.2f}x at "
+            f"{PARALLEL_WORKERS} worker(s), reported above)"
         )
     assert speedup >= PARALLEL_SPEEDUP_FLOOR, (
         f"workers={PARALLEL_WORKERS} must be >= {PARALLEL_SPEEDUP_FLOOR}x "
@@ -114,7 +121,7 @@ def test_warm_cache_simulate_speedup(bench_suite):
                 "tb",
             ))
 
-    toolchain = Toolchain(cache=True)
+    toolchain = Toolchain()
     started = time.perf_counter()
     for files, top in workloads:
         toolchain.simulate(files, top)
@@ -132,7 +139,7 @@ def test_warm_cache_simulate_speedup(bench_suite):
         f"\n[bench_exec] golden-testbench simulate of "
         f"{len(workloads)} workloads: cold {cold:.3f}s, warm {warm:.4f}s "
         f"-> {speedup:.1f}x "
-        f"(cache hit rate {100 * toolchain.cache_stats.hit_rate:.1f}%)"
+        f"(store hit rate {100 * toolchain.cache_stats.hit_rate:.1f}%)"
     )
     _record("warm_cache", {
         "cold_s": cold,
@@ -147,25 +154,21 @@ def test_warm_cache_simulate_speedup(bench_suite):
 
 
 def test_sweep_cache_effectiveness(bench_suite):
-    """The toolchain cache pays for itself inside one serial sweep."""
-    uncached = _timed_sweep(bench_suite, workers=1, use_cache=False)
-    runner = ExperimentRunner(suite=bench_suite, workers=1, use_cache=True)
+    """The result store pays for itself inside one serial sweep."""
+    runner = ExperimentRunner(suite=bench_suite, workers=1)
     started = time.perf_counter()
     runner.run_all(profiles=PROFILES)
     cached = time.perf_counter() - started
     hit_rate = runner.metrics.cache_hit_rate
     print(
-        f"\n[bench_exec] serial sweep, cache off {uncached:.2f}s vs on "
-        f"{cached:.2f}s -> {uncached / cached:.2f}x; "
+        f"\n[bench_exec] serial sweep {cached:.2f}s; compile/simulate "
         f"hit rate {100 * hit_rate:.1f}%"
     )
     _record("sweep_cache", {
-        "uncached_s": uncached,
         "cached_s": cached,
-        "speedup": uncached / cached if cached else float("inf"),
         "hit_rate": hit_rate,
     })
     assert hit_rate > 0.2, (
-        "a baseline+AIVRIL2 sweep re-judges identical sources; the cache "
+        "a baseline+AIVRIL2 sweep re-judges identical sources; the store "
         f"hit rate should be substantial, got {100 * hit_rate:.1f}%"
     )

@@ -6,7 +6,8 @@ Commands:
 * ``show`` — print a problem's spec, reference, or golden testbench;
 * ``run`` — run the AIVRIL2 pipeline on one problem with a simulated model;
 * ``sweep`` — run the paper's experiments and print Table 1/2 or Figure 3
-  (``--trace PATH`` records a span trace of the whole sweep);
+  (``--trace PATH`` records a span trace of the whole sweep); it exits 1
+  when any problem task produced an error record;
 * ``trace`` — summarize (optionally ``--by-agent``) or validate a recorded
   trace file, extract its ``critical-path``, or emit folded stacks for
   flamegraph tooling (``flame``);
@@ -127,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
              "record-for-record identical at any worker count)",
     )
     sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="disable toolchain result memoization (slower, same results)",
-    )
-    sweep.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="per-problem wall-clock budget when workers > 1; a hung task "
              "degrades to an error record instead of stalling the sweep",
@@ -248,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     top_sweep = top_sub.add_parser("sweep", help="live view of a sweep")
     top_sweep.add_argument("--limit", type=int, default=0)
     top_sweep.add_argument("--workers", type=_worker_count, default=1)
-    top_sweep.add_argument("--no-cache", action="store_true")
     top_sweep.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS"
     )
@@ -479,7 +475,6 @@ def _cmd_sweep(args, out) -> int:
     runner = ExperimentRunner(
         suite=suite,
         workers=args.workers,
-        use_cache=not args.no_cache,
         task_timeout=args.task_timeout,
         progress=progress,
         trace_path=args.trace,
@@ -512,7 +507,7 @@ def _cmd_sweep(args, out) -> int:
             f"WARNING: {errors} problem task(s) produced error records; "
             f"they are excluded from the reported percentages\n"
         )
-    return 0
+    return 1 if errors else 0
 
 
 def _cmd_trace(args, out) -> int:
@@ -896,7 +891,6 @@ def _cmd_top(args, out) -> int:
         runner = ExperimentRunner(
             suite=suite,
             workers=args.workers,
-            use_cache=not args.no_cache,
             task_timeout=args.task_timeout,
             trace_path=args.trace,
             spool_path=args.spool,

@@ -12,14 +12,14 @@ Design goals:
   Figure 3; each result carries a modeled ``tool_seconds`` derived from the
   workload (file sizes, simulation activity) so latency accounting is
   reproducible, alongside the true wall-clock for transparency.
-* **Optional memoization.** Experiment sweeps recompile and resimulate the
-  same (sources, top) pairs many times — the baseline and AIVRIL2 judgments
-  both run the suite's golden testbench against identical text. A
-  content-hash LRU cache (:class:`ToolchainCache`) makes repeats nearly
-  free while returning results equal field-by-field to a cold run (only
+* **One result store.** Experiment sweeps recompile and resimulate the same
+  (sources, top) pairs many times — the baseline and AIVRIL2 judgments of
+  every model run the suite's golden testbench against identical text.
+  Every stage of the flow (parse, analyze, compile, simulate, batch plan)
+  is a pure function of its inputs, so each :class:`Toolchain` keeps one
+  bounded, content-addressed :class:`ResultStore` of stage results. It is
+  always on: a hit returns a result equal field-by-field to a cold run (only
   ``wall_seconds``, the true elapsed time, reflects the cheap lookup).
-  Caching is **off** by default; pass ``cache=True`` (or a configured
-  :class:`ToolchainCache`) to opt in.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import logging
-import threading
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -35,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from repro.hdl.diagnostics import Diagnostic, DiagnosticCollector, render_vivado_log
 from repro.obs import get_tracer
 from repro.hdl.source import SourceFile
+from repro.sim import compile as simcompile
 from repro.sim.elab_verilog import elaborate_verilog
 from repro.sim.elab_vhdl import elaborate_vhdl
 from repro.sim.kernel import SimulationError, Simulator
@@ -102,7 +102,7 @@ class SimResult:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters for one :class:`ToolchainCache`."""
+    """Hit/miss/eviction counters of one :class:`ResultStore` stage."""
 
     hits: int = 0
     misses: int = 0
@@ -130,72 +130,119 @@ class CacheStats:
         )
 
 
-class ToolchainCache:
-    """Bounded LRU memo of compile/simulate results, keyed by content hash.
+#: the store's stages, in flow order
+STAGES = ("parse", "analyze", "compile", "simulate", "plan")
 
-    The key covers everything that determines a result: the operation kind,
-    the top unit, every file's name, language and full text, and the
-    simulator's time limit. Two source sets that happen to *render* the
-    same log therefore never collide — the key is derived from the inputs,
-    never from the outputs.
+#: what :meth:`ResultStore.get` returns for an absent key (``None`` is a
+#: valid value: a batch plan the design is not eligible for)
+MISS = object()
+
+
+class ResultStore:
+    """Bounded LRU store of stage results, keyed by stage and content hash.
+
+    A key is ``(stage, digest)``. The sha256 digest covers everything that
+    determines the result: the top unit, every file's name, language and
+    full text, and the stage's extra inputs (``max_sim_time`` and the
+    ``REPRO_SIM_*`` tier flags, see :func:`tier_flags`). Keys are derived
+    from the inputs, never from the outputs, so two source sets that
+    *render* the same log never collide.
+
+    The store holds at most :attr:`MAX_ENTRIES` entries and
+    :attr:`MAX_BYTES` bytes; the least recently used entries go first. An
+    entry's bytes are the characters of text behind it: the source of a
+    parse (its AST and line index grow with it), the logs and output lines
+    of a compile or simulate result, the messages of an analysis, the DUT
+    source of a batch plan. Real memory is about ten times that on suite
+    workloads. Hits, misses and evictions are counted per stage, both here
+    (:attr:`stats`) and in the metrics registry as
+    ``toolchain.store.<stage>.hit|miss|evict``, next to the
+    ``toolchain.store.entries`` and ``toolchain.store.bytes`` gauges.
     """
 
-    def __init__(self, maxsize: int = 256):
-        if maxsize < 1:
-            raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self.stats = CacheStats()
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
+    MAX_ENTRIES = 2048
+    MAX_BYTES = 2 << 20
+
+    def __init__(self):
+        self._entries: "OrderedDict[tuple[str, str], tuple[object, int]]" = (
+            OrderedDict()
+        )
+        self.nbytes = 0
+        self.stats = {stage: CacheStats() for stage in STAGES}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @staticmethod
-    def key(kind: str, files: list[HdlFile], top: str,
-            extra: tuple = ()) -> str:
+    def key(stage: str, files: list[HdlFile], top: str = "",
+            extra: tuple = ()) -> tuple[str, str]:
         digest = hashlib.sha256()
-        for part in (kind, top, *map(str, extra)):
-            digest.update(part.encode())
-            digest.update(b"\x1e")  # record separator: no concatenation tricks
+        # every part is length-prefixed and the part counts lead, so no two
+        # different inputs concatenate to the same byte stream
+        digest.update(f"{len(extra)}:{len(files)}\x1e".encode())
+        for part in (top, *map(str, extra)):
+            digest.update(f"{len(part)}\x1f{part}".encode())
         for hdl_file in files:
             for part in (hdl_file.name, hdl_file.language.value,
                          hdl_file.text):
-                digest.update(str(len(part)).encode())
-                digest.update(b"\x1f")
+                digest.update(f"{len(part)}\x1f".encode())
                 digest.update(part.encode())
-        return digest.hexdigest()
+        return stage, digest.hexdigest()
 
-    def get(self, key: str):
+    def get(self, key: tuple[str, str]):
+        """The value stored under ``key`` (now most recent), else :data:`MISS`."""
+        stage = key[0]
         entry = self._entries.get(key)
+        metrics = get_tracer().metrics
         if entry is None:
-            self.stats.misses += 1
-            return None
+            self.stats[stage].misses += 1
+            metrics.counter(_METRIC_NAMES[stage, "miss"]).inc()
+            return MISS
         self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return entry
+        self.stats[stage].hits += 1
+        metrics.counter(_METRIC_NAMES[stage, "hit"]).inc()
+        return entry[0]
 
-    def put(self, key: str, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+    def put(self, key: tuple[str, str], value, nbytes: int) -> None:
+        """Store ``value``, then evict least recent entries to the bounds.
 
-    def clear(self) -> None:
-        self._entries.clear()
+        An entry larger than :attr:`MAX_BYTES` on its own is evicted at once.
+        """
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.nbytes -= old[1]
+        self._entries[key] = (value, nbytes)
+        self.nbytes += nbytes
+        metrics = get_tracer().metrics
+        while self._entries and (
+            len(self._entries) > self.MAX_ENTRIES
+            or self.nbytes > self.MAX_BYTES
+        ):
+            (stage, _), (_, size) = self._entries.popitem(last=False)
+            self.nbytes -= size
+            self.stats[stage].evictions += 1
+            metrics.counter(_METRIC_NAMES[stage, "evict"]).inc()
+        metrics.gauge("toolchain.store.entries").set(len(self._entries))
+        metrics.gauge("toolchain.store.bytes").set(self.nbytes)
 
 
-#: memo of batch plans keyed by DUT content + observation ports + env flags.
-#: Module-global (not per-Toolchain) because plan construction needs a full
-#: elaboration — sweeps spin up many Toolchain instances over the same DUT
-#: text. Values are ``(plan | None)``; negative entries stop ineligible
-#: designs from re-elaborating on every simulate call. Plans are immutable
-#: once built, so sharing across threads is safe; the lock only guards the
-#: OrderedDict bookkeeping.
-_BATCH_PLAN_MEMO: "OrderedDict[str, object]" = OrderedDict()
-_BATCH_PLAN_MEMO_MAX = 128
-_BATCH_PLAN_LOCK = threading.Lock()
-_BATCH_PLAN_MISS = object()
+_METRIC_NAMES = {
+    (stage, event): f"toolchain.store.{stage}.{event}"
+    for stage in STAGES
+    for event in ("hit", "miss", "evict")
+}
+
+
+def tier_flags() -> tuple[bool, ...]:
+    """The ``REPRO_SIM_*`` tier switches, part of every compile, simulate
+    and plan key: they change which tier runs, and so a result's
+    activation-based ``tool_seconds`` and the batch plan."""
+    return (
+        simcompile.level_disabled(),
+        simcompile.twostate_disabled(),
+        simcompile.batch_disabled(),
+        simcompile.numpy_disabled(),
+    )
 
 
 def _copy_compile_result(result: CompileResult,
@@ -219,8 +266,19 @@ def _copy_sim_result(result: SimResult, wall_seconds: float) -> SimResult:
     )
 
 
+def _sim_text_bytes(result: SimResult) -> int:
+    held = len(result.log) + sum(map(len, result.output_lines))
+    if result.compile_result is not None:
+        held += len(result.compile_result.log)
+    return held
+
+
 class Toolchain:
-    """Compiles and simulates HDL, mimicking the Vivado xvlog/xvhdl/xsim flow."""
+    """Compiles and simulates HDL, mimicking the Vivado xvlog/xvhdl/xsim flow.
+
+    Each instance owns one :class:`ResultStore`; share an instance to share
+    results, and drop it to drop them.
+    """
 
     #: modeled seconds per compile invocation (fixed tool startup cost)
     COMPILE_BASE_SECONDS = 0.4
@@ -233,48 +291,28 @@ class Toolchain:
     #: modeled seconds per 1000 stimulus vectors on the batch tier
     SIM_PER_KVEC_SECONDS = 0.005
 
-    #: bounded size of the per-file parse memo and file-set analysis memo
-    FRONTEND_MEMO_MAX = 512
-
-    def __init__(
-        self,
-        *,
-        max_sim_time: int = 200_000,
-        cache: "ToolchainCache | bool | None" = None,
-    ):
+    def __init__(self, *, max_sim_time: int = 200_000):
         self.max_sim_time = max_sim_time
-        if cache is True:
-            cache = ToolchainCache()
-        elif cache is False:
-            cache = None
-        self.cache = cache
-        # Frontend memoization, always on (unlike the opt-in result cache):
-        # parsing and analysis are pure functions of source text, but
-        # elaboration must re-run per call because it builds a fresh mutable
-        # Design. simulate() runs the frontend twice per cold call (once for
-        # the compile log, once for the design it actually runs), and sweeps
-        # re-submit identical text many times, so this removes the dominant
-        # redundant work even when result caching is off. Cached ASTs are
-        # frozen dataclasses and diagnostics are immutable, so sharing them
-        # across calls is safe; hits replay the recorded diagnostics into the
-        # caller's collector in original order.
-        self._parse_memo: "OrderedDict[str, tuple]" = OrderedDict()
-        self._analysis_memo: "OrderedDict[str, tuple[Diagnostic, ...]]" = (
-            OrderedDict()
-        )
-        # compile() discards the Design it elaborates and keeps only the
-        # rendered result, which is a pure function of the sources — so the
-        # result itself memoizes safely (unlike simulate(), whose opt-in
-        # caching stays the caller's choice). Hits skip re-elaboration, the
-        # dominant cost when the same text is compiled repeatedly.
-        self._compile_memo: "OrderedDict[str, CompileResult]" = OrderedDict()
+        # Parsed ASTs are frozen dataclasses and diagnostics are immutable,
+        # so parse and analysis entries are shared as they are (analysis
+        # hits replay the recorded diagnostics into the caller's collector
+        # in original order); compile and simulate hits return defensive
+        # copies. Elaborated designs are mutable runtime state and are
+        # never stored.
+        self.store = ResultStore()
 
     @property
     def cache_stats(self) -> CacheStats:
-        """Counters of the attached cache (all zeros when caching is off)."""
-        if self.cache is None:
-            return CacheStats()
-        return self.cache.stats
+        """Compile and simulate result lookups of this toolchain's store —
+        what the ``cache.hit``/``cache.miss`` counters and the spans'
+        ``cache`` attribute count."""
+        compiled = self.store.stats["compile"]
+        simulated = self.store.stats["simulate"]
+        return CacheStats(
+            hits=compiled.hits + simulated.hits,
+            misses=compiled.misses + simulated.misses,
+            evictions=compiled.evictions + simulated.evictions,
+        )
 
     # ------------------------------------------------------------------
     # compile
@@ -282,41 +320,34 @@ class Toolchain:
 
     def compile(self, files: list[HdlFile], top: str) -> CompileResult:
         """Analyze and elaborate; diagnostics render into one compile log."""
+        return self._compile(files, top)[0]
+
+    def _compile(self, files: list[HdlFile], top: str):
+        """The compile stage: ``(result, design)``.
+
+        ``design`` is the design a miss elaborated (``None`` when the result
+        is a failure or a store hit), so a simulation can run it instead of
+        elaborating the same files again.
+        """
         tracer = get_tracer()
         with tracer.span(
             "toolchain.compile", top=top, files=len(files)
         ) as span:
             started = _time.perf_counter()
-            key = ""
-            if self.cache is not None:
-                key = ToolchainCache.key("compile", files, top)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    span.set_attrs(
-                        cache="hit", ok=cached.ok,
-                        error_count=cached.error_count,
-                        tool_seconds=cached.tool_seconds,
-                    )
-                    tracer.metrics.counter("cache.hit").inc()
-                    return _copy_compile_result(
-                        cached, _time.perf_counter() - started
-                    )
-                span.set_attr("cache", "miss")
-                tracer.metrics.counter("cache.miss").inc()
-            else:
-                span.set_attr("cache", "off")
-            memo_key = key or ToolchainCache.key("compile", files, top)
-            memoized = self._compile_memo.get(memo_key)
-            if memoized is not None:
-                self._compile_memo.move_to_end(memo_key)
-                tracer.metrics.counter("frontend.compile.hit").inc()
+            key = self.store.key("compile", files, top, tier_flags())
+            cached = self.store.get(key)
+            if cached is not MISS:
                 span.set_attrs(
-                    ok=memoized.ok, error_count=memoized.error_count,
-                    tool_seconds=memoized.tool_seconds,
+                    cache="hit", ok=cached.ok,
+                    error_count=cached.error_count,
+                    tool_seconds=cached.tool_seconds,
                 )
+                tracer.metrics.counter("cache.hit").inc()
                 return _copy_compile_result(
-                    memoized, _time.perf_counter() - started
-                )
+                    cached, _time.perf_counter() - started
+                ), None
+            span.set_attr("cache", "miss")
+            tracer.metrics.counter("cache.miss").inc()
             collector = DiagnosticCollector()
             language = files[0].language if files else Language.VERILOG
             design = self._build_design(files, top, collector)
@@ -332,12 +363,9 @@ class Toolchain:
                 tool_seconds=modeled,
                 wall_seconds=wall,
             )
-            if self.cache is not None:
-                # store a private copy so later caller mutations cannot poison it
-                self.cache.put(key, _copy_compile_result(result, wall))
-            self._memo_put(
-                self._compile_memo, memo_key,
-                _copy_compile_result(result, wall), self.FRONTEND_MEMO_MAX,
+            # store a private copy so later caller mutations cannot poison it
+            self.store.put(
+                key, _copy_compile_result(result, wall), len(result.log)
             )
             span.set_attrs(
                 ok=result.ok, error_count=result.error_count,
@@ -348,7 +376,7 @@ class Toolchain:
                 "compile top=%s files=%d ok=%s errors=%d",
                 top, len(files), result.ok, result.error_count,
             )
-            return result
+            return result, design if result.ok else None
 
     def _build_design(
         self, files: list[HdlFile], top: str, collector: DiagnosticCollector
@@ -370,25 +398,15 @@ class Toolchain:
             return self._build_verilog(files, top, collector)
         return self._build_vhdl(files, top, collector)
 
-    @staticmethod
-    def _memo_put(memo: OrderedDict, key: str, value,
-                  maxsize: int) -> None:
-        memo[key] = value
-        memo.move_to_end(key)
-        while len(memo) > maxsize:
-            memo.popitem(last=False)
-
     def _parse_cached(self, hdl_file: HdlFile):
-        """Parse one file through the memo.
+        """Parse one file through the store.
 
         Returns (ast, diagnostics, source): the entry keeps the file's
         :class:`SourceFile`, so a hit does not rebuild its line index.
         """
-        key = ToolchainCache.key("parse", [hdl_file], "")
-        entry = self._parse_memo.get(key)
-        if entry is not None:
-            self._parse_memo.move_to_end(key)
-            get_tracer().metrics.counter("frontend.parse.hit").inc()
+        key = self.store.key("parse", [hdl_file])
+        entry = self.store.get(key)
+        if entry is not MISS:
             return entry
         sub = DiagnosticCollector()
         if hdl_file.language is Language.VERILOG:
@@ -401,7 +419,7 @@ class Toolchain:
             )
         source = SourceFile(hdl_file.name, hdl_file.text)
         entry = (tree, tuple(sub.diagnostics), source)
-        self._memo_put(self._parse_memo, key, entry, self.FRONTEND_MEMO_MAX)
+        self.store.put(key, entry, len(hdl_file.text))
         return entry
 
     def _analyze_memoized(self, files, collector, run) -> None:
@@ -411,19 +429,15 @@ class Toolchain:
         so the key covers every file; its only output visible to callers is
         the diagnostic stream, which a hit replays verbatim.
         """
-        key = ToolchainCache.key("analyze", files, "")
-        cached = self._analysis_memo.get(key)
-        if cached is not None:
-            self._analysis_memo.move_to_end(key)
-            get_tracer().metrics.counter("frontend.analyze.hit").inc()
+        key = self.store.key("analyze", files)
+        cached = self.store.get(key)
+        if cached is not MISS:
             collector.diagnostics.extend(cached)
             return
         mark = len(collector.diagnostics)
         run()
-        self._memo_put(
-            self._analysis_memo, key,
-            tuple(collector.diagnostics[mark:]), self.FRONTEND_MEMO_MAX,
-        )
+        found = tuple(collector.diagnostics[mark:])
+        self.store.put(key, found, sum(len(d.message) for d in found))
 
     def _build_verilog(self, files, top, collector):
         modules = {}
@@ -507,30 +521,27 @@ class Toolchain:
             "toolchain.simulate", top=top, files=len(files)
         ) as span:
             started = _time.perf_counter()
-            key = ""
-            if self.cache is not None:
-                key = ToolchainCache.key(
-                    "simulate", files, top, extra=(self.max_sim_time,)
+            key = self.store.key(
+                "simulate", files, top,
+                (self.max_sim_time, *tier_flags()),
+            )
+            cached = self.store.get(key)
+            if cached is not MISS:
+                span.set_attrs(
+                    cache="hit", ok=cached.ok,
+                    tool_seconds=cached.tool_seconds,
                 )
-                cached = self.cache.get(key)
-                if cached is not None:
-                    span.set_attrs(
-                        cache="hit", ok=cached.ok,
-                        tool_seconds=cached.tool_seconds,
-                    )
-                    tracer.metrics.counter("cache.hit").inc()
-                    return _copy_sim_result(
-                        cached, _time.perf_counter() - started
-                    )
-                span.set_attr("cache", "miss")
-                tracer.metrics.counter("cache.miss").inc()
-            else:
-                span.set_attr("cache", "off")
+                tracer.metrics.counter("cache.hit").inc()
+                return _copy_sim_result(
+                    cached, _time.perf_counter() - started
+                )
+            span.set_attr("cache", "miss")
+            tracer.metrics.counter("cache.miss").inc()
             result = self._simulate_uncached(files, top, started)
-            if self.cache is not None:
-                self.cache.put(
-                    key, _copy_sim_result(result, result.wall_seconds)
-                )
+            self.store.put(
+                key, _copy_sim_result(result, result.wall_seconds),
+                _sim_text_bytes(result),
+            )
             span.set_attrs(
                 ok=result.ok,
                 finished_cleanly=result.finished_cleanly,
@@ -551,7 +562,7 @@ class Toolchain:
         batched = self._try_batch(files, top, started)
         if batched is not None:
             return batched
-        compile_result = self.compile(files, top)
+        compile_result, design = self._compile(files, top)
         if not compile_result.ok:
             wall = _time.perf_counter() - started
             sim_log = compile_result.log + "\nERROR: [XSIM 43-3225] Simulation not run: compilation failed"
@@ -562,8 +573,9 @@ class Toolchain:
                 tool_seconds=compile_result.tool_seconds,
                 wall_seconds=wall,
             )
-        collector = DiagnosticCollector()
-        design = self._build_design(files, top, collector)
+        if design is None:
+            # a compile hit keeps no design: elaborate this run's own
+            design = self._build_design(files, top, DiagnosticCollector())
         if design is None:  # pragma: no cover - compile above succeeded
             return SimResult(ok=False, log=compile_result.log,
                              compile_result=compile_result)
@@ -604,9 +616,12 @@ class Toolchain:
     # ------------------------------------------------------------------
 
     def _batch_plan(self, dut_files: list[HdlFile], bundle):
-        """The (possibly memoized) batch plan for one DUT + observation set."""
-        import os
+        """The batch plan for one DUT + observation set, through the store.
 
+        ``None`` (the design is not batchable) is stored too, so an
+        ineligible design does not re-elaborate on every simulate call.
+        Plans are immutable once built.
+        """
         from repro.designs.model import TOP_NAME
         from repro.sim import batch as _batch
 
@@ -614,19 +629,13 @@ class Toolchain:
         ports = tuple(
             f"{p.name}:{p.width}:{p.direction}" for p in spec.ports
         )
-        key = ToolchainCache.key(
-            "batch-plan", dut_files, TOP_NAME,
-            extra=(
-                "clocked" if spec.clocked else "comb",
-                os.environ.get("REPRO_SIM_NO_NUMPY", "0"),
-                *ports,
-            ),
+        key = self.store.key(
+            "plan", dut_files, TOP_NAME,
+            ("clocked" if spec.clocked else "comb", *tier_flags(), *ports),
         )
-        with _BATCH_PLAN_LOCK:
-            plan = _BATCH_PLAN_MEMO.get(key, _BATCH_PLAN_MISS)
-            if plan is not _BATCH_PLAN_MISS:
-                _BATCH_PLAN_MEMO.move_to_end(key)
-                return plan
+        plan = self.store.get(key)
+        if plan is not MISS:
+            return plan
         design = self._build_design(dut_files, TOP_NAME, DiagnosticCollector())
         plan = None
         if design is not None:
@@ -636,11 +645,7 @@ class Toolchain:
                 plan = _batch.plan_sequential(design, in_ports, out_ports)
             else:
                 plan = _batch.plan_combinational(design, in_ports, out_ports)
-        with _BATCH_PLAN_LOCK:
-            _BATCH_PLAN_MEMO[key] = plan
-            _BATCH_PLAN_MEMO.move_to_end(key)
-            while len(_BATCH_PLAN_MEMO) > _BATCH_PLAN_MEMO_MAX:
-                _BATCH_PLAN_MEMO.popitem(last=False)
+        self.store.put(key, plan, sum(len(f.text) for f in dut_files))
         return plan
 
     def _try_batch(
@@ -653,8 +658,6 @@ class Toolchain:
         tier is disabled, the testbench text is not a registered bundle,
         the run would exceed ``max_sim_time``, or the DUT is not batchable.
         """
-        from repro.sim import compile as simcompile
-
         if simcompile.batch_disabled() or simcompile.level_disabled():
             return None
         from repro.designs import tbgen

@@ -18,10 +18,16 @@ Each (model, language, problem) triple is a *pure task*: its outcome depends
 only on the deterministic defect plan, never on which other problems ran
 before it or on which process it ran in. The runner therefore dispatches the
 work-list through :class:`~repro.exec.engine.ExecutionEngine` — serially by
-default (``workers=1``, exactly the historical behavior), or across worker
-processes with ``workers=N``. Results are merged by problem order, so the
-produced :class:`ConfigResult` is record-for-record identical either way
-(``tests/test_exec_differential.py`` enforces this).
+default (``workers=1``), or across worker processes with ``workers=N``.
+
+Every process builds one :class:`~repro.eda.toolchain.Toolchain` per run and
+shares it, with its result store, across all configurations. The work-list
+is problem-major: one problem's configurations run back to back, so the
+golden testbench and the references they share are parsed, elaborated and
+judged once, and the store's working set stays one problem wide at any
+suite size. Results are put back together per configuration by task index,
+so the produced :class:`ConfigResult` is record-for-record identical at any
+worker count (``tests/test_exec_differential.py`` enforces this).
 
 A task that fails (raise, per-task timeout, worker crash) degrades to an
 **error record** — ``ProblemRecord.error`` is set, the pid is preserved, and
@@ -41,13 +47,7 @@ from repro.core.pipeline import Aivril2Pipeline, run_baseline
 from repro.core.result import LatencyBreakdown
 from repro.designs.model import TOP_NAME
 from repro.designs.tbgen import PASS_MESSAGE
-from repro.eda.toolchain import (
-    CacheStats,
-    HdlFile,
-    Language,
-    Toolchain,
-    ToolchainCache,
-)
+from repro.eda.toolchain import CacheStats, HdlFile, Language, Toolchain
 from repro.evalsuite.suite import Suite, build_suite
 from repro.exec.engine import ExecutionEngine
 from repro.exec.progress import (
@@ -214,8 +214,6 @@ class RunnerSettings:
     testbench_first: bool = True
     freeze_testbench: bool = True
     testbench_quality: str = "full"
-    use_cache: bool = True
-    cache_size: int = 512
     #: when set, worker processes attach a JSONL tracer to this file
     trace_path: str | None = None
     #: when set, worker processes spool registry snapshots to this file
@@ -231,39 +229,36 @@ class _TaskPayload:
 
 
 class _TaskContext:
-    """Per-process experiment state: the suite plus lazily-built configs.
+    """Per-process experiment state: the suite, one shared toolchain, and
+    lazily-built configs.
 
-    One context serves every (profile, language) configuration of a sweep;
-    the toolchain/LLM/pipeline triple is built once per configuration per
-    process and reused across that process's share of the problems — the
-    same objects a serial sweep shares across the whole suite.
+    One context serves every (profile, language) configuration of a sweep.
+    The toolchain (and so its result store) is shared by all of them; the
+    LLM/pipeline pair is built once per configuration per process and
+    reused across that process's share of the problems.
     """
 
     def __init__(self, suite: Suite, settings: RunnerSettings):
         self.suite = suite
         self.settings = settings
+        self.toolchain = Toolchain()
         self._problems = {p.pid: p for p in suite.problems}
         self._configs: dict[
             tuple[str, Language],
-            tuple[SyntheticDesignLLM, Aivril2Pipeline, Toolchain],
+            tuple[SyntheticDesignLLM, Aivril2Pipeline],
         ] = {}
 
     def _config(self, profile: CapabilityProfile, language: Language):
         key = (profile.name, language)
         if key not in self._configs:
             settings = self.settings
-            cache = (
-                ToolchainCache(maxsize=settings.cache_size)
-                if settings.use_cache else None
-            )
-            toolchain = Toolchain(cache=cache)
             llm = SyntheticDesignLLM(
                 profile, self.suite,
                 testbench_quality=settings.testbench_quality,
             )
             pipeline = Aivril2Pipeline(
                 llm,
-                toolchain,
+                self.toolchain,
                 PipelineConfig(
                     language=language,
                     max_syntax_iterations=settings.max_syntax_iterations,
@@ -272,14 +267,15 @@ class _TaskContext:
                     freeze_testbench=settings.freeze_testbench,
                 ),
             )
-            self._configs[key] = (llm, pipeline, toolchain)
+            self._configs[key] = (llm, pipeline)
         return self._configs[key]
 
     def run_problem(
         self, profile: CapabilityProfile, language: Language, pid: str
     ) -> _TaskPayload:
         """Measure one problem under one configuration (a pure task)."""
-        llm, pipeline, toolchain = self._config(profile, language)
+        llm, pipeline = self._config(profile, language)
+        toolchain = self.toolchain
         problem = self._problems[pid]
         stats_before = toolchain.cache_stats.snapshot()
         started = _time.perf_counter()
@@ -397,8 +393,6 @@ class ExperimentRunner:
     Parameters beyond the protocol knobs:
 
     * ``workers`` — process count for the sweep (1 = serial, the default);
-    * ``use_cache`` — toolchain result memoization (on by default; results
-      are equal either way, only the wall-clock changes);
     * ``task_timeout`` / ``task_retries`` — per-problem fault budget when
       running in parallel (a hung or crashed worker costs one retry, then
       degrades to an error record instead of killing the sweep);
@@ -425,8 +419,6 @@ class ExperimentRunner:
         freeze_testbench: bool = True,
         testbench_quality: str = "full",
         workers: int = 1,
-        use_cache: bool = True,
-        cache_size: int = 512,
         task_timeout: float | None = None,
         task_retries: int = 1,
         progress: Callable[[ProgressEvent, SweepMetrics], None] | None = None,
@@ -441,8 +433,6 @@ class ExperimentRunner:
         self.freeze_testbench = freeze_testbench
         self.testbench_quality = testbench_quality
         self.workers = workers
-        self.use_cache = use_cache
-        self.cache_size = cache_size
         self.task_timeout = task_timeout
         self.task_retries = task_retries
         self.progress = progress
@@ -460,8 +450,6 @@ class ExperimentRunner:
             testbench_first=self.testbench_first,
             freeze_testbench=self.freeze_testbench,
             testbench_quality=self.testbench_quality,
-            use_cache=self.use_cache,
-            cache_size=self.cache_size,
             trace_path=self.trace_path,
             spool_path=self.spool_path,
         )
@@ -481,8 +469,9 @@ class ExperimentRunner:
     ) -> list[ConfigResult]:
         """The full Table 1 sweep (3 models × 2 languages by default).
 
-        All configurations share one work-list, so with ``workers=N`` the
-        fan-out covers the whole (profile × language × problem) cube.
+        All configurations share one problem-major work-list, so with
+        ``workers=N`` the fan-out covers the whole (profile × language ×
+        problem) cube.
         """
         profiles = profiles if profiles is not None else PROFILES
         configs = [
@@ -498,8 +487,8 @@ class ExperimentRunner:
         self, configs: list[tuple[CapabilityProfile, Language]]
     ) -> list[ConfigResult]:
         tasks = []
-        for profile, language in configs:
-            for problem in self.suite:
+        for problem in self.suite:
+            for profile, language in configs:
                 tasks.append(Task(
                     index=len(tasks),
                     key=f"{profile.name}/{language.value}/{problem.pid}",
@@ -550,7 +539,6 @@ class ExperimentRunner:
                 tasks=len(tasks),
                 configs=len(configs),
                 problems=len(self.suite),
-                use_cache=self.use_cache,
             )
             with tracer.span(
                 "sweep.run",
@@ -565,21 +553,19 @@ class ExperimentRunner:
             set_tracer(previous)
             set_spool(previous_spool)
 
-        results = []
-        cursor = 0
-        span = len(self.suite)
-        for profile, language in configs:
-            result = ConfigResult(
+        results = [
+            ConfigResult(
                 model=profile.name,
                 model_display=profile.display_name,
                 language=language,
             )
-            for problem, outcome in zip(
-                self.suite, outcomes[cursor:cursor + span]
-            ):
-                result.records.append(self._to_record(problem.pid, outcome))
-            cursor += span
-            results.append(result)
+            for profile, language in configs
+        ]
+        for index, outcome in enumerate(outcomes):
+            problem, config = divmod(index, len(configs))
+            results[config].records.append(
+                self._to_record(self.suite.problems[problem].pid, outcome)
+            )
         return results
 
     @staticmethod

@@ -13,6 +13,14 @@ def _fmt(value: float | None, *, digits: int = 2) -> str:
     return f"{value:.{digits}f}"
 
 
+def _pct(result: ConfigResult | None, attr: str) -> str:
+    """A pass-rate cell: ``-`` for a missing config, ``N/A`` for one with
+    no evaluated record (every task an error record)."""
+    if result is None:
+        return "-"
+    return _fmt(getattr(result, attr) if result.evaluated else None)
+
+
 def _pair(results: list[ConfigResult], model: str) -> dict[Language, ConfigResult]:
     return {r.language: r for r in results if r.model == model}
 
@@ -48,11 +56,11 @@ def render_table1(results: list[ConfigResult]) -> str:
         display = (verilog or vhdl).model_display
         row(
             display,
-            _fmt(verilog.baseline_syntax_pct) if verilog else "-",
-            _fmt(verilog.baseline_functional_pct) if verilog else "-",
+            _pct(verilog, "baseline_syntax_pct"),
+            _pct(verilog, "baseline_functional_pct"),
             "-",
-            _fmt(vhdl.baseline_syntax_pct) if vhdl else "-",
-            _fmt(vhdl.baseline_functional_pct) if vhdl else "-",
+            _pct(vhdl, "baseline_syntax_pct"),
+            _pct(vhdl, "baseline_functional_pct"),
             "-",
         )
     lines.append(rule)
@@ -75,11 +83,11 @@ def render_table1(results: list[ConfigResult]) -> str:
                 vhdl_deltas.append(h_delta)
         row(
             f"AIVRIL2 ({display})",
-            _fmt(verilog.aivril_syntax_pct) if verilog else "-",
-            _fmt(verilog.aivril_functional_pct) if verilog else "-",
+            _pct(verilog, "aivril_syntax_pct"),
+            _pct(verilog, "aivril_functional_pct"),
             _fmt(v_delta) if verilog else "-",
-            _fmt(vhdl.aivril_syntax_pct) if vhdl else "-",
-            _fmt(vhdl.aivril_functional_pct) if vhdl else "-",
+            _pct(vhdl, "aivril_syntax_pct"),
+            _pct(vhdl, "aivril_functional_pct"),
             _fmt(h_delta) if vhdl else "-",
         )
     lines.append(rule)
@@ -110,20 +118,22 @@ def render_table2(results: list[ConfigResult]) -> str:
         value = entry.pass1_functional_pct
         note = ""
         if entry.measured_model and entry.measured_model in verilog:
-            measured = verilog[entry.measured_model].baseline_functional_pct
-            note = f"  (measured: {measured:.2f})"
+            measured = _pct(
+                verilog[entry.measured_model], "baseline_functional_pct"
+            )
+            note = f"  (measured: {measured})"
         lines.append(
             f"{entry.technology:<34} {entry.license:<15} {value:>12.2f}{note}"
         )
     lines.append(rule)
     best = 0.0
     for model, result in verilog.items():
-        value = result.aivril_functional_pct
-        best = max(best, value)
+        best = max(best, result.aivril_functional_pct)
         license_label = "Open Source" if model == "llama3-70b" else "Closed Source"
         lines.append(
             f"{'AIVRIL2 (' + result.model_display + ')':<34} "
-            f"{license_label:<15} {value:>12.2f}"
+            f"{license_label:<15} "
+            f"{_pct(result, 'aivril_functional_pct'):>12}"
         )
     if best:
         lines.append(rule)

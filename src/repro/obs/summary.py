@@ -10,7 +10,9 @@ the paper's behavioral questions from that record alone:
   functional loop), summed exactly the way ``SweepMetrics`` does;
 * toolchain activity and cache effectiveness (every compile/simulate span
   carries a ``cache`` attribute, so the hit rate reconstructed here equals
-  the live ``SweepMetrics.cache_hit_rate``);
+  the live ``SweepMetrics.cache_hit_rate``), plus the result store's hit
+  rate per stage from its ``toolchain.store.<stage>.hit|miss|evict``
+  counters;
 * task lifecycle counts, replayed from the engine's event stream;
 * LLM token totals from the pipeline spans.
 
@@ -29,6 +31,9 @@ from dataclasses import dataclass, field
 TASK_SPAN = "task.problem"
 COMPILE_SPAN = "toolchain.compile"
 SIMULATE_SPAN = "toolchain.simulate"
+#: the result store's per-stage counters are ``<prefix><stage>.<event>``
+STORE_PREFIX = "toolchain.store."
+STORE_EVENTS = ("hit", "miss", "evict")
 
 #: the paper's three-agent pipeline, mapped from span names: the code
 #: agent writes RTL (initial generation and the no-loop baseline), the
@@ -127,6 +132,8 @@ class TraceSummary:
     sim_batch_calls: int = 0
     sim_batch_vectors: int = 0
     sim_batch_demotions: int = 0
+    #: result-store stage → {"hit": n, "miss": n, "evict": n}
+    store: dict = field(default_factory=dict)
     prompt_tokens: int = 0
     completion_tokens: int = 0
     stage_seconds: dict = field(
@@ -186,15 +193,23 @@ def summarize_records(records: list[dict], *, path: str = "") -> TraceSummary:
         elif cache == "miss":
             summary.cache_misses += 1
 
-    # -- scheduler counters: metric records are cumulative snapshots, so
-    # keep the last value per (process, counter) and sum across processes
+    # -- scheduler and store counters: metric records are cumulative
+    # snapshots, so keep the last value per (process, counter) and sum
+    # across processes
     sim_last: dict[tuple[int, str], float] = {}
     for record in records:
         if record.get("type") != "metric":
             continue
         name = record.get("name", "")
-        if name.startswith("sim."):
+        if name.startswith(("sim.", STORE_PREFIX)):
             sim_last[(record.get("pid", 0), name)] = record.get("value", 0)
+    for (_, name), value in sim_last.items():
+        stage, _, event = name[len(STORE_PREFIX):].rpartition(".")
+        if name.startswith(STORE_PREFIX) and event in STORE_EVENTS:
+            counts = summary.store.setdefault(
+                stage, dict.fromkeys(STORE_EVENTS, 0)
+            )
+            counts[event] += int(value)
     for attr, metric in (
         ("sim_activations", "sim.activations"),
         ("sim_delta_cycles", "sim.delta_cycles"),
@@ -375,6 +390,15 @@ def render_agent_breakdown(breakdown: AgentBreakdown) -> str:
     return "\n".join(lines)
 
 
+def _store_stage(stage: str, counts: dict) -> str:
+    lookups = counts["hit"] + counts["miss"]
+    rate = 100.0 * counts["hit"] / lookups if lookups else 0.0
+    return (
+        f"{stage} {rate:.1f}% ({counts['hit']}/{lookups}, "
+        f"{counts['evict']} evicted)"
+    )
+
+
 def render_trace_summary(summary: TraceSummary) -> str:
     """Human-readable report (the ``repro trace summarize`` output)."""
     lines = [
@@ -397,6 +421,10 @@ def render_trace_summary(summary: TraceSummary) -> str:
         f"  batch tier: {summary.sim_batch_calls} call(s), "
         f"{summary.sim_batch_vectors} vector(s), "
         f"{summary.sim_batch_demotions} demotion(s)",
+        "  store hit rate: " + (", ".join(
+            _store_stage(stage, counts)
+            for stage, counts in sorted(summary.store.items())
+        ) or "no lookups recorded"),
         f"  llm tokens: {summary.prompt_tokens} prompt + "
         f"{summary.completion_tokens} completion (pipeline runs)",
         "  modeled stage seconds: " + ", ".join(

@@ -91,7 +91,7 @@ def replay_corpus(
     """
     tracer = get_tracer()
     with tracer.span("qa.replay", corpus=str(directory)) as span:
-        toolchain = toolchain or Toolchain(cache=True)
+        toolchain = toolchain or Toolchain()
         outcomes = []
         for case in load_corpus(directory):
             verdict = run_oracle(case, toolchain)

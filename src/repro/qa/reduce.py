@@ -131,7 +131,7 @@ def reduce_case(
     with tracer.span("qa.reduce", case=case.case_name) as span:
         started = _time.perf_counter()
         # memoized toolchain: candidate specs recur across greedy restarts
-        toolchain = toolchain or Toolchain(cache=True)
+        toolchain = toolchain or Toolchain()
         target = run_oracle(case, toolchain).failure_class
         runs = 1
         if target is FailureClass.OK:

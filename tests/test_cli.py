@@ -112,6 +112,39 @@ class TestSweep:
         first = path.read_text().splitlines()[0]
         assert '"type":"meta"' in first
 
+    @staticmethod
+    def _inject_parse_crash(monkeypatch, only_pid=None):
+        import repro.eval.runner as runner_module
+
+        real = runner_module._run_problem
+
+        def crashing(profile, language, pid):
+            if only_pid in (None, pid):
+                raise RuntimeError("injected parse crash")
+            return real(profile, language, pid)
+
+        monkeypatch.setattr(runner_module, "_run_problem", crashing)
+
+    @pytest.mark.parametrize("artifact", ["table1", "table2"])
+    def test_all_error_records_exit_1_and_render_na(
+        self, monkeypatch, capsys, artifact
+    ):
+        self._inject_parse_crash(monkeypatch)
+        code, text = run_cli("sweep", "--artifact", artifact, "--limit", "2")
+        assert code == 1
+        # no config has an evaluated record: no pass rate to print
+        assert "N/A" in text
+        assert "0.00" not in text
+        assert "WARNING: " in capsys.readouterr().err
+
+    def test_one_error_record_exits_1_with_tables(self, monkeypatch, capsys):
+        self._inject_parse_crash(monkeypatch, only_pid="gates_not")
+        code, text = run_cli("sweep", "--artifact", "table1", "--limit", "2")
+        assert code == 1
+        assert "Average dF" in text
+        assert "100.00" in text  # the healthy problem was still judged
+        assert "WARNING: 6 problem task(s)" in capsys.readouterr().err
+
 
 class TestTrace:
     def record_trace(self, tmp_path):

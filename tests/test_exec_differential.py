@@ -15,7 +15,12 @@ time, which no scheduler can (or should) reproduce.
 import pytest
 
 from repro.eda.toolchain import Language
-from repro.eval.runner import ConfigResult, ExperimentRunner
+from repro.eval.runner import (
+    ConfigResult,
+    ExperimentRunner,
+    RunnerSettings,
+    _TaskContext,
+)
 from repro.evalsuite.suite import build_suite
 from repro.llm.profiles import CLAUDE_35_SONNET, GPT_4O
 
@@ -139,14 +144,29 @@ class TestParallelEqualsSerial:
 
 
 class TestCacheNeutrality:
-    """The toolchain cache must change wall-clock only, never records."""
+    """The result store must change wall-clock only, never records."""
 
     def test_uncached_serial_equals_cached_serial(self, serial_results):
-        uncached = run_sweep(workers=1, use_cache=False)
-        for cached_result, uncached_result in zip(serial_results, uncached):
+        # the sweep shares one store across every task and configuration;
+        # a fresh task context (so a fresh toolchain and store) per
+        # (problem, configuration) has no cross-task or cross-config hits.
+        # Each context still holds the whole suite: the defect plan, and so
+        # every record, depends on which problems the suite contains.
+        suite = build_suite().head(PROBLEM_COUNT)
+        configs = [
+            (profile, language)
+            for profile in PROFILES_UNDER_TEST
+            for language in LANGUAGES
+        ]
+        for (profile, language), shared in zip(configs, serial_results):
+            isolated = [
+                _TaskContext(suite, RunnerSettings())
+                .run_problem(profile, language, problem.pid).record
+                for problem in suite
+            ]
             assert (
-                [deterministic_fields(r) for r in cached_result.records]
-                == [deterministic_fields(r) for r in uncached_result.records]
+                [deterministic_fields(r) for r in shared.records]
+                == [deterministic_fields(r) for r in isolated]
             )
 
 

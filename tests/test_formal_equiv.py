@@ -38,7 +38,7 @@ SEQ_DEPTH = 8
 
 @pytest.fixture(scope="module")
 def toolchain():
-    return Toolchain(cache=True)
+    return Toolchain()
 
 
 def _comb_pair(seed: int):

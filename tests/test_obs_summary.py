@@ -238,6 +238,35 @@ class TestRenderTraceSummary:
         text = render_trace_summary(summary)
         assert "batch tier: 3 call(s), 1536 vector(s), 1 demotion(s)" in text
 
+    def test_store_counters_surface_in_summary(self):
+        def metric(pid, time, name, value, kind="counter"):
+            return {
+                "type": "metric", "pid": pid, "time": time,
+                "kind": kind, "name": name, "value": value,
+            }
+
+        records = [
+            metric(1, 1.0, "toolchain.store.parse.hit", 2),
+            metric(1, 2.0, "toolchain.store.parse.hit", 6),
+            metric(2, 2.0, "toolchain.store.parse.hit", 2),
+            metric(1, 2.0, "toolchain.store.parse.miss", 4),
+            metric(2, 2.0, "toolchain.store.parse.evict", 1),
+            metric(1, 2.0, "toolchain.store.simulate.miss", 3),
+            metric(1, 2.0, "toolchain.store.entries", 9, kind="gauge"),
+        ]
+        summary = summarize_records(records)
+        assert summary.store == {
+            "parse": {"hit": 8, "miss": 4, "evict": 1},
+            "simulate": {"hit": 0, "miss": 3, "evict": 0},
+        }
+        text = render_trace_summary(summary)
+        assert (
+            "store hit rate: parse 66.7% (8/12, 1 evicted), "
+            "simulate 0.0% (0/3, 0 evicted)"
+        ) in text
+        empty = render_trace_summary(summarize_records([]))
+        assert "store hit rate: no lookups recorded" in empty
+
 
 class TestSummarizeDegenerateInputs:
     def test_no_records(self):

@@ -227,7 +227,9 @@ def run_sweep(trace_path=None, **kwargs):
 
 def span_tree_shape(path):
     """Structural fingerprint of a trace: every span as (name, parent name,
-    result attrs), sorted — pids, ids, and timestamps abstracted away."""
+    result attrs), sorted — pids, ids, and timestamps abstracted away, and
+    so are the result-store hit/miss attributes, which depend on what the
+    process that ran a task had already stored."""
     records = [json.loads(line) for line in open(path)]
     spans = {
         r["span_id"]: r for r in records if r["type"] == "span"
@@ -241,6 +243,7 @@ def span_tree_shape(path):
             # that legitimately differs between the two runs)
             if not k.startswith("latency_")
             and k not in ("tool_seconds", "workers")
+            and k not in ("cache", "cache_hits", "cache_misses")
         }
         shape.append((
             span["name"],
@@ -249,6 +252,16 @@ def span_tree_shape(path):
             tuple(sorted(attrs.items())),
         ))
     return sorted(shape)
+
+
+def task_lookups(path):
+    """Compile/simulate store lookups (hits + misses) of every task span."""
+    records = [json.loads(line) for line in open(path)]
+    return {
+        r["attrs"]["key"]: r["attrs"]["cache_hits"] + r["attrs"]["cache_misses"]
+        for r in records
+        if r["type"] == "span" and r["name"] == "task.problem"
+    }
 
 
 class TestMultiprocessTraceIntegrity:
@@ -280,13 +293,18 @@ class TestMultiprocessTraceIntegrity:
         assert all(t["parent_id"] == engine[0]["span_id"] for t in tasks)
 
     def test_parallel_replay_equals_serial_replay(self, tmp_path):
-        # cache locality is per-process, so comparing span *structure*
-        # requires use_cache=False — with it, the two trees are identical
+        # every process has its own result store, so whether a lookup hits
+        # depends on which tasks ran there before: the shapes abstract the
+        # hit/miss attributes away, and each task must still make the same
+        # number of lookups in both runs
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        run_sweep(trace_path=serial, workers=1, use_cache=False)
-        run_sweep(trace_path=parallel, workers=4, use_cache=False)
+        run_sweep(trace_path=serial, workers=1)
+        run_sweep(trace_path=parallel, workers=4)
         assert span_tree_shape(serial) == span_tree_shape(parallel)
+        lookups = task_lookups(serial)
+        assert len(lookups) == PROBLEM_COUNT
+        assert lookups == task_lookups(parallel)
 
 
 class TestTracingChangesNothing:

@@ -59,7 +59,7 @@ class TestReplay:
     def test_replay_shipped_corpus(self):
         """Tier-1 gate: the shipped corpus must replay exactly as recorded."""
         outcomes = replay_corpus(DEFAULT_CORPUS_DIR,
-                                 toolchain=Toolchain(cache=True))
+                                 toolchain=Toolchain())
         assert len(outcomes) >= 5
         mismatched = [o.render() for o in outcomes if not o.matched]
         assert mismatched == []
@@ -107,7 +107,7 @@ class TestFormalCorpus:
         assert languages == set(Language)
 
     def test_witnesses_replay_as_failures(self):
-        toolchain = Toolchain(cache=True)
+        toolchain = Toolchain()
         outcomes = replay_corpus(DEFAULT_CORPUS_DIR, toolchain=toolchain)
         with_witness = [o for o in outcomes if o.witness_ok is not None]
         assert len(with_witness) >= 2
@@ -132,7 +132,7 @@ class TestFormalCorpus:
             ),
         )
         save_case(tampered, tmp_path)
-        outcomes = replay_corpus(tmp_path, toolchain=Toolchain(cache=True))
+        outcomes = replay_corpus(tmp_path, toolchain=Toolchain())
         assert len(outcomes) == 1
         assert outcomes[0].witness_ok is False
         assert not outcomes[0].matched

@@ -53,7 +53,7 @@ def vhdl_add_to(op):
 
 @pytest.fixture(scope="module")
 def toolchain():
-    return Toolchain(cache=True)
+    return Toolchain()
 
 
 class TestCleanDesigns:

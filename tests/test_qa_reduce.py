@@ -60,7 +60,7 @@ class TestReduction:
         assert result.accepted_steps > 0
         assert result.oracle_runs <= 200
         # the reproducer still demonstrates the identical failure class
-        verdict = run_oracle(reduced, Toolchain(cache=True))
+        verdict = run_oracle(reduced, Toolchain())
         assert verdict.failure_class is FailureClass.VERILOG_MISMATCH
         # the injected defect survived every accepted shrink
         assert reduced.mutations == case.mutations
@@ -176,5 +176,5 @@ class TestWidenedOpShrinking:
         reduced = result.reduced.spec
         assert reduced.node_count <= 5
         assert reduced.width == MIN_WIDTH
-        verdict = run_oracle(result.reduced, Toolchain(cache=True))
+        verdict = run_oracle(result.reduced, Toolchain())
         assert verdict.failure_class is FailureClass.VERILOG_MISMATCH

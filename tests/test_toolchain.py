@@ -111,19 +111,35 @@ class TestCompile:
     ):
         import repro.eda.toolchain as toolchain_module
 
+        companion = HdlFile(
+            "c" + hdl_file.language.file_extension,
+            hdl_file.text.replace("top_module", "companion"),
+            hdl_file.language,
+        )
         assert toolchain.simulate([hdl_file], "top_module").ok
+        assert toolchain.compile([companion], "companion").ok
         built = []
+        elaborated = []
 
         class CountingSourceFile(toolchain_module.SourceFile):
             def __post_init__(self):
                 built.append(self.name)
                 super().__post_init__()
 
+        for name in ("elaborate_verilog", "elaborate_vhdl"):
+            real = getattr(toolchain_module, name)
+            monkeypatch.setattr(
+                toolchain_module, name,
+                lambda *args, real=real: elaborated.append(args[1])
+                or real(*args),
+            )
         monkeypatch.setattr(toolchain_module, "SourceFile", CountingSourceFile)
-        # re-elaboration and an unknown top (the first file's source is the
-        # fallback) both reuse the SourceFile kept in the parse memo
-        assert toolchain.simulate([hdl_file], "top_module").ok
+        # the same file in a file set new to the store re-elaborates its
+        # top, and an unknown top (the first file's source is the fallback)
+        # both reuse the SourceFile kept in the parse entry
+        assert toolchain.simulate([hdl_file, companion], "top_module").ok
         assert not toolchain.compile([hdl_file], "nonexistent").ok
+        assert elaborated == ["top_module", "nonexistent"]
         assert built == []
 
 

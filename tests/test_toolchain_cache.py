@@ -1,4 +1,4 @@
-"""Cache-correctness tests: memoized toolchain results equal cold results.
+"""Result-store tests: stored toolchain results equal cold results.
 
 The corpus is generated from real suite problems with the suite's own
 mutation catalogs (``repro.designs.mutations``), so it covers clean
@@ -9,15 +9,32 @@ sources in both languages.
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.eda.toolchain as toolchain_module
 from repro.designs.mutations import MutationError, apply_mutation
+from repro.designs.tbgen import make_testbench
 from repro.eda.toolchain import (
+    MISS,
+    STAGES,
     CacheStats,
     HdlFile,
     Language,
+    ResultStore,
     Toolchain,
-    ToolchainCache,
 )
 from repro.evalsuite.suite import build_suite
+from repro.qa.oracle import QaCase, case_sources
+from repro.qa.spec import generate_spec
+from repro.obs import (
+    NullSink,
+    Tracer,
+    aggregate_spool,
+    configure_spool,
+    get_tracer,
+    render_prometheus,
+    set_spool,
+    set_tracer,
+    snapshot_now,
+)
 
 CORPUS_PROBLEMS = 6
 
@@ -71,32 +88,38 @@ def mutated_corpus(language):
 
 
 class TestCachedEqualsUncached:
+    """A result served by a warm store equals a fresh toolchain's result.
+
+    The shared toolchain sees the whole corpus, so besides its own repeats
+    it also serves parse, analysis and plan entries across corpus items
+    (every mutant shares its problem's testbench)."""
+
     @pytest.mark.parametrize("language", list(Language))
     def test_compile_corpus(self, language):
-        plain = Toolchain()
-        cached = Toolchain(cache=True)
+        shared = Toolchain()
         for files, top in mutated_corpus(language):
-            cold = plain.compile(files, top)
-            first = cached.compile(files, top)  # populates
-            warm = cached.compile(files, top)  # serves from cache
+            cold = Toolchain().compile(files, top)
+            first = shared.compile(files, top)  # populates
+            warm = shared.compile(files, top)  # served by the store
             assert compile_fields(first) == compile_fields(cold)
             assert compile_fields(warm) == compile_fields(cold)
-        assert cached.cache_stats.hits > 0
+        assert shared.cache_stats.hits > 0
+        assert shared.store.stats["parse"].hits > 0
 
     @pytest.mark.parametrize("language", list(Language))
     def test_simulate_corpus(self, language):
-        plain = Toolchain()
-        cached = Toolchain(cache=True)
+        shared = Toolchain()
         for files, top in mutated_corpus(language):
-            cold = plain.simulate(files, top)
-            first = cached.simulate(files, top)
-            warm = cached.simulate(files, top)
+            cold = Toolchain().simulate(files, top)
+            first = shared.simulate(files, top)
+            warm = shared.simulate(files, top)
             assert sim_fields(first) == sim_fields(cold)
             assert sim_fields(warm) == sim_fields(cold)
-        assert cached.cache_stats.hits > 0
+        assert shared.cache_stats.hits > 0
+        assert shared.store.stats["simulate"].hits > 0
 
     def test_cached_result_is_isolated_from_caller_mutation(self):
-        toolchain = Toolchain(cache=True)
+        toolchain = Toolchain()
         files = [HdlFile(
             "top_module.v",
             "module top_module(input a, output y); assign y = a; endmodule",
@@ -108,6 +131,21 @@ class TestCachedEqualsUncached:
         second = toolchain.compile(files, "top_module")
         assert second.ok
         assert second.diagnostics == []
+
+    def test_simulate_hit_is_isolated_from_caller_mutation(self):
+        toolchain = Toolchain()
+        files = [
+            HdlFile("top_module.v", AND_GATE, Language.VERILOG),
+            HdlFile("tb.v", TB, Language.VERILOG),
+        ]
+        want = sim_fields(Toolchain().simulate(files, "tb"))
+        first = toolchain.simulate(files, "tb")
+        first.output_lines.append("poison")
+        first.compile_result.diagnostics.append("poison")
+        first.compile_result.ok = False
+        second = toolchain.simulate(files, "tb")
+        assert toolchain.store.stats["simulate"].hits == 1
+        assert sim_fields(second) == want
 
 
 AND_GATE = (
@@ -134,10 +172,10 @@ endmodule
 
 class TestNoCollisions:
     def test_same_log_different_sources_do_not_collide(self):
-        """AND and OR compile to byte-identical (clean) logs; a cache keyed
+        """AND and OR compile to byte-identical (clean) logs; a store keyed
         on rendered output would collapse them. Keys come from source
         content, so simulation still tells them apart warm."""
-        toolchain = Toolchain(cache=True)
+        toolchain = Toolchain()
         and_files = [HdlFile("top_module.v", AND_GATE, Language.VERILOG)]
         or_files = [HdlFile("top_module.v", OR_GATE, Language.VERILOG)]
         assert (
@@ -157,6 +195,7 @@ class TestNoCollisions:
         sim_or_warm = toolchain.simulate(
             or_files + [HdlFile("tb.v", TB, Language.VERILOG)], "tb"
         )
+        assert toolchain.store.stats["simulate"].hits == 2
         assert any("All tests passed" in l for l in sim_and_warm.output_lines)
         assert any("Failed" in l for l in sim_or_warm.output_lines)
         assert sim_fields(sim_and_warm) == sim_fields(sim_and)
@@ -164,17 +203,23 @@ class TestNoCollisions:
 
     def test_key_distinguishes_every_input_component(self):
         files = [HdlFile("a.v", "module a; endmodule", Language.VERILOG)]
-        base = ToolchainCache.key("compile", files, "a")
-        assert ToolchainCache.key("simulate", files, "a") != base
-        assert ToolchainCache.key("compile", files, "b") != base
+        base = ResultStore.key("compile", files, "a")
+        for stage in STAGES:
+            if stage != "compile":
+                assert ResultStore.key(stage, files, "a") != base
+        assert ResultStore.key("compile", files, "b") != base
         renamed = [HdlFile("b.v", "module a; endmodule", Language.VERILOG)]
-        assert ToolchainCache.key("compile", renamed, "a") != base
+        assert ResultStore.key("compile", renamed, "a") != base
         retyped = [HdlFile("a.v", "module a; endmodule", Language.VHDL)]
-        assert ToolchainCache.key("compile", retyped, "a") != base
-        assert ToolchainCache.key("compile", files, "a", extra=(1,)) != base
+        assert ResultStore.key("compile", retyped, "a") != base
+        assert ResultStore.key("compile", files, "a", extra=(1,)) != base
         # boundary shifts between fields must not alias
         shifted = [HdlFile("a.vm", "odule a; endmodule", Language.VERILOG)]
-        assert ToolchainCache.key("compile", shifted, "a") != base
+        assert ResultStore.key("compile", shifted, "a") != base
+        assert (
+            ResultStore.key("compile", files, "a", extra=("x",))
+            != ResultStore.key("compile", files, "ax")
+        )
 
 
 _KEY_TEXT = st.text(
@@ -184,60 +229,70 @@ _KEY_TEXT = st.text(
 
 @st.composite
 def _key_inputs(draw):
-    """One full cache-key input: kind, files (name/text/language), top."""
-    kind = draw(st.sampled_from(["compile", "simulate"]))
+    """One full key input: stage, files (name/text/language), top, extra."""
+    stage = draw(st.sampled_from(STAGES))
     top = draw(st.sampled_from(["top_module", "tb", "t", ""]))
-    count = draw(st.integers(1, 3))
+    extra = draw(st.sampled_from([
+        (), (200_000,), (100,), (200_000, False, False, True, False),
+        ("comb",), ("comb", "a:1:in"),
+    ]))
+    count = draw(st.integers(0, 3))
     files = []
     for index in range(count):
         name = draw(st.sampled_from([f"f{index}.v", f"f{index}.vhd", "m.v"]))
         language = draw(st.sampled_from(list(Language)))
         files.append(HdlFile(name, draw(_KEY_TEXT), language))
-    return kind, tuple(files), top
+    return stage, tuple(files), top, extra
 
 
 class TestKeyInjectivity:
-    """Property: the cache key is injective over everything it must encode.
+    """Property: the store key is injective over everything it must encode.
 
-    Two inputs get the same key if and only if they are identical in kind,
-    top, and the exact sequence of (name, text, language) files — permuting
-    file order, switching a language, or renaming the top all produce
-    distinct keys even when every byte of source text is the same.
+    Two inputs get the same key if and only if they are identical in stage,
+    top, extra inputs (compared as their ``str``, which is how they are
+    hashed) and the exact sequence of (name, text, language) files —
+    permuting file order, switching a language, or renaming the top all
+    produce distinct keys even when every byte of source text is the same.
     """
 
     @staticmethod
-    def _descriptor(kind, files, top):
+    def _descriptor(stage, files, top, extra):
         return (
-            kind,
+            stage,
             tuple((f.name, f.text, f.language) for f in files),
             top,
+            tuple(map(str, extra)),
         )
 
     @given(_key_inputs(), _key_inputs())
     def test_equal_keys_iff_equal_inputs(self, one, other):
-        key_one = ToolchainCache.key(one[0], list(one[1]), one[2])
-        key_other = ToolchainCache.key(other[0], list(other[1]), other[2])
+        key_one = ResultStore.key(one[0], list(one[1]), one[2], one[3])
+        key_other = ResultStore.key(
+            other[0], list(other[1]), other[2], other[3]
+        )
         same = self._descriptor(*one) == self._descriptor(*other)
         assert (key_one == key_other) == same
 
     @given(_key_inputs())
     def test_structured_variants_never_collide(self, base):
-        kind, files, top = base
-        keys = {self._descriptor(kind, files, top):
-                ToolchainCache.key(kind, list(files), top)}
+        stage, files, top, extra = base
+        keys = {self._descriptor(stage, files, top, extra):
+                ResultStore.key(stage, list(files), top, extra)}
 
-        def probe(v_kind, v_files, v_top):
-            descriptor = self._descriptor(v_kind, v_files, v_top)
-            key = ToolchainCache.key(v_kind, list(v_files), v_top)
+        def probe(v_stage, v_files, v_top, v_extra=extra):
+            descriptor = self._descriptor(v_stage, v_files, v_top, v_extra)
+            key = ResultStore.key(v_stage, list(v_files), v_top, v_extra)
             if descriptor in keys:
                 assert keys[descriptor] == key
             else:
                 assert key not in keys.values()
                 keys[descriptor] = key
 
-        probe("simulate" if kind == "compile" else "compile", files, top)
-        probe(kind, files, top + "_x")
-        probe(kind, tuple(reversed(files)), top)
+        for other_stage in STAGES:
+            probe(other_stage, files, top)
+        probe(stage, files, top + "_x")
+        probe(stage, files, top, extra + ("x",))
+        probe(stage, tuple(reversed(files)), top)
         for index, hdl in enumerate(files):
             flipped = (
                 Language.VHDL
@@ -249,19 +304,22 @@ class TestKeyInjectivity:
                 + (HdlFile(hdl.name, hdl.text, flipped),)
                 + files[index + 1:]
             )
-            probe(kind, variant, top)
+            probe(stage, variant, top)
             renamed = (
                 files[:index]
                 + (HdlFile(hdl.name + "_r", hdl.text, hdl.language),)
                 + files[index + 1:]
             )
-            probe(kind, renamed, top)
+            probe(stage, renamed, top)
 
 
 class TestLruBound:
-    def test_eviction_at_capacity(self):
-        cache = ToolchainCache(maxsize=2)
-        toolchain = Toolchain(cache=cache)
+    def test_eviction_at_capacity(self, monkeypatch):
+        # one compile of a fresh module stores three entries: its parse,
+        # its analysis and its compile result
+        monkeypatch.setattr(ResultStore, "MAX_ENTRIES", 6)
+        toolchain = Toolchain()
+        store = toolchain.store
         sources = {
             name: f"module {name}(input a, output y);"
                   f" assign y = a; endmodule"
@@ -275,29 +333,63 @@ class TestLruBound:
 
         for name in ("m0", "m1", "m2"):
             compile_one(name)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
+        assert len(store) == 6
+        # m0's three entries were the least recent: one eviction per stage
+        assert {stage: store.stats[stage].evictions for stage in STAGES} == {
+            "parse": 1, "analyze": 1, "compile": 1, "simulate": 0, "plan": 0,
+        }
         # m0 was evicted: compiling it again is a miss, m2 is still warm
-        misses_before = cache.stats.misses
-        hits_before = cache.stats.hits
+        misses_before = store.stats["compile"].misses
+        hits_before = store.stats["compile"].hits
         compile_one("m0")
-        assert cache.stats.misses == misses_before + 1
+        assert store.stats["compile"].misses == misses_before + 1
+        assert store.stats["parse"].misses == 4
         compile_one("m2")
-        assert cache.stats.hits == hits_before + 1
+        assert store.stats["compile"].hits == hits_before + 1
 
-    def test_lru_recency_order(self):
-        cache = ToolchainCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh a; b is now least-recent
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
+    def test_lru_recency_order(self, monkeypatch):
+        monkeypatch.setattr(ResultStore, "MAX_ENTRIES", 2)
+        store = ResultStore()
+        store.put(("parse", "a"), 1, 1)
+        store.put(("parse", "b"), 2, 1)
+        assert store.get(("parse", "a")) == 1  # refresh a; b is least recent
+        store.put(("compile", "c"), 3, 1)
+        assert store.get(("parse", "b")) is MISS
+        assert store.get(("parse", "a")) == 1
+        assert store.get(("compile", "c")) == 3
+        assert store.stats["parse"].evictions == 1
+        assert store.stats["compile"].evictions == 0
 
-    def test_maxsize_validation(self):
-        with pytest.raises(ValueError):
-            ToolchainCache(maxsize=0)
+    def test_eviction_by_bytes(self, monkeypatch):
+        monkeypatch.setattr(ResultStore, "MAX_BYTES", 100)
+        store = ResultStore()
+        store.put(("parse", "a"), "a", 40)
+        store.put(("analyze", "b"), "b", 40)
+        assert (len(store), store.nbytes) == (2, 80)
+        store.put(("simulate", "c"), "c", 40)  # 120 > 100: a goes
+        assert store.get(("parse", "a")) is MISS
+        assert (len(store), store.nbytes) == (2, 80)
+        # replacing an entry re-counts its bytes instead of adding them
+        store.put(("simulate", "c"), "c2", 60)
+        assert (len(store), store.nbytes) == (2, 100)
+        assert store.get(("simulate", "c")) == "c2"
+        # an entry over the bound on its own is not kept, and pushes out
+        # everything older on its way
+        store.put(("plan", "d"), "d", 101)
+        assert (len(store), store.nbytes) == (0, 0)
+        assert {stage: store.stats[stage].evictions for stage in STAGES} == {
+            "parse": 1, "analyze": 1, "compile": 0, "simulate": 1, "plan": 1,
+        }
+
+    def test_toolchain_respects_byte_bound(self, monkeypatch):
+        monkeypatch.setattr(ResultStore, "MAX_BYTES", 4096)
+        toolchain = Toolchain()
+        for files, top in mutated_corpus(Language.VERILOG):
+            toolchain.simulate(files, top)
+            assert toolchain.store.nbytes <= 4096
+        assert sum(
+            stats.evictions for stats in toolchain.store.stats.values()
+        ) > 0
 
 
 class TestStatsAndToggles:
@@ -309,17 +401,167 @@ class TestStatsAndToggles:
         assert (delta.hits, delta.misses) == (2, 0)
         assert CacheStats().hit_rate == 0.0
 
-    def test_cache_disabled_by_default(self):
+    def test_store_always_on(self):
         toolchain = Toolchain()
-        assert toolchain.cache is None
+        assert len(toolchain.store) == 0
         assert toolchain.cache_stats.lookups == 0
+        files = [HdlFile("top_module.v", AND_GATE, Language.VERILOG)]
+        toolchain.compile(files, "top_module")
+        toolchain.compile(files, "top_module")
+        assert len(toolchain.store) > 0
+        stats = toolchain.cache_stats
+        assert (stats.hits, stats.misses) == (1, 1)
 
-    def test_cache_false_means_disabled(self):
-        assert Toolchain(cache=False).cache is None
+    def test_cache_stats_count_compile_and_simulate_only(self):
+        toolchain = Toolchain()
+        files = [
+            HdlFile("top_module.v", AND_GATE, Language.VERILOG),
+            HdlFile("tb.v", TB, Language.VERILOG),
+        ]
+        toolchain.simulate(files, "tb")
+        toolchain.simulate(files, "tb")
+        store = toolchain.store.stats
+        stats = toolchain.cache_stats
+        assert stats.hits == store["compile"].hits + store["simulate"].hits
+        assert stats.misses == (
+            store["compile"].misses + store["simulate"].misses
+        )
+        assert store["parse"].lookups > 0  # counted, but not as cache.*
 
-    def test_clear(self):
-        cache = ToolchainCache()
-        cache.put("k", 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("k") is None
+
+def _batch_files(language):
+    """A generated design with its freshly registered stimulus-bundle
+    testbench: the default tiers judge it on the batch tier."""
+    spec = generate_spec(0, 0)
+    testbench = make_testbench(
+        spec.design_spec(), spec.model(), language, spec.name
+    )
+    ext = language.file_extension
+    return [
+        HdlFile(
+            f"top_module{ext}", case_sources(QaCase(spec=spec))[language],
+            language,
+        ),
+        HdlFile(f"tb{ext}", testbench, language),
+    ]
+
+
+class TestTierFlagsInKeys:
+    """A result stored under one ``REPRO_SIM_*`` setting is never served
+    under another: the flipped run equals a fresh toolchain's run under the
+    new setting, and ``tool_seconds`` (activations vs. batch vectors)
+    shows which tier produced it."""
+
+    @pytest.mark.parametrize("flag", ["REPRO_SIM_NO_BATCH", "REPRO_SIM_NO_LEVEL"])
+    @pytest.mark.parametrize("language", list(Language))
+    def test_flag_flip_misses(self, monkeypatch, flag, language):
+        files = _batch_files(language)
+        for name in ("REPRO_SIM_NO_LEVEL", "REPRO_SIM_NO_TWOSTATE",
+                     "REPRO_SIM_NO_BATCH", "REPRO_SIM_NO_NUMPY"):
+            monkeypatch.delenv(name, raising=False)  # the default tiers
+        toolchain = Toolchain()
+        default = toolchain.simulate(files, "tb")
+        monkeypatch.setenv(flag, "1")
+        flipped = toolchain.simulate(files, "tb")
+        fresh = Toolchain().simulate(files, "tb")
+        assert toolchain.store.stats["simulate"].hits == 0
+        assert sim_fields(flipped) == sim_fields(fresh)
+        assert flipped.tool_seconds != default.tool_seconds
+        # and flipping back serves the first result again
+        monkeypatch.delenv(flag)
+        again = toolchain.simulate(files, "tb")
+        assert toolchain.store.stats["simulate"].hits == 1
+        assert sim_fields(again) == sim_fields(default)
+
+
+class TestOneElaborationPerMiss:
+    @pytest.mark.parametrize("language", list(Language))
+    def test_kernel_simulate_miss_elaborates_once(
+        self, monkeypatch, language
+    ):
+        # the hand-written testbench is not a registered stimulus bundle,
+        # so the run takes the event-kernel path
+        if language is Language.VERILOG:
+            files = [
+                HdlFile("top_module.v", AND_GATE, Language.VERILOG),
+                HdlFile("tb.v", TB, Language.VERILOG),
+            ]
+            name = "elaborate_verilog"
+        else:
+            files = [HdlFile("tb.vhd", VHDL_TB, Language.VHDL)]
+            name = "elaborate_vhdl"
+        calls = []
+        real = getattr(toolchain_module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(toolchain_module, name, counting)
+        toolchain = Toolchain()
+        result = toolchain.simulate(files, "tb")
+        assert result.ok and result.output_lines
+        assert calls == ["tb"]
+        # a hit does not elaborate at all
+        toolchain.simulate(files, "tb")
+        assert calls == ["tb"]
+
+
+VHDL_TB = """
+library ieee;
+use ieee.std_logic_1164.all;
+entity tb is
+end entity;
+architecture sim of tb is
+    signal a : std_logic := '1';
+begin
+    process
+    begin
+        wait for 1 ns;
+        report "All tests passed successfully!";
+        wait;
+    end process;
+end architecture;
+"""
+
+
+class TestStoreCounters:
+    def test_counters_and_gauges_reach_spool_and_prometheus(self, tmp_path):
+        spool = tmp_path / "store.spool.jsonl"
+        previous_tracer = get_tracer()
+        previous_spool = set_spool(None)
+        try:
+            set_tracer(Tracer(NullSink()))
+            configure_spool(spool)
+            toolchain = Toolchain()
+            files = [
+                HdlFile("top_module.v", AND_GATE, Language.VERILOG),
+                HdlFile("tb.v", TB, Language.VERILOG),
+            ]
+            toolchain.simulate(files, "tb")
+            toolchain.simulate(files, "tb")
+            snapshot_now(force=True)
+        finally:
+            set_tracer(previous_tracer)
+            set_spool(previous_spool)
+        merged = aggregate_spool(spool)
+        for stage in STAGES:
+            stats = toolchain.store.stats[stage]
+            for event, value in (
+                ("hit", stats.hits), ("miss", stats.misses),
+                ("evict", stats.evictions),
+            ):
+                assert merged.counter(f"toolchain.store.{stage}.{event}") == (
+                    value
+                )
+        assert merged.counter("toolchain.store.simulate.hit") == 1
+        assert merged.counter("toolchain.store.parse.miss") == 2
+        assert merged.metrics["toolchain.store.entries"]["value"] == len(
+            toolchain.store
+        )
+        assert merged.metrics["toolchain.store.bytes"]["value"] == (
+            toolchain.store.nbytes
+        )
+        text = render_prometheus(merged)
+        assert "repro_toolchain_store_simulate_hit 1" in text
+        assert "# TYPE repro_toolchain_store_bytes gauge" in text
