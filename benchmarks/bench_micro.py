@@ -5,7 +5,8 @@ spotting regressions when extending the language subsets.
 
 ``test_sim_tier_speedup`` additionally writes ``BENCH_sim.json`` (best-of-20
 timings for the three simulation tiers — closure, levelized, batch — in both
-languages) and gates on each accelerated tier staying measurably faster than
+languages, each timed call a simulate-stage miss of the toolchain's result
+store) and gates on each accelerated tier staying measurably faster than
 the one below it: levelized over closure on the combinational designs, and
 batch over levelized on the 512-vector generated-testbench designs; CI
 uploads the JSON as an artifact. The report defaults to
@@ -272,17 +273,55 @@ def test_parse_vhdl_entity(benchmark):
     assert not collector.has_errors
 
 
+def _simulate_miss(toolchain, files, top):
+    """One simulate() that misses the store's simulate stage alone.
+
+    ``max_sim_time`` is in the simulate key but not in the compile or plan
+    keys, so raising it by one makes the next call re-run the simulation
+    while parse, analysis, compile and batch plan entries still hit.
+    """
+    toolchain.max_sim_time += 1
+    return toolchain.simulate(files, top)
+
+
+def _assert_simulate_misses(toolchain, warm):
+    """Every call since the *warm* stats snapshot missed simulate alone."""
+    delta = {
+        stage: stats.delta(warm[stage])
+        for stage, stats in toolchain.store.stats.items()
+    }
+    assert delta["simulate"].hits == 0 and delta["simulate"].misses > 0
+    for stage in ("parse", "analyze", "compile", "plan"):
+        assert delta[stage].misses == 0, (stage, delta[stage])
+    return delta["simulate"].misses
+
+
+def _warm_stats(toolchain):
+    return {
+        stage: stats.snapshot() for stage, stats in toolchain.store.stats.items()
+    }
+
+
 def test_compile_verilog(benchmark):
-    toolchain = Toolchain()
     files = [HdlFile("c.v", COUNTER_V + TB_V, Language.VERILOG)]
-    result = benchmark(toolchain.compile, files, "tb")
+
+    def cold_compile():
+        toolchain = Toolchain()
+        result = toolchain.compile(files, "tb")
+        assert toolchain.store.stats["compile"].misses == 1
+        return result
+
+    result = benchmark(cold_compile)
     assert result.ok
 
 
 def test_simulate_200_cycles(benchmark):
     toolchain = Toolchain()
     files = [HdlFile("c.v", COUNTER_V + TB_V, Language.VERILOG)]
-    result = benchmark(toolchain.simulate, files, "tb")
+    assert toolchain.simulate(files, "tb").ok
+    warm = _warm_stats(toolchain)
+    result = benchmark(_simulate_miss, toolchain, files, "tb")
+    _assert_simulate_misses(toolchain, warm)
     assert result.ok
     assert any("All tests passed" in l for l in result.output_lines)
 
@@ -318,11 +357,13 @@ _TIERS = {
 
 
 def _best_ms(files, top, *, tier, reps=20):
-    """Best-of-*reps* wall time of one simulate() call, in milliseconds.
+    """Best-of-*reps* wall time of one simulate() store miss, in milliseconds.
 
-    A fresh Toolchain per tier keeps result caching out of the picture; one
-    warm-up call absorbs the parse/analysis memo fill so the measurement is
-    the elaborate+simulate cost the sweeps actually pay per run.
+    A fresh Toolchain per tier; one warm-up call fills its parse, analysis,
+    compile and plan entries. Every timed rep then misses the simulate stage
+    alone (see :func:`_simulate_miss`), so the measurement is the
+    elaborate+simulate cost the sweeps actually pay per run, never a store
+    hit.
     """
     previous = {flag: os.environ.pop(flag, None) for flag in _TIER_FLAGS}
     try:
@@ -333,11 +374,13 @@ def _best_ms(files, top, *, tier, reps=20):
         assert any("All tests passed" in l for l in result.output_lines), (
             result.log
         )
+        warm = _warm_stats(toolchain)
         best = float("inf")
         for _ in range(reps):
             started = time.perf_counter()
-            toolchain.simulate(files, top)
+            _simulate_miss(toolchain, files, top)
             best = min(best, time.perf_counter() - started)
+        assert _assert_simulate_misses(toolchain, warm) == reps
         return best * 1000.0
     finally:
         for flag, value in previous.items():
@@ -467,5 +510,8 @@ def test_golden_tb_simulation(benchmark, full_suite):
                 Language.VERILOG),
         HdlFile("tb.v", problem.golden_tb[Language.VERILOG], Language.VERILOG),
     ]
-    result = benchmark(toolchain.simulate, files, "tb")
+    assert toolchain.simulate(files, "tb").ok
+    warm = _warm_stats(toolchain)
+    result = benchmark(_simulate_miss, toolchain, files, "tb")
+    _assert_simulate_misses(toolchain, warm)
     assert result.ok

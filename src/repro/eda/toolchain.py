@@ -38,6 +38,7 @@ from repro.sim import compile as simcompile
 from repro.sim.elab_verilog import elaborate_verilog
 from repro.sim.elab_vhdl import elaborate_vhdl
 from repro.sim.kernel import SimulationError, Simulator
+from repro.verilog import ast as verilog_ast
 from repro.verilog.analyzer import VerilogAnalyzer
 from repro.verilog.parser import parse_verilog
 from repro.vhdl.analyzer import VhdlAnalyzer
@@ -144,9 +145,11 @@ class ResultStore:
     A key is ``(stage, digest)``. The sha256 digest covers everything that
     determines the result: the top unit, every file's name, language and
     full text, and the stage's extra inputs (``max_sim_time`` and the
-    ``REPRO_SIM_*`` tier flags, see :func:`tier_flags`). Keys are derived
-    from the inputs, never from the outputs, so two source sets that
-    *render* the same log never collide.
+    ``REPRO_SIM_*`` tier flags, see :func:`tier_flags`). An analysis entry
+    is one unit's: its key covers that file plus the interface it reads
+    from the rest of the set (see :meth:`Toolchain._analyze_unit`). Keys
+    are derived from the inputs, never from the outputs, so two source
+    sets that *render* the same log never collide.
 
     The store holds at most :attr:`MAX_ENTRIES` entries and
     :attr:`MAX_BYTES` bytes; the least recently used entries go first. An
@@ -271,6 +274,49 @@ def _sim_text_bytes(result: SimResult) -> int:
     if result.compile_result is not None:
         held += len(result.compile_result.log)
     return held
+
+
+def _verilog_interface(library) -> tuple:
+    """What :class:`VerilogAnalyzer` reads from the other units' modules.
+
+    Instantiation checks look a module up by name and read its port names
+    in order and its non-local parameter names; nothing else crosses a
+    unit boundary. Counts lead each list, so the parts stay unambiguous.
+    """
+    parts: list = [len(library)]
+    for name in sorted(library):
+        module = library[name]
+        ports = module.port_names()
+        params = [
+            item.name for item in module.items
+            if isinstance(item, verilog_ast.ParamDecl) and not item.local
+        ]
+        parts += [name, len(ports), *ports, len(params), *params]
+    return tuple(parts)
+
+
+def _vhdl_interface(library, design_file, sources) -> tuple:
+    """What :class:`VhdlAnalyzer` reads from the other units' entities.
+
+    Instantiation checks read an entity's name, port names and generic
+    names. An architecture of an entity declared in another file also
+    reads that entity's types and spans, so such a unit keys on the text
+    of the file declaring it as well.
+    """
+    parts: list = [len(library)]
+    for name in sorted(library):
+        entity = library[name]
+        ports = [port.name for port in entity.ports]
+        generics = [generic.name for generic in entity.generics]
+        parts += [name, len(ports), *ports, len(generics), *generics]
+    foreign = sorted({
+        arch.entity for arch in design_file.architectures
+        if arch.entity in library
+    })
+    parts.append(len(foreign))
+    for name in foreign:
+        parts += [name, sources[name].text]
+    return tuple(parts)
 
 
 class Toolchain:
@@ -422,14 +468,16 @@ class Toolchain:
         self.store.put(key, entry, len(hdl_file.text))
         return entry
 
-    def _analyze_memoized(self, files, collector, run) -> None:
-        """Run the analysis pass, replaying recorded diagnostics on a hit.
+    def _analyze_unit(self, hdl_file, interface, collector, run) -> None:
+        """Analyze one unit through the store, replaying a hit's diagnostics.
 
-        Analysis reads the whole file set (cross-module/entity references),
-        so the key covers every file; its only output visible to callers is
-        the diagnostic stream, which a hit replays verbatim.
+        The key is the unit's own file plus *interface*, exactly what its
+        analyzer reads from the other units of the set (see
+        :func:`_verilog_interface` and :func:`_vhdl_interface`). So a
+        candidate revision that keeps the testbench's view of it unchanged
+        replays the testbench's diagnostics instead of re-analyzing it.
         """
-        key = self.store.key("analyze", files)
+        key = self.store.key("analyze", [hdl_file], extra=interface)
         cached = self.store.get(key)
         if cached is not MISS:
             collector.diagnostics.extend(cached)
@@ -446,24 +494,22 @@ class Toolchain:
         for hdl_file in files:
             unit, parse_diags, source = self._parse_cached(hdl_file)
             collector.diagnostics.extend(parse_diags)
-            units.append((unit, source))
+            units.append((hdl_file, unit, source))
             for module in unit.modules:
                 modules[module.name] = module
                 sources[module.name] = source
-
-        def analyze():
-            for unit, source in units:
-                analyzer = VerilogAnalyzer(source, collector, library=modules)
-                analyzer.library = {
-                    k: v for k, v in modules.items()
-                    if k not in {m.name for m in unit.modules}
-                }
-                analyzer.analyze(unit)
-
-        self._analyze_memoized(files, collector, analyze)
+        for hdl_file, unit, source in units:
+            local = {m.name for m in unit.modules}
+            library = {k: v for k, v in modules.items() if k not in local}
+            self._analyze_unit(
+                hdl_file, _verilog_interface(library), collector,
+                lambda: VerilogAnalyzer(source, collector, library).analyze(
+                    unit
+                ),
+            )
         if collector.has_errors:
             return None
-        top_source = sources.get(top) or units[0][1]
+        top_source = sources.get(top) or units[0][2]
         design, _ = elaborate_verilog(modules, top, top_source, collector)
         return design
 
@@ -475,30 +521,27 @@ class Toolchain:
         for hdl_file in files:
             design_file, parse_diags, source = self._parse_cached(hdl_file)
             collector.diagnostics.extend(parse_diags)
-            design_files.append((design_file, source))
+            design_files.append((hdl_file, design_file, source))
             for entity in design_file.entities:
                 entities[entity.name] = entity
                 sources[entity.name] = source
             for arch in design_file.architectures:
                 architectures[arch.entity] = arch
-
-        def analyze():
-            for design_file, source in design_files:
-                local = {e.name for e in design_file.entities}
-                analyzer = VhdlAnalyzer(
-                    source,
-                    collector,
-                    library={
-                        k: v for k, v in entities.items() if k not in local
-                    },
-                )
-                analyzer.analyze(design_file)
-
-        self._analyze_memoized(files, collector, analyze)
+        for hdl_file, design_file, source in design_files:
+            local = {e.name for e in design_file.entities}
+            library = {k: v for k, v in entities.items() if k not in local}
+            self._analyze_unit(
+                hdl_file,
+                _vhdl_interface(library, design_file, sources),
+                collector,
+                lambda: VhdlAnalyzer(source, collector, library).analyze(
+                    design_file
+                ),
+            )
         if collector.has_errors:
             return None
         top = top.lower()
-        top_source = sources.get(top) or design_files[0][1]
+        top_source = sources.get(top) or design_files[0][2]
         from repro.vhdl.ast import DesignFile
         from repro.hdl.source import SourceSpan
 

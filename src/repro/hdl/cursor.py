@@ -4,11 +4,12 @@ Both parsers walk a token list ending in one EOF token. :meth:`_advance`
 never moves past that EOF, so the current token is always
 ``tokens[pos]`` and only lookahead needs clamping.
 
-The cursor also enforces the expression depth bound. Parsing, analysis,
-elaboration and the compiled simulation closures all recurse over
-expressions, so one expression nested or chained deeper than
-:data:`MAX_EXPR_DEPTH` would exhaust Python's stack somewhere downstream;
-the parser reports it as a named diagnostic instead.
+The cursor also enforces the expression and statement depth bounds.
+Parsing, analysis, elaboration and the compiled simulation closures all
+recurse over expressions and statements, so one expression nested or
+chained deeper than :data:`MAX_EXPR_DEPTH`, or statements nested deeper
+than :data:`MAX_STMT_DEPTH`, would exhaust Python's stack somewhere
+downstream; the parser reports either as a named diagnostic instead.
 """
 
 from __future__ import annotations
@@ -31,6 +32,21 @@ MAX_EXPR_DEPTH = 128
 EXPR_TOO_DEEP = (
     f"expression is nested or chained more than {MAX_EXPR_DEPTH} levels deep"
 )
+
+#: deepest statement nesting the frontends accept, in levels below the
+#: outermost statement of a body (an ``always``/``initial`` block or a VHDL
+#: process): statements open at once, so ``begin begin x = 1; end end`` and
+#: ``if (a) if (b) x = 1;`` are both two levels deep. At this depth, holding
+#: an expression :data:`MAX_EXPR_DEPTH` levels deep, parsing, analysis,
+#: elaboration, compiling the body at its first start and simulation stay
+#: within Python's default recursion limit (``tests/test_expression_depth.py``)
+#: with about a hundred frames to spare for the caller's own stack. Each
+#: level costs the VHDL parser three frames, so that spare shrinks to about
+#: 65 frames at 48 levels and 15 at 64. The suite and fuzz programs nest
+#: at most 7 levels deep.
+MAX_STMT_DEPTH = 32
+
+STMT_TOO_DEEP = f"statements are nested more than {MAX_STMT_DEPTH} levels deep"
 
 
 class ParseError(Exception):
@@ -74,6 +90,10 @@ class TokenCursor:
         self.pos = 0
         #: sub-expressions open at the cursor
         self._depth = 0
+        #: statements open at the cursor, and whether the outermost one has
+        #: already reported being too deep
+        self._stmt_depth = 0
+        self._stmt_too_deep = False
 
     def _peek(self, ahead: int = 0) -> Token:
         if not ahead:
@@ -138,6 +158,28 @@ class TokenCursor:
             raise self._error(EXPR_TOO_DEEP, code=self._CODE_UNSUPPORTED)
         self._depth = depth + 1
         return depth
+
+    def _skip_too_deep(self, skip) -> SourceSpan | None:
+        """Skip the statement here if it is nested too deep; its span, or None.
+
+        Called as a statement starts, at the current statement depth. Past
+        :data:`MAX_STMT_DEPTH` it reports :data:`STMT_TOO_DEEP` and *skip*
+        consumes the whole statement without parsing it, so the enclosing
+        statements still close where they should. One outermost statement
+        reports once, however many of its statements are too deep.
+        """
+        depth = self._stmt_depth
+        if not depth:
+            self._stmt_too_deep = False
+        if depth <= MAX_STMT_DEPTH:
+            return None
+        first = self.tokens[self.pos]
+        if not self._stmt_too_deep:
+            self._stmt_too_deep = True
+            self._error(STMT_TOO_DEEP, first, code=self._CODE_UNSUPPORTED)
+        skip()
+        last = self.tokens[max(self.pos - 1, 0)]
+        return first.span.merge(last.span)
 
     def _check_tree(self, expr, start: int, node_type) -> None:
         """Bound the tree of an outermost expression parsed from ``start``.

@@ -1,15 +1,20 @@
-"""Compile-at-elaboration simulation: HDL ASTs → Python closures.
+"""Closure-compiled simulation: HDL ASTs → Python closures.
 
 :mod:`.verilog` and :mod:`.vhdl` are the simulator's evaluators. Each lowers
 elaborated expressions and statement bodies into plain Python closures
-*once*, at elaboration time: identifier lookups, context widths, operator
+*once* per elaborated design: identifier lookups, context widths, operator
 dispatch, and constant select bounds are all resolved statically, so each
 kernel activation runs straight-line closure calls instead of a tree walk.
 Both compilers are total: every construct compiles, and a construct that is
 in error when evaluated compiles to a closure that reports the diagnostic
-and aborts with its text when called. Compiling is silent; a process whose
-compilation raises is refused as a named elaboration error, counted in the
-``sim.compile.refusals`` metric.
+and aborts with its text when called. Compiling is silent, so it can wait:
+elaboration keeps every diagnostic-bearing fact eager (VHDL variable types,
+sensitivity lists, the sole-driver fence) and defers each process *body*
+until the process first starts, inside :meth:`Simulator.run
+<repro.sim.kernel.Simulator.run>`. A process replaced by a levelized cone,
+a compile-only elaboration and the batch tier's compile step never build a
+body at all. A body whose compilation raises is refused as a named run-time
+error, counted in the ``sim.compile.refusals`` metric.
 
 On top of the closures sits the *levelized* tier (:mod:`.level` +
 :mod:`.twostate`): static combinational cones are topologically sorted at
@@ -39,30 +44,34 @@ from repro.sim.kernel import SimulationError
 from repro.sim.runtime import Process
 
 
-def add_process(elab, name, node, build):
-    """Compile a process with *build* and add it to ``elab.design``.
+def add_process(design, name, build):
+    """Add a process to *design* whose body *build* compiles at first start.
 
-    Returns the :class:`Process`, or None when the builder raised. The
-    compilers are total, so that is a compiler defect: it is refused
-    loudly, as a named elaboration error on *node* counted in
-    ``sim.compile.refusals``, and the process is left out. An elaboration
-    abort (its diagnostic already reported) propagates unchanged.
+    ``build()`` returns the process factory. It runs once, when the process
+    first starts (:meth:`Process.start`), so a process that never starts is
+    never built. The compilers are total, so a builder that raises is a
+    compiler defect: it is refused loudly, as a :class:`SimulationError`
+    ``simulation compiler refused process '<name>': <Type>: <message>``
+    counted in ``sim.compile.refusals``, which fails the run with that text.
+    An evaluation abort (its diagnostic already reported) propagates
+    unchanged.
     """
-    try:
-        factory = build()
-    except SimulationError:
-        raise
-    except Exception as exc:
-        get_tracer().metrics.counter("sim.compile.refusals").inc()
-        elab._error(
-            node.span,
-            f"simulation compiler refused process '{name}': "
-            f"{type(exc).__name__}: {exc}",
-        )
-        return None
-    process = Process(name, factory)
-    elab.design.add_process(process)
-    return process
+    process = Process(name)
+
+    def build_or_refuse():
+        try:
+            return build()
+        except SimulationError:
+            raise
+        except Exception as exc:
+            get_tracer().metrics.counter("sim.compile.refusals").inc()
+            raise SimulationError(
+                f"simulation compiler refused process '{process.name}': "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+
+    process.build = build_or_refuse
+    return design.add_process(process)
 
 
 def level_disabled() -> bool:

@@ -5,9 +5,9 @@ Expressions compile to ``fn(sim) -> Logic`` and statements to lists of
 step yields kernel commands. Consecutive plain steps are merged, so a typical
 clocked ``always`` body becomes a single closure call per activation.
 Identifier resolution, operator dispatch, context widths and constant select
-bounds are resolved once at elaboration; only genuinely dynamic values
-(runtime select bounds, replication counts, store targets) are computed per
-activation.
+bounds are resolved once, when the closures are built (a process body when
+its process first starts); only genuinely dynamic values (runtime select
+bounds, replication counts, store targets) are computed per activation.
 
 The compiler is total. Every construct compiles to a closure, and compiling
 never emits diagnostics: a construct that is in error when *evaluated*

@@ -2,7 +2,8 @@
 
 Name-category resolution (loop variable vs process variable vs constant vs
 signal), declared type info, operator dispatch, and static index/slice
-offsets are burned into closures once at elaboration.
+offsets are burned into closures once, when they are built (a process body
+when its process first starts).
 
 Expressions compile to ``fn(ctx) -> Logic`` where *ctx* is the elaborator's
 :class:`~repro.sim.elab_vhdl._EvalCtx` — process-local state (variables,
@@ -1161,16 +1162,24 @@ def _compile_report(stmt, env):
 # --------------------------------------------------------------------------
 
 
-def process_factory(process, scope, elab, sens, watched):
+def process_factory(process, scope, elab, sens, var_infos):
     """Compiled factory for a process statement.
 
-    Variable types are elaborated here, once; variable initial values are
-    evaluated when each simulation run starts the process.
+    *sens* is the sensitivity list's signals, or None for ``process(all)``,
+    whose read set is found here. *var_infos* are the variables' declared
+    types, elaborated beforehand (a bad bound is an elaboration error);
+    variable initial values are evaluated when each simulation run starts
+    the process.
     """
+    if sens is None:
+        reads: set = set()
+        for statement in process.body:
+            evh._collect_reads_seq(statement, scope, reads)
+        sens = tuple(sorted(reads, key=lambda s: s.name))
+    watched = tuple(evh._edge_watched_signals(process.body, scope))
     var_types: dict = {}
     decl_plan = []
-    for decl in process.declarations:
-        info = elab._type_info(decl.type_mark, scope)
+    for decl, info in zip(process.declarations, var_infos):
         var_names = frozenset(var_types)  # earlier declarations only
         var_types[decl.name] = info  # the type itself is visible immediately
         init_fn = None

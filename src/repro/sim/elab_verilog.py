@@ -2,9 +2,9 @@
 
 The elaborator instantiates the module hierarchy (flattening instance names
 with a ``dot`` separator), sizes every signal from its declared range under
-the active parameter environment, and compiles procedural code through
-:mod:`repro.sim.compile.verilog` into generator processes for the shared
-kernel:
+the active parameter environment, and hands procedural code to
+:mod:`repro.sim.compile.verilog`, which compiles each body into a generator
+process for the shared kernel when the process first starts:
 
 * ``assign`` → a process that re-evaluates on any change of its read set;
 * ``always @(...)`` → wait-then-execute loop (``@(*)`` runs once at time 0 so
@@ -285,7 +285,7 @@ class VerilogElaborator:
             from repro.sim.compile import verilog as _cv
 
             simcompile.add_process(
-                self, f"{scope.prefix}initial@{_line(self, item)}", item,
+                self.design, f"{scope.prefix}initial@{_line(self, item)}",
                 lambda: _cv.initial_factory(item.body, scope, self),
             )
             self._external_writes |= _written_signals(item.body, scope)
@@ -303,13 +303,11 @@ class VerilogElaborator:
         from repro.sim.compile import verilog as _cv
 
         process = simcompile.add_process(
-            self, f"{scope.prefix}assign@{_line(self, target)}", target,
+            self.design, f"{scope.prefix}assign@{_line(self, target)}",
             lambda: _cv.continuous_assign_factory(
                 target, value, scope, self, read_signals
             ),
         )
-        if process is None:
-            return
 
         from repro.sim.compile import level as _level
 
@@ -338,15 +336,22 @@ class VerilogElaborator:
             from repro.sim.compile import verilog as _cv
 
             simcompile.add_process(
-                self, name, block,
+                self.design, name,
                 lambda: _cv.free_always_factory(block.body, scope, self),
             )
             self._external_writes |= _written_signals(block.body, scope)
             return
 
+        writes = _written_signals(block.body, scope)
+        raw_reads = self._read_set_stmt_raw(block.body, scope)
         if sens.star:
-            reads = self._read_set_stmt(block.body, scope)
-            entries = tuple(Sensitivity(s, Edge.ANY) for s in sorted(reads, key=lambda s: s.name))
+            # loop induction variables written inside the block are not
+            # real sensitivity sources; leaving them out avoids
+            # self-triggering loops
+            entries = tuple(
+                Sensitivity(s, Edge.ANY)
+                for s in sorted(raw_reads - writes, key=lambda s: s.name)
+            )
         else:
             entries = []
             for item in sens.items:
@@ -361,17 +366,12 @@ class VerilogElaborator:
         from repro.sim.compile import verilog as _cv
 
         process = simcompile.add_process(
-            self, name, block,
+            self.design, name,
             lambda: _cv.always_factory(
                 block.body, scope, self, entries,
                 initial_run=sens.star or not edge_triggered,
             ),
         )
-        if process is None:
-            return
-
-        writes = _written_signals(block.body, scope)
-        raw_reads = self._read_set_stmt_raw(block.body, scope)
         member = None
         # cone-eligible only when every read is statically covered: @(*) by
         # construction, explicit lists only if all-ANY and ⊇ the read set
@@ -502,11 +502,9 @@ class VerilogElaborator:
         from repro.sim.compile import verilog as _cv
 
         process = simcompile.add_process(
-            self, f"{scope.prefix}{inst.instance}.in.{child_signal.name}", inst,
+            self.design, f"{scope.prefix}{inst.instance}.in.{child_signal.name}",
             lambda: _cv.wire_input_factory(expr, child_signal, scope, self, reads),
         )
-        if process is None:
-            return
 
         from repro.sim.compile import level as _level
 
@@ -540,11 +538,9 @@ class VerilogElaborator:
         from repro.sim.compile import verilog as _cv
 
         process = simcompile.add_process(
-            self, f"{scope.prefix}{inst.instance}.out.{child_signal.name}", inst,
+            self.design, f"{scope.prefix}{inst.instance}.out.{child_signal.name}",
             lambda: _cv.wire_output_factory(expr, child_signal, scope, self),
         )
-        if process is None:
-            return
 
         from repro.sim.compile import level as _level
 
@@ -615,12 +611,6 @@ class VerilogElaborator:
             for part in lvalue.parts:
                 reads |= self._lvalue_index_reads(part, scope)
         return reads
-
-    def _read_set_stmt(self, stmt: ast.Statement, scope: _Scope) -> set[Signal]:
-        """All signals read anywhere in a statement — the @(*) sensitivity."""
-        # loop induction variables written inside the block are not real
-        # sensitivity sources; removing them avoids self-triggering loops.
-        return self._read_set_stmt_raw(stmt, scope) - _written_signals(stmt, scope)
 
     def _read_set_stmt_raw(self, stmt: ast.Statement, scope: _Scope) -> set[Signal]:
         """All signals read anywhere in a statement, written ones included."""

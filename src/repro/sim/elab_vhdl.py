@@ -339,7 +339,7 @@ class VhdlElaborator:
             )
             target_signal = self._target_signal(target, scope)
             simcompile.add_process(
-                self, name, statement,
+                self.design, name,
                 lambda: _cvh.delayed_assign_factory(
                     statement, scope, self, target_signal, delay, reads,
                     target_width,
@@ -349,13 +349,11 @@ class VhdlElaborator:
             return
 
         process = simcompile.add_process(
-            self, name, statement,
+            self.design, name,
             lambda: _cvh.concurrent_assign_factory(
                 statement, scope, self, reads, target_width
             ),
         )
-        if process is None:
-            return
 
         from repro.sim.compile import level as _level
 
@@ -380,13 +378,11 @@ class VhdlElaborator:
         from repro.sim.compile import vhdl as _cvh
 
         process = simcompile.add_process(
-            self, f"{scope.prefix}condassign@{self._line(statement)}", statement,
+            self.design, f"{scope.prefix}condassign@{self._line(statement)}",
             lambda: _cvh.conditional_assign_factory(
                 statement, scope, self, reads, width
             ),
         )
-        if process is None:
-            return
 
         from repro.sim.compile import level as _level
 
@@ -412,7 +408,7 @@ class VhdlElaborator:
         from repro.sim.compile import vhdl as _cvh
 
         simcompile.add_process(
-            self, f"{scope.prefix}selassign@{self._line(statement)}", statement,
+            self.design, f"{scope.prefix}selassign@{self._line(statement)}",
             lambda: _cvh.selected_assign_factory(
                 statement, scope, self, reads, width
             ),
@@ -426,13 +422,10 @@ class VhdlElaborator:
     # ------------------------------------------------------------------
 
     def _process(self, process: ast.ProcessStatement, scope: _VScope) -> None:
-        sens_signals: list[Signal] = []
-        if process.sensitivity == ("all",):
-            reads: set[Signal] = set()
-            for statement in process.body:
-                _collect_reads_seq(statement, scope, reads)
-            sens_signals = sorted(reads, key=lambda s: s.name)
-        else:
+        # process(all) leaves None: its read set is the builder's to find
+        sens_signals: tuple[Signal, ...] | None = None
+        if process.sensitivity != ("all",):
+            found = []
             for name in process.sensitivity:
                 signal = scope.signals.get(name)
                 if signal is None:
@@ -441,23 +434,26 @@ class VhdlElaborator:
                         f"sensitivity entry '{name}' is not a signal",
                     )
                     continue
-                sens_signals.append(signal)
-        watched = _edge_watched_signals(process.body, scope)
+                found.append(signal)
+            sens_signals = tuple(found)
         label = process.label or f"proc@{self._line(process)}"
         # processes carry variables, edge memory, and waits — never cone
         # members, so everything they assign fences off the levelized tier
         self._external_writes |= _seq_written_signals(process.body, scope)
+        # variable types stay eager: a bad bound is an elaboration error
+        var_types = tuple(
+            self._type_info(decl.type_mark, scope)
+            for decl in process.declarations
+        )
 
         from repro.sim.compile import vhdl as _cvh
 
         proc_obj = simcompile.add_process(
-            self, f"{scope.prefix}{label}", process,
+            self.design, f"{scope.prefix}{label}",
             lambda: _cvh.process_factory(
-                process, scope, self, tuple(sens_signals), tuple(watched)
+                process, scope, self, sens_signals, var_types
             ),
         )
-        if proc_obj is None:
-            return
         # the batch tier (repro.sim.batch) pairs each recognized register
         # bank with its kernel Process, so recognition happens here
         from repro.sim.compile import level as _level
@@ -523,11 +519,9 @@ class VhdlElaborator:
         from repro.sim.compile import vhdl as _cvh
 
         process = simcompile.add_process(
-            self, f"{scope.prefix}{inst.label}.in.{child_signal.name}", inst,
+            self.design, f"{scope.prefix}{inst.label}.in.{child_signal.name}",
             lambda: _cvh.wire_input_factory(expr, child_signal, scope, self, reads),
         )
-        if process is None:
-            return
 
         from repro.sim.compile import level as _level
 
@@ -553,11 +547,9 @@ class VhdlElaborator:
         from repro.sim.compile import vhdl as _cvh
 
         process = simcompile.add_process(
-            self, f"{scope.prefix}{inst.label}.out.{child_signal.name}", inst,
+            self.design, f"{scope.prefix}{inst.label}.out.{child_signal.name}",
             lambda: _cvh.wire_output_factory(expr, child_signal, scope, self),
         )
-        if process is None:
-            return
 
         from repro.sim.compile import level as _level
 

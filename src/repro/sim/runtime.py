@@ -87,21 +87,31 @@ class Process:
     """One concurrent thread of execution (always/initial block or VHDL process).
 
     The *factory* receives the kernel when the simulation starts, so the same
-    elaborated design can be simulated several times with fresh state.
+    elaborated design can be simulated several times with fresh state. A
+    process given no factory gets one from its ``build`` callable at its
+    first :meth:`start`, so a process that never starts never compiles its
+    body (see :func:`repro.sim.compile.add_process`).
     """
 
-    __slots__ = ("name", "factory", "generator", "waiting_on", "done")
+    __slots__ = ("name", "factory", "build", "generator", "waiting_on", "done")
 
-    def __init__(self, name: str, factory: Callable[["object"], ProcessBody]):
+    def __init__(
+        self, name: str, factory: Callable[["object"], ProcessBody] | None = None
+    ):
         self.name = name
         self.factory = factory
+        self.build: Callable[[], Callable[["object"], ProcessBody]] | None = None
         self.generator: ProcessBody | None = None
         #: sensitivity entries the process is currently blocked on
         self.waiting_on: list[Sensitivity] = []
         self.done = False
 
     def start(self, kernel) -> ProcessBody:
-        self.generator = self.factory(kernel)
+        factory = self.factory
+        if factory is None:
+            factory = self.factory = self.build()
+            self.build = None
+        self.generator = factory(kernel)
         self.done = False
         self.waiting_on = []
         return self.generator

@@ -528,37 +528,84 @@ class VerilogParser(TokenCursor):
     # ------------------------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:
-        token = self.tokens[self.pos]
-        if token.kind is TokenKind.IDENT or token.is_op("{"):
-            return self._parse_assignment_statement()
-        if token.is_kw("begin"):
-            return self._parse_block()
-        if token.is_kw("if"):
-            return self._parse_if()
-        if token.is_kw("case", "casez", "casex"):
-            return self._parse_case()
-        if token.is_kw("for"):
-            return self._parse_for()
-        if token.is_kw("repeat"):
-            return self._parse_repeat()
-        if token.is_kw("while"):
-            return self._parse_while()
-        if token.is_kw("forever"):
-            start = self._advance()
-            body = self.parse_statement()
-            return ast.Forever(span=start.span.merge(_stmt_span(body)), body=body)
-        if token.is_op("#"):
-            return self._parse_delay()
-        if token.is_op("@"):
-            return self._parse_event_control()
-        if token.kind is TokenKind.SYSTEM_ID:
-            return self._parse_system_task()
-        if token.is_op(";"):
+        skipped = self._skip_too_deep(self._skip_statement)
+        if skipped is not None:
+            return ast.NullStatement(span=skipped)
+        depth = self._stmt_depth
+        self._stmt_depth = depth + 1
+        try:
+            token = self.tokens[self.pos]
+            if token.kind is TokenKind.IDENT or token.is_op("{"):
+                return self._parse_assignment_statement()
+            if token.is_kw("begin"):
+                return self._parse_block()
+            if token.is_kw("if"):
+                return self._parse_if()
+            if token.is_kw("case", "casez", "casex"):
+                return self._parse_case()
+            if token.is_kw("for"):
+                return self._parse_for()
+            if token.is_kw("repeat"):
+                return self._parse_repeat()
+            if token.is_kw("while"):
+                return self._parse_while()
+            if token.is_kw("forever"):
+                start = self._advance()
+                body = self.parse_statement()
+                return ast.Forever(
+                    span=start.span.merge(_stmt_span(body)), body=body
+                )
+            if token.is_op("#"):
+                return self._parse_delay()
+            if token.is_op("@"):
+                return self._parse_event_control()
+            if token.kind is TokenKind.SYSTEM_ID:
+                return self._parse_system_task()
+            if token.is_op(";"):
+                self._advance()
+                return ast.NullStatement(span=token.span)
+            raise self._error(
+                f"syntax error near {_describe(token)}: expected a statement"
+            )
+        finally:
+            self._stmt_depth = depth
+
+    def _skip_statement(self) -> None:
+        """Consume one whole statement without parsing it.
+
+        Tracks ``begin``/``end``, ``case``/``endcase`` and bracket nesting;
+        the statement ends at a ``;`` or closing keyword outside all of them,
+        unless an ``else`` follows that belongs to one of its open ``if``s.
+        Stops before a closer it did not open and before ``endmodule``.
+        """
+        nesting = 0
+        open_ifs = 0
+        while not self._at_eof():
+            token = self._peek()
+            if token.is_kw("endmodule", "module"):
+                return
+            ends = False
+            if token.is_kw("begin", "case", "casez", "casex"):
+                nesting += 1
+            elif token.is_kw("end", "endcase"):
+                if not nesting:
+                    return
+                nesting -= 1
+                ends = not nesting
+            elif token.is_op("(", "[", "{"):
+                nesting += 1
+            elif token.is_op(")", "]", "}"):
+                nesting = max(0, nesting - 1)
+            elif token.is_op(";"):
+                ends = not nesting
+            elif token.is_kw("if") and not nesting:
+                open_ifs += 1
             self._advance()
-            return ast.NullStatement(span=token.span)
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected a statement"
-        )
+            if ends:
+                if not (open_ifs and self._peek().is_kw("else")):
+                    return
+                open_ifs -= 1
+                self._advance()
 
     def _parse_block(self) -> ast.Block:
         start = self._advance()

@@ -679,33 +679,68 @@ class VhdlParser(TokenCursor):
         return tuple(statements)
 
     def _parse_sequential_statement(self) -> ast.SeqStatement:
-        token = self.tokens[self.pos]
-        if token.kind is TokenKind.IDENT:
-            return self._parse_assignment()
-        if token.is_kw("if"):
-            return self._parse_if()
-        if token.is_kw("case"):
-            return self._parse_case()
-        if token.is_kw("for"):
-            return self._parse_for()
-        if token.is_kw("while"):
-            return self._parse_while()
-        if token.is_kw("loop"):
-            return self._parse_bare_loop()
-        if token.is_kw("wait"):
-            return self._parse_wait()
-        if token.is_kw("assert"):
-            return self._parse_assert()
-        if token.is_kw("report"):
-            return self._parse_report()
-        if token.is_kw("null"):
+        skipped = self._skip_too_deep(self._skip_statement)
+        if skipped is not None:
+            return ast.NullStatement(span=skipped)
+        depth = self._stmt_depth
+        self._stmt_depth = depth + 1
+        try:
+            token = self.tokens[self.pos]
+            if token.kind is TokenKind.IDENT:
+                return self._parse_assignment()
+            if token.is_kw("if"):
+                return self._parse_if()
+            if token.is_kw("case"):
+                return self._parse_case()
+            if token.is_kw("for"):
+                return self._parse_for()
+            if token.is_kw("while"):
+                return self._parse_while()
+            if token.is_kw("loop"):
+                return self._parse_bare_loop()
+            if token.is_kw("wait"):
+                return self._parse_wait()
+            if token.is_kw("assert"):
+                return self._parse_assert()
+            if token.is_kw("report"):
+                return self._parse_report()
+            if token.is_kw("null"):
+                self._advance()
+                semi = self._expect_punct(";", "after 'null'")
+                return ast.NullStatement(span=token.span.merge(semi.span))
+            raise self._error(
+                f"syntax error near {_describe(token)}: expected a sequential "
+                "statement"
+            )
+        finally:
+            self._stmt_depth = depth
+
+    def _skip_statement(self) -> None:
+        """Consume one whole sequential statement without parsing it.
+
+        ``if``, ``case`` and ``loop`` open a nesting level that ``end if``,
+        ``end case`` and ``end loop`` close; the statement ends at a ``;``
+        outside all of them. Stops before an ``end`` it did not open and
+        before the next design unit.
+        """
+        nesting = 0
+        while not self._at_eof():
+            token = self._peek()
+            if token.is_kw("entity", "architecture"):
+                return
+            if token.is_kw("end"):
+                if not nesting:
+                    return
+                nesting -= 1
+                self._advance()
+                if self._peek().is_kw("if", "case", "loop"):
+                    self._advance()
+                continue
             self._advance()
-            semi = self._expect_punct(";", "after 'null'")
-            return ast.NullStatement(span=token.span.merge(semi.span))
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected a sequential "
-            "statement"
-        )
+            if token.is_kw("if", "case", "loop"):
+                nesting += 1
+            elif token.is_op(";") and not nesting:
+                return
 
     def _parse_assignment(self) -> ast.SeqStatement:
         target = self._parse_target()

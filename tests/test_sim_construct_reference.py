@@ -14,8 +14,11 @@ compiler is the only evaluator. The one exception is ``v_replicate_x``:
 an X replication count used to abort without a message (``ok=True``); it
 records the fixed, loud behaviour instead.
 
-The module also pins the refusal contract: a process the compiler fails to
-build is a named elaboration error, never a silent fallback.
+The module also pins the lazy-body contract. Process bodies compile when
+the process first starts, inside ``Simulator.run``, so ``compile()`` builds
+none and a process that never starts is never built. A body the compiler
+fails to build fails the run with a named, counted error, never a silent
+fallback.
 """
 
 from __future__ import annotations
@@ -598,39 +601,162 @@ def test_x_replication_count_aborts_loudly():
     assert lines == ()
 
 
+_BROKEN = "RuntimeError: builder exploded"
+
+
 @pytest.mark.parametrize(
-    "name, module, builder, processes",
+    "name, module, builder, flags, refused",
     [
+        # coned under default tiers: the cone replaces the process, whose
+        # own body is then never built
+        ("v_part_select", compile_verilog, "continuous_assign_factory", {},
+         None),
         ("v_part_select", compile_verilog, "continuous_assign_factory",
-         ["assign@6"]),
-        ("vh_index_store", compile_vhdl, "process_factory", ["reg", "stim"]),
+         {"REPRO_SIM_NO_LEVEL": "1"}, "assign@6"),
+        # the run stops at the first refused process to start
+        ("vh_index_store", compile_vhdl, "process_factory", {}, "reg"),
     ],
+    ids=["coned", "closure", "vhdl-process"],
 )
-def test_raising_process_builder_is_a_counted_refusal(
-    name, module, builder, processes, monkeypatch
+def test_raising_process_builder_is_a_counted_run_time_refusal(
+    name, module, builder, flags, refused, monkeypatch
 ):
-    """A builder that raises fails elaboration with a named error."""
+    """A builder that raises fails the run, not the compile, by name."""
 
     def broken(*args, **kwargs):
         raise RuntimeError("builder exploded")
 
     monkeypatch.setattr(module, builder, broken)
     language, source = CASES[name]
-    collector = DiagnosticCollector()
+    files = [HdlFile(f"t{language.file_extension}", source, language)]
     previous = get_tracer()
     set_tracer(Tracer(NullSink()))
     try:
-        design = Toolchain()._build_design(
-            [HdlFile(f"t{language.file_extension}", source, language)],
-            "tb", collector,
-        )
+        with _tier(**flags):
+            toolchain = Toolchain()
+            compiled = toolchain.compile(files, "tb")
+            result = toolchain.simulate(files, "tb")
         refusals = get_tracer().metrics.counter("sim.compile.refusals").value
     finally:
         set_tracer(previous)
-    assert design is None
-    assert refusals == len(processes)
-    assert [d.message for d in collector.diagnostics] == [
-        f"simulation compiler refused process '{process}': "
-        "RuntimeError: builder exploded"
-        for process in processes
-    ]
+    assert compiled.ok and not compiled.diagnostics, compiled.log
+    if refused is None:
+        assert refusals == 0
+        assert (
+            result.ok, tuple(result.output_lines), result.log,
+            result.runtime_error,
+        ) == EXPECTED[name]
+        return
+    message = f"simulation compiler refused process '{refused}': {_BROKEN}"
+    assert refusals == 1
+    assert not result.ok
+    assert result.runtime_error == message
+    assert result.log.endswith(f"ERROR: [XSIM 43-3861] {message}")
+    assert result.compile_result.ok
+
+
+#: every process builder the elaborators hand to ``add_process``
+_BUILDERS = {
+    compile_verilog: (
+        "continuous_assign_factory", "always_factory",
+        "free_always_factory", "initial_factory", "wire_input_factory",
+        "wire_output_factory",
+    ),
+    compile_vhdl: (
+        "process_factory", "concurrent_assign_factory",
+        "delayed_assign_factory", "conditional_assign_factory",
+        "selected_assign_factory", "wire_input_factory", "wire_output_factory",
+    ),
+}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Names of the process builders called, in call order."""
+    calls = []
+    for module, names in _BUILDERS.items():
+        for builder in names:
+            original = getattr(module, builder)
+
+            def counted(*args, _original=original, _name=builder, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, builder, counted)
+    return calls
+
+
+def _kernel_slots(files, top):
+    """The design's process slots that are not levelized cones."""
+    from repro.sim.runtime import Cone
+
+    design = Toolchain()._build_design(files, top, DiagnosticCollector())
+    assert design is not None
+    return [p for p in design.processes if not isinstance(p, Cone)]
+
+
+@pytest.mark.parametrize("name", ["v_part_select", "vh_index_store"])
+@pytest.mark.parametrize(
+    "flags", [{}, {"REPRO_SIM_NO_LEVEL": "1"}], ids=["levelized", "closure"]
+)
+def test_process_bodies_build_at_first_start_only(name, flags, builds):
+    """compile() builds no body; a kernel run builds each started one once."""
+    language, source = CASES[name]
+    files = [HdlFile(f"t{language.file_extension}", source, language)]
+    with _tier(**flags):
+        toolchain = Toolchain()
+        assert toolchain.compile(files, "tb").ok
+        assert builds == []
+        slots = _kernel_slots(files, "tb")
+        assert builds == []
+        result = toolchain.simulate(files, "tb")
+    assert result.ok, result.log
+    # every slot starts at time 0, and its body is built exactly then
+    assert len(builds) == len(slots) > 0
+
+
+def test_batch_tier_simulation_builds_no_body(builds):
+    """A batch-tier run without demotions never starts a kernel process."""
+    from repro.designs.model import CombModel, DesignSpec, PortSpec
+    from repro.designs.tbgen import make_testbench
+
+    spec = DesignSpec(
+        name="andgate",
+        ports=(PortSpec("a", 4, "in"), PortSpec("b", 4, "in"),
+               PortSpec("y", 4, "out")),
+        clocked=False,
+    )
+    model = CombModel(lambda v: {"y": v["a"] & v["b"]})
+    dut = {
+        Language.VERILOG: (
+            "module top_module(input [3:0] a, input [3:0] b, "
+            "output [3:0] y);\n  assign y = a & b;\nendmodule\n"
+        ),
+        Language.VHDL: (
+            _VHDL_HEADER
+            + "entity top_module is\n  port (a : in std_logic_vector(3 downto 0);\n"
+            "        b : in std_logic_vector(3 downto 0);\n"
+            "        y : out std_logic_vector(3 downto 0));\nend entity;\n"
+            "architecture rtl of top_module is\nbegin\n  y <= a and b;\n"
+            "end architecture;\n"
+        ),
+    }
+    previous = get_tracer()
+    set_tracer(Tracer(NullSink()))
+    try:
+        with _tier():
+            for language, text in dut.items():
+                ext = language.file_extension
+                files = [
+                    HdlFile(f"top_module{ext}", text, language),
+                    HdlFile(f"tb{ext}", make_testbench(
+                        spec, model, language, "andgate"), language),
+                ]
+                result = Toolchain().simulate(files, "tb")
+                assert result.ok, result.log
+                assert any("passed" in line for line in result.output_lines)
+        batched = get_tracer().metrics.counter("sim.batch_calls").value
+    finally:
+        set_tracer(previous)
+    assert batched == 2
+    assert builds == []

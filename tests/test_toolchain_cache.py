@@ -565,3 +565,208 @@ class TestStoreCounters:
         text = render_prometheus(merged)
         assert "repro_toolchain_store_simulate_hit 1" in text
         assert "# TYPE repro_toolchain_store_bytes gauge" in text
+
+
+# -- per-unit analysis keys ---------------------------------------------------
+
+
+def whole_set_analysis(files):
+    """Parse and analysis diagnostics of a fresh whole-set pass, no store."""
+    from repro.hdl.diagnostics import DiagnosticCollector
+    from repro.hdl.source import SourceFile
+    from repro.verilog.analyzer import VerilogAnalyzer
+    from repro.verilog.parser import parse_verilog
+    from repro.vhdl.analyzer import VhdlAnalyzer
+    from repro.vhdl.parser import parse_vhdl
+
+    collector = DiagnosticCollector()
+    verilog = files[0].language is Language.VERILOG
+    parse = parse_verilog if verilog else parse_vhdl
+    units = []
+    for hdl_file in files:
+        tree, _ = parse(hdl_file.text, name=hdl_file.name, collector=collector)
+        units.append((tree, SourceFile(hdl_file.name, hdl_file.text)))
+    declared = {}
+    for tree, _ in units:
+        for unit in (tree.modules if verilog else tree.entities):
+            declared[unit.name] = unit
+    for tree, source in units:
+        local = {u.name for u in (tree.modules if verilog else tree.entities)}
+        library = {k: v for k, v in declared.items() if k not in local}
+        analyzer = VerilogAnalyzer if verilog else VhdlAnalyzer
+        analyzer(source, collector, library).analyze(tree)
+    return collector.diagnostics
+
+
+@pytest.fixture
+def analysis_only(monkeypatch):
+    """Stop the toolchain's frontend after analysis (no elaboration)."""
+    stop = lambda *args, **kwargs: (None, None)  # noqa: E731
+    monkeypatch.setattr(toolchain_module, "elaborate_verilog", stop)
+    monkeypatch.setattr(toolchain_module, "elaborate_vhdl", stop)
+
+
+def analyzed(toolchain, files, top="tb"):
+    """Parse and analysis diagnostics of *files* through the store."""
+    from repro.hdl.diagnostics import DiagnosticCollector
+
+    collector = DiagnosticCollector()
+    toolchain._build_design(files, top, collector)
+    return collector.diagnostics
+
+
+def qa_corpus(language):
+    """(files, top) pairs of the regression corpus in *language*."""
+    from repro.qa.corpus import load_corpus
+
+    ext = language.file_extension
+    for case in load_corpus():
+        testbench = make_testbench(
+            case.spec.design_spec(), case.spec.model(), language,
+            case.spec.name,
+        )
+        yield [
+            HdlFile(f"top_module{ext}", case_sources(case)[language], language),
+            HdlFile(f"tb{ext}", testbench, language),
+        ], "tb"
+
+
+def analyze_stats(toolchain):
+    return toolchain.store.stats["analyze"].snapshot()
+
+
+class TestPerUnitAnalysis:
+    """Analysis is stored per unit, keyed on the unit's own file plus the
+    interface it reads from the other units of its set."""
+
+    @pytest.mark.parametrize("order", ["dut-first", "tb-first"])
+    @pytest.mark.parametrize("language", list(Language))
+    def test_parity_with_fresh_whole_set_analysis(
+        self, analysis_only, language, order
+    ):
+        """A warm store replays exactly what a fresh pass over the whole
+        set reports: suite references, golden testbenches, every defect
+        mutant and the regression corpus, in either file order."""
+        shared = Toolchain()
+        sets = list(mutated_corpus(language)) + list(qa_corpus(language))
+        for files, top in sets:
+            if order == "tb-first":
+                files = files[::-1]
+            assert analyzed(shared, files, top) == whole_set_analysis(files)
+            alone = files[:1]
+            assert analyzed(shared, alone, top) == whole_set_analysis(alone)
+        stats = shared.store.stats["analyze"]
+        # every mutant's testbench replays its problem's testbench entry
+        assert stats.hits > len(sets) // 2
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_same_interface_revision_hits_the_testbench(
+        self, analysis_only, language
+    ):
+        toolchain = Toolchain()
+        problem = build_suite().get("counter8")
+        ext = language.file_extension
+        tb = HdlFile(f"tb{ext}", problem.golden_tb[language], language)
+        reference = problem.reference[language]
+        revision = reference + ("\n// revised\n" if language is Language.VERILOG
+                                else "\n-- revised\n")
+        analyzed(toolchain, [HdlFile(f"top_module{ext}", reference, language), tb])
+        before = analyze_stats(toolchain)
+        files = [HdlFile(f"top_module{ext}", revision, language), tb]
+        assert analyzed(toolchain, files) == whole_set_analysis(files)
+        delta = toolchain.store.stats["analyze"].delta(before)
+        assert (delta.hits, delta.misses) == (1, 1)  # the testbench hit
+
+    VERILOG_DUT = (
+        "module top_module #(parameter W = 1) (input a, input b, output y);\n"
+        "  localparam L = 2;\n  assign y = a & b;\nendmodule\n"
+    )
+    VERILOG_TB = (
+        "module tb;\n  reg a, b; wire y;\n"
+        "  top_module #(.W(1)) dut(.a(a), .b(b), .y(y));\n"
+        "  top_module pos(a, b, y);\nendmodule\n"
+    )
+    VERILOG_EDITS = {
+        "module renamed": ("module top_module", "module top_other"),
+        "port renamed": ("input b,", "input c,"),
+        "ports reordered": ("input a, input b,", "input b, input a,"),
+        "port added": ("output y)", "output y, input z)"),
+        "parameter renamed": ("parameter W", "parameter V"),
+        "local parameter made public": ("localparam L", "parameter L"),
+    }
+
+    VHDL_DUT = (
+        "library ieee;\nuse ieee.std_logic_1164.all;\n"
+        "entity top_module is\n  generic (W : integer := 1);\n"
+        "  port (a : in std_logic; b : in std_logic; y : out std_logic);\n"
+        "end entity;\narchitecture rtl of top_module is\nbegin\n"
+        "  y <= a and b;\nend architecture;\n"
+    )
+    VHDL_TB = (
+        "library ieee;\nuse ieee.std_logic_1164.all;\n"
+        "entity tb is end entity;\narchitecture sim of tb is\n"
+        "  signal a, b, y : std_logic;\nbegin\n"
+        "  dut: entity work.top_module generic map (W => 1)\n"
+        "    port map (a => a, b => b, y => y);\nend architecture;\n"
+    )
+    VHDL_EDITS = {
+        "entity renamed": ("entity top_module is", "entity top_other is"),
+        "port renamed": ("b : in std_logic;", "c : in std_logic;"),
+        "ports reordered": ("a : in std_logic; b : in std_logic;",
+                            "b : in std_logic; a : in std_logic;"),
+        "generic renamed": ("generic (W :", "generic (V :"),
+    }
+
+    @pytest.mark.parametrize("language,edit", [
+        (Language.VERILOG, name) for name in VERILOG_EDITS
+    ] + [(Language.VHDL, name) for name in VHDL_EDITS])
+    def test_interface_change_misses_the_testbench(
+        self, analysis_only, language, edit
+    ):
+        if language is Language.VERILOG:
+            dut, tb, (old, new) = (
+                self.VERILOG_DUT, self.VERILOG_TB, self.VERILOG_EDITS[edit]
+            )
+        else:
+            dut, tb, (old, new) = (
+                self.VHDL_DUT, self.VHDL_TB, self.VHDL_EDITS[edit]
+            )
+        assert old in dut
+        ext = language.file_extension
+        tb_file = HdlFile(f"tb{ext}", tb, language)
+        toolchain = Toolchain()
+        files = [HdlFile(f"top_module{ext}", dut, language), tb_file]
+        assert analyzed(toolchain, files) == whole_set_analysis(files) == []
+        before = analyze_stats(toolchain)
+        edited = [HdlFile(f"top_module{ext}", dut.replace(old, new), language),
+                  tb_file]
+        assert analyzed(toolchain, edited) == whole_set_analysis(edited)
+        delta = toolchain.store.stats["analyze"].delta(before)
+        assert (delta.hits, delta.misses) == (0, 2)
+
+    def test_foreign_entity_architecture_keys_on_its_entity_text(
+        self, analysis_only
+    ):
+        """An architecture of an entity declared in another file reads
+        that entity's types: a type-only edit of the entity misses it."""
+        header = "library ieee;\nuse ieee.std_logic_1164.all;\n"
+        entity = (
+            header + "entity top_module is\n"
+            "  port (a : in std_logic; y : out std_logic);\nend entity;\n"
+        )
+        arch = HdlFile(
+            "rtl.vhd",
+            header + "architecture rtl of top_module is\nbegin\n"
+            "  y <= a;\nend architecture;\n",
+            Language.VHDL,
+        )
+        toolchain = Toolchain()
+        files = [HdlFile("top_module.vhd", entity, Language.VHDL), arch]
+        assert analyzed(toolchain, files, "top_module") == []
+        before = analyze_stats(toolchain)
+        retyped = entity.replace("a : in std_logic;", "a : in bogus_type;")
+        edited = [HdlFile("top_module.vhd", retyped, Language.VHDL), arch]
+        diagnostics = analyzed(toolchain, edited, "top_module")
+        assert diagnostics == whole_set_analysis(edited) != []
+        delta = toolchain.store.stats["analyze"].delta(before)
+        assert (delta.hits, delta.misses) == (0, 2)
