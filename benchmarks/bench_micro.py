@@ -3,13 +3,12 @@
 These track the cost of the pieces everything else is built on — useful for
 spotting regressions when extending the language subsets.
 
-``test_sim_tier_speedup`` additionally writes ``BENCH_sim.json`` (best-of-20
-timings for the three simulation tiers — closure, levelized, batch — in both
-languages, each timed call a simulate-stage miss of the toolchain's result
-store) and gates on each accelerated tier staying measurably faster than
-the one below it: levelized over closure on the combinational designs, and
-batch over levelized on the 512-vector generated-testbench designs; CI
-uploads the JSON as an artifact. The report defaults to
+``test_sim_tier_speedup`` additionally writes ``BENCH_sim.json`` (best-of-N
+timings of the two simulation paths — the event kernel and the batch tier —
+on a 512-vector generated testbench in both languages, each timed call a
+simulate-stage miss of the toolchain's result store) and gates on the batch
+tier staying measurably faster than the kernel; CI uploads the JSON as an
+artifact. The report defaults to
 ``benchmarks/BENCH_sim.json`` (next to this file, not the CWD);
 ``BENCH_SIM_JSON`` overrides the path but must stay inside ``benchmarks/``.
 """
@@ -77,47 +76,10 @@ begin
 end architecture;
 """
 
-
-TB_VHD = """
-library ieee;
-use ieee.std_logic_1164.all;
-use ieee.numeric_std.all;
-entity tb is end entity;
-architecture sim of tb is
-    signal clk : std_logic := '0';
-    signal rst : std_logic := '1';
-    signal en : std_logic := '0';
-    signal count : std_logic_vector(7 downto 0);
-begin
-    dut: entity work.counter port map (
-        clk => clk, rst => rst, en => en, count => count);
-    stim: process begin
-        for i in 0 to 1 loop
-            wait for 5 ns;
-            clk <= '1';
-            wait for 5 ns;
-            clk <= '0';
-        end loop;
-        rst <= '0';
-        en <= '1';
-        for i in 0 to 199 loop
-            wait for 5 ns;
-            clk <= '1';
-            wait for 5 ns;
-            clk <= '0';
-        end loop;
-        wait for 1 ns;
-        if unsigned(count) = 200 then
-            report "All tests passed successfully!";
-        end if;
-        wait;
-    end process;
-end architecture;
-"""
-
-
+#: a 12-stage combinational chain, timed against a generated 512-vector
+#: testbench so the batch tier's bundle recognizer engages
 COMB_V = """
-module comb(input [15:0] a, input [15:0] b, output [15:0] y);
+module top_module(input [15:0] a, input [15:0] b, output [15:0] y);
     wire [15:0] t0 = a ^ b;
     wire [15:0] t1 = t0 + a;
     wire [15:0] t2 = t1 & 16'hBEEF;
@@ -134,32 +96,16 @@ module comb(input [15:0] a, input [15:0] b, output [15:0] y);
 endmodule
 """
 
-TB_COMB_V = """
-module tb;
-    reg [15:0] a, b; reg [15:0] acc; wire [15:0] y;
-    comb dut(.a(a), .b(b), .y(y));
-    initial begin
-        a = 16'h0001; b = 16'h1234; acc = 0;
-        repeat (200) begin
-            #1 a = a + 16'h2357;
-            acc = acc ^ y;
-        end
-        if (acc == 16'haf00) $display("All tests passed successfully!");
-        $finish;
-    end
-endmodule
-"""
-
 COMB_VHD = """
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
-entity comb is
+entity top_module is
     port (a : in unsigned(15 downto 0);
           b : in unsigned(15 downto 0);
           y : out unsigned(15 downto 0));
 end entity;
-architecture rtl of comb is
+architecture rtl of top_module is
     signal t0, t1, t2, t3, t4, t5 : unsigned(15 downto 0);
     signal t6, t7, t8, t9, t10, t11 : unsigned(15 downto 0);
 begin
@@ -178,42 +124,6 @@ begin
     y <= t11 xor t9;
 end architecture;
 """
-
-TB_COMB_VHD = """
-library ieee;
-use ieee.std_logic_1164.all;
-use ieee.numeric_std.all;
-entity tb is end entity;
-architecture sim of tb is
-    signal a : unsigned(15 downto 0) := x"0001";
-    signal b : unsigned(15 downto 0) := x"1234";
-    signal y : unsigned(15 downto 0);
-    signal acc : unsigned(15 downto 0) := (others => '0');
-begin
-    dut: entity work.comb port map (a => a, b => b, y => y);
-    stim: process begin
-        for i in 0 to 199 loop
-            wait for 1 ns;
-            a <= a + x"2357";
-            acc <= acc xor y;
-        end loop;
-        wait for 1 ns;
-        if acc = x"af00" then
-            report "All tests passed successfully!";
-        end if;
-        wait;
-    end process;
-end architecture;
-"""
-
-
-#: the comb chain again, but as ``top_module`` with a generated 512-vector
-#: testbench so the batch tier's bundle recognizer engages
-BATCH_COMB_V = COMB_V.replace("module comb(", "module top_module(")
-
-BATCH_COMB_VHD = COMB_VHD.replace("entity comb is", "entity top_module is").replace(
-    "architecture rtl of comb is", "architecture rtl of top_module is"
-)
 
 _BATCH_MASK = (1 << 16) - 1
 
@@ -255,7 +165,7 @@ def _batch_files(language):
     tb = make_testbench(
         spec, CombModel(_chain), language, "batchcomb", vectors=vectors
     )
-    dut = BATCH_COMB_V if language is Language.VERILOG else BATCH_COMB_VHD
+    dut = COMB_V if language is Language.VERILOG else COMB_VHD
     ext = language.file_extension
     return [
         HdlFile(f"top_module{ext}", dut, language),
@@ -338,20 +248,14 @@ def test_build_defect_plan(benchmark, full_suite):
     assert len(plans) == 156
 
 
-#: env flags that select a simulation tier; _best_ms owns all of them for
-#: the duration of a measurement so ambient settings can't skew a tier
-_TIER_FLAGS = (
-    "REPRO_SIM_NO_LEVEL",
-    "REPRO_SIM_NO_TWOSTATE",
-    "REPRO_SIM_NO_BATCH",
-    "REPRO_SIM_NO_NUMPY",
-)
+#: env flags that select a simulation path; _best_ms owns all of them for
+#: the duration of a measurement so ambient settings can't skew a path
+_TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
 
-#: flag values that pin each measured tier. The two event-driven tiers
-#: disable the batch recognizer so generated testbenches measure the kernel.
+#: flag values that pin each measured path: with the batch recognizer off,
+#: a generated testbench runs on the event kernel
 _TIERS = {
-    "closure": {"REPRO_SIM_NO_LEVEL": "1", "REPRO_SIM_NO_BATCH": "1"},
-    "levelized": {"REPRO_SIM_NO_BATCH": "1"},
+    "kernel": {"REPRO_SIM_NO_BATCH": "1"},
     "batch": {},
 }
 
@@ -359,7 +263,7 @@ _TIERS = {
 def _best_ms(files, top, *, tier, reps=20):
     """Best-of-*reps* wall time of one simulate() store miss, in milliseconds.
 
-    A fresh Toolchain per tier; one warm-up call fills its parse, analysis,
+    A fresh Toolchain per path; one warm-up call fills its parse, analysis,
     compile and plan entries. Every timed rep then misses the simulate stage
     alone (see :func:`_simulate_miss`), so the measurement is the
     elaborate+simulate cost the sweeps actually pay per run, never a store
@@ -390,18 +294,15 @@ def _best_ms(files, top, *, tier, reps=20):
                 os.environ[flag] = value
 
 
-#: the levelized two-state tier must beat the closure tier by at least this
-#: factor on the combinational designs (where cones dominate; the clocked
-#: counter is testbench-bound and levelized ≈ closure there). Measured
-#: level_speedups on the comb designs are ~50-60x, so 1.5x only trips when
-#: cone formation breaks outright.
-SIM_LEVEL_SPEEDUP_FLOOR = 1.5
+#: timed reps of the kernel path: each takes about a second, so five keep
+#: the benchmark short while the best of them is still stable
+KERNEL_REPS = 5
 
-#: the batch tier must beat the levelized tier by at least this factor on
+#: the batch tier must beat the event kernel by at least this factor on
 #: the 512-vector generated-testbench designs. Measured batch_speedups are
-#: ~20-35x (the vectorized program replaces the whole event kernel and the
-#: compile memo amortises testbench elaboration), so 5x only trips when the
-#: bundle recognizer or the vector compiler stops engaging.
+#: several hundred (one vector-program pass replaces the whole event-driven
+#: replay), so 5x only trips when the bundle recognizer or the vector
+#: compiler stops engaging.
 SIM_BATCH_SPEEDUP_FLOOR = 5.0
 
 
@@ -423,80 +324,38 @@ def _report_path():
 
 
 def test_sim_tier_speedup():
-    """Each accelerated tier beats the one below it; record BENCH_sim.json."""
+    """The batch tier beats the event kernel; record BENCH_sim.json."""
     cases = {
-        "verilog": ([HdlFile("c.v", COUNTER_V + TB_V, Language.VERILOG)], "tb"),
-        "vhdl": (
-            [HdlFile("c.vhd", COUNTER_VHD + TB_VHD, Language.VHDL)],
-            "tb",
-        ),
-        "verilog_comb": (
-            [HdlFile("c.v", COMB_V + TB_COMB_V, Language.VERILOG)],
-            "tb",
-        ),
-        "vhdl_comb": (
-            [HdlFile("c.vhd", COMB_VHD + TB_COMB_VHD, Language.VHDL)],
-            "tb",
-        ),
-    }
-    batch_cases = {
         "verilog_batch": (_batch_files(Language.VERILOG), "tb"),
         "vhdl_batch": (_batch_files(Language.VHDL), "tb"),
     }
     report = {}
     for name, (files, top) in cases.items():
-        compiled_ms = _best_ms(files, top, tier="closure")
-        levelized_ms = _best_ms(files, top, tier="levelized")
-        report[name] = {
-            "compiled_ms": round(compiled_ms, 3),
-            "levelized_ms": round(levelized_ms, 3),
-            "level_speedup": round(compiled_ms / levelized_ms, 2),
-        }
-    for name, (files, top) in batch_cases.items():
-        levelized_ms = _best_ms(files, top, tier="levelized")
+        kernel_ms = _best_ms(files, top, tier="kernel", reps=KERNEL_REPS)
         batch_ms = _best_ms(files, top, tier="batch")
         report[name] = {
-            "levelized_ms": round(levelized_ms, 3),
+            "kernel_ms": round(kernel_ms, 3),
             "batch_ms": round(batch_ms, 3),
-            "batch_speedup": round(levelized_ms / batch_ms, 2),
+            "batch_speedup": round(kernel_ms / batch_ms, 2),
         }
-    # absolute minimums enforced by ``repro bench check`` (bare keys apply
-    # everywhere, dotted names to one leaf — the level floor only holds on
-    # the comb designs); relative drift gating alone would let speedups
-    # ratchet down one tolerance-width per baseline refresh
-    report["floors"] = {
-        "verilog_comb.level_speedup": SIM_LEVEL_SPEEDUP_FLOOR,
-        "vhdl_comb.level_speedup": SIM_LEVEL_SPEEDUP_FLOOR,
-        "batch_speedup": SIM_BATCH_SPEEDUP_FLOOR,
-    }
+    # an absolute minimum enforced by ``repro bench check``; relative drift
+    # gating alone would let the speedup ratchet down one tolerance-width
+    # per baseline refresh
+    report["floors"] = {"batch_speedup": SIM_BATCH_SPEEDUP_FLOOR}
     out = _report_path()
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nsim tier speedups ({out}):")
     for name in cases:
         entry = report[name]
         print(
-            f"  {name}: closure {entry['compiled_ms']:.2f} ms, "
-            f"levelized {entry['levelized_ms']:.2f} ms "
-            f"({entry['level_speedup']:.2f}x over closure)"
-        )
-    for name in batch_cases:
-        entry = report[name]
-        print(
-            f"  {name}: levelized {entry['levelized_ms']:.2f} ms, "
+            f"  {name}: kernel {entry['kernel_ms']:.2f} ms, "
             f"batch {entry['batch_ms']:.2f} ms "
-            f"({entry['batch_speedup']:.2f}x over levelized)"
+            f"({entry['batch_speedup']:.2f}x over the kernel)"
         )
-    for name in ("verilog_comb", "vhdl_comb"):
-        assert report[name]["level_speedup"] >= SIM_LEVEL_SPEEDUP_FLOOR, (
-            f"{name}: levelized tier only {report[name]['level_speedup']}x "
-            f"faster than the closure tier "
-            f"(floor {SIM_LEVEL_SPEEDUP_FLOOR}x) — did cone formation "
-            "stop engaging?"
-        )
-    for name in batch_cases:
+    for name in cases:
         assert report[name]["batch_speedup"] >= SIM_BATCH_SPEEDUP_FLOOR, (
             f"{name}: batch tier only {report[name]['batch_speedup']}x "
-            f"faster than the levelized tier "
+            f"faster than the event kernel "
             f"(floor {SIM_BATCH_SPEEDUP_FLOOR}x) — did the bundle "
             "recognizer or the vector compiler stop engaging?"
         )

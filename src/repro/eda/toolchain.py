@@ -10,7 +10,7 @@ Design goals:
   the paper) produces failing results with populated logs.
 * **Deterministic latency model.** Real EDA runtimes are part of the paper's
   Figure 3; each result carries a modeled ``tool_seconds`` derived from the
-  workload (file sizes, simulation activity) so latency accounting is
+  workload (file sizes, simulated time) so latency accounting is
   reproducible, alongside the true wall-clock for transparency.
 * **One result store.** Experiment sweeps recompile and resimulate the same
   (sources, top) pairs many times — the baseline and AIVRIL2 judgments of
@@ -237,15 +237,10 @@ _METRIC_NAMES = {
 
 
 def tier_flags() -> tuple[bool, ...]:
-    """The ``REPRO_SIM_*`` tier switches, part of every compile, simulate
-    and plan key: they change which tier runs, and so a result's
-    activation-based ``tool_seconds`` and the batch plan."""
-    return (
-        simcompile.level_disabled(),
-        simcompile.twostate_disabled(),
-        simcompile.batch_disabled(),
-        simcompile.numpy_disabled(),
-    )
+    """The ``REPRO_SIM_NO_BATCH`` switch, part of every compile, simulate
+    and plan key. Results are equal either way; keying on it makes a run
+    under the flag take the kernel instead of replaying a batch result."""
+    return (simcompile.batch_disabled(),)
 
 
 def _copy_compile_result(result: CompileResult,
@@ -332,10 +327,9 @@ class Toolchain:
     COMPILE_PER_KIB_SECONDS = 0.015
     #: modeled seconds per simulation launch
     SIM_BASE_SECONDS = 0.6
-    #: modeled seconds per 1000 process activations
-    SIM_PER_KACT_SECONDS = 0.02
-    #: modeled seconds per 1000 stimulus vectors on the batch tier
-    SIM_PER_KVEC_SECONDS = 0.005
+    #: modeled seconds per simulated microsecond (1,000 ns of ``end_time``),
+    #: the same on both simulation paths
+    SIM_PER_US_SECONDS = 0.005
 
     def __init__(self, *, max_sim_time: int = 200_000):
         self.max_sim_time = max_sim_time
@@ -632,13 +626,8 @@ class Toolchain:
         metrics = get_tracer().metrics
         metrics.counter("sim.activations").inc(stats.process_activations)
         metrics.counter("sim.delta_cycles").inc(stats.delta_cycles)
-        metrics.counter("sim.cone_calls").inc(stats.cone_calls)
         wall = _time.perf_counter() - started
-        modeled = (
-            compile_result.tool_seconds
-            + self.SIM_BASE_SECONDS
-            + self.SIM_PER_KACT_SECONDS * stats.process_activations / 1000.0
-        )
+        modeled = self._sim_seconds(compile_result, stats.end_time)
         sim_log = self._render_sim_log(
             top, simulator.output, stats, runtime_error
         )
@@ -652,6 +641,17 @@ class Toolchain:
             runtime_error=runtime_error,
             tool_seconds=modeled,
             wall_seconds=wall,
+        )
+
+    def _sim_seconds(self, compile_result: CompileResult,
+                     end_time: int) -> float:
+        """Modeled tool seconds of a simulation: its compile, one launch,
+        and the simulated time. Both paths report the same ``end_time``,
+        so the cost does not depend on which one ran."""
+        return (
+            compile_result.tool_seconds
+            + self.SIM_BASE_SECONDS
+            + self.SIM_PER_US_SECONDS * end_time / 1000.0
         )
 
     # ------------------------------------------------------------------
@@ -701,7 +701,7 @@ class Toolchain:
         tier is disabled, the testbench text is not a registered bundle,
         the run would exceed ``max_sim_time``, or the DUT is not batchable.
         """
-        if simcompile.batch_disabled() or simcompile.level_disabled():
+        if simcompile.batch_disabled():
             return None
         from repro.designs import tbgen
         from repro.sim import batch as _batch
@@ -756,11 +756,7 @@ class Toolchain:
         metrics.counter("sim.batch_vectors").inc(outcome.vectors)
         metrics.counter("sim.batch_demotions").inc(outcome.demotions)
         wall = _time.perf_counter() - started
-        modeled = (
-            compile_result.tool_seconds
-            + self.SIM_BASE_SECONDS
-            + self.SIM_PER_KVEC_SECONDS * outcome.vectors / 1000.0
-        )
+        modeled = self._sim_seconds(compile_result, outcome.end_time)
         output_lines = list(outcome.output_lines)
         sim_log = self._render_sim_log(top, output_lines, stats, "")
         return SimResult(

@@ -128,7 +128,6 @@ class TraceSummary:
     cache_misses: int = 0
     sim_activations: int = 0
     sim_delta_cycles: int = 0
-    sim_cone_calls: int = 0
     sim_batch_calls: int = 0
     sim_batch_vectors: int = 0
     sim_batch_demotions: int = 0
@@ -213,7 +212,6 @@ def summarize_records(records: list[dict], *, path: str = "") -> TraceSummary:
     for attr, metric in (
         ("sim_activations", "sim.activations"),
         ("sim_delta_cycles", "sim.delta_cycles"),
-        ("sim_cone_calls", "sim.cone_calls"),
         ("sim_batch_calls", "sim.batch_calls"),
         ("sim_batch_vectors", "sim.batch_vectors"),
         ("sim_batch_demotions", "sim.batch_demotions"),
@@ -416,8 +414,7 @@ def render_trace_summary(summary: TraceSummary) -> str:
         f"cache {summary.cache_hits} hit / {summary.cache_misses} miss "
         f"({100.0 * summary.cache_hit_rate:.1f}% hit rate)",
         f"  simulator: {summary.sim_activations} activation(s), "
-        f"{summary.sim_delta_cycles} delta cycle(s), "
-        f"{summary.sim_cone_calls} cone call(s)",
+        f"{summary.sim_delta_cycles} delta cycle(s)",
         f"  batch tier: {summary.sim_batch_calls} call(s), "
         f"{summary.sim_batch_vectors} vector(s), "
         f"{summary.sim_batch_demotions} demotion(s)",

@@ -1,21 +1,22 @@
-"""Batch stimulus evaluation — the fourth simulation tier.
+"""Batch stimulus evaluation: the second simulation path.
 
 The event kernel replays a golden testbench one stimulus vector at a time:
 drive, settle, check, repeat. For the designs the QA pipeline actually
-generates — combinational cones plus recognized synchronous registers —
-the per-vector work is a pure function of the vector, so the whole stimulus
-set can be evaluated in one pass instead.
+generates — combinational cone members plus recognized synchronous
+registers — the per-vector work is a pure function of the vector, so the
+whole stimulus set can be evaluated in one pass instead.
 
 This module plans and runs that pass:
 
-* :func:`plan_combinational` re-lowers the levelized cones' two-state emit
-  sources (:class:`~repro.sim.compile.level.ConeMember` recipes) across the
-  stimulus axis via :mod:`repro.sim.compile.vector` — numpy ``uint64``
-  columns when numpy is importable, a masked-int list loop otherwise;
+* :func:`plan_combinational` orders the elaborators' cone members
+  (:class:`~repro.sim.compile.level.ConeMember`, in ``Design.members``) by
+  dataflow and compiles their two-state emits into one vector program
+  (:mod:`repro.sim.compile.vector`), a plain Python loop over the stimulus
+  set;
 * :func:`plan_sequential` does the same for clocked designs whose
   edge-triggered processes were recognized as
   :class:`~repro.sim.runtime.SyncUpdate` register banks: one *transposed*
-  cone sweep per clock edge over independent stimulus sequences, with the
+  sweep per clock edge over independent stimulus sequences, with the
   register columns carried between edges;
 * :func:`run_bundle` evaluates a registered
   :class:`~repro.designs.tbgen.StimulusBundle` against a plan and emulates
@@ -25,29 +26,30 @@ This module plans and runs that pass:
 
 Per-vector X demotion: a combinational vector whose inputs carry X bits
 cannot go through the two-state vector program. Such vectors (and only
-such vectors) are demoted to a scalar four-state evaluation that drives the
-design's own cones through the kernel's time-step machinery, so X
-propagation stays bit-exact with the event tier. Bundles produced by
+such vectors) are demoted to a scalar four-state evaluation that runs the
+design's own processes through the kernel's time-step machinery, so X
+propagation stays bit-exact with the kernel. Bundles produced by
 :func:`~repro.designs.tbgen.make_testbench` drive integer literals and
 never demote; the demotion path exists for direct
 :func:`simulate_vectors` callers.
 
-Eligibility is conservative: any process that is not a workable cone (or a
-recognized register bank), any emit that references a signal outside the
-planned namespace (clocks, resets, undriven internals read by logic), any
-width beyond the emit cap — all return ``None`` and the caller falls back
-to the event kernel. ``REPRO_SIM_NO_BATCH=1`` disables the tier wholesale;
-``REPRO_SIM_NO_NUMPY=1`` keeps it but forces the list fallback.
+Eligibility is conservative: a process that is neither a cone member nor
+(for clocked plans) a recognized register bank, two writers of one net, a
+combinational cycle, an emit that references a signal outside the planned
+namespace (clocks, resets, undriven internals read by logic), a width
+beyond the emit cap — each returns ``None`` and the caller falls back to
+the event kernel. ``REPRO_SIM_NO_BATCH=1`` disables the tier wholesale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.sim.compile.twostate import MAX_EMIT_WIDTH
-from repro.sim.compile.vector import VectorProgram, build_program
+from repro.sim.compile.vector import build_program
 from repro.sim.kernel import Simulator
-from repro.sim.runtime import Cone, Design, Signal
+from repro.sim.runtime import Design, Signal
 from repro.sim.values import Logic
 
 
@@ -61,61 +63,55 @@ def _mask(width: int) -> int:
 
 
 def _lower_cones(design: Design, names: dict[Signal, str]):
-    """Topologically ordered vector assigns for every cone member.
+    """Dataflow-ordered vector assigns for every cone member.
 
     *names* maps externally-driven signals (inputs, registers) to their
-    column variables; every cone target gets a fresh ``o{j}`` variable added
-    to *names*. Returns ``(assigns, target_var)`` where *assigns* is the
-    ordered ``(var, width, source, source_width)`` list for
+    column variables; every member's target gets a fresh ``o{j}`` variable
+    added to *names*. Returns ``(assigns, target_var)`` where *assigns* is
+    the ordered ``(var, width, source, source_width)`` list for
     :func:`~repro.sim.compile.vector.build_program` and *target_var* maps
-    each cone-driven signal to its variable — or ``None`` when any member
-    falls outside the batchable subset.
+    each member-driven signal to its variable — or ``None`` when a target
+    has two writers, is an input or a register, is wider than the emit
+    cap, sits on a combinational cycle (a self-read included), or when a
+    member has no two-state emit.
     """
-    members = []
-    for process in design.processes:
-        if not isinstance(process, Cone):
-            continue
-        if process.recipe is None:
-            return None
-        members.extend(process.recipe)
-    writer: dict[Signal, object] = {}
-    for member in members:
-        if member.emit is None or len(member.writes) != 1:
-            return None
-        target = member.writes[0]
+    members = design.members
+    producer: dict[Signal, int] = {}
+    for j, member in enumerate(members):
+        target = member.target
         if not 0 < target.width <= MAX_EMIT_WIDTH:
             return None
-        if target in writer or target in names:
+        if target in producer or target in names:
             return None
-        writer[target] = member
-    target_var: dict[Signal, str] = {}
+        producer[target] = j
+    target_var = {member.target: f"o{j}" for j, member in enumerate(members)}
+    names.update(target_var)
+    # members arrive in elaboration order; lower them in dataflow order
+    # (Kahn): a member is ready once every member-driven signal it reads
+    # has been lowered
+    waiting = [0] * len(members)
+    consumers: list[list[int]] = [[] for _ in members]
     for j, member in enumerate(members):
-        target = member.writes[0]
-        var = f"o{j}"
-        target_var[target] = var
-        names[target] = var
-    # Kahn levelization across cones: a member is ready once every cone-driven
-    # signal it reads has been emitted. Cone recipes are already internally
-    # ordered, so this converges in one or two sweeps.
+        for signal in member.reads:
+            k = producer.get(signal)
+            if k is not None:
+                waiting[j] += 1
+                consumers[k].append(j)
+    ready = [j for j, count in enumerate(waiting) if not count]
     assigns: list[tuple[str, int, str, int]] = []
-    emitted: set[Signal] = set()
-    remaining = members
-    while remaining:
-        deferred = []
-        for member in remaining:
-            if any(s in writer and s not in emitted for s in member.reads):
-                deferred.append(member)
-                continue
-            lowered = member.emit(names)
-            if lowered is None:
-                return None
-            source, source_width = lowered
-            target = member.writes[0]
-            assigns.append((target_var[target], target.width, source, source_width))
-            emitted.add(target)
-        if len(deferred) == len(remaining):
-            return None  # combinational cycle — not a levelizable design
-        remaining = deferred
+    for j in ready:  # ready grows while it is walked
+        target = members[j].target
+        lowered = members[j].emit(names)
+        if lowered is None:
+            return None
+        source, source_width = lowered
+        assigns.append((target_var[target], target.width, source, source_width))
+        for k in consumers[j]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                ready.append(k)
+    if len(assigns) != len(members):
+        return None  # the rest wait on a combinational cycle
     return assigns, target_var
 
 
@@ -147,11 +143,7 @@ class CombPlan:
     #: (port name, spec width, column var | None, static Logic | None) per
     #: observed output; undriven outputs carry their elaboration-time value
     outputs: tuple[tuple[str, int, str | None, Logic | None], ...]
-    program: VectorProgram
-
-    @property
-    def mode(self) -> str:
-        return self.program.mode
+    program: Callable
 
 
 def plan_combinational(design: Design, in_ports, out_ports) -> CombPlan | None:
@@ -159,11 +151,12 @@ def plan_combinational(design: Design, in_ports, out_ports) -> CombPlan | None:
 
     *in_ports* / *out_ports* are ``(name, width)`` pairs in testbench
     declaration order — the observation widths, which may differ from the
-    design's own signal widths (the testbench connection resizes).
+    design's own signal widths (the testbench connection resizes). Every
+    process must belong to a cone member.
     """
-    for process in design.processes:
-        if not isinstance(process, Cone):
-            return None
+    member_processes = {member.process for member in design.members}
+    if any(p not in member_processes for p in design.processes):
+        return None
     bound = _input_bindings(design, in_ports)
     if bound is None:
         return None
@@ -251,7 +244,7 @@ def run_vectors(plan: CombPlan, vectors, design: Design | None = None):
             )
             assert column is not None  # X-carrying vectors were demoted
             columns[var] = column
-        out = plan.program.run(columns, len(kept))
+        out = plan.program(columns, len(kept))
         for slot, index in enumerate(kept):
             row = {}
             for name, spec_width, var, static in plan.outputs:
@@ -288,7 +281,6 @@ class BatchRun:
 
     values: tuple[dict, ...]
     demotions: int
-    mode: str
 
 
 def simulate_vectors(design: Design, vectors, *, inputs=None, outputs=None):
@@ -297,7 +289,7 @@ def simulate_vectors(design: Design, vectors, *, inputs=None, outputs=None):
     *vectors* is a sequence of ``{input: int | Logic}`` dicts. *inputs* /
     *outputs* are ``(name, width)`` pairs; when omitted, inputs are derived
     from the first vector's keys (at design widths) and outputs are every
-    cone-driven signal that is not an input. Returns a :class:`BatchRun`
+    member-driven signal that is not an input. Returns a :class:`BatchRun`
     (``values[i][port]`` is an int, or a Logic when X was involved), or
     ``None`` when the design is not batchable.
     """
@@ -312,20 +304,16 @@ def simulate_vectors(design: Design, vectors, *, inputs=None, outputs=None):
             inputs.append((name, signal.width))
     if outputs is None:
         input_names = {name for name, _w in inputs}
-        outputs = []
-        for process in design.processes:
-            if not isinstance(process, Cone) or process.recipe is None:
-                continue
-            for member in process.recipe:
-                for target in member.writes:
-                    if target.name not in input_names:
-                        outputs.append((target.name, target.width))
-        outputs.sort()
+        outputs = sorted(
+            (member.target.name, member.target.width)
+            for member in design.members
+            if member.target.name not in input_names
+        )
     plan = plan_combinational(design, inputs, outputs)
     if plan is None:
         return None
     rows, demotions = run_vectors(plan, list(vectors), design)
-    return BatchRun(tuple(rows), demotions, plan.mode)
+    return BatchRun(tuple(rows), demotions)
 
 
 # --------------------------------------------------------------------------
@@ -345,33 +333,30 @@ class SeqPlan:
     #: (reg column var, next column var, width, reset bits) per register
     regs: tuple[tuple[str, str, int, int], ...]
     #: inputs + old regs -> next-state register columns
-    cycle_program: VectorProgram
+    cycle_program: Callable
     #: inputs + (new) regs -> observed cone outputs; None when every output
     #: is a register or static
-    out_program: VectorProgram | None
-
-    @property
-    def mode(self) -> str:
-        return self.cycle_program.mode
+    out_program: Callable | None
 
 
 def plan_sequential(design: Design, in_ports, out_ports) -> SeqPlan | None:
     """Compile a per-edge batch plan, or ``None`` when not batchable.
 
-    Requires every non-cone process to have been recognized as a
-    :class:`~repro.sim.runtime.SyncUpdate` sharing the design's ``clk`` /
-    ``rst`` signals, and no cone to read the clock or reset (their settle
-    points would then depend on testbench scheduling order, which the batch
-    pass does not model).
+    Requires every process outside the cone members to have been
+    recognized as a :class:`~repro.sim.runtime.SyncUpdate` sharing the
+    design's ``clk`` / ``rst`` signals, and no member to read the clock or
+    reset (their settle points would then depend on testbench scheduling
+    order, which the batch pass does not model).
     """
     clk = design.signals.get("clk")
     rst = design.signals.get("rst")
     if clk is None or rst is None:
         return None
+    member_processes = {member.process for member in design.members}
     sync_by_process = {u.process: u for u in design.sync_updates}
     sync_regs = []
     for process in design.processes:
-        if isinstance(process, Cone):
+        if process in member_processes:
             continue
         update = sync_by_process.get(process)
         if update is None:
@@ -399,13 +384,12 @@ def plan_sequential(design: Design, in_ports, out_ports) -> SeqPlan | None:
             return None
         names[target] = f"r{m}"
         regs.append((f"r{m}", f"nr{m}", target.width, sync_reg.reset_bits))
-    # cones must be pure functions of inputs and registers — reading clk/rst
-    # would observe testbench scheduling, which this pass does not replay
-    for process in design.processes:
-        if isinstance(process, Cone):
-            for member in process.recipe or ():
-                if clk in member.reads or rst in member.reads:
-                    return None
+    # members must be pure functions of inputs and registers — reading
+    # clk/rst would observe testbench scheduling, which this pass does not
+    # replay
+    for member in design.members:
+        if clk in member.reads or rst in member.reads:
+            return None
     lowered = _lower_cones(design, names)
     if lowered is None:
         return None
@@ -466,7 +450,7 @@ def _seq_observe(plan: SeqPlan, input_cols, reg_cols, lanes: int):
     """Observed output columns for the current (post-edge) state."""
     cone_cols = {}
     if plan.out_program is not None:
-        cone_cols = plan.out_program.run({**input_cols, **reg_cols}, lanes)
+        cone_cols = plan.out_program({**input_cols, **reg_cols}, lanes)
     observed = {}
     for name, spec_width, kind, payload in plan.outputs:
         mask = _mask(spec_width)
@@ -515,7 +499,7 @@ def run_sequences(plan: SeqPlan, sequences, *, observe_reset: bool = False):
             if column is None:
                 raise ValueError("X-carrying sequential stimulus is not batchable")
             input_cols[var] = column
-        next_cols = plan.cycle_program.run({**input_cols, **reg_cols}, lanes)
+        next_cols = plan.cycle_program({**input_cols, **reg_cols}, lanes)
         reg_cols = {
             var: next_cols[next_var]
             for (var, next_var, _w, _r) in plan.regs
@@ -551,7 +535,6 @@ class BatchOutcome:
     finished_cleanly: bool
     vectors: int
     demotions: int
-    mode: str
 
 
 def _check_case(language, case_no: int, out_ports, expected, observed,
@@ -657,5 +640,4 @@ def run_bundle(plan, bundle) -> BatchOutcome | None:
         finished_cleanly=language is Language.VERILOG,
         vectors=n,
         demotions=demotions,
-        mode=plan.mode,
     )

@@ -9,30 +9,20 @@ Both compilers are total: every construct compiles, and a construct that is
 in error when evaluated compiles to a closure that reports the diagnostic
 and aborts with its text when called. Compiling is silent, so it can wait:
 elaboration keeps every diagnostic-bearing fact eager (VHDL variable types,
-sensitivity lists, the sole-driver fence) and defers each process *body*
-until the process first starts, inside :meth:`Simulator.run
-<repro.sim.kernel.Simulator.run>`. A process replaced by a levelized cone,
-a compile-only elaboration and the batch tier's compile step never build a
+sensitivity lists) and defers each process *body* until the process first
+starts, inside :meth:`Simulator.run <repro.sim.kernel.Simulator.run>`. A
+compile-only elaboration and the batch tier's compile step never build a
 body at all. A body whose compilation raises is refused as a named run-time
 error, counted in the ``sim.compile.refusals`` metric.
 
-On top of the closures sits the *levelized* tier (:mod:`.level` +
-:mod:`.twostate`): static combinational cones are topologically sorted at
-elaboration and emitted as straight-line generated Python, with a two-state
-masked-int fast path while no X/Z is live on the cone's inputs. Its escape
-hatches:
-
-* ``REPRO_SIM_NO_LEVEL=1`` disables cone formation (closures only);
-* ``REPRO_SIM_NO_TWOSTATE=1`` keeps cones but forces their four-state
-  closure bodies (for isolating the int fast path).
-
-The batch tier (:mod:`repro.sim.batch` + :mod:`.vector`) re-lowers cone
-emits across the stimulus axis — numpy ``uint64`` lanes when numpy is
-importable, a masked-int list loop otherwise — and has two more hatches:
-
-* ``REPRO_SIM_NO_BATCH=1`` disables batched stimulus evaluation entirely;
-* ``REPRO_SIM_NO_NUMPY=1`` keeps batching but forces the pure-Python list
-  fallback (the same path taken when numpy is not installed).
+There are two simulation paths. The event kernel runs every process as its
+own closure. The batch tier (:mod:`repro.sim.batch`) evaluates a registered
+golden testbench's whole stimulus set in one pass: :mod:`.level` records
+which processes it can plan from, :mod:`.twostate` lowers their expressions
+to masked-int Python source, and :mod:`.vector` compiles that source into
+one plain loop over the stimulus vectors. ``REPRO_SIM_NO_BATCH=1`` turns
+the batch tier off, so every run takes the kernel; tests use it to get the
+kernel's reference answer.
 """
 
 from __future__ import annotations
@@ -74,21 +64,6 @@ def add_process(design, name, build):
     return design.add_process(process)
 
 
-def level_disabled() -> bool:
-    """True when ``REPRO_SIM_NO_LEVEL`` turns off the levelized cone tier."""
-    return os.environ.get("REPRO_SIM_NO_LEVEL", "0") not in ("", "0")
-
-
-def twostate_disabled() -> bool:
-    """True when ``REPRO_SIM_NO_TWOSTATE`` forces four-state cone bodies."""
-    return os.environ.get("REPRO_SIM_NO_TWOSTATE", "0") not in ("", "0")
-
-
 def batch_disabled() -> bool:
     """True when ``REPRO_SIM_NO_BATCH`` turns off the batch stimulus tier."""
     return os.environ.get("REPRO_SIM_NO_BATCH", "0") not in ("", "0")
-
-
-def numpy_disabled() -> bool:
-    """True when ``REPRO_SIM_NO_NUMPY`` forces the list-mode batch fallback."""
-    return os.environ.get("REPRO_SIM_NO_NUMPY", "0") not in ("", "0")

@@ -1,21 +1,20 @@
-"""Two-state (masked-int) expression emitters for generated cone bodies.
+"""Two-state (masked-int) expression emitters for the batch tier.
 
-The levelized tier (:mod:`repro.sim.compile.level`) stitches cone member
-expressions into one straight-line function. When no X/Z is live on the
-cone's inputs, four-state :class:`~repro.sim.values.Logic` semantics
-collapse to plain unsigned integer arithmetic masked to the operand width —
-so these emitters lower an HDL expression to Python *source* computing the
-member's value as an int, following the closure compilers' width/context
-rules (:mod:`repro.sim.compile.verilog`, :mod:`repro.sim.compile.vhdl`)
-construct for construct.
+The batch tier (:mod:`repro.sim.batch`) evaluates cone members and register
+next-state expressions over stimulus vectors that carry no X/Z. With every
+input known, four-state :class:`~repro.sim.values.Logic` semantics collapse
+to plain unsigned integer arithmetic masked to the operand width — so these
+emitters lower an HDL expression to Python *source* computing the value as
+an int, following the closure compilers' width/context rules
+(:mod:`repro.sim.compile.verilog`, :mod:`repro.sim.compile.vhdl`) construct
+for construct.
 
 The soundness invariant is **known inputs ⇒ known outputs**: any construct
 that can produce X from fully-known operands (division by a non-constant
 divisor, out-of-range or dynamic selects, X literals) has no two-state
-lowering — :class:`NoEmit` — and demotes its whole cone to the four-state
-closure body. The emitters therefore never need to *represent* X; the cone
-prologue's aggregated ``xmask`` test guarantees the inputs are known before
-this code runs.
+lowering — :class:`NoEmit` — and the design is not batchable. The emitters
+therefore never need to *represent* X; the batch tier demotes any vector
+that carries X to the kernel before this code runs.
 
 Emitters return ``(source, width)`` where ``source`` is a parenthesized
 Python expression over the local names supplied in *names* (one per read
@@ -31,12 +30,12 @@ from repro.vhdl import ast as hast
 
 
 class NoEmit(Exception):
-    """The expression has no two-state lowering; use the four-state body."""
+    """The expression has no two-state lowering; the design is not batchable."""
 
 
 #: cap on operand widths in generated source — beyond this the embedded
-#: mask literals dominate the code object and the int fast path stops
-#: paying for itself; wider designs keep the four-state cone body
+#: mask literals dominate the code object and the int loop stops paying
+#: for itself; wider designs run on the kernel
 MAX_EMIT_WIDTH = 256
 
 
@@ -475,7 +474,7 @@ def _h_call(expr, scope, names) -> tuple[str, int]:
         # fully-known vectors: std_match degenerates to equality
         return f"(1 if {a_src} == {b_src} else 0)", 1
     # rising_edge/falling_edge read per-process edge memory; rotates are
-    # rare — all keep the four-state body
+    # rare — neither has a two-state lowering
     raise NoEmit
 
 

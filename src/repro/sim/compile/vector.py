@@ -1,435 +1,16 @@
-"""Vector re-lowering of two-state cone bodies: the batch tier's codegen.
+"""Vector programs: the batch tier's codegen.
 
-The scalar emits produced for the levelized tier (:mod:`.twostate`) are
-Python expression strings over masked int locals — one evaluation per
-stimulus vector. This module parses those same strings and re-lowers them a
-second time across the *vector axis*:
-
-* **numpy mode** — every local becomes a ``uint64`` array of length N (one
-  element per stimulus vector) and the expression is rewritten into numpy
-  bitwise/arithmetic ops, so all N vectors evaluate in one fused pass.
-  Values wider than 64 bits are split into little-endian 64-bit *lanes*
-  (``v_l0`` holds bits 63:0, ``v_l1`` bits 127:64, ...), each lane its own
-  array; only the closed bitwise subset (names, constants, ``& | ^``,
-  muxes, ``== !=``) is lowered for multi-lane values.
-* **list mode** — the scalar sources are embedded verbatim in a plain
-  ``for`` loop over Python ints. Guaranteed exact (it *is* the scalar
-  semantics), used when numpy is unavailable (or ``REPRO_SIM_NO_NUMPY=1``)
-  or when the exactness audit below rejects a numpy lowering.
-
-The numpy rewrite is guarded by a per-node **exactness audit**. Scalar
-sources compute with unbounded Python ints; uint64 arrays wrap at 2**64.
-Each sub-expression is classified:
-
-* ``exact`` — the uint64 value equals the true unbounded value (implies the
-  true value fits 64 bits);
-* ``congruent`` — the uint64 value equals the true value *modulo 2**64*
-  (low 64 bits correct; fine for ``+ - * << & | ^`` whose low bits depend
-  only on low bits, wrong anywhere the full value matters);
-* ``bool`` — a boolean array from a comparison.
-
-Operations that need full-value semantics (comparisons, right shifts,
-division, popcount, truthiness tests) demand ``exact`` operands; since
-every assignment is masked to its target width on store, names are always
-``exact`` and congruence is laundered out at each cone member boundary.
-Any node outside the audited subset rejects the numpy lowering for the
-whole program and list mode takes over — never a wrong answer, only a
-slower one.
+The two-state emits (:mod:`.twostate`) are Python expression strings over
+masked int locals, one evaluation per stimulus vector. A vector program
+embeds those strings verbatim in one plain ``for`` loop over the stimulus
+set: ``program(columns, n)`` takes ``{var: [int] * n}`` for every binding
+and returns ``{var: [int] * n}`` for every result. It computes with
+Python's unbounded ints, so it is exact at every width the emitters accept.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Callable
-
-from repro.sim.compile import numpy_disabled
-
-_M64 = (1 << 64) - 1
-
-# -- optional numpy ------------------------------------------------------------
-
-_NUMPY = None
-_NUMPY_TRIED = False
-
-
-def _numpy():
-    """The numpy module, or None when it is not importable."""
-    global _NUMPY, _NUMPY_TRIED
-    if not _NUMPY_TRIED:
-        _NUMPY_TRIED = True
-        try:
-            import numpy
-        except Exception:  # pragma: no cover - exercised via REPRO_SIM_NO_NUMPY
-            _NUMPY = None
-        else:
-            _NUMPY = numpy
-    return _NUMPY
-
-
-# -- runtime helpers injected into generated numpy code ------------------------
-
-
-def _helpers(np):
-    c = np.uint64
-
-    def _shl(left, right):
-        # numpy shifts with counts >= 64 are C-undefined; the scalar tier
-        # produces 0 there (value shifted fully out), so clamp explicitly
-        return np.where(right > c(63), c(0), left << (right & c(63)))
-
-    def _shr(left, right):
-        return np.where(right > c(63), c(0), left >> (right & c(63)))
-
-    def _pc(x):
-        # SWAR popcount over uint64; the final multiply wraps harmlessly
-        # because the byte-sum of a 64-bit value is < 256
-        x = x - ((x >> c(1)) & c(0x5555555555555555))
-        x = (x & c(0x3333333333333333)) + ((x >> c(2)) & c(0x3333333333333333))
-        x = (x + (x >> c(4))) & c(0x0F0F0F0F0F0F0F0F)
-        return (x * c(0x0101010101010101)) >> c(56)
-
-    def _full(x, n):
-        # broadcast a scalar result (constant member) to a full column
-        return x if getattr(x, "shape", ()) else np.full(n, x, dtype=np.uint64)
-
-    return {
-        "_np": np,
-        "_c": c,
-        "_w": np.where,
-        "_shl": _shl,
-        "_shr": _shr,
-        "_pc": _pc,
-        "_mn": np.minimum,
-        "_mx": np.maximum,
-        "_full": _full,
-    }
-
-
-# -- the exactness-audited numpy rewriter --------------------------------------
-
-
-class _Bail(Exception):
-    """Internal: this program has no audited numpy lowering."""
-
-
-def _lanes_for(width: int) -> int:
-    return (width + 63) // 64
-
-
-class _Value:
-    """A rewritten sub-expression: per-lane sources plus an exactness kind."""
-
-    __slots__ = ("exprs", "kind", "const")
-
-    def __init__(self, exprs, kind, const=None):
-        self.exprs = exprs  # tuple of per-lane source strings (None for const)
-        self.kind = kind  # "exact" | "congruent" | "bool" | "const"
-        self.const = const  # int for "const", bool for folded comparisons
-
-    @property
-    def lanes(self) -> int:
-        return len(self.exprs)
-
-
-def _const(value: int) -> _Value:
-    return _Value(None, "const", value)
-
-
-def _split_const(value: int, lanes: int, *, truncating_ok: bool) -> _Value:
-    """Materialize a const at a lane count; bail if high bits would be lost."""
-    if value < 0:
-        raise _Bail
-    if value >> (64 * lanes) and not truncating_ok:
-        raise _Bail
-    exprs = tuple(
-        f"_c({(value >> (64 * i)) & _M64})" for i in range(lanes)
-    )
-    return _Value(exprs, "exact" if value >> (64 * lanes) == 0 else "congruent")
-
-
-class _NumpyRewriter:
-    """Rewrites one scalar emit source into audited numpy source."""
-
-    def __init__(self, widths: dict[str, int]):
-        #: known variable → declared width (bindings and prior assigns)
-        self.widths = widths
-
-    def lower(self, src: str, target_width: int) -> tuple[str, ...]:
-        """Per-lane numpy sources for *src* masked to *target_width*."""
-        tree = ast.parse(src, mode="eval")
-        value = self.visit(tree.body)
-        lanes = _lanes_for(target_width)
-        if value.kind == "bool":
-            value = _Value((f"_w({value.exprs[0]}, _c(1), _c(0))",), "exact")
-        if value.kind == "const":
-            value = _split_const(
-                value.const & ((1 << target_width) - 1), lanes,
-                truncating_ok=True,
-            )
-        if value.lanes > lanes:
-            # dropping lanes is masking — sound because we mask anyway
-            value = _Value(value.exprs[:lanes], value.kind)
-        elif value.lanes < lanes:
-            if value.kind != "exact":
-                raise _Bail  # zero-extending a congruent value loses bits
-            value = _Value(
-                value.exprs + ("_c(0)",) * (lanes - value.lanes), "exact"
-            )
-        out = []
-        for i in range(lanes):
-            bits = min(64, target_width - 64 * i)
-            mask = (1 << bits) - 1
-            out.append(f"(({value.exprs[i]}) & _c({mask}))")
-        return tuple(out)
-
-    # -- reconciliation helpers ------------------------------------------------
-
-    def _as_lanes(self, v: _Value, lanes: int, *, truncating_ok=False) -> _Value:
-        if v.kind == "const":
-            return _split_const(v.const, lanes, truncating_ok=truncating_ok)
-        if v.lanes == lanes:
-            return v
-        if v.lanes < lanes and v.kind == "exact":
-            return _Value(v.exprs + ("_c(0)",) * (lanes - v.lanes), "exact")
-        raise _Bail
-
-    def _narrow_int(self, v: _Value) -> tuple[str, str]:
-        """(expr, kind) of a single-lane integer value, folding consts."""
-        if v.kind == "const":
-            if v.const < 0:
-                raise _Bail
-            if v.const <= _M64:
-                return f"_c({v.const})", "exact"
-            return f"_c({v.const & _M64})", "congruent"
-        if v.kind == "bool" or v.lanes != 1:
-            raise _Bail
-        return v.exprs[0], v.kind
-
-    # -- node visitors ---------------------------------------------------------
-
-    def visit(self, node) -> _Value:
-        method = getattr(self, f"_visit_{type(node).__name__}", None)
-        if method is None:
-            raise _Bail
-        return method(node)
-
-    def _visit_Name(self, node) -> _Value:
-        width = self.widths.get(node.id)
-        if width is None:
-            raise _Bail
-        lanes = _lanes_for(width)
-        if lanes == 1:
-            return _Value((node.id,), "exact")
-        return _Value(
-            tuple(f"{node.id}_l{i}" for i in range(lanes)), "exact"
-        )
-
-    def _visit_Constant(self, node) -> _Value:
-        if type(node.value) is not int:
-            raise _Bail
-        return _const(node.value)
-
-    def _visit_UnaryOp(self, node) -> _Value:
-        if not isinstance(node.op, ast.USub):
-            raise _Bail
-        operand = self.visit(node.operand)
-        if operand.kind == "const":
-            return _const(-operand.const) if operand.const == 0 else _Value(
-                (f"_c({(-operand.const) & _M64})",), "congruent"
-            )
-        expr, _kind = self._narrow_int(operand)
-        return _Value((f"(_c(0) - {expr})",), "congruent")
-
-    def _visit_BinOp(self, node) -> _Value:
-        left = self.visit(node.left)
-        right = self.visit(node.right)
-        op = type(node.op)
-        if left.kind == "const" and right.kind == "const":
-            return self._fold_binop(op, left.const, right.const)
-        if op in (ast.BitAnd, ast.BitOr, ast.BitXor):
-            return self._bitwise(op, left, right)
-        le, lk = self._narrow_int(left)
-        re, rk = self._narrow_int(right)
-        if op is ast.Add:
-            return _Value((f"({le} + {re})",), "congruent")
-        if op is ast.Sub:
-            return _Value((f"({le} - {re})",), "congruent")
-        if op is ast.Mult:
-            return _Value((f"({le} * {re})",), "congruent")
-        if op is ast.LShift:
-            if rk != "exact":
-                raise _Bail
-            if right.kind == "const":
-                if right.const >= 64:
-                    return _Value(("_c(0)",), "congruent")
-                return _Value((f"({le} << _c({right.const}))",), "congruent")
-            return _Value((f"_shl({le}, {re})",), "congruent")
-        if op is ast.RShift:
-            if lk != "exact" or rk != "exact":
-                raise _Bail
-            if right.kind == "const":
-                if right.const >= 64:
-                    return _Value(("_c(0)",), "exact")
-                return _Value((f"({le} >> _c({right.const}))",), "exact")
-            return _Value((f"_shr({le}, {re})",), "exact")
-        if op in (ast.FloorDiv, ast.Mod):
-            if lk != "exact" or rk != "exact":
-                raise _Bail
-            if right.kind != "const" or right.const == 0:
-                raise _Bail  # scalar tier only emits constant divisors
-            sym = "//" if op is ast.FloorDiv else "%"
-            return _Value((f"({le} {sym} {re})",), "exact")
-        raise _Bail  # Pow and anything else: no audited lowering
-
-    def _fold_binop(self, op, a: int, b: int) -> _Value:
-        folds: dict[type, Callable[[int, int], int]] = {
-            ast.Add: lambda x, y: x + y,
-            ast.Sub: lambda x, y: x - y,
-            ast.Mult: lambda x, y: x * y,
-            ast.BitAnd: lambda x, y: x & y,
-            ast.BitOr: lambda x, y: x | y,
-            ast.BitXor: lambda x, y: x ^ y,
-            ast.LShift: lambda x, y: x << y,
-            ast.RShift: lambda x, y: x >> y,
-            ast.FloorDiv: lambda x, y: x // y,
-            ast.Mod: lambda x, y: x % y,
-            ast.Pow: lambda x, y: x**y,
-        }
-        fold = folds.get(op)
-        if fold is None:
-            raise _Bail
-        if op is ast.LShift and (b < 0 or b > 1024):
-            raise _Bail  # refuse to materialize absurd constants
-        if op is ast.Pow and (b < 0 or b > 64):
-            raise _Bail
-        try:
-            return _const(fold(a, b))
-        except (ZeroDivisionError, ValueError):
-            raise _Bail from None
-
-    def _bitwise(self, op, left: _Value, right: _Value) -> _Value:
-        sym = {ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^"}[op]
-        lanes = max(
-            left.lanes if left.kind != "const" else 1,
-            right.lanes if right.kind != "const" else 1,
-        )
-        # AND truncates constants soundly (high bits meet zeros); OR/XOR
-        # must not silently drop constant bits beyond the lane count
-        truncating_ok = op is ast.BitAnd
-        lv = self._as_lanes(left, lanes, truncating_ok=truncating_ok)
-        rv = self._as_lanes(right, lanes, truncating_ok=truncating_ok)
-        if op is ast.BitAnd:
-            kind = "exact" if "exact" in (lv.kind, rv.kind) else "congruent"
-        else:
-            kind = "exact" if lv.kind == rv.kind == "exact" else "congruent"
-        exprs = tuple(
-            f"({le} {sym} {re})" for le, re in zip(lv.exprs, rv.exprs)
-        )
-        return _Value(exprs, kind)
-
-    def _visit_Compare(self, node) -> _Value:
-        if len(node.ops) != 1:
-            raise _Bail
-        sym = {
-            ast.Eq: "==",
-            ast.NotEq: "!=",
-            ast.Lt: "<",
-            ast.LtE: "<=",
-            ast.Gt: ">",
-            ast.GtE: ">=",
-        }.get(type(node.ops[0]))
-        if sym is None:
-            raise _Bail
-        left = self.visit(node.left)
-        right = self.visit(node.comparators[0])
-        if left.kind == "const" and right.kind == "const":
-            result = eval(f"{left.const} {sym} {right.const}")  # noqa: S307
-            return _Value(("True" if result else "False",), "bool")
-        lanes = max(
-            left.lanes if left.kind != "const" else 1,
-            right.lanes if right.kind != "const" else 1,
-        )
-        lv = self._as_lanes(left, lanes)
-        rv = self._as_lanes(right, lanes)
-        if lv.kind != "exact" or rv.kind != "exact":
-            raise _Bail
-        if lanes == 1:
-            return _Value((f"({lv.exprs[0]} {sym} {rv.exprs[0]})",), "bool")
-        if sym not in ("==", "!="):
-            raise _Bail  # ordered compares on >64-bit values: list mode
-        join = " & " if sym == "==" else " | "
-        per_lane = join.join(
-            f"({le} {sym} {re})" for le, re in zip(lv.exprs, rv.exprs)
-        )
-        return _Value((f"({per_lane})",), "bool")
-
-    def _visit_BoolOp(self, node) -> _Value:
-        sym = "&" if isinstance(node.op, ast.And) else "|"
-        parts = []
-        for operand in node.values:
-            value = self.visit(operand)
-            if value.kind != "bool":
-                raise _Bail  # Python and/or return operands, not booleans
-            parts.append(value.exprs[0])
-        return _Value((f"({f' {sym} '.join(parts)})",), "bool")
-
-    def _visit_IfExp(self, node) -> _Value:
-        test = self.visit(node.test)
-        if test.kind == "const":
-            return self.visit(node.body if test.const else node.orelse)
-        if test.kind == "bool":
-            cond = test.exprs[0]
-        else:
-            expr, kind = self._narrow_int(test)
-            if kind != "exact":
-                raise _Bail  # truthiness needs the full value
-            cond = f"({expr} != _c(0))"
-        body = self.visit(node.body)
-        orelse = self.visit(node.orelse)
-        if body.kind == "bool" or orelse.kind == "bool":
-            raise _Bail
-        lanes = max(
-            body.lanes if body.kind != "const" else 1,
-            orelse.lanes if orelse.kind != "const" else 1,
-        )
-        bv = self._as_lanes(body, lanes)
-        ov = self._as_lanes(orelse, lanes)
-        kind = "exact" if bv.kind == ov.kind == "exact" else "congruent"
-        exprs = tuple(
-            f"_w({cond}, {be}, {oe})" for be, oe in zip(bv.exprs, ov.exprs)
-        )
-        return _Value(exprs, kind)
-
-    def _visit_Call(self, node) -> _Value:
-        if node.keywords:
-            raise _Bail
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            if func.attr != "bit_count" or node.args:
-                raise _Bail
-            operand = self.visit(func.value)
-            expr, kind = self._narrow_int(operand)
-            if kind != "exact":
-                raise _Bail
-            return _Value((f"_pc({expr})",), "exact")
-        if isinstance(func, ast.Name) and func.id in ("min", "max"):
-            if len(node.args) != 2:
-                raise _Bail
-            left = self.visit(node.args[0])
-            right = self.visit(node.args[1])
-            if left.kind == "const" and right.kind == "const":
-                fold = min if func.id == "min" else max
-                return _const(fold(left.const, right.const))
-            le, lk = self._narrow_int(left)
-            re, rk = self._narrow_int(right)
-            if lk != "exact" or rk != "exact":
-                raise _Bail
-            helper = "_mn" if func.id == "min" else "_mx"
-            return _Value((f"{helper}({le}, {re})",), "exact")
-        raise _Bail  # bit_length and anything else: list mode
-
-
-# -- program construction ------------------------------------------------------
 
 #: generated source text → compiled ``_run``; programs are fully determined
 #: by their source, so structurally identical designs share code objects
@@ -437,104 +18,19 @@ _SOURCE_CACHE: dict[str, Callable] = {}
 _SOURCE_CACHE_LIMIT = 1024
 
 
-def _compile(source: str, namespace: dict) -> Callable:
+def _compile(source: str) -> Callable:
     fn = _SOURCE_CACHE.get(source)
     if fn is None:
         if len(_SOURCE_CACHE) >= _SOURCE_CACHE_LIMIT:
             _SOURCE_CACHE.clear()
-        scope = dict(namespace)
+        scope: dict = {}
         exec(compile(source, "<vector>", "exec"), scope)
         fn = scope["_run"]
         _SOURCE_CACHE[source] = fn
     return fn
 
 
-class VectorProgram:
-    """One compiled batch body: columns in, columns out.
-
-    ``run(columns, n)`` takes ``{var: [int] * n}`` for every binding and
-    returns ``{var: [int] * n}`` for every result, identical in either mode.
-    """
-
-    __slots__ = ("mode", "_fn", "_bindings", "_results")
-
-    def __init__(self, mode, fn, bindings, results):
-        self.mode = mode  # "numpy" | "list"
-        self._fn = fn
-        self._bindings = bindings  # ((var, width, lanes), ...)
-        self._results = results
-
-    def run(self, columns: dict[str, list[int]], n: int) -> dict[str, list[int]]:
-        if self.mode == "list":
-            return self._fn(columns, n)
-        np = _NUMPY
-        env: dict = {}
-        for var, _width, lanes in self._bindings:
-            col = columns[var]
-            if lanes == 1:
-                env[var] = np.array(col, dtype=np.uint64)
-            else:
-                for i in range(lanes):
-                    env[f"{var}_l{i}"] = np.array(
-                        [(v >> (64 * i)) & _M64 for v in col], dtype=np.uint64
-                    )
-        # wrap-around is the audited semantics ("congruent"); numpy warns on
-        # scalar integer overflow by default, so silence it for the call
-        with np.errstate(over="ignore"):
-            raw = self._fn(env, n)
-        out: dict[str, list[int]] = {}
-        for var, _width, lanes in self._results:
-            if lanes == 1:
-                out[var] = raw[var].tolist()
-            else:
-                lane_cols = [raw[f"{var}_l{i}"].tolist() for i in range(lanes)]
-                out[var] = [
-                    sum(lane_cols[i][k] << (64 * i) for i in range(lanes))
-                    for k in range(n)
-                ]
-        return out
-
-
-def _numpy_source(bindings, assigns, results) -> str | None:
-    widths = {var: width for var, width in bindings}
-    rewriter = _NumpyRewriter(widths)
-    lines = ["def _run(_e, _n):"]
-    result_vars = {var for var, _width in results}
-    for var, width in bindings:
-        lanes = _lanes_for(width)
-        if lanes == 1:
-            lines.append(f"    {var} = _e[{var!r}]")
-        else:
-            for i in range(lanes):
-                lines.append(f"    {var}_l{i} = _e['{var}_l{i}']")
-    try:
-        for var, width, src, _src_width in assigns:
-            lowered = rewriter.lower(src, width)
-            lanes = _lanes_for(width)
-            for i, expr in enumerate(lowered):
-                name = var if lanes == 1 else f"{var}_l{i}"
-                if var in result_vars:
-                    lines.append(f"    {name} = _full({expr}, _n)")
-                else:
-                    lines.append(f"    {name} = {expr}")
-            widths[var] = width
-    except _Bail:
-        return None
-    pairs = []
-    for var, width in results:
-        lanes = _lanes_for(width)
-        if lanes == 1:
-            pairs.append(f"{var!r}: {var}")
-        else:
-            pairs.extend(
-                f"'{var}_l{i}': {var}_l{i}" for i in range(lanes)
-            )
-    lines.append(f"    return {{{', '.join(pairs)}}}")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _list_source(bindings, assigns, results) -> str:
+def _source(bindings, assigns, results) -> str:
     lines = ["def _run(_e, _n):"]
     for var, _width in bindings:
         lines.append(f"    _in_{var} = _e[{var!r}]")
@@ -565,38 +61,15 @@ def build_program(
     bindings: list[tuple[str, int]],
     assigns: list[tuple[str, int, str, int]],
     results: list[tuple[str, int]],
-) -> VectorProgram | None:
-    """Compile a batch body from scalar emit sources.
+) -> Callable | None:
+    """Compile a vector program from scalar emit sources.
 
     *bindings* are the input columns ``(var, width)``; *assigns* are the
     ordered member lowerings ``(var, target_width, scalar_source,
-    emitted_width)``; *results* name the assigned columns to return. Tries
-    the audited numpy lowering first, falls back to the list loop, returns
-    None only if even that fails to compile (malformed source).
+    emitted_width)``; *results* name the assigned columns to return.
+    ``None`` when the generated source fails to compile.
     """
-    np = None if numpy_disabled() else _numpy()
-    if np is not None:
-        source = _numpy_source(bindings, assigns, results)
-        if source is not None:
-            try:
-                fn = _compile(source, _helpers(np))
-            except Exception:
-                fn = None
-            if fn is not None:
-                return VectorProgram(
-                    "numpy",
-                    fn,
-                    tuple((v, w, _lanes_for(w)) for v, w in bindings),
-                    tuple((v, w, _lanes_for(w)) for v, w in results),
-                )
-    source = _list_source(bindings, assigns, results)
     try:
-        fn = _compile(source, {})
+        return _compile(_source(bindings, assigns, results))
     except Exception:
         return None
-    return VectorProgram(
-        "list",
-        fn,
-        tuple((v, w, 1) for v, w in bindings),
-        tuple((v, w, 1) for v, w in results),
-    )

@@ -468,6 +468,10 @@ def _compile_select(expr, scope, elab):
             if msb.has_x or lsb.has_x:
                 return x1
             m, l = msb.to_int(), lsb.to_int()
+            if m < l:
+                # a reversed range, e.g. while one bound of a dynamic
+                # select has settled and the other has not
+                return x1
             _check_select_width(m, l, expr.span, elab)
             return base(sim).slice(m, l)
 
@@ -487,6 +491,8 @@ def _compile_select(expr, scope, elab):
         if start.has_x or width.has_x:
             return x1
         w = width.to_int()
+        if w < 1:
+            return x1
         lo = start.to_int() if ascending else start.to_int() - w + 1
         return base(sim).slice(lo + w - 1, lo)
 
@@ -1493,59 +1499,3 @@ def wire_output_factory(target, child, scope, elab):
         return body()
 
     return factory
-
-
-# -- once-evaluators for the levelized tier -----------------------------------
-#
-# Each mirrors the corresponding *_factory body minus the wait loop: one call
-# performs one settle evaluation + write. The levelized tier stitches these
-# into cone bodies (and uses them verbatim as the four-state fallback path).
-# ``bind(sim)`` returns the per-run callable so the shapes match VHDL, where
-# an eval context must be built per simulation run.
-
-
-def continuous_assign_once(target, value, scope, elab):
-    """(bind, writes) for a whole-signal ``assign``, or None."""
-    if not isinstance(target, ast.Identifier):
-        return None
-    resolved = scope.resolve(target.name)
-    if not isinstance(resolved, Signal):
-        return None
-    value_fn = compile_expr(value, scope, elab, resolved.width)
-
-    def once(sim, value_fn=value_fn, s=resolved):
-        sim.write_signal(s, value_fn(sim))
-
-    return (lambda sim, once=once: once), (resolved,)
-
-
-def always_once(body, scope, elab):
-    """bind for an all-plain combinational always body, or None."""
-    body_plain = as_plain(compile_stmt(body, scope, elab))
-    if body_plain is None:
-        return None
-    return lambda sim, body=body_plain: body
-
-
-def wire_input_once(expr, child, scope, elab):
-    """(bind, writes) for an instance input-port connection."""
-    value_fn = compile_expr(expr, scope, elab, child.width)
-
-    def once(sim, value_fn=value_fn, child=child):
-        sim.write_signal(child, value_fn(sim))
-
-    return (lambda sim, once=once: once), (child,)
-
-
-def wire_output_once(target, child, scope, elab):
-    """(bind, writes) for a whole-signal output-port connection, or None."""
-    if not isinstance(target, ast.Identifier):
-        return None
-    resolved = scope.resolve(target.name)
-    if not isinstance(resolved, Signal):
-        return None
-
-    def once(sim, s=resolved, child=child):
-        sim.write_signal(s, child._value)
-
-    return (lambda sim, once=once: once), (resolved,)

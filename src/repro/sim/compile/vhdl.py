@@ -1448,97 +1448,3 @@ def wire_output_factory(target, child, scope, elab):
         return body()
 
     return factory
-
-
-# -- once-evaluators for the levelized tier -----------------------------------
-#
-# Each mirrors the corresponding *_factory body minus the wait loop: one call
-# performs one settle evaluation + write. ``bind(sim)`` builds the per-run
-# eval context (fresh per simulation, like the factories) and returns the
-# callable the generated cone body invokes.
-
-
-def concurrent_assign_once(statement, scope, elab, width):
-    """(bind, writes) for a whole-signal concurrent assignment, or None."""
-    if not isinstance(statement.target, ast.Name):
-        return None
-    signal = scope.signals.get(statement.target.name)
-    if signal is None:
-        return None
-    env = _Env(scope, elab)
-    value_fn = compile_with_width(statement.value, env, width)
-
-    def bind(sim, value_fn=value_fn, s=signal, scope=scope):
-        ctx = evh._EvalCtx(scope=scope, sim=sim)
-
-        def once(sim, ctx=ctx, value_fn=value_fn, s=s):
-            sim.write_signal(s, value_fn(ctx))
-
-        return once
-
-    return bind, (signal,)
-
-
-def conditional_assign_once(statement, scope, elab, width):
-    """(bind, writes) for a whole-signal conditional assignment, or None."""
-    if not isinstance(statement.target, ast.Name):
-        return None
-    if statement.otherwise is None:
-        return None  # without a final else the write is conditional
-    signal = scope.signals.get(statement.target.name)
-    if signal is None:
-        return None
-    env = _Env(scope, elab)
-    arms = tuple(
-        (compile_with_width(value, env, width), compile_expr(condition, env))
-        for value, condition in statement.arms
-    )
-    otherwise_fn = compile_with_width(statement.otherwise, env, width)
-
-    def bind(sim, arms=arms, otherwise_fn=otherwise_fn, s=signal, scope=scope):
-        ctx = evh._EvalCtx(scope=scope, sim=sim)
-
-        def once(sim, ctx=ctx, arms=arms, otherwise_fn=otherwise_fn, s=s):
-            chosen = otherwise_fn
-            for value_fn, cond_fn in arms:
-                if cond_fn(ctx).is_true():
-                    chosen = value_fn
-                    break
-            sim.write_signal(s, chosen(ctx))
-
-        return once
-
-    return bind, (signal,)
-
-
-def wire_input_once(expr, child, scope, elab):
-    """(bind, writes) for an instantiation input-port wire."""
-    env = _Env(scope, elab)
-    value_fn = compile_with_width(expr, env, child.width)
-
-    def bind(sim, value_fn=value_fn, child=child, scope=scope):
-        ctx = evh._EvalCtx(scope=scope, sim=sim)
-
-        def once(sim, ctx=ctx, value_fn=value_fn, child=child):
-            sim.write_signal(child, value_fn(ctx))
-
-        return once
-
-    return bind, (child,)
-
-
-def wire_output_once(target, child, scope, elab):
-    """(bind, writes) for a whole-signal output-port wire, or None."""
-    if not isinstance(target, ast.Name):
-        return None
-    signal = scope.signals.get(target.name)
-    if signal is None:
-        return None
-
-    def bind(sim, s=signal, child=child):
-        def once(sim, s=s, child=child):
-            sim.write_signal(s, child._value)
-
-        return once
-
-    return bind, (signal,)

@@ -89,10 +89,6 @@ class VerilogElaborator:
         self.design = Design()
         self.rng = _Lcg()
         self._instance_stack: list[str] = []
-        #: cone-eligible processes nominated for the levelized tier, plus the
-        #: signals written by everything else (the sole-driver fence)
-        self._cone_members: list = []
-        self._external_writes: set[Signal] = set()
 
     # ------------------------------------------------------------------
     # entry point
@@ -112,7 +108,6 @@ class VerilogElaborator:
             return None
         if self.collector.has_errors:
             return None
-        self._install_cones()
         return self.design
 
     # ------------------------------------------------------------------
@@ -220,50 +215,25 @@ class VerilogElaborator:
         return _cv.compile_expr(expr, scope, self)(None)
 
     # ------------------------------------------------------------------
-    # compiled processes
+    # batch-tier facts
     # ------------------------------------------------------------------
 
     def _compiled(self, build):
         """A cone member or sync update from *build*, or None if ineligible.
 
         The builders return None for shapes they do not accept; one that
-        raises is treated the same way, leaving the process on the closure
-        tier it already has.
+        raises is treated the same way, leaving the process to the kernel.
         """
         try:
             return build()
         except Exception:
             return None
 
-    # ------------------------------------------------------------------
-    # levelized tier
-    # ------------------------------------------------------------------
-
-    def _install_cones(self) -> None:
-        if not self._cone_members or simcompile.level_disabled():
-            return
-        from repro.sim.compile import level as _level
-
-        try:
-            _level.install_cones(
-                self.design,
-                self._cone_members,
-                self._external_writes,
-                twostate=not simcompile.twostate_disabled(),
-            )
-        except Exception:
-            pass  # any surprise leaves the closure tier untouched
-
-    def _note_external_lvalue(self, target: ast.LValue, scope: _Scope) -> None:
-        """Record an lvalue written outside the cone tier (sole-driver fence)."""
-        if isinstance(target, ast.Concat):
-            for part in target.parts:
-                self._note_external_lvalue(part, scope)
-            return
-        name = target.name if isinstance(target, ast.Identifier) else target.target
-        resolved = scope.resolve(name)
-        if isinstance(resolved, Signal):
-            self._external_writes.add(resolved)
+    def _add_member(self, build) -> None:
+        """Record the cone member *build* returns, if the shape is one."""
+        member = self._compiled(build)
+        if member is not None:
+            self.design.members.append(member)
 
     # ------------------------------------------------------------------
     # items
@@ -288,7 +258,6 @@ class VerilogElaborator:
                 self.design, f"{scope.prefix}initial@{_line(self, item)}",
                 lambda: _cv.initial_factory(item.body, scope, self),
             )
-            self._external_writes |= _written_signals(item.body, scope)
         elif isinstance(item, ast.Instantiation):
             self._instantiate(item, scope)
         else:
@@ -311,15 +280,11 @@ class VerilogElaborator:
 
         from repro.sim.compile import level as _level
 
-        member = self._compiled(
+        self._add_member(
             lambda: _level.verilog_assign_member(
-                process, target, value, scope, self, read_signals
+                process, target, value, scope, read_signals
             )
         )
-        if member is not None:
-            self._cone_members.append(member)
-        else:
-            self._note_external_lvalue(target, scope)
 
     def _always_block(self, block: ast.AlwaysBlock, scope: _Scope) -> None:
         sens = block.sensitivity
@@ -339,12 +304,11 @@ class VerilogElaborator:
                 self.design, name,
                 lambda: _cv.free_always_factory(block.body, scope, self),
             )
-            self._external_writes |= _written_signals(block.body, scope)
             return
 
-        writes = _written_signals(block.body, scope)
-        raw_reads = self._read_set_stmt_raw(block.body, scope)
         if sens.star:
+            writes = _written_signals(block.body, scope)
+            raw_reads = self._read_set_stmt_raw(block.body, scope)
             # loop induction variables written inside the block are not
             # real sensitivity sources; leaving them out avoids
             # self-triggering loops
@@ -372,35 +336,18 @@ class VerilogElaborator:
                 initial_run=sens.star or not edge_triggered,
             ),
         )
-        member = None
-        # cone-eligible only when every read is statically covered: @(*) by
-        # construction, explicit lists only if all-ANY and ⊇ the read set
-        covered = sens.star or (
-            not edge_triggered
-            and {e.signal for e in entries} >= (raw_reads - writes)
-        )
-        if covered and writes:
+        if edge_triggered:
+            # the batch tier (repro.sim.batch) pairs each recognized
+            # register bank with its kernel Process
             from repro.sim.compile import level as _level
 
-            member = self._compiled(
-                lambda: _level.verilog_always_member(
-                    process, block.body, scope, self, raw_reads, writes
+            update = self._compiled(
+                lambda: _level.verilog_sync_update(
+                    process, entries, block.body, scope
                 )
             )
-        if member is not None:
-            self._cone_members.append(member)
-        else:
-            self._external_writes |= writes
-            if edge_triggered:
-                from repro.sim.compile import level as _level
-
-                update = self._compiled(
-                    lambda: _level.verilog_sync_update(
-                        process, entries, block.body, scope
-                    )
-                )
-                if update is not None:
-                    self.design.sync_updates.append(update)
+            if update is not None:
+                self.design.sync_updates.append(update)
 
     def _sens_signal(self, expr: ast.Expression, scope: _Scope) -> Signal | None:
         if isinstance(expr, ast.Identifier):
@@ -508,15 +455,11 @@ class VerilogElaborator:
 
         from repro.sim.compile import level as _level
 
-        member = self._compiled(
+        self._add_member(
             lambda: _level.verilog_wire_input_member(
-                process, expr, child_signal, scope, self, reads
+                process, expr, child_signal, scope, reads
             )
         )
-        if member is not None:
-            self._cone_members.append(member)
-        else:
-            self._external_writes.add(child_signal)
 
     def _wire_output(
         self,
@@ -544,15 +487,11 @@ class VerilogElaborator:
 
         from repro.sim.compile import level as _level
 
-        member = self._compiled(
+        self._add_member(
             lambda: _level.verilog_wire_output_member(
-                process, expr, child_signal, scope, self
+                process, expr, child_signal, scope
             )
         )
-        if member is not None:
-            self._cone_members.append(member)
-        else:
-            self._note_external_lvalue(expr, scope)
 
     # ------------------------------------------------------------------
     # read sets

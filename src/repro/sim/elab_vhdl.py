@@ -126,10 +126,6 @@ class VhdlElaborator:
         self.collector = collector
         self.design = Design()
         self._depth = 0
-        #: cone-eligible processes nominated for the levelized tier, plus the
-        #: signals written by everything else (the sole-driver fence)
-        self._cone_members: list = []
-        self._external_writes: set[Signal] = set()
 
     # ------------------------------------------------------------------
 
@@ -147,7 +143,6 @@ class VhdlElaborator:
             return None
         if self.collector.has_errors:
             return None
-        self._install_cones()
         return self.design
 
     # ------------------------------------------------------------------
@@ -170,42 +165,18 @@ class VhdlElaborator:
         """A cone member or sync update from *build*, or None if ineligible.
 
         The builders return None for shapes they do not accept; one that
-        raises is treated the same way, leaving the process on the closure
-        tier it already has.
+        raises is treated the same way, leaving the process to the kernel.
         """
         try:
             return build()
         except Exception:
             return None
 
-    # ------------------------------------------------------------------
-    # levelized tier
-    # ------------------------------------------------------------------
-
-    def _install_cones(self) -> None:
-        if not self._cone_members or simcompile.level_disabled():
-            return
-        from repro.sim.compile import level as _level
-
-        try:
-            _level.install_cones(
-                self.design,
-                self._cone_members,
-                self._external_writes,
-                twostate=not simcompile.twostate_disabled(),
-            )
-        except Exception:
-            pass  # any surprise leaves the closure tier untouched
-
-    def _note_external_target(self, target, scope: _VScope) -> None:
-        """Record a target written outside the cone tier (sole-driver fence)."""
-        try:
-            name = _target_name(target)
-        except Exception:
-            return
-        signal = scope.signals.get(name)
-        if signal is not None:
-            self._external_writes.add(signal)
+    def _add_member(self, build) -> None:
+        """Record the cone member *build* returns, if the shape is one."""
+        member = self._compiled(build)
+        if member is not None:
+            self.design.members.append(member)
 
     def _elaborate_entity(
         self, name: str, prefix: str, generic_overrides: dict[str, Logic]
@@ -345,7 +316,6 @@ class VhdlElaborator:
                     target_width,
                 ),
             )
-            self._external_writes.add(target_signal)
             return
 
         process = simcompile.add_process(
@@ -357,15 +327,11 @@ class VhdlElaborator:
 
         from repro.sim.compile import level as _level
 
-        member = self._compiled(
+        self._add_member(
             lambda: _level.vhdl_concurrent_member(
-                process, statement, scope, self, reads, target_width
+                process, statement, scope, reads, target_width
             )
         )
-        if member is not None:
-            self._cone_members.append(member)
-        else:
-            self._note_external_target(target, scope)
 
     def _conditional_assign(self, statement: ast.ConditionalAssign, scope: _VScope):
         reads: set[Signal] = set()
@@ -386,15 +352,11 @@ class VhdlElaborator:
 
         from repro.sim.compile import level as _level
 
-        member = self._compiled(
+        self._add_member(
             lambda: _level.vhdl_conditional_member(
-                process, statement, scope, self, reads, width
+                process, statement, scope, reads, width
             )
         )
-        if member is not None:
-            self._cone_members.append(member)
-        else:
-            self._note_external_target(statement.target, scope)
 
     def _selected_assign(self, statement: ast.SelectedAssign, scope: _VScope):
         reads: set[Signal] = set()
@@ -413,9 +375,6 @@ class VhdlElaborator:
                 statement, scope, self, reads, width
             ),
         )
-        # selected assigns may skip the write (no others arm): not
-        # idempotent under cone over-evaluation, so never a member
-        self._note_external_target(statement.target, scope)
 
     # ------------------------------------------------------------------
     # processes
@@ -437,9 +396,6 @@ class VhdlElaborator:
                 found.append(signal)
             sens_signals = tuple(found)
         label = process.label or f"proc@{self._line(process)}"
-        # processes carry variables, edge memory, and waits — never cone
-        # members, so everything they assign fences off the levelized tier
-        self._external_writes |= _seq_written_signals(process.body, scope)
         # variable types stay eager: a bad bound is an elaboration error
         var_types = tuple(
             self._type_info(decl.type_mark, scope)
@@ -525,15 +481,11 @@ class VhdlElaborator:
 
         from repro.sim.compile import level as _level
 
-        member = self._compiled(
+        self._add_member(
             lambda: _level.vhdl_wire_input_member(
-                process, expr, child_signal, scope, self, reads
+                process, expr, child_signal, scope, reads
             )
         )
-        if member is not None:
-            self._cone_members.append(member)
-        else:
-            self._external_writes.add(child_signal)
 
     def _wire_output(self, expr, child_signal: Signal, scope: _VScope, inst) -> None:
         if not isinstance(expr, (ast.Name, ast.Indexed, ast.Sliced)):
@@ -553,15 +505,11 @@ class VhdlElaborator:
 
         from repro.sim.compile import level as _level
 
-        member = self._compiled(
+        self._add_member(
             lambda: _level.vhdl_wire_output_member(
-                process, expr, child_signal, scope, self
+                process, expr, child_signal, scope
             )
         )
-        if member is not None:
-            self._cone_members.append(member)
-        else:
-            self._note_external_target(expr, scope)
 
     # ------------------------------------------------------------------
     # targets
@@ -714,39 +662,6 @@ def _collect_reads_seq(statement, scope: _VScope, out: set[Signal]) -> None:
             _collect_reads_seq(inner, scope, out)
     elif isinstance(statement, ast.AssertStatement):
         _collect_reads(statement.condition, scope, out)
-
-
-def _seq_written_signals(body: tuple, scope: _VScope) -> set[Signal]:
-    """Signals assigned anywhere in a sequential body (over-approximate).
-
-    Used as the levelized tier's sole-driver fence: a process variable
-    shadowing a signal name still counts the signal, which only shrinks
-    cone coverage, never correctness.
-    """
-    writes: set[Signal] = set()
-
-    def note(target) -> None:
-        if isinstance(target, (ast.Name, ast.Indexed, ast.Sliced)):
-            signal = scope.signals.get(target.name)
-            if signal is not None:
-                writes.add(signal)
-
-    def walk(statements: tuple) -> None:
-        for statement in statements:
-            if isinstance(statement, ast.SignalAssign):
-                note(statement.target)
-            elif isinstance(statement, ast.IfStatement):
-                for _condition, arm_body in statement.arms:
-                    walk(arm_body)
-                walk(statement.else_body)
-            elif isinstance(statement, ast.CaseStatement):
-                for alternative in statement.alternatives:
-                    walk(alternative.body)
-            elif isinstance(statement, (ast.ForLoop, ast.WhileLoop)):
-                walk(statement.body)
-
-    walk(body)
-    return writes
 
 
 def _edge_watched_signals(body: tuple, scope: _VScope) -> set[Signal]:

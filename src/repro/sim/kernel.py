@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.sim.runtime import Cone, Design, Edge, Process, Sensitivity, Signal
+from repro.sim.runtime import Design, Edge, Process, Sensitivity, Signal
 from repro.sim.values import Logic
 
 
@@ -77,7 +77,6 @@ class SimStats:
     process_activations: int = 0
     signal_updates: int = 0
     delta_cycles: int = 0
-    cone_calls: int = 0
     batch_calls: int = 0
     batch_vectors: int = 0
     batch_demotions: int = 0
@@ -164,36 +163,6 @@ class Simulator:
         self.stats.signal_updates += 1
         if signal.trace is not None:
             signal.trace.append((self.time, new))
-        if signal.cones:
-            active = self._active
-            for cone in signal.cones:
-                if not cone.queued:
-                    cone.queued = True
-                    active.append(cone)
-        if signal.waiters:
-            self._wake_waiters(signal, old)
-
-    def write_signal_bits(self, signal: Signal, bits: int) -> None:
-        """Two-state blocking assignment from a generated cone.
-
-        *bits* is already masked to the signal width by codegen, so the write
-        skips the Logic construction entirely when the value is unchanged —
-        the common case once a cone has settled.
-        """
-        old = signal._value
-        if old.bits == bits and not old.xmask:
-            return
-        new = Logic._make(signal.width, bits, 0)
-        signal._value = new
-        self.stats.signal_updates += 1
-        if signal.trace is not None:
-            signal.trace.append((self.time, new))
-        if signal.cones:
-            active = self._active
-            for cone in signal.cones:
-                if not cone.queued:
-                    cone.queued = True
-                    active.append(cone)
         if signal.waiters:
             self._wake_waiters(signal, old)
 
@@ -285,14 +254,8 @@ class Simulator:
             while active and not self._finished:
                 process = active.pop()
                 step_activations += 1
-                if process.__class__ is Cone:
-                    # one straight-line settle call replaces the member
-                    # processes' generator dispatch + waiter bookkeeping
-                    process.queued = False
-                    stats.cone_calls += 1
-                    process.fn(self)
                 # -- one process activation, inlined (the hot loop) --
-                elif not process.done and process.generator is not None:
+                if not process.done and process.generator is not None:
                     stats.process_activations += 1
                     if stats.process_activations > self.ACTIVATION_LIMIT:
                         raise SimulationError(

@@ -33,7 +33,7 @@ class Edge(enum.Enum):
 class Signal:
     """A named storage element. Value updates flow through the kernel only."""
 
-    __slots__ = ("name", "width", "_value", "waiters", "trace", "cones")
+    __slots__ = ("name", "width", "_value", "waiters", "trace")
 
     def __init__(self, name: str, width: int, initial: Logic | None = None):
         self.name = name
@@ -46,9 +46,6 @@ class Signal:
         self.waiters: dict["Process", "Sensitivity | list[Sensitivity]"] = {}
         #: optional list of (time, value) pairs appended by the kernel when tracing
         self.trace: list[tuple[int, Logic]] | None = None
-        #: levelized cones reading this signal (tuple; empty outside the
-        #: levelized tier) — the kernel re-queues them on every value change
-        self.cones: tuple["Cone", ...] = ()
 
     @property
     def value(self) -> Logic:
@@ -120,47 +117,14 @@ class Process:
         return f"Process({self.name})"
 
 
-class Cone:
-    """A levelized combinational cone: one straight-line settle function.
-
-    The levelized tier replaces a group of purely combinational processes
-    (continuous assigns, ``@(*)`` blocks, port wirings) with a single Cone.
-    The kernel queues the cone whenever any of its input signals changes and
-    runs ``fn(sim)`` — one call instead of N waiter wake-ups. ``make(sim)``
-    builds that callable at run start so one elaborated design can be
-    simulated repeatedly with fresh per-run state (VHDL eval contexts).
-    """
-
-    __slots__ = ("name", "make", "inputs", "fn", "queued", "recipe")
-
-    def __init__(self, name: str, make: Callable, inputs: tuple[Signal, ...]):
-        self.name = name
-        self.make = make
-        self.inputs = inputs
-        self.fn: Callable | None = None
-        #: True while the cone sits in the kernel's active queue — collapses
-        #: multiple same-delta input changes into one evaluation
-        self.queued = False
-        #: the ordered ConeMember tuple this cone was built from, kept so the
-        #: batch tier can re-lower the same members into vector bodies
-        self.recipe: tuple | None = None
-
-    def start(self, kernel) -> None:
-        self.fn = self.make(kernel)
-        self.queued = True  # run() appends it to the active queue next
-
-    def __repr__(self) -> str:
-        return f"Cone({self.name})"
-
-
 @dataclass(frozen=True)
 class SyncReg:
     """One register of a recognized synchronous update.
 
     ``emit(names)`` lowers the register's next-value expression to a Python
     source string over the variable names in *names* (the same contract as
-    :class:`~repro.sim.compile.level.ConeMember.emit`); ``reset_bits`` is the
-    constant the register takes while reset is asserted.
+    a :class:`~repro.sim.compile.level.ConeMember`'s); ``reset_bits`` is
+    the constant the register takes while reset is asserted.
     """
 
     target: Signal
@@ -172,10 +136,10 @@ class SyncReg:
 class SyncUpdate:
     """A recognized ``posedge clk`` / ``rising_edge(clk)`` register bank.
 
-    Recorded by the elaborators alongside the interpreted/compiled process so
-    the batch tier can advance all registers one clock edge at a time without
-    running the event kernel. Purely advisory: the process in
-    ``Design.processes`` remains the source of truth for the event tiers.
+    Recorded by the elaborators alongside the compiled process so the batch
+    tier can advance all registers one clock edge at a time without running
+    the event kernel. Purely advisory: the process in ``Design.processes``
+    remains the source of truth for the kernel.
     """
 
     process: Process
@@ -190,11 +154,10 @@ class Design:
 
     name: str = "design"
     signals: dict[str, Signal] = field(default_factory=dict)
-    #: execution slots: mostly :class:`Process`, but the levelized tier
-    #: replaces coned members with their shared :class:`Cone` in place
     processes: list[Process] = field(default_factory=list)
-    #: the distinct cones installed by the levelized tier (for stats/tests)
-    cones: list[Cone] = field(default_factory=list)
+    #: the combinational processes the batch tier can plan from, as
+    #: :class:`~repro.sim.compile.level.ConeMember` facts in elaboration order
+    members: list = field(default_factory=list)
     #: synchronous register banks recognized for the batch tier
     sync_updates: list[SyncUpdate] = field(default_factory=list)
 
@@ -228,7 +191,7 @@ class Design:
         for process in other.processes:
             process.name = prefix + process.name
             self.add_process(process)
-        self.cones.extend(other.cones)
+        self.members.extend(other.members)
         self.sync_updates.extend(other.sync_updates)
 
 

@@ -99,24 +99,6 @@ class Logic:
         return Logic._make(width, value, 0)
 
     @staticmethod
-    def from_bits(width: int, bits: int) -> "Logic":
-        """Two-state bridge: wrap an already-masked unsigned int, no X bits.
-
-        The levelized tier's generated cones compute on plain ints and cross
-        back into four-state values only at signal-write boundaries; *bits*
-        must already fit in *width* (callers mask as part of codegen).
-        """
-        return Logic._make(width, bits, 0)
-
-    def known_bits(self) -> int | None:
-        """The value as an unsigned int when fully known, else ``None``.
-
-        The inverse bridge of :meth:`from_bits`, used when a two-state cone
-        reads its input signals.
-        """
-        return None if self.xmask else self.bits
-
-    @staticmethod
     def unknown(width: int) -> "Logic":
         """All-X vector of the given width."""
         if width <= 0:

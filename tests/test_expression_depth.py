@@ -5,7 +5,10 @@ recurse over expressions and statements. An expression at
 :data:`MAX_EXPR_DEPTH` levels must still compile and simulate correctly in
 both languages; one level more, and ten times more, must be the named
 ``EXPR_TOO_DEEP`` diagnostic from ``Toolchain.compile`` and
-``Toolchain.simulate``, never an exception. Statements nested
+``Toolchain.simulate``, never an exception. The same expression inside a
+``top_module`` passes its golden testbench identically on the batch tier,
+which refuses the shapes it cannot lower or compile, and on the kernel.
+Statements nested
 :data:`MAX_STMT_DEPTH` levels deep, holding such an expression, must compile
 and simulate too, their process bodies built inside the run; deeper nesting
 is one ``STMT_TOO_DEEP`` diagnostic.
@@ -13,6 +16,8 @@ is one ``STMT_TOO_DEEP`` diagnostic.
 
 import pytest
 
+from repro.designs.model import CombModel, DesignSpec, PortSpec
+from repro.designs.tbgen import make_testbench
 from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.hdl.cursor import (
     EXPR_TOO_DEEP,
@@ -20,6 +25,7 @@ from repro.hdl.cursor import (
     MAX_STMT_DEPTH,
     STMT_TOO_DEEP,
 )
+from repro.obs import NullSink, Tracer, get_tracer, set_tracer
 from repro.verilog.parser import parse_verilog
 from repro.vhdl.parser import parse_vhdl
 
@@ -114,6 +120,107 @@ def test_expression_at_the_bound_compiles_and_simulates(language, name, shape):
     else:
         assert "mismatch" not in result.log
         assert any("done" in line for line in result.output_lines)
+
+
+#: a shape's value at depth *n* for ``a`` and ``s`` (before the 8-bit mask)
+MODELS = {
+    "parens": lambda n, a, s: a,
+    "unary": lambda n, a, s: a if n % 2 == 0 else ~a,
+    "chain": lambda n, a, s: (n + 1) * a,
+    "right": lambda n, a, s: (n + 1) * a,
+    "ternary": lambda n, a, s: a,
+    "concat": lambda n, a, s: a,
+    "select": lambda n, a, s: _select_model(n, a),
+    "call": lambda n, a, s: a,
+}
+
+
+def _select_model(n: int, a: int) -> int:
+    index = 0
+    for _ in range(n):
+        index = (a >> index) & 1
+    return index
+
+
+#: shapes whose deepest emit runs on the batch tier; ``chain`` and
+#: ``right`` emit past Python's limit of 200 nested parentheses, so the
+#: vector program fails to compile and the plan is refused, and a dynamic
+#: ``select`` has no two-state lowering
+BATCHED = {
+    (Language.VERILOG, "parens"), (Language.VERILOG, "unary"),
+    (Language.VERILOG, "ternary"), (Language.VERILOG, "concat"),
+    (Language.VHDL, "parens"), (Language.VHDL, "unary"),
+    (Language.VHDL, "call"),
+}
+
+
+def dut_files(language: Language, name: str, expr: str) -> list[HdlFile]:
+    """A ``top_module`` computing *expr*, judged by a golden testbench."""
+    spec = DesignSpec(
+        name=f"deep_{name}",
+        ports=(PortSpec("x", 8, "in"), PortSpec("s", 1, "in"),
+               PortSpec("y", 8, "out")),
+    )
+    model = CombModel(lambda v: {
+        "y": MODELS[name](MAX_EXPR_DEPTH, v["x"], v["s"])
+    })
+    if language is Language.VERILOG:
+        dut = (
+            "module top_module(input [7:0] x, input s, output [7:0] y);\n"
+            f"  wire [7:0] a = x;\n  assign y = {expr};\nendmodule\n"
+        )
+    else:
+        dut = f"""library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+entity top_module is
+  port (x : in std_logic_vector(7 downto 0); s : in std_logic;
+        y : out std_logic_vector(7 downto 0));
+end entity;
+architecture rtl of top_module is
+  signal a, r : unsigned(7 downto 0);
+begin
+  a <= unsigned(x);
+  r <= {expr};
+  y <= std_logic_vector(r);
+end architecture;
+"""
+    ext = language.file_extension
+    testbench = make_testbench(
+        spec, model, language, f"depth-{language.value}-{name}"
+    )
+    return [HdlFile(f"top_module{ext}", dut, language),
+            HdlFile(f"tb{ext}", testbench, language)]
+
+
+@pytest.mark.parametrize("language,name,shape", CASES, ids=IDS)
+def test_expression_at_the_bound_passes_on_both_paths(language, name, shape):
+    """A DUT at the bound passes its golden testbench identically on the
+    batch tier, or on the kernel when the planner refuses it, and under
+    ``REPRO_SIM_NO_BATCH``."""
+    files = dut_files(language, name, shape(MAX_EXPR_DEPTH))
+    runs = {}
+    for no_batch in ("", "1"):
+        previous = get_tracer()
+        set_tracer(Tracer(NullSink()))
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv("REPRO_SIM_NO_BATCH", no_batch)
+                result = Toolchain().simulate(files, "tb")
+            calls = get_tracer().metrics.counter("sim.batch_calls").value
+        finally:
+            set_tracer(previous)
+        assert result.ok and not result.runtime_error, result.log
+        assert any("All tests passed" in line
+                   for line in result.output_lines), result.log
+        runs[no_batch] = (
+            (tuple(result.output_lines), result.log, result.end_time,
+             result.tool_seconds),
+            calls,
+        )
+    assert runs[""][1] == int((language, name) in BATCHED)
+    assert runs["1"][1] == 0
+    assert runs[""][0] == runs["1"][0]
 
 
 @pytest.mark.parametrize("language,name,shape", CASES, ids=IDS)
@@ -224,13 +331,9 @@ def nest_files(language: Language, shape, depth: int) -> list[HdlFile]:
 
 
 @pytest.mark.parametrize("language,name,shape", STMT_CASES, ids=STMT_IDS)
-@pytest.mark.parametrize("no_level", ["", "1"], ids=["levelized", "closure"])
-def test_statements_at_the_bound_compile_and_simulate(
-    language, name, shape, no_level, monkeypatch
-):
-    """The deepest accepted nesting runs; under ``REPRO_SIM_NO_LEVEL`` every
-    process body, the deep one included, is built inside ``Simulator.run``."""
-    monkeypatch.setenv("REPRO_SIM_NO_LEVEL", no_level)
+def test_statements_at_the_bound_compile_and_simulate(language, name, shape):
+    """The deepest accepted nesting runs; every process body, the deep one
+    included, is built inside ``Simulator.run``."""
     files = nest_files(language, shape, MAX_STMT_DEPTH)
     compiled = Toolchain().compile(files, "tb")
     assert compiled.ok, compiled.log

@@ -4,11 +4,10 @@ A family-stratified subset of the suite (two problems from each of the four
 largest families, one from each of the others) is swept serially and its
 renderings compared byte for byte with the committed files under
 ``tests/golden/``. An artifact must not depend on which internal
-optimization ran, so Tables 1 and 2 are checked under the default tiers and
-under each ``REPRO_SIM_*`` flag. Figure 3 is checked under the default
-tiers only, rendered in a fresh process: its modeled seconds still depend on
-which tier simulated each testbench, and so on the process-wide stimulus
-bundle registry that picks the batch tier.
+optimization ran, so every artifact is checked under the default tiers,
+rendered in a fresh process, and again under ``REPRO_SIM_NO_BATCH``, which
+sends every simulation to the event kernel. Figure 3's modeled seconds
+count simulated time, which both paths report alike.
 
 Table 2 is rendered from the same sweep as Table 1; it reads only the
 Verilog configurations, which is all ``repro sweep --artifact table2`` runs.
@@ -42,12 +41,7 @@ PROBLEMS = (
 )
 
 #: every tier configuration: the default, then each ``REPRO_SIM_*`` flag
-TIER_FLAGS = (
-    "REPRO_SIM_NO_LEVEL",
-    "REPRO_SIM_NO_TWOSTATE",
-    "REPRO_SIM_NO_BATCH",
-    "REPRO_SIM_NO_NUMPY",
-)
+TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
 
 
 def render_artifacts() -> dict[str, str]:
@@ -101,13 +95,13 @@ def test_default_tiers_match_the_golden_renderings():
 
 
 @pytest.mark.parametrize("flag", TIER_FLAGS)
-def test_tables_are_tier_blind(flag, monkeypatch):
+def test_artifacts_are_tier_blind(flag, monkeypatch):
     for other in TIER_FLAGS:
         monkeypatch.delenv(other, raising=False)
     monkeypatch.setenv(flag, "1")
     rendered = render_artifacts()
-    assert rendered["table1"] == golden("table1")
-    assert rendered["table2"] == golden("table2")
+    for name in ("table1", "table2", "figure3"):
+        assert rendered[name] == golden(name), name
 
 
 if __name__ == "__main__":

@@ -2,11 +2,14 @@
 
 The equivalence suite proves the tier is observationally identical to the
 event kernel; these tests pin the *structural* contract instead: which
-designs plan, how the vector programs lay out lanes (single ``uint64``
-column, multi-lane for wide signals, masked-int list fallback), how
-X-carrying vectors demote one at a time, how the toolchain routes eligible
-bundles and counts them, and how the testbench bundle registry behaves —
-including the ``vectors=``/``extra_vectors=`` replacement contract.
+designs plan and which the planner refuses (each refusal DUT next to a
+one-line fix that plans, in both languages and for clocked plans), that
+members written against their dataflow still plan, that vector programs
+stay exact on ports wider than 64 bits, how X-carrying vectors demote one
+at a time, how the toolchain routes eligible bundles and counts them, that
+the modeled cost is one formula on both paths, and how the testbench
+bundle registry behaves — including the ``vectors=``/``extra_vectors=``
+replacement contract.
 """
 
 from __future__ import annotations
@@ -25,12 +28,7 @@ from repro.hdl.diagnostics import DiagnosticCollector
 from repro.sim import batch
 from repro.sim.values import Logic
 
-_TIER_FLAGS = (
-    "REPRO_SIM_NO_LEVEL",
-    "REPRO_SIM_NO_TWOSTATE",
-    "REPRO_SIM_NO_BATCH",
-    "REPRO_SIM_NO_NUMPY",
-)
+_TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
 
 
 @contextmanager
@@ -46,14 +44,6 @@ def _pin(**flags):
                 os.environ.pop(flag, None)
             else:
                 os.environ[flag] = value
-
-
-def _has_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def build(source: str, language=Language.VERILOG, top: str = "top_module",
@@ -115,20 +105,10 @@ class TestSimulateVectors:
             run = batch.simulate_vectors(design, vectors)
         assert run is not None
         assert run.demotions == 0
-        assert run.mode == ("numpy" if _has_numpy() else "list")
         for vector, row in zip(vectors, run.values):
             assert row["y"] == _comb_expected(vector)
 
-    def test_list_mode_matches_numpy_mode(self):
-        vectors = [{"a": a, "b": (a * 37) & 0xFF} for a in range(32)]
-        with _pin():
-            fast = batch.simulate_vectors(build(COMB_V), vectors)
-        with _pin(REPRO_SIM_NO_NUMPY="1"):
-            slow = batch.simulate_vectors(build(COMB_V), vectors)
-        assert slow is not None and slow.mode == "list"
-        assert [r["y"] for r in slow.values] == [r["y"] for r in fast.values]
-
-    def test_wide_signals_use_multiple_lanes(self):
+    def test_wide_signals_are_exact(self):
         design = build(WIDE_V)
         mask = (1 << 96) - 1
         vectors = [
@@ -137,13 +117,12 @@ class TestSimulateVectors:
             {"a": 0x0123_4567_89AB_CDEF_0011_2233, "b": 0xFFFF_0000_FFFF},
             {"a": 1 << 95, "b": 1 << 64},
         ]
-        for flags in ({}, {"REPRO_SIM_NO_NUMPY": "1"}):
-            with _pin(**flags):
-                run = batch.simulate_vectors(design, vectors)
-            assert run is not None, flags
-            for vector, row in zip(vectors, run.values):
-                want = ((vector["a"] ^ vector["b"]) + vector["a"]) & mask
-                assert row["y"] == want, flags
+        with _pin():
+            run = batch.simulate_vectors(design, vectors)
+        assert run is not None
+        for vector, row in zip(vectors, run.values):
+            want = ((vector["a"] ^ vector["b"]) + vector["a"]) & mask
+            assert row["y"] == want
 
     def test_x_vector_demotes_alone(self):
         design = build(COMB_V)
@@ -162,8 +141,8 @@ class TestSimulateVectors:
         assert isinstance(demoted, Logic) and demoted.has_x
 
     def test_demoted_vector_matches_event_kernel(self):
-        # the same X stimulus driven through the event kernel (the
-        # levelized cones' own four-state fallback) must agree bit-for-bit
+        # the same X stimulus driven through the design's own processes on
+        # the event kernel must agree bit-for-bit
         design = build(COMB_V)
         x_value = Logic.from_string("xxxx0011")
         with _pin():
@@ -271,6 +250,230 @@ class TestPlanEligibility:
         ) is None
 
 
+_REFUSAL_HEAD = "module top_module(input [3:0] a, output [3:0] y);\n"
+
+#: name → (DUT the planner refuses, the same DUT with its one defect fixed).
+#: Each DUT breaks exactly the clause it is named after.
+REFUSALS = {
+    "combinational-cycle": (
+        _REFUSAL_HEAD + "    wire [3:0] p, q;\n    assign p = q ^ a;\n"
+        "    assign q = p;\n    assign y = p;\nendmodule\n",
+        _REFUSAL_HEAD + "    wire [3:0] p, q;\n    assign p = q ^ a;\n"
+        "    assign q = a;\n    assign y = p;\nendmodule\n",
+    ),
+    "random-assign": (
+        _REFUSAL_HEAD + "    assign y = a ^ $random;\nendmodule\n",
+        _REFUSAL_HEAD + "    assign y = a ^ 4'd5;\nendmodule\n",
+    ),
+    "multi-driven-net": (
+        _REFUSAL_HEAD + "    assign y = a;\n    assign y = ~a;\nendmodule\n",
+        _REFUSAL_HEAD + "    assign y = ~a;\nendmodule\n",
+    ),
+    "self-reading-assign": (
+        _REFUSAL_HEAD + "    wire [3:0] t;\n    assign t = t & a;\n"
+        "    assign y = t;\nendmodule\n",
+        _REFUSAL_HEAD + "    wire [3:0] t;\n    assign t = 4'hF & a;\n"
+        "    assign y = t;\nendmodule\n",
+    ),
+    "non-member-writer": (
+        "module top_module(input [3:0] a, output reg [3:0] y);\n"
+        "    always @(*) y = a + 1;\nendmodule\n",
+        _REFUSAL_HEAD + "    assign y = a + 1;\nendmodule\n",
+    ),
+    "part-select-target": (
+        _REFUSAL_HEAD + "    assign y[1:0] = a[1:0];\n"
+        "    assign y[3:2] = a[3:2];\nendmodule\n",
+        _REFUSAL_HEAD + "    assign y = a;\nendmodule\n",
+    ),
+}
+
+_VH_REFUSAL_HEAD = (
+    "library ieee;\nuse ieee.std_logic_1164.all;\n"
+    "entity top_module is\n"
+    "    port (a : in std_logic_vector(3 downto 0);\n"
+    "          y : out std_logic_vector(3 downto 0));\n"
+    "end entity;\n"
+    "architecture rtl of top_module is\n"
+)
+_VH_T = "    signal t : std_logic_vector(3 downto 0);\n"
+_VH_PQ = "    signal p, q : std_logic_vector(3 downto 0);\n"
+_VH_END = "end architecture;\n"
+
+#: the same table for the VHDL elaborator's members, plus two writers it
+#: does not nominate: a selected assign, and assigns to slices of a signal
+VH_REFUSALS = {
+    "combinational-cycle": (
+        _VH_REFUSAL_HEAD + _VH_PQ + "begin\n    p <= q xor a;\n"
+        "    q <= p;\n    y <= p;\n" + _VH_END,
+        _VH_REFUSAL_HEAD + _VH_PQ + "begin\n    p <= q xor a;\n"
+        "    q <= a;\n    y <= p;\n" + _VH_END,
+    ),
+    "multi-driven-net": (
+        _VH_REFUSAL_HEAD + "begin\n    y <= a;\n    y <= not a;\n" + _VH_END,
+        _VH_REFUSAL_HEAD + "begin\n    y <= not a;\n" + _VH_END,
+    ),
+    "self-reading-assign": (
+        _VH_REFUSAL_HEAD + _VH_T + "begin\n    t <= t and a;\n"
+        "    y <= t;\n" + _VH_END,
+        _VH_REFUSAL_HEAD + _VH_T + "begin\n    t <= \"1111\" and a;\n"
+        "    y <= t;\n" + _VH_END,
+    ),
+    "non-member-writer": (
+        _VH_REFUSAL_HEAD + "begin\n    process (a) begin\n"
+        "        y <= not a;\n    end process;\n" + _VH_END,
+        _VH_REFUSAL_HEAD + "begin\n    y <= not a;\n" + _VH_END,
+    ),
+    "selected-assign": (
+        _VH_REFUSAL_HEAD + "begin\n    with a(0) select\n"
+        "        y <= a when '1', not a when others;\n" + _VH_END,
+        _VH_REFUSAL_HEAD + "begin\n    y <= a when a(0) = '1' else not a;\n"
+        + _VH_END,
+    ),
+    "slice-target": (
+        _VH_REFUSAL_HEAD + "begin\n    y(1 downto 0) <= a(1 downto 0);\n"
+        "    y(3 downto 2) <= a(3 downto 2);\n" + _VH_END,
+        _VH_REFUSAL_HEAD + "begin\n    y <= a;\n" + _VH_END,
+    ),
+}
+
+_SEQ_HEAD = (
+    "module top_module(input clk, input clk2, input rst, input [3:0] d,\n"
+    "                  output reg [3:0] q, output [3:0] dd);\n"
+)
+
+
+def _seq_dut(dd: str, edge: str = "clk") -> str:
+    return (
+        _SEQ_HEAD + f"    assign dd = {dd};\n"
+        f"    always @(posedge {edge}) begin\n"
+        "        if (rst) q <= 4'd0;\n        else q <= q + d;\n"
+        "    end\nendmodule\n"
+    )
+
+
+#: ``plan_sequential``'s own clauses, each DUT next to its one-line fix
+SEQ_REFUSALS = {
+    "member-reads-clock": (_seq_dut("d ^ {4{clk}}"), _seq_dut("d ^ q")),
+    "member-reads-reset": (_seq_dut("d ^ {4{rst}}"), _seq_dut("d ^ q")),
+    "register-on-another-clock": (
+        _seq_dut("d ^ q", edge="clk2"), _seq_dut("d ^ q")
+    ),
+}
+
+
+def _refusal(language, name):
+    return (REFUSALS if language is Language.VERILOG else VH_REFUSALS)[name]
+
+
+_COMB_REFUSALS = [(Language.VERILOG, name) for name in sorted(REFUSALS)] + [
+    (Language.VHDL, name) for name in sorted(VH_REFUSALS)
+]
+_COMB_REFUSAL_IDS = [
+    name if language is Language.VERILOG else f"vhdl-{name}"
+    for language, name in _COMB_REFUSALS
+]
+
+#: refused DUTs that nominate no member → their process count
+_NON_MEMBERS = {
+    Language.VERILOG: {
+        "random-assign": 1, "non-member-writer": 1, "part-select-target": 2,
+    },
+    Language.VHDL: {
+        "non-member-writer": 1, "selected-assign": 1, "slice-target": 2,
+    },
+}
+
+
+class TestPlanRefusals:
+    """The planner's refusals, each next to a one-line fix that plans."""
+
+    @pytest.mark.parametrize("language,name", _COMB_REFUSALS,
+                             ids=_COMB_REFUSAL_IDS)
+    def test_refused_and_fixed(self, language, name):
+        refused, fixed = _refusal(language, name)
+        assert batch.plan_combinational(
+            build(refused, language), [("a", 4)], [("y", 4)]
+        ) is None
+        assert batch.plan_combinational(
+            build(fixed, language), [("a", 4)], [("y", 4)]
+        ) is not None
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_every_process_of_a_plannable_design_is_a_member(self, language):
+        design = build(_refusal(language, "combinational-cycle")[1], language)
+        assert len(design.processes) == 3
+        assert [m.process for m in design.members] == design.processes
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_non_member_writers(self, language):
+        """Impure assigns, procedural blocks, selected assigns and writes to
+        part of a signal nominate no member."""
+        for name, processes in _NON_MEMBERS[language].items():
+            design = build(_refusal(language, name)[0], language)
+            assert len(design.processes) == processes, name
+            assert design.members == [], name
+
+    @pytest.mark.parametrize("name", sorted(SEQ_REFUSALS))
+    def test_sequential_refused_and_fixed(self, name):
+        refused, fixed = SEQ_REFUSALS[name]
+        ports = ([("d", 4)], [("q", 4), ("dd", 4)])
+        design = build(refused)
+        assert len(design.sync_updates) == 1  # the register is recognized
+        assert batch.plan_sequential(design, *ports) is None
+        assert batch.plan_sequential(build(fixed), *ports) is not None
+
+
+#: a 13-member chain written against its dataflow: each assign reads the
+#: net the next line drives
+CHAIN_V = (
+    "module top_module(input [7:0] a, output [7:0] y);\n"
+    "    wire [7:0] " + ", ".join(f"s{k}" for k in range(1, 13)) + ";\n"
+    "    assign y = s12 ^ 8'h5A;\n"
+    + "".join(f"    assign s{k} = s{k - 1} + 8'd3;\n" for k in range(12, 1, -1))
+    + "    assign s1 = a + 8'd3;\nendmodule\n"
+)
+CHAIN_VHD = (
+    "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n"
+    "entity top_module is\n"
+    "    port (a : in unsigned(7 downto 0); y : out unsigned(7 downto 0));\n"
+    "end entity;\narchitecture rtl of top_module is\n"
+    "    signal " + ", ".join(f"s{k}" for k in range(1, 13))
+    + " : unsigned(7 downto 0);\nbegin\n"
+    "    y <= s12 xor x\"5A\";\n"
+    + "".join(f"    s{k} <= s{k - 1} + 3;\n" for k in range(12, 1, -1))
+    + "    s1 <= a + 3;\nend architecture;\n"
+)
+
+
+def _chain_expected(a: int) -> int:
+    for _ in range(12):
+        a = (a + 3) & 0xFF
+    return a ^ 0x5A
+
+
+class TestMemberOrder:
+    """Members arrive in elaboration order; the plan runs them in
+    dataflow order."""
+
+    @pytest.mark.parametrize("language,source", [
+        (Language.VERILOG, CHAIN_V), (Language.VHDL, CHAIN_VHD),
+    ], ids=["verilog", "vhdl"])
+    def test_chain_against_dataflow_plans_exactly(self, language, source):
+        design = build(source, language)
+        assert [m.target.name for m in design.members] == (
+            ["y"] + [f"s{k}" for k in range(12, 0, -1)]
+        )
+        plan = batch.plan_combinational(design, [("a", 8)], [("y", 8)])
+        assert plan is not None
+        rows, demotions = batch.run_vectors(
+            plan, [{"a": a} for a in range(256)]
+        )
+        assert demotions == 0
+        assert [row["y"] for row in rows] == [
+            _chain_expected(a) for a in range(256)
+        ]
+
+
 class TestSimulateSequences:
     def _expected(self, lanes):
         rows = []
@@ -304,18 +507,6 @@ class TestSimulateSequences:
         want = self._expected(lanes)
         for got, expected in zip(cycles, want):
             assert got == expected
-
-    def test_list_mode_matches(self):
-        lanes = [[{"d": 7}, {"d": 200}, {"d": 13}]]
-        with _pin():
-            _, fast = batch.simulate_sequences(
-                build(SEQ_V), lanes, inputs=[("d", 8)], outputs=[("q", 8)]
-            )
-        with _pin(REPRO_SIM_NO_NUMPY="1"):
-            _, slow = batch.simulate_sequences(
-                build(SEQ_V), lanes, inputs=[("d", 8)], outputs=[("q", 8)]
-            )
-        assert fast == slow
 
     def test_x_stimulus_is_rejected(self):
         design = build(SEQ_V)
@@ -435,6 +626,22 @@ end architecture;
 """
 
 
+#: a hand-written testbench: not a registered bundle, so it runs on the kernel
+KERNEL_TB = """
+module tb;
+    reg [3:0] a; wire [3:0] y;
+    top_module dut(.a(a), .y(y));
+    initial begin
+        a = 4'd3;
+        #1 $display("y=%d", y);
+        a = 4'd15;
+        #1 $display("y=%d", y);
+        $finish;
+    end
+endmodule
+"""
+
+
 class TestToolchainRouting:
     def _counters(self, tracer):
         return {
@@ -470,6 +677,18 @@ class TestToolchainRouting:
             tbgen.stimulus_bundle(files[1].text).stimulus
         )
         assert counters["batch_demotions"] == 0
+
+    def test_kernel_run_feeds_scheduler_counters(self):
+        """A kernel simulate() reports its activations and delta cycles."""
+        files = [HdlFile("t.v", REFUSALS["non-member-writer"][1]
+                         + KERNEL_TB, Language.VERILOG)]
+        with self._tracer() as tracer, _pin():
+            result = Toolchain().simulate(files, "tb")
+        assert result.ok, result.log
+        assert result.output_lines == ["y=4", "y=0"]
+        for name in ("activations", "delta_cycles"):
+            assert tracer.metrics.counter(f"sim.{name}").value > 0, name
+        assert self._counters(tracer)["batch_calls"] == 0
 
     def test_no_batch_flag_keeps_the_kernel(self):
         files = _bundle_files(
@@ -532,6 +751,37 @@ class TestToolchainRouting:
         assert result.ok, result.log
         assert any("All tests passed" in l for l in result.output_lines)
         assert self._counters(tracer)["batch_calls"] == 0
+
+
+class TestModeledCost:
+    """``tool_seconds`` is the compile, one launch and the simulated time,
+    whichever path ran."""
+
+    @pytest.mark.parametrize("path", ["batch", "kernel"])
+    @pytest.mark.parametrize("language", list(Language))
+    def test_tool_seconds_is_launch_plus_simulated_time(self, language, path):
+        from repro.obs import NullSink, Tracer, get_tracer, set_tracer
+
+        files = _bundle_files(
+            language, lambda v: {"y": (v["a"] ^ v["b"]) + v["a"]},
+            f"cost-{language.value}",
+        )
+        previous = get_tracer()
+        set_tracer(Tracer(NullSink()))
+        try:
+            with _pin(REPRO_SIM_NO_BATCH="1" if path == "kernel" else ""):
+                result = Toolchain().simulate(files, "tb")
+            calls = get_tracer().metrics.counter("sim.batch_calls").value
+        finally:
+            set_tracer(previous)
+        assert result.ok, result.log
+        assert calls == (path == "batch")
+        assert result.end_time > 0
+        assert result.tool_seconds == (
+            result.compile_result.tool_seconds
+            + Toolchain.SIM_BASE_SECONDS
+            + Toolchain.SIM_PER_US_SECONDS * result.end_time / 1000.0
+        )
 
 
 class TestCompileMemo:

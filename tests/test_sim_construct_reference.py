@@ -548,7 +548,7 @@ EXPECTED: dict[str, tuple[bool, tuple[str, ...], str, str]] = {
     ),
 }
 
-_TIER_FLAGS = ("REPRO_SIM_NO_LEVEL", "REPRO_SIM_NO_BATCH")
+_TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
 
 
 @contextmanager
@@ -583,11 +583,8 @@ def test_every_case_has_a_recorded_answer():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-@pytest.mark.parametrize(
-    "flags", [{}, {"REPRO_SIM_NO_LEVEL": "1"}], ids=["levelized", "closure"]
-)
-def test_construct_matches_frozen_answer(name, flags):
-    with _tier(**flags):
+def test_construct_matches_frozen_answer(name):
+    with _tier():
         assert _simulate(name) == EXPECTED[name]
 
 
@@ -605,21 +602,17 @@ _BROKEN = "RuntimeError: builder exploded"
 
 
 @pytest.mark.parametrize(
-    "name, module, builder, flags, refused",
+    "name, module, builder, refused",
     [
-        # coned under default tiers: the cone replaces the process, whose
-        # own body is then never built
-        ("v_part_select", compile_verilog, "continuous_assign_factory", {},
-         None),
         ("v_part_select", compile_verilog, "continuous_assign_factory",
-         {"REPRO_SIM_NO_LEVEL": "1"}, "assign@6"),
+         "assign@6"),
         # the run stops at the first refused process to start
-        ("vh_index_store", compile_vhdl, "process_factory", {}, "reg"),
+        ("vh_index_store", compile_vhdl, "process_factory", "reg"),
     ],
-    ids=["coned", "closure", "vhdl-process"],
+    ids=["verilog-assign", "vhdl-process"],
 )
 def test_raising_process_builder_is_a_counted_run_time_refusal(
-    name, module, builder, flags, refused, monkeypatch
+    name, module, builder, refused, monkeypatch
 ):
     """A builder that raises fails the run, not the compile, by name."""
 
@@ -632,7 +625,7 @@ def test_raising_process_builder_is_a_counted_run_time_refusal(
     previous = get_tracer()
     set_tracer(Tracer(NullSink()))
     try:
-        with _tier(**flags):
+        with _tier():
             toolchain = Toolchain()
             compiled = toolchain.compile(files, "tb")
             result = toolchain.simulate(files, "tb")
@@ -640,13 +633,6 @@ def test_raising_process_builder_is_a_counted_run_time_refusal(
     finally:
         set_tracer(previous)
     assert compiled.ok and not compiled.diagnostics, compiled.log
-    if refused is None:
-        assert refusals == 0
-        assert (
-            result.ok, tuple(result.output_lines), result.log,
-            result.runtime_error,
-        ) == EXPECTED[name]
-        return
     message = f"simulation compiler refused process '{refused}': {_BROKEN}"
     assert refusals == 1
     assert not result.ok
@@ -687,23 +673,18 @@ def builds(monkeypatch):
 
 
 def _kernel_slots(files, top):
-    """The design's process slots that are not levelized cones."""
-    from repro.sim.runtime import Cone
-
+    """Every process of the elaborated design."""
     design = Toolchain()._build_design(files, top, DiagnosticCollector())
     assert design is not None
-    return [p for p in design.processes if not isinstance(p, Cone)]
+    return design.processes
 
 
 @pytest.mark.parametrize("name", ["v_part_select", "vh_index_store"])
-@pytest.mark.parametrize(
-    "flags", [{}, {"REPRO_SIM_NO_LEVEL": "1"}], ids=["levelized", "closure"]
-)
-def test_process_bodies_build_at_first_start_only(name, flags, builds):
+def test_process_bodies_build_at_first_start_only(name, builds):
     """compile() builds no body; a kernel run builds each started one once."""
     language, source = CASES[name]
     files = [HdlFile(f"t{language.file_extension}", source, language)]
-    with _tier(**flags):
+    with _tier():
         toolchain = Toolchain()
         assert toolchain.compile(files, "tb").ok
         assert builds == []
