@@ -300,9 +300,9 @@ KERNEL_REPS = 5
 
 #: the batch tier must beat the event kernel by at least this factor on
 #: the 512-vector generated-testbench designs. Measured batch_speedups are
-#: several hundred (one vector-program pass replaces the whole event-driven
-#: replay), so 5x only trips when the bundle recognizer or the vector
-#: compiler stops engaging.
+#: several dozen (one dataflow-ordered pass per vector replaces the whole
+#: event-driven replay), so 5x only trips when the bundle recognizer or
+#: the planner stops engaging.
 SIM_BATCH_SPEEDUP_FLOOR = 5.0
 
 
@@ -357,7 +357,7 @@ def test_sim_tier_speedup():
             f"{name}: batch tier only {report[name]['batch_speedup']}x "
             f"faster than the event kernel "
             f"(floor {SIM_BATCH_SPEEDUP_FLOOR}x) — did the bundle "
-            "recognizer or the vector compiler stop engaging?"
+            "recognizer or the planner stop engaging?"
         )
 
 

@@ -157,8 +157,10 @@ class ResultStore:
     parse (its AST and line index grow with it), the logs and output lines
     of a compile or simulate result, the messages of an analysis, the DUT
     source of a batch plan. Real memory is about ten times that on suite
-    workloads. Hits, misses and evictions are counted per stage, both here
-    (:attr:`stats`) and in the metrics registry as
+    workloads. The plan stage is the only stage whose entries hold an
+    elaborated design: a batch plan owns the design it runs (see
+    :mod:`repro.sim.batch`). Hits, misses and evictions are counted per
+    stage, both here (:attr:`stats`) and in the metrics registry as
     ``toolchain.store.<stage>.hit|miss|evict``, next to the
     ``toolchain.store.entries`` and ``toolchain.store.bytes`` gauges.
     """
@@ -337,8 +339,8 @@ class Toolchain:
         # so parse and analysis entries are shared as they are (analysis
         # hits replay the recorded diagnostics into the caller's collector
         # in original order); compile and simulate hits return defensive
-        # copies. Elaborated designs are mutable runtime state and are
-        # never stored.
+        # copies. Elaborated designs are mutable runtime state; only batch
+        # plans hold one (see repro.sim.batch).
         self.store = ResultStore()
 
     @property
@@ -663,7 +665,9 @@ class Toolchain:
 
         ``None`` (the design is not batchable) is stored too, so an
         ineligible design does not re-elaborate on every simulate call.
-        Plans are immutable once built.
+        A plan holds the design it was built from and overwrites its
+        driven signals before reading them on every run, so a stored plan
+        runs the same way each time.
         """
         from repro.designs.model import TOP_NAME
         from repro.sim import batch as _batch
@@ -748,13 +752,11 @@ class Toolchain:
             end_time=outcome.end_time,
             batch_calls=1,
             batch_vectors=outcome.vectors,
-            batch_demotions=outcome.demotions,
             finished_cleanly=outcome.finished_cleanly,
         )
         metrics = get_tracer().metrics
         metrics.counter("sim.batch_calls").inc()
         metrics.counter("sim.batch_vectors").inc(outcome.vectors)
-        metrics.counter("sim.batch_demotions").inc(outcome.demotions)
         wall = _time.perf_counter() - started
         modeled = self._sim_seconds(compile_result, outcome.end_time)
         output_lines = list(outcome.output_lines)

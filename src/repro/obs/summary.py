@@ -130,7 +130,6 @@ class TraceSummary:
     sim_delta_cycles: int = 0
     sim_batch_calls: int = 0
     sim_batch_vectors: int = 0
-    sim_batch_demotions: int = 0
     #: result-store stage → {"hit": n, "miss": n, "evict": n}
     store: dict = field(default_factory=dict)
     prompt_tokens: int = 0
@@ -214,7 +213,6 @@ def summarize_records(records: list[dict], *, path: str = "") -> TraceSummary:
         ("sim_delta_cycles", "sim.delta_cycles"),
         ("sim_batch_calls", "sim.batch_calls"),
         ("sim_batch_vectors", "sim.batch_vectors"),
-        ("sim_batch_demotions", "sim.batch_demotions"),
     ):
         setattr(summary, attr, int(sum(
             value for (_, name), value in sim_last.items() if name == metric
@@ -416,8 +414,7 @@ def render_trace_summary(summary: TraceSummary) -> str:
         f"  simulator: {summary.sim_activations} activation(s), "
         f"{summary.sim_delta_cycles} delta cycle(s)",
         f"  batch tier: {summary.sim_batch_calls} call(s), "
-        f"{summary.sim_batch_vectors} vector(s), "
-        f"{summary.sim_batch_demotions} demotion(s)",
+        f"{summary.sim_batch_vectors} vector(s)",
         "  store hit rate: " + (", ".join(
             _store_stage(stage, counts)
             for stage, counts in sorted(summary.store.items())

@@ -15,14 +15,15 @@ compile-only elaboration and the batch tier's compile step never build a
 body at all. A body whose compilation raises is refused as a named run-time
 error, counted in the ``sim.compile.refusals`` metric.
 
-There are two simulation paths. The event kernel runs every process as its
-own closure. The batch tier (:mod:`repro.sim.batch`) evaluates a registered
-golden testbench's whole stimulus set in one pass: :mod:`.level` records
-which processes it can plan from, :mod:`.twostate` lowers their expressions
-to masked-int Python source, and :mod:`.vector` compiles that source into
-one plain loop over the stimulus vectors. ``REPRO_SIM_NO_BATCH=1`` turns
-the batch tier off, so every run takes the kernel; tests use it to get the
-kernel's reference answer.
+There are two simulation paths over these closures. The event kernel runs
+every process as its own closure. The batch tier (:mod:`repro.sim.batch`)
+evaluates a registered golden testbench's whole stimulus set without the
+kernel: :mod:`.level` records which processes it can plan from, each with
+a ``build()`` that compiles the process's value with these same compilers
+when a plan is built, and a plan writes those values to their targets in
+dataflow order for every vector or clock edge. ``REPRO_SIM_NO_BATCH=1``
+turns the batch tier off, so every run takes the kernel; tests use it to
+get the kernel's reference answer.
 """
 
 from __future__ import annotations

@@ -6,26 +6,36 @@ only for designs whose every process is one of two recognized shapes, and
 the elaborators record both shapes here, next to the process the kernel
 runs:
 
-* a :class:`ConeMember` is a pure, single-target combinational process —
-  a Verilog continuous assign or port wiring, a VHDL concurrent or
+* a :class:`ConeMember` is a single-target combinational process — a
+  Verilog continuous assign or port wiring, a VHDL concurrent or
   conditional assignment or port wiring — with its read set and a
-  two-state ``emit`` of its value (:mod:`.twostate`). The elaborators
-  append one to ``Design.members`` per nominated process, in elaboration
-  order;
+  ``build()`` that compiles its value with the kernel's own closure
+  compiler. The elaborators append one to ``Design.members`` per
+  nominated process, in elaboration order;
 * a :class:`~repro.sim.runtime.SyncUpdate` is a canonical synchronous-reset
   register bank, recorded in ``Design.sync_updates``.
 
-Nothing here compiles anything: a member builder only checks the shape
-and resolves the target, and ``emit`` runs when a plan is built. Whether
-the members form a plannable design — one writer per net, targets that
-are neither inputs nor registers, no combinational cycle (a self-read
-included), an emit for every member, targets no wider than the emit cap —
-is the planner's to decide (``repro.sim.batch._lower_cones``); the kernel
-runs every process as its own closure either way.
+The batch tier evaluates a member only on *settled* values, while the
+kernel also runs it on values that have not settled yet: at time 0 on
+``'U'`` inputs that a VHDL testbench drives through the nonblocking
+region, and whenever its last-in, first-out active list runs an assign
+before the one that drives its operand. A member must therefore be a
+function of settled values: an expression whose closure can abort on some
+operand values, or reads simulator state, nominates no member
+(:func:`_verilog_unsettled`, :func:`_vhdl_unsettled`). "Static" is decided
+with the compilers' own folding.
+
+Nothing here compiles a process body: a member builder checks the shape
+and resolves the target, and ``build()`` runs when a plan is built.
+Whether the members form a plannable design — one writer per net, targets
+that are neither inputs nor registers, no combinational cycle (a
+self-read included) — is the planner's to decide; the kernel runs every
+process as its own closure either way.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.sim.runtime import Process, Signal
@@ -36,42 +46,36 @@ class ConeMember:
 
     * ``reads`` — the signals its value depends on;
     * ``target`` — the one signal it drives, whole;
-    * ``emit(names)`` — two-state ``(source, width)`` for the value over
-      the int locals in *names* (a ``Signal`` → variable-name map), or
-      ``None`` when the expression has no two-state lowering.
+    * ``build()`` — compiles the value: returns a callable that takes no
+      arguments and returns the member's current four-state value, which
+      its process writes to ``target`` (resizing as the kernel does).
     """
 
-    __slots__ = ("process", "reads", "target", "emit")
+    __slots__ = ("process", "reads", "target", "build")
 
     def __init__(
         self,
         process: Process,
         reads: frozenset[Signal],
         target: Signal,
-        emit: Callable,
+        build: Callable[[], Callable],
     ):
         self.process = process
         self.reads = reads
         self.target = target
-        self.emit = emit
+        self.build = build
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ConeMember({self.process.name})"
 
 
-def _port_emit(child: Signal, parent: Signal) -> Callable:
-    """Emit for an output-port wire: the child's value at the parent width."""
-    from repro.sim.compile import twostate as ts
+def _port_member(process, child: Signal, parent: Signal) -> ConeMember:
+    """An output-port wire: the parent takes the child's value."""
 
-    def emit(names):
-        local = names.get(child)
-        if local is None or child.width > ts.MAX_EMIT_WIDTH:
-            return None
-        if child.width > parent.width:
-            return f"({local} & {(1 << parent.width) - 1})", parent.width
-        return local, child.width
+    def build():
+        return lambda: child._value
 
-    return emit
+    return ConeMember(process, frozenset((child,)), parent, build)
 
 
 # -- member builders (Verilog) -------------------------------------------------
@@ -87,29 +91,34 @@ def _verilog_whole_signal(target, scope) -> Signal | None:
     return resolved if isinstance(resolved, Signal) else None
 
 
-def _verilog_emit(expr, scope, ctxw) -> Callable:
-    from repro.sim.compile import twostate as ts
+def _verilog_build(expr, scope, elab, ctxw) -> Callable:
+    """``build()`` for a Verilog value compiled at context width *ctxw*."""
 
-    return lambda names: ts.verilog_expr(expr, scope, ctxw, names)
+    def build():
+        from repro.sim.compile import verilog as cv
+
+        return partial(cv.compile_expr(expr, scope, elab, ctxw), None)
+
+    return build
 
 
-def verilog_assign_member(process, target, value, scope, reads):
+def verilog_assign_member(process, target, value, scope, reads, elab):
     """ConeMember for ``assign identifier = value``, or None."""
-    if _verilog_impure_expr(value):
+    if _verilog_unsettled(value, scope):
         return None
     signal = _verilog_whole_signal(target, scope)
     if signal is None:
         return None
-    emit = _verilog_emit(value, scope, signal.width)
-    return ConeMember(process, frozenset(reads), signal, emit)
+    build = _verilog_build(value, scope, elab, signal.width)
+    return ConeMember(process, frozenset(reads), signal, build)
 
 
-def verilog_wire_input_member(process, expr, child, scope, reads):
+def verilog_wire_input_member(process, expr, child, scope, reads, elab):
     """ConeMember for an instance input-port wire, or None."""
-    if _verilog_impure_expr(expr):
+    if _verilog_unsettled(expr, scope):
         return None
-    emit = _verilog_emit(expr, scope, child.width)
-    return ConeMember(process, frozenset(reads), child, emit)
+    build = _verilog_build(expr, scope, elab, child.width)
+    return ConeMember(process, frozenset(reads), child, build)
 
 
 def verilog_wire_output_member(process, target, child, scope):
@@ -117,8 +126,47 @@ def verilog_wire_output_member(process, target, child, scope):
     parent = _verilog_whole_signal(target, scope)
     if parent is None:
         return None
-    return ConeMember(process, frozenset((child,)), parent,
-                      _port_emit(child, parent))
+    return _port_member(process, child, parent)
+
+
+def _verilog_unsettled(expr, scope) -> bool:
+    """True unless *expr* is a function of settled values.
+
+    ``$random`` advances an LCG and ``$time`` reads the simulator; a
+    replication with a non-static count and a part-select with non-static
+    bounds abort on some operand values (an X count, an oversized width).
+    """
+    from repro.sim.compile.verilog import _static_int
+    from repro.verilog import ast as vast
+
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, vast.SystemFunctionCall):
+            if node.name in ("$random", "$time"):
+                return True
+            stack.extend(node.args)
+        elif isinstance(node, vast.Unary):
+            stack.append(node.operand)
+        elif isinstance(node, vast.Binary):
+            stack.extend((node.lhs, node.rhs))
+        elif isinstance(node, vast.Ternary):
+            stack.extend((node.cond, node.if_true, node.if_false))
+        elif isinstance(node, vast.Concat):
+            stack.extend(node.parts)
+        elif isinstance(node, vast.Replicate):
+            if _static_int(node.count, scope) is None:
+                return True
+            stack.append(node.value)
+        elif isinstance(node, vast.BitSelect):
+            stack.append(node.index)
+        elif isinstance(node, vast.PartSelect):
+            if (_static_int(node.msb, scope) is None
+                    or _static_int(node.lsb, scope) is None):
+                return True
+        elif isinstance(node, vast.IndexedPartSelect):
+            stack.extend((node.base, node.width))
+    return False
 
 
 # -- synchronous-update recognizers (batch tier) --------------------------------
@@ -128,21 +176,14 @@ def verilog_wire_output_member(process, target, child, scope):
 # does. These recognizers accept only the canonical synchronous-reset
 # register-bank shape (the one tbgen-verified designs and the QA renderers
 # produce) and record a :class:`~repro.sim.runtime.SyncUpdate`; anything else
-# returns None and the design simply stays ineligible for batching.
+# returns None and the design simply stays ineligible for batching. Reset
+# values fold through the compilers; next-state values compile at the
+# register's width, as the kernel's nonblocking assign does.
 
 
-def _eval_const_source(src: str) -> int | None:
-    """Evaluate an emitted expression that read no signals (a constant)."""
-    try:
-        value = eval(src, {"__builtins__": {}}, {})  # noqa: S307 - our codegen
-    except Exception:
-        return None
-    return value if isinstance(value, int) else None
-
-
-def verilog_sync_update(process, entries, body, scope):
+def verilog_sync_update(process, entries, body, scope, elab):
     """Recognize ``always @(posedge clk) if (rst) <consts> else <nbas>``."""
-    from repro.sim.compile import twostate as ts
+    from repro.sim.compile.verilog import _fold
     from repro.sim.runtime import Edge, SyncReg, SyncUpdate
     from repro.verilog import ast as vast
 
@@ -163,8 +204,6 @@ def verilog_sync_update(process, entries, body, scope):
                     return None
                 target = scope.resolve(node.target.name)
                 if not isinstance(target, Signal):
-                    return None
-                if target.width > ts.MAX_EMIT_WIDTH:
                     return None
                 out.append((target, node.value))
             elif isinstance(node, vast.NullStatement):
@@ -187,36 +226,34 @@ def verilog_sync_update(process, entries, body, scope):
     else_assigns = nba_list(node.else_branch)
     if not then_assigns or not else_assigns:
         return None
-    resets: dict[Signal, int] = {}
+    resets = {}
     for target, value in then_assigns:
-        emitted = ts.verilog_expr(value, scope, target.width, {})
-        if emitted is None:
-            return None
-        const = _eval_const_source(emitted[0])
+        const = _fold(value, scope, target.width)
         if const is None:
             return None
-        resets[target] = const & ((1 << target.width) - 1)
+        resets[target] = const.resize(target.width)
     regs = []
     seen: set[Signal] = set()
     for target, value in else_assigns:
         if target in seen or target not in resets:
             return None
+        if _verilog_unsettled(value, scope):
+            return None
         seen.add(target)
-
-        def emit(names, value=value, scope=scope, ctxw=target.width):
-            return ts.verilog_expr(value, scope, ctxw, names)
-
-        regs.append(SyncReg(target, resets[target], emit))
+        build = _verilog_build(value, scope, elab, target.width)
+        regs.append(SyncReg(target, resets[target], build))
     if seen != set(resets):
         return None
     return SyncUpdate(process, clock, reset, tuple(regs))
 
 
-def vhdl_sync_update(process, proc_ast, scope, resolve):
+def vhdl_sync_update(process, proc_ast, scope, elab):
     """Recognize ``process(clk) if rising_edge(clk) then if rst = '1' ...``."""
-    from repro.sim.compile import twostate as ts
+    from repro.sim.compile import vhdl as cvh
     from repro.sim.runtime import SyncReg, SyncUpdate
     from repro.vhdl import ast as vast
+
+    env = cvh._Env(scope, elab)
 
     def rising_edge_clk(cond):
         if isinstance(cond, vast.Indexed) and cond.name == "rising_edge":
@@ -241,29 +278,11 @@ def vhdl_sync_update(process, proc_ast, scope, resolve):
                 return None
             if not isinstance(stmt.target, vast.Name):
                 return None
-            target = resolve(stmt.target.name)
-            if not isinstance(target, Signal):
-                return None
-            if target.width > ts.MAX_EMIT_WIDTH:
+            target = scope.signals.get(stmt.target.name)
+            if target is None:
                 return None
             out.append((target, stmt.value))
         return out
-
-    def reset_const(value, width):
-        if isinstance(value, vast.Aggregate) and not value.elements:
-            if isinstance(value.others, vast.CharLiteral):
-                if value.others.value == "0":
-                    return 0
-                if value.others.value == "1":
-                    return (1 << width) - 1
-            return None
-        emitted = ts.vhdl_expr(value, scope, width, {})
-        if emitted is None:
-            return None
-        const = _eval_const_source(emitted[0])
-        if const is None:
-            return None
-        return const & ((1 << width) - 1)
 
     if proc_ast.declarations or len(proc_ast.body) != 1:
         return None
@@ -276,8 +295,8 @@ def vhdl_sync_update(process, proc_ast, scope, resolve):
     clk_name = rising_edge_clk(cond)
     if clk_name is None or tuple(proc_ast.sensitivity) != (clk_name,):
         return None
-    clock = resolve(clk_name)
-    if not isinstance(clock, Signal):
+    clock = scope.signals.get(clk_name)
+    if clock is None:
         return None
     if len(body) != 1 or not isinstance(body[0], vast.IfStatement):
         return None
@@ -291,63 +310,32 @@ def vhdl_sync_update(process, proc_ast, scope, resolve):
         return None
     if not (isinstance(rcond.rhs, vast.CharLiteral) and rcond.rhs.value == "1"):
         return None
-    reset = resolve(rcond.lhs.name)
-    if not isinstance(reset, Signal):
+    reset = scope.signals.get(rcond.lhs.name)
+    if reset is None:
         return None
     then_assigns = assign_list(rbody)
     else_assigns = assign_list(inner.else_body)
     if not then_assigns or not else_assigns:
         return None
-    resets: dict[Signal, int] = {}
+    resets = {}
     for target, value in then_assigns:
-        const = reset_const(value, target.width)
+        const = cvh._const_of(cvh.compile_with_width(value, env, target.width))
         if const is None:
             return None
-        resets[target] = const
+        resets[target] = const.resize(target.width)
     regs = []
     seen: set[Signal] = set()
     for target, value in else_assigns:
         if target in seen or target not in resets:
             return None
+        if _vhdl_unsettled(scope, elab, value):
+            return None
         seen.add(target)
-
-        def emit(names, value=value, scope=scope, width=target.width):
-            return ts.vhdl_expr(value, scope, width, names)
-
-        regs.append(SyncReg(target, resets[target], emit))
+        build = _vhdl_build(value, scope, elab, target.width)
+        regs.append(SyncReg(target, resets[target], build))
     if seen != set(resets):
         return None
     return SyncUpdate(process, clock, reset, tuple(regs))
-
-
-def _verilog_impure_expr(expr) -> bool:
-    """True if evaluating *expr* has side effects ($random advances a LCG)."""
-    from repro.verilog import ast as vast
-
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, vast.SystemFunctionCall):
-            if node.name in ("$random", "$time"):
-                return True
-            stack.extend(node.args)
-        elif isinstance(node, vast.Unary):
-            stack.append(node.operand)
-        elif isinstance(node, vast.Binary):
-            stack.extend((node.lhs, node.rhs))
-        elif isinstance(node, vast.Ternary):
-            stack.extend((node.cond, node.if_true, node.if_false))
-        elif isinstance(node, vast.Concat):
-            stack.extend(node.parts)
-        elif isinstance(node, vast.Replicate):
-            stack.extend((node.count, node.value))
-        elif isinstance(node, vast.BitSelect):
-            stack.append(node.index)
-        elif isinstance(node, vast.PartSelect):
-            stack.extend((node.msb, node.lsb))
-        elif isinstance(node, vast.IndexedPartSelect):
-            stack.extend((node.base, node.width))
-    return False
 
 
 # -- member builders (VHDL) ----------------------------------------------------
@@ -362,55 +350,111 @@ def _vhdl_whole_signal(target, scope) -> Signal | None:
     return scope.signals.get(target.name)
 
 
-def _vhdl_emit(expr, scope, width) -> Callable:
-    from repro.sim.compile import twostate as ts
+def _vhdl_ctx(scope):
+    """A simulator-less evaluation context for concurrent-statement values."""
+    from repro.sim.elab_vhdl import _EvalCtx
 
-    return lambda names: ts.vhdl_expr(expr, scope, width, names)
+    return _EvalCtx(scope=scope, sim=None)
 
 
-def vhdl_concurrent_member(process, statement, scope, reads, width):
+def _vhdl_build(expr, scope, elab, width) -> Callable:
+    """``build()`` for a VHDL value compiled with *width* as its context."""
+
+    def build():
+        from repro.sim.compile import vhdl as cvh
+
+        value = cvh.compile_with_width(expr, cvh._Env(scope, elab), width)
+        return partial(value, _vhdl_ctx(scope))
+
+    return build
+
+
+def _vhdl_unsettled(scope, elab, *exprs) -> bool:
+    """True unless every one of *exprs* is a function of settled values.
+
+    Edge functions and ``'event``/``'last_value`` read the simulator's edge
+    memory; a slice with non-static bounds and a resize whose length is
+    not static abort on some operand values (an X integer, an oversized
+    width). A bound is static when its compiled closure is a constant.
+    """
+    from repro.sim.compile import vhdl as cvh
+    from repro.vhdl import ast as vast
+
+    env = cvh._Env(scope, elab)
+
+    def static(bound) -> bool:
+        return cvh._const_of(cvh.compile_expr(bound, env)) is not None
+
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, vast.Call):
+            if node.name in ("rising_edge", "falling_edge"):
+                return True
+            if (
+                node.name in ("resize", "to_unsigned", "to_signed",
+                              "conv_std_logic_vector")
+                and len(node.args) == 2
+                and not static(node.args[1])
+            ):
+                return True
+            stack.extend(node.args)
+        elif isinstance(node, vast.Attribute):
+            if node.attr in ("event", "last_value"):
+                return True
+        elif isinstance(node, vast.Sliced):
+            if not (static(node.left) and static(node.right)):
+                return True
+        elif isinstance(node, vast.Indexed):
+            stack.append(node.index)
+        elif isinstance(node, vast.Unary):
+            stack.append(node.operand)
+        elif isinstance(node, vast.Binary):
+            stack.extend((node.lhs, node.rhs))
+        elif isinstance(node, vast.Aggregate):
+            if node.others is not None:
+                stack.append(node.others)
+            stack.extend(element for _, element in node.elements)
+    return False
+
+
+def vhdl_concurrent_member(process, statement, scope, reads, width, elab):
     """ConeMember for a plain concurrent assignment, or None."""
     signal = _vhdl_whole_signal(statement.target, scope)
     if signal is None:
         return None
-    emit = _vhdl_emit(statement.value, scope, width)
-    return ConeMember(process, frozenset(reads), signal, emit)
+    if _vhdl_unsettled(scope, elab, statement.value):
+        return None
+    build = _vhdl_build(statement.value, scope, elab, width)
+    return ConeMember(process, frozenset(reads), signal, build)
 
 
-def vhdl_conditional_member(process, statement, scope, reads, width):
+def vhdl_conditional_member(process, statement, scope, reads, width, elab):
     """ConeMember for a conditional concurrent assignment, or None."""
+    from repro.sim.compile import vhdl as cvh
+
     if statement.otherwise is None:
         return None  # without a final else the write is conditional
     signal = _vhdl_whole_signal(statement.target, scope)
     if signal is None:
         return None
+    arms = [expr for arm in statement.arms for expr in arm]
+    if _vhdl_unsettled(scope, elab, statement.otherwise, *arms):
+        return None
 
-    def emit(names):
-        from repro.sim.compile import twostate as ts
+    def build():
+        value = cvh.conditional_value(statement, cvh._Env(scope, elab), width)
+        return partial(value, _vhdl_ctx(scope))
 
-        # nested conditional expression; with fully-known inputs the first
-        # true condition picks the value, mirroring the factory's arm scan
-        otherwise = ts.vhdl_expr(statement.otherwise, scope, width, names)
-        if otherwise is None:
-            return None
-        src, w = otherwise
-        for value, condition in reversed(statement.arms):
-            value_e = ts.vhdl_expr(value, scope, width, names)
-            cond_e = ts.vhdl_expr(condition, scope, None, names)
-            if value_e is None or cond_e is None:
-                return None
-            v_src, v_w = value_e
-            src = f"({v_src} if {cond_e[0]} else {src})"
-            w = max(w, v_w)
-        return src, w
-
-    return ConeMember(process, frozenset(reads), signal, emit)
+    return ConeMember(process, frozenset(reads), signal, build)
 
 
-def vhdl_wire_input_member(process, expr, child, scope, reads):
-    """ConeMember for an instantiation input-port wire."""
-    emit = _vhdl_emit(expr, scope, child.width)
-    return ConeMember(process, frozenset(reads), child, emit)
+def vhdl_wire_input_member(process, expr, child, scope, reads, elab):
+    """ConeMember for an instantiation input-port wire, or None."""
+    if _vhdl_unsettled(scope, elab, expr):
+        return None
+    build = _vhdl_build(expr, scope, elab, child.width)
+    return ConeMember(process, frozenset(reads), child, build)
 
 
 def vhdl_wire_output_member(process, target, child, scope):
@@ -418,5 +462,4 @@ def vhdl_wire_output_member(process, target, child, scope):
     parent = _vhdl_whole_signal(target, scope)
     if parent is None:
         return None
-    return ConeMember(process, frozenset((child,)), parent,
-                      _port_emit(child, parent))
+    return _port_member(process, child, parent)

@@ -1321,14 +1321,28 @@ def delayed_assign_factory(statement, scope, elab, signal, delay, reads, width):
     return factory
 
 
-def conditional_assign_factory(statement, scope, elab, reads, width):
-    """Compiled factory for a conditional concurrent assignment."""
-    env = _Env(scope, elab)
+def conditional_value(statement, env, width):
+    """``fn(ctx) -> Logic``: a conditional assignment's value, the first
+    arm whose condition is true, else the final ``else``."""
     arms = tuple(
         (compile_with_width(value, env, width), compile_expr(condition, env))
         for value, condition in statement.arms
     )
     otherwise_fn = compile_with_width(statement.otherwise, env, width)
+
+    def conditional(ctx):
+        for value_fn, cond_fn in arms:
+            if cond_fn(ctx).is_true():
+                return value_fn(ctx)
+        return otherwise_fn(ctx)
+
+    return conditional
+
+
+def conditional_assign_factory(statement, scope, elab, reads, width):
+    """Compiled factory for a conditional concurrent assignment."""
+    env = _Env(scope, elab)
+    value_fn = conditional_value(statement, env, width)
     store = _compile_store(statement.target, env, blocking=True)
     wait_cmd = WaitChange.on(*reads) if reads else None
 
@@ -1337,12 +1351,7 @@ def conditional_assign_factory(statement, scope, elab, reads, width):
 
         def body():
             while True:
-                chosen = otherwise_fn
-                for value_fn, cond_fn in arms:
-                    if cond_fn(ctx).is_true():
-                        chosen = value_fn
-                        break
-                store(ctx, chosen(ctx))
+                store(ctx, value_fn(ctx))
                 if wait_cmd is None:
                     return
                 yield wait_cmd

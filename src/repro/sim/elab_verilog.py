@@ -282,7 +282,7 @@ class VerilogElaborator:
 
         self._add_member(
             lambda: _level.verilog_assign_member(
-                process, target, value, scope, read_signals
+                process, target, value, scope, read_signals, self
             )
         )
 
@@ -343,7 +343,7 @@ class VerilogElaborator:
 
             update = self._compiled(
                 lambda: _level.verilog_sync_update(
-                    process, entries, block.body, scope
+                    process, entries, block.body, scope, self
                 )
             )
             if update is not None:
@@ -457,7 +457,7 @@ class VerilogElaborator:
 
         self._add_member(
             lambda: _level.verilog_wire_input_member(
-                process, expr, child_signal, scope, reads
+                process, expr, child_signal, scope, reads, self
             )
         )
 

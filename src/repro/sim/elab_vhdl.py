@@ -329,7 +329,7 @@ class VhdlElaborator:
 
         self._add_member(
             lambda: _level.vhdl_concurrent_member(
-                process, statement, scope, reads, target_width
+                process, statement, scope, reads, target_width, self
             )
         )
 
@@ -354,7 +354,7 @@ class VhdlElaborator:
 
         self._add_member(
             lambda: _level.vhdl_conditional_member(
-                process, statement, scope, reads, width
+                process, statement, scope, reads, width, self
             )
         )
 
@@ -415,9 +415,7 @@ class VhdlElaborator:
         from repro.sim.compile import level as _level
 
         update = self._compiled(
-            lambda: _level.vhdl_sync_update(
-                proc_obj, process, scope, scope.signals.get
-            )
+            lambda: _level.vhdl_sync_update(proc_obj, process, scope, self)
         )
         if update is not None:
             self.design.sync_updates.append(update)
@@ -483,7 +481,7 @@ class VhdlElaborator:
 
         self._add_member(
             lambda: _level.vhdl_wire_input_member(
-                process, expr, child_signal, scope, reads
+                process, expr, child_signal, scope, reads, self
             )
         )
 

@@ -79,7 +79,6 @@ class SimStats:
     delta_cycles: int = 0
     batch_calls: int = 0
     batch_vectors: int = 0
-    batch_demotions: int = 0
     finished_cleanly: bool = False
 
 

@@ -121,15 +121,14 @@ class Process:
 class SyncReg:
     """One register of a recognized synchronous update.
 
-    ``emit(names)`` lowers the register's next-value expression to a Python
-    source string over the variable names in *names* (the same contract as
-    a :class:`~repro.sim.compile.level.ConeMember`'s); ``reset_bits`` is
-    the constant the register takes while reset is asserted.
+    ``reset`` is the value the register takes while reset is asserted, at
+    the register's width; ``build()`` compiles the next-state value the
+    same way a :class:`~repro.sim.compile.level.ConeMember`'s does.
     """
 
     target: Signal
-    reset_bits: int
-    emit: Callable
+    reset: Logic
+    build: Callable
 
 
 @dataclass(frozen=True)

@@ -142,18 +142,6 @@ def _select_model(n: int, a: int) -> int:
     return index
 
 
-#: shapes whose deepest emit runs on the batch tier; ``chain`` and
-#: ``right`` emit past Python's limit of 200 nested parentheses, so the
-#: vector program fails to compile and the plan is refused, and a dynamic
-#: ``select`` has no two-state lowering
-BATCHED = {
-    (Language.VERILOG, "parens"), (Language.VERILOG, "unary"),
-    (Language.VERILOG, "ternary"), (Language.VERILOG, "concat"),
-    (Language.VHDL, "parens"), (Language.VHDL, "unary"),
-    (Language.VHDL, "call"),
-}
-
-
 def dut_files(language: Language, name: str, expr: str) -> list[HdlFile]:
     """A ``top_module`` computing *expr*, judged by a golden testbench."""
     spec = DesignSpec(
@@ -196,8 +184,7 @@ end architecture;
 @pytest.mark.parametrize("language,name,shape", CASES, ids=IDS)
 def test_expression_at_the_bound_passes_on_both_paths(language, name, shape):
     """A DUT at the bound passes its golden testbench identically on the
-    batch tier, or on the kernel when the planner refuses it, and under
-    ``REPRO_SIM_NO_BATCH``."""
+    batch tier, which plans every shape, and under ``REPRO_SIM_NO_BATCH``."""
     files = dut_files(language, name, shape(MAX_EXPR_DEPTH))
     runs = {}
     for no_batch in ("", "1"):
@@ -218,7 +205,7 @@ def test_expression_at_the_bound_passes_on_both_paths(language, name, shape):
              result.tool_seconds),
             calls,
         )
-    assert runs[""][1] == int((language, name) in BATCHED)
+    assert runs[""][1] == 1
     assert runs["1"][1] == 0
     assert runs[""][0] == runs["1"][0]
 

@@ -227,14 +227,12 @@ class TestRenderTraceSummary:
             metric(1, 2.0, "sim.batch_calls", 3),
             metric(2, 1.0, "sim.batch_vectors", 1024),
             metric(1, 1.0, "sim.batch_vectors", 512),
-            metric(1, 1.0, "sim.batch_demotions", 1),
         ]
         summary = summarize_records(records)
         assert summary.sim_batch_calls == 3
         assert summary.sim_batch_vectors == 1536
-        assert summary.sim_batch_demotions == 1
         text = render_trace_summary(summary)
-        assert "batch tier: 3 call(s), 1536 vector(s), 1 demotion(s)" in text
+        assert "batch tier: 3 call(s), 1536 vector(s)\n" in text
 
     def test_store_counters_surface_in_summary(self):
         def metric(pid, time, name, value, kind="counter"):

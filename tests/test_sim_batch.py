@@ -3,13 +3,14 @@
 The equivalence suite proves the tier is observationally identical to the
 event kernel; these tests pin the *structural* contract instead: which
 designs plan and which the planner refuses (each refusal DUT next to a
-one-line fix that plans, in both languages and for clocked plans), that
-members written against their dataflow still plan, that vector programs
-stay exact on ports wider than 64 bits, how X-carrying vectors demote one
-at a time, how the toolchain routes eligible bundles and counts them, that
-the modeled cost is one formula on both paths, and how the testbench
-bundle registry behaves — including the ``vectors=``/``extra_vectors=``
-replacement contract.
+one-line fix that plans, in both languages and for clocked plans), that a
+member must be a function of settled values, that an evaluation aborting
+on the batch path falls back to the kernel, that members written against
+their dataflow still plan, that plans stay exact on ports wider than 64
+bits, that X-carrying vectors evaluate bit-exact with the kernel, how the
+toolchain routes eligible bundles and counts them, that the modeled cost is
+one formula on both paths, and how the testbench bundle registry behaves —
+including the ``vectors=``/``extra_vectors=`` replacement contract.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.sim import batch
 from repro.sim.values import Logic
+from tests.test_sim_batch_constructs import _observables, _simulate, kernel_rows
 
 _TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
 
@@ -102,11 +104,10 @@ class TestSimulateVectors:
         vectors = [{"a": a, "b": b} for a, b in
                    ((3, 5), (0, 0), (255, 255), (127, 64))]
         with _pin():
-            run = batch.simulate_vectors(design, vectors)
-        assert run is not None
-        assert run.demotions == 0
-        for vector, row in zip(vectors, run.values):
-            assert row["y"] == _comb_expected(vector)
+            rows = batch.simulate_vectors(design, vectors)
+        assert rows is not None
+        for vector, row in zip(vectors, rows):
+            assert row["y"] == Logic.from_int(_comb_expected(vector), 8)
 
     def test_wide_signals_are_exact(self):
         design = build(WIDE_V)
@@ -118,13 +119,13 @@ class TestSimulateVectors:
             {"a": 1 << 95, "b": 1 << 64},
         ]
         with _pin():
-            run = batch.simulate_vectors(design, vectors)
-        assert run is not None
-        for vector, row in zip(vectors, run.values):
+            rows = batch.simulate_vectors(design, vectors)
+        assert rows is not None
+        for vector, row in zip(vectors, rows):
             want = ((vector["a"] ^ vector["b"]) + vector["a"]) & mask
-            assert row["y"] == want
+            assert row["y"] == Logic.from_int(want, 96)
 
-    def test_x_vector_demotes_alone(self):
+    def test_x_vector_stays_in_its_row(self):
         design = build(COMB_V)
         vectors = [
             {"a": 3, "b": 5},
@@ -132,47 +133,29 @@ class TestSimulateVectors:
             {"a": 7, "b": 5},
         ]
         with _pin():
-            run = batch.simulate_vectors(design, vectors)
-        assert run is not None
-        assert run.demotions == 1
-        assert run.values[0]["y"] == _comb_expected(vectors[0])
-        assert run.values[2]["y"] == ((7 ^ 5) + 7) & 0xFF
-        demoted = run.values[1]["y"]
-        assert isinstance(demoted, Logic) and demoted.has_x
+            rows = batch.simulate_vectors(design, vectors)
+        assert rows is not None
+        assert rows[0]["y"] == Logic.from_int(_comb_expected(vectors[0]), 8)
+        assert rows[2]["y"] == Logic.from_int(((7 ^ 5) + 7) & 0xFF, 8)
+        assert rows[1]["y"].has_x
 
-    def test_demoted_vector_matches_event_kernel(self):
+    def test_x_vector_matches_event_kernel(self):
         # the same X stimulus driven through the design's own processes on
         # the event kernel must agree bit-for-bit
-        design = build(COMB_V)
-        x_value = Logic.from_string("xxxx0011")
+        vectors = [{"a": Logic.from_string("xxxx0011"), "b": 5}]
+        inputs, outputs = [("a", 8), ("b", 8)], [("y", 8)]
         with _pin():
-            run = batch.simulate_vectors(
-                design, [{"a": x_value, "b": 5}]
+            rows = batch.simulate_vectors(
+                build(COMB_V), vectors, inputs=inputs, outputs=outputs
             )
-        kernel_design = build(COMB_V)
-        session = batch._scalar_session(kernel_design)
-        session.write_signal(kernel_design.signals["a"], x_value)
-        session.write_signal(
-            kernel_design.signals["b"], Logic.from_int(5, width=8)
-        )
-        session._run_time_step()
-        want = kernel_design.signals["y"].value
-        got = run.values[0]["y"]
-        assert (got.bits, got.xmask) == (want.bits, want.xmask)
+        assert rows == kernel_rows(build(COMB_V), vectors, inputs, outputs)
 
     def test_missing_input_raises(self):
         design = build(COMB_V)
-        plan = batch.plan_combinational(design, [("a", 8), ("b", 8)], [("y", 8)])
-        assert plan is not None
         with pytest.raises(KeyError):
-            batch.run_vectors(plan, [{"a": 1}])
-
-    def test_demotion_without_design_raises(self):
-        design = build(COMB_V)
-        plan = batch.plan_combinational(design, [("a", 8), ("b", 8)], [("y", 8)])
-        with pytest.raises(ValueError):
-            batch.run_vectors(
-                plan, [{"a": Logic.from_string("x"), "b": 0}]
+            batch.simulate_vectors(
+                design, [{"a": 1}], inputs=[("a", 8), ("b", 8)],
+                outputs=[("y", 8)],
             )
 
     def test_empty_vector_list_is_unplannable(self):
@@ -183,8 +166,8 @@ class TestSimulateVectors:
 @given(seed=st.integers(0, 2**16), x_index=st.integers(0, 5))
 @settings(deadline=None, max_examples=20)
 def test_property_mixed_x_vectors_match_kernel(seed, x_index):
-    """Random vectors with one X-contaminated entry: every row — vectorized
-    or demoted — must match a scalar four-state kernel evaluation."""
+    """Random vectors with one X-contaminated entry: every row must match a
+    kernel session's."""
     import random as _random
 
     rng = _random.Random(seed)
@@ -201,25 +184,12 @@ def test_property_mixed_x_vectors_match_kernel(seed, x_index):
             vectors.append(
                 {"a": rng.getrandbits(8), "b": rng.getrandbits(8)}
             )
-    design = build(COMB_V)
+    inputs, outputs = [("a", 8), ("b", 8)], [("y", 8)]
     with _pin():
-        run = batch.simulate_vectors(design, vectors)
-    assert run is not None and run.demotions == 1
-    oracle_design = build(COMB_V)
-    session = batch._scalar_session(oracle_design)
-    for vector, row in zip(vectors, run.values):
-        for name in ("a", "b"):
-            value = vector[name]
-            if not isinstance(value, Logic):
-                value = Logic.from_int(value, width=8)
-            session.write_signal(oracle_design.signals[name], value)
-        session._run_time_step()
-        want = oracle_design.signals["y"].value
-        got = row["y"]
-        if isinstance(got, Logic):
-            assert (got.bits, got.xmask) == (want.bits, want.xmask)
-        else:
-            assert want.xmask == 0 and got == want.bits
+        rows = batch.simulate_vectors(
+            build(COMB_V), vectors, inputs=inputs, outputs=outputs
+        )
+    assert rows == kernel_rows(build(COMB_V), vectors, inputs, outputs)
 
 
 class TestPlanEligibility:
@@ -227,12 +197,6 @@ class TestPlanEligibility:
         design = build(COMB_V)
         assert batch.plan_combinational(
             design, [("a", 8), ("nope", 8)], [("y", 8)]
-        ) is None
-
-    def test_output_aliasing_input_is_rejected(self):
-        design = build(COMB_V)
-        assert batch.plan_combinational(
-            design, [("a", 8), ("b", 8)], [("a", 8)]
         ) is None
 
     def test_gated_register_is_not_recognized(self):
@@ -285,10 +249,18 @@ REFUSALS = {
         "    assign y[3:2] = a[3:2];\nendmodule\n",
         _REFUSAL_HEAD + "    assign y = a;\nendmodule\n",
     ),
+    "dynamic-replicate": (
+        _REFUSAL_HEAD + "    assign y = {a[1:0]{a[3]}};\nendmodule\n",
+        _REFUSAL_HEAD + "    assign y = {4{a[3]}};\nendmodule\n",
+    ),
+    "dynamic-part-select": (
+        _REFUSAL_HEAD + "    assign y = a[a[1:0]:0];\nendmodule\n",
+        _REFUSAL_HEAD + "    assign y = a[3:0];\nendmodule\n",
+    ),
 }
 
 _VH_REFUSAL_HEAD = (
-    "library ieee;\nuse ieee.std_logic_1164.all;\n"
+    "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n"
     "entity top_module is\n"
     "    port (a : in std_logic_vector(3 downto 0);\n"
     "          y : out std_logic_vector(3 downto 0));\n"
@@ -297,6 +269,7 @@ _VH_REFUSAL_HEAD = (
 )
 _VH_T = "    signal t : std_logic_vector(3 downto 0);\n"
 _VH_PQ = "    signal p, q : std_logic_vector(3 downto 0);\n"
+_VH_C = "    signal c : std_logic;\n"
 _VH_END = "end architecture;\n"
 
 #: the same table for the VHDL elaborator's members, plus two writers it
@@ -333,6 +306,23 @@ VH_REFUSALS = {
         _VH_REFUSAL_HEAD + "begin\n    y(1 downto 0) <= a(1 downto 0);\n"
         "    y(3 downto 2) <= a(3 downto 2);\n" + _VH_END,
         _VH_REFUSAL_HEAD + "begin\n    y <= a;\n" + _VH_END,
+    ),
+    "dynamic-slice": (
+        _VH_REFUSAL_HEAD + "begin\n"
+        "    y <= a(to_integer(unsigned(a(1 downto 0))) downto 0);\n" + _VH_END,
+        _VH_REFUSAL_HEAD + "begin\n    y <= a(3 downto 0);\n" + _VH_END,
+    ),
+    "dynamic-resize": (
+        _VH_REFUSAL_HEAD + "begin\n    y <= std_logic_vector(resize(unsigned(a), "
+        "to_integer(unsigned(a(1 downto 0))) + 1));\n" + _VH_END,
+        _VH_REFUSAL_HEAD + "begin\n"
+        "    y <= std_logic_vector(resize(unsigned(a), 4));\n" + _VH_END,
+    ),
+    "edge-in-assign": (
+        _VH_REFUSAL_HEAD + _VH_C + "begin\n    c <= a(0);\n"
+        "    y <= a when rising_edge(c) else not a;\n" + _VH_END,
+        _VH_REFUSAL_HEAD + _VH_C + "begin\n    c <= a(0);\n"
+        "    y <= a when c = '1' else not a;\n" + _VH_END,
     ),
 }
 
@@ -377,9 +367,11 @@ _COMB_REFUSAL_IDS = [
 _NON_MEMBERS = {
     Language.VERILOG: {
         "random-assign": 1, "non-member-writer": 1, "part-select-target": 2,
+        "dynamic-replicate": 1, "dynamic-part-select": 1,
     },
     Language.VHDL: {
         "non-member-writer": 1, "selected-assign": 1, "slice-target": 2,
+        "dynamic-slice": 1, "dynamic-resize": 1,
     },
 }
 
@@ -406,8 +398,9 @@ class TestPlanRefusals:
 
     @pytest.mark.parametrize("language", list(Language))
     def test_non_member_writers(self, language):
-        """Impure assigns, procedural blocks, selected assigns and writes to
-        part of a signal nominate no member."""
+        """Assigns whose value is not a function of settled values,
+        procedural blocks, selected assigns and writes to part of a signal
+        nominate no member."""
         for name, processes in _NON_MEMBERS[language].items():
             design = build(_refusal(language, name)[0], language)
             assert len(design.processes) == processes, name
@@ -421,6 +414,112 @@ class TestPlanRefusals:
         assert len(design.sync_updates) == 1  # the register is recognized
         assert batch.plan_sequential(design, *ports) is None
         assert batch.plan_sequential(build(fixed), *ports) is not None
+
+
+#: DUTs the kernel fails at time 0, before an operand has settled: its
+#: last-in, first-out active list runs the Verilog replication before the
+#: assign that drives its count, and a VHDL testbench drives ``n`` through
+#: the nonblocking region, so the resize first sees a ``'U'`` length
+TIME0_V = """
+module top_module(input [1:0] a, input [2:0] n, output [13:0] y);
+    wire [2:0] k = n | 3'd1;
+    assign y = {k{a[1:0]}};
+endmodule
+"""
+TIME0_VHD = """
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+entity top_module is
+    port (a : in std_logic_vector(7 downto 0);
+          n : in std_logic_vector(2 downto 0);
+          y : out std_logic_vector(7 downto 0));
+end entity;
+architecture rtl of top_module is
+begin
+    y <= std_logic_vector(resize(unsigned(a), to_integer(unsigned(n)) + 1));
+end architecture;
+"""
+
+
+def _replicated(a: int, n: int) -> int:
+    value = 0
+    for _ in range(n | 1):
+        value = (value << 2) | a
+    return value
+
+
+#: language → (DUT, data ports, model)
+TIME0_CASES = {
+    Language.VERILOG: (
+        TIME0_V,
+        (PortSpec("a", 2, "in"), PortSpec("n", 3, "in"),
+         PortSpec("y", 14, "out")),
+        lambda v: {"y": _replicated(v["a"], v["n"])},
+    ),
+    Language.VHDL: (
+        TIME0_VHD,
+        (PortSpec("a", 8, "in"), PortSpec("n", 3, "in"),
+         PortSpec("y", 8, "out")),
+        lambda v: {"y": v["a"] & ((2 << v["n"]) - 1)},
+    ),
+}
+
+#: plans (its replication count is static), but its first evaluation
+#: aborts: 4096 copies of 32 bits exceed the supported width
+OVERWIDE_V = """
+module top_module(input [31:0] a, output [7:0] y);
+    wire [7:0] w = {4096{a}};
+    assign y = w;
+endmodule
+"""
+
+
+def _golden_files(language, dut, ports, model, pid, **options):
+    """*dut* and its generated golden testbench. *model* is a
+    :class:`SeqModel` for a clocked spec, else a function of the inputs;
+    *options* go to ``make_testbench``."""
+    clocked = isinstance(model, SeqModel)
+    spec = DesignSpec(name=pid, ports=ports, clocked=clocked)
+    testbench = tbgen.make_testbench(
+        spec, model if clocked else CombModel(model), language, pid, **options
+    )
+    ext = language.file_extension
+    return [HdlFile(f"top_module{ext}", dut, language),
+            HdlFile(f"tb{ext}", testbench, language)]
+
+
+class TestSettledValues:
+    """The batch path evaluates members only on settled values, so a member
+    must be a function of them; an abort it meets anyway hands the run to
+    the kernel."""
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_time_zero_failure_is_not_a_member(self, language):
+        dut, ports, model = TIME0_CASES[language]
+        assert "y" not in {m.target.name for m in build(dut, language).members}
+        files = _golden_files(language, dut, ports, model, "time0")
+        default, calls = _simulate(files)
+        kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
+        assert calls == 0
+        assert kernel.runtime_error
+        assert _observables(default) == _observables(kernel)
+
+    def test_abort_on_the_batch_path_falls_back_to_the_kernel(self):
+        design = build(OVERWIDE_V)
+        assert batch.plan_combinational(
+            design, [("a", 32)], [("y", 8)]
+        ) is not None
+        files = _golden_files(
+            Language.VERILOG, OVERWIDE_V,
+            (PortSpec("a", 32, "in"), PortSpec("y", 8, "out")),
+            lambda v: {"y": v["a"]}, "overwide",
+        )
+        default, calls = _simulate(files)
+        kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
+        assert calls == 0
+        assert "replication result width 131072 exceeds" in default.runtime_error
+        assert _observables(default) == _observables(kernel)
 
 
 #: a 13-member chain written against its dataflow: each assign reads the
@@ -463,65 +562,114 @@ class TestMemberOrder:
         assert [m.target.name for m in design.members] == (
             ["y"] + [f"s{k}" for k in range(12, 0, -1)]
         )
-        plan = batch.plan_combinational(design, [("a", 8)], [("y", 8)])
-        assert plan is not None
-        rows, demotions = batch.run_vectors(
-            plan, [{"a": a} for a in range(256)]
+        rows = batch.simulate_vectors(
+            design, [{"a": a} for a in range(256)],
+            inputs=[("a", 8)], outputs=[("y", 8)],
         )
-        assert demotions == 0
+        assert rows is not None
         assert [row["y"] for row in rows] == [
-            _chain_expected(a) for a in range(256)
+            Logic.from_int(_chain_expected(a), 8) for a in range(256)
         ]
 
 
-class TestSimulateSequences:
-    def _expected(self, lanes):
-        rows = []
-        q = [0] * len(lanes)
-        length = len(lanes[0])
-        for t in range(length):
-            row = {"q": [], "dd": []}
-            for lane, seq in enumerate(lanes):
-                d = seq[t]["d"]
-                q[lane] = (q[lane] + d) & 0xFF
-                row["q"].append(q[lane])
-                row["dd"].append((d ^ q[lane]) & 0xFF)
-            rows.append(row)
-        return rows
+def _seq_ref_model(wrong_cycle=None):
+    """SEQ_V's Python model; the cycle *wrong_cycle* expects q + 1."""
 
-    def test_transposed_lanes_match_reference(self):
-        design = build(SEQ_V)
-        lanes = [
-            [{"d": 1}, {"d": 2}, {"d": 3}, {"d": 250}],
-            [{"d": 255}, {"d": 255}, {"d": 0}, {"d": 9}],
+    def step(state, inputs):
+        q, cycle = state
+        q = (q + inputs["d"]) & 0xFF
+        cycle += 1
+        return (q, cycle), {
+            "q": q + (cycle == wrong_cycle), "dd": (inputs["d"] ^ q) & 0xFF,
+        }
+
+    return SeqModel(reset=lambda: (0, 0), step=step)
+
+
+#: registers whose reset constant has X bits: the reset folds through the
+#: compilers like any other constant, so the design plans
+X_RESET = {
+    Language.VERILOG: """
+module top_module(input clk, input rst, input [7:0] d, output reg [7:0] q);
+    always @(posedge clk) begin
+        if (rst) q <= 8'bx;
+        else q <= d;
+    end
+endmodule
+""",
+    Language.VHDL: """
+library ieee;
+use ieee.std_logic_1164.all;
+entity top_module is
+    port (clk : in std_logic; rst : in std_logic;
+          d : in std_logic_vector(7 downto 0);
+          q : out std_logic_vector(7 downto 0));
+end entity;
+architecture rtl of top_module is
+begin
+    process (clk) begin
+        if rising_edge(clk) then
+            if rst = '1' then
+                q <= (others => 'X');
+            else
+                q <= d;
+            end if;
+        end if;
+    end process;
+end architecture;
+""",
+}
+
+
+class TestSequentialBundle:
+    """Clocked DUTs judged by a generated clocked testbench: the row right
+    after reset and each cycle against a Python model, on the batch path
+    and identically on the kernel."""
+
+    STIMULUS = [{"d": 1}, {"d": 2}, {"d": 3}, {"d": 250}]
+
+    def _files(self, model, reset_outputs, pid):
+        ports = (PortSpec("d", 8, "in"), PortSpec("q", 8, "out"),
+                 PortSpec("dd", 8, "out"))
+        return _golden_files(
+            Language.VERILOG, SEQ_V, ports, model, pid,
+            vectors=self.STIMULUS, reset_outputs=reset_outputs,
+        )
+
+    def _both_paths(self, files):
+        batched, calls = _simulate(files)
+        kernel, kernel_calls = _simulate(files, REPRO_SIM_NO_BATCH="1")
+        assert (calls, kernel_calls) == (1, 0)
+        assert _observables(batched) == _observables(kernel)
+        return batched
+
+    def test_reset_row_and_cycles_match_the_model(self):
+        files = self._files(_seq_ref_model(), {"q": 0, "dd": 0}, "seq-ref")
+        result = self._both_paths(files)
+        assert result.output_lines == [tbgen.PASS_MESSAGE]
+
+    def test_each_mismatch_reports_its_row(self):
+        files = self._files(
+            _seq_ref_model(wrong_cycle=3), {"q": 1, "dd": 0}, "seq-ref-bad"
+        )
+        result = self._both_paths(files)
+        assert result.output_lines == [
+            "Test Case 0 Failed: q should be 1 right after reset, got 0",
+            "Test Case 3 Failed: q should be 7 at cycle 3, got 6",
+            "2 test case(s) failed.",
         ]
-        with _pin():
-            result = batch.simulate_sequences(
-                design, lanes,
-                inputs=[("d", 8)], outputs=[("q", 8), ("dd", 8)],
-                observe_reset=True,
-            )
-        assert result is not None
-        reset_row, cycles = result
-        assert reset_row == {"q": [0, 0], "dd": [0, 0]}
-        want = self._expected(lanes)
-        for got, expected in zip(cycles, want):
-            assert got == expected
 
-    def test_x_stimulus_is_rejected(self):
-        design = build(SEQ_V)
-        plan = batch.plan_sequential(design, [("d", 8)], [("q", 8)])
-        assert plan is not None
-        with pytest.raises(ValueError):
-            batch.run_sequences(
-                plan, [[{"d": Logic.from_string("xxxxxxxx")}]]
-            )
-
-    def test_unequal_lane_lengths_are_rejected(self):
-        design = build(SEQ_V)
-        plan = batch.plan_sequential(design, [("d", 8)], [("q", 8)])
-        with pytest.raises(ValueError):
-            batch.run_sequences(plan, [[{"d": 1}], [{"d": 1}, {"d": 2}]])
+    @pytest.mark.parametrize("language", list(Language))
+    def test_x_reset_constant_plans(self, language):
+        model = SeqModel(reset=lambda: 0,
+                         step=lambda q, v: (v["d"], {"q": v["d"]}))
+        files = _golden_files(
+            language, X_RESET[language],
+            (PortSpec("d", 8, "in"), PortSpec("q", 8, "out")), model,
+            f"x-reset-{language.value}", vectors=self.STIMULUS,
+            reset_outputs={"q": 0},
+        )
+        self._both_paths(files)
 
 
 def _comb_spec():
@@ -597,15 +745,8 @@ class TestBundleRegistry:
 
 
 def _bundle_files(language, model_fn, pid):
-    spec = _comb_spec()
-    model = CombModel(model_fn)
-    tb = tbgen.make_testbench(spec, model, language, pid)
-    ext = language.file_extension
     dut = COMB_V if language is Language.VERILOG else COMB_VHD
-    return [
-        HdlFile(f"top_module{ext}", dut, language),
-        HdlFile(f"tb{ext}", tb, language),
-    ]
+    return _golden_files(language, dut, _comb_spec().ports, model_fn, pid)
 
 
 COMB_VHD = """
@@ -646,7 +787,7 @@ class TestToolchainRouting:
     def _counters(self, tracer):
         return {
             name: tracer.metrics.counter(f"sim.{name}").value
-            for name in ("batch_calls", "batch_vectors", "batch_demotions")
+            for name in ("batch_calls", "batch_vectors")
         }
 
     @contextmanager
@@ -676,7 +817,6 @@ class TestToolchainRouting:
         assert counters["batch_vectors"] == len(
             tbgen.stimulus_bundle(files[1].text).stimulus
         )
-        assert counters["batch_demotions"] == 0
 
     def test_kernel_run_feeds_scheduler_counters(self):
         """A kernel simulate() reports its activations and delta cycles."""

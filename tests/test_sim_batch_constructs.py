@@ -3,15 +3,17 @@
 ``tests/test_sim_construct_reference.py`` pins the kernel's answers for
 these constructs inside hand-written testbenches. Here each construct is a
 ``top_module`` judged by a registered golden testbench, so the batch tier
-plans it whenever it can. The two-state emitters lower only what cannot
-make X from known operands: shifts and ``std_match`` lower, while a
-dynamic select, store or replication count has no lowering and its DUT
-falls back to the kernel. Each case pins which path runs, the golden
-testbench passing against a Python model, and identical observables under
-the default and ``REPRO_SIM_NO_BATCH=1``. The combinational cases that
-batch also demote X-carrying vectors one at a time through
-:func:`~repro.sim.batch.simulate_vectors`, bit-exact with a scalar
-four-state kernel run.
+plans it whenever it can. The batch tier runs the kernel's own closures,
+but only on settled values, so it plans a member only if its value is a
+function of settled values: dynamic bit and indexed selects, shifts,
+rotates and ``std_match`` plan, while a dynamic part-select, slice or
+replication count (which abort on some operand values) and a store to
+part of a register keep their DUT on the kernel. Each case pins which
+path runs, the golden testbench passing against a Python model, and
+identical observables under the default and ``REPRO_SIM_NO_BATCH=1``.
+The combinational cases that batch also evaluate X-carrying vectors
+through :func:`~repro.sim.batch.simulate_vectors`, bit-exact with a
+kernel session.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.obs import NullSink, Tracer, get_tracer, set_tracer
 from repro.sim import batch
+from repro.sim.kernel import Simulator
 from repro.sim.values import Logic
 
 _TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
@@ -202,7 +205,7 @@ CONSTRUCTS: dict[str, Construct] = {
         _v_comb("input [7:0] a, input [2:0] s, output y", "assign y = a[s];"),
         lambda v: {"y": v["a"] >> v["s"]},
         _vectors(1, a=(256,), s=(8,)),
-        batches=False,
+        batches=True,
     ),
     "v_part_select": Construct(
         Language.VERILOG,
@@ -222,7 +225,7 @@ CONSTRUCTS: dict[str, Construct] = {
                 "assign y = a[s +: 2];"),
         lambda v: {"y": v["a"] >> v["s"]},
         _vectors(3, a=(256,), s=(7,)),
-        batches=False,
+        batches=True,
     ),
     "v_replicate": Construct(
         Language.VERILOG,
@@ -260,13 +263,13 @@ CONSTRUCTS: dict[str, Construct] = {
         Language.VHDL, _A8_N3, _vh_shift("rotate_left"),
         lambda v: {"y": _rotl(v["a"], v["n"])},
         _vectors(8, a=(256,), n=(8,)),
-        batches=False,
+        batches=True,
     ),
     "vh_rotate_right": Construct(
         Language.VHDL, _A8_N3, _vh_shift("rotate_right"),
         lambda v: {"y": _rotl(v["a"], (8 - v["n"]) % 8)},
         _vectors(9, a=(256,), n=(8,)),
-        batches=False,
+        batches=True,
     ),
     "vh_std_match": Construct(
         Language.VHDL,
@@ -395,9 +398,31 @@ def _design(name: str):
     return design
 
 
+def kernel_rows(design, vectors, inputs, outputs):
+    """The outputs a kernel session over *design* settles to after each
+    vector: every process starts at time 0, then each vector's inputs are
+    written and the time step runs to quiescence."""
+    sim = Simulator(design)
+    sim.run()
+    rows = []
+    for vector in vectors:
+        for port, width in inputs:
+            value = vector[port]
+            if not isinstance(value, Logic):
+                value = Logic.from_int(value, width)
+            sim.write_signal(design.signals[port], value)
+        sim._run_time_step()
+        rows.append({
+            port: design.signals[port].value.resize(width)
+            for port, width in outputs
+        })
+    return rows
+
+
 @pytest.mark.parametrize("name", _X_CASES)
-def test_x_vectors_demote_bit_exact_with_the_kernel(name):
-    """Only the X-carrying vectors demote; every row matches the kernel."""
+def test_x_vectors_are_bit_exact_with_the_kernel(name):
+    """Vectors carrying X evaluate in four-state logic; every row matches
+    the kernel's."""
     case = CONSTRUCTS[name]
     inputs = [(n, w) for n, w, d in case.ports if d == "in"]
     outputs = [(n, w) for n, w, d in case.ports if d == "out"]
@@ -408,24 +433,8 @@ def test_x_vectors_demote_bit_exact_with_the_kernel(name):
     vectors[4] = dict(vectors[4], **{first: Logic.from_string(
         "1" * (width - 2) + "xz")})
     with _tier():
-        run = batch.simulate_vectors(
+        rows = batch.simulate_vectors(
             _design(name), vectors, inputs=inputs, outputs=outputs
         )
-    assert run is not None
-    assert run.demotions == 2
-    oracle = _design(name)
-    session = batch._scalar_session(oracle)
-    for vector, row in zip(vectors, run.values):
-        for port, port_width in inputs:
-            value = vector[port]
-            if not isinstance(value, Logic):
-                value = Logic.from_int(value, width=port_width)
-            session.write_signal(oracle.signals[port], value)
-        session._run_time_step()
-        for port, _port_width in outputs:
-            want = oracle.signals[port].value
-            got = row[port]
-            if isinstance(got, Logic):
-                assert (got.bits, got.xmask) == (want.bits, want.xmask), port
-            else:
-                assert want.xmask == 0 and got == want.bits, port
+    assert rows is not None
+    assert rows == kernel_rows(_design(name), vectors, inputs, outputs)

@@ -14,8 +14,8 @@ kernel (``REPRO_SIM_NO_BATCH=1``) — and require identical results:
 The kernel's own reference answers for dynamic selects and the VHDL
 library functions live in ``tests/test_sim_construct_reference.py``, and
 the same constructs run as golden-testbench DUTs on both paths in
-``tests/test_sim_batch_constructs.py``; the batch tier's per-vector X
-demotion is pinned in ``tests/test_sim_batch.py``.
+``tests/test_sim_batch_constructs.py``; the batch tier's X-carrying
+vectors and its settled-value rule are pinned in ``tests/test_sim_batch.py``.
 
 The compared observables are the printed output, the rendered log (which
 embeds the reported end time), the end time, the clean-finish flag, any

@@ -697,7 +697,7 @@ def test_process_bodies_build_at_first_start_only(name, builds):
 
 
 def test_batch_tier_simulation_builds_no_body(builds):
-    """A batch-tier run without demotions never starts a kernel process."""
+    """A batch-tier run never starts a kernel process."""
     from repro.designs.model import CombModel, DesignSpec, PortSpec
     from repro.designs.tbgen import make_testbench
 
