@@ -661,7 +661,7 @@ class Toolchain:
     # ------------------------------------------------------------------
 
     def _batch_plan(self, dut_files: list[HdlFile], bundle):
-        """The batch plan for one DUT + observation set, through the store.
+        """``(store key, plan)`` for one DUT + observation set.
 
         ``None`` (the design is not batchable) is stored too, so an
         ineligible design does not re-elaborate on every simulate call.
@@ -682,7 +682,7 @@ class Toolchain:
         )
         plan = self.store.get(key)
         if plan is not MISS:
-            return plan
+            return key, plan
         design = self._build_design(dut_files, TOP_NAME, DiagnosticCollector())
         plan = None
         if design is not None:
@@ -693,7 +693,7 @@ class Toolchain:
             else:
                 plan = _batch.plan_combinational(design, in_ports, out_ports)
         self.store.put(key, plan, sum(len(f.text) for f in dut_files))
-        return plan
+        return key, plan
 
     def _try_batch(
         self, files: list[HdlFile], top: str, started: float
@@ -739,7 +739,7 @@ class Toolchain:
             end_time = n * tbgen.SETTLE_NS
         if end_time > self.max_sim_time:
             return None  # the kernel would truncate; let it
-        plan = self._batch_plan(dut_files, bundle)
+        key, plan = self._batch_plan(dut_files, bundle)
         if plan is None:
             return None
         compile_result = self.compile(files, top)
@@ -747,6 +747,9 @@ class Toolchain:
             return None
         outcome = _batch.run_bundle(plan, bundle)
         if outcome is None:
+            # an evaluation aborted: the kernel reports it, on this and
+            # every later miss, and the design the plan held goes
+            self.store.put(key, None, sum(len(f.text) for f in dut_files))
             return None
         stats = SimStats(
             end_time=outcome.end_time,

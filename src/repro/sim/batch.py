@@ -34,12 +34,15 @@ carries X needs no special path.
 
 Eligibility is conservative: a process that is neither a cone member nor
 (for clocked plans) a recognized register bank, two writers of one net, a
-member target that is an input or a register, a combinational cycle — each
-returns ``None`` and the caller falls back to the event kernel. An
-evaluation that aborts anyway (its construct is in error for the values
-it sees) makes :func:`run_bundle` return ``None`` too, so the kernel runs
-the testbench and reports the error. ``REPRO_SIM_NO_BATCH=1`` disables the
-tier wholesale.
+member target that is an input or a register, a combinational cycle, a
+member or register reading the clock or reset, a value that is not a
+function of settled values or whose compiler raised — each returns
+``None`` and the caller falls back to the event kernel (which reports a
+raising compiler as its own refusal). An evaluation that aborts anyway
+(its construct is in error for the values it sees) makes
+:func:`run_bundle` return ``None`` too, so the kernel runs the testbench
+and reports the error. ``REPRO_SIM_NO_BATCH=1`` disables the tier
+wholesale.
 """
 
 from __future__ import annotations
@@ -87,12 +90,29 @@ def _ports(design: Design, ports):
     return tuple(rows)
 
 
+def _built(nodes):
+    """Each member's or register's compiled value, or None when one is not
+    a function of settled values or its compiler raised (the kernel then
+    builds the process itself and reports the refusal)."""
+    values = []
+    for node in nodes:
+        try:
+            value = node.build()
+        except Exception:
+            return None
+        if value is None:
+            return None
+        values.append(value)
+    return values
+
+
 def _ordered_members(design: Design, driven: set[Signal]):
     """``(target, value)`` for every cone member in dataflow order.
 
     ``None`` when a target has two writers or is in *driven* (an input or
-    a register), or when members sit on a combinational cycle (a self-read
-    included). Each value is built only once the order is settled.
+    a register), when members sit on a combinational cycle (a self-read
+    included), or when a value does not build. Each value is built only
+    once the order is settled.
     """
     members = design.members
     producer: dict[Signal, int] = {}
@@ -120,7 +140,11 @@ def _ordered_members(design: Design, driven: set[Signal]):
                 ready.append(k)
     if len(ready) != len(members):
         return None  # the rest wait on a combinational cycle
-    return tuple((members[j].target, members[j].build()) for j in ready)
+    ordered = [members[j] for j in ready]
+    values = _built(ordered)
+    if values is None:
+        return None
+    return tuple(zip((member.target for member in ordered), values))
 
 
 def plan_combinational(design: Design, in_ports, out_ports) -> Plan | None:
@@ -149,9 +173,10 @@ def plan_sequential(design: Design, in_ports, out_ports) -> Plan | None:
 
     Requires every process outside the cone members to have been
     recognized as a :class:`~repro.sim.runtime.SyncUpdate` sharing the
-    design's ``clk`` / ``rst`` signals, and no member to read the clock or
-    reset (their settle points would then depend on testbench scheduling
-    order, which the batch pass does not model).
+    design's ``clk`` / ``rst`` signals, and no member or register to read
+    the clock or reset: the batch pass never drives them, so they keep
+    their elaboration-time value, and a member's settle points would
+    depend on testbench scheduling order, which the pass does not model.
     """
     clk = design.signals.get("clk")
     rst = design.signals.get("rst")
@@ -181,16 +206,18 @@ def plan_sequential(design: Design, in_ports, out_ports) -> Plan | None:
     driven = {signal for _n, _w, signal in inputs}
     if clk in driven or rst in driven or driven & targets:
         return None
-    # members must be pure functions of inputs and registers — reading
-    # clk/rst would observe testbench scheduling, which this pass does not
-    # replay
-    for member in design.members:
-        if clk in member.reads or rst in member.reads:
+    # members and next-state values must be pure functions of inputs and
+    # registers: this pass never drives clk/rst
+    for node in (*design.members, *sync_regs):
+        if clk in node.reads or rst in node.reads:
             return None
     members = _ordered_members(design, driven | targets)
     if members is None:
         return None
-    regs = tuple((r.target, r.reset, r.build()) for r in sync_regs)
+    values = _built(sync_regs)
+    if values is None:
+        return None
+    regs = tuple((r.target, r.reset, v) for r, v in zip(sync_regs, values))
     return Plan(inputs, outputs, members, regs)
 
 

@@ -21,7 +21,10 @@ evaluates a registered golden testbench's whole stimulus set without the
 kernel: :mod:`.level` records which processes it can plan from, each with
 a ``build()`` that compiles the process's value with these same compilers
 when a plan is built, and a plan writes those values to their targets in
-dataflow order for every vector or clock edge. ``REPRO_SIM_NO_BATCH=1``
+dataflow order for every vector or clock edge. The compilers mark, in the
+elaborator's ``unsettled`` flag, each closure they emit that can abort on
+some operand values or reads simulator state; such a value does not
+build, and its design stays on the kernel. ``REPRO_SIM_NO_BATCH=1``
 turns the batch tier off, so every run takes the kernel; tests use it to
 get the kernel's reference answer.
 """

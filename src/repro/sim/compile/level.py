@@ -19,11 +19,14 @@ The batch tier evaluates a member only on *settled* values, while the
 kernel also runs it on values that have not settled yet: at time 0 on
 ``'U'`` inputs that a VHDL testbench drives through the nonblocking
 region, and whenever its last-in, first-out active list runs an assign
-before the one that drives its operand. A member must therefore be a
-function of settled values: an expression whose closure can abort on some
-operand values, or reads simulator state, nominates no member
-(:func:`_verilog_unsettled`, :func:`_vhdl_unsettled`). "Static" is decided
-with the compilers' own folding.
+before the one that drives its operand. A value must therefore be a
+function of settled values. The compilers say when it is not: the
+branches that emit a closure which can abort on some operand values (a
+dynamic replication count, part-select, slice or resize length) or reads
+simulator state (``$random``, ``$time``, edge functions and attributes)
+set the elaborator's ``unsettled`` flag, and ``build()`` then returns
+None, which the planner refuses like a process that is no member. A
+construct the compilers fold statically takes no such branch.
 
 Nothing here compiles a process body: a member builder checks the shape
 and resolves the target, and ``build()`` runs when a plan is built.
@@ -48,7 +51,8 @@ class ConeMember:
     * ``target`` — the one signal it drives, whole;
     * ``build()`` — compiles the value: returns a callable that takes no
       arguments and returns the member's current four-state value, which
-      its process writes to ``target`` (resizing as the kernel does).
+      its process writes to ``target`` (resizing as the kernel does), or
+      None when the value is not a function of settled values.
     """
 
     __slots__ = ("process", "reads", "target", "build")
@@ -67,6 +71,14 @@ class ConeMember:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ConeMember({self.process.name})"
+
+
+def _settled(elab, compile_value, ctx):
+    """``build()``'s result: the value *compile_value* compiles, bound to
+    *ctx*, or None when the compiler set ``elab.unsettled`` for it."""
+    elab.unsettled = False
+    value = compile_value()
+    return None if elab.unsettled else partial(value, ctx)
 
 
 def _port_member(process, child: Signal, parent: Signal) -> ConeMember:
@@ -97,15 +109,15 @@ def _verilog_build(expr, scope, elab, ctxw) -> Callable:
     def build():
         from repro.sim.compile import verilog as cv
 
-        return partial(cv.compile_expr(expr, scope, elab, ctxw), None)
+        return _settled(
+            elab, lambda: cv.compile_expr(expr, scope, elab, ctxw), None
+        )
 
     return build
 
 
 def verilog_assign_member(process, target, value, scope, reads, elab):
     """ConeMember for ``assign identifier = value``, or None."""
-    if _verilog_unsettled(value, scope):
-        return None
     signal = _verilog_whole_signal(target, scope)
     if signal is None:
         return None
@@ -114,9 +126,7 @@ def verilog_assign_member(process, target, value, scope, reads, elab):
 
 
 def verilog_wire_input_member(process, expr, child, scope, reads, elab):
-    """ConeMember for an instance input-port wire, or None."""
-    if _verilog_unsettled(expr, scope):
-        return None
+    """ConeMember for an instance input-port wire."""
     build = _verilog_build(expr, scope, elab, child.width)
     return ConeMember(process, frozenset(reads), child, build)
 
@@ -127,46 +137,6 @@ def verilog_wire_output_member(process, target, child, scope):
     if parent is None:
         return None
     return _port_member(process, child, parent)
-
-
-def _verilog_unsettled(expr, scope) -> bool:
-    """True unless *expr* is a function of settled values.
-
-    ``$random`` advances an LCG and ``$time`` reads the simulator; a
-    replication with a non-static count and a part-select with non-static
-    bounds abort on some operand values (an X count, an oversized width).
-    """
-    from repro.sim.compile.verilog import _static_int
-    from repro.verilog import ast as vast
-
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, vast.SystemFunctionCall):
-            if node.name in ("$random", "$time"):
-                return True
-            stack.extend(node.args)
-        elif isinstance(node, vast.Unary):
-            stack.append(node.operand)
-        elif isinstance(node, vast.Binary):
-            stack.extend((node.lhs, node.rhs))
-        elif isinstance(node, vast.Ternary):
-            stack.extend((node.cond, node.if_true, node.if_false))
-        elif isinstance(node, vast.Concat):
-            stack.extend(node.parts)
-        elif isinstance(node, vast.Replicate):
-            if _static_int(node.count, scope) is None:
-                return True
-            stack.append(node.value)
-        elif isinstance(node, vast.BitSelect):
-            stack.append(node.index)
-        elif isinstance(node, vast.PartSelect):
-            if (_static_int(node.msb, scope) is None
-                    or _static_int(node.lsb, scope) is None):
-                return True
-        elif isinstance(node, vast.IndexedPartSelect):
-            stack.extend((node.base, node.width))
-    return False
 
 
 # -- synchronous-update recognizers (batch tier) --------------------------------
@@ -237,11 +207,10 @@ def verilog_sync_update(process, entries, body, scope, elab):
     for target, value in else_assigns:
         if target in seen or target not in resets:
             return None
-        if _verilog_unsettled(value, scope):
-            return None
         seen.add(target)
+        reads = frozenset(elab._read_set(value, scope))
         build = _verilog_build(value, scope, elab, target.width)
-        regs.append(SyncReg(target, resets[target], build))
+        regs.append(SyncReg(target, resets[target], reads, build))
     if seen != set(resets):
         return None
     return SyncUpdate(process, clock, reset, tuple(regs))
@@ -250,6 +219,7 @@ def verilog_sync_update(process, entries, body, scope, elab):
 def vhdl_sync_update(process, proc_ast, scope, elab):
     """Recognize ``process(clk) if rising_edge(clk) then if rst = '1' ...``."""
     from repro.sim.compile import vhdl as cvh
+    from repro.sim.elab_vhdl import _collect_reads
     from repro.sim.runtime import SyncReg, SyncUpdate
     from repro.vhdl import ast as vast
 
@@ -328,11 +298,11 @@ def vhdl_sync_update(process, proc_ast, scope, elab):
     for target, value in else_assigns:
         if target in seen or target not in resets:
             return None
-        if _vhdl_unsettled(scope, elab, value):
-            return None
         seen.add(target)
+        reads: set[Signal] = set()
+        _collect_reads(value, scope, reads)
         build = _vhdl_build(value, scope, elab, target.width)
-        regs.append(SyncReg(target, resets[target], build))
+        regs.append(SyncReg(target, resets[target], frozenset(reads), build))
     if seen != set(resets):
         return None
     return SyncUpdate(process, clock, reset, tuple(regs))
@@ -363,67 +333,19 @@ def _vhdl_build(expr, scope, elab, width) -> Callable:
     def build():
         from repro.sim.compile import vhdl as cvh
 
-        value = cvh.compile_with_width(expr, cvh._Env(scope, elab), width)
-        return partial(value, _vhdl_ctx(scope))
+        env = cvh._Env(scope, elab)
+        return _settled(
+            elab, lambda: cvh.compile_with_width(expr, env, width),
+            _vhdl_ctx(scope),
+        )
 
     return build
-
-
-def _vhdl_unsettled(scope, elab, *exprs) -> bool:
-    """True unless every one of *exprs* is a function of settled values.
-
-    Edge functions and ``'event``/``'last_value`` read the simulator's edge
-    memory; a slice with non-static bounds and a resize whose length is
-    not static abort on some operand values (an X integer, an oversized
-    width). A bound is static when its compiled closure is a constant.
-    """
-    from repro.sim.compile import vhdl as cvh
-    from repro.vhdl import ast as vast
-
-    env = cvh._Env(scope, elab)
-
-    def static(bound) -> bool:
-        return cvh._const_of(cvh.compile_expr(bound, env)) is not None
-
-    stack = list(exprs)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, vast.Call):
-            if node.name in ("rising_edge", "falling_edge"):
-                return True
-            if (
-                node.name in ("resize", "to_unsigned", "to_signed",
-                              "conv_std_logic_vector")
-                and len(node.args) == 2
-                and not static(node.args[1])
-            ):
-                return True
-            stack.extend(node.args)
-        elif isinstance(node, vast.Attribute):
-            if node.attr in ("event", "last_value"):
-                return True
-        elif isinstance(node, vast.Sliced):
-            if not (static(node.left) and static(node.right)):
-                return True
-        elif isinstance(node, vast.Indexed):
-            stack.append(node.index)
-        elif isinstance(node, vast.Unary):
-            stack.append(node.operand)
-        elif isinstance(node, vast.Binary):
-            stack.extend((node.lhs, node.rhs))
-        elif isinstance(node, vast.Aggregate):
-            if node.others is not None:
-                stack.append(node.others)
-            stack.extend(element for _, element in node.elements)
-    return False
 
 
 def vhdl_concurrent_member(process, statement, scope, reads, width, elab):
     """ConeMember for a plain concurrent assignment, or None."""
     signal = _vhdl_whole_signal(statement.target, scope)
     if signal is None:
-        return None
-    if _vhdl_unsettled(scope, elab, statement.value):
         return None
     build = _vhdl_build(statement.value, scope, elab, width)
     return ConeMember(process, frozenset(reads), signal, build)
@@ -438,21 +360,19 @@ def vhdl_conditional_member(process, statement, scope, reads, width, elab):
     signal = _vhdl_whole_signal(statement.target, scope)
     if signal is None:
         return None
-    arms = [expr for arm in statement.arms for expr in arm]
-    if _vhdl_unsettled(scope, elab, statement.otherwise, *arms):
-        return None
 
     def build():
-        value = cvh.conditional_value(statement, cvh._Env(scope, elab), width)
-        return partial(value, _vhdl_ctx(scope))
+        env = cvh._Env(scope, elab)
+        return _settled(
+            elab, lambda: cvh.conditional_value(statement, env, width),
+            _vhdl_ctx(scope),
+        )
 
     return ConeMember(process, frozenset(reads), signal, build)
 
 
 def vhdl_wire_input_member(process, expr, child, scope, reads, elab):
-    """ConeMember for an instantiation input-port wire, or None."""
-    if _vhdl_unsettled(scope, elab, expr):
-        return None
+    """ConeMember for an instantiation input-port wire."""
     build = _vhdl_build(expr, scope, elab, child.width)
     return ConeMember(process, frozenset(reads), child, build)
 

@@ -402,6 +402,7 @@ def _compile_replicate(expr, scope, elab):
             return value.replicate(n)
 
         return replicate
+    elab.unsettled = True  # aborts on an unknown or invalid count
     count_fn = compile_expr(expr.count, scope, elab)
 
     def dynamic_replicate(sim, count_fn=count_fn, f=value_fn):
@@ -459,6 +460,7 @@ def _compile_select(expr, scope, elab):
             and msb - lsb + 1 <= ev.VerilogElaborator.MAX_SIGNAL_WIDTH
         ):
             return lambda sim, base=base, m=msb, l=lsb: base(sim).slice(m, l)
+        elab.unsettled = True  # aborts on an oversized range
         msb_fn = compile_expr(expr.msb, scope, elab)
         lsb_fn = compile_expr(expr.lsb, scope, elab)
 
@@ -480,7 +482,8 @@ def _compile_select(expr, scope, elab):
     width = _static_int(expr.width, scope)
     if start is not None and width is not None:
         lo = start if expr.ascending else start - width + 1
-        return lambda sim, base=base, m=lo + width - 1, l=lo: base(sim).slice(m, l)
+        m = lo + width - 1
+        return lambda sim, base=base, m=m, l=lo: _slice(base(sim), m, l)
     start_fn = compile_expr(expr.base, scope, elab)
     width_fn = compile_expr(expr.width, scope, elab)
 
@@ -494,9 +497,19 @@ def _compile_select(expr, scope, elab):
         if w < 1:
             return x1
         lo = start.to_int() if ascending else start.to_int() - w + 1
-        return base(sim).slice(lo + w - 1, lo)
+        return _slice(base(sim), lo + w - 1, lo)
 
     return indexed_select
+
+
+def _slice(value, msb, lsb):
+    """``value[msb:lsb]`` where bits outside the vector read as X, those
+    below bit 0 (a ``-:`` select reaching past the bottom) included."""
+    if lsb >= 0:
+        return value.slice(msb, lsb)
+    if msb < 0:
+        return Logic.unknown(msb - lsb + 1)
+    return value.slice(msb, 0).concat(Logic.unknown(-lsb))
 
 
 def _compile_binary(expr, scope, elab, ctxw):
@@ -592,6 +605,7 @@ def _compile_binary(expr, scope, elab, ctxw):
 def _compile_system_function(expr, scope, elab):
     name = expr.name
     if name == "$time":
+        elab.unsettled = True  # reads the simulator's clock
 
         def time(sim):
             if sim is None:
@@ -606,6 +620,7 @@ def _compile_system_function(expr, scope, elab):
             return _abort(elab, expr.span, f"{name} takes exactly one argument")
         return compile_expr(expr.args[0], scope, elab)
     if name == "$random":
+        elab.unsettled = True  # advances the elaborator's generator
         return lambda sim, rng=elab.rng: Logic.from_int(rng.next(), 32)
     if name == "$clog2":
         if len(expr.args) != 1:

@@ -333,6 +333,7 @@ def _compile_sliced(expr, env):
             lambda ctx, r=reader, m=msb, l=lsb: r(ctx).slice(m, l), reader
         )
     elab = env.elab
+    elab.unsettled = True  # aborts on an oversized range
 
     def dynamic_slice(ctx, r=reader, left_fn=left_fn, right_fn=right_fn):
         left = left_fn(ctx)
@@ -432,6 +433,7 @@ def _compile_edge(expr, env):
     signal = env.scope.signals.get(expr.args[0].name)
     if signal is None:
         return _abort(env, expr.span, f"{name} argument must be a signal")
+    env.elab.unsettled = True  # reads the process's edge memory
     if name == "rising_edge":
 
         def rising(ctx, s=signal):
@@ -470,6 +472,7 @@ def _compile_resize(expr, env, args):
                 raised=f"{name} length {n} out of range",
             )
         return _folded(lambda ctx, f=value_fn, w=n: f(ctx).resize(w), value_fn)
+    elab.unsettled = True  # aborts on an unknown or out-of-range length
 
     def dynamic_resize(ctx, value_fn=value_fn, length_fn=length_fn):
         value = value_fn(ctx)
@@ -490,6 +493,7 @@ def _compile_attribute(expr, env):
         signal = env.scope.signals.get(expr.name)
         if signal is None:
             return _abort(env, expr.span, f"'{expr.attr} requires a signal")
+        env.elab.unsettled = True  # reads the process's edge memory
         if expr.attr == "event":
 
             def event(ctx, s=signal):

@@ -88,6 +88,10 @@ class VerilogElaborator:
         self.collector = collector
         self.design = Design()
         self.rng = _Lcg()
+        #: set by the closure compiler when it emits a closure that can
+        #: abort on some operand values or reads simulator state; a batch
+        #: ``build()`` clears it before compiling and reads it after
+        self.unsettled = False
         self._instance_stack: list[str] = []
 
     # ------------------------------------------------------------------

@@ -125,6 +125,10 @@ class VhdlElaborator:
         self.source = source
         self.collector = collector
         self.design = Design()
+        #: set by the closure compiler when it emits a closure that can
+        #: abort on some operand values or reads simulator state; a batch
+        #: ``build()`` clears it before compiling and reads it after
+        self.unsettled = False
         self._depth = 0
 
     # ------------------------------------------------------------------

@@ -122,12 +122,14 @@ class SyncReg:
     """One register of a recognized synchronous update.
 
     ``reset`` is the value the register takes while reset is asserted, at
-    the register's width; ``build()`` compiles the next-state value the
-    same way a :class:`~repro.sim.compile.level.ConeMember`'s does.
+    the register's width; ``reads`` are the signals its next-state value
+    depends on, and ``build()`` compiles that value the same way a
+    :class:`~repro.sim.compile.level.ConeMember`'s does.
     """
 
     target: Signal
     reset: Logic
+    reads: frozenset[Signal]
     build: Callable
 
 

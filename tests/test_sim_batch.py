@@ -4,10 +4,12 @@ The equivalence suite proves the tier is observationally identical to the
 event kernel; these tests pin the *structural* contract instead: which
 designs plan and which the planner refuses (each refusal DUT next to a
 one-line fix that plans, in both languages and for clocked plans), that a
-member must be a function of settled values, that an evaluation aborting
-on the batch path falls back to the kernel, that members written against
-their dataflow still plan, that plans stay exact on ports wider than 64
-bits, that X-carrying vectors evaluate bit-exact with the kernel, how the
+member must be a function of settled values, that a register reading the
+clock or reset stays on the kernel, that an evaluation aborting on the
+batch path falls back to the kernel and a compiler raising while a plan is
+built is the kernel's refusal, that members written against their
+dataflow still plan, that plans stay exact on ports wider than 64 bits,
+that X-carrying vectors evaluate bit-exact with the kernel, how the
 toolchain routes eligible bundles and counts them, that the modeled cost is
 one formula on both paths, and how the testbench bundle registry behaves —
 including the ``vectors=``/``extra_vectors=`` replacement contract.
@@ -332,23 +334,74 @@ _SEQ_HEAD = (
 )
 
 
-def _seq_dut(dd: str, edge: str = "clk") -> str:
+def _seq_dut(dd: str, edge: str = "clk", nxt: str = "q + d") -> str:
     return (
         _SEQ_HEAD + f"    assign dd = {dd};\n"
         f"    always @(posedge {edge}) begin\n"
-        "        if (rst) q <= 4'd0;\n        else q <= q + d;\n"
+        f"        if (rst) q <= 4'd0;\n        else q <= {nxt};\n"
         "    end\nendmodule\n"
     )
 
 
-#: ``plan_sequential``'s own clauses, each DUT next to its one-line fix
+def _vh_seq_dut(nxt: str) -> str:
+    return f"""
+library ieee;
+use ieee.std_logic_1164.all;
+entity top_module is
+    port (clk : in std_logic; rst : in std_logic;
+          d : in std_logic_vector(3 downto 0);
+          q : out std_logic_vector(3 downto 0);
+          dd : out std_logic_vector(3 downto 0));
+end entity;
+architecture rtl of top_module is
+begin
+    dd <= not d;
+    process (clk) begin
+        if rising_edge(clk) then
+            if rst = '1' then
+                q <= "0000";
+            else
+                q <= {nxt};
+            end if;
+        end if;
+    end process;
+end architecture;
+"""
+
+
+#: ``plan_sequential``'s own clauses, each DUT next to its one-line fix.
+#: The batch pass never drives ``clk`` or ``rst``, so neither a member nor
+#: a register's next-state value may read them: the kernel sees clk = 1
+#: and rst = 0 at each edge, the batch pass their elaboration-time value
 SEQ_REFUSALS = {
     "member-reads-clock": (_seq_dut("d ^ {4{clk}}"), _seq_dut("d ^ q")),
     "member-reads-reset": (_seq_dut("d ^ {4{rst}}"), _seq_dut("d ^ q")),
     "register-on-another-clock": (
         _seq_dut("d ^ q", edge="clk2"), _seq_dut("d ^ q")
     ),
+    "register-reads-clock": (
+        _seq_dut("d ^ q", nxt="(q + d) & {4{clk}}"), _seq_dut("d ^ q")
+    ),
+    "register-reads-reset": (
+        _seq_dut("d ^ q", nxt="(q + d) | {4{rst}}"), _seq_dut("d ^ q")
+    ),
 }
+VH_SEQ_REFUSALS = {
+    "register-reads-clock": (
+        _vh_seq_dut("d and (others => clk)"), _vh_seq_dut("d")
+    ),
+    "register-reads-reset": (
+        _vh_seq_dut("d and (others => not rst)"), _vh_seq_dut("d")
+    ),
+}
+_SEQ_REFUSALS = [(Language.VERILOG, name) for name in sorted(SEQ_REFUSALS)] + [
+    (Language.VHDL, name) for name in sorted(VH_SEQ_REFUSALS)
+]
+
+
+def _seq_refusal(language, name):
+    return (SEQ_REFUSALS if language is Language.VERILOG
+            else VH_SEQ_REFUSALS)[name]
 
 
 def _refusal(language, name):
@@ -358,29 +411,43 @@ def _refusal(language, name):
 _COMB_REFUSALS = [(Language.VERILOG, name) for name in sorted(REFUSALS)] + [
     (Language.VHDL, name) for name in sorted(VH_REFUSALS)
 ]
-_COMB_REFUSAL_IDS = [
-    name if language is Language.VERILOG else f"vhdl-{name}"
-    for language, name in _COMB_REFUSALS
-]
+
+
+def _ids(cases):
+    return [
+        name if language is Language.VERILOG else f"vhdl-{name}"
+        for language, name in cases
+    ]
+
 
 #: refused DUTs that nominate no member → their process count
 _NON_MEMBERS = {
     Language.VERILOG: {
-        "random-assign": 1, "non-member-writer": 1, "part-select-target": 2,
-        "dynamic-replicate": 1, "dynamic-part-select": 1,
+        "non-member-writer": 1, "part-select-target": 2,
     },
     Language.VHDL: {
         "non-member-writer": 1, "selected-assign": 1, "slice-target": 2,
-        "dynamic-slice": 1, "dynamic-resize": 1,
     },
 }
+
+#: refused DUTs where every process is a member but one member's value is
+#: not a function of settled values: compiling it takes a branch that can
+#: abort on some operand values or reads simulator state, so its
+#: ``build()`` returns None
+_UNSETTLED = [
+    (Language.VERILOG, name)
+    for name in ("random-assign", "dynamic-replicate", "dynamic-part-select")
+] + [
+    (Language.VHDL, name)
+    for name in ("dynamic-slice", "dynamic-resize", "edge-in-assign")
+]
 
 
 class TestPlanRefusals:
     """The planner's refusals, each next to a one-line fix that plans."""
 
     @pytest.mark.parametrize("language,name", _COMB_REFUSALS,
-                             ids=_COMB_REFUSAL_IDS)
+                             ids=_ids(_COMB_REFUSALS))
     def test_refused_and_fixed(self, language, name):
         refused, fixed = _refusal(language, name)
         assert batch.plan_combinational(
@@ -398,22 +465,31 @@ class TestPlanRefusals:
 
     @pytest.mark.parametrize("language", list(Language))
     def test_non_member_writers(self, language):
-        """Assigns whose value is not a function of settled values,
-        procedural blocks, selected assigns and writes to part of a signal
-        nominate no member."""
+        """Procedural blocks, selected assigns and writes to part of a
+        signal nominate no member."""
         for name, processes in _NON_MEMBERS[language].items():
             design = build(_refusal(language, name)[0], language)
             assert len(design.processes) == processes, name
             assert design.members == [], name
 
-    @pytest.mark.parametrize("name", sorted(SEQ_REFUSALS))
-    def test_sequential_refused_and_fixed(self, name):
-        refused, fixed = SEQ_REFUSALS[name]
+    @pytest.mark.parametrize("language,name", _UNSETTLED,
+                             ids=_ids(_UNSETTLED))
+    def test_unsettled_value_does_not_build(self, language, name):
+        refused, fixed = _refusal(language, name)
+        for source, builds in ((refused, False), (fixed, True)):
+            design = build(source, language)
+            assert [m.process for m in design.members] == design.processes
+            assert all(m.build() is not None for m in design.members) is builds
+
+    @pytest.mark.parametrize("language,name", _SEQ_REFUSALS,
+                             ids=_ids(_SEQ_REFUSALS))
+    def test_sequential_refused_and_fixed(self, language, name):
+        refused, fixed = _seq_refusal(language, name)
         ports = ([("d", 4)], [("q", 4), ("dd", 4)])
-        design = build(refused)
+        design = build(refused, language)
         assert len(design.sync_updates) == 1  # the register is recognized
         assert batch.plan_sequential(design, *ports) is None
-        assert batch.plan_sequential(build(fixed), *ports) is not None
+        assert batch.plan_sequential(build(fixed, language), *ports) is not None
 
 
 #: DUTs the kernel fails at time 0, before an operand has settled: its
@@ -495,9 +571,13 @@ class TestSettledValues:
     the kernel."""
 
     @pytest.mark.parametrize("language", list(Language))
-    def test_time_zero_failure_is_not_a_member(self, language):
+    def test_time_zero_failure_does_not_plan(self, language):
         dut, ports, model = TIME0_CASES[language]
-        assert "y" not in {m.target.name for m in build(dut, language).members}
+        design = build(dut, language)
+        (y,) = [m for m in design.members if m.target.name == "y"]
+        assert y.build() is None
+        in_ports = [(p.name, p.width) for p in ports if p.direction == "in"]
+        assert batch.plan_combinational(design, in_ports, [("y", 8)]) is None
         files = _golden_files(language, dut, ports, model, "time0")
         default, calls = _simulate(files)
         kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
@@ -519,6 +599,62 @@ class TestSettledValues:
         kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
         assert calls == 0
         assert "replication result width 131072 exceeds" in default.runtime_error
+        assert _observables(default) == _observables(kernel)
+
+    def test_aborted_plan_is_not_run_again(self):
+        """After an abort the store keeps no plan for the DUT, so later
+        misses go straight to the kernel and no design is held."""
+        files = _golden_files(
+            Language.VERILOG, OVERWIDE_V,
+            (PortSpec("a", 32, "in"), PortSpec("y", 8, "out")),
+            lambda v: {"y": v["a"]}, "overwide",
+        )
+        toolchain = Toolchain()
+        with _pin():
+            assert toolchain.simulate(files, "tb").runtime_error
+            bundle = tbgen.stimulus_bundle(files[1].text)
+            _key, plan = toolchain._batch_plan(files[:1], bundle)
+        assert plan is None
+        assert toolchain.store.stats["plan"].hits == 1
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_compiler_raising_at_plan_time_is_the_kernels_refusal(
+        self, language, monkeypatch
+    ):
+        """A closure compiler that raises while a plan is built refuses the
+        plan; the kernel then refuses the process by name, as it does
+        under ``REPRO_SIM_NO_BATCH``."""
+        from repro.sim.compile import verilog as cv
+        from repro.sim.compile import vhdl as cvh
+
+        # an operator the DUT uses and its generated testbench does not
+        module, op = {Language.VERILOG: (cv, "^"),
+                      Language.VHDL: (cvh, "xor")}[language]
+        original = module.compile_expr
+
+        def exploding(expr, *args, **kwargs):
+            if getattr(expr, "op", None) == op:
+                raise RuntimeError("compiler exploded")
+            return original(expr, *args, **kwargs)
+
+        monkeypatch.setattr(module, "compile_expr", exploding)
+        dut = {
+            Language.VERILOG: _REFUSAL_HEAD + "    assign y = a ^ 4'd5;\n"
+            "endmodule\n",
+            Language.VHDL: _VH_REFUSAL_HEAD + "begin\n"
+            "    y <= a xor \"0101\";\n" + _VH_END,
+        }[language]
+        files = _golden_files(
+            language, dut, (PortSpec("a", 4, "in"), PortSpec("y", 4, "out")),
+            lambda v: {"y": v["a"] ^ 5}, f"exploding-{language.value}",
+        )
+        default, calls = _simulate(files)
+        kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
+        assert calls == 0
+        assert default.runtime_error.startswith(
+            "simulation compiler refused process"
+        )
+        assert default.runtime_error.endswith("RuntimeError: compiler exploded")
         assert _observables(default) == _observables(kernel)
 
 
@@ -621,6 +757,24 @@ end architecture;
 }
 
 
+_REG_READS = [case for case in _SEQ_REFUSALS if case[1].startswith("register-reads")]
+
+
+def _reg_reads_model(language):
+    """The register-reads DUTs' model: the Verilog one accumulates
+    ``q + d`` and shows ``d ^ q``, the VHDL one loads ``d`` and shows
+    ``not d``."""
+
+    def step(q, inputs):
+        d = inputs["d"]
+        if language is Language.VERILOG:
+            q = (q + d) & 0xF
+            return q, {"q": q, "dd": d ^ q}
+        return d, {"q": d, "dd": ~d & 0xF}
+
+    return SeqModel(reset=lambda: 0, step=step)
+
+
 class TestSequentialBundle:
     """Clocked DUTs judged by a generated clocked testbench: the row right
     after reset and each cycle against a Python model, on the batch path
@@ -658,6 +812,27 @@ class TestSequentialBundle:
             "Test Case 3 Failed: q should be 7 at cycle 3, got 6",
             "2 test case(s) failed.",
         ]
+
+    @pytest.mark.parametrize("language,name", _REG_READS, ids=_ids(_REG_READS))
+    def test_register_reading_clock_or_reset_runs_on_the_kernel(
+        self, language, name
+    ):
+        """At each edge the kernel's next-state value sees clk = 1 and
+        rst = 0, and the design passes; the batch pass never drives
+        either, so the planner refuses it and the verdict is the
+        kernel's."""
+        files = _golden_files(
+            language, _seq_refusal(language, name)[0],
+            (PortSpec("d", 4, "in"), PortSpec("q", 4, "out"),
+             PortSpec("dd", 4, "out")),
+            _reg_reads_model(language), f"{name}-{language.value}",
+            vectors=self.STIMULUS[:3] + [{"d": 9}],
+        )
+        default, calls = _simulate(files)
+        kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
+        assert calls == 0
+        assert default.output_lines == [tbgen.PASS_MESSAGE]
+        assert _observables(default) == _observables(kernel)
 
     @pytest.mark.parametrize("language", list(Language))
     def test_x_reset_constant_plans(self, language):

@@ -227,6 +227,15 @@ CONSTRUCTS: dict[str, Construct] = {
         _vectors(3, a=(256,), s=(7,)),
         batches=True,
     ),
+    "v_indexed_select_desc": Construct(
+        Language.VERILOG,
+        (("a", 8, "in"), ("s", 3, "in"), ("y", 2, "out")),
+        _v_comb("input [7:0] a, input [2:0] s, output [1:0] y",
+                "assign y = a[s -: 2];"),
+        lambda v: {"y": v["a"] >> (v["s"] - 1)},
+        _vectors(16, a=(256,), s=(1, 8)),
+        batches=True,
+    ),
     "v_replicate": Construct(
         Language.VERILOG,
         (("n", 3, "in"), ("y", 8, "out")),

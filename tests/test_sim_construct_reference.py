@@ -10,9 +10,11 @@ driving an X index, bound, count or operand.
 The expected observables (``ok``, printed lines, rendered log and runtime
 error) are literals recorded from the original tree-walking interpreter, so
 these cases are the reference for the constructs now that the closure
-compiler is the only evaluator. The one exception is ``v_replicate_x``:
-an X replication count used to abort without a message (``ok=True``); it
-records the fixed, loud behaviour instead.
+compiler is the only evaluator. Two cases record fixed behaviour instead:
+``v_replicate_x`` (an X replication count used to abort without a
+message, ``ok=True``, and now aborts loudly) and ``v_indexed_select_desc``
+(a ``-:`` select reaching below bit 0 used to raise ``ValueError`` out of
+the simulator, and now reads X there, as bits past the top always did).
 
 The module also pins the lazy-body contract. Process bodies compile when
 the process first starts, inside ``Simulator.run``, so ``compile()`` builds
@@ -86,6 +88,23 @@ module tb;
         a = 8'b1011_0110; s = 3'd1;
         #1 $display("y=%b", y);
         s = {s2};
+        #1 $display("y=%b", y);
+        $finish;
+    end
+endmodule
+"""
+
+#: a descending indexed select reaching below bit 0 reads X there
+_V_INDEXED_SELECT_DESC = """
+module tb;
+    reg [7:0] a;
+    reg [2:0] s;
+    wire [2:0] y;
+    assign y = a[s -: 3];
+    initial begin
+        a = 8'b1011_0110; s = 3'd5;
+        #1 $display("y=%b", y);
+        s = 3'd1;
         #1 $display("y=%b", y);
         $finish;
     end
@@ -257,6 +276,7 @@ CASES: dict[str, tuple[Language, str]] = {
     "v_indexed_select_x": (
         Language.VERILOG, _V_INDEXED_SELECT.format(s2="3'bx")
     ),
+    "v_indexed_select_desc": (Language.VERILOG, _V_INDEXED_SELECT_DESC),
     "v_replicate": (Language.VERILOG, _V_REPLICATE.format(init=" = 3'd3")),
     "v_replicate_x": (Language.VERILOG, _V_REPLICATE.format(init="")),
     **{
@@ -342,6 +362,16 @@ EXPECTED: dict[str, tuple[bool, tuple[str, ...], str, str]] = {
         "run all\n"
         "y=11\n"
         "y=0x\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
+        "",
+    ),
+    "v_indexed_select_desc": (
+        True,
+        ("y=110", "y=10x"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=110\n"
+        "y=10x\n"
         "INFO: [XSIM 4-302] Simulation completed at time 2 ns",
         "",
     ),
