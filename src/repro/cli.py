@@ -11,9 +11,9 @@ Commands:
 * ``trace`` — summarize (optionally ``--by-agent``) or validate a recorded
   trace file, extract its ``critical-path``, or emit folded stacks for
   flamegraph tooling (``flame``);
-* ``obs`` — validate a metrics spool or export its merged snapshot as
-  Prometheus text or a JSON health document (the surface ``repro serve``
-  will mount as ``/metrics`` and ``/healthz``);
+* ``obs`` — export the metrics a recorded trace carries, merged across
+  processes, as Prometheus text or a JSON health document (the surface
+  ``repro serve`` will mount as ``/metrics`` and ``/healthz``);
 * ``bench`` — perf-regression gate: diff fresh ``BENCH_*.json`` reports
   against the committed baselines (``check``);
 * ``top`` — run a sweep / fuzz campaign / formal proving batch with a live
@@ -139,13 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="record a JSONL span trace of the sweep to PATH "
-             "(inspect with 'repro trace summarize PATH')",
-    )
-    sweep.add_argument(
-        "--spool", default=None, metavar="PATH",
-        help="spool per-process metrics snapshots to PATH "
-             "(merge and render with 'repro obs export PATH')",
+        help="record a JSONL span and metrics trace of the sweep to PATH "
+             "(inspect with 'repro trace summarize PATH', export its "
+             "metrics with 'repro obs export PATH')",
     )
 
     trace = sub.add_parser(
@@ -185,23 +181,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     obs = sub.add_parser(
-        "obs", help="merge, validate, and export spooled metrics snapshots"
+        "obs", help="export the metrics recorded in a trace"
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_export = obs_sub.add_parser(
         "export",
-        help="aggregate a metrics spool across processes and render it",
+        help="merge a trace's metric records across processes and render "
+             "them",
     )
-    obs_export.add_argument("path", help="spool file ('repro sweep --spool')")
+    obs_export.add_argument("path", help="trace file ('repro sweep --trace')")
     obs_export.add_argument(
         "--format", choices=["prometheus", "health"], default="prometheus",
         help="prometheus text exposition (default) or a JSON health "
              "document",
     )
-    obs_validate = obs_sub.add_parser(
-        "validate", help="check every spool record against the schema"
-    )
-    obs_validate.add_argument("path")
 
     bench = sub.add_parser(
         "bench", help="benchmark perf-regression gating"
@@ -249,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--task-timeout", type=float, default=None, metavar="SECONDS"
     )
     top_sweep.add_argument("--trace", default=None, metavar="PATH")
-    top_sweep.add_argument("--spool", default=None, metavar="PATH")
     top_fuzz = top_sub.add_parser("fuzz", help="live view of a qa fuzz run")
     top_fuzz.add_argument("--seed", type=int, default=0)
     top_fuzz.add_argument("--count", type=int, default=50)
@@ -307,13 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="record a JSONL span trace of the campaign "
-             "(inspect with 'repro trace summarize PATH')",
-    )
-    fuzz.add_argument(
-        "--spool", default=None, metavar="PATH",
-        help="spool metrics snapshots to PATH "
-             "(merge and render with 'repro obs export PATH')",
+        help="record a JSONL span and metrics trace of the campaign "
+             "(inspect with 'repro trace summarize PATH', export its "
+             "metrics with 'repro obs export PATH')",
     )
 
     reduce = qa_sub.add_parser(
@@ -478,7 +466,6 @@ def _cmd_sweep(args, out) -> int:
         task_timeout=args.task_timeout,
         progress=progress,
         trace_path=args.trace,
-        spool_path=args.spool,
     )
     if args.artifact == "table2":
         results = runner.run_all(languages=(Language.VERILOG,))
@@ -495,11 +482,6 @@ def _cmd_sweep(args, out) -> int:
         sys.stderr.write(
             f"trace written to {args.trace} "
             f"(inspect with 'repro trace summarize {args.trace}')\n"
-        )
-    if args.spool:
-        sys.stderr.write(
-            f"metrics spool written to {args.spool} "
-            f"(render with 'repro obs export {args.spool}')\n"
         )
     errors = sum(result.error_count for result in results)
     if errors:
@@ -581,16 +563,7 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_qa(args, out) -> int:
-    from repro.obs import (
-        NullSink,
-        Tracer,
-        configure_spool,
-        configure_tracing,
-        get_spool,
-        get_tracer,
-        set_spool,
-        set_tracer,
-    )
+    from repro.obs import configure_tracing, get_tracer, set_tracer
     from repro.qa.corpus import (
         DEFAULT_CORPUS_DIR,
         load_case,
@@ -602,18 +575,10 @@ def _cmd_qa(args, out) -> int:
 
     if args.qa_command == "fuzz":
         previous = get_tracer()
-        previous_spool = get_spool()
         if args.trace:
             # a fresh trace file per campaign, so one summary maps to one run
             open(args.trace, "w").close()
             configure_tracing(args.trace)
-        if args.spool:
-            # fuzz classification counters live in the campaign process, so
-            # spooling only needs a registry here (tracing may stay off)
-            open(args.spool, "w").close()
-            if not get_tracer().enabled:
-                set_tracer(Tracer(NullSink()))
-            configure_spool(args.spool)
         try:
             report = run_fuzz(
                 args.seed,
@@ -623,11 +588,7 @@ def _cmd_qa(args, out) -> int:
                 formal=args.formal,
             )
         finally:
-            if args.trace:
-                get_tracer().flush_metrics()
-            if args.trace or args.spool:
-                set_tracer(previous)
-                set_spool(previous_spool)
+            set_tracer(previous)
         out.write(report.render() + "\n")
         if args.corpus and report.divergences:
             for case in report.divergences:
@@ -637,11 +598,6 @@ def _cmd_qa(args, out) -> int:
             sys.stderr.write(
                 f"trace written to {args.trace} "
                 f"(inspect with 'repro trace summarize {args.trace}')\n"
-            )
-        if args.spool:
-            sys.stderr.write(
-                f"metrics spool written to {args.spool} "
-                f"(render with 'repro obs export {args.spool}')\n"
             )
         return 0 if report.ok else 1
 
@@ -823,31 +779,16 @@ def _cmd_formal(args, out) -> int:
 
 def _cmd_obs(args, out) -> int:
     from repro.obs import (
-        aggregate_spool,
+        aggregate_records,
+        read_trace,
         render_health,
         render_prometheus,
-        validate_spool,
     )
 
     try:
-        if args.obs_command == "validate":
-            count, errors = validate_spool(args.path)
-            if errors:
-                for error in errors:
-                    out.write(error + "\n")
-                out.write(
-                    f"INVALID: {len(errors)} problem(s) in {count} "
-                    f"record(s)\n"
-                )
-                return 1
-            out.write(f"OK: {count} snapshot(s), all schema-valid\n")
-            return 0
-        snapshot = aggregate_spool(args.path)
-    except BrokenPipeError:
-        # the downstream consumer (e.g. ``| head``) closed the pipe
-        return 0
+        snapshot = aggregate_records(read_trace(args.path), path=args.path)
     except (OSError, ValueError) as exc:
-        out.write(f"cannot read spool: {exc}\n")
+        out.write(f"cannot read trace: {exc}\n")
         return 1
     if args.format == "health":
         out.write(render_health(snapshot) + "\n")
@@ -893,7 +834,6 @@ def _cmd_top(args, out) -> int:
             workers=args.workers,
             task_timeout=args.task_timeout,
             trace_path=args.trace,
-            spool_path=args.spool,
             bus=bus,
         )
         results = runner.run_all()

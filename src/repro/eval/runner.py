@@ -59,18 +59,7 @@ from repro.exec.progress import (
 from repro.exec.task import Task, TaskOutcome
 from repro.llm.profiles import CapabilityProfile, PROFILES
 from repro.llm.synthetic import SyntheticDesignLLM
-from repro.obs import (
-    EventBus,
-    NullSink,
-    Tracer,
-    configure_spool,
-    configure_tracing,
-    get_spool,
-    get_tracer,
-    set_spool,
-    set_tracer,
-    snapshot_now,
-)
+from repro.obs import EventBus, configure_tracing, get_tracer, set_tracer
 
 log = logging.getLogger(__name__)
 
@@ -216,8 +205,6 @@ class RunnerSettings:
     testbench_quality: str = "full"
     #: when set, worker processes attach a JSONL tracer to this file
     trace_path: str | None = None
-    #: when set, worker processes spool registry snapshots to this file
-    spool_path: str | None = None
 
 
 @dataclass
@@ -360,12 +347,6 @@ def _init_worker(suite: Suite, settings: RunnerSettings) -> None:
     _CONTEXT = _TaskContext(suite, settings)
     # idempotent: under fork the inherited tracer already targets this path
     configure_tracing(settings.trace_path)
-    if settings.spool_path is not None:
-        # spooling needs a live registry even when span tracing is off;
-        # a NullSink tracer keeps counters without writing spans anywhere
-        if not get_tracer().enabled:
-            set_tracer(Tracer(NullSink()))
-        configure_spool(settings.spool_path)
 
 
 def _run_problem(
@@ -400,10 +381,8 @@ class ExperimentRunner:
       as tasks finish;
     * ``trace_path`` — when set, the sweep records a JSONL span trace to
       this file (see :mod:`repro.obs`); worker processes append to the
-      same file, and ``repro trace summarize`` reads it back;
-    * ``spool_path`` — when set, every process spools periodic metrics
-      snapshots to this file; ``repro obs export`` merges and renders
-      them (see :mod:`repro.obs.live`);
+      same file, every process flushes its metrics there periodically,
+      and ``repro trace summarize`` and ``repro obs export`` read it back;
     * ``bus`` — optional externally owned :class:`~repro.obs.EventBus`;
       subscribers attached before the run (e.g. ``repro top``'s
       :class:`~repro.obs.LiveView`) observe the sweep live.
@@ -423,7 +402,6 @@ class ExperimentRunner:
         task_retries: int = 1,
         progress: Callable[[ProgressEvent, SweepMetrics], None] | None = None,
         trace_path: str | None = None,
-        spool_path: str | None = None,
         bus: EventBus | None = None,
     ):
         self.suite = suite or build_suite()
@@ -437,7 +415,6 @@ class ExperimentRunner:
         self.task_retries = task_retries
         self.progress = progress
         self.trace_path = str(trace_path) if trace_path else None
-        self.spool_path = str(spool_path) if spool_path else None
         self.bus = bus
         #: metrics of the most recent sweep (populated by every run)
         self.metrics = SweepMetrics()
@@ -451,7 +428,6 @@ class ExperimentRunner:
             freeze_testbench=self.freeze_testbench,
             testbench_quality=self.testbench_quality,
             trace_path=self.trace_path,
-            spool_path=self.spool_path,
         )
 
     # ------------------------------------------------------------------
@@ -499,19 +475,11 @@ class ExperimentRunner:
         self.metrics = metrics
 
         previous = get_tracer()
-        previous_spool = get_spool()
         if self.trace_path is not None:
             # each sweep starts a fresh trace file, so one summary maps to
             # exactly one sweep
             open(self.trace_path, "w").close()
             configure_tracing(self.trace_path)
-        if self.spool_path is not None:
-            # likewise a fresh spool file per sweep; spooling needs a live
-            # registry in the parent too, even when span tracing is off
-            open(self.spool_path, "w").close()
-            if not get_tracer().enabled:
-                set_tracer(Tracer(NullSink()))
-            configure_spool(self.spool_path)
         tracer = get_tracer()
 
         # one stream, composed consumers: aggregation first, then payload
@@ -549,9 +517,7 @@ class ExperimentRunner:
                 outcomes = engine.run(tasks)
         finally:
             tracer.flush_metrics()
-            snapshot_now(force=True)
             set_tracer(previous)
-            set_spool(previous_spool)
 
         results = [
             ConfigResult(

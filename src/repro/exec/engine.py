@@ -36,7 +36,6 @@ from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from repro.obs import EventBus, get_tracer
-from repro.obs.live import snapshot_now
 from repro.exec.progress import (
     ENGINE_FINISH,
     ENGINE_START,
@@ -79,11 +78,8 @@ def _worker_main(worker_id, inbox, outbox, initializer, initargs):
     while True:
         item = inbox.get()
         if item is None:
-            # cooperative shutdown: flush a final cumulative snapshot so
-            # the spool's merged view equals this worker's full registry,
-            # and write the registry into the trace as metric records so
-            # summarize sees per-worker counters too
-            snapshot_now(force=True)
+            # cooperative shutdown: a final forced flush, so the trace's
+            # merged metrics hold this worker's whole registry
             get_tracer().flush_metrics()
             return
         index, fn, args = item
@@ -99,9 +95,9 @@ def _worker_main(worker_id, inbox, outbox, initializer, initargs):
             outbox.put(
                 ("ok", index, value, _time.perf_counter() - started)
             )
-        # periodic live-telemetry snapshot (no-op without a spool); a
-        # worker hard-killed later loses at most the post-snapshot delta
-        snapshot_now()
+        # periodic metric flush into the trace (no-op when tracing is off);
+        # a worker hard-killed later loses at most the delta since then
+        get_tracer().flush_metrics(force=False)
 
 
 class _Worker:
@@ -257,9 +253,9 @@ class ExecutionEngine:
                 "engine finish: %d outcome(s), %d failed",
                 len(outcomes), failed,
             )
-        # the calling process's own final snapshot (covers the serial
-        # path's task metrics and the parent's engine-level metrics)
-        snapshot_now(force=True)
+        # the calling process's periodic flush; the sweep or campaign that
+        # owns the tracer forces the final one
+        get_tracer().flush_metrics(force=False)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -304,7 +300,7 @@ class ExecutionEngine:
                     key=task.key, attempts=1,
                     seconds=outcome.seconds, outcome=outcome,
                 ))
-            snapshot_now()  # periodic spool snapshot (no-op when disabled)
+            get_tracer().flush_metrics(force=False)  # periodic flush
         return outcomes
 
     # ------------------------------------------------------------------

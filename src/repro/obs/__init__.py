@@ -19,9 +19,8 @@ Public surface:
 * :func:`~repro.obs.summary.summarize_trace` /
   :func:`~repro.obs.summary.render_trace_summary` — the Figure 3-style
   aggregation behind ``repro trace summarize``;
-* :class:`~repro.obs.live.MetricsSpool` /
-  :func:`~repro.obs.live.aggregate_spool` — the cross-process metrics
-  spool and aggregator (``repro obs export`` / ``repro obs validate``);
+* :func:`~repro.obs.summary.aggregate_records` — the cross-process merge
+  of a trace's ``metric`` records behind ``repro obs export``;
 * :func:`~repro.obs.export.render_prometheus` /
   :func:`~repro.obs.export.render_health` — Prometheus text and JSON
   health exposition of a merged snapshot;
@@ -58,20 +57,6 @@ from repro.obs.export import (
     render_health,
     render_prometheus,
 )
-from repro.obs.live import (
-    SPOOL_FORMAT_VERSION,
-    MetricsSnapshot,
-    MetricsSpool,
-    aggregate_records,
-    aggregate_spool,
-    configure_spool,
-    get_spool,
-    read_spool,
-    set_spool,
-    snapshot_now,
-    validate_spool,
-    validate_spool_record,
-)
 from repro.obs.metrics import (
     DEFAULT_COUNT_BUCKETS,
     DEFAULT_SECONDS_BUCKETS,
@@ -92,7 +77,9 @@ from repro.obs.sink import JsonlSink, MemorySink, NullSink
 from repro.obs.summary import (
     AgentBreakdown,
     ConfigTraceSummary,
+    MetricsSnapshot,
     TraceSummary,
+    aggregate_records,
     read_trace,
     render_agent_breakdown,
     render_trace_summary,
@@ -154,19 +141,8 @@ __all__ = [
     "AgentBreakdown",
     "summarize_agents",
     "render_agent_breakdown",
-    # live telemetry (repro.obs.live)
-    "MetricsSpool",
     "MetricsSnapshot",
-    "SPOOL_FORMAT_VERSION",
-    "configure_spool",
-    "get_spool",
-    "set_spool",
-    "snapshot_now",
-    "read_spool",
     "aggregate_records",
-    "aggregate_spool",
-    "validate_spool",
-    "validate_spool_record",
     # exposition (repro.obs.export)
     "render_prometheus",
     "render_health",
@@ -190,3 +166,12 @@ __all__ = [
     # live TTY view (repro.obs.top)
     "LiveView",
 ]
+
+
+def get_spool():
+    """Always ``None``: metrics go into the trace, and no spool exists.
+
+    ``perfbench/run.py`` imports this name to refuse running while a
+    metrics spool is installed. Drop the stub together with that import.
+    """
+    return None

@@ -1,8 +1,9 @@
 """Exposition of a merged metrics snapshot: Prometheus text + health JSON.
 
-``repro obs export`` renders the :class:`~repro.obs.live.MetricsSnapshot`
-an aggregated spool produces into the two documents a long-lived service
-serves from ``/metrics`` and ``/healthz``:
+``repro obs export`` renders the :class:`~repro.obs.summary.MetricsSnapshot`
+that :func:`~repro.obs.summary.aggregate_records` merges from a trace's
+``metric`` records into the two documents a long-lived service serves from
+``/metrics`` and ``/healthz``:
 
 * :func:`render_prometheus` — the Prometheus text exposition format
   (version 0.0.4): counters and gauges as single samples, histograms as
@@ -10,8 +11,9 @@ serves from ``/metrics`` and ``/healthz``:
   triple. Metric names are sanitized (``cache.hit`` →
   ``repro_cache_hit``) and each family carries ``# TYPE`` / ``# HELP``
   headers, so the output scrapes cleanly with stock tooling.
-* :func:`render_health` — a JSON health document: process/snapshot
-  counts, snapshot freshness, and a compact per-metric summary. This is
+* :func:`render_health` — a JSON health document: process and record
+  counts, freshness of the latest flush, and a compact per-metric summary.
+  This is
   the exact payload ``repro serve`` will mount once it exists; until
   then CI archives it per run.
 """
@@ -22,7 +24,7 @@ import json
 import re
 import time
 
-from repro.obs.live import MetricsSnapshot
+from repro.obs.summary import MetricsSnapshot
 
 #: every exported metric family is namespaced under this prefix
 PROMETHEUS_PREFIX = "repro"
@@ -98,21 +100,21 @@ def _metric_summary(record: dict) -> dict:
 def render_health(snapshot: MetricsSnapshot, *, now: float | None = None) -> str:
     """A JSON health document for the merged snapshot.
 
-    ``status`` is ``"ok"`` when at least one process has snapshotted and
-    ``"empty"`` otherwise; ``staleness_seconds`` measures the age of the
-    freshest snapshot (against ``now``, injectable for tests).
+    ``status`` is ``"ok"`` when at least one process has flushed metrics
+    and ``"empty"`` otherwise; ``staleness_seconds`` measures the age of
+    the freshest flush (against ``now``, injectable for tests).
     """
     now = time.time() if now is None else now
     document = {
-        "status": "ok" if snapshot.snapshot_count else "empty",
-        "spool": snapshot.path,
+        "status": "ok" if snapshot.record_count else "empty",
+        "trace": snapshot.path,
         "processes": len(snapshot.pids),
         "pids": snapshot.pids,
-        "snapshots": snapshot.snapshot_count,
+        "records": snapshot.record_count,
         "earliest": snapshot.earliest,
         "latest": snapshot.latest,
         "staleness_seconds": (
-            max(now - snapshot.latest, 0.0) if snapshot.snapshot_count else None
+            max(now - snapshot.latest, 0.0) if snapshot.record_count else None
         ),
         "metric_count": len(snapshot.metrics),
         "metrics": {

@@ -69,9 +69,8 @@ class NullSink:
     """Discards every record.
 
     Backs a real :class:`~repro.obs.trace.Tracer` whose *registry* is
-    wanted but whose span stream is not — e.g. a sweep running with the
-    metrics spool enabled but span tracing off still needs live counters
-    to snapshot.
+    wanted but whose span stream is not — e.g. a test that reads counters
+    such as ``sim.batch_calls`` straight from the registry.
     """
 
     __slots__ = ()

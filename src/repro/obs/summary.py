@@ -16,9 +16,12 @@ the paper's behavioral questions from that record alone:
 * task lifecycle counts, replayed from the engine's event stream;
 * LLM token totals from the pipeline spans.
 
-Everything is derived from spans and events, never from in-process state,
-so the numbers are identical whether the sweep ran serially or across
-worker processes.
+Everything is derived from spans, events and ``metric`` records, never from
+in-process state, so the numbers are identical whether the sweep ran
+serially or across worker processes. :func:`aggregate_records` merges the
+``metric`` records every process flushes into one cross-process view; the
+summary's simulator and store counters come from it, and ``repro obs
+export`` renders it (see :mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+
+from repro.obs.schema import validate_record
 
 #: span names the summarizer keys on (kept in one place for greppability)
 TASK_SPAN = "task.problem"
@@ -66,6 +71,121 @@ def read_trace(path) -> list[dict]:
     return records
 
 
+@dataclass
+class MetricsSnapshot:
+    """One cross-process view of every metric a trace carries.
+
+    ``metrics`` maps metric name → merged record in the layout the
+    registry's ``to_record`` produces, so everything that can render a
+    registry dump can render a merged snapshot.
+    """
+
+    path: str = ""
+    metrics: dict[str, dict] = field(default_factory=dict)
+    pids: list[int] = field(default_factory=list)
+    #: ``metric`` records read, superseded ones included
+    record_count: int = 0
+    earliest: float = 0.0
+    latest: float = 0.0
+
+    def counter(self, name: str) -> float:
+        """Merged value of a counter (0 when absent)."""
+        record = self.metrics.get(name)
+        return record["value"] if record else 0
+
+
+def merge_metric_records(into: dict, record: dict, *, time_key: float) -> dict:
+    """Fold ``record`` into the accumulated ``into`` record (same name).
+
+    ``time_key`` orders gauge writes: the merged gauge keeps the value from
+    the latest record. Counter values add; histograms add element-wise
+    (their fixed bounds must agree). Kind or bucket disagreements raise
+    ``ValueError`` — they mean two processes registered the same name
+    incompatibly, which the per-process registry already forbids.
+    """
+    if into["kind"] != record["kind"]:
+        raise ValueError(
+            f"metric {record['name']!r} is a {into['kind']} in one process "
+            f"and a {record['kind']} in another"
+        )
+    if record["kind"] == "counter":
+        into["value"] += record["value"]
+    elif record["kind"] == "gauge":
+        if time_key >= into["_gauge_time"]:
+            into["value"] = record["value"]
+            into["_gauge_time"] = time_key
+    else:  # histogram
+        if into["buckets"] != record["buckets"]:
+            raise ValueError(
+                f"histogram {record['name']!r} has buckets "
+                f"{into['buckets']} in one process and "
+                f"{record['buckets']} in another"
+            )
+        into["counts"] = [
+            a + b for a, b in zip(into["counts"], record["counts"])
+        ]
+        into["sum"] += record["sum"]
+        # min/max sidecars are 0.0 placeholders on an empty histogram;
+        # only populated sides participate in the merge
+        if record["count"]:
+            if into["count"]:
+                into["min"] = min(into["min"], record["min"])
+                into["max"] = max(into["max"], record["max"])
+            else:
+                into["min"] = record["min"]
+                into["max"] = record["max"]
+        into["count"] += record["count"]
+    return into
+
+
+def aggregate_records(records: list[dict], *, path: str = "") -> MetricsSnapshot:
+    """Merge a trace's ``metric`` records into one :class:`MetricsSnapshot`.
+
+    Every flush writes a process's whole registry cumulatively, so only the
+    **latest** record per pid and name counts: the last one in file order,
+    which is the order one process writes in. The survivors merge across
+    processes, folded by pid so gauge ties resolve stably. Other record
+    types are ignored; a malformed ``metric`` record raises ``ValueError``.
+    """
+    latest: dict[tuple[int, str], dict] = {}
+    record_count = 0
+    for record in records:
+        if not isinstance(record, dict) or record.get("type") != "metric":
+            continue
+        problems = validate_record(record)
+        if problems:
+            raise ValueError(f"malformed metric record: {problems[0]}")
+        record_count += 1
+        latest[(record["pid"], record["name"])] = record
+
+    snapshot = MetricsSnapshot(path=path, record_count=record_count)
+    if not latest:
+        return snapshot
+    snapshot.pids = sorted({pid for pid, _ in latest})
+    times = [record["time"] for record in latest.values()]
+    snapshot.earliest = min(times)
+    snapshot.latest = max(times)
+
+    merged: dict[str, dict] = {}
+    for key in sorted(latest):
+        record = latest[key]
+        metric = {
+            field_: value for field_, value in record.items()
+            if field_ not in ("type", "pid", "time")
+        }
+        name = metric["name"]
+        if name not in merged:
+            if metric["kind"] == "gauge":
+                metric["_gauge_time"] = record["time"]
+            merged[name] = metric
+        else:
+            merge_metric_records(merged[name], metric, time_key=record["time"])
+    for metric in merged.values():
+        metric.pop("_gauge_time", None)
+    snapshot.metrics = dict(sorted(merged.items()))
+    return snapshot
+
+
 def _percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile; 0.0 for an empty sample."""
     if not values:
@@ -85,8 +205,8 @@ class ConfigTraceSummary:
     errors: int = 0  # task spans that ended in error status
     syntax_converged: int = 0
     functional_converged: int = 0
-    #: to-convergence means (ConfigResult semantics: runs that entered the
-    #: loop and ended clean), plus whole-population percentiles
+    #: iteration statistics over one population, ConfigResult's: the runs
+    #: that entered the loop and converged
     mean_syntax_iterations: float = 0.0
     p50_syntax_iterations: float = 0.0
     p90_syntax_iterations: float = 0.0
@@ -158,7 +278,6 @@ def summarize_records(records: list[dict], *, path: str = "") -> TraceSummary:
     events = [r for r in records if r.get("type") == "event"]
     summary.span_count = len(spans)
     summary.event_count = len(events)
-    summary.metric_count = sum(1 for r in records if r.get("type") == "metric")
     summary.process_count = len({
         r["pid"] for r in records if isinstance(r.get("pid"), int)
     })
@@ -191,32 +310,20 @@ def summarize_records(records: list[dict], *, path: str = "") -> TraceSummary:
         elif cache == "miss":
             summary.cache_misses += 1
 
-    # -- scheduler and store counters: metric records are cumulative
-    # snapshots, so keep the last value per (process, counter) and sum
-    # across processes
-    sim_last: dict[tuple[int, str], float] = {}
-    for record in records:
-        if record.get("type") != "metric":
-            continue
-        name = record.get("name", "")
-        if name.startswith(("sim.", STORE_PREFIX)):
-            sim_last[(record.get("pid", 0), name)] = record.get("value", 0)
-    for (_, name), value in sim_last.items():
+    # -- scheduler and store counters, merged across processes ----------
+    metrics = aggregate_records(records)
+    summary.metric_count = metrics.record_count
+    for name, metric in metrics.metrics.items():
         stage, _, event = name[len(STORE_PREFIX):].rpartition(".")
         if name.startswith(STORE_PREFIX) and event in STORE_EVENTS:
             counts = summary.store.setdefault(
                 stage, dict.fromkeys(STORE_EVENTS, 0)
             )
-            counts[event] += int(value)
-    for attr, metric in (
-        ("sim_activations", "sim.activations"),
-        ("sim_delta_cycles", "sim.delta_cycles"),
-        ("sim_batch_calls", "sim.batch_calls"),
-        ("sim_batch_vectors", "sim.batch_vectors"),
-    ):
-        setattr(summary, attr, int(sum(
-            value for (_, name), value in sim_last.items() if name == metric
-        )))
+            counts[event] += int(metric["value"])
+    summary.sim_activations = int(metrics.counter("sim.activations"))
+    summary.sim_delta_cycles = int(metrics.counter("sim.delta_cycles"))
+    summary.sim_batch_calls = int(metrics.counter("sim.batch_calls"))
+    summary.sim_batch_vectors = int(metrics.counter("sim.batch_vectors"))
 
     # -- per-config aggregates from task spans --------------------------
     grouped: dict[tuple[str, str], list[dict]] = {}
@@ -229,8 +336,6 @@ def summarize_records(records: list[dict], *, path: str = "") -> TraceSummary:
 
     for (model, language), task_spans in sorted(grouped.items()):
         config = ConfigTraceSummary(model=model, language=language)
-        syntax_counts: list[float] = []
-        functional_counts: list[float] = []
         syntax_converge: list[int] = []
         functional_converge: list[int] = []
         for span in task_spans:
@@ -241,8 +346,6 @@ def summarize_records(records: list[dict], *, path: str = "") -> TraceSummary:
             config.runs += 1
             syntax_it = int(attrs.get("syntax_iterations", 0))
             functional_it = int(attrs.get("functional_iterations", 0))
-            syntax_counts.append(syntax_it)
-            functional_counts.append(functional_it)
             if attrs.get("aivril_syntax_ok"):
                 config.syntax_converged += 1
                 if syntax_it > 0:
@@ -272,11 +375,13 @@ def summarize_records(records: list[dict], *, path: str = "") -> TraceSummary:
             config.mean_functional_iterations = (
                 sum(functional_converge) / len(functional_converge)
             )
-        config.p50_syntax_iterations = _percentile(syntax_counts, 0.50)
-        config.p90_syntax_iterations = _percentile(syntax_counts, 0.90)
-        config.p50_functional_iterations = _percentile(functional_counts, 0.50)
+        config.p50_syntax_iterations = _percentile(syntax_converge, 0.50)
+        config.p90_syntax_iterations = _percentile(syntax_converge, 0.90)
+        config.p50_functional_iterations = _percentile(
+            functional_converge, 0.50
+        )
         config.p90_functional_iterations = _percentile(
-            functional_counts, 0.90
+            functional_converge, 0.90
         )
         summary.prompt_tokens += config.prompt_tokens
         summary.completion_tokens += config.completion_tokens
@@ -428,6 +533,10 @@ def render_trace_summary(summary: TraceSummary) -> str:
     ]
     if summary.configs:
         lines.append("")
+        lines.append(
+            "  loop iterations: mean/p50/p90 over the runs that entered the "
+            "loop and converged"
+        )
         header = (
             f"  {'config':<28} {'runs':>4} {'err':>3} "
             f"{'syn it mean/p50/p90':>20} {'fun it mean/p50/p90':>20} "

@@ -17,7 +17,10 @@ zero-cost default, and instrumentation never changes results either way
 Worker processes forked mid-sweep inherit the configured tracer; the sink
 reopens its file descriptor per pid and every process draws span ids from a
 pid-qualified counter, so one trace file deterministically merges spans from
-any number of workers (``repro.exec`` relies on this).
+any number of workers (``repro.exec`` relies on this). Every process also
+flushes its metrics registry into the same file as cumulative ``metric``
+records (:meth:`Tracer.flush_metrics`), so the trace is the one telemetry
+file a run leaves behind.
 """
 
 from __future__ import annotations
@@ -117,12 +120,17 @@ class Tracer:
     """Creates spans and point events, and owns a metrics registry."""
 
     enabled = True
+    #: least monotonic seconds between two periodic metric flushes of one
+    #: process (:meth:`flush_metrics` with ``force=False``)
+    FLUSH_INTERVAL = 1.0
 
     def __init__(self, sink, *, registry: MetricsRegistry | None = None):
         self.sink = sink
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._seq = itertools.count()
         self._local = threading.local()
+        self._flush_pid: int | None = None
+        self._flushed_at = 0.0
 
     # -- span stack ----------------------------------------------------
 
@@ -191,14 +199,33 @@ class Tracer:
             "attrs": attrs,
         })
 
-    def flush_metrics(self) -> None:
-        """Write this process's metrics registry as ``metric`` records."""
-        now = time.time()
+    def flush_metrics(self, *, force: bool = True) -> bool:
+        """Write this process's metrics registry as ``metric`` records.
+
+        The records are cumulative: a later flush from the same process
+        supersedes its earlier ones when the trace is aggregated
+        (:func:`~repro.obs.summary.aggregate_records`). ``force=False`` is
+        the periodic flush the execution engine makes after every task: it
+        writes at once on a process's first flush (so a forked worker starts
+        unthrottled), then at most once per :attr:`FLUSH_INTERVAL`. Returns
+        whether records were written.
+        """
         pid = os.getpid()
+        now = time.monotonic()
+        if (
+            not force
+            and pid == self._flush_pid
+            and now - self._flushed_at < self.FLUSH_INTERVAL
+        ):
+            return False
+        self._flush_pid = pid
+        self._flushed_at = now
+        stamp = time.time()
         for record in self.metrics.to_records():
             self.sink.write_record(
-                {"type": "metric", "pid": pid, "time": now, **record}
+                {"type": "metric", "pid": pid, "time": stamp, **record}
             )
+        return True
 
     def close(self) -> None:
         self.flush_metrics()
@@ -263,8 +290,8 @@ class NullTracer:
     def write_meta(self, **attrs) -> None:
         pass
 
-    def flush_metrics(self) -> None:
-        pass
+    def flush_metrics(self, *, force: bool = True) -> bool:
+        return False
 
     def close(self) -> None:
         pass

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.eda.toolchain import Toolchain
 from repro.exec.engine import ExecutionEngine
 from repro.exec.task import Task
-from repro.obs import get_tracer, snapshot_now
+from repro.obs import get_tracer
 from repro.qa.oracle import FailureClass, QaCase, run_oracle
 from repro.qa.spec import generate_spec, spec_op_kinds, spec_shape
 
@@ -89,9 +89,9 @@ class FuzzReport:
     def op_class_counts(self) -> dict[str, dict[str, int]]:
         """Per-op-kind verdict histogram: op kind -> failure class -> n.
 
-        The same histogram is pushed through the metrics spool as
+        The same histogram reaches the trace as
         ``qa.fuzz.op.<kind>.<class>`` counters, which is what the nightly
-        deep campaign exports.
+        deep campaign exports with ``repro obs export``.
         """
         table: dict[str, dict[str, int]] = {}
         for result in self.results:
@@ -315,7 +315,7 @@ def run_fuzz(
             divergences=len(report.divergences),
             throughput=round(report.throughput, 2),
         )
-    # the classification counters above land after the engine's own final
-    # snapshot, so the campaign flushes one more for the spool (when any)
-    snapshot_now(force=True)
+    # the classification counters above land after the engine's last
+    # flush, so the campaign ends with a forced one
+    tracer.flush_metrics()
     return report

@@ -455,11 +455,14 @@ def _compile_select(expr, scope, elab):
     if isinstance(expr, ast.PartSelect):
         msb = _static_int(expr.msb, scope)
         lsb = _static_int(expr.lsb, scope)
-        if (
-            msb is not None and lsb is not None
-            and msb - lsb + 1 <= ev.VerilogElaborator.MAX_SIGNAL_WIDTH
-        ):
-            return lambda sim, base=base, m=msb, l=lsb: base(sim).slice(m, l)
+        if msb is not None and lsb is not None:
+            if msb < lsb:
+                # a reversed range reads X, as a dynamic one does
+                return lambda sim: x1
+            if msb - lsb + 1 <= ev.VerilogElaborator.MAX_SIGNAL_WIDTH:
+                return (
+                    lambda sim, base=base, m=msb, l=lsb: base(sim).slice(m, l)
+                )
         elab.unsettled = True  # aborts on an oversized range
         msb_fn = compile_expr(expr.msb, scope, elab)
         lsb_fn = compile_expr(expr.lsb, scope, elab)
@@ -840,6 +843,8 @@ def _dynamic_bounds(target, scope, elab):
             if msb.has_x or lsb.has_x:
                 return None
             m, l = msb.to_int(), lsb.to_int()
+            if m < l:
+                return None  # a reversed range stores nothing, as X bounds do
             _check_select_width(m, l, target.span, elab)
             return m, l
 
@@ -916,6 +921,9 @@ def _lvalue(target, scope, elab, blocking):
     bounds = _static_bounds(target, scope)
     if bounds is not None:
         msb, lsb = bounds
+        if msb < lsb:
+            # a reversed range stores nothing, as X bounds do
+            return 1, lambda sim, value: None
         if blocking:
             def store_select(sim, value, s=signal, m=msb, l=lsb):
                 sim.write_signal(s, s._value.set_slice(m, l, value))

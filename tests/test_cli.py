@@ -347,35 +347,20 @@ class TestFormal:
 
 
 class TestObsCommands:
-    """The live-telemetry surface: spool, export, analytics, gate, top."""
+    """The telemetry surface: export, analytics, gate, top."""
 
     def record_sweep(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        spool = tmp_path / "spool.jsonl"
         code, _ = run_cli(
             "sweep", "--artifact", "table2", "--limit", "4",
-            "--workers", "2", "--trace", str(trace), "--spool", str(spool),
+            "--workers", "2", "--trace", str(trace),
         )
         assert code == 0
-        return trace, spool
-
-    def test_obs_validate_ok(self, tmp_path):
-        _, spool = self.record_sweep(tmp_path)
-        code, text = run_cli("obs", "validate", str(spool))
-        assert code == 0
-        assert "all schema-valid" in text
-
-    def test_obs_validate_flags_corruption(self, tmp_path):
-        _, spool = self.record_sweep(tmp_path)
-        with open(spool, "a") as handle:
-            handle.write('{"type": "metrics-snapshot"\n')
-        code, text = run_cli("obs", "validate", str(spool))
-        assert code == 1
-        assert "INVALID" in text
+        return trace
 
     def test_obs_export_prometheus(self, tmp_path):
-        _, spool = self.record_sweep(tmp_path)
-        code, text = run_cli("obs", "export", str(spool))
+        trace = self.record_sweep(tmp_path)
+        code, text = run_cli("obs", "export", str(trace))
         assert code == 0
         assert "# TYPE repro_pipeline_runs counter" in text
         assert "repro_pipeline_runs 12" in text
@@ -384,28 +369,58 @@ class TestObsCommands:
     def test_obs_export_health(self, tmp_path):
         import json
 
-        _, spool = self.record_sweep(tmp_path)
+        trace = self.record_sweep(tmp_path)
         code, text = run_cli("obs", "export", "--format", "health",
-                             str(spool))
+                             str(trace))
         assert code == 0
         health = json.loads(text)
         assert health["status"] == "ok"
+        assert health["trace"] == str(trace)
+        assert health["processes"] == 2
         assert health["metrics"]["pipeline.runs"]["value"] == 12
 
     def test_obs_export_missing_file(self, tmp_path):
         code, text = run_cli("obs", "export", str(tmp_path / "ghost"))
         assert code == 1
-        assert "cannot read spool" in text
+        assert "cannot read trace" in text
+
+    def test_obs_export_of_a_trace_without_metrics_is_empty(self, tmp_path):
+        import json
+
+        path = tmp_path / "spans-only.jsonl"
+        path.write_text(
+            '{"type":"meta","version":1,"pid":1,"time":0.0,"attrs":{}}\n'
+        )
+        code, text = run_cli("obs", "export", "--format", "health",
+                             str(path))
+        assert code == 0
+        assert json.loads(text)["status"] == "empty"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--limit", "1", "--spool", "m.jsonl"],
+         "unrecognized arguments: --spool"),
+        (["qa", "fuzz", "--count", "1", "--spool", "m.jsonl"],
+         "unrecognized arguments: --spool"),
+        (["top", "sweep", "--limit", "1", "--spool", "m.jsonl"],
+         "unrecognized arguments: --spool"),
+        (["obs", "validate", "m.jsonl"], "invalid choice: 'validate'"),
+    ], ids=["sweep", "qa-fuzz", "top-sweep", "obs-validate"])
+    def test_spool_surface_is_gone(self, argv, message, capsys):
+        """Metrics travel in the trace; argparse rejects the old flags."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_trace_critical_path(self, tmp_path):
-        trace, _ = self.record_sweep(tmp_path)
+        trace = self.record_sweep(tmp_path)
         code, text = run_cli("trace", "critical-path", str(trace))
         assert code == 0
         assert "sweep.run" in text
         assert "self times sum to the root wall" in text
 
     def test_trace_flame_to_file(self, tmp_path):
-        trace, _ = self.record_sweep(tmp_path)
+        trace = self.record_sweep(tmp_path)
         folded = tmp_path / "folded.txt"
         code, text = run_cli(
             "trace", "flame", str(trace), "-o", str(folded)
@@ -419,7 +434,7 @@ class TestObsCommands:
             assert stack and int(value) >= 0
 
     def test_trace_summarize_by_agent(self, tmp_path):
-        trace, _ = self.record_sweep(tmp_path)
+        trace = self.record_sweep(tmp_path)
         code, text = run_cli(
             "trace", "summarize", "--by-agent", str(trace)
         )
@@ -428,14 +443,14 @@ class TestObsCommands:
         for agent in ("code", "review", "verification"):
             assert agent in text
 
-    def test_qa_fuzz_spool(self, tmp_path):
-        spool = tmp_path / "fuzz.spool.jsonl"
+    def test_qa_fuzz_trace_exports_counters(self, tmp_path):
+        trace = tmp_path / "fuzz.trace.jsonl"
         code, _ = run_cli(
             "qa", "fuzz", "--seed", "1", "--count", "3",
-            "--spool", str(spool),
+            "--trace", str(trace),
         )
         assert code == 0
-        code, text = run_cli("obs", "export", str(spool))
+        code, text = run_cli("obs", "export", str(trace))
         assert code == 0
         assert "repro_qa_fuzz_programs 3" in text
 
@@ -512,15 +527,17 @@ class TestTop:
         assert "3/3 tasks" in dashboard
 
     def test_top_sweep_renders_dashboard(self, capsys, tmp_path):
-        spool = tmp_path / "spool.jsonl"
+        trace = tmp_path / "trace.jsonl"
         code, text = run_cli(
-            "top", "sweep", "--limit", "2", "--spool", str(spool)
+            "top", "sweep", "--limit", "2", "--trace", str(trace)
         )
         assert code == 0
         assert "sweep:" in text
         dashboard = capsys.readouterr().err
         assert "repro top sweep" in dashboard
-        assert spool.exists()
+        code, text = run_cli("obs", "export", str(trace))
+        assert code == 0
+        assert "repro_pipeline_runs 12" in text
 
     def test_top_prove_renders_dashboard(self, capsys):
         code, text = run_cli(

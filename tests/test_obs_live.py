@@ -1,31 +1,35 @@
-"""Tests for the live-telemetry layer: metrics spool + aggregator.
+"""Tests for cross-process metrics in the trace: periodic flushes and the
+aggregator behind ``repro trace summarize`` and ``repro obs export``.
 
-Covers the fork-safe spool writer, spool validation, the cross-process
-merge semantics (counters add, gauges latest-win, histograms add
-element-wise), the ISSUE's merge edge cases (overflow buckets, disjoint
-name sets, mid-observation snapshots), and the end-to-end equivalence
-guarantee: a workers=4 sweep's aggregated spool equals the live
-``SweepMetrics`` and the trace summarizer exactly.
+Every process flushes its whole registry into the trace as cumulative
+``metric`` records. Covers the merge semantics over those records (the
+latest record per pid and name counts; counters add, gauges keep the latest
+write, histograms add element-wise), the merge edge cases (overflow
+buckets, disjoint name sets, mid-observation flushes), and the end-to-end
+guarantees: a traced sweep's merged metrics equal the live
+``SweepMetrics`` at any worker count, and a worker killed mid-task keeps
+what it flushed before.
 """
 
-import json
+import io
 import threading
+import time
 
 import pytest
 
+from repro.cli import main as cli_main
+from repro.exec.engine import ExecutionEngine
+from repro.exec.task import Task
 from repro.obs import (
     MetricsRegistry,
     aggregate_records,
-    aggregate_spool,
-    configure_spool,
-    get_spool,
-    read_spool,
-    set_spool,
-    snapshot_now,
-    validate_spool,
-    validate_spool_record,
+    configure_tracing,
+    get_tracer,
+    read_trace,
+    set_tracer,
+    validate_trace,
 )
-from repro.obs.live import SNAPSHOT_TYPE, MetricsSpool, merge_metric_records
+from repro.obs.summary import merge_metric_records
 
 
 def make_registry(counter=0, gauge=None, observations=()):
@@ -39,160 +43,102 @@ def make_registry(counter=0, gauge=None, observations=()):
     return registry
 
 
-def snapshot_record(registry, *, pid, seq=0, time=1000.0):
-    """A spool record built by hand, for deterministic merge tests."""
-    return {
-        "type": SNAPSHOT_TYPE,
-        "version": 1,
-        "pid": pid,
-        "seq": seq,
-        "time": time,
-        "metrics": registry.to_records(),
-    }
+def flush_records(registry, *, pid, time=1000.0):
+    """The ``metric`` records one flush of ``registry`` writes, by hand."""
+    return [
+        {"type": "metric", "pid": pid, "time": time, **record}
+        for record in registry.to_records()
+    ]
 
 
-class TestMetricsSpool:
-    def test_writes_one_valid_json_line_per_snapshot(self, tmp_path):
-        path = tmp_path / "spool.jsonl"
-        spool = MetricsSpool(path)
-        registry = make_registry(counter=3, gauge=7, observations=[0.5])
-        assert spool.snapshot(registry) is True
-        assert spool.snapshot(registry) is True
-        records = read_spool(path)
-        assert len(records) == 2
-        assert [r["seq"] for r in records] == [0, 1]
-        for record in records:
-            assert record["type"] == SNAPSHOT_TYPE
-            assert validate_spool_record(record) == []
-        names = {m["name"] for m in records[0]["metrics"]}
-        assert names == {"hits", "depth", "lat"}
-
-    def test_min_interval_throttles_but_force_bypasses(self, tmp_path):
-        spool = MetricsSpool(tmp_path / "s.jsonl", min_interval=3600.0)
-        registry = make_registry(counter=1)
-        assert spool.snapshot(registry) is True
-        assert spool.snapshot(registry) is False
-        assert spool.snapshot(registry, force=True) is True
-        assert len(read_spool(spool.path)) == 2
-
-    def test_fork_resets_writer_identity(self, tmp_path, monkeypatch):
-        spool = MetricsSpool(tmp_path / "s.jsonl", min_interval=3600.0)
-        registry = make_registry(counter=1)
-        assert spool.snapshot(registry) is True
-        # simulate a fork: a new pid must restart seq and drop the throttle
-        monkeypatch.setattr("repro.obs.live.os.getpid", lambda: 1 << 30)
-        assert spool.snapshot(registry) is True
-        records = read_spool(spool.path)
-        assert [r["seq"] for r in records] == [0, 0]
-        assert records[0]["pid"] != records[1]["pid"]
-
-
-class TestCurrentSpool:
-    def test_configure_is_idempotent_per_path(self, tmp_path):
-        previous = get_spool()
-        try:
-            first = configure_spool(tmp_path / "s.jsonl")
-            again = configure_spool(tmp_path / "s.jsonl")
-            assert again is first
-            # None leaves the current spool untouched (pass-through arg)
-            assert configure_spool(None) is first
-            other = configure_spool(tmp_path / "other.jsonl")
-            assert other is not first
-        finally:
-            set_spool(previous)
-
-    def test_snapshot_now_is_noop_without_spool(self):
-        previous = set_spool(None)
-        try:
-            assert snapshot_now(force=True) is False
-        finally:
-            set_spool(previous)
-
-
-class TestValidateSpool:
-    def test_valid_file(self, tmp_path):
-        spool = MetricsSpool(tmp_path / "s.jsonl")
-        spool.snapshot(make_registry(counter=2, observations=[0.1, 5.0]))
-        count, errors = validate_spool(spool.path)
-        assert count == 1
-        assert errors == []
-
-    def test_rejects_bad_records(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            json.dumps({"type": "wrong"}) + "\n"
-            + "not json\n"
-            + json.dumps({
-                "type": SNAPSHOT_TYPE, "version": 1, "pid": 1, "seq": 0,
-                "time": 1.0, "metrics": [{"kind": "counter"}],
-            }) + "\n"
-            + json.dumps({"type": SNAPSHOT_TYPE}),  # truncated: no newline
-        )
-        count, errors = validate_spool(path)
-        assert count == 3  # the unparseable line does not count
-        text = "\n".join(errors)
-        assert "type must be" in text
-        assert "invalid JSON" in text
-        assert "metrics[0]" in text
-        assert "truncated" in text
-
-    def test_empty_spool_is_invalid(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        count, errors = validate_spool(path)
-        assert count == 0
-        assert any("no records" in e for e in errors)
+@pytest.fixture(autouse=True)
+def _restore_global_tracer():
+    previous = get_tracer()
+    yield
+    set_tracer(previous)
 
 
 class TestAggregation:
     def test_counters_add_across_pids(self):
-        records = [
-            snapshot_record(make_registry(counter=3), pid=1),
-            snapshot_record(make_registry(counter=4), pid=2),
-        ]
+        records = (
+            flush_records(make_registry(counter=3), pid=1)
+            + flush_records(make_registry(counter=4), pid=2)
+        )
         snapshot = aggregate_records(records)
         assert snapshot.counter("hits") == 7
         assert snapshot.pids == [1, 2]
-        assert snapshot.snapshot_count == 2
+        assert snapshot.record_count == 2
 
     def test_later_snapshot_of_same_pid_supersedes(self):
-        records = [
-            snapshot_record(make_registry(counter=3), pid=1, seq=0),
-            snapshot_record(make_registry(counter=10), pid=1, seq=1),
-            snapshot_record(make_registry(counter=5), pid=2, seq=0),
-        ]
+        records = (
+            flush_records(make_registry(counter=3), pid=1, time=1.0)
+            + flush_records(make_registry(counter=10), pid=1, time=2.0)
+            + flush_records(make_registry(counter=5), pid=2, time=1.0)
+        )
         snapshot = aggregate_records(records)
         # cumulative semantics: pid 1 contributes 10, not 13
         assert snapshot.counter("hits") == 15
+        assert snapshot.record_count == 3
+
+    def test_latest_record_counts_per_name(self):
+        # a process killed mid-flush leaves only some names of its last
+        # flush; every name keeps its own latest record
+        first = MetricsRegistry()
+        first.counter("a").inc(1)
+        first.counter("b").inc(1)
+        records = flush_records(first, pid=1, time=1.0)
+        records.append(
+            {"type": "metric", "pid": 1, "time": 2.0, "kind": "counter",
+             "name": "a", "value": 4}
+        )
+        snapshot = aggregate_records(records)
+        assert snapshot.counter("a") == 4
+        assert snapshot.counter("b") == 1
+
+    def test_other_record_types_are_ignored(self):
+        records = [
+            {"type": "meta", "version": 1, "pid": 1, "time": 0.0,
+             "attrs": {}},
+            {"type": "event", "name": "task-done", "pid": 1, "seq": 0,
+             "time": 0.0, "span_id": None, "attrs": {}},
+            *flush_records(make_registry(counter=2), pid=1),
+        ]
+        snapshot = aggregate_records(records)
+        assert snapshot.counter("hits") == 2
+        assert snapshot.record_count == 1
 
     def test_gauge_latest_write_wins_across_pids(self):
-        records = [
-            snapshot_record(make_registry(gauge=111), pid=1, time=2000.0),
-            snapshot_record(make_registry(gauge=222), pid=2, time=1000.0),
-        ]
+        records = (
+            flush_records(make_registry(gauge=111), pid=1, time=2000.0)
+            + flush_records(make_registry(gauge=222), pid=2, time=1000.0)
+        )
         snapshot = aggregate_records(records)
         assert snapshot.metrics["depth"]["value"] == 111
         assert "_gauge_time" not in snapshot.metrics["depth"]
 
     def test_histograms_add_elementwise(self):
-        records = [
-            snapshot_record(make_registry(observations=[0.5, 1.5]), pid=1),
-            snapshot_record(make_registry(observations=[0.25]), pid=2),
-        ]
+        records = (
+            flush_records(make_registry(observations=[0.5, 1.5]), pid=1)
+            + flush_records(make_registry(observations=[0.25]), pid=2)
+        )
         merged = aggregate_records(records).metrics["lat"]
         assert merged["counts"] == [2, 1, 0]
         assert merged["count"] == 3
         assert merged["sum"] == pytest.approx(2.25)
         assert merged["min"] == 0.25
         assert merged["max"] == 1.5
+        # the merged record has the registry's own layout
+        assert set(merged) == {
+            "kind", "name", "buckets", "counts", "sum", "count", "min", "max",
+        }
 
     def test_overflow_bucket_accumulates(self):
         # values beyond the last bound land in the implicit overflow
         # bucket; the merged overflow count must be the exact sum
-        records = [
-            snapshot_record(make_registry(observations=[9.0, 8.0]), pid=1),
-            snapshot_record(make_registry(observations=[7.0]), pid=2),
-        ]
+        records = (
+            flush_records(make_registry(observations=[9.0, 8.0]), pid=1)
+            + flush_records(make_registry(observations=[7.0]), pid=2)
+        )
         merged = aggregate_records(records).metrics["lat"]
         assert merged["counts"] == [0, 0, 3]
         assert merged["max"] == 9.0
@@ -203,10 +149,9 @@ class TestAggregation:
         right = MetricsRegistry()
         right.counter("only.right").inc(5)
         right.histogram("lat", buckets=(1.0, 2.0)).observe(0.5)
-        snapshot = aggregate_records([
-            snapshot_record(left, pid=1),
-            snapshot_record(right, pid=2),
-        ])
+        snapshot = aggregate_records(
+            flush_records(left, pid=1) + flush_records(right, pid=2)
+        )
         assert snapshot.counter("only.left") == 2
         assert snapshot.counter("only.right") == 5
         assert list(snapshot.metrics) == sorted(snapshot.metrics)
@@ -216,17 +161,17 @@ class TestAggregation:
         # merging such a side must not drag min/max toward zero
         empty = MetricsRegistry()
         empty.histogram("lat", buckets=(1.0, 2.0))
-        records = [
-            snapshot_record(empty, pid=1),
-            snapshot_record(make_registry(observations=[1.7]), pid=2),
-        ]
+        records = (
+            flush_records(empty, pid=1)
+            + flush_records(make_registry(observations=[1.7]), pid=2)
+        )
         merged = aggregate_records(records).metrics["lat"]
         assert merged["count"] == 1
         assert merged["min"] == 1.7
         assert merged["max"] == 1.7
 
     def test_mid_observation_snapshot_merges_consistently(self):
-        # a snapshot taken while another thread hammers the histogram must
+        # a flush taken while another thread hammers the histogram must
         # still be internally consistent (locked to_record) and mergeable
         registry = MetricsRegistry()
         histogram = registry.histogram("lat", buckets=(1.0, 2.0))
@@ -245,18 +190,17 @@ class TestAggregation:
         finally:
             stop.set()
             thread.join()
-        records = [
-            snapshot_record(make_registry(observations=[0.5]), pid=1)
-        ]
+        records = flush_records(make_registry(observations=[0.5]), pid=1)
         for seq, metrics in enumerate(mid_records):
-            record = snapshot_record(registry, pid=2, seq=seq)
-            record["metrics"] = metrics
-            records.append(record)
+            records.extend(
+                {"type": "metric", "pid": 2, "time": float(seq), **metric}
+                for metric in metrics
+            )
         for metrics in mid_records:
             (histo,) = metrics
             assert sum(histo["counts"]) == histo["count"]
         merged = aggregate_records(records).metrics["lat"]
-        # latest pid-2 snapshot + the single pid-1 observation
+        # latest pid-2 flush + the single pid-1 observation
         assert merged["count"] == mid_records[-1][0]["count"] + 1
         assert sum(merged["counts"]) == merged["count"]
 
@@ -265,6 +209,12 @@ class TestAggregation:
         gauge = {"kind": "gauge", "name": "m", "value": 1}
         with pytest.raises(ValueError, match="in one process"):
             merge_metric_records(dict(counter), gauge, time_key=0.0)
+        # and through the aggregator, across two processes' records
+        with pytest.raises(ValueError, match="in one process"):
+            aggregate_records([
+                {"type": "metric", "pid": 1, "time": 0.0, **counter},
+                {"type": "metric", "pid": 2, "time": 0.0, **gauge},
+            ])
 
     def test_bucket_mismatch_raises(self):
         def histo(buckets):
@@ -278,34 +228,42 @@ class TestAggregation:
                 histo([1.0, 2.0]), histo([1.0, 3.0]), time_key=0.0
             )
 
-    def test_empty_spool_aggregates_to_empty_snapshot(self):
+    def test_malformed_metric_record_raises_value_error(self):
+        # a trace is outside input: a bad record is reported, not a KeyError
+        with pytest.raises(ValueError, match="metric.name"):
+            aggregate_records([
+                {"type": "metric", "pid": 1, "time": 1.0,
+                 "kind": "counter", "value": 3},
+            ])
+
+    def test_empty_trace_aggregates_to_empty_snapshot(self):
         snapshot = aggregate_records([])
         assert snapshot.metrics == {}
         assert snapshot.pids == []
+        assert snapshot.record_count == 0
         assert snapshot.counter("anything") == 0
 
 
 class TestSweepEquivalence:
-    """The ISSUE's acceptance criterion: spool == live SweepMetrics."""
+    """A traced run's merged metrics equal the live in-process numbers."""
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_aggregated_spool_equals_sweep_metrics(self, tmp_path, workers):
+    def test_aggregated_trace_equals_sweep_metrics(self, tmp_path, workers):
         from repro.eval.runner import ExperimentRunner
         from repro.evalsuite.suite import build_suite
-        from repro.obs import summarize_trace
+        from repro.obs import summarize_records
 
         trace = tmp_path / "sweep.trace.jsonl"
-        spool = tmp_path / "sweep.spool.jsonl"
         runner = ExperimentRunner(
             suite=build_suite().head(2),
             workers=workers,
             trace_path=str(trace),
-            spool_path=str(spool),
         )
         runner.run_all()
         live = runner.metrics
-        merged = aggregate_spool(spool)
-        summary = summarize_trace(trace)
+        records = read_trace(trace)
+        merged = aggregate_records(records)
+        summary = summarize_records(records)
 
         assert merged.counter("cache.hit") == live.cache_hits
         assert merged.counter("cache.miss") == live.cache_misses
@@ -314,26 +272,53 @@ class TestSweepEquivalence:
         assert summary.cache_hits == live.cache_hits
         assert summary.cache_misses == live.cache_misses
         assert summary.tasks_ok == live.ok
-        count, errors = validate_spool(spool)
+        assert summary.metric_count == merged.record_count
+        # every process that ran tasks flushed: the sweep's own when
+        # serial, each worker's when parallel
+        assert len(merged.pids) == workers
+        count, errors = validate_trace(trace)
         assert errors == []
-        assert count >= 1
+        assert count >= merged.record_count >= 1
 
-    def test_fuzz_campaign_spools_class_counters(self, tmp_path):
-        from repro.obs import NullSink, Tracer, get_tracer, set_tracer
+    def test_fuzz_campaign_traces_class_counters(self, tmp_path):
         from repro.qa.fuzz import run_fuzz
 
-        spool = tmp_path / "fuzz.spool.jsonl"
-        previous_tracer = get_tracer()
-        previous_spool = set_spool(None)
-        try:
-            set_tracer(Tracer(NullSink()))
-            configure_spool(spool)
-            report = run_fuzz(3, 4, workers=1)
-        finally:
-            set_tracer(previous_tracer)
-            set_spool(previous_spool)
-        merged = aggregate_spool(spool)
+        trace = tmp_path / "fuzz.trace.jsonl"
+        configure_tracing(trace)
+        report = run_fuzz(3, 4, workers=1)
+        merged = aggregate_records(read_trace(trace))
         assert merged.counter("qa.fuzz.programs") == len(report.results)
         assert merged.counter("qa.fuzz.divergences") == len(
             report.divergences
         )
+
+
+def _count_task(units, hang):
+    get_tracer().metrics.counter("test.units").inc(units)
+    if hang:
+        time.sleep(300)
+    return units
+
+
+class TestKilledWorker:
+    def test_killed_worker_keeps_its_first_tasks_counters(self, tmp_path):
+        """A worker killed by the task timeout on its second task keeps the
+        counters its first task flushed."""
+        trace = tmp_path / "killed.trace.jsonl"
+        tracer = configure_tracing(trace)
+        # flush just before the workers fork: each must still flush its
+        # first task at once rather than inherit this flush's throttle
+        tracer.flush_metrics()
+        engine = ExecutionEngine(workers=2, timeout=1.0, retries=0)
+        # two workers take the two quick tasks; whichever finishes first
+        # takes the hanging one as its second task and is killed
+        outcomes = engine.run([
+            Task(index=0, key="one", fn=_count_task, args=(1, False)),
+            Task(index=1, key="two", fn=_count_task, args=(2, False)),
+            Task(index=2, key="hang", fn=_count_task, args=(100, True)),
+        ])
+        assert [o.status for o in outcomes] == ["ok", "ok", "timeout"]
+        out = io.StringIO()
+        assert cli_main(["obs", "export", str(trace)], out=out) == 0
+        # 1 + 2 from the two first tasks; the hung task's 100 died unflushed
+        assert "repro_test_units 3\n" in out.getvalue()

@@ -286,6 +286,45 @@ class TestSummarizeDegenerateInputs:
         assert config.mean_syntax_iterations == 0.0
 
 
+class TestIterationPopulation:
+    """Iteration mean, p50 and p90 describe one population: the runs that
+    entered the loop and converged (``ConfigResult``'s)."""
+
+    @staticmethod
+    def task_span(seq, syntax_iterations, syntax_ok):
+        return {
+            "type": "span", "name": "task.problem", "span_id": f"1-{seq}",
+            "parent_id": None, "pid": 1, "seq": seq, "start": 0.0,
+            "end": 1.0, "wall_seconds": 1.0, "cpu_seconds": 1.0,
+            "status": "ok", "error": "",
+            "attrs": {
+                "model": "m", "language": "verilog",
+                "syntax_iterations": syntax_iterations,
+                "aivril_syntax_ok": syntax_ok,
+                "functional_iterations": 0, "aivril_functional_ok": True,
+            },
+        }
+
+    def test_percentiles_cover_the_converged_runs_only(self):
+        records = [
+            self.task_span(0, 0, True),  # never entered the loop
+            self.task_span(1, 2, True),  # converged
+            self.task_span(2, 4, False),  # ran out of iterations
+        ]
+        (config,) = summarize_records(records).configs
+        assert config.mean_syntax_iterations == 2.0
+        assert config.p50_syntax_iterations == 2.0
+        assert config.p90_syntax_iterations == 2.0
+        assert config.p90_functional_iterations == 0.0
+
+    def test_header_names_the_population(self):
+        text = render_trace_summary(
+            summarize_records([self.task_span(0, 2, True)])
+        )
+        assert "over the runs that entered the loop and converged" in text
+        assert "2.00/2.0/2.0" in text
+
+
 class TestAgentBreakdown:
     """--by-agent: wall time attributed to code/review/verification."""
 

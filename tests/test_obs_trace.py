@@ -134,6 +134,29 @@ class TestSpanSemantics:
         assert metric["name"] == "c" and metric["value"] == 3
 
 
+class TestMetricFlush:
+    def test_periodic_flush_throttles_but_force_bypasses(self):
+        tracer, sink = make_tracer()
+        tracer.metrics.counter("c").inc()
+        assert tracer.flush_metrics(force=False) is True  # first: at once
+        assert tracer.flush_metrics(force=False) is False  # throttled
+        tracer.metrics.counter("c").inc()
+        assert tracer.flush_metrics() is True  # forced
+        assert [r["value"] for r in sink.records] == [1, 2]
+
+    def test_interval_gates_the_periodic_flush(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "FLUSH_INTERVAL", 0.0)
+        tracer, sink = make_tracer()
+        tracer.metrics.counter("c").inc()
+        assert tracer.flush_metrics(force=False) is True
+        assert tracer.flush_metrics(force=False) is True
+        assert len(sink.records) == 2
+
+    def test_null_tracer_flush_writes_nothing(self):
+        assert NULL_TRACER.flush_metrics() is False
+        assert NULL_TRACER.flush_metrics(force=False) is False
+
+
 class TestJsonlSink:
     def test_close_flushes_and_is_reusable(self, tmp_path):
         from repro.obs import JsonlSink

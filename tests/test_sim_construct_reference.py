@@ -10,11 +10,14 @@ driving an X index, bound, count or operand.
 The expected observables (``ok``, printed lines, rendered log and runtime
 error) are literals recorded from the original tree-walking interpreter, so
 these cases are the reference for the constructs now that the closure
-compiler is the only evaluator. Two cases record fixed behaviour instead:
+compiler is the only evaluator. Five cases record fixed behaviour instead:
 ``v_replicate_x`` (an X replication count used to abort without a
-message, ``ok=True``, and now aborts loudly) and ``v_indexed_select_desc``
+message, ``ok=True``, and now aborts loudly), ``v_indexed_select_desc``
 (a ``-:`` select reaching below bit 0 used to raise ``ValueError`` out of
-the simulator, and now reads X there, as bits past the top always did).
+the simulator, and now reads X there, as bits past the top always did),
+and the three ``v_reversed_*`` cases (a reversed range such as ``a[0:3]``
+used to raise ``ValueError``; a read now yields X and a store writes
+nothing, as X bounds do).
 
 The module also pins the lazy-body contract. Process bodies compile when
 the process first starts, inside ``Simulator.run``, so ``compile()`` builds
@@ -256,6 +259,55 @@ begin
 end architecture;
 """
 
+#: a reversed static part-select reads X, as a reversed dynamic one does
+_V_REVERSED_READ = """
+module tb;
+    reg [7:0] a;
+    wire [3:0] y;
+    assign y = a[0:3];
+    initial begin
+        a = 8'b1011_0110;
+        #1 $display("y=%b", y);
+        $finish;
+    end
+endmodule
+"""
+
+#: a reversed static part-select store writes nothing, as X bounds do
+_V_REVERSED_STORE = """
+module tb;
+    reg [7:0] y;
+    reg [3:0] a;
+    always @(*) begin
+        y = 8'b1010_0101;
+        y[0:3] = a;
+    end
+    initial begin
+        a = 4'b1011;
+        #1 $display("y=%b", y);
+        $finish;
+    end
+endmodule
+"""
+
+#: so does a dynamic store while its bounds are reversed
+_V_REVERSED_DYNAMIC_STORE = """
+module tb;
+    reg [7:0] y;
+    reg [3:0] a;
+    reg [2:0] m, l;
+    initial begin
+        y = 8'b1010_0101; a = 4'b1011; m = 3'd0; l = 3'd3;
+        y[m:l] = a;
+        $display("y=%b", y);
+        m = 3'd6;
+        y[m:l] = a;
+        $display("y=%b", y);
+        $finish;
+    end
+endmodule
+"""
+
 _SHIFTS = ("shift_left", "shift_right", "rotate_left", "rotate_right")
 
 #: case name → (language, full testbench source with top ``tb``)
@@ -301,6 +353,9 @@ CASES: dict[str, tuple[Language, str]] = {
     "v_part_store_x": (Language.VERILOG, _V_PART_STORE.format(lo2="3'bx")),
     "vh_slice_store": (Language.VHDL, _VH_SLICE_STORE.format(init=" := 2")),
     "vh_slice_store_x": (Language.VHDL, _VH_SLICE_STORE.format(init="")),
+    "v_reversed_read": (Language.VERILOG, _V_REVERSED_READ),
+    "v_reversed_store": (Language.VERILOG, _V_REVERSED_STORE),
+    "v_reversed_dynamic_store": (Language.VERILOG, _V_REVERSED_DYNAMIC_STORE),
 }
 
 #: case name → (ok, printed lines, rendered log, runtime error)
@@ -576,6 +631,34 @@ EXPECTED: dict[str, tuple[bool, tuple[str, ...], str, str]] = {
         "ERROR: [XSIM 43-3861] expression with unknown ('X') bits used as an integer",
         "expression with unknown ('X') bits used as an integer",
     ),
+    "v_reversed_read": (
+        True,
+        ("y=000x",),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=000x\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 1 ns",
+        "",
+    ),
+    "v_reversed_store": (
+        True,
+        ("y=10100101",),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=10100101\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 1 ns",
+        "",
+    ),
+    "v_reversed_dynamic_store": (
+        True,
+        ("y=10100101", "y=11011101"),
+        "INFO: [XSIM 4-301] Starting simulation of 'tb'\n"
+        "run all\n"
+        "y=10100101\n"
+        "y=11011101\n"
+        "INFO: [XSIM 4-302] Simulation completed at time 0 ns",
+        "",
+    ),
 }
 
 _TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
@@ -616,6 +699,57 @@ def test_every_case_has_a_recorded_answer():
 def test_construct_matches_frozen_answer(name):
     with _tier():
         assert _simulate(name) == EXPECTED[name]
+
+
+_REVERSED = ("v_reversed_read", "v_reversed_store", "v_reversed_dynamic_store")
+
+
+@pytest.mark.parametrize("flags", [{}, {"REPRO_SIM_NO_BATCH": "1"}],
+                         ids=["default", "no-batch"])
+@pytest.mark.parametrize("name", _REVERSED)
+def test_reversed_part_select_on_both_paths(name, flags):
+    """A reversed Verilog range reads X and stores nothing, never raises."""
+    with _tier(**flags):
+        assert _simulate(name) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("flags, batched", [
+    ({}, 1), ({"REPRO_SIM_NO_BATCH": "1"}, 0),
+], ids=["default", "no-batch"])
+def test_reversed_part_select_in_a_batched_dut(flags, batched):
+    """The batch tier reads a reversed range as X, exactly as the kernel."""
+    from repro.designs.model import CombModel, DesignSpec, PortSpec
+    from repro.designs.tbgen import make_testbench
+
+    spec = DesignSpec(
+        name="reversed",
+        ports=(PortSpec("a", 8, "in"), PortSpec("y", 4, "out")),
+        clocked=False,
+    )
+    model = CombModel(lambda v: {"y": v["a"] & 0xF})
+    files = [
+        HdlFile(
+            "top_module.v",
+            "module top_module(input [7:0] a, output [3:0] y);\n"
+            "  assign y = a[0:3];\nendmodule\n",
+            Language.VERILOG,
+        ),
+        HdlFile("tb.v", make_testbench(
+            spec, model, Language.VERILOG, "reversed"), Language.VERILOG),
+    ]
+    previous = get_tracer()
+    set_tracer(Tracer(NullSink()))
+    try:
+        with _tier(**flags):
+            result = Toolchain().simulate(files, "tb")
+        calls = get_tracer().metrics.counter("sim.batch_calls").value
+    finally:
+        set_tracer(previous)
+    assert calls == batched
+    assert result.ok and not result.runtime_error, result.log
+    # every vector whose expected low nibble is nonzero sees X instead
+    assert result.output_lines[-1].endswith("test case(s) failed.")
+    assert "got x" in result.output_lines[0]
 
 
 def test_x_replication_count_aborts_loudly():

@@ -27,13 +27,12 @@ from repro.qa.spec import generate_spec
 from repro.obs import (
     NullSink,
     Tracer,
-    aggregate_spool,
-    configure_spool,
+    aggregate_records,
+    configure_tracing,
     get_tracer,
+    read_trace,
     render_prometheus,
-    set_spool,
     set_tracer,
-    snapshot_now,
 )
 
 CORPUS_PROBLEMS = 6
@@ -530,13 +529,11 @@ end architecture;
 
 
 class TestStoreCounters:
-    def test_counters_and_gauges_reach_spool_and_prometheus(self, tmp_path):
-        spool = tmp_path / "store.spool.jsonl"
+    def test_counters_and_gauges_reach_trace_and_prometheus(self, tmp_path):
+        trace = tmp_path / "store.trace.jsonl"
         previous_tracer = get_tracer()
-        previous_spool = set_spool(None)
         try:
-            set_tracer(Tracer(NullSink()))
-            configure_spool(spool)
+            tracer = configure_tracing(trace)
             toolchain = Toolchain()
             files = [
                 HdlFile("top_module.v", AND_GATE, Language.VERILOG),
@@ -544,11 +541,10 @@ class TestStoreCounters:
             ]
             toolchain.simulate(files, "tb")
             toolchain.simulate(files, "tb")
-            snapshot_now(force=True)
+            tracer.flush_metrics()
         finally:
             set_tracer(previous_tracer)
-            set_spool(previous_spool)
-        merged = aggregate_spool(spool)
+        merged = aggregate_records(read_trace(trace))
         for stage in STAGES:
             stats = toolchain.store.stats[stage]
             for event, value in (
