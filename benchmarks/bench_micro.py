@@ -11,6 +11,11 @@ tier staying measurably faster than the kernel; CI uploads the JSON as an
 artifact. The report defaults to
 ``benchmarks/BENCH_sim.json`` (next to this file, not the CWD);
 ``BENCH_SIM_JSON`` overrides the path but must stay inside ``benchmarks/``.
+
+``test_frontend_throughput`` writes ``BENCH_frontend.json`` the same way
+(``BENCH_FRONTEND_JSON`` overrides the path): best-of-N times to lex, and
+to lex and parse, the suite's golden testbenches per language. It has no
+floor; ``repro bench check`` compares it with its baseline warn-only.
 """
 
 import json
@@ -23,9 +28,13 @@ from repro.designs.model import CombModel, DesignSpec, PortSpec
 from repro.designs.tbgen import make_testbench
 from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.evalsuite.suite import build_suite
+from repro.hdl.diagnostics import DiagnosticCollector
+from repro.hdl.source import SourceFile
 from repro.llm.profiles import CLAUDE_35_SONNET
 from repro.llm.synthetic import build_defect_plan
+from repro.verilog.lexer import VerilogLexer
 from repro.verilog.parser import parse_verilog
+from repro.vhdl.lexer import VhdlLexer
 from repro.vhdl.parser import parse_vhdl
 
 COUNTER_V = """
@@ -306,19 +315,20 @@ KERNEL_REPS = 5
 SIM_BATCH_SPEEDUP_FLOOR = 5.0
 
 
-def _report_path():
-    """Resolve the BENCH_sim.json output path, refusing escapes.
+def _report_path(tier="sim"):
+    """Resolve the BENCH_<tier>.json output path, refusing escapes.
 
-    The report must land inside ``benchmarks/`` so a stray ``BENCH_SIM_JSON``
-    (or a CWD-relative override) can't scatter tracked-looking artifacts
-    around the repo root again.
+    The report must land inside ``benchmarks/`` so a stray override such as
+    ``BENCH_SIM_JSON`` (or a CWD-relative one) can't scatter tracked-looking
+    artifacts around the repo root again.
     """
     bench_dir = Path(__file__).resolve().parent
-    default = bench_dir / "BENCH_sim.json"
-    out = Path(os.environ.get("BENCH_SIM_JSON", default)).resolve()
+    variable = f"BENCH_{tier.upper()}_JSON"
+    default = bench_dir / f"BENCH_{tier}.json"
+    out = Path(os.environ.get(variable, default)).resolve()
     if bench_dir not in out.parents:
         raise RuntimeError(
-            f"BENCH_SIM_JSON must point inside {bench_dir}, got {out}"
+            f"{variable} must point inside {bench_dir}, got {out}"
         )
     return out
 
@@ -374,3 +384,63 @@ def test_golden_tb_simulation(benchmark, full_suite):
     result = benchmark(_simulate_miss, toolchain, files, "tb")
     _assert_simulate_misses(toolchain, warm)
     assert result.ok
+
+
+#: timed passes over the golden testbenches per language and stage; the
+#: fastest is reported, which filters out a shared host's slow passes
+FRONTEND_REPS = 5
+
+_FRONTENDS = {
+    Language.VERILOG: (VerilogLexer, parse_verilog),
+    Language.VHDL: (VhdlLexer, parse_vhdl),
+}
+
+
+def _best_seconds(work, texts, reps):
+    best = float("inf")
+    for _ in range(reps):
+        started = time.perf_counter()
+        for text in texts:
+            work(text)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_frontend_throughput(full_suite):
+    """Lex, and lex and parse, the golden testbenches; BENCH_frontend.json.
+
+    ``lex_ms`` times ``tokenize`` alone; ``parse_ms`` times the whole
+    ``parse_*`` call, which lexes through the same ``tokenize``. The MB/s
+    leaves are informational.
+    """
+    report = {}
+    for language, (lexer, parse) in _FRONTENDS.items():
+        texts = [problem.golden_tb[language] for problem in full_suite]
+        megabytes = sum(map(len, texts)) / 1e6
+        for text in texts:
+            _, collector = parse(text)
+            assert not collector.has_errors, collector.diagnostics[:3]
+        lex_s = _best_seconds(
+            lambda text: lexer(SourceFile("tb", text),
+                               DiagnosticCollector()).tokenize(),
+            texts, FRONTEND_REPS,
+        )
+        parse_s = _best_seconds(parse, texts, FRONTEND_REPS)
+        report[language.value] = {
+            "testbenches": len(texts),
+            "megabytes": round(megabytes, 3),
+            "lex_ms": round(lex_s * 1000.0, 3),
+            "parse_ms": round(parse_s * 1000.0, 3),
+            "lex_mb_per_sec": round(megabytes / lex_s, 3),
+            "parse_mb_per_sec": round(megabytes / parse_s, 3),
+        }
+    out = _report_path("frontend")
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"\nfrontend throughput ({out}):")
+    for name, entry in report.items():
+        print(
+            f"  {name}: {entry['testbenches']} testbenches, "
+            f"{entry['megabytes']:.2f} MB; lex {entry['lex_ms']:.0f} ms "
+            f"({entry['lex_mb_per_sec']:.2f} MB/s), lex + parse "
+            f"{entry['parse_ms']:.0f} ms ({entry['parse_mb_per_sec']:.2f} MB/s)"
+        )

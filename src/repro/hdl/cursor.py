@@ -1,8 +1,12 @@
 """Token cursor shared by the Verilog and VHDL recursive-descent parsers.
 
-Both parsers walk a token list ending in one EOF token. :meth:`_advance`
-never moves past that EOF, so the current token is always
-``tokens[pos]`` and only lookahead needs clamping.
+Both parsers walk a :class:`~repro.hdl.scanner.TokenStream` ending in one
+EOF token, and name a token by its index. :meth:`_advance` never moves past
+that EOF, so the current token is always ``pos`` and only lookahead needs
+clamping. The parsers test and dispatch on ``keys[pos]`` (set membership
+and dicts keyed on :attr:`~repro.hdl.tokens.Token.key`), read ``texts`` for
+names and values, and build a :class:`~repro.hdl.source.SourceSpan` with
+:meth:`_span` only where a syntax tree node or a diagnostic keeps one.
 
 The cursor also enforces the expression and statement depth bounds.
 Parsing, analysis, elaboration and the compiled simulation closures all
@@ -15,10 +19,13 @@ downstream; the parser reports either as a named diagnostic instead.
 from __future__ import annotations
 
 from repro.hdl.diagnostics import DiagnosticCollector
+from repro.hdl.scanner import TokenStream
 from repro.hdl.source import SourceFile, SourceSpan
-from repro.hdl.tokens import Token, TokenKind
+from repro.hdl.tokens import TokenKind
 
 _EOF = TokenKind.EOF
+_IDENT = TokenKind.IDENT
+_new = tuple.__new__  # builds a SourceSpan without re-checking its order
 
 #: deepest expression the frontends accept, in levels below the outermost
 #: expression: sub-expressions open at once while parsing (parentheses,
@@ -53,12 +60,6 @@ class ParseError(Exception):
     """Internal: unwinds to the nearest recovery point."""
 
 
-def describe(token: Token) -> str:
-    if token.kind is TokenKind.EOF:
-        return "end of file"
-    return f"'{token.text}'"
-
-
 def tree_depth(root, node_type) -> int:
     """Levels below the root of a syntax tree, walked without recursion."""
     deepest = 0
@@ -83,10 +84,15 @@ class TokenCursor:
     _CODE_UNSUPPORTED = "VRFC 10-2951"
 
     def __init__(self, source: SourceFile, collector: DiagnosticCollector,
-                 tokens: list[Token]):
+                 stream: TokenStream):
         self.source = source
         self.collector = collector
-        self.tokens = tokens
+        self.keys = stream.keys
+        self.texts = stream.texts
+        self.starts = stream.starts
+        self.ends = stream.ends
+        #: index of the EOF token, the last one
+        self.eof = len(stream) - 1
         self.pos = 0
         #: sub-expressions open at the cursor
         self._depth = 0
@@ -95,58 +101,64 @@ class TokenCursor:
         self._stmt_depth = 0
         self._stmt_too_deep = False
 
-    def _peek(self, ahead: int = 0) -> Token:
-        if not ahead:
-            return self.tokens[self.pos]
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def _next_key(self):
+        """The key of the token after the cursor (EOF's at the end)."""
+        return self.keys[min(self.pos + 1, self.eof)]
 
-    def _advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not _EOF:
-            self.pos += 1
-        return token
+    def _advance(self) -> int:
+        """Consume the token at the cursor (never the EOF); its index."""
+        pos = self.pos
+        if pos < self.eof:
+            self.pos = pos + 1
+        return pos
 
     def _at_eof(self) -> bool:
-        return self.tokens[self.pos].kind is _EOF
+        return self.pos == self.eof
 
-    def _error(self, message: str, token: Token | None = None,
+    def _span(self, first: int, last: int | None = None) -> SourceSpan:
+        """The span of token ``first``, or from it through token ``last``."""
+        return _new(SourceSpan, (
+            self.starts[first], self.ends[first if last is None else last]
+        ))
+
+    def _span_to(self, first: int, node) -> SourceSpan:
+        """From token ``first`` through a syntax tree node parsed after it."""
+        return _new(SourceSpan, (self.starts[first], node.span.end_offset))
+
+    def _describe(self, index: int) -> str:
+        if index == self.eof:
+            return "end of file"
+        return f"'{self.texts[index]}'"
+
+    def _error(self, message: str, token: int | None = None,
                code: str = _CODE_SYNTAX) -> ParseError:
-        token = token or self.tokens[self.pos]
-        span = token.span if token.span.length else SourceSpan(
-            token.span.start_offset, token.span.start_offset + 1
-        )
+        token = self.pos if token is None else token
+        start, end = self.starts[token], self.ends[token]
+        span = SourceSpan(start, end if end > start else start + 1)
         self.collector.error(code, message, source=self.source, span=span)
         return ParseError(message)
 
-    def _expect_punct(self, text: str, context: str) -> Token:
-        token = self.tokens[self.pos]
-        if token.is_op(text):
-            self.pos += 1
-            return token
+    def _expect(self, key: str, context: str) -> int:
+        """Consume the keyword, operator or punctuation ``key``; its index."""
+        pos = self.pos
+        if self.keys[pos] == key:
+            self.pos = pos + 1
+            return pos
         raise self._error(
-            f"syntax error near {describe(token)}: expected '{text}' {context}",
-            token,
+            f"syntax error near {self._describe(pos)}: "
+            f"expected '{key}' {context}",
+            pos,
         )
 
-    def _expect_keyword(self, name: str, context: str) -> Token:
-        token = self.tokens[self.pos]
-        if token.is_kw(name):
-            self.pos += 1
-            return token
+    def _expect_ident(self, context: str) -> int:
+        pos = self.pos
+        if self.keys[pos] is _IDENT:
+            self.pos = pos + 1
+            return pos
         raise self._error(
-            f"syntax error near {describe(token)}: expected '{name}' {context}",
-            token,
-        )
-
-    def _expect_ident(self, context: str) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is TokenKind.IDENT:
-            self.pos += 1
-            return token
-        raise self._error(
-            f"syntax error near {describe(token)}: "
+            f"syntax error near {self._describe(pos)}: "
             f"expected an identifier {context}",
-            token,
+            pos,
         )
 
     # -- expression depth ----------------------------------------------------
@@ -173,13 +185,13 @@ class TokenCursor:
             self._stmt_too_deep = False
         if depth <= MAX_STMT_DEPTH:
             return None
-        first = self.tokens[self.pos]
+        first = self.pos
         if not self._stmt_too_deep:
             self._stmt_too_deep = True
             self._error(STMT_TOO_DEEP, first, code=self._CODE_UNSUPPORTED)
         skip()
-        last = self.tokens[max(self.pos - 1, 0)]
-        return first.span.merge(last.span)
+        last = max(self.pos - 1, 0)
+        return self._span(first).merge(self._span(last))
 
     def _check_tree(self, expr, start: int, node_type) -> None:
         """Bound the tree of an outermost expression parsed from ``start``.
@@ -189,6 +201,4 @@ class TokenCursor:
         """
         if (self.pos - start > MAX_EXPR_DEPTH + 1
                 and tree_depth(expr, node_type) > MAX_EXPR_DEPTH):
-            raise self._error(
-                EXPR_TOO_DEEP, self.tokens[start], code=self._CODE_UNSUPPORTED
-            )
+            raise self._error(EXPR_TOO_DEEP, start, code=self._CODE_UNSUPPORTED)

@@ -10,12 +10,21 @@ match something, and the scanner walks the text match by match.
 Trivia (whitespace, comments, directives) are alternatives of their own rather
 than a ``(?:trivia)*`` prefix of every token: a failing token after such a
 prefix would make the regex engine backtrack through every way of splitting
-the trivia run. Every rule is written so its match is unambiguous, which keeps
-scanning linear in the input (``tests/test_scanner_reference.py`` guards it).
+the trivia run. Only a run of plain whitespace is matched in front of the
+alternatives (:data:`_SPACES`), which cuts the matches on the suite's
+testbenches by 42% and cannot backtrack that way: the catch-all rule matches
+wherever a character is left, so the run gives back at most its last character,
+at the end of the text. Every rule is written so its match is unambiguous,
+which keeps scanning linear in the input (``tests/test_scanner_reference.py``
+guards it).
 
 Identifiers, numbers and every other token are ASCII, as IEEE 1364 and 1076
 define them: outside strings, comments and VHDL character literals a
 non-ASCII character is an ``unexpected character`` error.
+
+A scan makes no object per token: it returns one :class:`TokenStream` of
+parallel lists, and the parsers build a :class:`~repro.hdl.source.SourceSpan`
+only where a syntax tree node or a diagnostic keeps one.
 """
 
 from __future__ import annotations
@@ -26,8 +35,6 @@ from typing import NamedTuple
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile, SourceSpan
 from repro.hdl.tokens import Token, TokenKind
-
-_new = tuple.__new__  # builds Token/SourceSpan without re-checking a match's span
 
 
 class LexError(NamedTuple):
@@ -53,14 +60,56 @@ ESCAPED = "escaped"
 #: VHDL bit-string literal: BASED_NUMBER with a lower-cased base prefix
 BIT_STRING = "bit-string"
 
+#: whitespace matched in front of every rule, the class of both languages'
+#: own whitespace rule, which takes the run's last character at the end of
+#: the text
+_SPACES = "[ \t\r\n]*"
+
+_KEYWORD = TokenKind.KEYWORD
+_IDENT = TokenKind.IDENT
+_OPERATOR = TokenKind.OPERATOR
+_PUNCT = TokenKind.PUNCT
+
+
+class TokenStream:
+    """The tokens of one source as parallel lists, ending in one EOF token.
+
+    Token ``i`` has kind ``kinds[i]``, text ``texts[i]``, the source span
+    ``starts[i]``..``ends[i]`` and the key ``keys[i]`` that the parsers test
+    and dispatch on (:attr:`Token.key`: the text of a keyword, an operator
+    or a punctuation mark, the kind of any other token). ``len()`` is the
+    token count, EOF included.
+    """
+
+    __slots__ = ("kinds", "keys", "texts", "starts", "ends")
+
+    def __init__(self):
+        self.kinds: list[TokenKind] = []
+        self.keys: list[str | TokenKind] = []
+        self.texts: list[str] = []
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def tokens(self) -> list[Token]:
+        """The stream as :class:`Token` tuples, for tests and tools."""
+        return [
+            Token(kind, text, SourceSpan(start, end))
+            for kind, text, start, end in zip(
+                self.kinds, self.texts, self.starts, self.ends
+            )
+        ]
+
 
 class TokenTable:
     """One language's lexical grammar, compiled for :meth:`scan`."""
 
     def __init__(self, rules, *, keywords, fold_case: bool, error_code: str):
-        self.master = re.compile(
-            "|".join(f"(?P<{name}>{pattern})" for name, pattern, _ in rules)
-        )
+        self.master = re.compile(_SPACES + "(?:" + "|".join(
+            f"(?P<{name}>{pattern})" for name, pattern, _ in rules
+        ) + ")")
         #: rule action by group index (groups are numbered 1..len(rules))
         self.actions = [None] + [action for _, _, action in rules]
         self.keywords = frozenset(keywords)
@@ -69,57 +118,71 @@ class TokenTable:
 
     def scan(
         self, source: SourceFile, collector: DiagnosticCollector
-    ) -> list[Token]:
+    ) -> TokenStream:
         text = source.text
         actions = self.actions
         keywords = self.keywords
         fold_case = self.fold_case
         token_kind = TokenKind
-        tokens: list[Token] = []
-        append = tokens.append
+        stream = TokenStream()
+        add_kind = stream.kinds.append
+        add_key = stream.keys.append
+        add_text = stream.texts.append
+        add_start = stream.starts.append
+        add_end = stream.ends.append
         for match in self.master.finditer(text):
-            action = actions[match.lastindex]
+            rule = match.lastindex
+            action = actions[rule]
             if action is SKIP:
                 continue
-            if action.__class__ is token_kind:
-                span = _new(SourceSpan, match.span())
-                append(_new(Token, (action, match.group(), span)))
-            elif action is WORD:
-                word = match.group()
+            word = match.group(rule)
+            start, end = match.span(rule)
+            if action is WORD:
                 key = word.lower() if fold_case else word
-                span = _new(SourceSpan, match.span())
                 if key in keywords:
-                    append(_new(Token, (token_kind.KEYWORD, key, span)))
+                    add_kind(_KEYWORD)
+                    word = key
                 else:
-                    append(_new(Token, (token_kind.IDENT, word, span)))
+                    add_kind(_IDENT)
+                    key = _IDENT
+            elif action.__class__ is token_kind:
+                add_kind(action)
+                key = word if action is _OPERATOR or action is _PUNCT else action
             elif action is ESCAPED:
-                span = _new(SourceSpan, match.span())
-                append(_new(Token, (token_kind.IDENT, match.group()[1:], span)))
+                add_kind(_IDENT)
+                key = _IDENT
+                word = word[1:]
             elif action is BIT_STRING:
-                word = match.group()
+                add_kind(token_kind.BASED_NUMBER)
+                key = token_kind.BASED_NUMBER
                 word = word[0].lower() + word[1:]
-                span = _new(SourceSpan, match.span())
-                append(_new(Token, (token_kind.BASED_NUMBER, word, span)))
             else:
-                token = self._error(action, match, source, collector)
-                if token is not None:
-                    append(token)
+                start += action.skip
+                word = word[action.skip:]
+                self._error(action, start, end, source, collector)
+                if not action.token:
+                    continue
+                add_kind(token_kind.ERROR)
+                key = token_kind.ERROR
+            add_key(key)
+            add_text(word)
+            add_start(start)
+            add_end(end)
         end = len(text)
-        append(_new(Token, (token_kind.EOF, "", _new(SourceSpan, (end, end)))))
-        return tokens
+        add_kind(token_kind.EOF)
+        add_key(token_kind.EOF)
+        add_text("")
+        add_start(end)
+        add_end(end)
+        return stream
 
-    def _error(self, rule: LexError, match, source, collector) -> Token | None:
+    def _error(self, rule: LexError, start: int, end: int, source,
+               collector) -> None:
         text = source.text
-        start = match.start() + rule.skip
-        end = match.end()
         following = text[end] if end < len(text) else "\0"
-        span = SourceSpan(start, end)
         collector.error(
             self.error_code,
             rule.message.format(next=following, text=text[start:end]),
             source=source,
-            span=span,
+            span=SourceSpan(start, end),
         )
-        if not rule.token:
-            return None
-        return Token(TokenKind.ERROR, text[start:end], span)

@@ -13,7 +13,11 @@ class TokenKind(enum.Enum):
 
     Keyword sets differ per language; the lexers classify identifiers into
     ``KEYWORD`` using their own tables while reusing this kind enumeration.
+    Members hash by identity: the parsers look kinds up in sets and dicts
+    keyed on :attr:`Token.key`, and ``Enum.__hash__`` is a Python-level call.
     """
+
+    __hash__ = object.__hash__
 
     IDENT = "identifier"
     KEYWORD = "keyword"
@@ -34,23 +38,30 @@ _PUNCT = TokenKind.PUNCT
 
 
 class Token(NamedTuple):
-    """One lexed token with its source span and raw text (an immutable tuple)."""
+    """One lexed token with its source span and raw text (an immutable tuple).
+
+    The parsers read a :class:`~repro.hdl.scanner.TokenStream` instead;
+    :meth:`TokenStream.tokens <repro.hdl.scanner.TokenStream.tokens>` lists
+    its tokens as these tuples for tests and tools.
+    """
 
     kind: TokenKind
     text: str
     span: SourceSpan
 
-    def is_kw(self, *names: str) -> bool:
-        """True when this token is one of the given keywords.
+    @property
+    def key(self) -> str | TokenKind:
+        """What the parsers test and dispatch on.
 
-        VHDL keyword comparison is case-insensitive; the VHDL lexer stores
-        keyword text lower-cased so a plain comparison works for both languages.
+        The text of a keyword, an operator or a punctuation mark, and the
+        kind of any other token, so an escaped Verilog identifier that
+        spells a keyword (``\\end``) stays an identifier. The VHDL lexer
+        stores keyword text lower-cased, so keys compare case-insensitively.
         """
-        return self.kind is _KEYWORD and self.text in names
-
-    def is_op(self, *ops: str) -> bool:
         kind = self.kind
-        return (kind is _OPERATOR or kind is _PUNCT) and self.text in ops
+        if kind is _KEYWORD or kind is _OPERATOR or kind is _PUNCT:
+            return self.text
+        return kind
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})"

@@ -546,15 +546,23 @@ def render_trace_summary(summary: TraceSummary) -> str:
         lines.append("  " + "-" * (len(header) - 2))
         for config in summary.configs:
             stage = config.stage_seconds_per_run
-            lines.append(
-                f"  {config.key:<28} {config.runs:>4} {config.errors:>3} "
-                f"{config.mean_syntax_iterations:>8.2f}/"
+            syntax = (
+                f"{config.mean_syntax_iterations:.2f}/"
                 f"{config.p50_syntax_iterations:.1f}/"
                 f"{config.p90_syntax_iterations:.1f}"
-                f"{config.mean_functional_iterations:>9.2f}/"
+            )
+            functional = (
+                f"{config.mean_functional_iterations:.2f}/"
                 f"{config.p50_functional_iterations:.1f}/"
                 f"{config.p90_functional_iterations:.1f}"
-                f"{stage['generation']:>9.2f}/{stage['syntax']:.2f}/"
+            )
+            seconds = (
+                f"{stage['generation']:.2f}/{stage['syntax']:.2f}/"
                 f"{stage['functional']:.2f}"
+            )
+            # each composite cell ends under the end of its header label
+            lines.append(
+                f"  {config.key:<28} {config.runs:>4} {config.errors:>3} "
+                f"{syntax:>20} {functional:>20} {seconds:>22}"
             )
     return "\n".join(lines)

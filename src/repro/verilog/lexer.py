@@ -1,6 +1,6 @@
 """Verilog lexer: the token table of the shared scanner.
 
-Produces a flat token stream with source spans. Lexical errors (unterminated
+Produces a :class:`~repro.hdl.scanner.TokenStream`. Lexical errors (unterminated
 strings/comments, malformed based literals, stray characters) are reported
 through the shared :class:`~repro.hdl.diagnostics.DiagnosticCollector` with
 ``VRFC``-style codes so they surface in the compile log exactly like parser
@@ -10,7 +10,9 @@ errors do.
 from __future__ import annotations
 
 from repro.hdl.diagnostics import DiagnosticCollector
-from repro.hdl.scanner import ESCAPED, SKIP, WORD, LexError, TokenTable
+from repro.hdl.scanner import (
+    ESCAPED, SKIP, WORD, LexError, TokenStream, TokenTable,
+)
 from repro.hdl.source import SourceFile
 from repro.hdl.tokens import Token, TokenKind
 
@@ -70,7 +72,7 @@ class VerilogLexer:
         self.source = source
         self.collector = collector
 
-    def tokenize(self) -> list[Token]:
+    def tokenize(self) -> TokenStream:
         return VERILOG_TABLE.scan(self.source, self.collector)
 
 
@@ -79,4 +81,4 @@ def lex_verilog(
 ) -> list[Token]:
     """Tokenize a source file; convenience wrapper used by tests and tools."""
     collector = collector if collector is not None else DiagnosticCollector()
-    return VerilogLexer(source, collector).tokenize()
+    return VerilogLexer(source, collector).tokenize().tokens()

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from repro.hdl.cursor import ParseError as _ParseError
 from repro.hdl.cursor import TokenCursor
-from repro.hdl.cursor import describe as _describe
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile, SourceSpan
-from repro.hdl.tokens import Token, TokenKind
+from repro.hdl.tokens import TokenKind
 from repro.sim.values import Logic
 from repro.verilog import ast
 from repro.verilog.lexer import VerilogLexer
@@ -54,6 +53,9 @@ def parse_number_literal(text: str) -> tuple[Logic, bool]:
     return Logic(width, bits, xmask), bool(size_text)
 
 
+_IDENT = TokenKind.IDENT
+
+
 class VerilogParser(TokenCursor):
     """Parses a token stream into a :class:`repro.verilog.ast.SourceUnit`."""
 
@@ -61,21 +63,24 @@ class VerilogParser(TokenCursor):
         super().__init__(
             source, collector, VerilogLexer(source, collector).tokenize()
         )
+        #: literal text -> its folded (value, sized); literals repeat a lot
+        self._numbers: dict[str, tuple[Logic, bool]] = {}
 
     def _sync_to_semicolon(self) -> None:
+        keys = self.keys
         depth = 0
         while not self._at_eof():
-            token = self._peek()
-            if token.is_op("(") or token.is_op("["):
+            key = keys[self.pos]
+            if key in {"(", "["}:
                 depth += 1
-            elif token.is_op(")") or token.is_op("]"):
+            elif key in {")", "]"}:
                 depth = max(0, depth - 1)
-            elif depth == 0 and token.is_op(";"):
-                self._advance()
+            elif depth == 0 and key == ";":
+                self.pos += 1
                 return
-            elif depth == 0 and token.is_kw("end", "endmodule", "endcase", "module"):
+            elif depth == 0 and key in {"end", "endmodule", "endcase", "module"}:
                 return
-            self._advance()
+            self.pos += 1
 
     # ------------------------------------------------------------------
     # top level
@@ -83,55 +88,55 @@ class VerilogParser(TokenCursor):
 
     def parse_source_unit(self) -> ast.SourceUnit:
         modules: list[ast.Module] = []
-        start = self._peek().span
         while not self._at_eof():
-            token = self._peek()
-            if token.is_kw("module"):
+            pos = self.pos
+            if self.keys[pos] == "module":
                 module = self._parse_module()
                 if module is not None:
                     modules.append(module)
             else:
                 self.collector.error(
                     self._CODE_SYNTAX,
-                    f"syntax error near {_describe(token)}: "
+                    f"syntax error near {self._describe(pos)}: "
                     "expected 'module' at top level",
                     source=self.source,
-                    span=token.span,
+                    span=self._span(pos),
                 )
                 # resync to the next design unit, one error per garbage run
-                while not self._at_eof() and not self._peek().is_kw("module"):
-                    self._advance()
-        end = self._peek().span
-        return ast.SourceUnit(span=start.merge(end), modules=tuple(modules))
+                while not self._at_eof() and self.keys[self.pos] != "module":
+                    self.pos += 1
+        return ast.SourceUnit(
+            span=self._span(0, self.pos), modules=tuple(modules)
+        )
 
     def _parse_module(self) -> ast.Module | None:
         start = self._advance()  # 'module'
         try:
-            name = self._expect_ident("after 'module'").text
+            name = self.texts[self._expect_ident("after 'module'")]
         except _ParseError:
             self._sync_to_endmodule()
             return None
         header_params: list[ast.ParamDecl] = []
         ports: list[ast.PortDecl] = []
         try:
-            if self._peek().is_op("#"):
-                self._advance()
+            if self.keys[self.pos] == "#":
+                self.pos += 1
                 header_params = self._parse_parameter_port_list()
-            if self._peek().is_op("("):
+            if self.keys[self.pos] == "(":
                 ports = self._parse_port_list()
-            self._expect_punct(";", "to close the module header")
+            self._expect(";", "to close the module header")
         except _ParseError:
             self._sync_to_semicolon()
         items: list[ast.ModuleItem] = list(header_params)
-        while not self._at_eof() and not self._peek().is_kw("endmodule"):
-            if self._peek().is_kw("module"):
+        while not self._at_eof() and self.keys[self.pos] != "endmodule":
+            if self.keys[self.pos] == "module":
                 # a missing endmodule: report and bail out of this module
                 self.collector.error(
                     self._CODE_SYNTAX,
                     f"syntax error: expected 'endmodule' before 'module' "
                     f"(module '{name}' is unterminated)",
                     source=self.source,
-                    span=self._peek().span,
+                    span=self._span(self.pos),
                 )
                 break
             before = self.pos
@@ -142,107 +147,104 @@ class VerilogParser(TokenCursor):
                 # error recovery consumed nothing (e.g. a stray 'end'):
                 # force progress so the loop terminates
                 self._advance()
-        if self._peek().is_kw("endmodule"):
+        if self.keys[self.pos] == "endmodule":
             end_token = self._advance()
         else:
-            end_token = self._peek()
+            end_token = self.pos
             self.collector.error(
                 self._CODE_SYNTAX,
                 f"syntax error: missing 'endmodule' for module '{name}'",
                 source=self.source,
-                span=end_token.span,
+                span=self._span(end_token),
             )
         return ast.Module(
-            span=start.span.merge(end_token.span),
+            span=self._span(start, end_token),
             name=name,
             ports=tuple(ports),
             items=tuple(items),
         )
 
     def _sync_to_endmodule(self) -> None:
-        while not self._at_eof() and not self._peek().is_kw("endmodule"):
-            self._advance()
-        if self._peek().is_kw("endmodule"):
-            self._advance()
+        while not self._at_eof() and self.keys[self.pos] != "endmodule":
+            self.pos += 1
+        if self.keys[self.pos] == "endmodule":
+            self.pos += 1
 
     def _parse_parameter_port_list(self) -> list[ast.ParamDecl]:
-        self._expect_punct("(", "after '#'")
+        self._expect("(", "after '#'")
         params: list[ast.ParamDecl] = []
         while True:
-            token = self._peek()
-            if token.is_kw("parameter"):
-                self._advance()
-                token = self._peek()
-            if self._peek().is_op("["):
+            if self.keys[self.pos] == "parameter":
+                self.pos += 1
+            if self.keys[self.pos] == "[":
                 self._parse_range()  # parameter range: parsed, widths come from value
             name_token = self._expect_ident("in parameter list")
-            self._expect_punct("=", f"after parameter '{name_token.text}'")
+            name = self.texts[name_token]
+            self._expect("=", f"after parameter '{name}'")
             value = self.parse_expression()
             params.append(
-                ast.ParamDecl(
-                    span=name_token.span, name=name_token.text, value=value
-                )
+                ast.ParamDecl(span=self._span(name_token), name=name, value=value)
             )
-            if self._peek().is_op(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(")", "to close the parameter list")
+            if self.keys[self.pos] != ",":
+                break
+            self.pos += 1
+        self._expect(")", "to close the parameter list")
         return params
 
     def _parse_port_list(self) -> list[ast.PortDecl]:
-        self._expect_punct("(", "to open the port list")
+        self._expect("(", "to open the port list")
         ports: list[ast.PortDecl] = []
-        if self._peek().is_op(")"):
-            self._advance()
+        if self.keys[self.pos] == ")":
+            self.pos += 1
             return ports
         direction = ""
         is_reg = False
         signed = False
         dims: ast.Range | None = None
         while True:
-            token = self._peek()
-            if token.is_kw("input", "output", "inout"):
-                direction = self._advance().text
+            key = self.keys[self.pos]
+            if key in {"input", "output", "inout"}:
+                direction = key
+                self.pos += 1
                 is_reg = False
                 signed = False
                 dims = None
-                token = self._peek()
-            if token.is_kw("wire", "reg"):
-                is_reg = self._advance().text == "reg"
-                token = self._peek()
-            if token.is_kw("signed"):
+                key = self.keys[self.pos]
+            if key in {"wire", "reg"}:
+                is_reg = key == "reg"
+                self.pos += 1
+                key = self.keys[self.pos]
+            if key == "signed":
                 signed = True
-                self._advance()
-                token = self._peek()
-            if token.is_op("["):
+                self.pos += 1
+                key = self.keys[self.pos]
+            if key == "[":
                 dims = self._parse_range()
             name_token = self._expect_ident("in port list")
             ports.append(
                 ast.PortDecl(
-                    span=name_token.span,
+                    span=self._span(name_token),
                     direction=direction or "unresolved",
-                    name=name_token.text,
+                    name=self.texts[name_token],
                     dims=dims,
                     is_reg=is_reg,
                     signed=signed,
                 )
             )
-            if self._peek().is_op(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(")", "to close the port list")
+            if self.keys[self.pos] != ",":
+                break
+            self.pos += 1
+        self._expect(")", "to close the port list")
         return ports
 
     def _parse_range(self) -> ast.Range:
-        open_token = self._expect_punct("[", "to open a range")
+        open_token = self._expect("[", "to open a range")
         msb = self.parse_expression()
-        self._expect_punct(":", "between range bounds")
+        self._expect(":", "between range bounds")
         lsb = self.parse_expression()
-        close_token = self._expect_punct("]", "to close the range")
+        close_token = self._expect("]", "to close the range")
         return ast.Range(
-            span=open_token.span.merge(close_token.span), msb=msb, lsb=lsb
+            span=self._span(open_token, close_token), msb=msb, lsb=lsb
         )
 
     # ------------------------------------------------------------------
@@ -250,37 +252,29 @@ class VerilogParser(TokenCursor):
     # ------------------------------------------------------------------
 
     def _parse_module_item(self) -> ast.ModuleItem | None:
-        token = self._peek()
         try:
-            if token.is_kw("input", "output", "inout"):
-                return self._parse_port_item()
-            if token.is_kw("wire", "reg", "integer"):
-                return self._parse_net_decl()
-            if token.is_kw("parameter", "localparam"):
-                return self._parse_param_decl()
-            if token.is_kw("assign"):
-                return self._parse_continuous_assign()
-            if token.is_kw("always"):
-                return self._parse_always()
-            if token.is_kw("initial"):
-                return self._parse_initial()
-            if token.is_kw("function", "task", "generate", "genvar", "fork"):
-                self.collector.error(
-                    self._CODE_UNSUPPORTED,
-                    f"unsupported construct '{token.text}' "
-                    "(not part of the synthesizable subset)",
-                    source=self.source,
-                    span=token.span,
+            parse = self._MODULE_ITEMS.get(self.keys[self.pos])
+            if parse is None:
+                raise self._error(
+                    f"syntax error near {self._describe(self.pos)}: "
+                    "expected a module item"
                 )
-                raise _ParseError(token.text)
-            if token.kind is TokenKind.IDENT:
-                return self._parse_instantiation()
-            raise self._error(
-                f"syntax error near {_describe(token)}: expected a module item"
-            )
+            return parse(self)
         except _ParseError:
             self._sync_to_semicolon()
             return None
+
+    def _parse_unsupported_item(self) -> ast.ModuleItem:
+        pos = self.pos
+        construct = self.texts[pos]
+        self.collector.error(
+            self._CODE_UNSUPPORTED,
+            f"unsupported construct '{construct}' "
+            "(not part of the synthesizable subset)",
+            source=self.source,
+            span=self._span(pos),
+        )
+        raise _ParseError(construct)
 
     def _parse_port_item(self) -> ast.ModuleItem:
         """A directional declaration in the body (non-ANSI style).
@@ -293,98 +287,96 @@ class VerilogParser(TokenCursor):
         PortDecl items, so we parse all names and push extras onto a pending
         queue consumed here.
         """
-        direction = self._advance().text
+        direction = self.texts[self._advance()]
         is_reg = False
         signed = False
-        if self._peek().is_kw("wire", "reg"):
-            is_reg = self._advance().text == "reg"
-        if self._peek().is_kw("signed"):
+        if self.keys[self.pos] in {"wire", "reg"}:
+            is_reg = self.keys[self.pos] == "reg"
+            self.pos += 1
+        if self.keys[self.pos] == "signed":
             signed = True
-            self._advance()
-        dims = self._parse_range() if self._peek().is_op("[") else None
+            self.pos += 1
+        dims = self._parse_range() if self.keys[self.pos] == "[" else None
         decls: list[ast.PortDecl] = []
         while True:
             name_token = self._expect_ident(f"in '{direction}' declaration")
             decls.append(
                 ast.PortDecl(
-                    span=name_token.span,
+                    span=self._span(name_token),
                     direction=direction,
-                    name=name_token.text,
+                    name=self.texts[name_token],
                     dims=dims,
                     is_reg=is_reg,
                     signed=signed,
                 )
             )
-            if self._peek().is_op(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(";", f"after '{direction}' declaration")
+            if self.keys[self.pos] != ",":
+                break
+            self.pos += 1
+        self._expect(";", f"after '{direction}' declaration")
         if len(decls) == 1:
             return decls[0]
         return _MultiItem(span=decls[0].span, items=tuple(decls))
 
     def _parse_net_decl(self) -> ast.ModuleItem:
-        kind_token = self._advance()
-        kind = kind_token.text
+        kind = self.texts[self._advance()]
         signed = False
-        if self._peek().is_kw("signed"):
+        if self.keys[self.pos] == "signed":
             signed = True
-            self._advance()
-        dims = self._parse_range() if self._peek().is_op("[") else None
+            self.pos += 1
+        dims = self._parse_range() if self.keys[self.pos] == "[" else None
         decls: list[ast.NetDecl] = []
         while True:
             name_token = self._expect_ident(f"in '{kind}' declaration")
             init = None
-            if self._peek().is_op("="):
-                self._advance()
+            if self.keys[self.pos] == "=":
+                self.pos += 1
                 init = self.parse_expression()
-            if self._peek().is_op("["):
+            if self.keys[self.pos] == "[":
                 raise self._error(
-                    "memories (unpacked arrays) are not supported", self._peek()
+                    "memories (unpacked arrays) are not supported", self.pos
                 )
             decls.append(
                 ast.NetDecl(
-                    span=name_token.span,
+                    span=self._span(name_token),
                     kind=kind,
-                    name=name_token.text,
+                    name=self.texts[name_token],
                     dims=dims,
                     init=init,
                     signed=signed,
                 )
             )
-            if self._peek().is_op(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(";", f"after '{kind}' declaration")
+            if self.keys[self.pos] != ",":
+                break
+            self.pos += 1
+        self._expect(";", f"after '{kind}' declaration")
         if len(decls) == 1:
             return decls[0]
         return _MultiItem(span=decls[0].span, items=tuple(decls))
 
     def _parse_param_decl(self) -> ast.ModuleItem:
-        kw = self._advance()
-        local = kw.text == "localparam"
-        if self._peek().is_op("["):
+        kind = self.texts[self._advance()]
+        local = kind == "localparam"
+        if self.keys[self.pos] == "[":
             self._parse_range()
         decls: list[ast.ParamDecl] = []
         while True:
-            name_token = self._expect_ident(f"in '{kw.text}' declaration")
-            self._expect_punct("=", f"after parameter '{name_token.text}'")
+            name_token = self._expect_ident(f"in '{kind}' declaration")
+            name = self.texts[name_token]
+            self._expect("=", f"after parameter '{name}'")
             value = self.parse_expression()
             decls.append(
                 ast.ParamDecl(
-                    span=name_token.span,
-                    name=name_token.text,
+                    span=self._span(name_token),
+                    name=name,
                     value=value,
                     local=local,
                 )
             )
-            if self._peek().is_op(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(";", f"after '{kw.text}' declaration")
+            if self.keys[self.pos] != ",":
+                break
+            self.pos += 1
+        self._expect(";", f"after '{kind}' declaration")
         if len(decls) == 1:
             return decls[0]
         return _MultiItem(span=decls[0].span, items=tuple(decls))
@@ -394,20 +386,19 @@ class VerilogParser(TokenCursor):
         assigns: list[ast.ContinuousAssign] = []
         while True:
             target = self._parse_lvalue()
-            self._expect_punct("=", "in continuous assignment")
+            self._expect("=", "in continuous assignment")
             value = self.parse_expression()
             assigns.append(
                 ast.ContinuousAssign(
-                    span=start.span.merge(_expr_span(value)),
+                    span=self._span_to(start, value),
                     target=target,
                     value=value,
                 )
             )
-            if self._peek().is_op(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(";", "after continuous assignment")
+            if self.keys[self.pos] != ",":
+                break
+            self.pos += 1
+        self._expect(";", "after continuous assignment")
         if len(assigns) == 1:
             return assigns[0]
         return _MultiItem(span=assigns[0].span, items=tuple(assigns))
@@ -415,12 +406,12 @@ class VerilogParser(TokenCursor):
     def _parse_always(self) -> ast.AlwaysBlock:
         start = self._advance()
         sensitivity: ast.SensitivityList | None = None
-        if self._peek().is_op("@"):
-            self._advance()
+        if self.keys[self.pos] == "@":
+            self.pos += 1
             sensitivity = self._parse_sensitivity()
         body = self.parse_statement()
         return ast.AlwaysBlock(
-            span=start.span.merge(_stmt_span(body)),
+            span=self._span_to(start, body),
             sensitivity=sensitivity,
             body=body,
         )
@@ -428,100 +419,108 @@ class VerilogParser(TokenCursor):
     def _parse_initial(self) -> ast.InitialBlock:
         start = self._advance()
         body = self.parse_statement()
-        return ast.InitialBlock(span=start.span.merge(_stmt_span(body)), body=body)
+        return ast.InitialBlock(span=self._span_to(start, body), body=body)
 
     def _parse_sensitivity(self) -> ast.SensitivityList:
-        token = self._peek()
-        if token.is_op("*"):
+        if self.keys[self.pos] == "*":
             star = self._advance()
-            return ast.SensitivityList(span=star.span, items=(), star=True)
-        open_token = self._expect_punct("(", "after '@'")
-        if self._peek().is_op("*"):
-            self._advance()
-            close = self._expect_punct(")", "to close '@(*)'")
+            return ast.SensitivityList(span=self._span(star), items=(), star=True)
+        open_token = self._expect("(", "after '@'")
+        if self.keys[self.pos] == "*":
+            self.pos += 1
+            close = self._expect(")", "to close '@(*)'")
             return ast.SensitivityList(
-                span=open_token.span.merge(close.span), items=(), star=True
+                span=self._span(open_token, close), items=(), star=True
             )
         items: list[ast.SensitivityItem] = []
         while True:
             edge = "any"
-            token = self._peek()
-            if token.is_kw("posedge", "negedge"):
-                edge = "pos" if token.text == "posedge" else "neg"
-                self._advance()
+            key = self.keys[self.pos]
+            if key in {"posedge", "negedge"}:
+                edge = "pos" if key == "posedge" else "neg"
+                self.pos += 1
             signal = self.parse_expression()
             items.append(
-                ast.SensitivityItem(span=_expr_span(signal), edge=edge, signal=signal)
+                ast.SensitivityItem(span=signal.span, edge=edge, signal=signal)
             )
-            if self._peek().is_kw("or") or self._peek().is_op(","):
-                self._advance()
-                continue
-            break
-        close = self._expect_punct(")", "to close the sensitivity list")
+            if self.keys[self.pos] not in {"or", ","}:
+                break
+            self.pos += 1
+        close = self._expect(")", "to close the sensitivity list")
         return ast.SensitivityList(
-            span=open_token.span.merge(close.span), items=tuple(items)
+            span=self._span(open_token, close), items=tuple(items)
         )
 
     def _parse_instantiation(self) -> ast.Instantiation:
         module_token = self._advance()
         parameters: list[tuple[str, ast.Expression]] = []
-        if self._peek().is_op("#"):
-            self._advance()
-            self._expect_punct("(", "after '#' in instantiation")
+        if self.keys[self.pos] == "#":
+            self.pos += 1
+            self._expect("(", "after '#' in instantiation")
             position = 0
-            while not self._peek().is_op(")"):
-                if self._peek().is_op("."):
-                    self._advance()
-                    pname = self._expect_ident("in parameter override").text
-                    self._expect_punct("(", f"after parameter '.{pname}'")
+            while self.keys[self.pos] != ")":
+                if self.keys[self.pos] == ".":
+                    self.pos += 1
+                    pname = self.texts[self._expect_ident("in parameter override")]
+                    self._expect("(", f"after parameter '.{pname}'")
                     parameters.append((pname, self.parse_expression()))
-                    self._expect_punct(")", f"to close parameter '.{pname}'")
+                    self._expect(")", f"to close parameter '.{pname}'")
                 else:
                     parameters.append((f"#{position}", self.parse_expression()))
                     position += 1
-                if self._peek().is_op(","):
-                    self._advance()
-            self._expect_punct(")", "to close the parameter overrides")
+                if self.keys[self.pos] == ",":
+                    self.pos += 1
+            self._expect(")", "to close the parameter overrides")
         instance_token = self._expect_ident(
-            f"as instance name for module '{module_token.text}'"
+            f"as instance name for module '{self.texts[module_token]}'"
         )
-        self._expect_punct("(", "to open the port connections")
+        self._expect("(", "to open the port connections")
         connections: list[ast.PortConnection] = []
-        if not self._peek().is_op(")"):
+        if self.keys[self.pos] != ")":
             while True:
-                if self._peek().is_op("."):
+                if self.keys[self.pos] == ".":
                     dot = self._advance()
-                    pname = self._expect_ident("after '.' in port connection").text
-                    self._expect_punct("(", f"after port '.{pname}'")
+                    pname = self.texts[
+                        self._expect_ident("after '.' in port connection")
+                    ]
+                    self._expect("(", f"after port '.{pname}'")
                     expr = None
-                    if not self._peek().is_op(")"):
+                    if self.keys[self.pos] != ")":
                         expr = self.parse_expression()
-                    close = self._expect_punct(")", f"to close port '.{pname}'")
+                    close = self._expect(")", f"to close port '.{pname}'")
                     connections.append(
                         ast.PortConnection(
-                            span=dot.span.merge(close.span), port=pname, expr=expr
+                            span=self._span(dot, close), port=pname, expr=expr
                         )
                     )
                 else:
                     expr = self.parse_expression()
                     connections.append(
-                        ast.PortConnection(
-                            span=_expr_span(expr), port=None, expr=expr
-                        )
+                        ast.PortConnection(span=expr.span, port=None, expr=expr)
                     )
-                if self._peek().is_op(","):
-                    self._advance()
-                    continue
-                break
-        close = self._expect_punct(")", "to close the port connections")
-        self._expect_punct(";", "after module instantiation")
+                if self.keys[self.pos] != ",":
+                    break
+                self.pos += 1
+        close = self._expect(")", "to close the port connections")
+        self._expect(";", "after module instantiation")
         return ast.Instantiation(
-            span=module_token.span.merge(close.span),
-            module=module_token.text,
-            instance=instance_token.text,
+            span=self._span(module_token, close),
+            module=self.texts[module_token],
+            instance=self.texts[instance_token],
             parameters=tuple(parameters),
             connections=tuple(connections),
         )
+
+    #: module item parsers by the key of the item's first token
+    _MODULE_ITEMS = {
+        **dict.fromkeys(("input", "output", "inout"), _parse_port_item),
+        **dict.fromkeys(("wire", "reg", "integer"), _parse_net_decl),
+        **dict.fromkeys(("parameter", "localparam"), _parse_param_decl),
+        **dict.fromkeys(("function", "task", "generate", "genvar", "fork"),
+                        _parse_unsupported_item),
+        "assign": _parse_continuous_assign, "always": _parse_always,
+        "initial": _parse_initial, _IDENT: _parse_instantiation,
+    }
 
     # ------------------------------------------------------------------
     # statements
@@ -534,39 +533,13 @@ class VerilogParser(TokenCursor):
         depth = self._stmt_depth
         self._stmt_depth = depth + 1
         try:
-            token = self.tokens[self.pos]
-            if token.kind is TokenKind.IDENT or token.is_op("{"):
-                return self._parse_assignment_statement()
-            if token.is_kw("begin"):
-                return self._parse_block()
-            if token.is_kw("if"):
-                return self._parse_if()
-            if token.is_kw("case", "casez", "casex"):
-                return self._parse_case()
-            if token.is_kw("for"):
-                return self._parse_for()
-            if token.is_kw("repeat"):
-                return self._parse_repeat()
-            if token.is_kw("while"):
-                return self._parse_while()
-            if token.is_kw("forever"):
-                start = self._advance()
-                body = self.parse_statement()
-                return ast.Forever(
-                    span=start.span.merge(_stmt_span(body)), body=body
+            parse = self._STATEMENTS.get(self.keys[self.pos])
+            if parse is None:
+                raise self._error(
+                    f"syntax error near {self._describe(self.pos)}: "
+                    "expected a statement"
                 )
-            if token.is_op("#"):
-                return self._parse_delay()
-            if token.is_op("@"):
-                return self._parse_event_control()
-            if token.kind is TokenKind.SYSTEM_ID:
-                return self._parse_system_task()
-            if token.is_op(";"):
-                self._advance()
-                return ast.NullStatement(span=token.span)
-            raise self._error(
-                f"syntax error near {_describe(token)}: expected a statement"
-            )
+            return parse(self)
         finally:
             self._stmt_depth = depth
 
@@ -578,46 +551,48 @@ class VerilogParser(TokenCursor):
         unless an ``else`` follows that belongs to one of its open ``if``s.
         Stops before a closer it did not open and before ``endmodule``.
         """
+        keys = self.keys
         nesting = 0
         open_ifs = 0
         while not self._at_eof():
-            token = self._peek()
-            if token.is_kw("endmodule", "module"):
+            key = keys[self.pos]
+            if key in {"endmodule", "module"}:
                 return
             ends = False
-            if token.is_kw("begin", "case", "casez", "casex"):
+            if key in {"begin", "case", "casez", "casex"}:
                 nesting += 1
-            elif token.is_kw("end", "endcase"):
+            elif key in {"end", "endcase"}:
                 if not nesting:
                     return
                 nesting -= 1
                 ends = not nesting
-            elif token.is_op("(", "[", "{"):
+            elif key in {"(", "[", "{"}:
                 nesting += 1
-            elif token.is_op(")", "]", "}"):
+            elif key in {")", "]", "}"}:
                 nesting = max(0, nesting - 1)
-            elif token.is_op(";"):
+            elif key == ";":
                 ends = not nesting
-            elif token.is_kw("if") and not nesting:
+            elif key == "if" and not nesting:
                 open_ifs += 1
-            self._advance()
+            self.pos += 1
             if ends:
-                if not (open_ifs and self._peek().is_kw("else")):
+                if not (open_ifs and keys[self.pos] == "else"):
                     return
                 open_ifs -= 1
-                self._advance()
+                self.pos += 1
 
     def _parse_block(self) -> ast.Block:
+        keys = self.keys
         start = self._advance()
         label = ""
-        if self._peek().is_op(":"):
-            self._advance()
-            label = self._expect_ident("as block label").text
+        if keys[self.pos] == ":":
+            self.pos += 1
+            label = self.texts[self._expect_ident("as block label")]
         statements: list[ast.Statement] = []
-        while not self._at_eof() and not self._peek().is_kw("end"):
-            if self._peek().is_kw("endmodule", "endcase", "module"):
+        while not self._at_eof() and keys[self.pos] != "end":
+            if keys[self.pos] in {"endmodule", "endcase", "module"}:
                 raise self._error(
-                    f"syntax error near {_describe(self._peek())}: "
+                    f"syntax error near {self._describe(self.pos)}: "
                     "missing 'end' to close 'begin' block"
                 )
             before = self.pos
@@ -625,66 +600,67 @@ class VerilogParser(TokenCursor):
                 statements.append(self.parse_statement())
             except _ParseError:
                 self._sync_to_semicolon()
-                if self._peek().is_kw("endmodule", "module"):
+                if keys[self.pos] in {"endmodule", "module"}:
                     raise
                 if self.pos == before:
                     self._advance()  # recovery made no progress: force it
-        end = self._expect_keyword("end", "to close 'begin' block")
+        end = self._expect("end", "to close 'begin' block")
         return ast.Block(
-            span=start.span.merge(end.span), statements=tuple(statements), label=label
+            span=self._span(start, end), statements=tuple(statements), label=label
         )
 
     def _parse_if(self) -> ast.If:
         start = self._advance()
-        self._expect_punct("(", "after 'if'")
+        self._expect("(", "after 'if'")
         condition = self.parse_expression()
-        self._expect_punct(")", "to close the 'if' condition")
+        self._expect(")", "to close the 'if' condition")
         then_branch = self.parse_statement()
         else_branch = None
-        if self._peek().is_kw("else"):
-            self._advance()
+        if self.keys[self.pos] == "else":
+            self.pos += 1
             else_branch = self.parse_statement()
         last = else_branch if else_branch is not None else then_branch
         return ast.If(
-            span=start.span.merge(_stmt_span(last)),
+            span=self._span_to(start, last),
             condition=condition,
             then_branch=then_branch,
             else_branch=else_branch,
         )
 
     def _parse_case(self) -> ast.Case:
+        keys = self.keys
         start = self._advance()
-        kind = start.text
-        self._expect_punct("(", f"after '{kind}'")
+        kind = self.texts[start]
+        self._expect("(", f"after '{kind}'")
         subject = self.parse_expression()
-        self._expect_punct(")", f"to close the '{kind}' subject")
+        self._expect(")", f"to close the '{kind}' subject")
         items: list[ast.CaseItem] = []
-        while not self._at_eof() and not self._peek().is_kw("endcase"):
-            if self._peek().is_kw("endmodule", "module"):
+        while not self._at_eof() and keys[self.pos] != "endcase":
+            if keys[self.pos] in {"endmodule", "module"}:
                 raise self._error(
                     f"syntax error: missing 'endcase' for '{kind}' statement"
                 )
-            if self._peek().is_kw("default"):
+            if keys[self.pos] == "default":
                 token = self._advance()
-                if self._peek().is_op(":"):
-                    self._advance()
+                if keys[self.pos] == ":":
+                    self.pos += 1
                 body = self.parse_statement()
-                items.append(ast.CaseItem(span=token.span, labels=(), body=body))
+                items.append(
+                    ast.CaseItem(span=self._span(token), labels=(), body=body)
+                )
                 continue
             labels = [self.parse_expression()]
-            while self._peek().is_op(","):
-                self._advance()
+            while keys[self.pos] == ",":
+                self.pos += 1
                 labels.append(self.parse_expression())
-            self._expect_punct(":", "after case label")
+            self._expect(":", "after case label")
             body = self.parse_statement()
             items.append(
-                ast.CaseItem(
-                    span=_expr_span(labels[0]), labels=tuple(labels), body=body
-                )
+                ast.CaseItem(span=labels[0].span, labels=tuple(labels), body=body)
             )
-        end = self._expect_keyword("endcase", f"to close '{kind}'")
+        end = self._expect("endcase", f"to close '{kind}'")
         return ast.Case(
-            span=start.span.merge(end.span),
+            span=self._span(start, end),
             kind=kind,
             subject=subject,
             items=tuple(items),
@@ -692,16 +668,16 @@ class VerilogParser(TokenCursor):
 
     def _parse_for(self) -> ast.For:
         start = self._advance()
-        self._expect_punct("(", "after 'for'")
+        self._expect("(", "after 'for'")
         init = self._parse_plain_assign("in 'for' initialization")
-        self._expect_punct(";", "after 'for' initialization")
+        self._expect(";", "after 'for' initialization")
         condition = self.parse_expression()
-        self._expect_punct(";", "after 'for' condition")
+        self._expect(";", "after 'for' condition")
         step = self._parse_plain_assign("in 'for' step")
-        self._expect_punct(")", "to close the 'for' header")
+        self._expect(")", "to close the 'for' header")
         body = self.parse_statement()
         return ast.For(
-            span=start.span.merge(_stmt_span(body)),
+            span=self._span_to(start, body),
             init=init,
             condition=condition,
             step=step,
@@ -710,122 +686,123 @@ class VerilogParser(TokenCursor):
 
     def _parse_plain_assign(self, context: str) -> ast.Assign:
         target = self._parse_lvalue()
-        token = self._peek()
-        if token.is_op("="):
-            self._advance()
-            blocking = True
-        elif token.is_op("<="):
-            self._advance()
-            blocking = False
-        else:
+        pos = self.pos
+        key = self.keys[pos]
+        if key != "=" and key != "<=":
             raise self._error(
-                f"syntax error near {_describe(token)}: expected '=' {context}"
+                f"syntax error near {self._describe(pos)}: expected '=' {context}"
             )
+        self.pos = pos + 1
         value = self.parse_expression()
         return ast.Assign(
-            span=_expr_span(value), target=target, value=value, blocking=blocking
+            span=value.span, target=target, value=value, blocking=key == "="
         )
 
     def _parse_repeat(self) -> ast.Repeat:
         start = self._advance()
-        self._expect_punct("(", "after 'repeat'")
+        self._expect("(", "after 'repeat'")
         count = self.parse_expression()
-        self._expect_punct(")", "to close the 'repeat' count")
+        self._expect(")", "to close the 'repeat' count")
         body = self.parse_statement()
-        return ast.Repeat(
-            span=start.span.merge(_stmt_span(body)), count=count, body=body
-        )
+        return ast.Repeat(span=self._span_to(start, body), count=count, body=body)
 
     def _parse_while(self) -> ast.While:
         start = self._advance()
-        self._expect_punct("(", "after 'while'")
+        self._expect("(", "after 'while'")
         condition = self.parse_expression()
-        self._expect_punct(")", "to close the 'while' condition")
+        self._expect(")", "to close the 'while' condition")
         body = self.parse_statement()
         return ast.While(
-            span=start.span.merge(_stmt_span(body)), condition=condition, body=body
+            span=self._span_to(start, body), condition=condition, body=body
         )
+
+    def _parse_forever(self) -> ast.Forever:
+        start = self._advance()
+        body = self.parse_statement()
+        return ast.Forever(span=self._span_to(start, body), body=body)
 
     def _parse_delay(self) -> ast.DelayControl:
         start = self._advance()  # '#'
         delay = self.parse_primary()
         statement: ast.Statement | None = None
-        if self._peek().is_op(";"):
-            self._advance()
+        if self.keys[self.pos] == ";":
+            self.pos += 1
         else:
             statement = self.parse_statement()
         return ast.DelayControl(
-            span=start.span.merge(_expr_span(delay)), delay=delay, statement=statement
+            span=self._span_to(start, delay), delay=delay, statement=statement
         )
 
     def _parse_event_control(self) -> ast.EventControl:
         start = self._advance()  # '@'
         sensitivity = self._parse_sensitivity()
         statement: ast.Statement | None = None
-        if self._peek().is_op(";"):
-            self._advance()
+        if self.keys[self.pos] == ";":
+            self.pos += 1
         else:
             statement = self.parse_statement()
         return ast.EventControl(
-            span=start.span.merge(sensitivity.span),
+            span=self._span_to(start, sensitivity),
             sensitivity=sensitivity,
             statement=statement,
         )
 
     def _parse_system_task(self) -> ast.SystemTaskCall:
         token = self._advance()
-        args: list[ast.Expression] = []
-        if self._peek().is_op("("):
-            self._advance()
-            if not self._peek().is_op(")"):
-                while True:
-                    args.append(self.parse_expression())
-                    if self._peek().is_op(","):
-                        self._advance()
-                        continue
-                    break
-            self._expect_punct(")", f"to close '{token.text}' arguments")
-        self._expect_punct(";", f"after '{token.text}'")
-        return ast.SystemTaskCall(span=token.span, name=token.text, args=tuple(args))
+        name = self.texts[token]
+        args: tuple[ast.Expression, ...] = ()
+        if self.keys[self.pos] == "(":
+            args = self._parse_arguments(f"to close '{name}' arguments")
+        self._expect(";", f"after '{name}'")
+        return ast.SystemTaskCall(span=self._span(token), name=name, args=args)
+
+    def _parse_null_statement(self) -> ast.NullStatement:
+        return ast.NullStatement(span=self._span(self._advance()))
 
     def _parse_assignment_statement(self) -> ast.Assign:
         target = self._parse_lvalue()
-        token = self._peek()
-        if token.is_op("="):
-            self._advance()
-            blocking = True
-        elif token.is_op("<="):
-            self._advance()
-            blocking = False
-        else:
+        pos = self.pos
+        key = self.keys[pos]
+        if key != "=" and key != "<=":
             raise self._error(
-                f"syntax error near {_describe(token)}: "
+                f"syntax error near {self._describe(pos)}: "
                 "expected '=' or '<=' in assignment"
             )
-        if self._peek().is_op("#"):
-            raise self._error(
-                "intra-assignment delays are not supported", self._peek()
-            )
+        self.pos = pos + 1
+        if self.keys[pos + 1] == "#":
+            raise self._error("intra-assignment delays are not supported", pos + 1)
         value = self.parse_expression()
-        semi = self._expect_punct(";", "after assignment")
+        semi = self._expect(";", "after assignment")
         return ast.Assign(
-            span=_lvalue_span(target).merge(semi.span),
+            span=target.span.merge(self._span(semi)),
             target=target,
             value=value,
-            blocking=blocking,
+            blocking=key == "=",
         )
 
     def _parse_lvalue(self) -> ast.LValue:
-        token = self._peek()
-        if token.is_op("{"):
+        pos = self.pos
+        if self.keys[pos] == "{":
             expr = self.parse_primary()
             if not isinstance(expr, ast.Concat):
-                raise self._error("invalid left-hand side of assignment", token)
+                raise self._error("invalid left-hand side of assignment", pos)
             return expr
         name_token = self._expect_ident("as assignment target")
-        if self._peek().is_op("["):
+        if self.keys[self.pos] == "[":
             return self._parse_select(name_token)
-        return ast.Identifier(span=name_token.span, name=name_token.text)
+        return ast.Identifier(
+            span=self._span(name_token), name=self.texts[name_token]
+        )
+
+    #: statement parsers by the key of the statement's first token
+    _STATEMENTS = {
+        _IDENT: _parse_assignment_statement, "{": _parse_assignment_statement,
+        **dict.fromkeys(("case", "casez", "casex"), _parse_case),
+        "begin": _parse_block, "if": _parse_if, "for": _parse_for,
+        "repeat": _parse_repeat, "while": _parse_while,
+        "forever": _parse_forever, "#": _parse_delay, "@": _parse_event_control,
+        TokenKind.SYSTEM_ID: _parse_system_task, ";": _parse_null_statement,
+    }
 
     # ------------------------------------------------------------------
     # expressions (precedence climbing)
@@ -851,10 +828,10 @@ class VerilogParser(TokenCursor):
         depth = self._nest()
         try:
             expr = self._parse_binary(1)
-            if self.tokens[self.pos].is_op("?"):
-                self._advance()
+            if self.keys[self.pos] == "?":
+                self.pos += 1
                 if_true = self.parse_expression()
-                self._expect_punct(":", "in conditional expression")
+                self._expect(":", "in conditional expression")
                 if_false = self.parse_expression()
                 expr = ast.Ternary(
                     span=expr.span.merge(if_false.span),
@@ -871,139 +848,161 @@ class VerilogParser(TokenCursor):
     def _parse_binary(self, min_prec: int) -> ast.Expression:
         """Precedence climbing: fold operators binding at least ``min_prec``."""
         lhs = self._parse_unary()
-        tokens = self.tokens
+        keys = self.keys
+        binding = self._BINARY_PREC.get
         while True:
-            token = tokens[self.pos]
-            if token.kind is not TokenKind.OPERATOR:
-                return lhs
-            prec = self._BINARY_PREC.get(token.text, 0)
+            key = keys[self.pos]
+            prec = binding(key, 0)
             if prec < min_prec:
                 return lhs
             self.pos += 1
             rhs = self._parse_binary(prec + 1)
-            lhs = ast.Binary(
-                span=lhs.span.merge(rhs.span), op=token.text, lhs=lhs, rhs=rhs
-            )
+            lhs = ast.Binary(lhs.span.merge(rhs.span), key, lhs, rhs)
 
     def _parse_unary(self) -> ast.Expression:
-        token = self.tokens[self.pos]
-        if token.is_op("+", "-", "!", "~", "&", "|", "^"):
-            depth = self._nest()
-            self._advance()
-            op = token.text
-            # reduction nand/nor/xnor: ~& ~| ~^ arrive as '~' followed by op
-            if op == "~" and self._peek().is_op("&", "|", "^"):
-                op = "~" + self._advance().text
-            operand = self._parse_unary()
-            self._depth = depth
-            return ast.Unary(
-                span=token.span.merge(operand.span), op=op, operand=operand
-            )
-        return self.parse_primary()
+        pos = self.pos
+        op = self.keys[pos]
+        parse = self._PRIMARIES.get(op)
+        if parse is not None:
+            return parse(self)
+        if op not in {"+", "-", "!", "~", "&", "|", "^"}:
+            return self.parse_primary()  # reports the missing expression
+        depth = self._nest()
+        self.pos = pos + 1
+        # reduction nand/nor/xnor: ~& ~| ~^ arrive as '~' followed by op
+        if op == "~" and self.keys[pos + 1] in {"&", "|", "^"}:
+            op += self.keys[pos + 1]
+            self.pos = pos + 2
+        operand = self._parse_unary()
+        self._depth = depth
+        return ast.Unary(span=self._span_to(pos, operand), op=op, operand=operand)
 
     def parse_primary(self) -> ast.Expression:
-        token = self.tokens[self.pos]
-        if token.kind is TokenKind.IDENT:
-            self.pos += 1
-            if self.tokens[self.pos].is_op("["):
-                return self._parse_select(token)
-            return ast.Identifier(span=token.span, name=token.text)
-        if token.kind in (TokenKind.NUMBER, TokenKind.BASED_NUMBER):
-            self._advance()
-            try:
-                value, sized = parse_number_literal(token.text)
-            except (ValueError, KeyError):
-                raise self._error(f"malformed numeric literal '{token.text}'", token)
-            return ast.Number(span=token.span, value=value, sized=sized)
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return ast.StringLiteral(span=token.span, value=token.text[1:-1])
-        if token.kind is TokenKind.SYSTEM_ID:
-            self._advance()
-            args: list[ast.Expression] = []
-            if self._peek().is_op("("):
-                self._advance()
-                if not self._peek().is_op(")"):
-                    while True:
-                        args.append(self.parse_expression())
-                        if self._peek().is_op(","):
-                            self._advance()
-                            continue
-                        break
-                self._expect_punct(")", f"to close '{token.text}'")
-            return ast.SystemFunctionCall(
-                span=token.span, name=token.text, args=tuple(args)
+        parse = self._PRIMARIES.get(self.keys[self.pos])
+        if parse is None:
+            raise self._error(
+                f"syntax error near {self._describe(self.pos)}: "
+                "expected an expression"
             )
-        if token.is_op("("):
-            self._advance()
-            inner = self.parse_expression()
-            self._expect_punct(")", "to close parenthesized expression")
-            return inner
-        if token.is_op("{"):
-            return self._parse_concat()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected an expression"
-        )
+        return parse(self)
 
-    def _parse_select(self, name_token: Token) -> ast.Expression:
-        self._expect_punct("[", "in bit/part select")
+    def _parse_name(self) -> ast.Expression:
+        pos = self.pos
+        self.pos = pos + 1
+        if self.keys[pos + 1] == "[":
+            return self._parse_select(pos)
+        return ast.Identifier(self._span(pos), self.texts[pos])
+
+    def _parse_number(self) -> ast.Number:
+        pos = self._advance()
+        text = self.texts[pos]
+        folded = self._numbers.get(text)
+        if folded is None:
+            try:
+                folded = self._numbers[text] = parse_number_literal(text)
+            except (ValueError, KeyError):
+                raise self._error(f"malformed numeric literal '{text}'", pos)
+        value, sized = folded
+        return ast.Number(self._span(pos), value, sized)
+
+    def _parse_string(self) -> ast.StringLiteral:
+        pos = self._advance()
+        return ast.StringLiteral(span=self._span(pos), value=self.texts[pos][1:-1])
+
+    def _parse_system_call(self) -> ast.SystemFunctionCall:
+        pos = self._advance()
+        name = self.texts[pos]
+        args: tuple[ast.Expression, ...] = ()
+        if self.keys[self.pos] == "(":
+            args = self._parse_arguments(f"to close '{name}'")
+        return ast.SystemFunctionCall(span=self._span(pos), name=name, args=args)
+
+    def _parse_arguments(self, context: str) -> tuple[ast.Expression, ...]:
+        """The parenthesized arguments of a system task or function."""
+        self.pos += 1  # '('
+        args: list[ast.Expression] = []
+        if self.keys[self.pos] != ")":
+            while True:
+                args.append(self.parse_expression())
+                if self.keys[self.pos] != ",":
+                    break
+                self.pos += 1
+        self._expect(")", context)
+        return tuple(args)
+
+    def _parse_parenthesized(self) -> ast.Expression:
+        self.pos += 1  # '('
+        inner = self.parse_expression()
+        self._expect(")", "to close parenthesized expression")
+        return inner
+
+    def _parse_select(self, name_token: int) -> ast.Expression:
+        self._expect("[", "in bit/part select")
         first = self.parse_expression()
-        token = self._peek()
-        if token.is_op(":"):
-            self._advance()
+        target = self.texts[name_token]
+        key = self.keys[self.pos]
+        if key == ":":
+            self.pos += 1
             lsb = self.parse_expression()
-            close = self._expect_punct("]", "to close part select")
+            close = self._expect("]", "to close part select")
             return ast.PartSelect(
-                span=name_token.span.merge(close.span),
-                target=name_token.text,
+                span=self._span(name_token, close),
+                target=target,
                 msb=first,
                 lsb=lsb,
             )
-        if token.is_op("+:", "-:"):
-            ascending = self._advance().text == "+:"
+        if key == "+:" or key == "-:":
+            self.pos += 1
             width = self.parse_expression()
-            close = self._expect_punct("]", "to close indexed part select")
+            close = self._expect("]", "to close indexed part select")
             return ast.IndexedPartSelect(
-                span=name_token.span.merge(close.span),
-                target=name_token.text,
+                span=self._span(name_token, close),
+                target=target,
                 base=first,
                 width=width,
-                ascending=ascending,
+                ascending=key == "+:",
             )
-        close = self._expect_punct("]", "to close bit select")
+        close = self._expect("]", "to close bit select")
         return ast.BitSelect(
-            span=name_token.span.merge(close.span),
-            target=name_token.text,
+            span=self._span(name_token, close),
+            target=target,
             index=first,
         )
 
     def _parse_concat(self) -> ast.Expression:
+        keys = self.keys
         open_token = self._advance()  # '{'
         first = self.parse_expression()
-        if self._peek().is_op("{"):
+        if keys[self.pos] == "{":
             # replication: {N{expr}}
-            self._advance()
+            self.pos += 1
             value = self.parse_expression()
-            while self._peek().is_op(","):
-                self._advance()
+            while keys[self.pos] == ",":
+                self.pos += 1
                 nxt = self.parse_expression()
                 value = ast.Concat(
-                    span=_expr_span(value).merge(_expr_span(nxt)),
+                    span=value.span.merge(nxt.span),
                     parts=_concat_parts(value) + (nxt,),
                 )
-            self._expect_punct("}", "to close replication operand")
-            close = self._expect_punct("}", "to close replication")
+            self._expect("}", "to close replication operand")
+            close = self._expect("}", "to close replication")
             return ast.Replicate(
-                span=open_token.span.merge(close.span), count=first, value=value
+                span=self._span(open_token, close), count=first, value=value
             )
         parts = [first]
-        while self._peek().is_op(","):
-            self._advance()
+        while keys[self.pos] == ",":
+            self.pos += 1
             parts.append(self.parse_expression())
-        close = self._expect_punct("}", "to close concatenation")
-        return ast.Concat(
-            span=open_token.span.merge(close.span), parts=tuple(parts)
-        )
+        close = self._expect("}", "to close concatenation")
+        return ast.Concat(span=self._span(open_token, close), parts=tuple(parts))
+
+    #: primary parsers by the key of the primary's first token
+    _PRIMARIES = {
+        _IDENT: _parse_name, TokenKind.STRING: _parse_string,
+        TokenKind.NUMBER: _parse_number, TokenKind.BASED_NUMBER: _parse_number,
+        TokenKind.SYSTEM_ID: _parse_system_call,
+        "(": _parse_parenthesized, "{": _parse_concat,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -1031,18 +1030,6 @@ def _flatten_items(items) -> tuple:
         else:
             flat.append(item)
     return tuple(flat)
-
-
-def _expr_span(expr: ast.Expression) -> SourceSpan:
-    return expr.span
-
-
-def _stmt_span(stmt: ast.Statement) -> SourceSpan:
-    return stmt.span
-
-
-def _lvalue_span(lvalue: ast.LValue) -> SourceSpan:
-    return lvalue.span
 
 
 def _concat_parts(expr: ast.Expression) -> tuple:

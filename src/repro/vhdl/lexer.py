@@ -9,7 +9,9 @@ look alike.
 from __future__ import annotations
 
 from repro.hdl.diagnostics import DiagnosticCollector
-from repro.hdl.scanner import BIT_STRING, SKIP, WORD, LexError, TokenTable
+from repro.hdl.scanner import (
+    BIT_STRING, SKIP, WORD, LexError, TokenStream, TokenTable,
+)
 from repro.hdl.source import SourceFile
 from repro.hdl.tokens import Token, TokenKind
 
@@ -61,7 +63,7 @@ class VhdlLexer:
         self.source = source
         self.collector = collector
 
-    def tokenize(self) -> list[Token]:
+    def tokenize(self) -> TokenStream:
         return VHDL_TABLE.scan(self.source, self.collector)
 
 
@@ -70,4 +72,4 @@ def lex_vhdl(
 ) -> list[Token]:
     """Tokenize VHDL text; convenience wrapper used by tests and tools."""
     collector = collector if collector is not None else DiagnosticCollector()
-    return VhdlLexer(source, collector).tokenize()
+    return VhdlLexer(source, collector).tokenize().tokens()

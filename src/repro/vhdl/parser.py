@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from repro.hdl.cursor import ParseError as _ParseError
 from repro.hdl.cursor import TokenCursor
-from repro.hdl.cursor import describe as _describe
 from repro.hdl.diagnostics import DiagnosticCollector
-from repro.hdl.source import SourceFile, SourceSpan
-from repro.hdl.tokens import Token, TokenKind
+from repro.hdl.source import SourceFile
+from repro.hdl.tokens import TokenKind
 from repro.vhdl import ast
-from repro.vhdl.lexer import VhdlLexer
+from repro.vhdl.lexer import VHDL_KEYWORDS, VhdlLexer
 
 #: names treated as function calls when applied to one argument
 KNOWN_FUNCTIONS = frozenset(
@@ -27,7 +26,13 @@ KNOWN_FUNCTIONS = frozenset(
     """.split()
 )
 
-_SEVERITIES = ("note", "warning", "error", "failure")
+_SEVERITIES = frozenset(("note", "warning", "error", "failure"))
+#: time unit -> factor to nanoseconds (sub-nanosecond units fold to 0)
+_TIME_SCALE = {"fs": 0, "ps": 0, "ns": 1, "us": 1000, "ms": 1_000_000}
+
+_IDENT = TokenKind.IDENT
+#: keys that can name an attribute after a tick (``clk'event``, ``v'range``)
+_ATTRIBUTE_NAMES = VHDL_KEYWORDS | {_IDENT}
 
 
 class VhdlParser(TokenCursor):
@@ -39,21 +44,22 @@ class VhdlParser(TokenCursor):
         )
 
     def _sync_to_semicolon(self) -> None:
+        keys = self.keys
         depth = 0
         while not self._at_eof():
-            token = self._peek()
-            if token.is_op("("):
+            key = keys[self.pos]
+            if key == "(":
                 depth += 1
-            elif token.is_op(")"):
+            elif key == ")":
                 depth = max(0, depth - 1)
-            elif depth == 0 and token.is_op(";"):
-                self._advance()
+            elif depth == 0 and key == ";":
+                self.pos += 1
                 return
-            elif depth == 0 and token.is_kw(
+            elif depth == 0 and key in {
                 "end", "begin", "entity", "architecture", "process"
-            ):
+            }:
                 return
-            self._advance()
+            self.pos += 1
 
     # ------------------------------------------------------------------
     # design file
@@ -62,55 +68,54 @@ class VhdlParser(TokenCursor):
     def parse_design_file(self) -> ast.DesignFile:
         entities: list[ast.Entity] = []
         architectures: list[ast.Architecture] = []
-        start = self._peek().span
         while not self._at_eof():
-            token = self._peek()
+            pos = self.pos
+            key = self.keys[pos]
             try:
-                if token.is_kw("library", "use"):
+                if key in {"library", "use"}:
                     self._skip_context_clause()
-                elif token.is_kw("entity"):
+                elif key == "entity":
                     entity = self._parse_entity()
                     if entity is not None:
                         entities.append(entity)
-                elif token.is_kw("architecture"):
+                elif key == "architecture":
                     arch = self._parse_architecture()
                     if arch is not None:
                         architectures.append(arch)
-                elif token.is_kw("package", "configuration"):
+                elif key == "package" or key == "configuration":
                     self.collector.error(
                         self._CODE_UNSUPPORTED,
-                        f"unsupported design unit '{token.text}'",
+                        f"unsupported design unit '{key}'",
                         source=self.source,
-                        span=token.span,
+                        span=self._span(pos),
                     )
                     self._skip_design_unit()
                 else:
                     raise self._error(
-                        f"syntax error near {_describe(token)}: expected a "
+                        f"syntax error near {self._describe(pos)}: expected a "
                         "design unit (entity/architecture)"
                     )
             except _ParseError:
                 self._sync_to_semicolon()
-                if self._peek() is token and not self._at_eof():
-                    self._advance()
-        end = self._peek().span
+                if self.pos == pos and not self._at_eof():
+                    self.pos += 1
         return ast.DesignFile(
-            span=start.merge(end),
+            span=self._span(0, self.pos),
             entities=tuple(entities),
             architectures=tuple(architectures),
         )
 
     def _skip_context_clause(self) -> None:
-        while not self._at_eof() and not self._peek().is_op(";"):
-            self._advance()
-        if self._peek().is_op(";"):
-            self._advance()
+        while not self._at_eof() and self.keys[self.pos] != ";":
+            self.pos += 1
+        if self.keys[self.pos] == ";":
+            self.pos += 1
 
     def _skip_design_unit(self) -> None:
-        while not self._at_eof() and not self._peek().is_kw(
+        while not self._at_eof() and self.keys[self.pos] not in {
             "entity", "architecture", "library", "use"
-        ):
-            self._advance()
+        }:
+            self.pos += 1
 
     # ------------------------------------------------------------------
     # entity
@@ -118,139 +123,134 @@ class VhdlParser(TokenCursor):
 
     def _parse_entity(self) -> ast.Entity | None:
         start = self._advance()  # 'entity'
-        name = self._expect_ident("after 'entity'").text.lower()
-        self._expect_keyword("is", f"after entity name '{name}'")
+        name = self.texts[self._expect_ident("after 'entity'")].lower()
+        self._expect("is", f"after entity name '{name}'")
         generics: list[ast.GenericDecl] = []
         ports: list[ast.PortDecl] = []
-        if self._peek().is_kw("generic"):
+        if self.keys[self.pos] == "generic":
             generics = self._parse_generic_clause()
-        if self._peek().is_kw("port"):
+        if self.keys[self.pos] == "port":
             ports = self._parse_port_clause()
-        end = self._expect_keyword("end", f"to close entity '{name}'")
-        if self._peek().is_kw("entity"):
-            self._advance()
-        if self._peek().kind is TokenKind.IDENT:
-            closing = self._advance().text.lower()
+        end = self._expect("end", f"to close entity '{name}'")
+        if self.keys[self.pos] == "entity":
+            self.pos += 1
+        if self.keys[self.pos] is _IDENT:
+            closing = self.texts[self._advance()].lower()
             if closing != name:
                 self.collector.error(
                     self._CODE_SYNTAX,
                     f"entity name mismatch: 'end {closing}' closes entity "
                     f"'{name}'",
                     source=self.source,
-                    span=end.span,
+                    span=self._span(end),
                 )
-        self._expect_punct(";", f"after 'end' of entity '{name}'")
+        self._expect(";", f"after 'end' of entity '{name}'")
         return ast.Entity(
-            span=start.span.merge(end.span),
+            span=self._span(start, end),
             name=name,
             generics=tuple(generics),
             ports=tuple(ports),
         )
 
     def _parse_generic_clause(self) -> list[ast.GenericDecl]:
-        self._advance()  # 'generic'
-        self._expect_punct("(", "after 'generic'")
+        self.pos += 1  # 'generic'
+        self._expect("(", "after 'generic'")
         generics: list[ast.GenericDecl] = []
         while True:
             names = self._parse_ident_list("in generic declaration")
-            self._expect_punct(":", "after generic name")
+            self._expect(":", "after generic name")
             type_mark = self._parse_type_mark()
             default = None
-            if self._peek().is_op(":="):
-                self._advance()
+            if self.keys[self.pos] == ":=":
+                self.pos += 1
                 default = self.parse_expression()
             for name_token in names:
                 generics.append(
                     ast.GenericDecl(
-                        span=name_token.span,
-                        name=name_token.text.lower(),
+                        span=self._span(name_token),
+                        name=self.texts[name_token].lower(),
                         type_mark=type_mark,
                         default=default,
                     )
                 )
-            if self._peek().is_op(";"):
-                self._advance()
-                continue
-            break
-        self._expect_punct(")", "to close the generic clause")
-        self._expect_punct(";", "after the generic clause")
+            if self.keys[self.pos] != ";":
+                break
+            self.pos += 1
+        self._expect(")", "to close the generic clause")
+        self._expect(";", "after the generic clause")
         return generics
 
     def _parse_port_clause(self) -> list[ast.PortDecl]:
-        self._advance()  # 'port'
-        self._expect_punct("(", "after 'port'")
+        self.pos += 1  # 'port'
+        self._expect("(", "after 'port'")
         ports: list[ast.PortDecl] = []
         while True:
             names = self._parse_ident_list("in port declaration")
-            self._expect_punct(":", "after port name")
-            direction_token = self._peek()
-            if direction_token.is_kw("in", "out", "inout", "buffer"):
-                self._advance()
-                direction = direction_token.text
+            self._expect(":", "after port name")
+            direction_token = self.pos
+            direction = self.keys[direction_token]
+            if direction in {"in", "out", "inout", "buffer"}:
+                self.pos += 1
             else:
                 direction = "in"
                 self.collector.error(
                     self._CODE_SYNTAX,
                     f"missing port direction before "
-                    f"{_describe(direction_token)}; assuming 'in'",
+                    f"{self._describe(direction_token)}; assuming 'in'",
                     source=self.source,
-                    span=direction_token.span,
+                    span=self._span(direction_token),
                 )
             type_mark = self._parse_type_mark()
             for name_token in names:
                 ports.append(
                     ast.PortDecl(
-                        span=name_token.span,
-                        name=name_token.text.lower(),
+                        span=self._span(name_token),
+                        name=self.texts[name_token].lower(),
                         direction=direction,
                         type_mark=type_mark,
                     )
                 )
-            if self._peek().is_op(";"):
-                self._advance()
-                continue
-            break
-        self._expect_punct(")", "to close the port clause")
-        self._expect_punct(";", "after the port clause")
+            if self.keys[self.pos] != ";":
+                break
+            self.pos += 1
+        self._expect(")", "to close the port clause")
+        self._expect(";", "after the port clause")
         return ports
 
-    def _parse_ident_list(self, context: str) -> list[Token]:
+    def _parse_ident_list(self, context: str) -> list[int]:
         names = [self._expect_ident(context)]
-        while self._peek().is_op(","):
-            self._advance()
+        while self.keys[self.pos] == ",":
+            self.pos += 1
             names.append(self._expect_ident(context))
         return names
 
     def _parse_type_mark(self) -> ast.TypeMark:
         name_token = self._expect_ident("as a type name")
-        name = name_token.text.lower()
+        name = self.texts[name_token].lower()
         left = right = None
         descending = True
-        if self._peek().is_op("("):
-            self._advance()
+        if self.keys[self.pos] == "(":
+            self.pos += 1
             left = self.parse_expression()
-            token = self._peek()
-            if token.is_kw("downto"):
-                self._advance()
-            elif token.is_kw("to"):
-                self._advance()
-                descending = False
-            else:
+            key = self.keys[self.pos]
+            if key not in {"downto", "to"}:
                 raise self._error(
-                    f"syntax error near {_describe(token)}: expected 'downto' "
-                    "or 'to' in range constraint"
+                    f"syntax error near {self._describe(self.pos)}: expected "
+                    "'downto' or 'to' in range constraint"
                 )
+            self.pos += 1
+            descending = key == "downto"
             right = self.parse_expression()
-            self._expect_punct(")", "to close the range constraint")
-        elif self._peek().is_kw("range"):
+            self._expect(")", "to close the range constraint")
+        elif self.keys[self.pos] == "range":
             # integer range N to M — parsed, only the base type is used
-            self._advance()
+            self.pos += 1
             self.parse_expression()
-            if self._peek().is_kw("to", "downto"):
-                self._advance()
+            if self.keys[self.pos] in {"downto", "to"}:
+                self.pos += 1
                 self.parse_expression()
         return ast.TypeMark(
-            span=name_token.span, name=name, left=left, right=right,
+            span=self._span(name_token), name=name, left=left, right=right,
             descending=descending,
         )
 
@@ -260,12 +260,12 @@ class VhdlParser(TokenCursor):
 
     def _parse_architecture(self) -> ast.Architecture | None:
         start = self._advance()  # 'architecture'
-        name = self._expect_ident("after 'architecture'").text.lower()
-        self._expect_keyword("of", f"after architecture name '{name}'")
-        entity = self._expect_ident("as the entity name").text.lower()
-        self._expect_keyword("is", "after the entity name")
+        name = self.texts[self._expect_ident("after 'architecture'")].lower()
+        self._expect("of", f"after architecture name '{name}'")
+        entity = self.texts[self._expect_ident("as the entity name")].lower()
+        self._expect("is", "after the entity name")
         declarations: list = []
-        while not self._at_eof() and not self._peek().is_kw("begin"):
+        while not self._at_eof() and self.keys[self.pos] != "begin":
             before = self.pos
             try:
                 decl = self._parse_arch_declaration()
@@ -273,19 +273,19 @@ class VhdlParser(TokenCursor):
                     declarations.extend(decl)
             except _ParseError:
                 self._sync_to_semicolon()
-                if self._peek().is_kw("entity", "architecture"):
+                if self.keys[self.pos] in {"entity", "architecture"}:
                     return None
                 if self.pos == before:
                     self._advance()  # recovery made no progress: force it
-        self._expect_keyword("begin", f"in architecture '{name}'")
+        self._expect("begin", f"in architecture '{name}'")
         statements: list[ast.ConcurrentStatement] = []
-        while not self._at_eof() and not self._peek().is_kw("end"):
-            if self._peek().is_kw("entity", "architecture"):
+        while not self._at_eof() and self.keys[self.pos] != "end":
+            if self.keys[self.pos] in {"entity", "architecture"}:
                 self.collector.error(
                     self._CODE_SYNTAX,
                     f"missing 'end' for architecture '{name}'",
                     source=self.source,
-                    span=self._peek().span,
+                    span=self._span(self.pos),
                 )
                 break
             before = self.pos
@@ -297,19 +297,19 @@ class VhdlParser(TokenCursor):
                 self._sync_to_semicolon()
                 if self.pos == before:
                     self._advance()  # recovery made no progress: force it
-        end = self._peek()
-        if end.is_kw("end"):
-            self._advance()
-            if self._peek().is_kw("architecture"):
-                self._advance()
-            if self._peek().kind is TokenKind.IDENT:
-                self._advance()
+        end = self.pos
+        if self.keys[end] == "end":
+            self.pos += 1
+            if self.keys[self.pos] == "architecture":
+                self.pos += 1
+            if self.keys[self.pos] is _IDENT:
+                self.pos += 1
             try:
-                self._expect_punct(";", f"after 'end' of architecture '{name}'")
+                self._expect(";", f"after 'end' of architecture '{name}'")
             except _ParseError:
                 self._sync_to_semicolon()
         return ast.Architecture(
-            span=start.span.merge(end.span),
+            span=self._span(start, end),
             name=name,
             entity=entity,
             declarations=tuple(declarations),
@@ -317,64 +317,67 @@ class VhdlParser(TokenCursor):
         )
 
     def _parse_arch_declaration(self) -> list | None:
-        token = self._peek()
-        if token.is_kw("signal"):
-            self._advance()
+        pos = self.pos
+        key = self.keys[pos]
+        if key == "signal":
+            self.pos += 1
             names = self._parse_ident_list("in signal declaration")
-            self._expect_punct(":", "after signal name")
+            self._expect(":", "after signal name")
             type_mark = self._parse_type_mark()
             init = None
-            if self._peek().is_op(":="):
-                self._advance()
+            if self.keys[self.pos] == ":=":
+                self.pos += 1
                 init = self.parse_expression()
-            self._expect_punct(";", "after signal declaration")
+            self._expect(";", "after signal declaration")
             return [
                 ast.SignalDecl(
-                    span=n.span, name=n.text.lower(), type_mark=type_mark, init=init
+                    span=self._span(n), name=self.texts[n].lower(),
+                    type_mark=type_mark, init=init,
                 )
                 for n in names
             ]
-        if token.is_kw("constant"):
-            self._advance()
+        if key == "constant":
+            self.pos += 1
             names = self._parse_ident_list("in constant declaration")
-            self._expect_punct(":", "after constant name")
+            self._expect(":", "after constant name")
             type_mark = self._parse_type_mark()
-            self._expect_punct(":=", "in constant declaration")
+            self._expect(":=", "in constant declaration")
             value = self.parse_expression()
-            self._expect_punct(";", "after constant declaration")
+            self._expect(";", "after constant declaration")
             return [
                 ast.ConstantDecl(
-                    span=n.span, name=n.text.lower(), type_mark=type_mark, value=value
+                    span=self._span(n), name=self.texts[n].lower(),
+                    type_mark=type_mark, value=value,
                 )
                 for n in names
             ]
-        if token.is_kw("component"):
+        if key == "component":
             # component declarations are tolerated and skipped; instantiation
             # binds directly to the entity of the same name.
-            self._advance()
-            while not self._at_eof() and not self._peek().is_kw("component"):
-                if self._peek().is_kw("begin", "architecture"):
-                    raise self._error("unterminated component declaration", token)
-                self._advance()
-            self._expect_keyword("component", "to close the component declaration")
-            self._expect_punct(";", "after 'end component'")
+            self.pos += 1
+            while not self._at_eof() and self.keys[self.pos] != "component":
+                if self.keys[self.pos] in {"begin", "architecture"}:
+                    raise self._error("unterminated component declaration", pos)
+                self.pos += 1
+            self._expect("component", "to close the component declaration")
+            self._expect(";", "after 'end component'")
             return None
-        if token.is_kw("end"):
+        if key == "end":
             # tolerated here so the caller's `begin` expectation reports it
             raise self._error(
-                f"syntax error near {_describe(token)}: expected 'begin' or a "
+                f"syntax error near {self._describe(pos)}: expected 'begin' or a "
                 "declaration"
             )
-        if token.is_kw("type", "subtype", "function", "procedure", "attribute"):
+        if key in {"type", "subtype", "function", "procedure", "attribute"}:
             self.collector.error(
                 self._CODE_UNSUPPORTED,
-                f"unsupported declaration '{token.text}'",
+                f"unsupported declaration '{key}'",
                 source=self.source,
-                span=token.span,
+                span=self._span(pos),
             )
-            raise _ParseError(token.text)
+            raise _ParseError(key)
         raise self._error(
-            f"syntax error near {_describe(token)}: expected a declaration "
+            f"syntax error near {self._describe(pos)}: expected a declaration "
             "(signal/constant) or 'begin'"
         )
 
@@ -383,59 +386,58 @@ class VhdlParser(TokenCursor):
     # ------------------------------------------------------------------
 
     def _parse_concurrent_statement(self) -> ast.ConcurrentStatement | None:
-        token = self._peek()
-        if token.is_kw("process"):
+        pos = self.pos
+        key = self.keys[pos]
+        if key == "process":
             return self._parse_process("")
-        if token.is_kw("with"):
+        if key == "with":
             return self._parse_selected_assign()
-        if token.kind is TokenKind.IDENT and self._peek(1).is_op(":"):
-            label = self._advance().text.lower()
-            self._advance()  # ':'
-            after_label = self._peek()
-            if after_label.is_kw("process"):
+        if key is _IDENT and self._next_key() == ":":
+            label = self.texts[pos].lower()
+            self.pos = pos + 2
+            after_label = self.keys[pos + 2]
+            if after_label == "process":
                 return self._parse_process(label)
-            if after_label.is_kw("entity"):
+            if after_label == "entity":
                 return self._parse_entity_instantiation(label)
-            if after_label.kind is TokenKind.IDENT and self._peek(1).is_kw(
-                "port", "generic"
-            ):
+            if after_label is _IDENT and self._next_key() in {"port", "generic"}:
                 # component-style instantiation binds to the same-named entity
                 return self._parse_component_instantiation(label)
             raise self._error(
-                f"syntax error near {_describe(after_label)}: expected "
+                f"syntax error near {self._describe(pos + 2)}: expected "
                 f"'process' or an instantiation after label '{label}'"
             )
-        if token.kind is TokenKind.IDENT or token.is_op("("):
+        if key is _IDENT or key == "(":
             return self._parse_concurrent_assign()
         raise self._error(
-            f"syntax error near {_describe(token)}: expected a concurrent "
+            f"syntax error near {self._describe(pos)}: expected a concurrent "
             "statement"
         )
 
     def _parse_concurrent_assign(self) -> ast.ConcurrentStatement:
         target = self._parse_target()
-        self._expect_punct("<=", "in signal assignment")
+        self._expect("<=", "in signal assignment")
         first = self.parse_expression()
         after = self._parse_after()
-        if not self._peek().is_kw("when"):
-            semi = self._expect_punct(";", "after signal assignment")
+        if self.keys[self.pos] != "when":
+            semi = self._expect(";", "after signal assignment")
             return ast.ConcurrentAssign(
-                span=_span(target).merge(semi.span),
+                span=target.span.merge(self._span(semi)),
                 target=target,
                 value=first,
                 after=after,
             )
         arms: list[tuple[ast.Expression, ast.Expression]] = []
         value = first
-        while self._peek().is_kw("when"):
-            self._advance()
+        while self.keys[self.pos] == "when":
+            self.pos += 1
             condition = self.parse_expression()
             arms.append((value, condition))
-            self._expect_keyword("else", "in conditional signal assignment")
+            self._expect("else", "in conditional signal assignment")
             value = self.parse_expression()
-        semi = self._expect_punct(";", "after conditional signal assignment")
+        semi = self._expect(";", "after conditional signal assignment")
         return ast.ConditionalAssign(
-            span=_span(target).merge(semi.span),
+            span=target.span.merge(self._span(semi)),
             target=target,
             arms=tuple(arms),
             otherwise=value,
@@ -443,19 +445,19 @@ class VhdlParser(TokenCursor):
         )
 
     def _parse_after(self) -> ast.Expression | None:
-        if not self._peek().is_kw("after"):
+        if self.keys[self.pos] != "after":
             return None
-        self._advance()
+        self.pos += 1
         return self._parse_time_expression()
 
     def _parse_time_expression(self) -> ast.Expression:
         """A time value; normalized to integer nanoseconds."""
         value = self.parse_expression()
-        unit_token = self._peek()
-        scale = {"fs": 0, "ps": 0, "ns": 1, "us": 1000, "ms": 1_000_000}
-        if unit_token.kind is TokenKind.IDENT and unit_token.text.lower() in scale:
-            unit = self._advance().text.lower()
-            factor = scale[unit]
+        pos = self.pos
+        unit = self.texts[pos].lower()
+        if self.keys[pos] is _IDENT and unit in _TIME_SCALE:
+            self.pos = pos + 1
+            factor = _TIME_SCALE[unit]
             if factor != 1:
                 value = ast.Binary(
                     span=value.span,
@@ -468,30 +470,29 @@ class VhdlParser(TokenCursor):
     def _parse_selected_assign(self) -> ast.SelectedAssign:
         start = self._advance()  # 'with'
         selector = self.parse_expression()
-        self._expect_keyword("select", "after the selector expression")
+        self._expect("select", "after the selector expression")
         target = self._parse_target()
-        self._expect_punct("<=", "in selected signal assignment")
+        self._expect("<=", "in selected signal assignment")
         arms: list[tuple[ast.Expression, tuple[ast.Expression, ...]]] = []
         otherwise: ast.Expression | None = None
         while True:
             value = self.parse_expression()
-            self._expect_keyword("when", "in selected signal assignment")
-            if self._peek().is_kw("others"):
-                self._advance()
+            self._expect("when", "in selected signal assignment")
+            if self.keys[self.pos] == "others":
+                self.pos += 1
                 otherwise = value
             else:
                 choices = [self.parse_expression()]
-                while self._peek().is_op("|"):
-                    self._advance()
+                while self.keys[self.pos] == "|":
+                    self.pos += 1
                     choices.append(self.parse_expression())
                 arms.append((value, tuple(choices)))
-            if self._peek().is_op(","):
-                self._advance()
-                continue
-            break
-        semi = self._expect_punct(";", "after selected signal assignment")
+            if self.keys[self.pos] != ",":
+                break
+            self.pos += 1
+        semi = self._expect(";", "after selected signal assignment")
         return ast.SelectedAssign(
-            span=start.span.merge(semi.span),
+            span=self._span(start, semi),
             selector=selector,
             target=target,
             arms=tuple(arms),
@@ -501,70 +502,63 @@ class VhdlParser(TokenCursor):
     def _parse_process(self, label: str) -> ast.ProcessStatement:
         start = self._advance()  # 'process'
         sensitivity: list[str] = []
-        if self._peek().is_op("("):
-            self._advance()
-            if self._peek().is_kw("all"):
-                self._advance()
+        if self.keys[self.pos] == "(":
+            self.pos += 1
+            if self.keys[self.pos] == "all":
+                self.pos += 1
                 sensitivity = ["all"]
             else:
                 sensitivity = [
-                    t.text.lower()
+                    self.texts[t].lower()
                     for t in self._parse_ident_list("in sensitivity list")
                 ]
-            self._expect_punct(")", "to close the sensitivity list")
-        if self._peek().is_kw("is"):
-            self._advance()
+            self._expect(")", "to close the sensitivity list")
+        if self.keys[self.pos] == "is":
+            self.pos += 1
         declarations: list[ast.VariableDecl] = []
-        while not self._at_eof() and not self._peek().is_kw("begin"):
-            token = self._peek()
-            if token.is_kw("variable"):
-                self._advance()
+        while not self._at_eof() and self.keys[self.pos] != "begin":
+            key = self.keys[self.pos]
+            if key == "variable":
+                self.pos += 1
                 names = self._parse_ident_list("in variable declaration")
-                self._expect_punct(":", "after variable name")
+                self._expect(":", "after variable name")
                 type_mark = self._parse_type_mark()
                 init = None
-                if self._peek().is_op(":="):
-                    self._advance()
+                if self.keys[self.pos] == ":=":
+                    self.pos += 1
                     init = self.parse_expression()
-                self._expect_punct(";", "after variable declaration")
-                declarations.extend(
-                    ast.VariableDecl(
-                        span=n.span,
-                        name=n.text.lower(),
-                        type_mark=type_mark,
-                        init=init,
-                    )
-                    for n in names
-                )
-            elif token.is_kw("constant"):
-                self._advance()
+                self._expect(";", "after variable declaration")
+            elif key == "constant":
+                self.pos += 1
                 names = self._parse_ident_list("in constant declaration")
-                self._expect_punct(":", "after constant name")
+                self._expect(":", "after constant name")
                 type_mark = self._parse_type_mark()
-                self._expect_punct(":=", "in constant declaration")
-                value = self.parse_expression()
-                self._expect_punct(";", "after constant declaration")
-                declarations.extend(
-                    ast.VariableDecl(
-                        span=n.span, name=n.text.lower(), type_mark=type_mark,
-                        init=value,
-                    )
-                    for n in names
-                )
+                self._expect(":=", "in constant declaration")
+                init = self.parse_expression()
+                self._expect(";", "after constant declaration")
             else:
                 raise self._error(
-                    f"syntax error near {_describe(token)}: expected 'begin' "
-                    "or a variable declaration in process"
+                    f"syntax error near {self._describe(self.pos)}: expected "
+                    "'begin' or a variable declaration in process"
                 )
-        self._expect_keyword("begin", "in process")
+            declarations.extend(
+                ast.VariableDecl(
+                    span=self._span(n),
+                    name=self.texts[n].lower(),
+                    type_mark=type_mark,
+                    init=init,
+                )
+                for n in names
+            )
+        self._expect("begin", "in process")
         body = self._parse_sequential_body(("end",))
-        self._expect_keyword("end", "to close the process")
-        self._expect_keyword("process", "after 'end'")
-        if self._peek().kind is TokenKind.IDENT:
-            self._advance()
-        semi = self._expect_punct(";", "after 'end process'")
+        self._expect("end", "to close the process")
+        self._expect("process", "after 'end'")
+        if self.keys[self.pos] is _IDENT:
+            self.pos += 1
+        semi = self._expect(";", "after 'end process'")
         return ast.ProcessStatement(
-            span=start.span.merge(semi.span),
+            span=self._span(start, semi),
             label=label,
             sensitivity=tuple(sensitivity),
             declarations=tuple(declarations),
@@ -573,15 +567,16 @@ class VhdlParser(TokenCursor):
 
     def _parse_entity_instantiation(self, label: str) -> ast.EntityInstantiation:
         start = self._advance()  # 'entity'
-        first = self._expect_ident("after 'entity'")
-        entity_name = first.text.lower()
-        if self._peek().is_op("."):
-            self._advance()
-            entity_name = self._expect_ident("after library name").text.lower()
+        entity_name = self.texts[self._expect_ident("after 'entity'")].lower()
+        if self.keys[self.pos] == ".":
+            self.pos += 1
+            entity_name = self.texts[
+                self._expect_ident("after library name")
+            ].lower()
         generic_map, port_map = self._parse_maps(label)
-        semi = self._expect_punct(";", f"after instantiation '{label}'")
+        semi = self._expect(";", f"after instantiation '{label}'")
         return ast.EntityInstantiation(
-            span=start.span.merge(semi.span),
+            span=self._span(start, semi),
             label=label,
             entity=entity_name,
             generic_map=tuple(generic_map),
@@ -591,11 +586,11 @@ class VhdlParser(TokenCursor):
     def _parse_component_instantiation(self, label: str) -> ast.EntityInstantiation:
         name_token = self._advance()
         generic_map, port_map = self._parse_maps(label)
-        semi = self._expect_punct(";", f"after instantiation '{label}'")
+        semi = self._expect(";", f"after instantiation '{label}'")
         return ast.EntityInstantiation(
-            span=name_token.span.merge(semi.span),
+            span=self._span(name_token, semi),
             label=label,
-            entity=name_token.text.lower(),
+            entity=self.texts[name_token].lower(),
             generic_map=tuple(generic_map),
             port_map=tuple(port_map),
         )
@@ -605,53 +600,48 @@ class VhdlParser(TokenCursor):
     ) -> tuple[list[ast.GenericMapItem], list[ast.PortMapItem]]:
         generic_map: list[ast.GenericMapItem] = []
         port_map: list[ast.PortMapItem] = []
-        if self._peek().is_kw("generic"):
-            self._advance()
-            self._expect_keyword("map", "after 'generic'")
-            self._expect_punct("(", "after 'generic map'")
+        if self.keys[self.pos] == "generic":
+            self.pos += 1
+            self._expect("map", "after 'generic'")
+            self._expect("(", "after 'generic map'")
             while True:
                 name, expr = self._parse_association()
                 generic_map.append(
                     ast.GenericMapItem(
-                        span=_span(expr) if expr is not None else self._peek().span,
+                        span=expr.span if expr is not None else self._span(self.pos),
                         name=name,
                         value=expr,
                     )
                 )
-                if self._peek().is_op(","):
-                    self._advance()
-                    continue
-                break
-            self._expect_punct(")", "to close the generic map")
-        if self._peek().is_kw("port"):
-            self._advance()
-            self._expect_keyword("map", "after 'port'")
-            self._expect_punct("(", "after 'port map'")
-            while True:
-                name, expr = self._parse_association()
-                span = _span(expr) if expr is not None else self._peek().span
-                port_map.append(ast.PortMapItem(span=span, port=name, expr=expr))
-                if self._peek().is_op(","):
-                    self._advance()
-                    continue
-                break
-            self._expect_punct(")", "to close the port map")
-        else:
+                if self.keys[self.pos] != ",":
+                    break
+                self.pos += 1
+            self._expect(")", "to close the generic map")
+        if self.keys[self.pos] != "port":
             raise self._error(f"instantiation '{label}' is missing a port map")
+        self.pos += 1
+        self._expect("map", "after 'port'")
+        self._expect("(", "after 'port map'")
+        while True:
+            name, expr = self._parse_association()
+            span = expr.span if expr is not None else self._span(self.pos)
+            port_map.append(ast.PortMapItem(span=span, port=name, expr=expr))
+            if self.keys[self.pos] != ",":
+                break
+            self.pos += 1
+        self._expect(")", "to close the port map")
         return generic_map, port_map
 
     def _parse_association(self) -> tuple[str | None, ast.Expression | None]:
-        if self._peek().is_kw("open"):
-            token = self._advance()
+        pos = self.pos
+        if self.keys[pos] == "open":
+            self.pos = pos + 1
             return None, None
-        if (
-            self._peek().kind is TokenKind.IDENT
-            and self._peek(1).is_op("=>")
-        ):
-            name = self._advance().text.lower()
-            self._advance()  # '=>'
-            if self._peek().is_kw("open"):
-                self._advance()
+        if self.keys[pos] is _IDENT and self._next_key() == "=>":
+            name = self.texts[pos].lower()
+            self.pos = pos + 2
+            if self.keys[pos + 2] == "open":
+                self.pos += 1
                 return name, None
             return name, self.parse_expression()
         return None, self.parse_expression()
@@ -661,9 +651,10 @@ class VhdlParser(TokenCursor):
     # ------------------------------------------------------------------
 
     def _parse_sequential_body(self, terminators: tuple[str, ...]) -> tuple:
+        keys = self.keys
         statements: list[ast.SeqStatement] = []
-        while not self._at_eof() and not self._peek().is_kw(*terminators):
-            if self._peek().is_kw("entity", "architecture"):
+        while not self._at_eof() and keys[self.pos] not in terminators:
+            if keys[self.pos] in {"entity", "architecture"}:
                 raise self._error(
                     "unterminated statement body (missing 'end'?)"
                 )
@@ -672,7 +663,7 @@ class VhdlParser(TokenCursor):
                 statements.append(self._parse_sequential_statement())
             except _ParseError:
                 self._sync_to_semicolon()
-                if self._peek().is_kw("entity", "architecture"):
+                if keys[self.pos] in {"entity", "architecture"}:
                     raise
                 if self.pos == before:
                     self._advance()  # recovery made no progress: force it
@@ -685,33 +676,13 @@ class VhdlParser(TokenCursor):
         depth = self._stmt_depth
         self._stmt_depth = depth + 1
         try:
-            token = self.tokens[self.pos]
-            if token.kind is TokenKind.IDENT:
-                return self._parse_assignment()
-            if token.is_kw("if"):
-                return self._parse_if()
-            if token.is_kw("case"):
-                return self._parse_case()
-            if token.is_kw("for"):
-                return self._parse_for()
-            if token.is_kw("while"):
-                return self._parse_while()
-            if token.is_kw("loop"):
-                return self._parse_bare_loop()
-            if token.is_kw("wait"):
-                return self._parse_wait()
-            if token.is_kw("assert"):
-                return self._parse_assert()
-            if token.is_kw("report"):
-                return self._parse_report()
-            if token.is_kw("null"):
-                self._advance()
-                semi = self._expect_punct(";", "after 'null'")
-                return ast.NullStatement(span=token.span.merge(semi.span))
-            raise self._error(
-                f"syntax error near {_describe(token)}: expected a sequential "
-                "statement"
-            )
+            parse = self._STATEMENTS.get(self.keys[self.pos])
+            if parse is None:
+                raise self._error(
+                    f"syntax error near {self._describe(self.pos)}: expected "
+                    "a sequential statement"
+                )
+            return parse(self)
         finally:
             self._stmt_depth = depth
 
@@ -723,151 +694,158 @@ class VhdlParser(TokenCursor):
         outside all of them. Stops before an ``end`` it did not open and
         before the next design unit.
         """
+        keys = self.keys
         nesting = 0
         while not self._at_eof():
-            token = self._peek()
-            if token.is_kw("entity", "architecture"):
+            key = keys[self.pos]
+            if key in {"entity", "architecture"}:
                 return
-            if token.is_kw("end"):
+            if key == "end":
                 if not nesting:
                     return
                 nesting -= 1
-                self._advance()
-                if self._peek().is_kw("if", "case", "loop"):
-                    self._advance()
+                self.pos += 1
+                if keys[self.pos] in {"if", "case", "loop"}:
+                    self.pos += 1
                 continue
-            self._advance()
-            if token.is_kw("if", "case", "loop"):
+            self.pos += 1
+            if key in {"if", "case", "loop"}:
                 nesting += 1
-            elif token.is_op(";") and not nesting:
+            elif key == ";" and not nesting:
                 return
 
     def _parse_assignment(self) -> ast.SeqStatement:
         target = self._parse_target()
-        token = self._peek()
-        if token.is_op("<="):
-            self._advance()
+        pos = self.pos
+        key = self.keys[pos]
+        if key == "<=":
+            self.pos = pos + 1
             value = self.parse_expression()
             after = self._parse_after()
-            semi = self._expect_punct(";", "after signal assignment")
+            semi = self._expect(";", "after signal assignment")
             return ast.SignalAssign(
-                span=_span(target).merge(semi.span),
+                span=target.span.merge(self._span(semi)),
                 target=target,
                 value=value,
                 after=after,
             )
-        if token.is_op(":="):
-            self._advance()
+        if key == ":=":
+            self.pos = pos + 1
             value = self.parse_expression()
-            semi = self._expect_punct(";", "after variable assignment")
+            semi = self._expect(";", "after variable assignment")
             return ast.VariableAssign(
-                span=_span(target).merge(semi.span), target=target, value=value
+                span=target.span.merge(self._span(semi)),
+                target=target,
+                value=value,
             )
         raise self._error(
-            f"syntax error near {_describe(token)}: expected '<=' or ':=' "
+            f"syntax error near {self._describe(pos)}: expected '<=' or ':=' "
             "in assignment"
         )
 
     def _parse_target(self) -> ast.Expression:
+        keys = self.keys
         name_token = self._expect_ident("as assignment target")
-        name = name_token.text.lower()
-        if self._peek().is_op("("):
-            self._advance()
-            first = self.parse_expression()
-            if self._peek().is_kw("downto", "to"):
-                descending = self._advance().text == "downto"
-                right = self.parse_expression()
-                close = self._expect_punct(")", "to close the slice")
-                return ast.Sliced(
-                    span=name_token.span.merge(close.span),
-                    name=name,
-                    left=first,
-                    right=right,
-                    descending=descending,
-                )
-            close = self._expect_punct(")", "to close the index")
-            return ast.Indexed(
-                span=name_token.span.merge(close.span), name=name, index=first
+        name = self.texts[name_token].lower()
+        if keys[self.pos] != "(":
+            return ast.Name(span=self._span(name_token), name=name)
+        self.pos += 1
+        first = self.parse_expression()
+        key = keys[self.pos]
+        if key in {"downto", "to"}:
+            self.pos += 1
+            right = self.parse_expression()
+            close = self._expect(")", "to close the slice")
+            return ast.Sliced(
+                span=self._span(name_token, close),
+                name=name,
+                left=first,
+                right=right,
+                descending=key == "downto",
             )
-        return ast.Name(span=name_token.span, name=name)
+        close = self._expect(")", "to close the index")
+        return ast.Indexed(
+            span=self._span(name_token, close), name=name, index=first
+        )
 
     def _parse_if(self) -> ast.IfStatement:
+        keys = self.keys
         start = self._advance()  # 'if'
         arms: list[tuple[ast.Expression, tuple]] = []
         condition = self.parse_expression()
-        self._expect_keyword("then", "after 'if' condition")
+        self._expect("then", "after 'if' condition")
         body = self._parse_sequential_body(("elsif", "else", "end"))
         arms.append((condition, body))
         else_body: tuple = ()
-        while self._peek().is_kw("elsif"):
-            self._advance()
+        while keys[self.pos] == "elsif":
+            self.pos += 1
             condition = self.parse_expression()
-            self._expect_keyword("then", "after 'elsif' condition")
+            self._expect("then", "after 'elsif' condition")
             body = self._parse_sequential_body(("elsif", "else", "end"))
             arms.append((condition, body))
-        if self._peek().is_kw("else"):
-            self._advance()
+        if keys[self.pos] == "else":
+            self.pos += 1
             else_body = self._parse_sequential_body(("end",))
-        end = self._expect_keyword("end", "to close the 'if' statement")
-        self._expect_keyword("if", "after 'end'")
-        self._expect_punct(";", "after 'end if'")
+        end = self._expect("end", "to close the 'if' statement")
+        self._expect("if", "after 'end'")
+        self._expect(";", "after 'end if'")
         return ast.IfStatement(
-            span=start.span.merge(end.span), arms=tuple(arms), else_body=else_body
+            span=self._span(start, end), arms=tuple(arms), else_body=else_body
         )
 
     def _parse_case(self) -> ast.CaseStatement:
+        keys = self.keys
         start = self._advance()  # 'case'
         subject = self.parse_expression()
-        self._expect_keyword("is", "after the 'case' selector")
+        self._expect("is", "after the 'case' selector")
         alternatives: list[ast.CaseAlternative] = []
-        while self._peek().is_kw("when"):
+        while keys[self.pos] == "when":
             when_token = self._advance()
-            if self._peek().is_kw("others"):
-                self._advance()
+            if keys[self.pos] == "others":
+                self.pos += 1
                 choices: tuple = ()
             else:
                 parsed = [self.parse_expression()]
-                while self._peek().is_op("|"):
-                    self._advance()
+                while keys[self.pos] == "|":
+                    self.pos += 1
                     parsed.append(self.parse_expression())
                 choices = tuple(parsed)
-            self._expect_punct("=>", "after the 'when' choices")
+            self._expect("=>", "after the 'when' choices")
             body = self._parse_sequential_body(("when", "end"))
             alternatives.append(
-                ast.CaseAlternative(span=when_token.span, choices=choices, body=body)
+                ast.CaseAlternative(
+                    span=self._span(when_token), choices=choices, body=body
+                )
             )
-        end = self._expect_keyword("end", "to close the 'case' statement")
-        self._expect_keyword("case", "after 'end'")
-        self._expect_punct(";", "after 'end case'")
+        end = self._expect("end", "to close the 'case' statement")
+        self._expect("case", "after 'end'")
+        self._expect(";", "after 'end case'")
         return ast.CaseStatement(
-            span=start.span.merge(end.span),
+            span=self._span(start, end),
             subject=subject,
             alternatives=tuple(alternatives),
         )
 
     def _parse_for(self) -> ast.ForLoop:
         start = self._advance()  # 'for'
-        var = self._expect_ident("as the loop variable").text.lower()
-        self._expect_keyword("in", "after the loop variable")
+        var = self.texts[self._expect_ident("as the loop variable")].lower()
+        self._expect("in", "after the loop variable")
         low = self.parse_expression()
-        descending = False
-        if self._peek().is_kw("to"):
-            self._advance()
-        elif self._peek().is_kw("downto"):
-            self._advance()
-            descending = True
-        else:
+        direction = self.keys[self.pos]
+        if direction not in {"downto", "to"}:
             raise self._error("expected 'to' or 'downto' in for-loop range")
+        self.pos += 1
+        descending = direction == "downto"
         high = self.parse_expression()
-        self._expect_keyword("loop", "to open the loop body")
+        self._expect("loop", "to open the loop body")
         body = self._parse_sequential_body(("end",))
-        end = self._expect_keyword("end", "to close the loop")
-        self._expect_keyword("loop", "after 'end'")
-        self._expect_punct(";", "after 'end loop'")
+        end = self._expect("end", "to close the loop")
+        self._expect("loop", "after 'end'")
+        self._expect(";", "after 'end loop'")
         if descending:
             low, high = high, low
         return ast.ForLoop(
-            span=start.span.merge(end.span),
+            span=self._span(start, end),
             var=var,
             low=low,
             high=high,
@@ -878,24 +856,24 @@ class VhdlParser(TokenCursor):
     def _parse_while(self) -> ast.WhileLoop:
         start = self._advance()  # 'while'
         condition = self.parse_expression()
-        self._expect_keyword("loop", "to open the loop body")
+        self._expect("loop", "to open the loop body")
         body = self._parse_sequential_body(("end",))
-        end = self._expect_keyword("end", "to close the loop")
-        self._expect_keyword("loop", "after 'end'")
-        self._expect_punct(";", "after 'end loop'")
+        end = self._expect("end", "to close the loop")
+        self._expect("loop", "after 'end'")
+        self._expect(";", "after 'end loop'")
         return ast.WhileLoop(
-            span=start.span.merge(end.span), condition=condition, body=body
+            span=self._span(start, end), condition=condition, body=body
         )
 
     def _parse_bare_loop(self) -> ast.WhileLoop:
         start = self._advance()  # 'loop'
         body = self._parse_sequential_body(("end",))
-        end = self._expect_keyword("end", "to close the loop")
-        self._expect_keyword("loop", "after 'end'")
-        self._expect_punct(";", "after 'end loop'")
-        true_expr = ast.Name(span=start.span, name="true")
+        end = self._expect("end", "to close the loop")
+        self._expect("loop", "after 'end'")
+        self._expect(";", "after 'end loop'")
+        true_expr = ast.Name(span=self._span(start), name="true")
         return ast.WhileLoop(
-            span=start.span.merge(end.span), condition=true_expr, body=body
+            span=self._span(start, end), condition=true_expr, body=body
         )
 
     def _parse_wait(self) -> ast.WaitStatement:
@@ -903,20 +881,21 @@ class VhdlParser(TokenCursor):
         on_signals: tuple[str, ...] = ()
         until = None
         for_time = None
-        if self._peek().is_kw("on"):
-            self._advance()
+        if self.keys[self.pos] == "on":
+            self.pos += 1
             on_signals = tuple(
-                t.text.lower() for t in self._parse_ident_list("after 'wait on'")
+                self.texts[t].lower()
+                for t in self._parse_ident_list("after 'wait on'")
             )
-        if self._peek().is_kw("until"):
-            self._advance()
+        if self.keys[self.pos] == "until":
+            self.pos += 1
             until = self.parse_expression()
-        if self._peek().is_kw("for"):
-            self._advance()
+        if self.keys[self.pos] == "for":
+            self.pos += 1
             for_time = self._parse_time_expression()
-        semi = self._expect_punct(";", "after 'wait'")
+        semi = self._expect(";", "after 'wait'")
         return ast.WaitStatement(
-            span=start.span.merge(semi.span),
+            span=self._span(start, semi),
             on_signals=on_signals,
             until=until,
             for_time=for_time,
@@ -927,15 +906,15 @@ class VhdlParser(TokenCursor):
         condition = self.parse_expression()
         message = None
         severity = "error"
-        if self._peek().is_kw("report"):
-            self._advance()
+        if self.keys[self.pos] == "report":
+            self.pos += 1
             message = self.parse_expression()
-        if self._peek().is_kw("severity"):
-            self._advance()
+        if self.keys[self.pos] == "severity":
+            self.pos += 1
             severity = self._parse_severity()
-        semi = self._expect_punct(";", "after 'assert'")
+        semi = self._expect(";", "after 'assert'")
         return ast.AssertStatement(
-            span=start.span.merge(semi.span),
+            span=self._span(start, semi),
             condition=condition,
             message=message,
             severity=severity,
@@ -945,22 +924,37 @@ class VhdlParser(TokenCursor):
         start = self._advance()  # 'report'
         message = self.parse_expression()
         severity = "note"
-        if self._peek().is_kw("severity"):
-            self._advance()
+        if self.keys[self.pos] == "severity":
+            self.pos += 1
             severity = self._parse_severity()
-        semi = self._expect_punct(";", "after 'report'")
+        semi = self._expect(";", "after 'report'")
         return ast.ReportStatement(
-            span=start.span.merge(semi.span), message=message, severity=severity
+            span=self._span(start, semi), message=message, severity=severity
         )
 
+    def _parse_null(self) -> ast.NullStatement:
+        start = self._advance()  # 'null'
+        semi = self._expect(";", "after 'null'")
+        return ast.NullStatement(span=self._span(start, semi))
+
     def _parse_severity(self) -> str:
-        token = self._peek()
-        if token.kind is TokenKind.IDENT and token.text.lower() in _SEVERITIES:
-            return self._advance().text.lower()
+        pos = self.pos
+        level = self.texts[pos].lower()
+        if self.keys[pos] is _IDENT and level in _SEVERITIES:
+            self.pos = pos + 1
+            return level
         raise self._error(
-            f"syntax error near {_describe(token)}: expected a severity level "
+            f"syntax error near {self._describe(pos)}: expected a severity level "
             "(note/warning/error/failure)"
         )
+
+    #: sequential statement parsers by the key of the statement's first token
+    _STATEMENTS = {
+        _IDENT: _parse_assignment, "if": _parse_if, "case": _parse_case,
+        "for": _parse_for, "while": _parse_while, "loop": _parse_bare_loop,
+        "wait": _parse_wait, "assert": _parse_assert,
+        "report": _parse_report, "null": _parse_null,
+    }
 
     # ------------------------------------------------------------------
     # expressions
@@ -991,46 +985,43 @@ class VhdlParser(TokenCursor):
 
     def _parse_binary(self, min_prec: int) -> ast.Expression:
         """Precedence climbing: fold operators binding at least ``min_prec``."""
-        token = self.tokens[self.pos]
-        if min_prec < self._TERM and token.is_op("-", "+"):
+        keys = self.keys
+        pos = self.pos
+        sign = keys[pos]
+        if min_prec < self._TERM and (sign == "-" or sign == "+"):
             # a sign starts a simple expression and binds its first term
-            self._advance()
+            self.pos = pos + 1
             operand = self._parse_binary(self._TERM)
             lhs = ast.Unary(
-                span=token.span.merge(operand.span), op=token.text, operand=operand
+                span=self._span_to(pos, operand), op=sign, operand=operand
             )
         else:
             lhs = self._parse_factor()
         folded = self._TERM + 1  # binding power of lhs's top operator
-        tokens = self.tokens
+        binding = self._BINARY_PREC.get
         while True:
-            token = tokens[self.pos]
-            kind = token.kind
-            if kind is not TokenKind.OPERATOR and kind is not TokenKind.KEYWORD:
-                return lhs
-            prec = self._BINARY_PREC.get(token.text, 0)
+            key = keys[self.pos]
+            prec = binding(key, 0)
             if prec < min_prec or (prec == self._RELATION and folded <= prec):
                 return lhs
             self.pos += 1
             rhs = self._parse_binary(prec + 1)
-            lhs = ast.Binary(
-                span=lhs.span.merge(rhs.span), op=token.text, lhs=lhs, rhs=rhs
-            )
+            lhs = ast.Binary(lhs.span.merge(rhs.span), key, lhs, rhs)
             folded = prec
 
     def _parse_factor(self) -> ast.Expression:
-        token = self.tokens[self.pos]
-        if token.is_kw("not", "abs"):
+        pos = self.pos
+        op = self.keys[pos]
+        if op == "not" or op == "abs":
             depth = self._nest()
-            self._advance()
+            self.pos = pos + 1
             operand = self._parse_factor()
             self._depth = depth
-            return ast.Unary(
-                span=token.span.merge(operand.span), op=token.text, operand=operand
-            )
-        primary = self._parse_primary()
-        if self.tokens[self.pos].is_op("**"):
-            self._advance()
+            return ast.Unary(span=self._span_to(pos, operand), op=op, operand=operand)
+        parse = self._PRIMARIES.get(op)
+        primary = parse(self) if parse is not None else self._parse_primary()
+        if self.keys[self.pos] == "**":
+            self.pos += 1
             rhs = self._parse_primary()
             return ast.Binary(
                 span=primary.span.merge(rhs.span), op="**", lhs=primary, rhs=rhs
@@ -1038,130 +1029,139 @@ class VhdlParser(TokenCursor):
         return primary
 
     def _parse_primary(self) -> ast.Expression:
-        token = self.tokens[self.pos]
-        if token.kind is TokenKind.IDENT:
-            return self._parse_name()
-        if token.kind is TokenKind.NUMBER:
-            self._advance()
-            text = token.text.replace("_", "")
-            if "." in text:
-                raise self._error("real literals are not supported", token)
-            return ast.IntLiteral(span=token.span, value=int(text))
-        if token.kind is TokenKind.CHAR:
-            self._advance()
-            return ast.CharLiteral(span=token.span, value=token.text[1:-1])
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return ast.StringLiteral(span=token.span, value=token.text[1:-1])
-        if token.kind is TokenKind.BASED_NUMBER:
-            self._advance()
-            base = token.text[0].lower()
-            return ast.StringLiteral(
-                span=token.span, value=token.text[2:-1], base=base
+        parse = self._PRIMARIES.get(self.keys[self.pos])
+        if parse is None:
+            raise self._error(
+                f"syntax error near {self._describe(self.pos)}: "
+                "expected an expression"
             )
-        if token.is_op("("):
-            return self._parse_paren_or_aggregate()
-        if token.is_kw("others"):
-            # bare (others => ...) handled in aggregates; here it's an error
-            raise self._error("'others' is only valid inside an aggregate", token)
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected an expression"
+        return parse(self)
+
+    def _parse_integer(self) -> ast.IntLiteral:
+        pos = self._advance()
+        text = self.texts[pos].replace("_", "")
+        if "." in text:
+            raise self._error("real literals are not supported", pos)
+        return ast.IntLiteral(self._span(pos), int(text))
+
+    def _parse_char(self) -> ast.CharLiteral:
+        pos = self._advance()
+        return ast.CharLiteral(span=self._span(pos), value=self.texts[pos][1:-1])
+
+    def _parse_string(self) -> ast.StringLiteral:
+        pos = self._advance()
+        return ast.StringLiteral(
+            span=self._span(pos), value=self.texts[pos][1:-1]
         )
 
+    def _parse_bit_string(self) -> ast.StringLiteral:
+        pos = self._advance()
+        text = self.texts[pos]
+        return ast.StringLiteral(
+            span=self._span(pos), value=text[2:-1], base=text[0].lower()
+        )
+
+    def _parse_stray_others(self) -> ast.Expression:
+        # bare (others => ...) handled in aggregates; here it's an error
+        raise self._error("'others' is only valid inside an aggregate", self.pos)
+
     def _parse_paren_or_aggregate(self) -> ast.Expression:
+        keys = self.keys
         open_token = self._advance()  # '('
-        if self._peek().is_kw("others"):
-            self._advance()
-            self._expect_punct("=>", "after 'others'")
+        if keys[self.pos] == "others":
+            self.pos += 1
+            self._expect("=>", "after 'others'")
             value = self.parse_expression()
-            close = self._expect_punct(")", "to close the aggregate")
+            close = self._expect(")", "to close the aggregate")
             return ast.Aggregate(
-                span=open_token.span.merge(close.span), others=value
+                span=self._span(open_token, close), others=value
             )
         first = self.parse_expression()
-        if self._peek().is_op(","):
-            elements: list[tuple[ast.Expression | None, ast.Expression]] = [
-                (None, first)
-            ]
-            others = None
-            while self._peek().is_op(","):
-                self._advance()
-                if self._peek().is_kw("others"):
-                    self._advance()
-                    self._expect_punct("=>", "after 'others'")
-                    others = self.parse_expression()
-                else:
-                    elements.append((None, self.parse_expression()))
-            close = self._expect_punct(")", "to close the aggregate")
-            return ast.Aggregate(
-                span=open_token.span.merge(close.span),
-                others=others,
-                elements=tuple(elements),
-            )
-        close = self._expect_punct(")", "to close the parenthesized expression")
-        return first
+        if keys[self.pos] != ",":
+            self._expect(")", "to close the parenthesized expression")
+            return first
+        elements: list[tuple[ast.Expression | None, ast.Expression]] = [
+            (None, first)
+        ]
+        others = None
+        while keys[self.pos] == ",":
+            self.pos += 1
+            if keys[self.pos] == "others":
+                self.pos += 1
+                self._expect("=>", "after 'others'")
+                others = self.parse_expression()
+            else:
+                elements.append((None, self.parse_expression()))
+        close = self._expect(")", "to close the aggregate")
+        return ast.Aggregate(
+            span=self._span(open_token, close),
+            others=others,
+            elements=tuple(elements),
+        )
 
     def _parse_name(self) -> ast.Expression:
+        keys = self.keys
         name_token = self._advance()
-        name = name_token.text.lower()
+        name = self.texts[name_token].lower()
         result: ast.Expression
-        if self._peek().is_op("("):
-            self._advance()
+        if keys[self.pos] == "(":
+            self.pos += 1
             first = self.parse_expression()
-            if self._peek().is_kw("downto", "to"):
-                descending = self._advance().text == "downto"
+            key = keys[self.pos]
+            if key in {"downto", "to"}:
+                self.pos += 1
                 right = self.parse_expression()
-                close = self._expect_punct(")", "to close the slice")
+                close = self._expect(")", "to close the slice")
                 result = ast.Sliced(
-                    span=name_token.span.merge(close.span),
+                    span=self._span(name_token, close),
                     name=name,
                     left=first,
                     right=right,
-                    descending=descending,
+                    descending=key == "downto",
                 )
-            elif self._peek().is_op(","):
+            elif key == ",":
                 args = [first]
-                while self._peek().is_op(","):
-                    self._advance()
+                while keys[self.pos] == ",":
+                    self.pos += 1
                     args.append(self.parse_expression())
-                close = self._expect_punct(")", "to close the call")
+                close = self._expect(")", "to close the call")
                 result = ast.Call(
-                    span=name_token.span.merge(close.span),
+                    span=self._span(name_token, close),
                     name=name,
                     args=tuple(args),
                 )
             else:
-                close = self._expect_punct(")", "to close the index or call")
+                close = self._expect(")", "to close the index or call")
                 if name in KNOWN_FUNCTIONS:
                     result = ast.Call(
-                        span=name_token.span.merge(close.span),
+                        span=self._span(name_token, close),
                         name=name,
                         args=(first,),
                     )
                 else:
                     result = ast.Indexed(
-                        span=name_token.span.merge(close.span),
+                        span=self._span(name_token, close),
                         name=name,
                         index=first,
                     )
         else:
-            result = ast.Name(span=name_token.span, name=name)
+            result = ast.Name(self._span(name_token), name)
         # attribute: clk'event, vec'length ...
-        while self._peek().is_op("'") and self._peek(1).kind in (
-            TokenKind.IDENT,
-            TokenKind.KEYWORD,
-        ):
-            self._advance()
-            attr = self._advance().text.lower()
-            base = name if isinstance(result, ast.Name) else name
+        while keys[self.pos] == "'" and keys[self.pos + 1] in _ATTRIBUTE_NAMES:
+            attr = self.texts[self.pos + 1].lower()
+            self.pos += 2
             result = ast.Attribute(
-                span=name_token.span, name=base, attr=attr
+                span=self._span(name_token), name=name, attr=attr
             )
         return result
 
-
-def _span(node) -> SourceSpan:
-    return node.span
+    #: primary parsers by the key of the primary's first token
+    _PRIMARIES = {
+        _IDENT: _parse_name, TokenKind.NUMBER: _parse_integer,
+        TokenKind.CHAR: _parse_char, TokenKind.STRING: _parse_string,
+        TokenKind.BASED_NUMBER: _parse_bit_string,
+        "(": _parse_paren_or_aggregate, "others": _parse_stray_others,
+    }
 
 
 def parse_vhdl(

@@ -11,6 +11,8 @@ from repro.hdl.diagnostics import (
 )
 from repro.hdl.source import SourceFile, SourceSpan
 from repro.hdl.tokens import Token, TokenKind
+from repro.verilog.lexer import VerilogLexer
+from repro.vhdl.lexer import VhdlLexer
 
 
 class TestSourceFile:
@@ -145,15 +147,33 @@ class TestDiagnostics:
 
 
 class TestTokens:
-    def test_is_kw(self):
+    """The key rule: keywords, operators and punctuation are keyed by their
+    text, every other token by its kind."""
+
+    def test_keyword_key_is_its_text(self):
         token = Token(TokenKind.KEYWORD, "module", SourceSpan(0, 6))
-        assert token.is_kw("module", "endmodule")
-        assert not token.is_kw("wire")
+        assert token.key == "module"
+        assert token.key in {"module", "endmodule"}
+        assert token.key not in {"wire"}
 
-    def test_is_op(self):
-        token = Token(TokenKind.OPERATOR, "<=", SourceSpan(0, 2))
-        assert token.is_op("<=", "=")
+    def test_operator_and_punctuation_keys_are_their_text(self):
+        assert Token(TokenKind.OPERATOR, "<=", SourceSpan(0, 2)).key == "<="
+        assert Token(TokenKind.PUNCT, "(", SourceSpan(0, 1)).key == "("
 
-    def test_ident_is_not_keyword(self):
+    def test_ident_key_is_its_kind(self):
         token = Token(TokenKind.IDENT, "module_x", SourceSpan(0, 8))
-        assert not token.is_kw("module")
+        assert token.key is TokenKind.IDENT
+        # an escaped identifier that spells a keyword is still an identifier
+        escaped = Token(TokenKind.IDENT, "end", SourceSpan(0, 4))
+        assert escaped.key is TokenKind.IDENT and escaped.key != "end"
+
+    @pytest.mark.parametrize("lexer,text", [
+        (VerilogLexer, "module m; \\end x <= 4'b1; \\( $display(\"a\"); endmodule"),
+        (VhdlLexer, "ENTITY e IS port(a : in bit); END; x <= '1' after 2 ns;"),
+    ])
+    def test_stream_keys_follow_the_rule(self, lexer, text):
+        stream = lexer(SourceFile("t", text), DiagnosticCollector()).tokenize()
+        tokens = stream.tokens()
+        assert len(stream) == len(tokens) and tokens[-1].kind is TokenKind.EOF
+        assert stream.keys == [token.key for token in tokens]
+        assert stream.kinds == [token.kind for token in tokens]

@@ -325,6 +325,57 @@ class TestIterationPopulation:
         assert "2.00/2.0/2.0" in text
 
 
+class TestIterationTableColumns:
+    """Every cell of the per-config table ends under its header label."""
+
+    LABELS = ("runs", "err", "syn it mean/p50/p90", "fun it mean/p50/p90",
+              "gen/syn/fun s per run")
+
+    @staticmethod
+    def config(**values):
+        from repro.obs.summary import ConfigTraceSummary
+
+        config = ConfigTraceSummary(model="gpt-4o", language="verilog",
+                                    runs=12, errors=1)
+        for name, value in values.items():
+            setattr(config, name, value)
+        return config
+
+    def table(self, *configs):
+        from repro.obs.summary import TraceSummary
+
+        text = render_trace_summary(TraceSummary(configs=list(configs)))
+        lines = text.splitlines()
+        header_at = next(
+            index for index, line in enumerate(lines)
+            if line.lstrip().startswith("config")
+        )
+        return lines[header_at], lines[header_at + 2:]
+
+    def test_cells_end_under_their_labels(self):
+        wide = self.config(
+            mean_syntax_iterations=8.88, p50_syntax_iterations=18.0,
+            p90_syntax_iterations=0.5, mean_functional_iterations=10.5,
+            p50_functional_iterations=12.0, p90_functional_iterations=14.0,
+            stage_seconds_per_run={
+                "generation": 8.88, "syntax": 18.24, "functional": 0.51,
+            },
+        )
+        header, rows = self.table(self.config(), wide)
+        label_ends = [header.index(label) + len(label) for label in self.LABELS]
+        assert len(rows) == 2
+        for row in rows:
+            cells = row.split()[1:]
+            assert len(cells) == len(self.LABELS)
+            cell_ends = []
+            position = len(row.split()[0]) + 2
+            for cell in cells:
+                position = row.index(cell, position) + len(cell)
+                cell_ends.append(position)
+            assert cell_ends == label_ends, (header, row)
+        assert "8.88/18.24/0.51" in rows[1]
+
+
 class TestAgentBreakdown:
     """--by-agent: wall time attributed to code/review/verification."""
 

@@ -10,8 +10,12 @@ diagnostic the parse reported (code, message, location and snippet). Any
 change of a node, a span, a literal's value or a message on any of these
 inputs shows here.
 
-A change to the scanner or to either parser must leave every digest
-unchanged unless it means to change what the frontend accepts or reports.
+The digests were recorded with the frontend that made one ``Token`` and one
+``SourceSpan`` per token, before the compact token stream
+(:class:`repro.hdl.scanner.TokenStream`) and key dispatch replaced it; that
+change left every digest unchanged. A change to the scanner or to either
+parser must do the same unless it means to change what the frontend
+accepts or reports.
 """
 
 from __future__ import annotations

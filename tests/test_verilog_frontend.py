@@ -341,3 +341,61 @@ class TestExpressionShapes:
         parser = VerilogParser(SourceFile("t.v", text), collector)
         assert shape(parser.parse_expression()) == expected
         assert parser._at_eof() and not collector.diagnostics
+
+
+class TestEscapedIdentifiers:
+    """An escaped identifier is an identifier whatever it spells: the
+    parsers dispatch on token keys, and an identifier's key is its kind."""
+
+    DESIGN = r"""
+module dut(input \begin , input [3:0] \( , output \end );
+  wire \module ;
+  assign \module = \begin ^ \( [1];
+  assign \end = \module & \( [0];
+endmodule
+
+module tb;
+  reg \begin ;
+  reg [3:0] \( ;
+  wire \end ;
+  dut \module (.\begin (\begin ), .\( (\( ), .\end (\end ));
+  initial begin
+    \begin = 1; \( = 4'b0011;
+    #1 $display("end=%b", \end );
+    \( = 4'b0001;
+    #1 $display("end=%b", \end );
+    $finish;
+  end
+endmodule
+"""
+
+    def test_parse_as_identifiers(self):
+        dut, tb = parse_ok(self.DESIGN).modules
+        assert [port.name for port in dut.ports] == ["begin", "(", "end"]
+        wire, inner, outer = dut.items
+        assert wire.name == "module"
+        assert inner.target.name == "module"
+        assert inner.value.lhs.name == "begin"
+        assert inner.value.rhs.target == "("
+        assert outer.target.name == "end"
+        instance = next(
+            item for item in tb.items if isinstance(item, ast.Instantiation)
+        )
+        assert (instance.module, instance.instance) == ("dut", "module")
+        assert [c.port for c in instance.connections] == ["begin", "(", "end"]
+
+    def test_spans_keep_the_backslash(self):
+        unit = parse_ok(r"module m(output \end ); endmodule")
+        port = unit.modules[0].ports[0]
+        assert (port.span.start_offset, port.span.end_offset) == (16, 20)
+
+    def test_analyze_and_simulate(self):
+        from repro.eda.toolchain import HdlFile, Language, Toolchain
+
+        assert not analyze(self.DESIGN).diagnostics
+        files = [HdlFile("tb.v", self.DESIGN, Language.VERILOG)]
+        toolchain = Toolchain()
+        assert toolchain.compile(files, "tb").ok
+        result = toolchain.simulate(files, "tb")
+        assert result.ok, result.log
+        assert result.output_lines == ["end=0", "end=1"]

@@ -389,7 +389,7 @@ class TestExpressionShapes:
         collector = DiagnosticCollector()
         parser = VhdlParser(SourceFile("t.vhd", text), collector)
         assert shape(parser.parse_expression()) == expected
-        assert parser._peek().text == rest and not collector.diagnostics
+        assert parser.texts[parser.pos] == rest and not collector.diagnostics
 
     def test_sign_only_starts_a_simple_expression(self):
         collector = DiagnosticCollector()
