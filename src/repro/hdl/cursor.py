@@ -23,7 +23,6 @@ from repro.hdl.scanner import TokenStream
 from repro.hdl.source import SourceFile, SourceSpan
 from repro.hdl.tokens import TokenKind
 
-_EOF = TokenKind.EOF
 _IDENT = TokenKind.IDENT
 _new = tuple.__new__  # builds a SourceSpan without re-checking its order
 

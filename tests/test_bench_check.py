@@ -280,6 +280,19 @@ class TestReportPathGuard:
         assert out.name == "BENCH_sim.json"
         assert out.parent.name == "benchmarks"
 
+    def test_frontend_report_has_its_own_guarded_path(
+        self, monkeypatch, tmp_path
+    ):
+        from benchmarks.bench_micro import _report_path
+
+        monkeypatch.delenv("BENCH_FRONTEND_JSON", raising=False)
+        assert _report_path("frontend").name == "BENCH_frontend.json"
+        monkeypatch.setenv(
+            "BENCH_FRONTEND_JSON", str(tmp_path / "BENCH_frontend.json")
+        )
+        with pytest.raises(RuntimeError, match="BENCH_FRONTEND_JSON"):
+            _report_path("frontend")
+
 
 class TestTierName:
     def test_strips_prefix_and_extension(self):
@@ -301,7 +314,7 @@ class TestCommittedBaselines:
         )
         paths = sorted(baselines.glob("BENCH_*.json"))
         assert [p.name for p in paths] == [
-            "BENCH_exec.json", "BENCH_sim.json"
+            "BENCH_exec.json", "BENCH_frontend.json", "BENCH_sim.json"
         ]
         for path in paths:
             report = load_report(path)
@@ -323,3 +336,29 @@ class TestCommittedBaselines:
         assert sorted(
             d.name for d in deltas if d.floor == 5.0
         ) == ["verilog_batch.batch_speedup", "vhdl_batch.batch_speedup"]
+
+    def test_frontend_baseline_is_a_drift_normalized_timing_tier(self):
+        # four lex/parse timings, enough to estimate host drift; the MB/s
+        # leaves must stay informational (a "_s" suffix would gate them as
+        # timings) and there is no floor
+        from pathlib import Path
+
+        from repro.obs.baseline import MIN_DRIFT_SAMPLE, load_report
+
+        path = Path(__file__).resolve().parents[1] / (
+            "benchmarks/baselines/BENCH_frontend.json"
+        )
+        report = load_report(path)
+        deltas, _, _ = compare_reports("frontend", report, report)
+        timings = sorted(
+            d.name for d in deltas if d.direction == DIRECTION_LOWER
+        )
+        assert timings == [
+            "verilog.lex_ms", "verilog.parse_ms",
+            "vhdl.lex_ms", "vhdl.parse_ms",
+        ]
+        assert len(timings) >= MIN_DRIFT_SAMPLE
+        assert {d.direction for d in deltas} == {
+            DIRECTION_LOWER, DIRECTION_INFO
+        }
+        assert "floors" not in report
