@@ -33,8 +33,8 @@ from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile
 from repro.qa.corpus import load_corpus
 from repro.qa.oracle import case_sources
-from repro.verilog.lexer import lex_verilog
-from repro.vhdl.lexer import lex_vhdl
+from repro.verilog.lexer import VerilogLexer, lex_verilog
+from repro.vhdl.lexer import VhdlLexer, lex_vhdl
 
 LEXERS = {Language.VERILOG: lex_verilog, Language.VHDL: lex_vhdl}
 OTHER = {Language.VERILOG: Language.VHDL, Language.VHDL: Language.VERILOG}
@@ -190,6 +190,18 @@ def test_token_streams_match_reference(category):
 
 def test_reference_covers_enough_inputs():
     assert sum(count for count, _ in REFERENCE.values()) >= 2000
+
+
+@pytest.mark.parametrize("category", ["noise", "fragments", "mangled"])
+def test_stream_keys_follow_the_key_rule(category):
+    # the parsers dispatch on the keys alone, which the digests above do
+    # not cover: each must be the key of the token it stands for
+    lexers = {Language.VERILOG: VerilogLexer, Language.VHDL: VhdlLexer}
+    for language, text in CATEGORIES[category]():
+        stream = lexers[language](
+            SourceFile("ref", text), DiagnosticCollector()
+        ).tokenize()
+        assert stream.keys == [token.key for token in stream.tokens()]
 
 
 def lex(language, text):
