@@ -5,7 +5,7 @@ EOF token, and name a token by its index. :meth:`_advance` never moves past
 that EOF, so the current token is always ``pos`` and only lookahead needs
 clamping. The parsers test and dispatch on ``keys[pos]`` (set membership
 and dicts keyed on :attr:`~repro.hdl.tokens.Token.key`), read ``texts`` for
-names and values, and build a :class:`~repro.hdl.source.SourceSpan` with
+names and values and ``kinds`` where a key is a keyword's text, and build a :class:`~repro.hdl.source.SourceSpan` with
 :meth:`_span` only where a syntax tree node or a diagnostic keeps one.
 
 The cursor also enforces the expression and statement depth bounds.
@@ -86,6 +86,7 @@ class TokenCursor:
                  stream: TokenStream):
         self.source = source
         self.collector = collector
+        self.kinds = stream.kinds
         self.keys = stream.keys
         self.texts = stream.texts
         self.starts = stream.starts

@@ -10,11 +10,12 @@ match something, and the scanner walks the text match by match.
 Trivia (whitespace, comments, directives) are alternatives of their own rather
 than a ``(?:trivia)*`` prefix of every token: a failing token after such a
 prefix would make the regex engine backtrack through every way of splitting
-the trivia run. Only a run of plain whitespace is matched in front of the
-alternatives (:data:`_SPACES`), which cuts the matches on the suite's
-testbenches by 42% and cannot backtrack that way: the catch-all rule matches
-wherever a character is left, so the run gives back at most its last character,
-at the end of the text. Every rule is written so its match is unambiguous,
+the trivia run. Only a run of plain whitespace (:data:`_WHITESPACE`, both
+languages' own) is matched in front of the alternatives, which cuts the
+matches on the suite's testbenches by 42% and cannot backtrack that way: the
+catch-all rule matches wherever a character is left, so the run gives back at
+most its last character, at the end of the text, where the ``space`` rule the
+table puts first takes it. Every rule is written so its match is unambiguous,
 which keeps scanning linear in the input (``tests/test_scanner_reference.py``
 guards it).
 
@@ -60,10 +61,9 @@ ESCAPED = "escaped"
 #: VHDL bit-string literal: BASED_NUMBER with a lower-cased base prefix
 BIT_STRING = "bit-string"
 
-#: whitespace matched in front of every rule, the class of both languages'
-#: own whitespace rule, which takes the run's last character at the end of
-#: the text
-_SPACES = "[ \t\r\n]*"
+#: the whitespace of both languages: a run of it is matched in front of every
+#: rule, and every table starts with a rule that skips it
+_WHITESPACE = "[ \t\r\n]"
 
 _KEYWORD = TokenKind.KEYWORD
 _IDENT = TokenKind.IDENT
@@ -104,10 +104,14 @@ class TokenStream:
 
 
 class TokenTable:
-    """One language's lexical grammar, compiled for :meth:`scan`."""
+    """One language's lexical grammar, compiled for :meth:`scan`.
+
+    ``rules`` need no whitespace rule: the table puts one first.
+    """
 
     def __init__(self, rules, *, keywords, fold_case: bool, error_code: str):
-        self.master = re.compile(_SPACES + "(?:" + "|".join(
+        rules = [("space", _WHITESPACE + "+", SKIP), *rules]
+        self.master = re.compile(_WHITESPACE + "*(?:" + "|".join(
             f"(?P<{name}>{pattern})" for name, pattern, _ in rules
         ) + ")")
         #: rule action by group index (groups are numbered 1..len(rules))

@@ -31,7 +31,6 @@ _BASE = "[bBdDhHoO]"
 
 #: (rule name, pattern, action), tried in this order at every position
 VERILOG_RULES = [
-    ("space", r"[ \t\r\n]+", SKIP),
     # line comment, block comment, compiler directive (`timescale ...)
     ("comment", r"//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/|`[^\n]*", SKIP),
     ("open_comment", r"/\*[\s\S]*",

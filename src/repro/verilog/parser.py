@@ -63,8 +63,6 @@ class VerilogParser(TokenCursor):
         super().__init__(
             source, collector, VerilogLexer(source, collector).tokenize()
         )
-        #: literal text -> its folded (value, sized); literals repeat a lot
-        self._numbers: dict[str, tuple[Logic, bool]] = {}
 
     def _sync_to_semicolon(self) -> None:
         keys = self.keys
@@ -896,13 +894,10 @@ class VerilogParser(TokenCursor):
     def _parse_number(self) -> ast.Number:
         pos = self._advance()
         text = self.texts[pos]
-        folded = self._numbers.get(text)
-        if folded is None:
-            try:
-                folded = self._numbers[text] = parse_number_literal(text)
-            except (ValueError, KeyError):
-                raise self._error(f"malformed numeric literal '{text}'", pos)
-        value, sized = folded
+        try:
+            value, sized = parse_number_literal(text)
+        except (ValueError, KeyError):
+            raise self._error(f"malformed numeric literal '{text}'", pos)
         return ast.Number(self._span(pos), value, sized)
 
     def _parse_string(self) -> ast.StringLiteral:

@@ -33,7 +33,6 @@ _UNTERMINATED = "unterminated string literal"
 
 #: (rule name, pattern, action), tried in this order at every position
 VHDL_RULES = [
-    ("space", r"[ \t\r\n]+", SKIP),
     ("comment", r"--[^\n]*", SKIP),
     # x"a5", b"0101", o"17"; an unterminated one is reported from its quote
     ("bit_string", r'[xXbBoO]"[^"\n]*"', BIT_STRING),

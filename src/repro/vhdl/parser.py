@@ -14,7 +14,7 @@ from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile
 from repro.hdl.tokens import TokenKind
 from repro.vhdl import ast
-from repro.vhdl.lexer import VHDL_KEYWORDS, VhdlLexer
+from repro.vhdl.lexer import VhdlLexer
 
 #: names treated as function calls when applied to one argument
 KNOWN_FUNCTIONS = frozenset(
@@ -31,8 +31,9 @@ _SEVERITIES = frozenset(("note", "warning", "error", "failure"))
 _TIME_SCALE = {"fs": 0, "ps": 0, "ns": 1, "us": 1000, "ms": 1_000_000}
 
 _IDENT = TokenKind.IDENT
-#: keys that can name an attribute after a tick (``clk'event``, ``v'range``)
-_ATTRIBUTE_NAMES = VHDL_KEYWORDS | {_IDENT}
+#: kinds of the tokens that can name an attribute after a tick
+#: (``clk'event``, ``v'range``)
+_ATTRIBUTE_NAMES = frozenset((_IDENT, TokenKind.KEYWORD))
 
 
 class VhdlParser(TokenCursor):
@@ -1147,7 +1148,8 @@ class VhdlParser(TokenCursor):
         else:
             result = ast.Name(self._span(name_token), name)
         # attribute: clk'event, vec'length ...
-        while keys[self.pos] == "'" and keys[self.pos + 1] in _ATTRIBUTE_NAMES:
+        while (keys[self.pos] == "'"
+               and self.kinds[self.pos + 1] in _ATTRIBUTE_NAMES):
             attr = self.texts[self.pos + 1].lower()
             self.pos += 2
             result = ast.Attribute(
