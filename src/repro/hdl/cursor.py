@@ -5,8 +5,9 @@ EOF token, and name a token by its index. :meth:`_advance` never moves past
 that EOF, so the current token is always ``pos`` and only lookahead needs
 clamping. The parsers test and dispatch on ``keys[pos]`` (set membership
 and dicts keyed on :attr:`~repro.hdl.tokens.Token.key`), read ``texts`` for
-names and values and ``kinds`` where a key is a keyword's text, and build a :class:`~repro.hdl.source.SourceSpan` with
-:meth:`_span` only where a syntax tree node or a diagnostic keeps one.
+names and values and ``kinds`` where a key is a keyword's text, and build
+a :class:`~repro.hdl.source.SourceSpan` with :meth:`_span` only where a
+syntax tree node or a diagnostic keeps one.
 
 The cursor also enforces the expression and statement depth bounds.
 Parsing, analysis, elaboration and the compiled simulation closures all
