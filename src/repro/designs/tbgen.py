@@ -11,6 +11,7 @@ languages, so a functional defect is detected identically in each flow.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -47,23 +48,39 @@ class StimulusBundle:
     reset_outputs: dict[str, int] | None
 
 
-#: rendered testbench text → bundle; bounded so long fuzz campaigns cannot
-#: grow it without limit (eviction only costs a kernel-tier simulation)
-_BUNDLES: OrderedDict[str, StimulusBundle] = OrderedDict()
-_BUNDLE_LIMIT = 256
+#: rendered testbench text → bundle, for every bundle something still
+#: holds: a :class:`~repro.evalsuite.problem.Problem` holds its golden
+#: testbenches' bundles for as long as it lives, and ``_RECENT`` the last
+#: ``_RECENT_LIMIT`` bundles registered or looked up
+_BUNDLES: weakref.WeakValueDictionary[str, StimulusBundle] = (
+    weakref.WeakValueDictionary()
+)
+#: least recently used last: keeps ad-hoc testbenches' bundles alive,
+#: bounded so long fuzz campaigns cannot grow it without limit (eviction
+#: only costs a kernel-tier simulation)
+_RECENT: OrderedDict[str, StimulusBundle] = OrderedDict()
+_RECENT_LIMIT = 256
+
+
+def _keep(text: str, bundle: StimulusBundle) -> None:
+    _RECENT[text] = bundle
+    _RECENT.move_to_end(text, last=False)
+    while len(_RECENT) > _RECENT_LIMIT:
+        _RECENT.popitem()
 
 
 def _register_bundle(text: str, bundle: StimulusBundle) -> str:
-    _BUNDLES[text] = bundle
-    _BUNDLES.move_to_end(text)
-    while len(_BUNDLES) > _BUNDLE_LIMIT:
-        _BUNDLES.popitem(last=False)
+    _keep(text, _BUNDLES.setdefault(text, bundle))
     return text
 
 
 def stimulus_bundle(text: str) -> StimulusBundle | None:
-    """The bundle for a rendered testbench text, if one was registered."""
-    return _BUNDLES.get(text)
+    """The bundle for a rendered testbench text, if one is registered and
+    still held."""
+    bundle = _BUNDLES.get(text)
+    if bundle is not None:
+        _keep(text, bundle)
+    return bundle
 
 #: settle time between driving combinational inputs and checking outputs (ns)
 SETTLE_NS = 5

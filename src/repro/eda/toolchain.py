@@ -631,7 +631,7 @@ class Toolchain:
         wall = _time.perf_counter() - started
         modeled = self._sim_seconds(compile_result, stats.end_time)
         sim_log = self._render_sim_log(
-            top, simulator.output, stats, runtime_error
+            top, simulator.output, stats.end_time, runtime_error
         )
         return SimResult(
             ok=not runtime_error,
@@ -709,7 +709,6 @@ class Toolchain:
             return None
         from repro.designs import tbgen
         from repro.sim import batch as _batch
-        from repro.sim.kernel import SimStats
 
         if top != tbgen.TB_NAME:
             return None
@@ -725,19 +724,7 @@ class Toolchain:
                 dut_files.append(hdl_file)
         if bundle is None or not dut_files:
             return None
-        if bundle.clocked and not bundle.spec.has_reset:
-            # without a driven rst the register prologue is not the reset
-            # constants; the canonical QA shapes always carry a reset
-            return None
-        n = len(bundle.stimulus)
-        if bundle.clocked:
-            end_time = (
-                tbgen.RESET_CYCLES * 2 * tbgen.HALF_PERIOD_NS
-                + n * 2 * tbgen.HALF_PERIOD_NS
-            )
-        else:
-            end_time = n * tbgen.SETTLE_NS
-        if end_time > self.max_sim_time:
+        if _batch.end_time(bundle) > self.max_sim_time:
             return None  # the kernel would truncate; let it
         key, plan = self._batch_plan(dut_files, bundle)
         if plan is None:
@@ -751,19 +738,13 @@ class Toolchain:
             # every later miss, and the design the plan held goes
             self.store.put(key, None, sum(len(f.text) for f in dut_files))
             return None
-        stats = SimStats(
-            end_time=outcome.end_time,
-            batch_calls=1,
-            batch_vectors=outcome.vectors,
-            finished_cleanly=outcome.finished_cleanly,
-        )
         metrics = get_tracer().metrics
         metrics.counter("sim.batch_calls").inc()
         metrics.counter("sim.batch_vectors").inc(outcome.vectors)
         wall = _time.perf_counter() - started
         modeled = self._sim_seconds(compile_result, outcome.end_time)
         output_lines = list(outcome.output_lines)
-        sim_log = self._render_sim_log(top, output_lines, stats, "")
+        sim_log = self._render_sim_log(top, output_lines, outcome.end_time, "")
         return SimResult(
             ok=True,
             log=sim_log,
@@ -777,7 +758,8 @@ class Toolchain:
         )
 
     @staticmethod
-    def _render_sim_log(top: str, output: list[str], stats, runtime_error: str) -> str:
+    def _render_sim_log(top: str, output: list[str], end_time: int,
+                        runtime_error: str) -> str:
         lines = [
             f"INFO: [XSIM 4-301] Starting simulation of '{top}'",
             "run all",
@@ -787,6 +769,6 @@ class Toolchain:
             lines.append(f"ERROR: [XSIM 43-3861] {runtime_error}")
         else:
             lines.append(
-                f"INFO: [XSIM 4-302] Simulation completed at time {stats.end_time} ns"
+                f"INFO: [XSIM 4-302] Simulation completed at time {end_time} ns"
             )
         return "\n".join(lines)

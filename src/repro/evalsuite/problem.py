@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from repro.designs.model import CombModel, DesignSpec, ProblemDefinition, SeqModel
 from repro.designs.mutations import Mutation
-from repro.designs.tbgen import make_testbench
+from repro.designs.tbgen import StimulusBundle, make_testbench, stimulus_bundle
 from repro.eda.toolchain import Language
 
 
@@ -31,6 +31,11 @@ class Problem:
     golden_tb: dict[Language, str]
     syntax_mutations: dict[Language, list[Mutation]]
     functional_mutations: dict[Language, list[Mutation]]
+    #: the golden testbenches' stimulus bundles, held here so the batch
+    #: tier finds them for as long as the problem lives
+    golden_bundles: dict[Language, StimulusBundle] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def clocked(self) -> bool:
@@ -61,6 +66,10 @@ class Problem:
                 Language.VHDL: definition.reference_vhdl,
             },
             golden_tb=golden,
+            golden_bundles={
+                language: stimulus_bundle(text)
+                for language, text in golden.items()
+            },
             syntax_mutations={
                 Language.VERILOG: list(definition.syntax_mutations_verilog),
                 Language.VHDL: list(definition.syntax_mutations_vhdl),

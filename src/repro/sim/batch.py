@@ -1,77 +1,96 @@
 """Batch stimulus evaluation: the second simulation path.
 
 The event kernel replays a golden testbench one stimulus vector at a time:
-drive, settle, check, repeat. For the designs the QA pipeline actually
-generates — combinational cone members plus recognized synchronous
-registers — the settled state after each vector or clock edge is a pure
-function of the stimulus, so the batch tier computes it directly instead:
+drive, settle, check, repeat. The batch tier runs the same design's
+processes, each with its own compiled body, but neither the testbench nor
+the event loop: knowing the testbench's schedule, it steps each body where
+the kernel would activate it.
 
-* :func:`plan_combinational` orders the elaborators' cone members
-  (:class:`~repro.sim.compile.level.ConeMember`, in ``Design.members``) by
-  dataflow and builds each one's value with the kernel's own closure
-  compiler;
-* :func:`plan_sequential` does the same for clocked designs whose
-  edge-triggered processes were recognized as
-  :class:`~repro.sim.runtime.SyncUpdate` register banks, and builds each
-  register's next-state value too;
-* running a :class:`Plan` writes the members' four-state values to their
-  targets in dataflow order — once per vector in a combinational plan,
-  around each clock edge in a sequential one, where all registers take
-  their next values at once — resizing each as
-  :meth:`Simulator.write_signal <repro.sim.kernel.Simulator.write_signal>`
-  does;
+* :func:`plan_combinational` and :func:`plan_sequential` judge a design
+  from its processes' :class:`~repro.sim.runtime.ProcessFacts` (read set,
+  write set, sensitivity, and whether an activation keeps state) and order
+  the combinational processes by dataflow;
+* a run starts every process against a
+  :class:`~repro.sim.kernel.Simulator` whose event loop never runs, and
+  calls ``next()`` on a process's generator once per activation, so VHDL
+  variables and edge memory behave as on the kernel and staged writes
+  commit through the kernel's own NBA region. A settle steps each
+  combinational process once, in dataflow order; a ``clk`` transition
+  steps the processes the kernel's wake rule wakes, commits their writes
+  after all of them have run, and settles. ``rst`` is driven through the
+  testbench's reset cycles;
 * :func:`run_bundle` evaluates a registered
   :class:`~repro.designs.tbgen.StimulusBundle` against a plan and emulates
-  the testbench's checks exactly — same messages, same ordering, same
-  end-of-log summary, same ``end_time`` — so the synthesized result is
-  observationally identical to event-simulating the testbench text.
+  the testbench's checks exactly — same messages, ordering, end-of-log
+  summary and ``end_time`` — so the result is observationally identical to
+  event-simulating the testbench text.
 
-A plan owns the design it was built from: a run overwrites the design's
-inputs, registers and member targets before reading them, and undriven
-signals keep their elaboration-time value, as they do on the kernel.
-Because the values are the kernel's own four-state values, a vector that
-carries X needs no special path.
-
-Eligibility is conservative: a process that is neither a cone member nor
-(for clocked plans) a recognized register bank, two writers of one net, a
-member target that is an input or a register, a combinational cycle, a
-member or register reading the clock or reset, a value that is not a
-function of settled values or whose compiler raised — each returns
-``None`` and the caller falls back to the event kernel (which reports a
-raising compiler as its own refusal). An evaluation that aborts anyway
-(its construct is in error for the values it sees) makes
-:func:`run_bundle` return ``None`` too, so the kernel runs the testbench
-and reports the error. ``REPRO_SIM_NO_BATCH=1`` disables the tier
-wholesale.
+A plan owns the design it was built from; a run first restores every
+signal's elaboration-time value. Each refusal is counted as
+``sim.batch_plan.refused.<clause>`` (:data:`CLAUSES`, explained in
+DESIGN.md), and the kernel runs the testbench instead; a run that meets
+what its plan could not see (a wait other than the process's own, output,
+a future write, an abort, edge-triggered processes racing on a blocking
+write) is refused as ``run-time``. ``REPRO_SIM_NO_BATCH=1`` disables the
+tier wholesale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.sim.kernel import SimulationError
-from repro.sim.runtime import Design, Signal
+from repro.obs import get_tracer
+from repro.sim.kernel import SimulationError, Simulator, WaitChange
+from repro.sim.runtime import Design, Edge, Process, Signal
 from repro.sim.values import Logic
+
+#: every clause a plan or a run is refused by
+CLAUSES = (
+    "unknown-port", "multi-driven", "no-clock", "not-on-clk", "stateful",
+    "reads-clock", "sensitivity", "cycle", "unsettled", "compiler",
+    "run-time",
+)
 
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
+def _refuse(clause: str) -> None:
+    """Count a refusal under *clause*; returns None, the refused plan."""
+    get_tracer().metrics.counter(f"sim.batch_plan.refused.{clause}").inc()
+
+
+def end_time(bundle) -> int:
+    """The simulated time at which a bundle's testbench finishes (ns)."""
+    from repro.designs import tbgen
+
+    n = len(bundle.stimulus)
+    if bundle.clocked:
+        return 2 * tbgen.HALF_PERIOD_NS * (tbgen.RESET_CYCLES + n)
+    return n * tbgen.SETTLE_NS
+
+
 @dataclass(frozen=True)
 class Plan:
     """One batch pass over a design, combinational or clocked."""
 
+    design: Design
     #: (port name, spec width, design signal) per driven input
     inputs: tuple[tuple[str, int, Signal], ...]
     #: (port name, spec width, design signal) per observed output
     outputs: tuple[tuple[str, int, Signal], ...]
-    #: (target, value) per cone member, in dataflow order
-    members: tuple[tuple[Signal, Callable[[], Logic]], ...]
-    #: (target, reset value, next value) per register; empty when the
-    #: plan is combinational
-    regs: tuple[tuple[Signal, Logic, Callable[[], Logic]], ...] = ()
+    #: the combinational processes, in dataflow order
+    comb: tuple[Process, ...]
+    #: the processes on ``clk``
+    clocked: tuple[Process, ...]
+    #: ``clk`` and ``rst``; None in a combinational plan
+    clock: Signal | None
+    reset: Signal | None
+    #: each process's sensitivity, as the (signal, edge) pairs it waits on
+    waits: dict
+    #: (signal, elaboration-time value) per signal: where a run starts
+    initial: tuple[tuple[Signal, Logic], ...]
 
 
 # --------------------------------------------------------------------------
@@ -81,53 +100,19 @@ class Plan:
 
 def _ports(design: Design, ports):
     """``(name, spec width, signal)`` rows, or None for an unknown port."""
-    rows = []
-    for name, spec_width in ports:
-        signal = design.signals.get(name)
-        if signal is None:
-            return None
-        rows.append((name, spec_width, signal))
-    return tuple(rows)
+    try:
+        return tuple((name, w, design.signals[name]) for name, w in ports)
+    except KeyError:
+        return None
 
 
-def _built(nodes):
-    """Each member's or register's compiled value, or None when one is not
-    a function of settled values or its compiler raised (the kernel then
-    builds the process itself and reports the refusal)."""
-    values = []
-    for node in nodes:
-        try:
-            value = node.build()
-        except Exception:
-            return None
-        if value is None:
-            return None
-        values.append(value)
-    return values
-
-
-def _ordered_members(design: Design, driven: set[Signal]):
-    """``(target, value)`` for every cone member in dataflow order.
-
-    ``None`` when a target has two writers or is in *driven* (an input or
-    a register), when members sit on a combinational cycle (a self-read
-    included), or when a value does not build. Each value is built only
-    once the order is settled.
-    """
-    members = design.members
-    producer: dict[Signal, int] = {}
-    for j, member in enumerate(members):
-        target = member.target
-        if target in producer or target in driven:
-            return None
-        producer[target] = j
-    # members arrive in elaboration order; run them in dataflow order
-    # (Kahn): a member is ready once every member-driven signal it reads
-    # has been placed
-    waiting = [0] * len(members)
-    consumers: list[list[int]] = [[] for _ in members]
-    for j, member in enumerate(members):
-        for signal in member.reads:
+def _dataflow(comb, facts):
+    """*comb* in dataflow order (Kahn), or None on a combinational cycle."""
+    producer = {s: j for j, p in enumerate(comb) for s in facts[p].writes}
+    waiting = [0] * len(comb)
+    consumers: list[list[int]] = [[] for _ in comb]
+    for j, process in enumerate(comb):
+        for signal in facts[process].reads - facts[process].writes:
             k = producer.get(signal)
             if k is not None:
                 waiting[j] += 1
@@ -138,13 +123,62 @@ def _ordered_members(design: Design, driven: set[Signal]):
             waiting[k] -= 1
             if not waiting[k]:
                 ready.append(k)
-    if len(ready) != len(members):
+    if len(ready) != len(comb):
         return None  # the rest wait on a combinational cycle
-    ordered = [members[j] for j in ready]
-    values = _built(ordered)
-    if values is None:
-        return None
-    return tuple(zip((member.target for member in ordered), values))
+    return tuple(comb[j] for j in ready)
+
+
+def _plan(design: Design, in_ports, out_ports, clocked: bool) -> Plan | None:
+    """A :class:`Plan`, or None with the refusing clause counted."""
+    inputs = _ports(design, in_ports)
+    outputs = _ports(design, out_ports)
+    if inputs is None or outputs is None:
+        return _refuse("unknown-port")
+    clock = reset = None
+    if clocked:
+        clock = design.signals.get("clk")
+        if clock is None:
+            return _refuse("no-clock")
+        reset = design.signals.get("rst")
+    driven = {signal for _n, _w, signal in inputs} | {clock, reset}
+    facts = {process: process.facts() for process in design.processes}
+    writer: dict[Signal, Process] = {}
+    for process, fact in facts.items():
+        for signal in fact.writes:
+            if signal in driven or writer.setdefault(signal, process) is not process:
+                return _refuse("multi-driven")
+    comb, on_clock = [], []
+    for process, fact in facts.items():
+        edges = any(e.edge is not Edge.ANY for e in fact.sensitivity)
+        if fact.stateless and not edges:
+            if clock is not None and clock in fact.reads:
+                return _refuse("reads-clock")
+            if not fact.reads - fact.writes <= {e.signal for e in fact.sensitivity}:
+                return _refuse("sensitivity")
+            comb.append(process)
+        elif clock is not None and fact.sensitivity and all(
+            e.signal is clock for e in fact.sensitivity
+        ):
+            on_clock.append(process)
+        elif edges or any(e.signal is clock for e in fact.sensitivity):
+            return _refuse("not-on-clk")
+        else:
+            return _refuse("stateful")
+    ordered = _dataflow(comb, facts)
+    if ordered is None:
+        return _refuse("cycle")
+    for process in design.processes:
+        try:
+            process.compile()
+        except SimulationError:
+            return _refuse("compiler")  # the kernel refuses it by name
+        if process.unsettled:
+            return _refuse("unsettled")
+    return Plan(
+        design, inputs, outputs, ordered, tuple(on_clock), clock, reset,
+        {p: {(e.signal, e.edge) for e in f.sensitivity} for p, f in facts.items()},
+        tuple((signal, signal._value) for signal in design.signals.values()),
+    )
 
 
 def plan_combinational(design: Design, in_ports, out_ports) -> Plan | None:
@@ -153,72 +187,18 @@ def plan_combinational(design: Design, in_ports, out_ports) -> Plan | None:
     *in_ports* / *out_ports* are ``(name, width)`` pairs in testbench
     declaration order — the observation widths, which may differ from the
     design's own signal widths (the testbench connection resizes). Every
-    process must belong to a cone member.
+    process must be combinational.
     """
-    member_processes = {member.process for member in design.members}
-    if any(p not in member_processes for p in design.processes):
-        return None
-    inputs = _ports(design, in_ports)
-    outputs = _ports(design, out_ports)
-    if inputs is None or outputs is None:
-        return None
-    members = _ordered_members(design, {signal for _n, _w, signal in inputs})
-    if members is None:
-        return None
-    return Plan(inputs, outputs, members)
+    return _plan(design, in_ports, out_ports, clocked=False)
 
 
 def plan_sequential(design: Design, in_ports, out_ports) -> Plan | None:
     """Build a per-edge batch plan, or ``None`` when not batchable.
 
-    Requires every process outside the cone members to have been
-    recognized as a :class:`~repro.sim.runtime.SyncUpdate` sharing the
-    design's ``clk`` / ``rst`` signals, and no member or register to read
-    the clock or reset: the batch pass never drives them, so they keep
-    their elaboration-time value, and a member's settle points would
-    depend on testbench scheduling order, which the pass does not model.
+    *in_ports* leave out ``clk`` and ``rst``, which the run drives as the
+    testbench does. Every process is combinational or on ``clk`` alone.
     """
-    clk = design.signals.get("clk")
-    rst = design.signals.get("rst")
-    if clk is None or rst is None:
-        return None
-    member_processes = {member.process for member in design.members}
-    sync_by_process = {u.process: u for u in design.sync_updates}
-    sync_regs = []
-    for process in design.processes:
-        if process in member_processes:
-            continue
-        update = sync_by_process.get(process)
-        if update is None:
-            return None
-        if update.clock is not clk or update.reset is not rst:
-            return None
-        sync_regs.extend(update.regs)
-    if not sync_regs:
-        return None
-    targets = {r.target for r in sync_regs}
-    if len(targets) != len(sync_regs) or clk in targets or rst in targets:
-        return None
-    inputs = _ports(design, in_ports)
-    outputs = _ports(design, out_ports)
-    if inputs is None or outputs is None:
-        return None
-    driven = {signal for _n, _w, signal in inputs}
-    if clk in driven or rst in driven or driven & targets:
-        return None
-    # members and next-state values must be pure functions of inputs and
-    # registers: this pass never drives clk/rst
-    for node in (*design.members, *sync_regs):
-        if clk in node.reads or rst in node.reads:
-            return None
-    members = _ordered_members(design, driven | targets)
-    if members is None:
-        return None
-    values = _built(sync_regs)
-    if values is None:
-        return None
-    regs = tuple((r.target, r.reset, v) for r, v in zip(sync_regs, values))
-    return Plan(inputs, outputs, members, regs)
+    return _plan(design, in_ports, out_ports, clocked=True)
 
 
 # --------------------------------------------------------------------------
@@ -226,103 +206,198 @@ def plan_sequential(design: Design, in_ports, out_ports) -> Plan | None:
 # --------------------------------------------------------------------------
 
 
-def _drive(plan: Plan, vector) -> None:
-    """Write one vector's inputs, as the testbench's spec-width regs would
-    through the port connections."""
-    for name, spec_width, signal in plan.inputs:
-        value = vector[name]
-        if isinstance(value, Logic):
-            value = value.resize(spec_width)
-        else:
-            value = Logic._make(spec_width, value, 0)
-        signal._value = value.resize(signal.width)
+class _Refused(Exception):
+    """A run met a process activation the plan could not see."""
 
 
-def _settle(plan: Plan) -> None:
-    """Write every member's value to its target, in dataflow order."""
-    for target, value in plan.members:
-        new = value()
-        target._value = (
-            new if new.width == target.width else new.resize(target.width)
-        )
+_RISE = (Logic(1, 0), Logic(1, 1))
+_FALL = (Logic(1, 1), Logic(1, 0))
 
 
-def _clock_edge(plan: Plan) -> None:
-    """All registers take their next values at once."""
-    nexts = [value() for _target, _reset, value in plan.regs]
-    for (target, _reset, _value), new in zip(plan.regs, nexts):
-        target._value = (
-            new if new.width == target.width else new.resize(target.width)
-        )
+class _Run:
+    """One run of a plan: its design back at elaboration-time values, and
+    a :class:`Simulator` whose event loop never runs.
 
+    Each started process is kept as ``(generator, wait)``: ``wait`` is
+    the command its first activation yielded, which must be its own
+    sensitivity wait, and every later activation must yield that same
+    command again.
+    """
 
-def _observe(plan: Plan) -> dict[str, Logic]:
-    """The outputs as the testbench's spec-width signals read them."""
-    return {
-        name: signal._value.resize(spec_width)
-        for name, spec_width, signal in plan.outputs
-    }
+    def __init__(self, plan: Plan):
+        self.plan = plan
+        for signal, value in plan.initial:
+            signal._value = value
+        self.sim = Simulator(plan.design)
+        self.comb: list = []
+        self.rise: list = []
+        self.fall: list = []
+
+    def start(self, processes) -> list:
+        """Each process's first activation; the ones that wait again."""
+        sim, waits = self.sim, self.plan.waits
+        started = []
+        for process in processes:
+            generator = process.start(sim)
+            try:
+                command = next(generator)
+            except StopIteration:
+                continue  # it runs once, as on the kernel
+            if type(command) is not WaitChange or waits[process] != {
+                (e.signal, e.edge) for e in command.entries
+            }:
+                raise _Refused
+            started.append((generator, command))
+            if sim._nba:
+                sim.commit_nba()
+        return started
+
+    def start_clocked(self) -> None:
+        started = self.start(self.plan.clocked)
+        self.rise = [s for s in started
+                     if any(e.matches(*_RISE) for e in s[1].entries)]
+        self.fall = [s for s in started
+                     if any(e.matches(*_FALL) for e in s[1].entries)]
+
+    def settle(self, commit: bool = True) -> None:
+        """Step every combinational process once, in dataflow order.
+
+        Without *commit*, nonblocking and signal writes stay staged, as
+        they are in the kernel until its active region drains."""
+        sim = self.sim
+        for generator, wait in self.comb:
+            if next(generator) is not wait:
+                raise _Refused
+            if commit and sim._nba:
+                sim.commit_nba()
+
+    def clock_edge(self, woken, value: int) -> None:
+        """``clk`` takes *value*, and each process in *woken* steps.
+
+        Several woken processes may run in any order only if none of them
+        writes a signal at once (a blocking write), as the kernel's wake
+        order would decide which of them sees it."""
+        clock, stats = self.plan.clock, self.sim.stats
+        clock._value = Logic._make(1, value, 0).resize(clock.width)
+        before = stats.signal_updates
+        for generator, wait in woken:
+            if next(generator) is not wait:
+                raise _Refused
+        if len(woken) > 1 and stats.signal_updates != before:
+            raise _Refused
+
+    def drive(self, drives) -> None:
+        """Write ``(signal, spec width, value)`` drives as the testbench's
+        spec-width signals would through the port connections."""
+        for signal, spec_width, value in drives:
+            if isinstance(value, Logic):
+                value = value.resize(spec_width)
+            else:
+                value = Logic._make(spec_width, value, 0)
+            signal._value = value.resize(signal.width)
+
+    def vector(self, vector) -> list:
+        """One stimulus vector's input drives."""
+        return [(signal, w, vector[name]) for name, w, signal in self.plan.inputs]
+
+    def observe(self) -> dict[str, Logic]:
+        """The outputs as the testbench's spec-width signals read them."""
+        return {
+            name: signal._value.resize(spec_width)
+            for name, spec_width, signal in self.plan.outputs
+        }
+
+    def finish(self) -> None:
+        """Refuse a run whose processes printed or scheduled a future
+        write: the kernel would show them."""
+        if self.sim.output or self.sim._future:
+            raise _Refused
 
 
 def _run_vectors(plan: Plan, vectors) -> list[dict[str, Logic]]:
     """One output row per vector; a vector missing an input raises
     ``KeyError``."""
+    run = _Run(plan)
     rows = []
-    for vector in vectors:
-        _drive(plan, vector)
-        _settle(plan)
-        rows.append(_observe(plan))
+    for k, vector in enumerate(vectors):
+        run.drive(run.vector(vector))
+        if k:
+            run.settle()
+        else:
+            run.comb = run.start(plan.comb)
+        rows.append(run.observe())
+    run.finish()
     return rows
 
 
-def _run_cycles(plan: Plan, stimulus):
-    """``(reset row, one row per cycle)``: the outputs right after reset
-    (inputs zero, registers at their reset values) and after each edge."""
-    for target, reset, _value in plan.regs:
-        target._value = reset
-    _drive(plan, {name: 0 for name, _w, _s in plan.inputs})
-    _settle(plan)
-    reset_row = _observe(plan)
-    rows = []
-    for vector in stimulus:
-        _drive(plan, vector)
-        _settle(plan)
-        _clock_edge(plan)
-        _settle(plan)
-        rows.append(_observe(plan))
-    return reset_row, rows
+def _run_cycles(plan: Plan, bundle):
+    """``(reset row, one row per cycle)``: the outputs the testbench checks
+    right after reset and after each clock edge.
 
-
-def simulate_vectors(design: Design, vectors, *, inputs=None, outputs=None):
-    """Batch-evaluate a combinational design over a stimulus set.
-
-    *vectors* is a sequence of ``{input: int | Logic}`` dicts. *inputs* /
-    *outputs* are ``(name, width)`` pairs; when omitted, inputs are derived
-    from the first vector's keys (at design widths) and outputs are every
-    member-driven signal that is not an input. Returns one
-    ``{output: Logic}`` row per vector, or ``None`` when the design is not
-    batchable.
+    Both testbenches check before any process reacts to their last
+    writes, so each row is the state the rising edge before it settled
+    to. A falling edge comes with the next case's inputs (and the first
+    with ``rst`` falling): the kernel runs the processes those inputs wake
+    before those the edge wakes, and commits staged writes only after
+    both, so the pass settles without committing first.
     """
-    if inputs is None:
-        if not vectors:
-            return None
-        inputs = []
-        for name in sorted(vectors[0]):
-            signal = design.signals.get(name)
-            if signal is None:
-                return None
-            inputs.append((name, signal.width))
-    if outputs is None:
-        input_names = {name for name, _w in inputs}
-        outputs = sorted(
-            (member.target.name, member.target.width)
-            for member in design.members
-            if member.target.name not in input_names
-        )
-    plan = plan_combinational(design, inputs, outputs)
-    if plan is None:
-        return None
-    return _run_vectors(plan, vectors)
+    from repro.designs import tbgen
+    from repro.eda.toolchain import Language
+
+    run = _Run(plan)
+    sim, stats = run.sim, run.sim.stats
+    reset = plan.reset if bundle.spec.has_reset else None
+    first = [(reset, 1, 1)] if reset is not None else []
+    first += run.vector({name: 0 for name, _w, _s in plan.inputs})
+    # where the processes start: the Verilog testbench drives first, the
+    # VHDL one through the NBA region after its signals' initial values
+    run.drive([(plan.clock, 1, 0)])
+    if bundle.language is Language.VERILOG:
+        run.drive(first)
+    elif reset is not None:
+        run.drive([(reset, 1, 0)])
+    run.comb = run.start(plan.comb)
+    updates = stats.signal_updates
+    run.start_clocked()
+    if stats.signal_updates != updates:
+        raise _Refused  # a first activation acted on unsettled values
+    run.drive(first)
+    run.settle()
+
+    def edge(woken, value, staged=False):
+        updates = stats.signal_updates
+        run.clock_edge(woken, value)
+        if staged or sim._nba or stats.signal_updates != updates:
+            sim.commit_nba()
+            run.settle()
+
+    def fall(drives):
+        run.drive(drives)
+        if not run.fall:
+            run.drive([(plan.clock, 1, 0)])
+            if drives:
+                run.settle()
+            return
+        if drives:
+            run.settle(commit=False)
+        edge(run.fall, 0, staged=bool(sim._nba))
+
+    for cycle in range(tbgen.RESET_CYCLES):
+        if cycle:
+            fall([])
+        edge(run.rise, 1)
+    reset_row = run.observe()
+    release = [(reset, 1, 0)] if reset is not None else []
+    rows = []
+    for vector in bundle.stimulus:
+        fall(release + run.vector(vector))
+        release = []
+        edge(run.rise, 1)
+        rows.append(run.observe())
+    if bundle.language is Language.VHDL:
+        fall(release)  # its last ``clk <= '0'`` still commits
+    run.finish()
+    return reset_row, rows
 
 
 # --------------------------------------------------------------------------
@@ -375,25 +450,28 @@ def run_bundle(plan: Plan, bundle) -> BatchOutcome | None:
     Emulates the generated testbench's drive/settle/check schedule over the
     batch results, producing the exact output lines, end time, and
     clean-finish flag the event kernel would report for the same text.
-    ``None`` when the plan's kind does not match the bundle's or an
-    evaluation aborts: the kernel then runs the testbench instead.
+    ``None`` when the plan's kind does not match the bundle's or the run
+    is refused (counted as ``run-time``): the kernel then runs the
+    testbench instead.
     """
     from repro.designs import tbgen
     from repro.eda.toolchain import Language
 
-    if bundle.clocked != bool(plan.regs):
+    if bundle.clocked != (plan.clock is not None):
         return None
     language = bundle.language
     out_ports = [(p.name, p.width) for p in bundle.spec.outputs]
     lines: list[str] = []
     errors = 0
-    n = len(bundle.stimulus)
     try:
         if bundle.clocked:
-            reset_row, rows = _run_cycles(plan, bundle.stimulus)
+            reset_row, rows = _run_cycles(plan, bundle)
         else:
             rows = _run_vectors(plan, bundle.stimulus)
-    except SimulationError:
+    except Exception:
+        # an abort, or an activation the plan could not see: the kernel
+        # runs the testbench and reports it
+        _refuse("run-time")
         return None
     if not bundle.clocked:
         for case_no, (row, expected) in enumerate(
@@ -402,7 +480,6 @@ def run_bundle(plan: Plan, bundle) -> BatchOutcome | None:
             errors += _check_case(
                 language, case_no, out_ports, expected, row, "", lines
             )
-        end_time = n * tbgen.SETTLE_NS
     else:
         if bundle.reset_outputs is not None:
             errors += _check_case(
@@ -416,10 +493,6 @@ def run_bundle(plan: Plan, bundle) -> BatchOutcome | None:
                 language, case_no, out_ports, expected, row,
                 f" at cycle {case_no}", lines,
             )
-        end_time = (
-            tbgen.RESET_CYCLES * 2 * tbgen.HALF_PERIOD_NS
-            + n * 2 * tbgen.HALF_PERIOD_NS
-        )
     if errors == 0:
         lines.append(tbgen.PASS_MESSAGE)
     elif language is Language.VERILOG:
@@ -428,7 +501,7 @@ def run_bundle(plan: Plan, bundle) -> BatchOutcome | None:
         lines.append("ERROR: Some test cases failed.")
     return BatchOutcome(
         output_lines=tuple(lines),
-        end_time=end_time,
+        end_time=end_time(bundle),
         finished_cleanly=language is Language.VERILOG,
-        vectors=n,
+        vectors=len(bundle.stimulus),
     )

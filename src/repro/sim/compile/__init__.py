@@ -10,23 +10,24 @@ in error when evaluated compiles to a closure that reports the diagnostic
 and aborts with its text when called. Compiling is silent, so it can wait:
 elaboration keeps every diagnostic-bearing fact eager (VHDL variable types,
 sensitivity lists) and defers each process *body* until the process first
-starts, inside :meth:`Simulator.run <repro.sim.kernel.Simulator.run>`. A
-compile-only elaboration and the batch tier's compile step never build a
-body at all. A body whose compilation raises is refused as a named run-time
+starts, inside :meth:`Simulator.run <repro.sim.kernel.Simulator.run>`, or
+when a batch plan is built. A compile-only elaboration never builds a body
+at all. A body whose compilation raises is refused as a named run-time
 error, counted in the ``sim.compile.refusals`` metric.
 
-There are two simulation paths over these closures. The event kernel runs
-every process as its own closure. The batch tier (:mod:`repro.sim.batch`)
-evaluates a registered golden testbench's whole stimulus set without the
-kernel: :mod:`.level` records which processes it can plan from, each with
-a ``build()`` that compiles the process's value with these same compilers
-when a plan is built, and a plan writes those values to their targets in
-dataflow order for every vector or clock edge. The compilers mark, in the
-elaborator's ``unsettled`` flag, each closure they emit that can abort on
-some operand values or reads simulator state; such a value does not
-build, and its design stays on the kernel. ``REPRO_SIM_NO_BATCH=1``
-turns the batch tier off, so every run takes the kernel; tests use it to
-get the kernel's reference answer.
+There are two simulation paths over these closures, and both run every
+process's own compiled body. The event kernel schedules the bodies by
+their waits. The batch tier (:mod:`repro.sim.batch`) evaluates a
+registered golden testbench's whole stimulus set without the event loop:
+it steps each body once per activation, ordered by the facts the
+elaborators record per process (:class:`~repro.sim.runtime.ProcessFacts`:
+read set, write set, sensitivity, and whether one activation keeps no
+state). The compilers mark, in the elaborator's ``unsettled`` flag, each
+closure they emit that can abort on some operand values or reads
+simulator state; :func:`add_process` records the flag per body as
+``Process.unsettled``, and such a process stays on the kernel.
+``REPRO_SIM_NO_BATCH=1`` turns the batch tier off, so every run takes the
+kernel; tests use it to get the kernel's reference answer.
 """
 
 from __future__ import annotations
@@ -38,12 +39,16 @@ from repro.sim.kernel import SimulationError
 from repro.sim.runtime import Process
 
 
-def add_process(design, name, build):
-    """Add a process to *design* whose body *build* compiles at first start.
+def add_process(elab, name, build, facts):
+    """Add a process to ``elab.design`` whose body *build* compiles at first
+    start.
 
     ``build()`` returns the process factory. It runs once, when the process
-    first starts (:meth:`Process.start`), so a process that never starts is
-    never built. The compilers are total, so a builder that raises is a
+    is first compiled (:meth:`Process.compile`), so a process that never
+    starts is never built; the build records the elaborator's ``unsettled``
+    flag for this body as ``Process.unsettled``. *facts* computes the
+    process's :class:`~repro.sim.runtime.ProcessFacts` when the batch tier
+    asks for them. The compilers are total, so a builder that raises is a
     compiler defect: it is refused loudly, as a :class:`SimulationError`
     ``simulation compiler refused process '<name>': <Type>: <message>``
     counted in ``sim.compile.refusals``, which fails the run with that text.
@@ -53,8 +58,9 @@ def add_process(design, name, build):
     process = Process(name)
 
     def build_or_refuse():
+        elab.unsettled = False
         try:
-            return build()
+            factory = build()
         except SimulationError:
             raise
         except Exception as exc:
@@ -63,9 +69,12 @@ def add_process(design, name, build):
                 f"simulation compiler refused process '{process.name}': "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
+        process.unsettled = elab.unsettled
+        return factory
 
     process.build = build_or_refuse
-    return design.add_process(process)
+    process.facts = facts
+    return elab.design.add_process(process)
 
 
 def batch_disabled() -> bool:

@@ -87,6 +87,7 @@ def _abort(elab, span, message, operands=()):
     silent, calling it emits the diagnostic and raises an abort carrying the
     same text (so a simulation run fails with it as its runtime error).
     """
+    elab.unsettled = True  # aborts whenever it is evaluated
 
     def abort(sim, operands=tuple(operands)):
         for operand in operands:
@@ -834,6 +835,7 @@ def _dynamic_bounds(target, scope, elab):
 
         return bit_bounds
     if isinstance(target, ast.PartSelect):
+        elab.unsettled = True  # aborts on an oversized range
         msb_fn = compile_expr(target.msb, scope, elab)
         lsb_fn = compile_expr(target.lsb, scope, elab)
 
@@ -958,9 +960,10 @@ def _value_at_width(value, scope, elab):
     """``fn(width)`` → the value closure compiled at that context width.
 
     Serves targets whose width is only known per evaluation; each distinct
-    width is compiled once, on first use.
+    width is compiled once, on first use, and width 1 (every bit-select's)
+    at once, so the body's build sees what the value compiles to.
     """
-    compiled = {}
+    compiled = {1: compile_expr(value, scope, elab, 1)}
 
     def at(width):
         fn = compiled.get(width)
@@ -1018,6 +1021,13 @@ def _compile_assign(stmt, scope, elab):
 
 
 def _compile_for(stmt, scope, elab):
+    counter = scope.resolve(getattr(stmt.init.target, "name", ""))
+    trip_reads = elab._read_set(stmt.condition, scope)
+    trip_reads |= elab._read_set(stmt.step.value, scope)
+    if trip_reads - {counter}:
+        # its trip count depends on operand values, so it can reach the
+        # iteration limit on some of them
+        elab.unsettled = True
     init_steps = compile_stmt(stmt.init, scope, elab)
     cond = compile_expr(stmt.condition, scope, elab)
     step_steps = compile_stmt(stmt.step, scope, elab)
@@ -1096,6 +1106,7 @@ def _compile_repeat(stmt, scope, elab):
 
 
 def _compile_while(stmt, scope, elab):
+    elab.unsettled = True  # aborts at the iteration limit
     cond = compile_expr(stmt.condition, scope, elab)
     body_steps = compile_stmt(stmt.body, scope, elab)
     body_plain = as_plain(body_steps)

@@ -161,6 +161,7 @@ def _abort(env, span, message, operands=(), raised=None):
     the text (so a simulation run fails with it as its runtime error).
     """
     elab = env.elab
+    elab.unsettled = True  # aborts whenever it is evaluated
 
     def abort(ctx, operands=tuple(operands)):
         for operand in operands:
@@ -433,7 +434,6 @@ def _compile_edge(expr, env):
     signal = env.scope.signals.get(expr.args[0].name)
     if signal is None:
         return _abort(env, expr.span, f"{name} argument must be a signal")
-    env.elab.unsettled = True  # reads the process's edge memory
     if name == "rising_edge":
 
         def rising(ctx, s=signal):
@@ -493,7 +493,6 @@ def _compile_attribute(expr, env):
         signal = env.scope.signals.get(expr.name)
         if signal is None:
             return _abort(env, expr.span, f"'{expr.attr} requires a signal")
-        env.elab.unsettled = True  # reads the process's edge memory
         if expr.attr == "event":
 
             def event(ctx, s=signal):
@@ -579,6 +578,7 @@ def _compile_binary(expr, env):
     fn = _BINARY_FNS.get(expr.op)
     if fn is None:
         elab = env.elab
+        elab.unsettled = True  # aborts whenever it is evaluated
         message = f"unsupported operator '{expr.op}'"
 
         def fn(a, b):
@@ -740,6 +740,8 @@ def _compile_select_store(target, info, write, env, x_bounds):
     ):
         msb, lsb = info.slice_offsets(left.to_int(), right.to_int())
         return lambda ctx, value, m=msb, l=lsb: write(ctx, m, l, value)
+    if x_bounds is not None:
+        env.elab.unsettled = True  # aborts on unknown bounds
 
     def store_slice(ctx, value):
         left = left_fn(ctx)
@@ -834,6 +836,7 @@ def _compile_signal_assign(stmt, env):
 
         return [(PLAIN, step_after)]
     elab = env.elab
+    elab.unsettled = True  # aborts on an unknown delay
 
     def dynamic_after(ctx, f=value_fn, delay_fn=delay_fn):
         value = f(ctx)
@@ -975,6 +978,7 @@ def _compile_for(stmt, env):
             return static
     else:
         elab = env.elab
+        elab.unsettled = True  # aborts on unknown bounds
 
         def values(ctx):
             low = evh._to_int(low_fn(ctx), stmt.span, elab)
@@ -1031,6 +1035,7 @@ def _compile_for(stmt, env):
 
 
 def _compile_while(stmt, env):
+    env.elab.unsettled = True  # aborts at the iteration limit
     cond_fn = compile_expr(stmt.condition, env)
     steps = compile_body(stmt.body, env)
     limit = evh.VhdlElaborator.LOOP_LIMIT
@@ -1066,6 +1071,7 @@ def _compile_wait(stmt, env):
         if delay is not None and not delay.has_x:
             return [(CMD, Delay(delay.to_int()))]
         elab = env.elab
+        elab.unsettled = True  # aborts on an unknown delay
 
         def dynamic_delay(ctx, delay_fn=delay_fn):
             yield Delay(evh._to_int(delay_fn(ctx), stmt.span, elab))
@@ -1169,17 +1175,12 @@ def _compile_report(stmt, env):
 def process_factory(process, scope, elab, sens, var_infos):
     """Compiled factory for a process statement.
 
-    *sens* is the sensitivity list's signals, or None for ``process(all)``,
-    whose read set is found here. *var_infos* are the variables' declared
+    *sens* is the sensitivity list's signals (for ``process(all)``, the
+    signals its body reads). *var_infos* are the variables' declared
     types, elaborated beforehand (a bad bound is an elaboration error);
     variable initial values are evaluated when each simulation run starts
     the process.
     """
-    if sens is None:
-        reads: set = set()
-        for statement in process.body:
-            evh._collect_reads_seq(statement, scope, reads)
-        sens = tuple(sorted(reads, key=lambda s: s.name))
     watched = tuple(evh._edge_watched_signals(process.body, scope))
     var_types: dict = {}
     decl_plan = []
@@ -1325,37 +1326,30 @@ def delayed_assign_factory(statement, scope, elab, signal, delay, reads, width):
     return factory
 
 
-def conditional_value(statement, env, width):
-    """``fn(ctx) -> Logic``: a conditional assignment's value, the first
-    arm whose condition is true, else the final ``else``."""
+def conditional_assign_factory(statement, scope, elab, reads, width):
+    """Compiled factory for a conditional concurrent assignment: it writes
+    the first arm whose condition is true, else the final ``else``."""
+    env = _Env(scope, elab)
     arms = tuple(
         (compile_with_width(value, env, width), compile_expr(condition, env))
         for value, condition in statement.arms
     )
     otherwise_fn = compile_with_width(statement.otherwise, env, width)
+    store = _compile_store(statement.target, env, blocking=True)
+    wait_cmd = WaitChange.on(*reads) if reads else None
 
-    def conditional(ctx):
+    def value(ctx):
         for value_fn, cond_fn in arms:
             if cond_fn(ctx).is_true():
                 return value_fn(ctx)
         return otherwise_fn(ctx)
-
-    return conditional
-
-
-def conditional_assign_factory(statement, scope, elab, reads, width):
-    """Compiled factory for a conditional concurrent assignment."""
-    env = _Env(scope, elab)
-    value_fn = conditional_value(statement, env, width)
-    store = _compile_store(statement.target, env, blocking=True)
-    wait_cmd = WaitChange.on(*reads) if reads else None
 
     def factory(sim):
         ctx = evh._EvalCtx(scope=scope, sim=sim)
 
         def body():
             while True:
-                store(ctx, value_fn(ctx))
+                store(ctx, value(ctx))
                 if wait_cmd is None:
                     return
                 yield wait_cmd

@@ -26,7 +26,15 @@ from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile
 from repro.sim import compile as simcompile
 from repro.sim.kernel import SimulationError
-from repro.sim.runtime import Design, Edge, Sensitivity, Signal
+from repro.sim.runtime import (
+    Design,
+    Edge,
+    ProcessFacts,
+    Sensitivity,
+    Signal,
+    meet,
+    wait_on,
+)
 from repro.sim.values import Logic
 from repro.verilog import ast
 
@@ -89,8 +97,9 @@ class VerilogElaborator:
         self.design = Design()
         self.rng = _Lcg()
         #: set by the closure compiler when it emits a closure that can
-        #: abort on some operand values or reads simulator state; a batch
-        #: ``build()`` clears it before compiling and reads it after
+        #: abort on some operand values or reads simulator state;
+        #: :func:`~repro.sim.compile.add_process` clears it before each body
+        #: build and records it after
         self.unsettled = False
         self._instance_stack: list[str] = []
 
@@ -219,27 +228,6 @@ class VerilogElaborator:
         return _cv.compile_expr(expr, scope, self)(None)
 
     # ------------------------------------------------------------------
-    # batch-tier facts
-    # ------------------------------------------------------------------
-
-    def _compiled(self, build):
-        """A cone member or sync update from *build*, or None if ineligible.
-
-        The builders return None for shapes they do not accept; one that
-        raises is treated the same way, leaving the process to the kernel.
-        """
-        try:
-            return build()
-        except Exception:
-            return None
-
-    def _add_member(self, build) -> None:
-        """Record the cone member *build* returns, if the shape is one."""
-        member = self._compiled(build)
-        if member is not None:
-            self.design.members.append(member)
-
-    # ------------------------------------------------------------------
     # items
     # ------------------------------------------------------------------
 
@@ -259,8 +247,9 @@ class VerilogElaborator:
             from repro.sim.compile import verilog as _cv
 
             simcompile.add_process(
-                self.design, f"{scope.prefix}initial@{_line(self, item)}",
+                self, f"{scope.prefix}initial@{_line(self, item)}",
                 lambda: _cv.initial_factory(item.body, scope, self),
+                lambda: _activation_facts(self, item.body, scope, ()),
             )
         elif isinstance(item, ast.Instantiation):
             self._instantiate(item, scope)
@@ -275,19 +264,15 @@ class VerilogElaborator:
 
         from repro.sim.compile import verilog as _cv
 
-        process = simcompile.add_process(
-            self.design, f"{scope.prefix}assign@{_line(self, target)}",
+        simcompile.add_process(
+            self, f"{scope.prefix}assign@{_line(self, target)}",
             lambda: _cv.continuous_assign_factory(
                 target, value, scope, self, read_signals
             ),
-        )
-
-        from repro.sim.compile import level as _level
-
-        self._add_member(
-            lambda: _level.verilog_assign_member(
-                process, target, value, scope, read_signals, self
-            )
+            lambda: _activation_facts(
+                self, ast.Assign(target.span, target, value, True), scope,
+                wait_on(read_signals),
+            ),
         )
 
     def _always_block(self, block: ast.AlwaysBlock, scope: _Scope) -> None:
@@ -305,21 +290,22 @@ class VerilogElaborator:
             from repro.sim.compile import verilog as _cv
 
             simcompile.add_process(
-                self.design, name,
+                self, name,
                 lambda: _cv.free_always_factory(block.body, scope, self),
+                lambda: _activation_facts(self, block.body, scope, ()),
             )
             return
 
+        facts = None
         if sens.star:
-            writes = _written_signals(block.body, scope)
-            raw_reads = self._read_set_stmt_raw(block.body, scope)
+            facts = _activation_facts(self, block.body, scope, ())
             # loop induction variables written inside the block are not
             # real sensitivity sources; leaving them out avoids
             # self-triggering loops
-            entries = tuple(
-                Sensitivity(s, Edge.ANY)
-                for s in sorted(raw_reads - writes, key=lambda s: s.name)
+            entries = wait_on(
+                sorted(facts.reads - facts.writes, key=lambda s: s.name)
             )
+            facts = facts._replace(sensitivity=entries)
         else:
             entries = []
             for item in sens.items:
@@ -333,25 +319,14 @@ class VerilogElaborator:
 
         from repro.sim.compile import verilog as _cv
 
-        process = simcompile.add_process(
-            self.design, name,
+        simcompile.add_process(
+            self, name,
             lambda: _cv.always_factory(
                 block.body, scope, self, entries,
                 initial_run=sens.star or not edge_triggered,
             ),
+            lambda: facts or _activation_facts(self, block.body, scope, entries),
         )
-        if edge_triggered:
-            # the batch tier (repro.sim.batch) pairs each recognized
-            # register bank with its kernel Process
-            from repro.sim.compile import level as _level
-
-            update = self._compiled(
-                lambda: _level.verilog_sync_update(
-                    process, entries, block.body, scope, self
-                )
-            )
-            if update is not None:
-                self.design.sync_updates.append(update)
 
     def _sens_signal(self, expr: ast.Expression, scope: _Scope) -> Signal | None:
         if isinstance(expr, ast.Identifier):
@@ -452,17 +427,12 @@ class VerilogElaborator:
 
         from repro.sim.compile import verilog as _cv
 
-        process = simcompile.add_process(
-            self.design, f"{scope.prefix}{inst.instance}.in.{child_signal.name}",
+        simcompile.add_process(
+            self, f"{scope.prefix}{inst.instance}.in.{child_signal.name}",
             lambda: _cv.wire_input_factory(expr, child_signal, scope, self, reads),
-        )
-
-        from repro.sim.compile import level as _level
-
-        self._add_member(
-            lambda: _level.verilog_wire_input_member(
-                process, expr, child_signal, scope, reads, self
-            )
+            lambda: ProcessFacts(
+                frozenset(reads), frozenset((child_signal,)), wait_on(reads), True
+            ),
         )
 
     def _wire_output(
@@ -484,17 +454,13 @@ class VerilogElaborator:
 
         from repro.sim.compile import verilog as _cv
 
-        process = simcompile.add_process(
-            self.design, f"{scope.prefix}{inst.instance}.out.{child_signal.name}",
+        simcompile.add_process(
+            self, f"{scope.prefix}{inst.instance}.out.{child_signal.name}",
             lambda: _cv.wire_output_factory(expr, child_signal, scope, self),
-        )
-
-        from repro.sim.compile import level as _level
-
-        self._add_member(
-            lambda: _level.verilog_wire_output_member(
-                process, expr, child_signal, scope
-            )
+            lambda: ProcessFacts(
+                frozenset((child_signal,)), frozenset(_target_signals(expr, scope)),
+                wait_on((child_signal,)), _whole_signals(expr, scope) is not None,
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -555,49 +521,6 @@ class VerilogElaborator:
                 reads |= self._lvalue_index_reads(part, scope)
         return reads
 
-    def _read_set_stmt_raw(self, stmt: ast.Statement, scope: _Scope) -> set[Signal]:
-        """All signals read anywhere in a statement, written ones included."""
-        reads: set[Signal] = set()
-
-        def walk(node: ast.Statement) -> None:
-            if isinstance(node, ast.Block):
-                for inner in node.statements:
-                    walk(inner)
-            elif isinstance(node, ast.If):
-                self._collect_reads(node.condition, scope, reads)
-                walk(node.then_branch)
-                if node.else_branch is not None:
-                    walk(node.else_branch)
-            elif isinstance(node, ast.Case):
-                self._collect_reads(node.subject, scope, reads)
-                for item in node.items:
-                    for label in item.labels:
-                        self._collect_reads(label, scope, reads)
-                    walk(item.body)
-            elif isinstance(node, ast.Assign):
-                self._collect_reads(node.value, scope, reads)
-                reads.update(self._lvalue_index_reads(node.target, scope))
-            elif isinstance(node, ast.For):
-                walk(node.init)
-                self._collect_reads(node.condition, scope, reads)
-                walk(node.step)
-                walk(node.body)
-            elif isinstance(node, (ast.Repeat, ast.While)):
-                cond = node.count if isinstance(node, ast.Repeat) else node.condition
-                self._collect_reads(cond, scope, reads)
-                walk(node.body)
-            elif isinstance(node, ast.Forever):
-                walk(node.body)
-            elif isinstance(node, (ast.DelayControl, ast.EventControl)):
-                if node.statement is not None:
-                    walk(node.statement)
-            elif isinstance(node, ast.SystemTaskCall):
-                for arg in node.args:
-                    self._collect_reads(arg, scope, reads)
-
-        walk(stmt)
-        return reads
-
     # ------------------------------------------------------------------
 
     def _error(self, span, message: str) -> None:
@@ -626,44 +549,124 @@ def _contains_delay(stmt: ast.Statement) -> bool:
     return False
 
 
-def _written_signals(stmt: ast.Statement, scope: _Scope) -> set[Signal]:
+def _target_signals(lvalue: ast.LValue, scope: _Scope) -> set[Signal]:
+    """The signals an lvalue writes, whole or in part."""
+    if isinstance(lvalue, ast.Concat):
+        return set().union(*(_target_signals(p, scope) for p in lvalue.parts))
+    name = lvalue.name if isinstance(lvalue, ast.Identifier) else lvalue.target
+    resolved = scope.resolve(name)
+    return {resolved} if isinstance(resolved, Signal) else set()
+
+
+def _whole_signals(lvalue: ast.LValue, scope: _Scope) -> set[Signal] | None:
+    """The signals an lvalue writes whole, or None when it writes a part."""
+    if isinstance(lvalue, ast.Concat):
+        parts = [_whole_signals(part, scope) for part in lvalue.parts]
+        return None if None in parts else set().union(*parts)
+    if isinstance(lvalue, ast.Identifier):
+        return _target_signals(lvalue, scope)
+    return None
+
+
+def _index_exprs(lvalue: ast.LValue):
+    """The select bounds an lvalue evaluates."""
+    if isinstance(lvalue, ast.Concat):
+        for part in lvalue.parts:
+            yield from _index_exprs(part)
+    elif isinstance(lvalue, ast.BitSelect):
+        yield lvalue.index
+    elif isinstance(lvalue, ast.PartSelect):
+        yield from (lvalue.msb, lvalue.lsb)
+    elif isinstance(lvalue, ast.IndexedPartSelect):
+        yield from (lvalue.base, lvalue.width)
+
+
+def _activation_facts(elab, stmt, scope: _Scope, sensitivity) -> ProcessFacts:
+    """The :class:`ProcessFacts` of a process whose activation runs *stmt*.
+
+    ``stateless`` follows every path through *stmt*: a read of one of the
+    process's targets must come after a blocking write of the whole target
+    on that path, so must a blocking write to part of one, a nonblocking
+    write to part of one must come after any write of the whole target, and
+    every path must write each target whole. A loop's body is followed for
+    its first iteration, and its writes do not count after the loop. A
+    statement that waits or prints makes the process stateful. ``reads``
+    covers every statement, which makes it an ``@(*)`` block's sensitivity.
+    """
+    reads: set[Signal] = set()
     writes: set[Signal] = set()
+    #: signals read on some path before a blocking write of them whole
+    unwritten: set[Signal] = set()
+    stateless = True
 
-    def target_signal(lvalue: ast.LValue) -> None:
-        if isinstance(lvalue, ast.Concat):
-            for part in lvalue.parts:
-                target_signal(part)
-            return
-        name = lvalue.name if isinstance(lvalue, ast.Identifier) else lvalue.target
-        resolved = scope.resolve(name)
-        if isinstance(resolved, Signal):
-            writes.add(resolved)
+    def read(expr, written) -> None:
+        found: set[Signal] = set()
+        elab._collect_reads(expr, scope, found)
+        reads.update(found)
+        unwritten.update(found - written)
 
-    def walk(node: ast.Statement) -> None:
+    def walk(node, written, assigned):
+        nonlocal stateless
         if isinstance(node, ast.Block):
             for inner in node.statements:
-                walk(inner)
-        elif isinstance(node, ast.If):
-            walk(node.then_branch)
-            if node.else_branch is not None:
-                walk(node.else_branch)
-        elif isinstance(node, ast.Case):
-            for item in node.items:
-                walk(item.body)
+                written, assigned = walk(inner, written, assigned)
         elif isinstance(node, ast.Assign):
-            target_signal(node.target)
+            read(node.value, written)
+            for index in _index_exprs(node.target):
+                read(index, written)
+            writes.update(_target_signals(node.target, scope))
+            whole = _whole_signals(node.target, scope)
+            if whole is not None:
+                assigned = assigned | whole
+                if node.blocking:
+                    written = written | whole
+            elif not _target_signals(node.target, scope) <= (
+                written if node.blocking else assigned
+            ):
+                # a part write keeps the rest of its signal: a blocking
+                # one the signal's value now, a nonblocking one the value
+                # staged before it
+                stateless = False
+        elif isinstance(node, ast.If):
+            read(node.condition, written)
+            outcomes = [walk(node.then_branch, written, assigned)]
+            if node.else_branch is None:
+                outcomes.append((written, assigned))
+            else:
+                outcomes.append(walk(node.else_branch, written, assigned))
+            written, assigned = meet(outcomes)
+        elif isinstance(node, ast.Case):
+            read(node.subject, written)
+            outcomes = []
+            if all(item.labels for item in node.items):
+                outcomes.append((written, assigned))  # no label matches
+            for item in node.items:
+                for label in item.labels:
+                    read(label, written)
+                outcomes.append(walk(item.body, written, assigned))
+            written, assigned = meet(outcomes)
         elif isinstance(node, ast.For):
-            walk(node.init)
-            walk(node.step)
-            walk(node.body)
-        elif isinstance(node, (ast.Repeat, ast.While, ast.Forever)):
-            walk(node.body)
-        elif isinstance(node, (ast.DelayControl, ast.EventControl)):
-            if node.statement is not None:
-                walk(node.statement)
+            written, assigned = walk(node.init, written, assigned)
+            read(node.condition, written)
+            walk(node.step, *walk(node.body, written, assigned))
+        elif isinstance(node, (ast.Repeat, ast.While)):
+            read(node.count if isinstance(node, ast.Repeat) else node.condition,
+                 written)
+            walk(node.body, written, assigned)
+        elif not isinstance(node, ast.NullStatement):
+            stateless = False  # it waits or prints
+            for arg in getattr(node, "args", ()):
+                read(arg, written)
+            inner = getattr(node, "body", None) or getattr(node, "statement", None)
+            if inner is not None:
+                walk(inner, written, assigned)
+        return written, assigned
 
-    walk(stmt)
-    return writes
+    _, assigned = walk(stmt, frozenset(), frozenset())
+    return ProcessFacts(
+        frozenset(reads), frozenset(writes), tuple(sensitivity),
+        stateless and writes <= assigned and not unwritten & writes,
+    )
 
 
 def _line(elab: VerilogElaborator, node) -> int:

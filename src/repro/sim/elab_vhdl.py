@@ -27,7 +27,7 @@ from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile
 from repro.sim import compile as simcompile
 from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.runtime import Design, Signal
+from repro.sim.runtime import Design, ProcessFacts, Signal, meet, wait_on
 from repro.sim.values import Logic
 from repro.vhdl import ast
 
@@ -126,8 +126,9 @@ class VhdlElaborator:
         self.collector = collector
         self.design = Design()
         #: set by the closure compiler when it emits a closure that can
-        #: abort on some operand values or reads simulator state; a batch
-        #: ``build()`` clears it before compiling and reads it after
+        #: abort on some operand values or reads simulator state;
+        #: :func:`~repro.sim.compile.add_process` clears it before each body
+        #: build and records it after
         self.unsettled = False
         self._depth = 0
 
@@ -164,23 +165,6 @@ class VhdlElaborator:
 
         fn = _cvh.compile_with_width(expr, _cvh._Env(scope, self), width)
         return fn(_EvalCtx(scope=scope, sim=None))
-
-    def _compiled(self, build):
-        """A cone member or sync update from *build*, or None if ineligible.
-
-        The builders return None for shapes they do not accept; one that
-        raises is treated the same way, leaving the process to the kernel.
-        """
-        try:
-            return build()
-        except Exception:
-            return None
-
-    def _add_member(self, build) -> None:
-        """Record the cone member *build* returns, if the shape is one."""
-        member = self._compiled(build)
-        if member is not None:
-            self.design.members.append(member)
 
     def _elaborate_entity(
         self, name: str, prefix: str, generic_overrides: dict[str, Logic]
@@ -295,14 +279,9 @@ class VhdlElaborator:
         else:
             self._error(statement.span, "unsupported concurrent statement")
 
-    def _reads_of(self, *exprs) -> set[Signal]:
-        reads: set[Signal] = set()
-        for expr, scope in exprs:
-            _collect_reads(expr, scope, reads)
-        return reads
-
     def _concurrent_assign(self, statement: ast.ConcurrentAssign, scope: _VScope):
-        reads = self._reads_of((statement.value, scope))
+        reads: set[Signal] = set()
+        _collect_reads(statement.value, scope, reads)
         target = statement.target
         target_width = self._target_width(target, scope)
         name = f"{scope.prefix}cassign@{self._line(statement)}"
@@ -314,27 +293,28 @@ class VhdlElaborator:
             )
             target_signal = self._target_signal(target, scope)
             simcompile.add_process(
-                self.design, name,
+                self, name,
                 lambda: _cvh.delayed_assign_factory(
                     statement, scope, self, target_signal, delay, reads,
                     target_width,
                 ),
+                lambda: _activation_facts(
+                    (ast.SignalAssign(statement.span, target, statement.value,
+                                      statement.after),),
+                    scope, (), wait_on(reads),
+                ),
             )
             return
 
-        process = simcompile.add_process(
-            self.design, name,
+        simcompile.add_process(
+            self, name,
             lambda: _cvh.concurrent_assign_factory(
                 statement, scope, self, reads, target_width
             ),
-        )
-
-        from repro.sim.compile import level as _level
-
-        self._add_member(
-            lambda: _level.vhdl_concurrent_member(
-                process, statement, scope, reads, target_width, self
-            )
+            lambda: _activation_facts(
+                (ast.SignalAssign(statement.span, target, statement.value),),
+                scope, (), wait_on(reads),
+            ),
         )
 
     def _conditional_assign(self, statement: ast.ConditionalAssign, scope: _VScope):
@@ -347,19 +327,14 @@ class VhdlElaborator:
 
         from repro.sim.compile import vhdl as _cvh
 
-        process = simcompile.add_process(
-            self.design, f"{scope.prefix}condassign@{self._line(statement)}",
+        simcompile.add_process(
+            self, f"{scope.prefix}condassign@{self._line(statement)}",
             lambda: _cvh.conditional_assign_factory(
                 statement, scope, self, reads, width
             ),
-        )
-
-        from repro.sim.compile import level as _level
-
-        self._add_member(
-            lambda: _level.vhdl_conditional_member(
-                process, statement, scope, reads, width, self
-            )
+            lambda: _activation_facts(
+                (_as_if(statement),), scope, (), wait_on(reads)
+            ),
         )
 
     def _selected_assign(self, statement: ast.SelectedAssign, scope: _VScope):
@@ -374,9 +349,12 @@ class VhdlElaborator:
         from repro.sim.compile import vhdl as _cvh
 
         simcompile.add_process(
-            self.design, f"{scope.prefix}selassign@{self._line(statement)}",
+            self, f"{scope.prefix}selassign@{self._line(statement)}",
             lambda: _cvh.selected_assign_factory(
                 statement, scope, self, reads, width
+            ),
+            lambda: _activation_facts(
+                (_as_case(statement),), scope, (), wait_on(reads)
             ),
         )
 
@@ -385,9 +363,12 @@ class VhdlElaborator:
     # ------------------------------------------------------------------
 
     def _process(self, process: ast.ProcessStatement, scope: _VScope) -> None:
-        # process(all) leaves None: its read set is the builder's to find
-        sens_signals: tuple[Signal, ...] | None = None
-        if process.sensitivity != ("all",):
+        if process.sensitivity == ("all",):
+            reads: set[Signal] = set()
+            for statement in process.body:
+                _collect_reads_seq(statement, scope, reads)
+            sens_signals = tuple(sorted(reads, key=lambda s: s.name))
+        else:
             found = []
             for name in process.sensitivity:
                 signal = scope.signals.get(name)
@@ -408,21 +389,17 @@ class VhdlElaborator:
 
         from repro.sim.compile import vhdl as _cvh
 
-        proc_obj = simcompile.add_process(
-            self.design, f"{scope.prefix}{label}",
+        simcompile.add_process(
+            self, f"{scope.prefix}{label}",
             lambda: _cvh.process_factory(
                 process, scope, self, sens_signals, var_types
             ),
+            lambda: _activation_facts(
+                process.body, scope,
+                frozenset(decl.name for decl in process.declarations),
+                wait_on(sens_signals),
+            ),
         )
-        # the batch tier (repro.sim.batch) pairs each recognized register
-        # bank with its kernel Process, so recognition happens here
-        from repro.sim.compile import level as _level
-
-        update = self._compiled(
-            lambda: _level.vhdl_sync_update(proc_obj, process, scope, self)
-        )
-        if update is not None:
-            self.design.sync_updates.append(update)
 
     # ------------------------------------------------------------------
     # instantiation
@@ -476,17 +453,12 @@ class VhdlElaborator:
 
         from repro.sim.compile import vhdl as _cvh
 
-        process = simcompile.add_process(
-            self.design, f"{scope.prefix}{inst.label}.in.{child_signal.name}",
+        simcompile.add_process(
+            self, f"{scope.prefix}{inst.label}.in.{child_signal.name}",
             lambda: _cvh.wire_input_factory(expr, child_signal, scope, self, reads),
-        )
-
-        from repro.sim.compile import level as _level
-
-        self._add_member(
-            lambda: _level.vhdl_wire_input_member(
-                process, expr, child_signal, scope, reads, self
-            )
+            lambda: ProcessFacts(
+                frozenset(reads), frozenset((child_signal,)), wait_on(reads), True
+            ),
         )
 
     def _wire_output(self, expr, child_signal: Signal, scope: _VScope, inst) -> None:
@@ -500,17 +472,16 @@ class VhdlElaborator:
 
         from repro.sim.compile import vhdl as _cvh
 
-        process = simcompile.add_process(
-            self.design, f"{scope.prefix}{inst.label}.out.{child_signal.name}",
+        simcompile.add_process(
+            self, f"{scope.prefix}{inst.label}.out.{child_signal.name}",
             lambda: _cvh.wire_output_factory(expr, child_signal, scope, self),
-        )
-
-        from repro.sim.compile import level as _level
-
-        self._add_member(
-            lambda: _level.vhdl_wire_output_member(
-                process, expr, child_signal, scope
-            )
+            lambda: ProcessFacts(
+                frozenset((child_signal,)),
+                frozenset(
+                    s for s in (scope.signals.get(_target_name(expr)),) if s
+                ),
+                wait_on((child_signal,)), isinstance(expr, ast.Name),
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -720,6 +691,151 @@ def _edge_watched_signals(body: tuple, scope: _VScope) -> set[Signal]:
     for statement in body:
         walk(statement)
     return watched
+
+
+def _as_if(statement: ast.ConditionalAssign) -> ast.IfStatement:
+    """A conditional assignment as the process body it runs."""
+    def assign(value):
+        return (ast.SignalAssign(statement.span, statement.target, value),)
+
+    return ast.IfStatement(
+        statement.span,
+        tuple((condition, assign(value)) for value, condition in statement.arms),
+        assign(statement.otherwise),
+    )
+
+
+def _as_case(statement: ast.SelectedAssign) -> ast.CaseStatement:
+    """A selected assignment as the process body it runs."""
+    def alternative(choices, value):
+        return ast.CaseAlternative(
+            statement.span, choices,
+            (ast.SignalAssign(statement.span, statement.target, value),),
+        )
+
+    alternatives = [alternative(choices, value)
+                    for value, choices in statement.arms]
+    if statement.otherwise is not None:
+        alternatives.append(alternative((), statement.otherwise))
+    return ast.CaseStatement(statement.span, statement.selector,
+                             tuple(alternatives))
+
+
+def _activation_facts(body, scope: _VScope, variables, sensitivity):
+    """The :class:`ProcessFacts` of a process whose activation runs *body*.
+
+    A process's signal writes take effect after its activation, in order,
+    so ``stateless`` needs that it reads none of the signals it writes. It
+    also follows every path through *body*: each signal written must be
+    written whole on every path, and before any write to a part of it; a
+    read of one of *variables*, or a write to part of one, must come after
+    a write of the whole variable on that path. A loop's body is followed for its first
+    iteration, and its writes do not count after the loop. An edge function
+    or ``'event``/``'last_value`` reads the process's edge memory, and a
+    statement that waits, prints or writes ``after`` a delay makes the
+    process stateful too.
+    """
+    reads: set[Signal] = set()
+    writes: set[Signal] = set()
+    stateless = True
+
+    def read(expr, written, loop_vars) -> None:
+        nonlocal stateless
+        if isinstance(expr, (ast.Name, ast.Indexed, ast.Sliced)):
+            if expr.name in loop_vars:
+                pass
+            elif expr.name in variables:
+                stateless = stateless and expr.name in written
+            elif expr.name in scope.signals:
+                reads.add(scope.signals[expr.name])
+            if isinstance(expr, ast.Indexed):
+                read(expr.index, written, loop_vars)
+            elif isinstance(expr, ast.Sliced):
+                read(expr.left, written, loop_vars)
+                read(expr.right, written, loop_vars)
+        elif isinstance(expr, ast.Call):
+            if expr.name in ("rising_edge", "falling_edge"):
+                stateless = False
+            for arg in expr.args:
+                read(arg, written, loop_vars)
+        elif isinstance(expr, ast.Attribute):
+            if expr.attr in ("event", "last_value"):
+                stateless = False
+        elif isinstance(expr, ast.Unary):
+            read(expr.operand, written, loop_vars)
+        elif isinstance(expr, ast.Binary):
+            read(expr.lhs, written, loop_vars)
+            read(expr.rhs, written, loop_vars)
+        elif isinstance(expr, ast.Aggregate):
+            if expr.others is not None:
+                read(expr.others, written, loop_vars)
+            for _, element in expr.elements:
+                read(element, written, loop_vars)
+
+    def walk(statements, written, assigned, loop_vars):
+        nonlocal stateless
+        for node in statements:
+            if isinstance(node, (ast.SignalAssign, ast.VariableAssign)):
+                read(node.value, written, loop_vars)
+                target = node.target
+                whole = isinstance(target, ast.Name)
+                if not isinstance(target, (ast.Name, ast.Indexed, ast.Sliced)):
+                    stateless = False
+                    continue
+                if isinstance(target, ast.Indexed):
+                    read(target.index, written, loop_vars)
+                elif isinstance(target, ast.Sliced):
+                    read(target.left, written, loop_vars)
+                    read(target.right, written, loop_vars)
+                if target.name in variables:
+                    if whole:
+                        written = written | {target.name}
+                    elif target.name not in written:
+                        stateless = False  # it keeps the rest
+                elif target.name in scope.signals:
+                    signal = scope.signals[target.name]
+                    writes.add(signal)
+                    if whole:
+                        assigned = assigned | {signal}
+                    elif signal not in assigned:
+                        stateless = False  # it keeps the rest
+                if isinstance(node, ast.SignalAssign) and node.after is not None:
+                    stateless = False
+            elif isinstance(node, ast.IfStatement):
+                outcomes = []
+                for condition, arm in node.arms:
+                    read(condition, written, loop_vars)
+                    outcomes.append(walk(arm, written, assigned, loop_vars))
+                outcomes.append(walk(node.else_body, written, assigned, loop_vars))
+                written, assigned = meet(outcomes)
+            elif isinstance(node, ast.CaseStatement):
+                read(node.subject, written, loop_vars)
+                outcomes = []
+                if all(alt.choices for alt in node.alternatives):
+                    outcomes.append((written, assigned))  # no choice matches
+                for alternative in node.alternatives:
+                    for choice in alternative.choices:
+                        read(choice, written, loop_vars)
+                    outcomes.append(
+                        walk(alternative.body, written, assigned, loop_vars)
+                    )
+                written, assigned = meet(outcomes)
+            elif isinstance(node, ast.ForLoop):
+                read(node.low, written, loop_vars)
+                read(node.high, written, loop_vars)
+                walk(node.body, written, assigned, loop_vars | {node.var})
+            elif isinstance(node, ast.WhileLoop):
+                read(node.condition, written, loop_vars)
+                walk(node.body, written, assigned, loop_vars)
+            elif not isinstance(node, ast.NullStatement):
+                stateless = False  # it waits or prints
+        return written, assigned
+
+    _, assigned = walk(body, frozenset(), frozenset(), frozenset())
+    return ProcessFacts(
+        frozenset(reads), frozenset(writes), tuple(sensitivity),
+        stateless and writes <= assigned and not reads & writes,
+    )
 
 
 def _body_has_wait(body: tuple) -> bool:

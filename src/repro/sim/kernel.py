@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.sim.runtime import Design, Edge, Process, Sensitivity, Signal
 from repro.sim.values import Logic
@@ -57,10 +56,6 @@ class WaitChange:
     def on(*signals: Signal) -> "WaitChange":
         return WaitChange(tuple(Sensitivity(s) for s in signals))
 
-    @staticmethod
-    def edges(entries: Iterable[tuple[Signal, Edge]]) -> "WaitChange":
-        return WaitChange(tuple(Sensitivity(s, e) for s, e in entries))
-
 
 @dataclass(frozen=True)
 class Finish:
@@ -77,8 +72,6 @@ class SimStats:
     process_activations: int = 0
     signal_updates: int = 0
     delta_cycles: int = 0
-    batch_calls: int = 0
-    batch_vectors: int = 0
     finished_cleanly: bool = False
 
 
@@ -203,6 +196,14 @@ class Simulator:
     def display(self, text: str) -> None:
         self.output.append(text)
 
+    def commit_nba(self) -> None:
+        """The NBA region: write every staged value, in staging order."""
+        updates, self._nba = self._nba, []
+        for signal, value, compute in updates:
+            if compute is not None:
+                value = compute(signal._value)
+            self.write_signal(signal, value)
+
     # -- internals -----------------------------------------------------------------
 
     def _wake_waiters(self, signal: Signal, old: Logic) -> None:
@@ -301,11 +302,7 @@ class Simulator:
             if self._finished:
                 return
             if self._nba:
-                updates, self._nba = self._nba, []
-                for signal, value, compute in updates:
-                    if compute is not None:
-                        value = compute(signal._value)
-                    self.write_signal(signal, value)
+                self.commit_nba()
             deltas += 1
             stats.delta_cycles += 1
             if deltas > self.DELTA_LIMIT:

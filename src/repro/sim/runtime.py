@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator, NamedTuple
 
 from repro.sim.values import Logic
 
@@ -80,17 +80,54 @@ class Sensitivity:
         )
 
 
+class ProcessFacts(NamedTuple):
+    """What the batch tier (:mod:`repro.sim.batch`) knows of a process.
+
+    * ``reads`` — every signal its body reads, its own targets included;
+    * ``writes`` — every signal it writes;
+    * ``sensitivity`` — the entries its wait lists, as the kernel wakes it;
+    * ``stateless`` — on every path through one activation, it writes each
+      of ``writes`` whole before reading it and by the end, reads no VHDL
+      variable before writing it, reads no edge memory, and neither waits
+      nor prints: each activation's writes are a function of the signals
+      it reads from outside.
+    """
+
+    reads: frozenset[Signal]
+    writes: frozenset[Signal]
+    sensitivity: tuple[Sensitivity, ...]
+    stateless: bool
+
+
+def wait_on(signals) -> tuple[Sensitivity, ...]:
+    """The sensitivity of a process that waits on any change of *signals*."""
+    return tuple(Sensitivity(signal) for signal in signals)
+
+
+def meet(outcomes):
+    """What every path of a branch has written: the intersections of the
+    ``(written, assigned)`` sets the facts walkers track per path."""
+    return (
+        frozenset.intersection(*(written for written, _ in outcomes)),
+        frozenset.intersection(*(assigned for _, assigned in outcomes)),
+    )
+
+
 class Process:
     """One concurrent thread of execution (always/initial block or VHDL process).
 
     The *factory* receives the kernel when the simulation starts, so the same
     elaborated design can be simulated several times with fresh state. A
-    process given no factory gets one from its ``build`` callable at its
-    first :meth:`start`, so a process that never starts never compiles its
-    body (see :func:`repro.sim.compile.add_process`).
+    process given no factory gets one from its ``build`` callable when it is
+    first compiled (its first :meth:`start`), so a process that never starts
+    never compiles its body (see :func:`repro.sim.compile.add_process`).
+    ``facts`` computes the process's :class:`ProcessFacts` on demand, and
+    ``unsettled`` says, once the body is compiled, whether any closure of
+    it can abort on some operand values or reads simulator state.
     """
 
-    __slots__ = ("name", "factory", "build", "generator", "waiting_on", "done")
+    __slots__ = ("name", "factory", "build", "generator", "waiting_on", "done",
+                 "facts", "unsettled")
 
     def __init__(
         self, name: str, factory: Callable[["object"], ProcessBody] | None = None
@@ -102,51 +139,25 @@ class Process:
         #: sensitivity entries the process is currently blocked on
         self.waiting_on: list[Sensitivity] = []
         self.done = False
+        self.facts: Callable[[], ProcessFacts] | None = None
+        self.unsettled = False
 
-    def start(self, kernel) -> ProcessBody:
+    def compile(self) -> Callable[["object"], ProcessBody]:
+        """The process factory, built at the first call."""
         factory = self.factory
         if factory is None:
             factory = self.factory = self.build()
             self.build = None
-        self.generator = factory(kernel)
+        return factory
+
+    def start(self, kernel) -> ProcessBody:
+        self.generator = self.compile()(kernel)
         self.done = False
         self.waiting_on = []
         return self.generator
 
     def __repr__(self) -> str:
         return f"Process({self.name})"
-
-
-@dataclass(frozen=True)
-class SyncReg:
-    """One register of a recognized synchronous update.
-
-    ``reset`` is the value the register takes while reset is asserted, at
-    the register's width; ``reads`` are the signals its next-state value
-    depends on, and ``build()`` compiles that value the same way a
-    :class:`~repro.sim.compile.level.ConeMember`'s does.
-    """
-
-    target: Signal
-    reset: Logic
-    reads: frozenset[Signal]
-    build: Callable
-
-
-@dataclass(frozen=True)
-class SyncUpdate:
-    """A recognized ``posedge clk`` / ``rising_edge(clk)`` register bank.
-
-    Recorded by the elaborators alongside the compiled process so the batch
-    tier can advance all registers one clock edge at a time without running
-    the event kernel. Purely advisory: the process in ``Design.processes``
-    remains the source of truth for the kernel.
-    """
-
-    process: Process
-    clock: Signal
-    reset: Signal | None
-    regs: tuple[SyncReg, ...]
 
 
 @dataclass
@@ -156,11 +167,6 @@ class Design:
     name: str = "design"
     signals: dict[str, Signal] = field(default_factory=dict)
     processes: list[Process] = field(default_factory=list)
-    #: the combinational processes the batch tier can plan from, as
-    #: :class:`~repro.sim.compile.level.ConeMember` facts in elaboration order
-    members: list = field(default_factory=list)
-    #: synchronous register banks recognized for the batch tier
-    sync_updates: list[SyncUpdate] = field(default_factory=list)
 
     def add_signal(self, signal: Signal) -> Signal:
         if signal.name in self.signals:
@@ -183,28 +189,3 @@ class Design:
                 f"no signal {name!r} in design {self.name!r}; "
                 f"known: {sorted(self.signals)}"
             ) from None
-
-    def merge(self, other: "Design", prefix: str = "") -> None:
-        """Absorb another design's elements, optionally prefixing names."""
-        for name, signal in other.signals.items():
-            signal.name = prefix + name
-            self.add_signal(signal)
-        for process in other.processes:
-            process.name = prefix + process.name
-            self.add_process(process)
-        self.members.extend(other.members)
-        self.sync_updates.extend(other.sync_updates)
-
-
-def sensitivities(
-    entries: Iterable[tuple[Signal, Edge]] | Iterable[Signal],
-) -> list[Sensitivity]:
-    """Normalize a trigger list into :class:`Sensitivity` records."""
-    result = []
-    for entry in entries:
-        if isinstance(entry, Signal):
-            result.append(Sensitivity(entry))
-        else:
-            signal, edge = entry
-            result.append(Sensitivity(signal, edge))
-    return result

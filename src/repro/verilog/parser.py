@@ -277,13 +277,10 @@ class VerilogParser(TokenCursor):
     def _parse_port_item(self) -> ast.ModuleItem:
         """A directional declaration in the body (non-ANSI style).
 
-        ``input [3:0] a, b;`` — returned as the first PortDecl; the remaining
-        names become their own PortDecls folded into a synthetic NetDecl list.
-        To keep the item type simple we return a NetDecl-like wrapper: each
-        extra name is appended by the caller via a small trick — instead we
-        just return a tuple-free representation: the analyzer accepts multiple
-        PortDecl items, so we parse all names and push extras onto a pending
-        queue consumed here.
+        ``input [3:0] a;`` returns one :class:`~repro.verilog.ast.PortDecl`.
+        ``input [3:0] a, b;`` returns a :class:`_MultiItem` holding one
+        PortDecl per name, all with the same direction, range and kind,
+        which :func:`parse_verilog` flattens into the module's items.
         """
         direction = self.texts[self._advance()]
         is_reg = False

@@ -2,17 +2,19 @@
 
 The equivalence suite proves the tier is observationally identical to the
 event kernel; these tests pin the *structural* contract instead: which
-designs plan and which the planner refuses (each refusal DUT next to a
-one-line fix that plans, in both languages and for clocked plans), that a
-member must be a function of settled values, that a register reading the
-clock or reset stays on the kernel, that an evaluation aborting on the
+designs plan and which the planner refuses (each clause that remains with
+a refused DUT next to a one-line fix that plans, in both languages where
+the clause exists, counting exactly its own clause), that designs the old
+shape recognizers refused plan and report what the kernel reports, that
+no body may abort on unsettled values, that an evaluation aborting on the
 batch path falls back to the kernel and a compiler raising while a plan is
-built is the kernel's refusal, that members written against their
+built is the kernel's refusal, that processes written against their
 dataflow still plan, that plans stay exact on ports wider than 64 bits,
 that X-carrying vectors evaluate bit-exact with the kernel, how the
 toolchain routes eligible bundles and counts them, that the modeled cost is
 one formula on both paths, and how the testbench bundle registry behaves —
-including the ``vectors=``/``extra_vectors=`` replacement contract.
+including the ``vectors=``/``extra_vectors=`` replacement contract and that
+every suite problem's golden testbenches keep their bundles.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.sim import batch
 from repro.sim.values import Logic
-from tests.test_sim_batch_constructs import _observables, _simulate, kernel_rows
+from tests.test_sim_batch_constructs import (
+    _observables,
+    _simulate,
+    kernel_rows,
+    simulate_vectors,
+)
 
 _TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
 
@@ -106,7 +113,7 @@ class TestSimulateVectors:
         vectors = [{"a": a, "b": b} for a, b in
                    ((3, 5), (0, 0), (255, 255), (127, 64))]
         with _pin():
-            rows = batch.simulate_vectors(design, vectors)
+            rows = simulate_vectors(design, vectors)
         assert rows is not None
         for vector, row in zip(vectors, rows):
             assert row["y"] == Logic.from_int(_comb_expected(vector), 8)
@@ -121,7 +128,7 @@ class TestSimulateVectors:
             {"a": 1 << 95, "b": 1 << 64},
         ]
         with _pin():
-            rows = batch.simulate_vectors(design, vectors)
+            rows = simulate_vectors(design, vectors)
         assert rows is not None
         for vector, row in zip(vectors, rows):
             want = ((vector["a"] ^ vector["b"]) + vector["a"]) & mask
@@ -135,7 +142,7 @@ class TestSimulateVectors:
             {"a": 7, "b": 5},
         ]
         with _pin():
-            rows = batch.simulate_vectors(design, vectors)
+            rows = simulate_vectors(design, vectors)
         assert rows is not None
         assert rows[0]["y"] == Logic.from_int(_comb_expected(vectors[0]), 8)
         assert rows[2]["y"] == Logic.from_int(((7 ^ 5) + 7) & 0xFF, 8)
@@ -147,7 +154,7 @@ class TestSimulateVectors:
         vectors = [{"a": Logic.from_string("xxxx0011"), "b": 5}]
         inputs, outputs = [("a", 8), ("b", 8)], [("y", 8)]
         with _pin():
-            rows = batch.simulate_vectors(
+            rows = simulate_vectors(
                 build(COMB_V), vectors, inputs=inputs, outputs=outputs
             )
         assert rows == kernel_rows(build(COMB_V), vectors, inputs, outputs)
@@ -155,14 +162,14 @@ class TestSimulateVectors:
     def test_missing_input_raises(self):
         design = build(COMB_V)
         with pytest.raises(KeyError):
-            batch.simulate_vectors(
+            simulate_vectors(
                 design, [{"a": 1}], inputs=[("a", 8), ("b", 8)],
                 outputs=[("y", 8)],
             )
 
     def test_empty_vector_list_is_unplannable(self):
         design = build(COMB_V)
-        assert batch.simulate_vectors(design, []) is None
+        assert simulate_vectors(design, []) is None
 
 
 @given(seed=st.integers(0, 2**16), x_index=st.integers(0, 5))
@@ -188,78 +195,52 @@ def test_property_mixed_x_vectors_match_kernel(seed, x_index):
             )
     inputs, outputs = [("a", 8), ("b", 8)], [("y", 8)]
     with _pin():
-        rows = batch.simulate_vectors(
+        rows = simulate_vectors(
             build(COMB_V), vectors, inputs=inputs, outputs=outputs
         )
     assert rows == kernel_rows(build(COMB_V), vectors, inputs, outputs)
 
 
 class TestPlanEligibility:
-    def test_unknown_port_is_rejected(self):
-        design = build(COMB_V)
-        assert batch.plan_combinational(
-            design, [("a", 8), ("nope", 8)], [("y", 8)]
-        ) is None
-
-    def test_gated_register_is_not_recognized(self):
-        # `else if (en)` is outside the reset/else shape the SyncUpdate
-        # recognizer accepts — the design must fall back to the kernel
-        design = build(GATED_SEQ_V)
-        assert batch.plan_sequential(
-            design, [("en", 1)], [("q", 8)]
-        ) is None
+    @pytest.mark.parametrize("language", list(Language))
+    def test_unknown_port_is_refused(self, language):
+        source = (COMB_V if language is Language.VERILOG else COMB_VHD)
+        plan, refusals = _planned(
+            batch.plan_combinational, build(source, language),
+            [("a", 8), ("nope", 8)], [("y", 8)],
+        )
+        assert plan is None
+        assert refusals == {"unknown-port": 1}
 
     def test_clocked_design_is_not_combinational(self):
-        design = build(SEQ_V)
-        assert batch.plan_combinational(
-            design, [("d", 8)], [("q", 8)]
-        ) is None
+        plan, refusals = _planned(
+            batch.plan_combinational, build(SEQ_V), [("d", 8)], [("q", 8)]
+        )
+        assert plan is None
+        assert refusals == {"not-on-clk": 1}
+
+
+def _planned(plan_fn, design, in_ports, out_ports):
+    """``(plan, {clause: refusals})`` of one planning, counted afresh."""
+    from repro.obs import NullSink, Tracer, get_tracer, set_tracer
+
+    previous = get_tracer()
+    set_tracer(Tracer(NullSink()))
+    try:
+        with _pin():
+            plan = plan_fn(design, in_ports, out_ports)
+        metrics = get_tracer().metrics
+        counts = {
+            clause: metrics.counter(f"sim.batch_plan.refused.{clause}").value
+            for clause in batch.CLAUSES
+        }
+    finally:
+        set_tracer(previous)
+    return plan, {clause: n for clause, n in counts.items() if n}
 
 
 _REFUSAL_HEAD = "module top_module(input [3:0] a, output [3:0] y);\n"
-
-#: name → (DUT the planner refuses, the same DUT with its one defect fixed).
-#: Each DUT breaks exactly the clause it is named after.
-REFUSALS = {
-    "combinational-cycle": (
-        _REFUSAL_HEAD + "    wire [3:0] p, q;\n    assign p = q ^ a;\n"
-        "    assign q = p;\n    assign y = p;\nendmodule\n",
-        _REFUSAL_HEAD + "    wire [3:0] p, q;\n    assign p = q ^ a;\n"
-        "    assign q = a;\n    assign y = p;\nendmodule\n",
-    ),
-    "random-assign": (
-        _REFUSAL_HEAD + "    assign y = a ^ $random;\nendmodule\n",
-        _REFUSAL_HEAD + "    assign y = a ^ 4'd5;\nendmodule\n",
-    ),
-    "multi-driven-net": (
-        _REFUSAL_HEAD + "    assign y = a;\n    assign y = ~a;\nendmodule\n",
-        _REFUSAL_HEAD + "    assign y = ~a;\nendmodule\n",
-    ),
-    "self-reading-assign": (
-        _REFUSAL_HEAD + "    wire [3:0] t;\n    assign t = t & a;\n"
-        "    assign y = t;\nendmodule\n",
-        _REFUSAL_HEAD + "    wire [3:0] t;\n    assign t = 4'hF & a;\n"
-        "    assign y = t;\nendmodule\n",
-    ),
-    "non-member-writer": (
-        "module top_module(input [3:0] a, output reg [3:0] y);\n"
-        "    always @(*) y = a + 1;\nendmodule\n",
-        _REFUSAL_HEAD + "    assign y = a + 1;\nendmodule\n",
-    ),
-    "part-select-target": (
-        _REFUSAL_HEAD + "    assign y[1:0] = a[1:0];\n"
-        "    assign y[3:2] = a[3:2];\nendmodule\n",
-        _REFUSAL_HEAD + "    assign y = a;\nendmodule\n",
-    ),
-    "dynamic-replicate": (
-        _REFUSAL_HEAD + "    assign y = {a[1:0]{a[3]}};\nendmodule\n",
-        _REFUSAL_HEAD + "    assign y = {4{a[3]}};\nendmodule\n",
-    ),
-    "dynamic-part-select": (
-        _REFUSAL_HEAD + "    assign y = a[a[1:0]:0];\nendmodule\n",
-        _REFUSAL_HEAD + "    assign y = a[3:0];\nendmodule\n",
-    ),
-}
+_REG_HEAD = "module top_module(input [3:0] a, output reg [3:0] y);\n"
 
 _VH_REFUSAL_HEAD = (
     "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n"
@@ -274,90 +255,134 @@ _VH_PQ = "    signal p, q : std_logic_vector(3 downto 0);\n"
 _VH_C = "    signal c : std_logic;\n"
 _VH_END = "end architecture;\n"
 
-#: the same table for the VHDL elaborator's members, plus two writers it
-#: does not nominate: a selected assign, and assigns to slices of a signal
-VH_REFUSALS = {
-    "combinational-cycle": (
-        _VH_REFUSAL_HEAD + _VH_PQ + "begin\n    p <= q xor a;\n"
-        "    q <= p;\n    y <= p;\n" + _VH_END,
-        _VH_REFUSAL_HEAD + _VH_PQ + "begin\n    p <= q xor a;\n"
-        "    q <= a;\n    y <= p;\n" + _VH_END,
-    ),
-    "multi-driven-net": (
-        _VH_REFUSAL_HEAD + "begin\n    y <= a;\n    y <= not a;\n" + _VH_END,
-        _VH_REFUSAL_HEAD + "begin\n    y <= not a;\n" + _VH_END,
-    ),
-    "self-reading-assign": (
-        _VH_REFUSAL_HEAD + _VH_T + "begin\n    t <= t and a;\n"
-        "    y <= t;\n" + _VH_END,
-        _VH_REFUSAL_HEAD + _VH_T + "begin\n    t <= \"1111\" and a;\n"
-        "    y <= t;\n" + _VH_END,
-    ),
-    "non-member-writer": (
-        _VH_REFUSAL_HEAD + "begin\n    process (a) begin\n"
-        "        y <= not a;\n    end process;\n" + _VH_END,
-        _VH_REFUSAL_HEAD + "begin\n    y <= not a;\n" + _VH_END,
-    ),
-    "selected-assign": (
-        _VH_REFUSAL_HEAD + "begin\n    with a(0) select\n"
-        "        y <= a when '1', not a when others;\n" + _VH_END,
-        _VH_REFUSAL_HEAD + "begin\n    y <= a when a(0) = '1' else not a;\n"
-        + _VH_END,
-    ),
-    "slice-target": (
-        _VH_REFUSAL_HEAD + "begin\n    y(1 downto 0) <= a(1 downto 0);\n"
-        "    y(3 downto 2) <= a(3 downto 2);\n" + _VH_END,
-        _VH_REFUSAL_HEAD + "begin\n    y <= a;\n" + _VH_END,
-    ),
-    "dynamic-slice": (
-        _VH_REFUSAL_HEAD + "begin\n"
-        "    y <= a(to_integer(unsigned(a(1 downto 0))) downto 0);\n" + _VH_END,
-        _VH_REFUSAL_HEAD + "begin\n    y <= a(3 downto 0);\n" + _VH_END,
-    ),
-    "dynamic-resize": (
-        _VH_REFUSAL_HEAD + "begin\n    y <= std_logic_vector(resize(unsigned(a), "
-        "to_integer(unsigned(a(1 downto 0))) + 1));\n" + _VH_END,
-        _VH_REFUSAL_HEAD + "begin\n"
-        "    y <= std_logic_vector(resize(unsigned(a), 4));\n" + _VH_END,
-    ),
-    "edge-in-assign": (
-        _VH_REFUSAL_HEAD + _VH_C + "begin\n    c <= a(0);\n"
-        "    y <= a when rising_edge(c) else not a;\n" + _VH_END,
-        _VH_REFUSAL_HEAD + _VH_C + "begin\n    c <= a(0);\n"
-        "    y <= a when c = '1' else not a;\n" + _VH_END,
-    ),
+
+def _vh_process(body: str, sens: str = "a", decls: str = "") -> str:
+    return (
+        _VH_REFUSAL_HEAD + _VH_T + "begin\n    t <= not a;\n"
+        f"    process ({sens})\n{decls}    begin\n{body}    end process;\n"
+        + _VH_END
+    )
+
+
+_V = Language.VERILOG
+_VH = Language.VHDL
+
+#: clause -> [(language, DUT the combinational planner refuses by that
+#: clause, the same DUT with its one defect fixed)] over ports a -> y
+COMB_REFUSALS = {
+    "multi-driven": [
+        (_V, _REFUSAL_HEAD + "    assign y = a;\n    assign y = ~a;\n"
+         "endmodule\n",
+         _REFUSAL_HEAD + "    assign y = ~a;\nendmodule\n"),
+        (_V, _REFUSAL_HEAD + "    assign y[1:0] = a[1:0];\n"
+         "    assign y[3:2] = a[3:2];\nendmodule\n",
+         _REFUSAL_HEAD + "    assign y = a;\nendmodule\n"),
+        (_VH, _VH_REFUSAL_HEAD + "begin\n    y <= a;\n    y <= not a;\n"
+         + _VH_END,
+         _VH_REFUSAL_HEAD + "begin\n    y <= not a;\n" + _VH_END),
+        (_VH, _VH_REFUSAL_HEAD + "begin\n    y(1 downto 0) <= a(1 downto 0);\n"
+         "    y(3 downto 2) <= a(3 downto 2);\n" + _VH_END,
+         _VH_REFUSAL_HEAD + "begin\n    y <= a;\n" + _VH_END),
+    ],
+    "stateful": [
+        # a latch: y keeps its value when a[3] is 0
+        (_V, _REG_HEAD + "    always @(*) if (a[3]) y = a;\nendmodule\n",
+         _REG_HEAD + "    always @(*) if (a[3]) y = a; else y = 4'd0;\n"
+         "endmodule\n"),
+        (_V, _REFUSAL_HEAD + "    wire [3:0] t;\n    assign t = t & a;\n"
+         "    assign y = t;\nendmodule\n",
+         _REFUSAL_HEAD + "    wire [3:0] t;\n    assign t = 4'hF & a;\n"
+         "    assign y = t;\nendmodule\n"),
+        # the concurrent form needs its final else, the sequential does not
+        (_VH, _vh_process("        if a(3) = '1' then y <= a; end if;\n"),
+         _vh_process("        if a(3) = '1' then y <= a; else y <= not a; "
+                     "end if;\n")),
+        (_VH, _vh_process("        v := v xor a;\n        y <= v;\n",
+                          decls="        variable v : std_logic_vector"
+                          "(3 downto 0);\n"),
+         _vh_process("        v := not a;\n        y <= v;\n",
+                     decls="        variable v : std_logic_vector"
+                     "(3 downto 0);\n")),
+        (_VH, _VH_REFUSAL_HEAD + _VH_T + "begin\n    t <= t and a;\n"
+         "    y <= t;\n" + _VH_END,
+         _VH_REFUSAL_HEAD + _VH_T + "begin\n    t <= \"1111\" and a;\n"
+         "    y <= t;\n" + _VH_END),
+        (_VH, _VH_REFUSAL_HEAD + _VH_C + "begin\n    c <= a(0);\n"
+         "    y <= a when rising_edge(c) else not a;\n" + _VH_END,
+         _VH_REFUSAL_HEAD + _VH_C + "begin\n    c <= a(0);\n"
+         "    y <= a when c = '1' else not a;\n" + _VH_END),
+    ],
+    "sensitivity": [
+        (_V, _REG_HEAD + "    wire [3:0] t = ~a;\n"
+         "    always @(a) y = a & t;\nendmodule\n",
+         _REG_HEAD + "    wire [3:0] t = ~a;\n"
+         "    always @(a or t) y = a & t;\nendmodule\n"),
+        (_VH, _vh_process("        y <= a and t;\n"),
+         _vh_process("        y <= a and t;\n", sens="a, t")),
+    ],
+    "cycle": [
+        (_V, _REFUSAL_HEAD + "    wire [3:0] p, q;\n    assign p = q ^ a;\n"
+         "    assign q = p;\n    assign y = p;\nendmodule\n",
+         _REFUSAL_HEAD + "    wire [3:0] p, q;\n    assign p = q ^ a;\n"
+         "    assign q = a;\n    assign y = p;\nendmodule\n"),
+        (_VH, _VH_REFUSAL_HEAD + _VH_PQ + "begin\n    p <= q xor a;\n"
+         "    q <= p;\n    y <= p;\n" + _VH_END,
+         _VH_REFUSAL_HEAD + _VH_PQ + "begin\n    p <= q xor a;\n"
+         "    q <= a;\n    y <= p;\n" + _VH_END),
+    ],
+    "unsettled": [
+        (_V, _REFUSAL_HEAD + "    assign y = a ^ $random;\nendmodule\n",
+         _REFUSAL_HEAD + "    assign y = a ^ 4'd5;\nendmodule\n"),
+        (_V, _REFUSAL_HEAD + "    assign y = {a[1:0]{a[3]}};\nendmodule\n",
+         _REFUSAL_HEAD + "    assign y = {4{a[3]}};\nendmodule\n"),
+        (_V, _REFUSAL_HEAD + "    assign y = a[a[1:0]:0];\nendmodule\n",
+         _REFUSAL_HEAD + "    assign y = a[3:0];\nendmodule\n"),
+        (_V, _REG_HEAD + "    always @(*) begin y = 0; "
+         "while (y < a) y = y + 1; end\nendmodule\n",
+         _REG_HEAD + "    always @(*) begin y = 0; "
+         "y = y + a; end\nendmodule\n"),
+        (_VH, _VH_REFUSAL_HEAD + "begin\n"
+         "    y <= a(to_integer(unsigned(a(1 downto 0))) downto 0);\n" + _VH_END,
+         _VH_REFUSAL_HEAD + "begin\n    y <= a(3 downto 0);\n" + _VH_END),
+        (_VH, _VH_REFUSAL_HEAD + "begin\n    y <= std_logic_vector(resize("
+         "unsigned(a), to_integer(unsigned(a(1 downto 0))) + 1));\n" + _VH_END,
+         _VH_REFUSAL_HEAD + "begin\n"
+         "    y <= std_logic_vector(resize(unsigned(a), 4));\n" + _VH_END),
+    ],
 }
 
-_SEQ_HEAD = (
-    "module top_module(input clk, input clk2, input rst, input [3:0] d,\n"
-    "                  output reg [3:0] q, output [3:0] dd);\n"
-)
+_SEQ_PORTS = ([("d", 4)], [("q", 4), ("dd", 4)])
 
 
-def _seq_dut(dd: str, edge: str = "clk", nxt: str = "q + d") -> str:
+def _seq_dut(dd: str = "d ^ q", edge: str = "clk", nxt: str = "q + d",
+             clock: str = "clk") -> str:
     return (
-        _SEQ_HEAD + f"    assign dd = {dd};\n"
+        f"module top_module(input {clock}, input clk2, input rst,\n"
+        "                  input [3:0] d, output reg [3:0] q,\n"
+        "                  output [3:0] dd);\n"
+        f"    assign dd = {dd};\n"
         f"    always @(posedge {edge}) begin\n"
         f"        if (rst) q <= 4'd0;\n        else q <= {nxt};\n"
         "    end\nendmodule\n"
     )
 
 
-def _vh_seq_dut(nxt: str) -> str:
+def _vh_seq_dut(nxt: str = "d", dd: str = "not d", sens: str = "clk",
+                clock: str = "clk") -> str:
     return f"""
 library ieee;
 use ieee.std_logic_1164.all;
 entity top_module is
-    port (clk : in std_logic; rst : in std_logic;
+    port ({clock} : in std_logic; rst : in std_logic;
           d : in std_logic_vector(3 downto 0);
           q : out std_logic_vector(3 downto 0);
           dd : out std_logic_vector(3 downto 0));
 end entity;
 architecture rtl of top_module is
 begin
-    dd <= not d;
-    process (clk) begin
-        if rising_edge(clk) then
+    dd <= {dd};
+    process ({sens}) begin
+        if rising_edge({clock}) then
             if rst = '1' then
                 q <= "0000";
             else
@@ -369,127 +394,149 @@ end architecture;
 """
 
 
-#: ``plan_sequential``'s own clauses, each DUT next to its one-line fix.
-#: The batch pass never drives ``clk`` or ``rst``, so neither a member nor
-#: a register's next-state value may read them: the kernel sees clk = 1
-#: and rst = 0 at each edge, the batch pass their elaboration-time value
+#: the same table for the clocked planner, over ports d -> q, dd with clk
+#: and rst, which the run drives as the testbench does
 SEQ_REFUSALS = {
-    "member-reads-clock": (_seq_dut("d ^ {4{clk}}"), _seq_dut("d ^ q")),
-    "member-reads-reset": (_seq_dut("d ^ {4{rst}}"), _seq_dut("d ^ q")),
-    "register-on-another-clock": (
-        _seq_dut("d ^ q", edge="clk2"), _seq_dut("d ^ q")
-    ),
-    "register-reads-clock": (
-        _seq_dut("d ^ q", nxt="(q + d) & {4{clk}}"), _seq_dut("d ^ q")
-    ),
-    "register-reads-reset": (
-        _seq_dut("d ^ q", nxt="(q + d) | {4{rst}}"), _seq_dut("d ^ q")
-    ),
+    "no-clock": [
+        (_V, _seq_dut(edge="ck", clock="ck"), _seq_dut()),
+        (_VH, _vh_seq_dut(sens="ck", clock="ck"), _vh_seq_dut()),
+    ],
+    "not-on-clk": [
+        (_V, _seq_dut(edge="clk2"), _seq_dut()),
+        (_VH, _vh_seq_dut(sens="clk, rst"), _vh_seq_dut()),
+    ],
+    "reads-clock": [
+        (_V, _seq_dut(dd="d ^ {4{clk}}"), _seq_dut()),
+        (_VH, _vh_seq_dut(dd="d and (others => clk)"), _vh_seq_dut()),
+    ],
 }
-VH_SEQ_REFUSALS = {
-    "register-reads-clock": (
-        _vh_seq_dut("d and (others => clk)"), _vh_seq_dut("d")
-    ),
-    "register-reads-reset": (
-        _vh_seq_dut("d and (others => not rst)"), _vh_seq_dut("d")
-    ),
-}
-_SEQ_REFUSALS = [(Language.VERILOG, name) for name in sorted(SEQ_REFUSALS)] + [
-    (Language.VHDL, name) for name in sorted(VH_SEQ_REFUSALS)
-]
 
 
-def _seq_refusal(language, name):
-    return (SEQ_REFUSALS if language is Language.VERILOG
-            else VH_SEQ_REFUSALS)[name]
-
-
-def _refusal(language, name):
-    return (REFUSALS if language is Language.VERILOG else VH_REFUSALS)[name]
-
-
-_COMB_REFUSALS = [(Language.VERILOG, name) for name in sorted(REFUSALS)] + [
-    (Language.VHDL, name) for name in sorted(VH_REFUSALS)
-]
-
-
-def _ids(cases):
+def _cases(table, clocked):
     return [
-        name if language is Language.VERILOG else f"vhdl-{name}"
-        for language, name in cases
+        (clocked, clause, k, language)
+        for clause, rows in sorted(table.items())
+        for k, (language, _refused, _fixed) in enumerate(rows)
     ]
 
 
-#: refused DUTs that nominate no member → their process count
-_NON_MEMBERS = {
-    Language.VERILOG: {
-        "non-member-writer": 1, "part-select-target": 2,
-    },
-    Language.VHDL: {
-        "non-member-writer": 1, "selected-assign": 1, "slice-target": 2,
-    },
-}
-
-#: refused DUTs where every process is a member but one member's value is
-#: not a function of settled values: compiling it takes a branch that can
-#: abort on some operand values or reads simulator state, so its
-#: ``build()`` returns None
-_UNSETTLED = [
-    (Language.VERILOG, name)
-    for name in ("random-assign", "dynamic-replicate", "dynamic-part-select")
-] + [
-    (Language.VHDL, name)
-    for name in ("dynamic-slice", "dynamic-resize", "edge-in-assign")
-]
+_ALL_REFUSALS = _cases(COMB_REFUSALS, False) + _cases(SEQ_REFUSALS, True)
 
 
 class TestPlanRefusals:
-    """The planner's refusals, each next to a one-line fix that plans."""
+    """Each clause that remains, with a refused DUT next to a one-line fix
+    that plans; refusing it counts exactly its own clause."""
 
-    @pytest.mark.parametrize("language,name", _COMB_REFUSALS,
-                             ids=_ids(_COMB_REFUSALS))
-    def test_refused_and_fixed(self, language, name):
-        refused, fixed = _refusal(language, name)
-        assert batch.plan_combinational(
-            build(refused, language), [("a", 4)], [("y", 4)]
-        ) is None
-        assert batch.plan_combinational(
-            build(fixed, language), [("a", 4)], [("y", 4)]
-        ) is not None
+    @pytest.mark.parametrize(
+        "clocked,clause,k,language", _ALL_REFUSALS,
+        ids=[f"{c}-{k}-{lang.value}" for _s, c, k, lang in _ALL_REFUSALS],
+    )
+    def test_refused_and_fixed(self, clocked, clause, k, language):
+        table = SEQ_REFUSALS if clocked else COMB_REFUSALS
+        _language, refused, fixed = table[clause][k]
+        plan_fn = batch.plan_sequential if clocked else batch.plan_combinational
+        ports = _SEQ_PORTS if clocked else ([("a", 4)], [("y", 4)])
+        plan, refusals = _planned(plan_fn, build(refused, language), *ports)
+        assert plan is None
+        assert refusals == {clause: 1}
+        plan, refusals = _planned(plan_fn, build(fixed, language), *ports)
+        assert plan is not None
+        assert refusals == {}
 
-    @pytest.mark.parametrize("language", list(Language))
-    def test_every_process_of_a_plannable_design_is_a_member(self, language):
-        design = build(_refusal(language, "combinational-cycle")[1], language)
-        assert len(design.processes) == 3
-        assert [m.process for m in design.members] == design.processes
+    def test_every_clause_is_documented(self):
+        from pathlib import Path
 
-    @pytest.mark.parametrize("language", list(Language))
-    def test_non_member_writers(self, language):
-        """Procedural blocks, selected assigns and writes to part of a
-        signal nominate no member."""
-        for name, processes in _NON_MEMBERS[language].items():
-            design = build(_refusal(language, name)[0], language)
-            assert len(design.processes) == processes, name
-            assert design.members == [], name
+        design = (Path(__file__).parents[1] / "DESIGN.md").read_text()
+        for clause in batch.CLAUSES:
+            assert f"`{clause}`" in design, clause
 
-    @pytest.mark.parametrize("language,name", _UNSETTLED,
-                             ids=_ids(_UNSETTLED))
-    def test_unsettled_value_does_not_build(self, language, name):
-        refused, fixed = _refusal(language, name)
-        for source, builds in ((refused, False), (fixed, True)):
-            design = build(source, language)
-            assert [m.process for m in design.members] == design.processes
-            assert all(m.build() is not None for m in design.members) is builds
 
-    @pytest.mark.parametrize("language,name", _SEQ_REFUSALS,
-                             ids=_ids(_SEQ_REFUSALS))
-    def test_sequential_refused_and_fixed(self, language, name):
-        refused, fixed = _seq_refusal(language, name)
-        ports = ([("d", 4)], [("q", 4), ("dd", 4)])
-        design = build(refused, language)
-        assert len(design.sync_updates) == 1  # the register is recognized
-        assert batch.plan_sequential(design, *ports) is None
-        assert batch.plan_sequential(build(fixed, language), *ports) is not None
+def _reg_reads_model(language, shows_d=False):
+    """The register-reads DUTs' model: the Verilog one accumulates
+    ``q + d`` and shows ``d ^ q`` (``d`` with *shows_d*), the VHDL one
+    loads ``d`` and shows ``not d``."""
+
+    def step(q, inputs):
+        d = inputs["d"]
+        if language is Language.VERILOG:
+            q = (q + d) & 0xF
+            return q, {"q": q, "dd": d if shows_d else d ^ q}
+        return d, {"q": d, "dd": ~d & 0xF}
+
+    return SeqModel(reset=lambda: 0, step=step)
+
+
+def _gated_model(state, inputs):
+    nxt = (state + 1) & 0xFF if inputs["en"] else state
+    return nxt, {"q": nxt}
+
+
+#: DUTs the shape recognizers refused and the one rule plans:
+#: name -> (language, DUT, data ports, model, clocked)
+NOW_PLANNED = {
+    "gated-register": (
+        _V, GATED_SEQ_V, (PortSpec("en", 1, "in"), PortSpec("q", 8, "out")),
+        SeqModel(reset=lambda: 0, step=_gated_model),
+    ),
+    "member-reads-reset": (
+        _V, _seq_dut(dd="d ^ {4{rst}}"), None,
+        _reg_reads_model(_V, shows_d=True),
+    ),
+    "register-reads-clock": (
+        _V, _seq_dut(nxt="(q + d) & {4{clk}}"), None, _reg_reads_model(_V),
+    ),
+    "register-reads-reset": (
+        _V, _seq_dut(nxt="(q + d) | {4{rst}}"), None, _reg_reads_model(_V),
+    ),
+    "vhdl-register-reads-clock": (
+        _VH, _vh_seq_dut(nxt="d and (others => clk)"), None,
+        _reg_reads_model(_VH),
+    ),
+    "vhdl-register-reads-reset": (
+        _VH, _vh_seq_dut(nxt="d and (others => not rst)"), None,
+        _reg_reads_model(_VH),
+    ),
+    "always-star": (
+        _V, _REG_HEAD + "    always @(*) y = a + 1;\nendmodule\n", None,
+        lambda v: {"y": (v["a"] + 1) & 0xF},
+    ),
+    "vhdl-process": (
+        _VH, _VH_REFUSAL_HEAD + "begin\n    process (a) begin\n"
+        "        y <= not a;\n    end process;\n" + _VH_END, None,
+        lambda v: {"y": ~v["a"] & 0xF},
+    ),
+    "vhdl-selected-assign": (
+        _VH, _VH_REFUSAL_HEAD + "begin\n    with a(0) select\n"
+        "        y <= a when '1', not a when others;\n" + _VH_END, None,
+        lambda v: {"y": v["a"] if v["a"] & 1 else ~v["a"] & 0xF},
+    ),
+}
+
+_COMB_PORTS = (PortSpec("a", 4, "in"), PortSpec("y", 4, "out"))
+_SEQ_DATA_PORTS = (PortSpec("d", 4, "in"), PortSpec("q", 4, "out"),
+                   PortSpec("dd", 4, "out"))
+
+
+class TestNowPlanned:
+    """Designs the old recognizers refused plan now, and their golden
+    testbenches report on the batch path what the kernel reports."""
+
+    @pytest.mark.parametrize("name", sorted(NOW_PLANNED))
+    def test_plans_and_matches_the_kernel(self, name):
+        language, dut, ports, model = NOW_PLANNED[name]
+        clocked = isinstance(model, SeqModel)
+        if ports is None:
+            ports = _SEQ_DATA_PORTS if clocked else _COMB_PORTS
+        options = {"vectors": [{"d": d} for d in (1, 2, 3, 9, 15)]} if (
+            clocked and ports is _SEQ_DATA_PORTS
+        ) else {}
+        files = _golden_files(language, dut, ports, model, f"now-{name}",
+                              **options)
+        default, calls = _simulate(files)
+        kernel, kernel_calls = _simulate(files, REPRO_SIM_NO_BATCH="1")
+        assert (calls, kernel_calls) == (1, 0)
+        assert default.output_lines == [tbgen.PASS_MESSAGE], default.log
+        assert _observables(default) == _observables(kernel)
 
 
 #: DUTs the kernel fails at time 0, before an operand has settled: its
@@ -565,19 +612,41 @@ def _golden_files(language, dut, ports, model, pid, **options):
             HdlFile(f"tb{ext}", testbench, language)]
 
 
+def _simulate_counted(files, clause):
+    """``(result, batch calls, refusals counted under clause)`` of one
+    simulate on the default path."""
+    from repro.obs import NullSink, Tracer, get_tracer, set_tracer
+
+    previous = get_tracer()
+    set_tracer(Tracer(NullSink()))
+    try:
+        with _pin():
+            result = Toolchain().simulate(files, "tb")
+        metrics = get_tracer().metrics
+        counts = (
+            metrics.counter("sim.batch_calls").value,
+            metrics.counter(f"sim.batch_plan.refused.{clause}").value,
+        )
+    finally:
+        set_tracer(previous)
+    return (result, *counts)
+
+
 class TestSettledValues:
-    """The batch path evaluates members only on settled values, so a member
-    must be a function of them; an abort it meets anyway hands the run to
-    the kernel."""
+    """The batch path steps combinational processes only on settled
+    values, so no body may abort on values that have not settled; an abort
+    a run meets anyway hands the run to the kernel."""
 
     @pytest.mark.parametrize("language", list(Language))
     def test_time_zero_failure_does_not_plan(self, language):
         dut, ports, model = TIME0_CASES[language]
-        design = build(dut, language)
-        (y,) = [m for m in design.members if m.target.name == "y"]
-        assert y.build() is None
         in_ports = [(p.name, p.width) for p in ports if p.direction == "in"]
-        assert batch.plan_combinational(design, in_ports, [("y", 8)]) is None
+        plan, refusals = _planned(
+            batch.plan_combinational, build(dut, language), in_ports,
+            [("y", 8)],
+        )
+        assert plan is None
+        assert refusals == {"unsettled": 1}
         files = _golden_files(language, dut, ports, model, "time0")
         default, calls = _simulate(files)
         kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
@@ -595,9 +664,9 @@ class TestSettledValues:
             (PortSpec("a", 32, "in"), PortSpec("y", 8, "out")),
             lambda v: {"y": v["a"]}, "overwide",
         )
-        default, calls = _simulate(files)
+        default, calls, refusals = _simulate_counted(files, "run-time")
         kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
-        assert calls == 0
+        assert (calls, refusals) == (0, 1)
         assert "replication result width 131072 exceeds" in default.runtime_error
         assert _observables(default) == _observables(kernel)
 
@@ -648,9 +717,9 @@ class TestSettledValues:
             language, dut, (PortSpec("a", 4, "in"), PortSpec("y", 4, "out")),
             lambda v: {"y": v["a"] ^ 5}, f"exploding-{language.value}",
         )
-        default, calls = _simulate(files)
+        default, calls, refusals = _simulate_counted(files, "compiler")
         kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
-        assert calls == 0
+        assert (calls, refusals) == (0, 1)
         assert default.runtime_error.startswith(
             "simulation compiler refused process"
         )
@@ -686,19 +755,26 @@ def _chain_expected(a: int) -> int:
     return a ^ 0x5A
 
 
-class TestMemberOrder:
-    """Members arrive in elaboration order; the plan runs them in
-    dataflow order."""
+class TestProcessOrder:
+    """Processes arrive in elaboration order; the plan steps the
+    combinational ones in dataflow order."""
 
     @pytest.mark.parametrize("language,source", [
         (Language.VERILOG, CHAIN_V), (Language.VHDL, CHAIN_VHD),
     ], ids=["verilog", "vhdl"])
     def test_chain_against_dataflow_plans_exactly(self, language, source):
         design = build(source, language)
-        assert [m.target.name for m in design.members] == (
+
+        def targets(processes):
+            return [next(iter(p.facts().writes)).name for p in processes]
+
+        assert targets(design.processes) == (
             ["y"] + [f"s{k}" for k in range(12, 0, -1)]
         )
-        rows = batch.simulate_vectors(
+        with _pin():
+            plan = batch.plan_combinational(design, [("a", 8)], [("y", 8)])
+        assert targets(plan.comb) == [f"s{k}" for k in range(1, 13)] + ["y"]
+        rows = simulate_vectors(
             design, [{"a": a} for a in range(256)],
             inputs=[("a", 8)], outputs=[("y", 8)],
         )
@@ -722,8 +798,8 @@ def _seq_ref_model(wrong_cycle=None):
     return SeqModel(reset=lambda: (0, 0), step=step)
 
 
-#: registers whose reset constant has X bits: the reset folds through the
-#: compilers like any other constant, so the design plans
+#: registers whose reset constant has X bits: the run drives rst through
+#: the reset cycles, so the registers take the constant as on the kernel
 X_RESET = {
     Language.VERILOG: """
 module top_module(input clk, input rst, input [7:0] d, output reg [7:0] q);
@@ -755,24 +831,6 @@ begin
 end architecture;
 """,
 }
-
-
-_REG_READS = [case for case in _SEQ_REFUSALS if case[1].startswith("register-reads")]
-
-
-def _reg_reads_model(language):
-    """The register-reads DUTs' model: the Verilog one accumulates
-    ``q + d`` and shows ``d ^ q``, the VHDL one loads ``d`` and shows
-    ``not d``."""
-
-    def step(q, inputs):
-        d = inputs["d"]
-        if language is Language.VERILOG:
-            q = (q + d) & 0xF
-            return q, {"q": q, "dd": d ^ q}
-        return d, {"q": d, "dd": ~d & 0xF}
-
-    return SeqModel(reset=lambda: 0, step=step)
 
 
 class TestSequentialBundle:
@@ -812,27 +870,6 @@ class TestSequentialBundle:
             "Test Case 3 Failed: q should be 7 at cycle 3, got 6",
             "2 test case(s) failed.",
         ]
-
-    @pytest.mark.parametrize("language,name", _REG_READS, ids=_ids(_REG_READS))
-    def test_register_reading_clock_or_reset_runs_on_the_kernel(
-        self, language, name
-    ):
-        """At each edge the kernel's next-state value sees clk = 1 and
-        rst = 0, and the design passes; the batch pass never drives
-        either, so the planner refuses it and the verdict is the
-        kernel's."""
-        files = _golden_files(
-            language, _seq_refusal(language, name)[0],
-            (PortSpec("d", 4, "in"), PortSpec("q", 4, "out"),
-             PortSpec("dd", 4, "out")),
-            _reg_reads_model(language), f"{name}-{language.value}",
-            vectors=self.STIMULUS[:3] + [{"d": 9}],
-        )
-        default, calls = _simulate(files)
-        kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
-        assert calls == 0
-        assert default.output_lines == [tbgen.PASS_MESSAGE]
-        assert _observables(default) == _observables(kernel)
 
     @pytest.mark.parametrize("language", list(Language))
     def test_x_reset_constant_plans(self, language):
@@ -890,6 +927,30 @@ class TestBundleRegistry:
 
     def test_unknown_text_has_no_bundle(self):
         assert tbgen.stimulus_bundle("module tb; endmodule") is None
+
+    def test_every_golden_testbench_keeps_its_bundle(self):
+        """A problem holds its golden bundles, so testbenches registered
+        after it cannot evict them."""
+        from repro.evalsuite.suite import build_suite
+
+        problems = build_suite()
+        spec, model = _comb_spec(), CombModel(lambda v: {"y": v["a"]})
+        for k in range(tbgen._RECENT_LIMIT + 1):
+            tbgen.make_testbench(spec, model, Language.VERILOG, f"evict-{k}")
+        missing = [
+            f"{problem.pid}/{language.value}"
+            for problem in problems for language in Language
+            if tbgen.stimulus_bundle(problem.golden_tb[language]) is None
+        ]
+        assert missing == []
+
+    def test_ad_hoc_bundles_are_bounded(self):
+        spec, model = _comb_spec(), CombModel(lambda v: {"y": v["a"]})
+        first = tbgen.make_testbench(spec, model, Language.VERILOG, "lru-0")
+        for k in range(1, tbgen._RECENT_LIMIT + 1):
+            tbgen.make_testbench(spec, model, Language.VERILOG, f"lru-{k}")
+        assert len(tbgen._RECENT) == tbgen._RECENT_LIMIT
+        assert tbgen.stimulus_bundle(first) is None
 
     def test_clocked_vectors_replace_and_ignore_extra(self):
         """Regression: witness replay must not be diluted by extra_vectors."""
@@ -995,8 +1056,8 @@ class TestToolchainRouting:
 
     def test_kernel_run_feeds_scheduler_counters(self):
         """A kernel simulate() reports its activations and delta cycles."""
-        files = [HdlFile("t.v", REFUSALS["non-member-writer"][1]
-                         + KERNEL_TB, Language.VERILOG)]
+        files = [HdlFile("t.v", _REFUSAL_HEAD + "    assign y = a + 1;\n"
+                         "endmodule\n" + KERNEL_TB, Language.VERILOG)]
         with self._tracer() as tracer, _pin():
             result = Toolchain().simulate(files, "tb")
         assert result.ok, result.log
@@ -1041,8 +1102,9 @@ class TestToolchainRouting:
         assert observables(batched) == observables(kernel)
 
     def test_ineligible_dut_falls_back(self):
-        # the en-gated register is not batch-recognizable; the toolchain
-        # must fall back to the kernel and still succeed
+        # an asynchronous reset is an edge off clk, which the planner
+        # refuses; the toolchain must fall back to the kernel and still
+        # succeed
         spec = DesignSpec(
             name="gated",
             ports=(PortSpec("en", 1, "in"), PortSpec("q", 8, "out")),
@@ -1058,7 +1120,9 @@ class TestToolchainRouting:
             Language.VERILOG, "gated-case",
         )
         files = [
-            HdlFile("top_module.v", GATED_SEQ_V, Language.VERILOG),
+            HdlFile("top_module.v", GATED_SEQ_V.replace(
+                "posedge clk", "posedge clk or posedge rst"
+            ), Language.VERILOG),
             HdlFile("tb.v", tb, Language.VERILOG),
         ]
         with self._tracer() as tracer, _pin():

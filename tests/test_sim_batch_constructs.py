@@ -3,16 +3,17 @@
 ``tests/test_sim_construct_reference.py`` pins the kernel's answers for
 these constructs inside hand-written testbenches. Here each construct is a
 ``top_module`` judged by a registered golden testbench, so the batch tier
-plans it whenever it can. The batch tier runs the kernel's own closures,
-but only on settled values, so it plans a member only if its value is a
-function of settled values: dynamic bit and indexed selects, shifts,
-rotates and ``std_match`` plan, while a dynamic part-select, slice or
-replication count (which abort on some operand values) and a store to
-part of a register keep their DUT on the kernel. Each case pins which
+plans it whenever it can. The batch tier runs the kernel's own process
+bodies, stepping its combinational ones only on settled values, so it
+plans a process only if no closure of its body can abort on some operand
+values: dynamic bit and indexed selects, shifts, rotates, ``std_match``
+and a register's store to a part of itself plan, while a dynamic
+part-select, slice or replication count keep their DUT on the kernel.
+Each case pins which
 path runs, the golden testbench passing against a Python model, and
 identical observables under the default and ``REPRO_SIM_NO_BATCH=1``.
 The combinational cases that batch also evaluate X-carrying vectors
-through :func:`~repro.sim.batch.simulate_vectors`, bit-exact with a
+through :func:`simulate_vectors`, bit-exact with a
 kernel session.
 """
 
@@ -312,13 +313,13 @@ CONSTRUCTS: dict[str, Construct] = {
         Language.VERILOG, (("i", 3, "in"), ("q", 8, "out")), _V_BIT_STORE,
         SeqModel(reset=lambda: 0, step=_set_bit),
         _vectors(12, count=12, i=(8,)),
-        batches=False, clocked=True,
+        batches=True, clocked=True,
     ),
     "vh_index_store": Construct(
         Language.VHDL, (("i", 3, "in"), ("q", 8, "out")), _VH_INDEX_STORE,
         SeqModel(reset=lambda: 0, step=_set_bit),
         _vectors(13, count=12, i=(8,)),
-        batches=False, clocked=True,
+        batches=True, clocked=True,
     ),
     "v_shift_register": Construct(
         Language.VERILOG, (("n", 3, "in"), ("q", 8, "out")),
@@ -407,6 +408,32 @@ def _design(name: str):
     return design
 
 
+def simulate_vectors(design, vectors, *, inputs=None, outputs=None):
+    """Batch-evaluate a combinational design over a stimulus set.
+
+    *vectors* is a sequence of ``{input: int | Logic}`` dicts. *inputs* /
+    *outputs* are ``(name, width)`` pairs; when omitted, inputs are derived
+    from the first vector's keys (at design widths) and outputs are every
+    signal a process writes that is not an input. Returns one
+    ``{output: Logic}`` row per vector, or ``None`` when the design is not
+    batchable.
+    """
+    if inputs is None:
+        if not vectors:
+            return None
+        inputs = [(name, design.signals[name].width) for name in sorted(vectors[0])]
+    if outputs is None:
+        input_names = {name for name, _w in inputs}
+        outputs = sorted({
+            (signal.name, signal.width)
+            for process in design.processes
+            for signal in process.facts().writes
+            if signal.name not in input_names
+        })
+    plan = batch.plan_combinational(design, inputs, outputs)
+    return None if plan is None else batch._run_vectors(plan, vectors)
+
+
 def kernel_rows(design, vectors, inputs, outputs):
     """The outputs a kernel session over *design* settles to after each
     vector: every process starts at time 0, then each vector's inputs are
@@ -442,7 +469,7 @@ def test_x_vectors_are_bit_exact_with_the_kernel(name):
     vectors[4] = dict(vectors[4], **{first: Logic.from_string(
         "1" * (width - 2) + "xz")})
     with _tier():
-        rows = batch.simulate_vectors(
+        rows = simulate_vectors(
             _design(name), vectors, inputs=inputs, outputs=outputs
         )
     assert rows is not None

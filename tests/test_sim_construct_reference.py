@@ -860,8 +860,9 @@ def test_process_bodies_build_at_first_start_only(name, builds):
     assert len(builds) == len(slots) > 0
 
 
-def test_batch_tier_simulation_builds_no_body(builds):
-    """A batch-tier run never starts a kernel process."""
+def test_batch_tier_simulation_builds_only_dut_bodies(builds):
+    """A batch-tier run builds each DUT process's own body once, and no
+    testbench body: the testbench's schedule is the bundle's."""
     from repro.designs.model import CombModel, DesignSpec, PortSpec
     from repro.designs.tbgen import make_testbench
 
@@ -904,4 +905,4 @@ def test_batch_tier_simulation_builds_no_body(builds):
     finally:
         set_tracer(previous)
     assert batched == 2
-    assert builds == []
+    assert builds == ["continuous_assign_factory", "concurrent_assign_factory"]

@@ -29,6 +29,8 @@ from repro.designs.mutations import MutationError, apply_mutation
 from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.evalsuite.suite import build_suite
 from repro.obs import NullSink, Tracer, get_tracer, set_tracer
+from repro.sim.batch import CLAUSES
+from repro.sim.compile import batch_disabled
 
 #: (language, category) -> (file sets, sha256 of their records)
 REFERENCE = {
@@ -59,18 +61,33 @@ REFERENCE = {
 }
 
 
+def _counts():
+    """The batch calls so far, and the refusals by clause."""
+    metrics = get_tracer().metrics
+    return (
+        metrics.counter("sim.batch_calls").value,
+        [metrics.counter(f"sim.batch_plan.refused.{clause}").value
+         for clause in CLAUSES],
+    )
+
+
 def _observe(files, top):
-    """One set's record, and whether its simulation took the batch path."""
+    """One set's record, whether its simulation took the batch path, and
+    the clauses it was refused by."""
     tc = Toolchain()
-    batch_calls = get_tracer().metrics.counter("sim.batch_calls")
-    before = batch_calls.value
+    calls, refusals = _counts()
     c, r = tc.compile(files, top), tc.simulate(files, top)
     record = [
         c.ok, c.log, [str(d) for d in c.diagnostics], c.tool_seconds,
         r.ok, r.output_lines, r.log, r.end_time, r.finished_cleanly,
         r.runtime_error, r.tool_seconds,
     ]
-    return json.dumps(record), batch_calls.value > before
+    calls_after, refusals_after = _counts()
+    refused = [
+        clause for clause, before, after
+        in zip(CLAUSES, refusals, refusals_after) if after != before
+    ]
+    return json.dumps(record), calls_after > calls, refused
 
 
 def _file_sets(problem, language):
@@ -94,30 +111,33 @@ def _file_sets(problem, language):
 
 @pytest.fixture(scope="module")
 def observed():
-    """``(language, category) -> (sets, sha256)`` and the batched
-    reference + golden-testbench sets, as ``pid/language`` names."""
+    """``(language, category) -> (sets, sha256)``, and each reference +
+    golden-testbench set's path as ``pid/language -> clauses``: None when
+    it took the batch path, else the clauses that refused it."""
     previous = get_tracer()
     set_tracer(Tracer(NullSink()))
     counts: dict = {}
     digests: dict = {}
-    batched: list[str] = []
+    paths: dict[str, list[str] | None] = {}
     try:
         for problem in build_suite():
             for language in Language:
                 for category, files, top in _file_sets(problem, language):
                     key = (language.value, category)
-                    record, took_batch = _observe(files, top)
+                    record, took_batch, refused = _observe(files, top)
                     counts[key] = counts.get(key, 0) + 1
                     digests.setdefault(key, hashlib.sha256()).update(
                         record.encode() + b"\n"
                     )
-                    if category == "ref+tb" and took_batch:
-                        batched.append(f"{problem.pid}/{language.value}")
+                    if category == "ref+tb":
+                        paths[f"{problem.pid}/{language.value}"] = (
+                            None if took_batch else refused
+                        )
     finally:
         set_tracer(previous)
     return (
         {key: (counts[key], h.hexdigest()) for key, h in digests.items()},
-        batched,
+        paths,
     )
 
 
@@ -131,3 +151,16 @@ def test_every_category_is_pinned(observed):
 def test_category_digest(observed, key):
     digests, _ = observed
     assert digests[key] == REFERENCE[key]
+
+
+@pytest.mark.skipif(batch_disabled(), reason="REPRO_SIM_NO_BATCH is set")
+def test_reference_sets_take_the_batch_path(observed):
+    """At least 300 of the 312 reference + golden-testbench sets batch;
+    each set still refused is counted under exactly one clause."""
+    _, paths = observed
+    assert len(paths) == 312
+    refused = {
+        name: clauses for name, clauses in paths.items() if clauses is not None
+    }
+    assert len(paths) - len(refused) >= 300, sorted(refused)
+    assert all(len(clauses) == 1 for clauses in refused.values()), refused
