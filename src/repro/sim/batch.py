@@ -82,8 +82,9 @@ class Plan:
     outputs: tuple[tuple[str, int, Signal], ...]
     #: the combinational processes, in dataflow order
     comb: tuple[Process, ...]
-    #: the processes on ``clk``
+    #: the processes on ``clk``, and every signal they write
     clocked: tuple[Process, ...]
+    registers: tuple[Signal, ...]
     #: ``clk`` and ``rst``; None in a combinational plan
     clock: Signal | None
     reset: Signal | None
@@ -174,8 +175,10 @@ def _plan(design: Design, in_ports, out_ports, clocked: bool) -> Plan | None:
             return _refuse("compiler")  # the kernel refuses it by name
         if process.unsettled:
             return _refuse("unsettled")
+    registers = tuple({s for process in on_clock for s in facts[process].writes})
     return Plan(
-        design, inputs, outputs, ordered, tuple(on_clock), clock, reset,
+        design, inputs, outputs, ordered, tuple(on_clock), registers, clock,
+        reset,
         {p: {(e.signal, e.edge) for e in f.sensitivity} for p, f in facts.items()},
         tuple((signal, signal._value) for signal in design.signals.values()),
     )
@@ -268,8 +271,16 @@ class _Run:
         for generator, wait in self.comb:
             if next(generator) is not wait:
                 raise _Refused
-            if commit and sim._nba:
+            if sim._nba and commit:
                 sim.commit_nba()
+
+    def held(self) -> list:
+        """The registers' values now; a write that changes one replaces
+        its value object."""
+        return [signal._value for signal in self.plan.registers]
+
+    def moved(self, held) -> bool:
+        return any(s._value is not v for s, v in zip(self.plan.registers, held))
 
     def clock_edge(self, woken, value: int) -> None:
         """``clk`` takes *value*, and each process in *woken* steps.
@@ -277,13 +288,13 @@ class _Run:
         Several woken processes may run in any order only if none of them
         writes a signal at once (a blocking write), as the kernel's wake
         order would decide which of them sees it."""
-        clock, stats = self.plan.clock, self.sim.stats
+        clock = self.plan.clock
         clock._value = Logic._make(1, value, 0).resize(clock.width)
-        before = stats.signal_updates
+        held = self.held() if len(woken) > 1 else None
         for generator, wait in woken:
             if next(generator) is not wait:
                 raise _Refused
-        if len(woken) > 1 and stats.signal_updates != before:
+        if held is not None and self.moved(held):
             raise _Refused
 
     def drive(self, drives) -> None:
@@ -345,7 +356,7 @@ def _run_cycles(plan: Plan, bundle):
     from repro.eda.toolchain import Language
 
     run = _Run(plan)
-    sim, stats = run.sim, run.sim.stats
+    sim = run.sim
     reset = plan.reset if bundle.spec.has_reset else None
     first = [(reset, 1, 1)] if reset is not None else []
     first += run.vector({name: 0 for name, _w, _s in plan.inputs})
@@ -357,17 +368,17 @@ def _run_cycles(plan: Plan, bundle):
     elif reset is not None:
         run.drive([(reset, 1, 0)])
     run.comb = run.start(plan.comb)
-    updates = stats.signal_updates
+    held = run.held()
     run.start_clocked()
-    if stats.signal_updates != updates:
+    if run.moved(held):
         raise _Refused  # a first activation acted on unsettled values
     run.drive(first)
     run.settle()
 
     def edge(woken, value, staged=False):
-        updates = stats.signal_updates
+        held = run.held()
         run.clock_edge(woken, value)
-        if staged or sim._nba or stats.signal_updates != updates:
+        if staged or sim._nba or run.moved(held):
             sim.commit_nba()
             run.settle()
 

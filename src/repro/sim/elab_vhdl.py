@@ -729,11 +729,11 @@ def _activation_facts(body, scope: _VScope, variables, sensitivity):
     also follows every path through *body*: each signal written must be
     written whole on every path, and before any write to a part of it; a
     read of one of *variables*, or a write to part of one, must come after
-    a write of the whole variable on that path. A loop's body is followed for its first
-    iteration, and its writes do not count after the loop. An edge function
-    or ``'event``/``'last_value`` reads the process's edge memory, and a
-    statement that waits, prints or writes ``after`` a delay makes the
-    process stateful too.
+    a write of the whole variable on that path. A loop's body is followed
+    for its first iteration, and its writes do not count after the loop.
+    An edge function or ``'event``/``'last_value`` reads the process's edge
+    memory, and a statement that waits, prints or writes ``after`` a delay
+    makes the process stateful too.
     """
     reads: set[Signal] = set()
     writes: set[Signal] = set()
@@ -778,10 +778,10 @@ def _activation_facts(body, scope: _VScope, variables, sensitivity):
             if isinstance(node, (ast.SignalAssign, ast.VariableAssign)):
                 read(node.value, written, loop_vars)
                 target = node.target
-                whole = isinstance(target, ast.Name)
                 if not isinstance(target, (ast.Name, ast.Indexed, ast.Sliced)):
                     stateless = False
                     continue
+                whole = isinstance(target, ast.Name)
                 if isinstance(target, ast.Indexed):
                     read(target.index, written, loop_vars)
                 elif isinstance(target, ast.Sliced):

@@ -70,7 +70,6 @@ class SimStats:
 
     end_time: int = 0
     process_activations: int = 0
-    signal_updates: int = 0
     delta_cycles: int = 0
     finished_cleanly: bool = False
 
@@ -152,7 +151,6 @@ class Simulator:
         if new is old or (new.bits == old.bits and new.xmask == old.xmask):
             return
         signal._value = new
-        self.stats.signal_updates += 1
         if signal.trace is not None:
             signal.trace.append((self.time, new))
         if signal.waiters:
