@@ -86,7 +86,7 @@ end architecture;
 """
 
 #: a 12-stage combinational chain, timed against a generated 512-vector
-#: testbench so the batch tier's bundle recognizer engages
+#: testbench, a registered golden testbench that the batch tier runs
 COMB_V = """
 module top_module(input [15:0] a, input [15:0] b, output [15:0] y);
     wire [15:0] t0 = a ^ b;
@@ -195,9 +195,9 @@ def test_parse_vhdl_entity(benchmark):
 def _simulate_miss(toolchain, files, top):
     """One simulate() that misses the store's simulate stage alone.
 
-    ``max_sim_time`` is in the simulate key but not in the compile or plan
-    keys, so raising it by one makes the next call re-run the simulation
-    while parse, analysis, compile and batch plan entries still hit.
+    ``max_sim_time`` is in the simulate key but not in the compile key, so
+    raising it by one makes the next call re-run the simulation while
+    parse, analysis and compile entries still hit.
     """
     toolchain.max_sim_time += 1
     return toolchain.simulate(files, top)
@@ -210,7 +210,7 @@ def _assert_simulate_misses(toolchain, warm):
         for stage, stats in toolchain.store.stats.items()
     }
     assert delta["simulate"].hits == 0 and delta["simulate"].misses > 0
-    for stage in ("parse", "analyze", "compile", "plan"):
+    for stage in ("parse", "analyze", "compile"):
         assert delta[stage].misses == 0, (stage, delta[stage])
     return delta["simulate"].misses
 
@@ -261,8 +261,8 @@ def test_build_defect_plan(benchmark, full_suite):
 #: the duration of a measurement so ambient settings can't skew a path
 _TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
 
-#: flag values that pin each measured path: with the batch recognizer off,
-#: a generated testbench runs on the event kernel
+#: flag values that pin each measured path: with the batch tier off, a
+#: generated testbench runs on the event kernel
 _TIERS = {
     "kernel": {"REPRO_SIM_NO_BATCH": "1"},
     "batch": {},
@@ -272,11 +272,12 @@ _TIERS = {
 def _best_ms(files, top, *, tier, reps=20):
     """Best-of-*reps* wall time of one simulate() store miss, in milliseconds.
 
-    A fresh Toolchain per path; one warm-up call fills its parse, analysis,
-    compile and plan entries. Every timed rep then misses the simulate stage
+    A fresh Toolchain per path; one warm-up call fills its parse, analysis
+    and compile entries. Every timed rep then misses the simulate stage
     alone (see :func:`_simulate_miss`), so the measurement is the
     elaborate+simulate cost the sweeps actually pay per run, never a store
-    hit.
+    hit: on the batch path that is the DUT's elaboration, its plan and its
+    run.
     """
     previous = {flag: os.environ.pop(flag, None) for flag in _TIER_FLAGS}
     try:
@@ -310,8 +311,8 @@ KERNEL_REPS = 5
 #: the batch tier must beat the event kernel by at least this factor on
 #: the 512-vector generated-testbench designs. Measured batch_speedups are
 #: several dozen (one dataflow-ordered pass per vector replaces the whole
-#: event-driven replay), so 5x only trips when the bundle recognizer or
-#: the planner stops engaging.
+#: event-driven replay), so 5x only trips when the testbench stops
+#: reaching the batch tier or the planner stops accepting the design.
 SIM_BATCH_SPEEDUP_FLOOR = 5.0
 
 
@@ -366,8 +367,8 @@ def test_sim_tier_speedup():
         assert report[name]["batch_speedup"] >= SIM_BATCH_SPEEDUP_FLOOR, (
             f"{name}: batch tier only {report[name]['batch_speedup']}x "
             f"faster than the event kernel "
-            f"(floor {SIM_BATCH_SPEEDUP_FLOOR}x) — did the bundle "
-            "recognizer or the planner stop engaging?"
+            f"(floor {SIM_BATCH_SPEEDUP_FLOOR}x) — did the testbench stop "
+            "reaching the batch tier, or the planner refuse the design?"
         )
 
 

@@ -15,11 +15,16 @@ Design goals:
 * **One result store.** Experiment sweeps recompile and resimulate the same
   (sources, top) pairs many times — the baseline and AIVRIL2 judgments of
   every model run the suite's golden testbench against identical text.
-  Every stage of the flow (parse, analyze, compile, simulate, batch plan)
-  is a pure function of its inputs, so each :class:`Toolchain` keeps one
-  bounded, content-addressed :class:`ResultStore` of stage results. It is
-  always on: a hit returns a result equal field-by-field to a cold run (only
+  Every stage of the flow (parse, analyze, compile, simulate) is a pure
+  function of its inputs, so each :class:`Toolchain` keeps one bounded,
+  content-addressed :class:`ResultStore` of stage results. It is always
+  on: a hit returns a result equal field-by-field to a cold run (only
   ``wall_seconds``, the true elapsed time, reflects the cheap lookup).
+* **One simulate flow.** A simulate miss compiles the set, then runs it
+  on one of two paths and builds one :class:`SimResult`: a set of DUT
+  files plus one registered golden testbench goes to the batch tier
+  (:mod:`repro.sim.batch`), which plans and runs the DUT alone; every
+  other set, and every refused plan or run, goes to the event kernel.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from dataclasses import dataclass, field, replace
 from repro.hdl.diagnostics import Diagnostic, DiagnosticCollector, render_vivado_log
 from repro.obs import get_tracer
 from repro.hdl.source import SourceFile
+from repro.sim import batch as simbatch
 from repro.sim import compile as simcompile
 from repro.sim.elab_verilog import elaborate_verilog
 from repro.sim.elab_vhdl import elaborate_vhdl
@@ -132,10 +138,9 @@ class CacheStats:
 
 
 #: the store's stages, in flow order
-STAGES = ("parse", "analyze", "compile", "simulate", "plan")
+STAGES = ("parse", "analyze", "compile", "simulate")
 
-#: what :meth:`ResultStore.get` returns for an absent key (``None`` is a
-#: valid value: a batch plan the design is not eligible for)
+#: what :meth:`ResultStore.get` returns for an absent key
 MISS = object()
 
 
@@ -144,22 +149,24 @@ class ResultStore:
 
     A key is ``(stage, digest)``. The sha256 digest covers everything that
     determines the result: the top unit, every file's name, language and
-    full text, and the stage's extra inputs (``max_sim_time`` and the
-    ``REPRO_SIM_*`` tier flags, see :func:`tier_flags`). An analysis entry
-    is one unit's: its key covers that file plus the interface it reads
-    from the rest of the set (see :meth:`Toolchain._analyze_unit`). Keys
-    are derived from the inputs, never from the outputs, so two source
-    sets that *render* the same log never collide.
+    full text, and the stage's extra inputs. A simulate key adds
+    ``max_sim_time`` and the ``REPRO_SIM_NO_BATCH`` flag, so a run under
+    the flag takes the kernel instead of replaying a batch result; a
+    compile result does not depend on the path, so its key has no flag.
+    An analysis entry is one unit's: its key covers that file plus the
+    interface it reads from the rest of the set (see
+    :meth:`Toolchain._analyze_unit`). Keys are derived from the inputs,
+    never from the outputs, so two source sets that *render* the same log
+    never collide.
 
     The store holds at most :attr:`MAX_ENTRIES` entries and
     :attr:`MAX_BYTES` bytes; the least recently used entries go first. An
     entry's bytes are the characters of text behind it: the source of a
     parse (its AST and line index grow with it), the logs and output lines
-    of a compile or simulate result, the messages of an analysis, the DUT
-    source of a batch plan. Real memory is about ten times that on suite
-    workloads. The plan stage is the only stage whose entries hold an
-    elaborated design: a batch plan owns the design it runs (see
-    :mod:`repro.sim.batch`). Hits, misses and evictions are counted per
+    of a compile or simulate result, the messages of an analysis. Real
+    memory is about ten times that on suite workloads. No entry holds an
+    elaborated design: designs are runtime state, built per run (see
+    :meth:`Toolchain.simulate`). Hits, misses and evictions are counted per
     stage, both here (:attr:`stats`) and in the metrics registry as
     ``toolchain.store.<stage>.hit|miss|evict``, next to the
     ``toolchain.store.entries`` and ``toolchain.store.bytes`` gauges.
@@ -236,13 +243,6 @@ _METRIC_NAMES = {
     for stage in STAGES
     for event in ("hit", "miss", "evict")
 }
-
-
-def tier_flags() -> tuple[bool, ...]:
-    """The ``REPRO_SIM_NO_BATCH`` switch, part of every compile, simulate
-    and plan key. Results are equal either way; keying on it makes a run
-    under the flag take the kernel instead of replaying a batch result."""
-    return (simcompile.batch_disabled(),)
 
 
 def _copy_compile_result(result: CompileResult,
@@ -339,8 +339,8 @@ class Toolchain:
         # so parse and analysis entries are shared as they are (analysis
         # hits replay the recorded diagnostics into the caller's collector
         # in original order); compile and simulate hits return defensive
-        # copies. Elaborated designs are mutable runtime state; only batch
-        # plans hold one (see repro.sim.batch).
+        # copies. Elaborated designs are mutable runtime state and are
+        # never stored.
         self.store = ResultStore()
 
     @property
@@ -376,7 +376,7 @@ class Toolchain:
             "toolchain.compile", top=top, files=len(files)
         ) as span:
             started = _time.perf_counter()
-            key = self.store.key("compile", files, top, tier_flags())
+            key = self.store.key("compile", files, top)
             cached = self.store.get(key)
             if cached is not MISS:
                 span.set_attrs(
@@ -562,7 +562,7 @@ class Toolchain:
             started = _time.perf_counter()
             key = self.store.key(
                 "simulate", files, top,
-                (self.max_sim_time, *tier_flags()),
+                (self.max_sim_time, simcompile.batch_disabled()),
             )
             cached = self.store.get(key)
             if cached is not MISS:
@@ -598,164 +598,115 @@ class Toolchain:
     def _simulate_uncached(
         self, files: list[HdlFile], top: str, started: float
     ) -> SimResult:
-        batched = self._try_batch(files, top, started)
-        if batched is not None:
-            return batched
+        """One simulate miss: compile the set, then run it on the batch
+        tier or the kernel.
+
+        A set of DUT files plus one registered golden testbench releases
+        the design its compile elaborated and goes to the batch tier
+        (:meth:`_run_batch`); any other set, or a refused plan or run, goes
+        to the kernel, which elaborates the set again only when no design
+        is in hand (a compile hit, or a release).
+        """
         compile_result, design = self._compile(files, top)
         if not compile_result.ok:
-            wall = _time.perf_counter() - started
-            sim_log = compile_result.log + "\nERROR: [XSIM 43-3225] Simulation not run: compilation failed"
             return SimResult(
                 ok=False,
-                log=sim_log,
+                log=compile_result.log + "\nERROR: [XSIM 43-3225] "
+                "Simulation not run: compilation failed",
                 compile_result=compile_result,
                 tool_seconds=compile_result.tool_seconds,
-                wall_seconds=wall,
+                wall_seconds=_time.perf_counter() - started,
             )
-        if design is None:
-            # a compile hit keeps no design: elaborate this run's own
-            design = self._build_design(files, top, DiagnosticCollector())
-        if design is None:  # pragma: no cover - compile above succeeded
-            return SimResult(ok=False, log=compile_result.log,
-                             compile_result=compile_result)
-        simulator = Simulator(design, max_time=self.max_sim_time)
-        runtime_error = ""
-        try:
-            stats = simulator.run()
-        except SimulationError as exc:
-            runtime_error = str(exc)
-            stats = simulator.stats
         metrics = get_tracer().metrics
-        metrics.counter("sim.activations").inc(stats.process_activations)
-        metrics.counter("sim.delta_cycles").inc(stats.delta_cycles)
-        wall = _time.perf_counter() - started
-        modeled = self._sim_seconds(compile_result, stats.end_time)
-        sim_log = self._render_sim_log(
-            top, simulator.output, stats.end_time, runtime_error
-        )
+        outcome = None
+        golden = self._golden_testbench(files, top)
+        if golden is not None:
+            design = None  # not held while the batch tier runs the DUT
+            outcome = self._run_batch(*golden)
+        runtime_error = ""
+        if outcome is not None:
+            metrics.counter("sim.batch_calls").inc()
+            metrics.counter("sim.batch_vectors").inc(outcome.vectors)
+            output, end_time = outcome.output_lines, outcome.end_time
+            finished_cleanly = outcome.finished_cleanly
+        else:
+            if design is None:
+                design = self._build_design(files, top, DiagnosticCollector())
+            simulator = Simulator(design, max_time=self.max_sim_time)
+            try:
+                stats = simulator.run()
+            except SimulationError as exc:
+                runtime_error = str(exc)
+                stats = simulator.stats
+                if isinstance(exc, simcompile.CompilerRefusal):
+                    metrics.counter("sim.compile.refusals").inc()
+            metrics.counter("sim.activations").inc(stats.process_activations)
+            metrics.counter("sim.delta_cycles").inc(stats.delta_cycles)
+            output, end_time = simulator.output, stats.end_time
+            finished_cleanly = stats.finished_cleanly
         return SimResult(
             ok=not runtime_error,
-            log=sim_log,
-            output_lines=list(simulator.output),
+            log=self._render_sim_log(top, output, end_time, runtime_error),
+            output_lines=list(output),
             compile_result=compile_result,
-            end_time=stats.end_time,
-            finished_cleanly=stats.finished_cleanly,
+            end_time=end_time,
+            finished_cleanly=finished_cleanly,
             runtime_error=runtime_error,
-            tool_seconds=modeled,
-            wall_seconds=wall,
-        )
-
-    def _sim_seconds(self, compile_result: CompileResult,
-                     end_time: int) -> float:
-        """Modeled tool seconds of a simulation: its compile, one launch,
-        and the simulated time. Both paths report the same ``end_time``,
-        so the cost does not depend on which one ran."""
-        return (
-            compile_result.tool_seconds
-            + self.SIM_BASE_SECONDS
-            + self.SIM_PER_US_SECONDS * end_time / 1000.0
+            # the modeled cost: the compile, one launch and the simulated
+            # time, which both paths report alike
+            tool_seconds=(
+                compile_result.tool_seconds + self.SIM_BASE_SECONDS
+                + self.SIM_PER_US_SECONDS * end_time / 1000.0
+            ),
+            wall_seconds=_time.perf_counter() - started,
         )
 
     # ------------------------------------------------------------------
     # batch tier
     # ------------------------------------------------------------------
 
-    def _batch_plan(self, dut_files: list[HdlFile], bundle):
-        """``(store key, plan)`` for one DUT + observation set.
-
-        ``None`` (the design is not batchable) is stored too, so an
-        ineligible design does not re-elaborate on every simulate call.
-        A plan holds the design it was built from and overwrites its
-        driven signals before reading them on every run, so a stored plan
-        runs the same way each time.
-        """
-        from repro.designs.model import TOP_NAME
-        from repro.sim import batch as _batch
-
-        spec = bundle.spec
-        ports = tuple(
-            f"{p.name}:{p.width}:{p.direction}" for p in spec.ports
-        )
-        key = self.store.key(
-            "plan", dut_files, TOP_NAME,
-            ("clocked" if spec.clocked else "comb", *tier_flags(), *ports),
-        )
-        plan = self.store.get(key)
-        if plan is not MISS:
-            return key, plan
-        design = self._build_design(dut_files, TOP_NAME, DiagnosticCollector())
-        plan = None
-        if design is not None:
-            in_ports = [(p.name, p.width) for p in spec.inputs]
-            out_ports = [(p.name, p.width) for p in spec.outputs]
-            if spec.clocked:
-                plan = _batch.plan_sequential(design, in_ports, out_ports)
-            else:
-                plan = _batch.plan_combinational(design, in_ports, out_ports)
-        self.store.put(key, plan, sum(len(f.text) for f in dut_files))
-        return key, plan
-
-    def _try_batch(
-        self, files: list[HdlFile], top: str, started: float
-    ) -> SimResult | None:
-        """Batch-tier fast path for a registered golden testbench.
-
-        Returns a SimResult observationally identical to event-simulating
-        the same file set, or ``None`` to fall through to the kernel: the
-        tier is disabled, the testbench text is not a registered bundle,
-        the run would exceed ``max_sim_time``, or the DUT is not batchable.
-        """
-        if simcompile.batch_disabled():
-            return None
+    def _golden_testbench(self, files: list[HdlFile], top: str):
+        """``(DUT files, bundle)`` when *files* are DUT files plus one
+        registered golden testbench that runs to its end within
+        ``max_sim_time``; else ``None``, and the kernel runs the set."""
         from repro.designs import tbgen
-        from repro.sim import batch as _batch
 
-        if top != tbgen.TB_NAME:
+        if top != tbgen.TB_NAME or simcompile.batch_disabled():
             return None
-        bundle = None
-        dut_files = []
+        bundle, dut_files = None, []
         for hdl_file in files:
             found = tbgen.stimulus_bundle(hdl_file.text)
-            if found is not None:
-                if bundle is not None:
-                    return None  # two testbenches in one set — not our shape
-                bundle = found
-            else:
+            if found is None:
                 dut_files.append(hdl_file)
-        if bundle is None or not dut_files:
+            elif bundle is not None:
+                return None  # two testbenches in one set
+            else:
+                bundle = found
+        if (bundle is None or not dut_files
+                or simbatch.end_time(bundle) > self.max_sim_time):
             return None
-        if _batch.end_time(bundle) > self.max_sim_time:
-            return None  # the kernel would truncate; let it
-        key, plan = self._batch_plan(dut_files, bundle)
-        if plan is None:
+        return dut_files, bundle
+
+    def _run_batch(self, dut_files: list[HdlFile], bundle):
+        """Elaborate the DUT alone, plan it and run *bundle* against the
+        plan: the :class:`~repro.sim.batch.BatchOutcome`, observationally
+        the kernel's run of the set, or ``None`` when the plan or the run
+        is refused. The batch functions are looked up on their module at
+        each call, so a wrapper installed there sees every call."""
+        from repro.designs.model import TOP_NAME
+
+        design = self._build_design(dut_files, TOP_NAME, DiagnosticCollector())
+        if design is None:
             return None
-        compile_result = self.compile(files, top)
-        if not compile_result.ok:
-            return None
-        outcome = _batch.run_bundle(plan, bundle)
-        if outcome is None:
-            # an evaluation aborted: the kernel reports it, on this and
-            # every later miss, and the design the plan held goes
-            self.store.put(key, None, sum(len(f.text) for f in dut_files))
-            return None
-        metrics = get_tracer().metrics
-        metrics.counter("sim.batch_calls").inc()
-        metrics.counter("sim.batch_vectors").inc(outcome.vectors)
-        wall = _time.perf_counter() - started
-        modeled = self._sim_seconds(compile_result, outcome.end_time)
-        output_lines = list(outcome.output_lines)
-        sim_log = self._render_sim_log(top, output_lines, outcome.end_time, "")
-        return SimResult(
-            ok=True,
-            log=sim_log,
-            output_lines=output_lines,
-            compile_result=compile_result,
-            end_time=outcome.end_time,
-            finished_cleanly=outcome.finished_cleanly,
-            runtime_error="",
-            tool_seconds=modeled,
-            wall_seconds=wall,
+        spec = bundle.spec
+        planner = (simbatch.plan_sequential if spec.clocked
+                   else simbatch.plan_combinational)
+        plan = planner(
+            design,
+            [(p.name, p.width) for p in spec.inputs],
+            [(p.name, p.width) for p in spec.outputs],
         )
+        return None if plan is None else simbatch.run_bundle(plan, bundle)
 
     @staticmethod
     def _render_sim_log(top: str, output: list[str], end_time: int,

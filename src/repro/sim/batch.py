@@ -25,8 +25,9 @@ the kernel would activate it.
   summary and ``end_time`` — so the result is observationally identical to
   event-simulating the testbench text.
 
-A plan owns the design it was built from; a run first restores every
-signal's elaboration-time value. Each refusal is counted as
+A plan is built from a freshly elaborated DUT and runs once: its run
+starts from the design's elaboration-time values and leaves the design
+spent, so the toolchain stores neither. Each refusal is counted as
 ``sim.batch_plan.refused.<clause>`` (:data:`CLAUSES`, explained in
 DESIGN.md), and the kernel runs the testbench instead; a run that meets
 what its plan could not see (a wait other than the process's own, output,
@@ -90,8 +91,6 @@ class Plan:
     reset: Signal | None
     #: each process's sensitivity, as the (signal, edge) pairs it waits on
     waits: dict
-    #: (signal, elaboration-time value) per signal: where a run starts
-    initial: tuple[tuple[Signal, Logic], ...]
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +179,6 @@ def _plan(design: Design, in_ports, out_ports, clocked: bool) -> Plan | None:
         design, inputs, outputs, ordered, tuple(on_clock), registers, clock,
         reset,
         {p: {(e.signal, e.edge) for e in f.sensitivity} for p, f in facts.items()},
-        tuple((signal, signal._value) for signal in design.signals.values()),
     )
 
 
@@ -218,7 +216,7 @@ _FALL = (Logic(1, 1), Logic(1, 0))
 
 
 class _Run:
-    """One run of a plan: its design back at elaboration-time values, and
+    """One run of a plan: its design, still at elaboration-time values, and
     a :class:`Simulator` whose event loop never runs.
 
     Each started process is kept as ``(generator, wait)``: ``wait`` is
@@ -229,8 +227,6 @@ class _Run:
 
     def __init__(self, plan: Plan):
         self.plan = plan
-        for signal, value in plan.initial:
-            signal._value = value
         self.sim = Simulator(plan.design)
         self.comb: list = []
         self.rise: list = []

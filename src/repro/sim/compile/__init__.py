@@ -13,7 +13,8 @@ sensitivity lists) and defers each process *body* until the process first
 starts, inside :meth:`Simulator.run <repro.sim.kernel.Simulator.run>`, or
 when a batch plan is built. A compile-only elaboration never builds a body
 at all. A body whose compilation raises is refused as a named run-time
-error, counted in the ``sim.compile.refusals`` metric.
+error, a :class:`CompilerRefusal`; the run it fails counts it once in the
+``sim.compile.refusals`` metric.
 
 There are two simulation paths over these closures, and both run every
 process's own compiled body. The event kernel schedules the bodies by
@@ -34,9 +35,14 @@ from __future__ import annotations
 
 import os
 
-from repro.obs import get_tracer
 from repro.sim.kernel import SimulationError
 from repro.sim.runtime import Process
+
+
+class CompilerRefusal(SimulationError):
+    """A process body whose compiler raised: the run that starts the
+    process fails with this text. A batch plan that meets it is refused
+    instead, and the kernel's run of the set then fails with it."""
 
 
 def add_process(elab, name, build, facts):
@@ -49,11 +55,10 @@ def add_process(elab, name, build, facts):
     flag for this body as ``Process.unsettled``. *facts* computes the
     process's :class:`~repro.sim.runtime.ProcessFacts` when the batch tier
     asks for them. The compilers are total, so a builder that raises is a
-    compiler defect: it is refused loudly, as a :class:`SimulationError`
-    ``simulation compiler refused process '<name>': <Type>: <message>``
-    counted in ``sim.compile.refusals``, which fails the run with that text.
-    An evaluation abort (its diagnostic already reported) propagates
-    unchanged.
+    compiler defect: it is refused loudly, as a :class:`CompilerRefusal`
+    ``simulation compiler refused process '<name>': <Type>: <message>``,
+    which fails the run with that text. An evaluation abort (its diagnostic
+    already reported) propagates unchanged.
     """
     process = Process(name)
 
@@ -64,8 +69,7 @@ def add_process(elab, name, build, facts):
         except SimulationError:
             raise
         except Exception as exc:
-            get_tracer().metrics.counter("sim.compile.refusals").inc()
-            raise SimulationError(
+            raise CompilerRefusal(
                 f"simulation compiler refused process '{process.name}': "
                 f"{type(exc).__name__}: {exc}"
             ) from exc

@@ -612,20 +612,21 @@ def _golden_files(language, dut, ports, model, pid, **options):
             HdlFile(f"tb{ext}", testbench, language)]
 
 
-def _simulate_counted(files, clause):
-    """``(result, batch calls, refusals counted under clause)`` of one
-    simulate on the default path."""
+def _simulate_counted(files, clause, **flags):
+    """``(result, batch calls, refusals counted under clause, compiler
+    refusals)`` of one simulate under *flags* (default: the default path)."""
     from repro.obs import NullSink, Tracer, get_tracer, set_tracer
 
     previous = get_tracer()
     set_tracer(Tracer(NullSink()))
     try:
-        with _pin():
+        with _pin(**flags):
             result = Toolchain().simulate(files, "tb")
         metrics = get_tracer().metrics
         counts = (
             metrics.counter("sim.batch_calls").value,
             metrics.counter(f"sim.batch_plan.refused.{clause}").value,
+            metrics.counter("sim.compile.refusals").value,
         )
     finally:
         set_tracer(previous)
@@ -664,27 +665,11 @@ class TestSettledValues:
             (PortSpec("a", 32, "in"), PortSpec("y", 8, "out")),
             lambda v: {"y": v["a"]}, "overwide",
         )
-        default, calls, refusals = _simulate_counted(files, "run-time")
+        default, calls, refusals, _ = _simulate_counted(files, "run-time")
         kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
         assert (calls, refusals) == (0, 1)
         assert "replication result width 131072 exceeds" in default.runtime_error
         assert _observables(default) == _observables(kernel)
-
-    def test_aborted_plan_is_not_run_again(self):
-        """After an abort the store keeps no plan for the DUT, so later
-        misses go straight to the kernel and no design is held."""
-        files = _golden_files(
-            Language.VERILOG, OVERWIDE_V,
-            (PortSpec("a", 32, "in"), PortSpec("y", 8, "out")),
-            lambda v: {"y": v["a"]}, "overwide",
-        )
-        toolchain = Toolchain()
-        with _pin():
-            assert toolchain.simulate(files, "tb").runtime_error
-            bundle = tbgen.stimulus_bundle(files[1].text)
-            _key, plan = toolchain._batch_plan(files[:1], bundle)
-        assert plan is None
-        assert toolchain.store.stats["plan"].hits == 1
 
     @pytest.mark.parametrize("language", list(Language))
     def test_compiler_raising_at_plan_time_is_the_kernels_refusal(
@@ -692,7 +677,8 @@ class TestSettledValues:
     ):
         """A closure compiler that raises while a plan is built refuses the
         plan; the kernel then refuses the process by name, as it does
-        under ``REPRO_SIM_NO_BATCH``."""
+        under ``REPRO_SIM_NO_BATCH``, and the refusal that fails the run is
+        counted once on either path."""
         from repro.sim.compile import verilog as cv
         from repro.sim.compile import vhdl as cvh
 
@@ -717,9 +703,14 @@ class TestSettledValues:
             language, dut, (PortSpec("a", 4, "in"), PortSpec("y", 4, "out")),
             lambda v: {"y": v["a"] ^ 5}, f"exploding-{language.value}",
         )
-        default, calls, refusals = _simulate_counted(files, "compiler")
-        kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
-        assert (calls, refusals) == (0, 1)
+        default, calls, refusals, compiled = _simulate_counted(
+            files, "compiler"
+        )
+        kernel, _, _, kernel_compiled = _simulate_counted(
+            files, "compiler", REPRO_SIM_NO_BATCH="1"
+        )
+        assert (calls, refusals, compiled) == (0, 1, 1)
+        assert kernel_compiled == 1
         assert default.runtime_error.startswith(
             "simulation compiler refused process"
         )

@@ -58,7 +58,7 @@ def _tier(**flags):
 
 
 def kernel_tier():
-    """Force the event kernel: the batch recognizer off."""
+    """Force the event kernel: the batch tier off."""
     return _tier(REPRO_SIM_NO_BATCH="1")
 
 

@@ -5,7 +5,11 @@ golden testbench; syntax mutations break the compile; functional mutations
 compile but fail the testbench). Takes ~1 minute; set
 ``REPRO_SKIP_FULL_VALIDATION=1`` to skip during quick development loops.
 
-A second, always-on check covers the QA generator the same way: within a
+A second full-suite check draws every golden testbench again, with the
+random part of its stimulus from another seed, and pins which functional
+mutants that independent draw lets through.
+
+A third, always-on check covers the QA generator the same way: within a
 bounded seed range it must emit every grammar op kind and every spec shape,
 so a regression that silently stops generating (say) ``sra`` or memory
 shapes fails the suite instead of quietly shrinking fuzz coverage.
@@ -15,6 +19,11 @@ import os
 
 import pytest
 
+from repro.designs.model import TOP_NAME
+from repro.designs.mutations import apply_mutation
+from repro.designs.tbgen import PASS_MESSAGE, make_testbench
+from repro.eda.toolchain import HdlFile, Language, Toolchain
+from repro.evalsuite.generators import all_definitions
 from repro.evalsuite.suite import build_suite
 from repro.evalsuite.validate import validate_suite
 from repro.qa.grammar import ALL_OP_KINDS
@@ -41,6 +50,64 @@ def test_entire_suite_validates_in_both_languages():
         for r in failures
     )
     assert not failures, details
+
+
+#: appended to a problem id to seed the independent draw's random part
+REDRAW_SALT = "independent-draw"
+
+#: ``(pid, language, mutation description)`` of each catalog functional
+#: mutant that passes an independent draw of its problem's golden
+#: testbench: none does
+ESCAPE_AN_INDEPENDENT_DRAW: set[tuple[str, str, str]] = set()
+
+
+def _passes(toolchain, language, rtl, testbench) -> bool:
+    ext = language.file_extension
+    result = toolchain.simulate([
+        HdlFile(f"{TOP_NAME}{ext}", rtl, language),
+        HdlFile(f"tb{ext}", testbench, language),
+    ], "tb")
+    return result.ok and PASS_MESSAGE in result.output_lines
+
+
+@full_validation
+def test_functional_mutants_an_independent_testbench_draw_lets_through():
+    """A second draw of every golden testbench keeps its directed vectors,
+    reset checks and size and salts the pid, so only the random part
+    changes. A Code Agent that judged its own loop by such a draw, instead
+    of by the golden text, would let exactly the pinned mutants pass.
+    Draws equal to the golden text are skipped: the golden contract
+    (``test_entire_suite_validates_in_both_languages``) covers them."""
+    problems = {problem.pid: problem for problem in build_suite()}
+    toolchain = Toolchain()
+    escapes, same, judged = set(), 0, 0
+    for definition in all_definitions():
+        problem = problems[definition.pid]
+        for language in Language:
+            testbench = make_testbench(
+                definition.spec, definition.model, language,
+                f"{definition.pid}:{REDRAW_SALT}",
+                extra_vectors=definition.extra_vectors,
+                random_cycles=definition.random_cycles,
+                reset_outputs=definition.reset_outputs,
+            )
+            if testbench == problem.golden_tb[language]:
+                same += 1
+                continue
+            reference = problem.reference[language]
+            assert _passes(toolchain, language, reference, testbench), (
+                f"{definition.pid} [{language.value}]: the reference fails "
+                "its independent draw"
+            )
+            for mutation in problem.functional_mutations[language]:
+                judged += 1
+                mutant = apply_mutation(reference, mutation)
+                if _passes(toolchain, language, mutant, testbench):
+                    escapes.add(
+                        (definition.pid, language.value, mutation.description)
+                    )
+    assert (len(problems), same, judged) == (156, 108, 243)
+    assert escapes == ESCAPE_AN_INDEPENDENT_DRAW
 
 
 def test_generator_saturates_ops_and_shapes():

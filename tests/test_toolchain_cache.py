@@ -90,8 +90,8 @@ class TestCachedEqualsUncached:
     """A result served by a warm store equals a fresh toolchain's result.
 
     The shared toolchain sees the whole corpus, so besides its own repeats
-    it also serves parse, analysis and plan entries across corpus items
-    (every mutant shares its problem's testbench)."""
+    it also serves parse and analysis entries across corpus items (every
+    mutant shares its problem's testbench)."""
 
     @pytest.mark.parametrize("language", list(Language))
     def test_compile_corpus(self, language):
@@ -335,7 +335,7 @@ class TestLruBound:
         assert len(store) == 6
         # m0's three entries were the least recent: one eviction per stage
         assert {stage: store.stats[stage].evictions for stage in STAGES} == {
-            "parse": 1, "analyze": 1, "compile": 1, "simulate": 0, "plan": 0,
+            "parse": 1, "analyze": 1, "compile": 1, "simulate": 0,
         }
         # m0 was evicted: compiling it again is a miss, m2 is still warm
         misses_before = store.stats["compile"].misses
@@ -374,10 +374,10 @@ class TestLruBound:
         assert store.get(("simulate", "c")) == "c2"
         # an entry over the bound on its own is not kept, and pushes out
         # everything older on its way
-        store.put(("plan", "d"), "d", 101)
+        store.put(("compile", "d"), "d", 101)
         assert (len(store), store.nbytes) == (0, 0)
         assert {stage: store.stats[stage].evictions for stage in STAGES} == {
-            "parse": 1, "analyze": 1, "compile": 0, "simulate": 1, "plan": 1,
+            "parse": 1, "analyze": 1, "compile": 1, "simulate": 1,
         }
 
     def test_toolchain_respects_byte_bound(self, monkeypatch):
@@ -477,7 +477,54 @@ class TestTierFlagsInKeys:
             set_tracer(previous)
 
 
+def _elaborations(monkeypatch, language):
+    """The top of every elaboration the toolchain runs from now on."""
+    name = {Language.VERILOG: "elaborate_verilog",
+            Language.VHDL: "elaborate_vhdl"}[language]
+    calls = []
+    real = getattr(toolchain_module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toolchain_module, name, counting)
+    return calls
+
+
+def _reachable(value):
+    """Every object reachable from *value* through containers and
+    instance attributes (``__dict__`` or ``__slots__``)."""
+    seen, stack = set(), [value]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+        else:
+            stack += getattr(obj, "__dict__", {}).values()
+            for slot in getattr(type(obj), "__slots__", ()):
+                stack.append(getattr(obj, slot, None))
+
+
 class TestOneElaborationPerMiss:
+    """A kernel miss elaborates the set once; a batched miss elaborates the
+    DUT alone, after the set's compile; and the store keeps no design."""
+
+    @pytest.fixture
+    def batch_calls(self, monkeypatch):
+        """The ``sim.batch_calls`` counter, on the default path."""
+        monkeypatch.delenv("REPRO_SIM_NO_BATCH", raising=False)
+        previous = get_tracer()
+        set_tracer(Tracer(NullSink()))
+        yield get_tracer().metrics.counter("sim.batch_calls")
+        set_tracer(previous)
+
     @pytest.mark.parametrize("language", list(Language))
     def test_kernel_simulate_miss_elaborates_once(
         self, monkeypatch, language
@@ -489,18 +536,9 @@ class TestOneElaborationPerMiss:
                 HdlFile("top_module.v", AND_GATE, Language.VERILOG),
                 HdlFile("tb.v", TB, Language.VERILOG),
             ]
-            name = "elaborate_verilog"
         else:
             files = [HdlFile("tb.vhd", VHDL_TB, Language.VHDL)]
-            name = "elaborate_vhdl"
-        calls = []
-        real = getattr(toolchain_module, name)
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(toolchain_module, name, counting)
+        calls = _elaborations(monkeypatch, language)
         toolchain = Toolchain()
         result = toolchain.simulate(files, "tb")
         assert result.ok and result.output_lines
@@ -508,6 +546,45 @@ class TestOneElaborationPerMiss:
         # a hit does not elaborate at all
         toolchain.simulate(files, "tb")
         assert calls == ["tb"]
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_batched_miss_elaborates_the_dut_alone(
+        self, monkeypatch, language, batch_calls
+    ):
+        files = _batch_files(language)
+        calls = _elaborations(monkeypatch, language)
+        toolchain = Toolchain()
+        # a compile miss elaborates the set; the batch tier, the DUT
+        assert toolchain.simulate(files, "tb").ok
+        assert batch_calls.value == 1
+        assert calls == ["tb", "top_module"]
+        # after a compile hit only the DUT is elaborated
+        calls.clear()
+        toolchain.max_sim_time += 1
+        assert toolchain.simulate(files, "tb").ok
+        assert batch_calls.value == 2
+        assert toolchain.store.stats["compile"].hits == 1
+        assert calls == ["top_module"]
+
+    def test_store_holds_no_design_or_plan(self, batch_calls):
+        from repro.sim.batch import Plan
+        from repro.sim.runtime import Design
+
+        toolchain = Toolchain()
+        for language in Language:
+            assert toolchain.simulate(_batch_files(language), "tb").ok
+        assert batch_calls.value == 2
+        # and one run on the kernel
+        assert toolchain.simulate([
+            HdlFile("top_module.v", AND_GATE, Language.VERILOG),
+            HdlFile("tb.v", TB, Language.VERILOG),
+        ], "tb").ok
+        held = [
+            obj for value, _ in toolchain.store._entries.values()
+            for obj in _reachable(value)
+        ]
+        assert len(held) > len(toolchain.store)
+        assert not [obj for obj in held if isinstance(obj, (Design, Plan))]
 
 
 VHDL_TB = """
