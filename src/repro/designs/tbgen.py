@@ -7,12 +7,13 @@ self-checking testbench whose failure messages follow the paper's format
 is the exact string the Verification Agent looks for ("All tests passed
 successfully!"). The same stimulus and expectations are rendered into both
 languages, so a functional defect is detected identically in each flow.
+The result is a :class:`Testbench`: the text, carrying the
+:class:`StimulusBundle` it renders, so the batch tier can run the stimulus
+without parsing the text. The module keeps no state between calls.
 """
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.designs.model import (
@@ -32,55 +33,40 @@ TB_NAME = "tb"
 class StimulusBundle:
     """The structured stimulus behind one generated testbench.
 
-    Every :func:`make_testbench` call registers the (stimulus, expectations)
-    pair it rendered, keyed by the exact testbench text, so the batch
-    simulation tier (:mod:`repro.sim.batch`) can evaluate the vectors
-    directly instead of re-parsing and event-simulating the testbench. The
-    text key makes the lookup sound: byte-identical text is byte-identical
-    stimulus.
+    The (stimulus, expectations) pair :func:`make_testbench` rendered, so
+    the batch simulation tier (:mod:`repro.sim.batch`) can evaluate the
+    vectors directly instead of re-parsing and event-simulating the
+    testbench. Whether the run is clocked is ``spec.clocked``.
     """
 
     spec: DesignSpec
     language: Language
-    clocked: bool
     stimulus: tuple[dict[str, int], ...]
     expected: tuple[dict[str, int], ...]
     reset_outputs: dict[str, int] | None
 
 
-#: rendered testbench text → bundle, for every bundle something still
-#: holds: a :class:`~repro.evalsuite.problem.Problem` holds its golden
-#: testbenches' bundles for as long as it lives, and ``_RECENT`` the last
-#: ``_RECENT_LIMIT`` bundles registered or looked up
-_BUNDLES: weakref.WeakValueDictionary[str, StimulusBundle] = (
-    weakref.WeakValueDictionary()
-)
-#: least recently used last: keeps ad-hoc testbenches' bundles alive,
-#: bounded so long fuzz campaigns cannot grow it without limit (eviction
-#: only costs a kernel-tier simulation)
-_RECENT: OrderedDict[str, StimulusBundle] = OrderedDict()
-_RECENT_LIMIT = 256
+class Testbench(str):
+    """A generated testbench's text that carries the stimulus it renders.
 
+    :func:`make_testbench` sets ``bundle`` once, when it builds the text;
+    the toolchain sends a set with one :class:`Testbench` file to the batch
+    tier. A testbench pickles and copies with its bundle. String operations
+    (``str(tb)``, ``tb.strip()``, slicing, concatenation) return plain
+    text, which has no bundle: text that only *equals* a generated
+    testbench runs on the event kernel, with the same observables.
+    """
 
-def _keep(text: str, bundle: StimulusBundle) -> None:
-    _RECENT[text] = bundle
-    _RECENT.move_to_end(text, last=False)
-    while len(_RECENT) > _RECENT_LIMIT:
-        _RECENT.popitem()
+    __slots__ = ("bundle",)
 
+    def __new__(cls, text: str, bundle: StimulusBundle) -> "Testbench":
+        self = super().__new__(cls, text)
+        self.bundle = bundle
+        return self
 
-def _register_bundle(text: str, bundle: StimulusBundle) -> str:
-    _keep(text, _BUNDLES.setdefault(text, bundle))
-    return text
+    def __reduce__(self):
+        return Testbench, (str(self), self.bundle)
 
-
-def stimulus_bundle(text: str) -> StimulusBundle | None:
-    """The bundle for a rendered testbench text, if one is registered and
-    still held."""
-    bundle = _BUNDLES.get(text)
-    if bundle is not None:
-        _keep(text, bundle)
-    return bundle
 
 #: settle time between driving combinational inputs and checking outputs (ns)
 SETTLE_NS = 5
@@ -112,8 +98,8 @@ def make_testbench(
     reset_outputs: dict[str, int] | None = None,
     max_cases: int | None = None,
     vectors: list[dict[str, int]] | None = None,
-) -> str:
-    """Emit the golden testbench text for one problem in one language.
+) -> Testbench:
+    """Emit the golden testbench for one problem in one language.
 
     ``max_cases`` truncates the stimulus — used by the weak-self-testbench
     ablation (the VeriAssist failure mode the paper discusses), never by the
@@ -123,61 +109,37 @@ def make_testbench(
     ``extra_vectors`` is ignored (witness replay must not be diluted by the
     problem's directed cycles).
     """
-    if spec.clocked:
-        if not isinstance(model, SeqModel):
-            raise TypeError(f"{pid}: clocked design requires a SeqModel")
-        if vectors is not None:
-            stimulus = list(vectors)
-        else:
-            stimulus = seq_stimulus(spec, pid, random_cycles=random_cycles)
-            if extra_vectors:
-                stimulus = list(extra_vectors) + stimulus
-        if max_cases is not None:
-            stimulus = stimulus[:max_cases]
-        expected = model.run(spec, stimulus)
-        if language is Language.VERILOG:
-            text = _verilog_seq_tb(spec, stimulus, expected, reset_outputs)
-        else:
-            text = _vhdl_seq_tb(spec, stimulus, expected, reset_outputs)
-        return _register_bundle(
-            text,
-            StimulusBundle(
-                spec=spec,
-                language=language,
-                clocked=True,
-                stimulus=tuple(dict(v) for v in stimulus),
-                expected=tuple(dict(e) for e in expected),
-                reset_outputs=(
-                    dict(reset_outputs) if reset_outputs is not None else None
-                ),
-            ),
-        )
-    if not isinstance(model, CombModel):
+    if spec.clocked and not isinstance(model, SeqModel):
+        raise TypeError(f"{pid}: clocked design requires a SeqModel")
+    if not spec.clocked and not isinstance(model, CombModel):
         raise TypeError(f"{pid}: combinational design requires a CombModel")
     if vectors is not None:
-        vectors = list(vectors)
+        stimulus = list(vectors)
+    elif spec.clocked:
+        stimulus = list(extra_vectors or ()) + seq_stimulus(
+            spec, pid, random_cycles=random_cycles
+        )
     else:
-        vectors = comb_vectors(spec, pid)
-        if extra_vectors:
-            vectors = vectors + list(extra_vectors)
+        stimulus = comb_vectors(spec, pid) + list(extra_vectors or ())
     if max_cases is not None:
-        vectors = vectors[:max_cases]
-    expectations = [model.evaluate(spec, v) for v in vectors]
-    if language is Language.VERILOG:
-        text = _verilog_comb_tb(spec, vectors, expectations)
+        stimulus = stimulus[:max_cases]
+    verilog = language is Language.VERILOG
+    if spec.clocked:
+        expected = model.run(spec, stimulus)
+        render = _verilog_seq_tb if verilog else _vhdl_seq_tb
+        text = render(spec, stimulus, expected, reset_outputs)
     else:
-        text = _vhdl_comb_tb(spec, vectors, expectations)
-    return _register_bundle(
-        text,
-        StimulusBundle(
-            spec=spec,
-            language=language,
-            clocked=False,
-            stimulus=tuple(dict(v) for v in vectors),
-            expected=tuple(dict(e) for e in expectations),
-            reset_outputs=None,
-        ),
-    )
+        expected = [model.evaluate(spec, v) for v in stimulus]
+        reset_outputs = None  # a combinational testbench checks no reset
+        render = _verilog_comb_tb if verilog else _vhdl_comb_tb
+        text = render(spec, stimulus, expected)
+    return Testbench(text, StimulusBundle(
+        spec=spec,
+        language=language,
+        stimulus=tuple(dict(v) for v in stimulus),
+        expected=tuple(dict(e) for e in expected),
+        reset_outputs=dict(reset_outputs) if reset_outputs is not None else None,
+    ))
 
 
 # --------------------------------------------------------------------------

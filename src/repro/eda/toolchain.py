@@ -22,9 +22,11 @@ Design goals:
   ``wall_seconds``, the true elapsed time, reflects the cheap lookup).
 * **One simulate flow.** A simulate miss compiles the set, then runs it
   on one of two paths and builds one :class:`SimResult`: a set of DUT
-  files plus one registered golden testbench goes to the batch tier
-  (:mod:`repro.sim.batch`), which plans and runs the DUT alone; every
-  other set, and every refused plan or run, goes to the event kernel.
+  files plus one generated :class:`~repro.designs.tbgen.Testbench` goes
+  to the batch tier (:mod:`repro.sim.batch`), which plans and runs the
+  DUT alone against the testbench's own stimulus bundle; every other set
+  (text that only equals a generated testbench included), and every
+  refused plan or run, goes to the event kernel.
 """
 
 from __future__ import annotations
@@ -601,8 +603,8 @@ class Toolchain:
         """One simulate miss: compile the set, then run it on the batch
         tier or the kernel.
 
-        A set of DUT files plus one registered golden testbench releases
-        the design its compile elaborated and goes to the batch tier
+        A set of DUT files plus one generated testbench releases the
+        design its compile elaborated and goes to the batch tier
         (:meth:`_run_batch`); any other set, or a refused plan or run, goes
         to the kernel, which elaborates the set again only when no design
         is in hand (a compile hit, or a release).
@@ -667,21 +669,22 @@ class Toolchain:
 
     def _golden_testbench(self, files: list[HdlFile], top: str):
         """``(DUT files, bundle)`` when *files* are DUT files plus one
-        registered golden testbench that runs to its end within
-        ``max_sim_time``; else ``None``, and the kernel runs the set."""
+        :class:`~repro.designs.tbgen.Testbench` that runs to its end within
+        ``max_sim_time``; else ``None``, and the kernel runs the set. The
+        bundle comes from the testbench object itself: plain text equal to
+        a generated testbench has none."""
         from repro.designs import tbgen
 
         if top != tbgen.TB_NAME or simcompile.batch_disabled():
             return None
         bundle, dut_files = None, []
         for hdl_file in files:
-            found = tbgen.stimulus_bundle(hdl_file.text)
-            if found is None:
+            if not isinstance(hdl_file.text, tbgen.Testbench):
                 dut_files.append(hdl_file)
             elif bundle is not None:
                 return None  # two testbenches in one set
             else:
-                bundle = found
+                bundle = hdl_file.text.bundle
         if (bundle is None or not dut_files
                 or simbatch.end_time(bundle) > self.max_sim_time):
             return None

@@ -11,7 +11,7 @@ from repro.designs.model import (
     ProblemDefinition,
     SeqModel,
 )
-from repro.designs.mutations import Mutation, functional, syntax
+from repro.designs.mutations import Mutation, syntax
 from repro.evalsuite.hdl_helpers import v_module, vh_entity
 
 
@@ -136,11 +136,3 @@ def default_vhdl_syntax() -> list[Mutation]:
             "architecure rtl of",
         ),
     ]
-
-
-def op_swap_verilog(find: str, replace: str, what: str) -> Mutation:
-    return functional(f"wrong operator: {what}", find, replace)
-
-
-def op_swap_vhdl(find: str, replace: str, what: str) -> Mutation:
-    return functional(f"wrong operator: {what}", find, replace)

@@ -1,20 +1,21 @@
 """Realized benchmark problems.
 
 A :class:`Problem` is a :class:`~repro.designs.model.ProblemDefinition` plus
-everything derived from it: golden testbench text per language and mutation
-catalogs keyed by language. The golden testbench is the *suite's* secret
-judge (like VerilogEval's reference testbenches); the pipeline's self-
-generated testbench is produced separately by the Code Agent.
+everything derived from it: the golden testbench per language (a
+:class:`~repro.designs.tbgen.Testbench`, which carries its stimulus bundle)
+and mutation catalogs keyed by language. The golden testbench is the
+*suite's* secret judge (like VerilogEval's reference testbenches); the
+pipeline's self-generated testbench is produced separately by the Code
+Agent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from repro.designs.model import CombModel, DesignSpec, ProblemDefinition, SeqModel
 from repro.designs.mutations import Mutation
-from repro.designs.tbgen import StimulusBundle, make_testbench, stimulus_bundle
+from repro.designs.tbgen import Testbench, make_testbench
 from repro.eda.toolchain import Language
 
 
@@ -28,14 +29,9 @@ class Problem:
     prompt: str
     model: CombModel | SeqModel
     reference: dict[Language, str]
-    golden_tb: dict[Language, str]
+    golden_tb: dict[Language, Testbench]
     syntax_mutations: dict[Language, list[Mutation]]
     functional_mutations: dict[Language, list[Mutation]]
-    #: the golden testbenches' stimulus bundles, held here so the batch
-    #: tier finds them for as long as the problem lives
-    golden_bundles: dict[Language, StimulusBundle] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def clocked(self) -> bool:
@@ -66,10 +62,6 @@ class Problem:
                 Language.VHDL: definition.reference_vhdl,
             },
             golden_tb=golden,
-            golden_bundles={
-                language: stimulus_bundle(text)
-                for language, text in golden.items()
-            },
             syntax_mutations={
                 Language.VERILOG: list(definition.syntax_mutations_verilog),
                 Language.VHDL: list(definition.syntax_mutations_vhdl),

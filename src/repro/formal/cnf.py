@@ -41,9 +41,6 @@ class Cnf:
 
     # -- folding gate helpers -----------------------------------------------
 
-    def g_not(self, a: int) -> int:
-        return -a
-
     def g_and(self, a: int, b: int) -> int:
         if a == FALSE or b == FALSE or a == -b:
             return FALSE

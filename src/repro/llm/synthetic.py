@@ -262,10 +262,6 @@ class SyntheticDesignLLM:
             )
         return self._plans[language]
 
-    def reset_session(self) -> None:
-        """Forget all attempt counters (start a fresh experiment)."""
-        self._state.clear()
-
     def override_plan(self, pid: str, language: Language, **fields) -> ProblemPlan:
         """Force a specific defect fate for one problem (demos and tests).
 

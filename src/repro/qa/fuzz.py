@@ -20,7 +20,7 @@ import hashlib
 import time as _time
 from dataclasses import dataclass, field
 
-from repro.eda.toolchain import Toolchain
+from repro.eda.toolchain import Language, Toolchain
 from repro.exec.engine import ExecutionEngine
 from repro.exec.task import Task
 from repro.obs import get_tracer
@@ -181,19 +181,16 @@ def _sha(text: str) -> str:
 
 def _fuzz_program(seed: int, index: int, formal: bool = False) -> dict:
     """One task: generate, render, judge. Module-level, hence picklable."""
-    from repro.qa.render import render_verilog, render_vhdl
-
     started = _time.perf_counter()
     spec = generate_spec(seed, index)
-    verilog = render_verilog(spec)
-    vhdl = render_vhdl(spec)
     verdict = run_oracle(QaCase(spec=spec), Toolchain(), formal=formal)
     payload = {
         "index": index,
         "name": spec.name,
         "class": verdict.failure_class.value,
-        "verilog_sha": _sha(verilog),
-        "vhdl_sha": _sha(vhdl),
+        # the oracle's renderings: the case injects no mutation
+        "verilog_sha": _sha(verdict.sources[Language.VERILOG]),
+        "vhdl_sha": _sha(verdict.sources[Language.VHDL]),
         "seconds": _time.perf_counter() - started,
         "verilog_status": verdict.verilog.status,
         "vhdl_status": verdict.vhdl.status,

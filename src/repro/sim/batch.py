@@ -19,7 +19,7 @@ the kernel would activate it.
   steps the processes the kernel's wake rule wakes, commits their writes
   after all of them have run, and settles. ``rst`` is driven through the
   testbench's reset cycles;
-* :func:`run_bundle` evaluates a registered
+* :func:`run_bundle` evaluates a generated testbench's
   :class:`~repro.designs.tbgen.StimulusBundle` against a plan and emulates
   the testbench's checks exactly — same messages, ordering, end-of-log
   summary and ``end_time`` — so the result is observationally identical to
@@ -67,7 +67,7 @@ def end_time(bundle) -> int:
     from repro.designs import tbgen
 
     n = len(bundle.stimulus)
-    if bundle.clocked:
+    if bundle.spec.clocked:
         return 2 * tbgen.HALF_PERIOD_NS * (tbgen.RESET_CYCLES + n)
     return n * tbgen.SETTLE_NS
 
@@ -464,14 +464,15 @@ def run_bundle(plan: Plan, bundle) -> BatchOutcome | None:
     from repro.designs import tbgen
     from repro.eda.toolchain import Language
 
-    if bundle.clocked != (plan.clock is not None):
+    clocked = bundle.spec.clocked
+    if clocked != (plan.clock is not None):
         return None
     language = bundle.language
     out_ports = [(p.name, p.width) for p in bundle.spec.outputs]
     lines: list[str] = []
     errors = 0
     try:
-        if bundle.clocked:
+        if clocked:
             reset_row, rows = _run_cycles(plan, bundle)
         else:
             rows = _run_vectors(plan, bundle.stimulus)
@@ -480,7 +481,7 @@ def run_bundle(plan: Plan, bundle) -> BatchOutcome | None:
         # runs the testbench and reports it
         _refuse("run-time")
         return None
-    if not bundle.clocked:
+    if not clocked:
         for case_no, (row, expected) in enumerate(
             zip(rows, bundle.expected), start=1
         ):

@@ -19,7 +19,7 @@ error, a :class:`CompilerRefusal`; the run it fails counts it once in the
 There are two simulation paths over these closures, and both run every
 process's own compiled body. The event kernel schedules the bodies by
 their waits. The batch tier (:mod:`repro.sim.batch`) evaluates a
-registered golden testbench's whole stimulus set without the event loop:
+generated testbench's whole stimulus set without the event loop:
 it steps each body once per activation, ordered by the facts the
 elaborators record per process (:class:`~repro.sim.runtime.ProcessFacts`:
 read set, write set, sensitivity, and whether one activation keeps no
@@ -28,7 +28,8 @@ closure they emit that can abort on some operand values or reads
 simulator state; :func:`add_process` records the flag per body as
 ``Process.unsettled``, and such a process stays on the kernel.
 ``REPRO_SIM_NO_BATCH=1`` turns the batch tier off, so every run takes the
-kernel; tests use it to get the kernel's reference answer.
+kernel; tests use it to get the kernel's reference answer. For one set,
+``str(testbench)`` does the same: plain text carries no stimulus bundle.
 """
 
 from __future__ import annotations
@@ -51,8 +52,11 @@ def add_process(elab, name, build, facts):
 
     ``build()`` returns the process factory. It runs once, when the process
     is first compiled (:meth:`Process.compile`), so a process that never
-    starts is never built; the build records the elaborator's ``unsettled``
-    flag for this body as ``Process.unsettled``. *facts* computes the
+    starts is never built; the build returns the elaborator's ``unsettled``
+    flag for this body, which becomes ``Process.unsettled``. Nothing the
+    process holds refers back to it, and the elaborator keeps no design
+    once it has returned one, so a design no run started is freed as soon
+    as it is dropped, without the cyclic collector. *facts* computes the
     process's :class:`~repro.sim.runtime.ProcessFacts` when the batch tier
     asks for them. The compilers are total, so a builder that raises is a
     compiler defect: it is refused loudly, as a :class:`CompilerRefusal`
@@ -70,11 +74,10 @@ def add_process(elab, name, build, facts):
             raise
         except Exception as exc:
             raise CompilerRefusal(
-                f"simulation compiler refused process '{process.name}': "
+                f"simulation compiler refused process '{name}': "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
-        process.unsettled = elab.unsettled
-        return factory
+        return factory, elab.unsettled
 
     process.build = build_or_refuse
     process.facts = facts

@@ -119,9 +119,12 @@ class VerilogElaborator:
             self._elaborate_module(module, prefix="", param_overrides={})
         except _ElabAbort:
             return None
+        finally:
+            # every process build holds the elaborator: it keeps no design
+            design, self.design = self.design, None
         if self.collector.has_errors:
             return None
-        return self.design
+        return design
 
     # ------------------------------------------------------------------
     # module instantiation

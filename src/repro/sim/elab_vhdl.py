@@ -146,9 +146,12 @@ class VhdlElaborator:
             self._elaborate_entity(top, prefix="", generic_overrides={})
         except _ElabAbort:
             return None
+        finally:
+            # every process build holds the elaborator: it keeps no design
+            design, self.design = self.design, None
         if self.collector.has_errors:
             return None
-        return self.design
+        return design
 
     # ------------------------------------------------------------------
 
@@ -849,17 +852,11 @@ def elaborate_vhdl(
     top: str,
     source: SourceFile,
     collector: DiagnosticCollector | None = None,
-    extra_entities: dict[str, ast.Entity] | None = None,
-    extra_architectures: dict[str, ast.Architecture] | None = None,
 ) -> tuple[Design | None, DiagnosticCollector]:
     """Elaborate *top* from a design file; returns (design, diagnostics)."""
     collector = collector if collector is not None else DiagnosticCollector()
-    entities = dict(extra_entities or {})
-    architectures = dict(extra_architectures or {})
-    for entity in design_file.entities:
-        entities[entity.name] = entity
-    for arch in design_file.architectures:
-        architectures[arch.entity] = arch
+    entities = {entity.name: entity for entity in design_file.entities}
+    architectures = {arch.entity: arch for arch in design_file.architectures}
     elaborator = VhdlElaborator(entities, architectures, source, collector)
     design = elaborator.elaborate(top)
     return design, collector

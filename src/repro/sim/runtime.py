@@ -121,9 +121,10 @@ class Process:
     process given no factory gets one from its ``build`` callable when it is
     first compiled (its first :meth:`start`), so a process that never starts
     never compiles its body (see :func:`repro.sim.compile.add_process`).
-    ``facts`` computes the process's :class:`ProcessFacts` on demand, and
-    ``unsettled`` says, once the body is compiled, whether any closure of
-    it can abort on some operand values or reads simulator state.
+    ``build()`` returns ``(factory, unsettled)``: ``unsettled`` says whether
+    any closure of the body can abort on some operand values or reads
+    simulator state. ``facts`` computes the process's :class:`ProcessFacts`
+    on demand.
     """
 
     __slots__ = ("name", "factory", "build", "generator", "waiting_on", "done",
@@ -134,7 +135,9 @@ class Process:
     ):
         self.name = name
         self.factory = factory
-        self.build: Callable[[], Callable[["object"], ProcessBody]] | None = None
+        self.build: (
+            Callable[[], tuple[Callable[["object"], ProcessBody], bool]] | None
+        ) = None
         self.generator: ProcessBody | None = None
         #: sensitivity entries the process is currently blocked on
         self.waiting_on: list[Sensitivity] = []
@@ -146,8 +149,8 @@ class Process:
         """The process factory, built at the first call."""
         factory = self.factory
         if factory is None:
-            factory = self.factory = self.build()
-            self.build = None
+            factory, self.unsettled = self.build()
+            self.factory, self.build = factory, None
         return factory
 
     def start(self, kernel) -> ProcessBody:

@@ -12,9 +12,11 @@ built is the kernel's refusal, that processes written against their
 dataflow still plan, that plans stay exact on ports wider than 64 bits,
 that X-carrying vectors evaluate bit-exact with the kernel, how the
 toolchain routes eligible bundles and counts them, that the modeled cost is
-one formula on both paths, and how the testbench bundle registry behaves —
-including the ``vectors=``/``extra_vectors=`` replacement contract and that
-every suite problem's golden testbenches keep their bundles.
+one formula on both paths, and that a generated testbench carries its own
+stimulus bundle — including the ``vectors=``/``extra_vectors=`` replacement
+contract, that every suite problem's golden testbenches carry theirs, that
+a plain-text copy runs on the kernel with the same observables, and that
+no bundle outlives the testbench holding it.
 """
 
 from __future__ import annotations
@@ -903,45 +905,103 @@ def _seq_model():
     return SeqModel(reset=lambda: 0, step=step)
 
 
-class TestBundleRegistry:
-    def test_generated_testbench_registers_its_bundle(self):
+class TestTestbenchBundle:
+    """A generated testbench carries its own stimulus bundle: the toolchain
+    finds a bundle only on the :class:`~repro.designs.tbgen.Testbench`
+    object it simulates, never by its text."""
+
+    def test_generated_testbench_carries_its_bundle(self):
         spec = _comb_spec()
         model = CombModel(lambda v: {"y": v["a"] ^ v["b"]})
         text = tbgen.make_testbench(spec, model, Language.VERILOG, "bundle-a")
-        bundle = tbgen.stimulus_bundle(text)
-        assert bundle is not None
-        assert not bundle.clocked
+        bundle = text.bundle
+        assert isinstance(text, tbgen.Testbench)
+        assert not bundle.spec.clocked
         assert bundle.language is Language.VERILOG
         assert len(bundle.stimulus) == len(bundle.expected)
         for vector, expected in zip(bundle.stimulus, bundle.expected):
             assert expected == {"y": (vector["a"] ^ vector["b"]) & 0xFF}
 
-    def test_unknown_text_has_no_bundle(self):
-        assert tbgen.stimulus_bundle("module tb; endmodule") is None
+    def test_string_operations_return_plain_text(self):
+        text = tbgen.make_testbench(
+            _comb_spec(), CombModel(lambda v: {"y": v["a"]}),
+            Language.VERILOG, "bundle-plain",
+        )
+        for plain in (str(text), text.strip(), text[:], text + "", f"{text}"):
+            assert type(plain) is str
 
-    def test_every_golden_testbench_keeps_its_bundle(self):
-        """A problem holds its golden bundles, so testbenches registered
-        after it cannot evict them."""
+    def test_every_golden_testbench_carries_its_bundle(self):
         from repro.evalsuite.suite import build_suite
 
-        problems = build_suite()
-        spec, model = _comb_spec(), CombModel(lambda v: {"y": v["a"]})
-        for k in range(tbgen._RECENT_LIMIT + 1):
-            tbgen.make_testbench(spec, model, Language.VERILOG, f"evict-{k}")
-        missing = [
-            f"{problem.pid}/{language.value}"
-            for problem in problems for language in Language
-            if tbgen.stimulus_bundle(problem.golden_tb[language]) is None
-        ]
-        assert missing == []
+        for problem in build_suite():
+            for language, testbench in problem.golden_tb.items():
+                assert testbench.bundle.spec is problem.spec, problem.pid
+                assert testbench.bundle.language is language, problem.pid
 
-    def test_ad_hoc_bundles_are_bounded(self):
-        spec, model = _comb_spec(), CombModel(lambda v: {"y": v["a"]})
-        first = tbgen.make_testbench(spec, model, Language.VERILOG, "lru-0")
-        for k in range(1, tbgen._RECENT_LIMIT + 1):
-            tbgen.make_testbench(spec, model, Language.VERILOG, f"lru-{k}")
-        assert len(tbgen._RECENT) == tbgen._RECENT_LIMIT
-        assert tbgen.stimulus_bundle(first) is None
+    @pytest.mark.parametrize("pid", ["gates_and", "dff_en"])
+    @pytest.mark.parametrize("language", list(Language))
+    def test_plain_copy_runs_on_the_kernel_with_the_same_observables(
+        self, language, pid
+    ):
+        """``str(testbench)`` is the kernel's reference answer for one set,
+        without the environment flag."""
+        from repro.evalsuite.suite import build_suite
+
+        problem = build_suite().get(pid)
+        ext = language.file_extension
+        dut = HdlFile(f"top_module{ext}", problem.reference[language], language)
+        testbench = problem.golden_tb[language]
+
+        def run(text):
+            return _simulate([dut, HdlFile(f"tb{ext}", text, language)])
+
+        batched, batch_calls = run(testbench)
+        kernel, kernel_calls = run(str(testbench))
+        assert (batch_calls, kernel_calls) == (1, 0)
+        assert any("All tests passed" in line for line in batched.output_lines)
+        compiled = [
+            (r.ok, r.log, [str(d) for d in r.diagnostics], r.tool_seconds)
+            for r in (batched.compile_result, kernel.compile_result)
+        ]
+        assert compiled[0] == compiled[1]
+        assert _observables(batched) == _observables(kernel)
+
+    def test_testbench_pickles_and_copies_with_its_bundle(self):
+        import copy
+        import pickle
+
+        text = tbgen.make_testbench(
+            _seq_spec(), _seq_model(), Language.VHDL, "bundle-pickle",
+            reset_outputs={"q": 0},
+        )
+        for twin in (pickle.loads(pickle.dumps(text)), copy.deepcopy(text),
+                     copy.copy(text)):
+            assert isinstance(twin, tbgen.Testbench)
+            assert twin == text
+            assert twin.bundle == text.bundle
+
+    def test_no_bundle_outlives_its_fuzz_campaign(self, monkeypatch):
+        """Nothing keeps an ad-hoc testbench's bundle once the campaign
+        that made it is done."""
+        import gc
+        import weakref
+
+        from repro.qa import oracle
+        from repro.qa.fuzz import run_fuzz
+
+        made = []
+
+        def recording(*args, **kwargs):
+            testbench = tbgen.make_testbench(*args, **kwargs)
+            made.append(weakref.ref(testbench.bundle))
+            return testbench
+
+        monkeypatch.setattr(oracle, "make_testbench", recording)
+        report = run_fuzz(seed=3, count=4)
+        assert len(report.results) == 4
+        assert len(made) == 8
+        gc.collect()
+        assert [ref for ref in made if ref() is not None] == []
 
     def test_clocked_vectors_replace_and_ignore_extra(self):
         """Regression: witness replay must not be diluted by extra_vectors."""
@@ -952,9 +1012,8 @@ class TestBundleRegistry:
             vectors=replacement,
             extra_vectors=[{"d": 77}],
         )
-        bundle = tbgen.stimulus_bundle(text)
-        assert bundle is not None and bundle.clocked
-        assert list(bundle.stimulus) == replacement
+        assert text.bundle.spec.clocked
+        assert list(text.bundle.stimulus) == replacement
         assert "77" not in text
 
     def test_comb_vectors_replace_and_ignore_extra(self):
@@ -966,8 +1025,7 @@ class TestBundleRegistry:
             vectors=replacement,
             extra_vectors=[{"a": 77, "b": 77}],
         )
-        bundle = tbgen.stimulus_bundle(text)
-        assert list(bundle.stimulus) == replacement
+        assert list(text.bundle.stimulus) == replacement
         assert "77" not in text
 
 
@@ -994,7 +1052,7 @@ end architecture;
 """
 
 
-#: a hand-written testbench: not a registered bundle, so it runs on the kernel
+#: a hand-written testbench: no stimulus bundle, so it runs on the kernel
 KERNEL_TB = """
 module tb;
     reg [3:0] a; wire [3:0] y;
@@ -1042,7 +1100,7 @@ class TestToolchainRouting:
         counters = self._counters(tracer)
         assert counters["batch_calls"] == 1
         assert counters["batch_vectors"] == len(
-            tbgen.stimulus_bundle(files[1].text).stimulus
+            files[1].text.bundle.stimulus
         )
 
     def test_kernel_run_feeds_scheduler_counters(self):

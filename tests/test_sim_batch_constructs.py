@@ -2,7 +2,7 @@
 
 ``tests/test_sim_construct_reference.py`` pins the kernel's answers for
 these constructs inside hand-written testbenches. Here each construct is a
-``top_module`` judged by a registered golden testbench, so the batch tier
+``top_module`` judged by a generated golden testbench, so the batch tier
 plans it whenever it can. The batch tier runs the kernel's own process
 bodies, stepping its combinational ones only on settled values, so it
 plans a process only if no closure of its body can abort on some operand

@@ -1,7 +1,7 @@
 """Engine equivalence: both simulation paths must agree.
 
 The batch tier (``repro.sim.batch``) must be observationally identical to
-the event kernel it replaces for registered golden testbenches. These
+the event kernel it replaces for generated golden testbenches. These
 tests drive the same sources through both — the batch default and the
 kernel (``REPRO_SIM_NO_BATCH=1``) — and require identical results:
 
@@ -63,7 +63,7 @@ def kernel_tier():
 
 
 def batch_tier():
-    """The default: the batch tier for registered golden testbenches."""
+    """The default: the batch tier for generated golden testbenches."""
     return _tier()
 
 

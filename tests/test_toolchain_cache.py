@@ -429,8 +429,8 @@ class TestStatsAndToggles:
 
 
 def _batch_files(language):
-    """A generated design with its freshly registered stimulus-bundle
-    testbench: the default tiers judge it on the batch tier."""
+    """A generated design with its generated testbench, which carries its
+    stimulus bundle: the default tiers judge it on the batch tier."""
     spec = generate_spec(0, 0)
     testbench = make_testbench(
         spec.design_spec(), spec.model(), language, spec.name
@@ -529,8 +529,8 @@ class TestOneElaborationPerMiss:
     def test_kernel_simulate_miss_elaborates_once(
         self, monkeypatch, language
     ):
-        # the hand-written testbench is not a registered stimulus bundle,
-        # so the run takes the event-kernel path
+        # the hand-written testbench carries no stimulus bundle, so the
+        # run takes the event-kernel path
         if language is Language.VERILOG:
             files = [
                 HdlFile("top_module.v", AND_GATE, Language.VERILOG),
@@ -585,6 +585,40 @@ class TestOneElaborationPerMiss:
         ]
         assert len(held) > len(toolchain.store)
         assert not [obj for obj in held if isinstance(obj, (Design, Plan))]
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_dropped_design_is_freed_without_the_cyclic_collector(
+        self, language
+    ):
+        """No process build refers back to its process, and the elaborator
+        keeps no design, so a compile-only design and its processes are
+        freed by reference counting alone."""
+        import gc
+        import weakref
+
+        from repro.hdl.diagnostics import DiagnosticCollector
+
+        problem = next(iter(build_suite()))
+        ext = language.file_extension
+        files = [
+            HdlFile(f"top_module{ext}", problem.reference[language], language),
+            HdlFile(f"tb{ext}", problem.golden_tb[language], language),
+        ]
+        toolchain = Toolchain()
+        toolchain._build_design(files, "tb", DiagnosticCollector())
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            design = toolchain._build_design(files, "tb", DiagnosticCollector())
+            assert design is not None and design.processes
+            alive = weakref.ref(design)
+            del design
+            assert alive() is None
+            assert gc.collect() == 0  # no process was left in a cycle
+        finally:
+            if enabled:
+                gc.enable()
 
 
 VHDL_TB = """
