@@ -10,14 +10,10 @@ Commands:
   when any problem task produced an error record;
 * ``trace`` — summarize (optionally ``--by-agent``) or validate a recorded
   trace file, extract its ``critical-path``, or emit folded stacks for
-  flamegraph tooling (``flame``);
-* ``obs`` — export the metrics a recorded trace carries, merged across
-  processes, as Prometheus text or a JSON health document (the surface
-  ``repro serve`` will mount as ``/metrics`` and ``/healthz``);
+  flamegraph tooling (``flame``); the summary includes the metrics the
+  trace carries, merged across processes;
 * ``bench`` — perf-regression gate: diff fresh ``BENCH_*.json`` reports
   against the committed baselines (``check``);
-* ``top`` — run a sweep / fuzz campaign / formal proving batch with a live
-  in-terminal dashboard subscribed to the event bus;
 * ``validate`` — check suite integrity (reference passes, mutations behave);
 * ``qa`` — differential fuzzing of the two language flows (``fuzz``,
   optionally with proof-based verdicts via ``--formal``), failing-case
@@ -140,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record a JSONL span and metrics trace of the sweep to PATH "
-             "(inspect with 'repro trace summarize PATH', export its "
-             "metrics with 'repro obs export PATH')",
+             "(inspect with 'repro trace summarize PATH')",
     )
 
     trace = sub.add_parser(
@@ -180,22 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the folded stacks here instead of stdout",
     )
 
-    obs = sub.add_parser(
-        "obs", help="export the metrics recorded in a trace"
-    )
-    obs_sub = obs.add_subparsers(dest="obs_command", required=True)
-    obs_export = obs_sub.add_parser(
-        "export",
-        help="merge a trace's metric records across processes and render "
-             "them",
-    )
-    obs_export.add_argument("path", help="trace file ('repro sweep --trace')")
-    obs_export.add_argument(
-        "--format", choices=["prometheus", "health"], default="prometheus",
-        help="prometheus text exposition (default) or a JSON health "
-             "document",
-    )
-
     bench = sub.add_parser(
         "bench", help="benchmark perf-regression gating"
     )
@@ -228,35 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--warn-only", action="store_true",
         help="report regressions but never fail (for noisy shared runners)",
     )
-
-    top = sub.add_parser(
-        "top",
-        help="run a campaign with a live in-terminal dashboard (progress, "
-             "cache hit rate, failure classes)",
-    )
-    top_sub = top.add_subparsers(dest="top_command", required=True)
-    top_sweep = top_sub.add_parser("sweep", help="live view of a sweep")
-    top_sweep.add_argument("--limit", type=int, default=0)
-    top_sweep.add_argument("--workers", type=_worker_count, default=1)
-    top_sweep.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS"
-    )
-    top_sweep.add_argument("--trace", default=None, metavar="PATH")
-    top_fuzz = top_sub.add_parser("fuzz", help="live view of a qa fuzz run")
-    top_fuzz.add_argument("--seed", type=int, default=0)
-    top_fuzz.add_argument("--count", type=int, default=50)
-    top_fuzz.add_argument("--workers", type=_worker_count, default=1)
-    top_fuzz.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS"
-    )
-    top_fuzz.add_argument("--formal", action="store_true")
-    top_prove = top_sub.add_parser(
-        "prove", help="live view of generated-program formal proving"
-    )
-    top_prove.add_argument("--seed", type=int, default=0)
-    top_prove.add_argument("--count", type=int, default=16)
-    top_prove.add_argument("--depth", type=int, default=None)
-    top_prove.add_argument("--workers", type=_worker_count, default=1)
 
     validate = sub.add_parser("validate", help="check suite integrity")
     validate.add_argument("--limit", type=int, default=0)
@@ -300,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record a JSONL span and metrics trace of the campaign "
-             "(inspect with 'repro trace summarize PATH', export its "
-             "metrics with 'repro obs export PATH')",
+             "(inspect with 'repro trace summarize PATH')",
     )
 
     reduce = qa_sub.add_parser(
@@ -777,26 +726,6 @@ def _cmd_formal(args, out) -> int:
     return 0 if failures == 0 else 1
 
 
-def _cmd_obs(args, out) -> int:
-    from repro.obs import (
-        aggregate_records,
-        read_trace,
-        render_health,
-        render_prometheus,
-    )
-
-    try:
-        snapshot = aggregate_records(read_trace(args.path), path=args.path)
-    except (OSError, ValueError) as exc:
-        out.write(f"cannot read trace: {exc}\n")
-        return 1
-    if args.format == "health":
-        out.write(render_health(snapshot) + "\n")
-    else:
-        out.write(render_prometheus(snapshot))
-    return 0
-
-
 def _cmd_bench(args, out) -> int:
     from repro.obs import DEFAULT_TOLERANCE, check_baselines
 
@@ -818,81 +747,6 @@ def _cmd_bench(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_top(args, out) -> int:
-    from repro.obs import EventBus, LiveView
-
-    bus = EventBus()
-    view = LiveView(title=f"repro top {args.top_command}")
-    bus.subscribe(view)
-
-    if args.top_command == "sweep":
-        suite = build_suite()
-        if args.limit:
-            suite = suite.head(args.limit)
-        runner = ExperimentRunner(
-            suite=suite,
-            workers=args.workers,
-            task_timeout=args.task_timeout,
-            trace_path=args.trace,
-            bus=bus,
-        )
-        results = runner.run_all()
-        view.finish()
-        out.write("sweep: " + runner.metrics.summary() + "\n")
-        errors = sum(result.error_count for result in results)
-        return 0 if errors == 0 else 1
-
-    if args.top_command == "fuzz":
-        from repro.qa.fuzz import run_fuzz
-
-        report = run_fuzz(
-            args.seed,
-            args.count,
-            workers=args.workers,
-            task_timeout=args.task_timeout,
-            formal=args.formal,
-            bus=bus,
-        )
-        view.finish()
-        out.write(report.render() + "\n")
-        return 0 if report.ok else 1
-
-    # top prove: generated-program formal proving with a live dashboard
-    from repro.exec.engine import ExecutionEngine
-    from repro.exec.task import Task
-    from repro.formal import FormalVerdict, check_program
-
-    engine = ExecutionEngine(workers=args.workers, bus=bus)
-    tasks = [
-        Task(
-            index=index,
-            key=f"formal/s{args.seed}/p{index}",
-            fn=check_program,
-            args=(args.seed, index, args.depth),
-        )
-        for index in range(args.count)
-    ]
-    failures = 0
-    counts: dict[str, int] = {}
-    for outcome in engine.run(tasks):
-        if not outcome.ok:
-            failures += 1
-            continue
-        for verdict in (
-            outcome.value["verilog"], outcome.value["vhdl"]
-        ):
-            counts[verdict] = counts.get(verdict, 0) + 1
-            if verdict != FormalVerdict.PROVED.value:
-                failures += 1
-    view.finish()
-    out.write(
-        f"formal prove: seed={args.seed} count={args.count} — "
-        + (", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "none")
-        + f", {failures} failure(s)\n"
-    )
-    return 0 if failures == 0 else 1
-
-
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
@@ -911,9 +765,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "validate": _cmd_validate,
         "qa": _cmd_qa,
         "formal": _cmd_formal,
-        "obs": _cmd_obs,
         "bench": _cmd_bench,
-        "top": _cmd_top,
     }
     return handlers[args.command](args, out)
 

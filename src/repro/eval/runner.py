@@ -50,16 +50,11 @@ from repro.designs.tbgen import PASS_MESSAGE
 from repro.eda.toolchain import CacheStats, HdlFile, Language, Toolchain
 from repro.evalsuite.suite import Suite, build_suite
 from repro.exec.engine import ExecutionEngine
-from repro.exec.progress import (
-    ProgressEvent,
-    SweepMetrics,
-    attach_metrics,
-    progress_adapter,
-)
+from repro.exec.progress import ProgressEvent, SweepMetrics
 from repro.exec.task import Task, TaskOutcome
 from repro.llm.profiles import CapabilityProfile, PROFILES
 from repro.llm.synthetic import SyntheticDesignLLM
-from repro.obs import EventBus, configure_tracing, get_tracer, set_tracer
+from repro.obs import configure_tracing, get_tracer, set_tracer
 
 log = logging.getLogger(__name__)
 
@@ -378,14 +373,11 @@ class ExperimentRunner:
       running in parallel (a hung or crashed worker costs one retry, then
       degrades to an error record instead of killing the sweep);
     * ``progress`` — callback receiving ``(ProgressEvent, SweepMetrics)``
-      as tasks finish;
+      for every engine event, after the metrics have folded it;
     * ``trace_path`` — when set, the sweep records a JSONL span trace to
       this file (see :mod:`repro.obs`); worker processes append to the
       same file, every process flushes its metrics there periodically,
-      and ``repro trace summarize`` and ``repro obs export`` read it back;
-    * ``bus`` — optional externally owned :class:`~repro.obs.EventBus`;
-      subscribers attached before the run (e.g. ``repro top``'s
-      :class:`~repro.obs.LiveView`) observe the sweep live.
+      and ``repro trace summarize`` reads it back.
     """
 
     def __init__(
@@ -402,7 +394,6 @@ class ExperimentRunner:
         task_retries: int = 1,
         progress: Callable[[ProgressEvent, SweepMetrics], None] | None = None,
         trace_path: str | None = None,
-        bus: EventBus | None = None,
     ):
         self.suite = suite or build_suite()
         self.max_syntax_iterations = max_syntax_iterations
@@ -415,7 +406,6 @@ class ExperimentRunner:
         self.task_retries = task_retries
         self.progress = progress
         self.trace_path = str(trace_path) if trace_path else None
-        self.bus = bus
         #: metrics of the most recent sweep (populated by every run)
         self.metrics = SweepMetrics()
 
@@ -481,23 +471,23 @@ class ExperimentRunner:
             open(self.trace_path, "w").close()
             configure_tracing(self.trace_path)
         tracer = get_tracer()
+        user_progress = self.progress
 
-        # one stream, composed consumers: aggregation first, then payload
-        # folding, then the trace recorder, then the user's renderer (which
-        # therefore always sees fully-updated metrics)
-        bus = self.bus if self.bus is not None else EventBus()
-        attach_metrics(bus, metrics)
-        bus.subscribe(lambda event: self._fold_payload(event, metrics))
-        if tracer.enabled:
-            bus.subscribe(lambda event: _record_trace_event(tracer, event))
-        if self.progress is not None:
-            bus.subscribe(progress_adapter(self.progress, metrics))
+        def progress(event: ProgressEvent) -> None:
+            # the user's callback runs last, so it always sees the metrics
+            # with this event and its task payload folded in
+            metrics.observe_event(event)
+            self._fold_payload(event, metrics)
+            if tracer.enabled:
+                _record_trace_event(tracer, event)
+            if user_progress is not None:
+                user_progress(event, metrics)
 
         engine = ExecutionEngine(
             workers=self.workers,
             timeout=self.task_timeout,
             retries=self.task_retries,
-            bus=bus,
+            progress=progress,
             initializer=_init_worker,
             initargs=(self.suite, self._settings),
         )

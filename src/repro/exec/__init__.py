@@ -7,10 +7,8 @@ Public surface:
 * :class:`~repro.exec.task.Task` / :class:`~repro.exec.task.TaskOutcome` —
   the unit of work and its result envelope;
 * :class:`~repro.exec.progress.ProgressEvent` /
-  :class:`~repro.exec.progress.SweepMetrics` — the progress/metrics hook,
-  driven by the unified :class:`~repro.obs.bus.EventBus`
-  (:func:`~repro.exec.progress.attach_metrics` /
-  :func:`~repro.exec.progress.progress_adapter`).
+  :class:`~repro.exec.progress.SweepMetrics` — the events the engine hands
+  its ``progress`` callback, and the sweep counters that fold them.
 """
 
 from repro.exec.engine import ExecutionEngine
@@ -22,9 +20,7 @@ from repro.exec.progress import (
     TASK_RETRY,
     ProgressEvent,
     SweepMetrics,
-    attach_metrics,
     format_progress_line,
-    progress_adapter,
 )
 from repro.exec.task import (
     STATUS_CRASHED,
@@ -41,8 +37,6 @@ __all__ = [
     "TaskOutcome",
     "ProgressEvent",
     "SweepMetrics",
-    "attach_metrics",
-    "progress_adapter",
     "format_progress_line",
     "STATUS_OK",
     "STATUS_ERROR",

@@ -35,7 +35,7 @@ import traceback
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
-from repro.obs import EventBus, get_tracer
+from repro.obs import get_tracer
 from repro.exec.progress import (
     ENGINE_FINISH,
     ENGINE_START,
@@ -176,11 +176,6 @@ class ExecutionEngine:
     progress:
         Optional callback receiving a :class:`ProgressEvent` per
         transition.
-    bus:
-        Optional :class:`~repro.obs.bus.EventBus`; every
-        :class:`ProgressEvent` is published there (before the ``progress``
-        callback runs), making the bus the one stream metrics, traces,
-        and status renderers all consume.
     initializer / initargs:
         Run once in each worker (and once in-process for serial runs)
         before any task; the place to build per-process context.
@@ -193,7 +188,6 @@ class ExecutionEngine:
         timeout: float | None = None,
         retries: int = 1,
         progress: Callable[[ProgressEvent], None] | None = None,
-        bus: EventBus | None = None,
         initializer: Callable | None = None,
         initargs: tuple = (),
         start_method: str | None = None,
@@ -208,7 +202,6 @@ class ExecutionEngine:
         self.timeout = timeout
         self.retries = retries
         self.progress = progress
-        self.bus = bus
         self.initializer = initializer
         self.initargs = initargs
         if start_method is None:
@@ -453,7 +446,5 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     def _emit(self, event: ProgressEvent) -> None:
-        if self.bus is not None:
-            self.bus.publish(event)
         if self.progress is not None:
             self.progress(event)

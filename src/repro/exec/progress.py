@@ -1,23 +1,21 @@
 """Progress events and sweep-level metrics.
 
-The engine emits a :class:`ProgressEvent` per task transition (done, retry,
-final error) onto the unified :class:`~repro.obs.bus.EventBus`.
+The engine hands a :class:`ProgressEvent` per transition (engine start and
+finish, task done, retry, final error) to its one ``progress`` callback.
 :class:`SweepMetrics` — tasks done, error/retry counts, toolchain-cache hit
-rate, and modeled per-stage latency — is one subscriber of that stream
-(:func:`attach_metrics`); the legacy ``(event, metrics)`` progress callback
-that ``repro sweep --progress`` uses is another, wrapped by
-:func:`progress_adapter`. One stream, composed consumers — nothing forks
-the event flow.
+rate, and modeled per-stage latency — folds those events
+(:meth:`SweepMetrics.observe_event`); the experiment runner's callback
+folds each event and its task payload before it calls the user's
+``(event, metrics)`` callback, such as ``repro sweep --progress``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.exec.task import TaskOutcome
-    from repro.obs.bus import EventBus
 
 #: event kinds
 TASK_DONE = "task-done"
@@ -100,34 +98,6 @@ class SweepMetrics:
         if stage:
             parts.append(f"modeled latency: {stage}")
         return "; ".join(parts)
-
-
-def attach_metrics(bus: "EventBus", metrics: SweepMetrics) -> SweepMetrics:
-    """Drive ``metrics`` from the unified event bus.
-
-    Subscribes :meth:`SweepMetrics.observe_event`, so the aggregation is a
-    consumer of the same stream the trace recorder and progress renderers
-    read — no side-channel counting.
-    """
-    bus.subscribe(metrics.observe_event)
-    return metrics
-
-
-def progress_adapter(
-    callback: Callable[[ProgressEvent, SweepMetrics], None],
-    metrics: SweepMetrics,
-) -> Callable[[ProgressEvent], None]:
-    """Adapt a legacy ``(event, metrics)`` progress callback to the bus.
-
-    Keeps the public ``ExperimentRunner(progress=...)`` signature stable:
-    subscribers receive only the event; the adapter closes over the metrics
-    the callback expects alongside it. Subscribe this *after*
-    :func:`attach_metrics` so the callback sees already-updated metrics,
-    exactly as the pre-bus implementation did.
-    """
-    def subscriber(event: ProgressEvent) -> None:
-        callback(event, metrics)
-    return subscriber
 
 
 def format_progress_line(event: ProgressEvent, metrics: SweepMetrics) -> str:

@@ -11,8 +11,6 @@ Public surface:
   process-safe trace outputs (one atomic ``write`` per line);
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   fixed-bucket histograms;
-* :class:`~repro.obs.bus.EventBus` — the unified progress/telemetry event
-  stream the execution engine publishes to;
 * :func:`~repro.obs.schema.validate_record` /
   :func:`~repro.obs.schema.validate_trace` — dependency-free record
   validation against :data:`~repro.obs.schema.TRACE_RECORD_SCHEMA`;
@@ -20,17 +18,12 @@ Public surface:
   :func:`~repro.obs.summary.render_trace_summary` — the Figure 3-style
   aggregation behind ``repro trace summarize``;
 * :func:`~repro.obs.summary.aggregate_records` — the cross-process merge
-  of a trace's ``metric`` records behind ``repro obs export``;
-* :func:`~repro.obs.export.render_prometheus` /
-  :func:`~repro.obs.export.render_health` — Prometheus text and JSON
-  health exposition of a merged snapshot;
+  of a trace's ``metric`` records that ``repro trace summarize`` reads;
 * :func:`~repro.obs.analyze.critical_path` /
   :func:`~repro.obs.analyze.fold_stacks` — span-tree analytics behind
   ``repro trace critical-path`` and ``repro trace flame``;
 * :func:`~repro.obs.baseline.check_baselines` — the ``repro bench check``
-  perf-regression gate over committed ``BENCH_*.json`` baselines;
-* :class:`~repro.obs.top.LiveView` — the ``repro top`` live TTY dashboard
-  subscribed to the event bus.
+  perf-regression gate over committed ``BENCH_*.json`` baselines.
 """
 
 from repro.obs.analyze import (
@@ -50,12 +43,6 @@ from repro.obs.baseline import (
     BenchDelta,
     check_baselines,
     compare_reports,
-)
-from repro.obs.bus import EventBus
-from repro.obs.export import (
-    prometheus_name,
-    render_health,
-    render_prometheus,
 )
 from repro.obs.metrics import (
     DEFAULT_COUNT_BUCKETS,
@@ -101,7 +88,6 @@ from repro.obs.trace import (
     get_tracer,
     set_tracer,
 )
-from repro.obs.top import LiveView
 
 __all__ = [
     "Tracer",
@@ -119,7 +105,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "NullSink",
-    "EventBus",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
@@ -143,10 +128,6 @@ __all__ = [
     "render_agent_breakdown",
     "MetricsSnapshot",
     "aggregate_records",
-    # exposition (repro.obs.export)
-    "render_prometheus",
-    "render_health",
-    "prometheus_name",
     # trace analytics (repro.obs.analyze)
     "SpanNode",
     "PathStep",
@@ -163,8 +144,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "compare_reports",
     "check_baselines",
-    # live TTY view (repro.obs.top)
-    "LiveView",
 ]
 
 

@@ -14,14 +14,15 @@ the paper's behavioral questions from that record alone:
   rate per stage from its ``toolchain.store.<stage>.hit|miss|evict``
   counters;
 * task lifecycle counts, replayed from the engine's event stream;
-* LLM token totals from the pipeline spans.
+* LLM token totals from the pipeline spans;
+* for a ``repro qa fuzz`` trace, the per-op verdict table from its
+  ``qa.fuzz.op.<kind>.<class>`` counters.
 
 Everything is derived from spans, events and ``metric`` records, never from
 in-process state, so the numbers are identical whether the sweep ran
 serially or across worker processes. :func:`aggregate_records` merges the
 ``metric`` records every process flushes into one cross-process view; the
-summary's simulator and store counters come from it, and ``repro obs
-export`` renders it (see :mod:`repro.obs.export`).
+summary's simulator, store and per-op counters come from it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ SIMULATE_SPAN = "toolchain.simulate"
 #: the result store's per-stage counters are ``<prefix><stage>.<event>``
 STORE_PREFIX = "toolchain.store."
 STORE_EVENTS = ("hit", "miss", "evict")
+#: a fuzz campaign's per-op verdict counters are ``<prefix><kind>.<class>``
+OP_PREFIX = "qa.fuzz.op."
 
 #: the paper's three-agent pipeline, mapped from span names: the code
 #: agent writes RTL (initial generation and the no-loop baseline), the
@@ -76,17 +79,13 @@ class MetricsSnapshot:
     """One cross-process view of every metric a trace carries.
 
     ``metrics`` maps metric name → merged record in the layout the
-    registry's ``to_record`` produces, so everything that can render a
-    registry dump can render a merged snapshot.
+    registry's ``to_record`` produces.
     """
 
-    path: str = ""
     metrics: dict[str, dict] = field(default_factory=dict)
     pids: list[int] = field(default_factory=list)
     #: ``metric`` records read, superseded ones included
     record_count: int = 0
-    earliest: float = 0.0
-    latest: float = 0.0
 
     def counter(self, name: str) -> float:
         """Merged value of a counter (0 when absent)."""
@@ -138,7 +137,7 @@ def merge_metric_records(into: dict, record: dict, *, time_key: float) -> dict:
     return into
 
 
-def aggregate_records(records: list[dict], *, path: str = "") -> MetricsSnapshot:
+def aggregate_records(records: list[dict]) -> MetricsSnapshot:
     """Merge a trace's ``metric`` records into one :class:`MetricsSnapshot`.
 
     Every flush writes a process's whole registry cumulatively, so only the
@@ -158,13 +157,10 @@ def aggregate_records(records: list[dict], *, path: str = "") -> MetricsSnapshot
         record_count += 1
         latest[(record["pid"], record["name"])] = record
 
-    snapshot = MetricsSnapshot(path=path, record_count=record_count)
+    snapshot = MetricsSnapshot(record_count=record_count)
     if not latest:
         return snapshot
     snapshot.pids = sorted({pid for pid, _ in latest})
-    times = [record["time"] for record in latest.values()]
-    snapshot.earliest = min(times)
-    snapshot.latest = max(times)
 
     merged: dict[str, dict] = {}
     for key in sorted(latest):
@@ -252,6 +248,8 @@ class TraceSummary:
     sim_batch_vectors: int = 0
     #: result-store stage → {"hit": n, "miss": n, "evict": n}
     store: dict = field(default_factory=dict)
+    #: fuzz op kind → {failure class: programs using that op kind}
+    op_classes: dict = field(default_factory=dict)
     prompt_tokens: int = 0
     completion_tokens: int = 0
     stage_seconds: dict = field(
@@ -320,6 +318,11 @@ def summarize_records(records: list[dict], *, path: str = "") -> TraceSummary:
                 stage, dict.fromkeys(STORE_EVENTS, 0)
             )
             counts[event] += int(metric["value"])
+        elif name.startswith(OP_PREFIX):
+            op, _, verdict = name[len(OP_PREFIX):].rpartition(".")
+            summary.op_classes.setdefault(op, {})[verdict] = int(
+                metric["value"]
+            )
     summary.sim_activations = int(metrics.counter("sim.activations"))
     summary.sim_delta_cycles = int(metrics.counter("sim.delta_cycles"))
     summary.sim_batch_calls = int(metrics.counter("sim.batch_calls"))
@@ -565,4 +568,12 @@ def render_trace_summary(summary: TraceSummary) -> str:
                 f"  {config.key:<28} {config.runs:>4} {config.errors:>3} "
                 f"{syntax:>20} {functional:>20} {seconds:>22}"
             )
+    if summary.op_classes:
+        lines.append("")
+        lines.append("  per-op verdicts (programs using each op kind):")
+        for op, classes in sorted(summary.op_classes.items()):
+            lines.append(f"    {op:<10} " + ", ".join(
+                f"{verdict}={count}"
+                for verdict, count in sorted(classes.items())
+            ))
     return "\n".join(lines)

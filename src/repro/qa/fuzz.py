@@ -90,8 +90,8 @@ class FuzzReport:
         """Per-op-kind verdict histogram: op kind -> failure class -> n.
 
         The same histogram reaches the trace as
-        ``qa.fuzz.op.<kind>.<class>`` counters, which is what the nightly
-        deep campaign exports with ``repro obs export``.
+        ``qa.fuzz.op.<kind>.<class>`` counters, and ``repro trace
+        summarize`` prints it back from them, one line per op kind.
         """
         table: dict[str, dict[str, int]] = {}
         for result in self.results:
@@ -214,15 +214,12 @@ def run_fuzz(
     task_timeout: float | None = None,
     progress=None,
     formal: bool = False,
-    bus=None,
 ) -> FuzzReport:
     """Run one campaign; the report is identical at any ``workers`` value.
 
     ``formal=True`` adds the proof-based verdict to every program and makes
     the campaign fail on any proof-vs-simulation inconsistency.
-    ``bus`` forwards engine progress to an externally owned
-    :class:`~repro.obs.EventBus` (``repro top fuzz`` subscribes its
-    :class:`~repro.obs.LiveView` there).
+    ``progress`` receives every engine event, as the engine emits it.
     """
     tracer = get_tracer()
     with tracer.span(
@@ -230,7 +227,7 @@ def run_fuzz(
     ) as span:
         started = _time.perf_counter()
         engine = ExecutionEngine(
-            workers=workers, timeout=task_timeout, progress=progress, bus=bus
+            workers=workers, timeout=task_timeout, progress=progress
         )
         tasks = [
             Task(

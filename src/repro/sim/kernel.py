@@ -107,16 +107,8 @@ class Simulator:
         self._future: list[tuple[int, int, Process]] = []
         self._seq = 0
         self._finished = False
-        self._traced: list[Signal] = []
 
     # -- public API ------------------------------------------------------------
-
-    def trace(self, *signals: Signal) -> None:
-        """Record (time, value) history for the given signals."""
-        for signal in signals:
-            if signal.trace is None:
-                signal.trace = [(self.time, signal.value)]
-            self._traced.append(signal)
 
     def run(self) -> SimStats:
         """Run until ``$finish``, event exhaustion, or ``max_time``."""
@@ -151,8 +143,6 @@ class Simulator:
         if new is old or (new.bits == old.bits and new.xmask == old.xmask):
             return
         signal._value = new
-        if signal.trace is not None:
-            signal.trace.append((self.time, new))
         if signal.waiters:
             self._wake_waiters(signal, old)
 

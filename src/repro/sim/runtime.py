@@ -33,7 +33,7 @@ class Edge(enum.Enum):
 class Signal:
     """A named storage element. Value updates flow through the kernel only."""
 
-    __slots__ = ("name", "width", "_value", "waiters", "trace")
+    __slots__ = ("name", "width", "_value", "waiters")
 
     def __init__(self, name: str, width: int, initial: Logic | None = None):
         self.name = name
@@ -44,8 +44,6 @@ class Signal:
         #: common one-entry case, a list otherwise) — a dict so the kernel can
         #: wake and unregister in O(1) per process
         self.waiters: dict["Process", "Sensitivity | list[Sensitivity]"] = {}
-        #: optional list of (time, value) pairs appended by the kernel when tracing
-        self.trace: list[tuple[int, Logic]] | None = None
 
     @property
     def value(self) -> Logic:

@@ -347,7 +347,7 @@ class TestFormal:
 
 
 class TestObsCommands:
-    """The telemetry surface: export, analytics, gate, top."""
+    """The telemetry surface: trace analytics; retired commands stay gone."""
 
     def record_sweep(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -358,55 +358,19 @@ class TestObsCommands:
         assert code == 0
         return trace
 
-    def test_obs_export_prometheus(self, tmp_path):
-        trace = self.record_sweep(tmp_path)
-        code, text = run_cli("obs", "export", str(trace))
-        assert code == 0
-        assert "# TYPE repro_pipeline_runs counter" in text
-        assert "repro_pipeline_runs 12" in text
-        assert '_bucket{le="+Inf"}' in text
-
-    def test_obs_export_health(self, tmp_path):
-        import json
-
-        trace = self.record_sweep(tmp_path)
-        code, text = run_cli("obs", "export", "--format", "health",
-                             str(trace))
-        assert code == 0
-        health = json.loads(text)
-        assert health["status"] == "ok"
-        assert health["trace"] == str(trace)
-        assert health["processes"] == 2
-        assert health["metrics"]["pipeline.runs"]["value"] == 12
-
-    def test_obs_export_missing_file(self, tmp_path):
-        code, text = run_cli("obs", "export", str(tmp_path / "ghost"))
-        assert code == 1
-        assert "cannot read trace" in text
-
-    def test_obs_export_of_a_trace_without_metrics_is_empty(self, tmp_path):
-        import json
-
-        path = tmp_path / "spans-only.jsonl"
-        path.write_text(
-            '{"type":"meta","version":1,"pid":1,"time":0.0,"attrs":{}}\n'
-        )
-        code, text = run_cli("obs", "export", "--format", "health",
-                             str(path))
-        assert code == 0
-        assert json.loads(text)["status"] == "empty"
-
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--limit", "1", "--spool", "m.jsonl"],
          "unrecognized arguments: --spool"),
         (["qa", "fuzz", "--count", "1", "--spool", "m.jsonl"],
          "unrecognized arguments: --spool"),
         (["top", "sweep", "--limit", "1", "--spool", "m.jsonl"],
-         "unrecognized arguments: --spool"),
-        (["obs", "validate", "m.jsonl"], "invalid choice: 'validate'"),
-    ], ids=["sweep", "qa-fuzz", "top-sweep", "obs-validate"])
+         "invalid choice: 'top'"),
+        (["obs", "validate", "m.jsonl"], "invalid choice: 'obs'"),
+        (["obs", "export", "t.jsonl"], "invalid choice: 'obs'"),
+    ], ids=["sweep", "qa-fuzz", "top-sweep", "obs-validate", "obs-export"])
     def test_spool_surface_is_gone(self, argv, message, capsys):
-        """Metrics travel in the trace; argparse rejects the old flags."""
+        """Metrics travel in the trace, which ``repro trace summarize``
+        reads; argparse rejects the old flags and commands."""
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 2
@@ -443,16 +407,16 @@ class TestObsCommands:
         for agent in ("code", "review", "verification"):
             assert agent in text
 
-    def test_qa_fuzz_trace_exports_counters(self, tmp_path):
+    def test_qa_fuzz_trace_summarizes_counters(self, tmp_path):
         trace = tmp_path / "fuzz.trace.jsonl"
         code, _ = run_cli(
             "qa", "fuzz", "--seed", "1", "--count", "3",
             "--trace", str(trace),
         )
         assert code == 0
-        code, text = run_cli("obs", "export", str(trace))
+        code, text = run_cli("trace", "summarize", str(trace))
         assert code == 0
-        assert "repro_qa_fuzz_programs 3" in text
+        assert "per-op verdicts (programs using each op kind):" in text
 
 
 class TestBenchCheck:
@@ -513,38 +477,3 @@ class TestBenchCheck:
         )
         assert code == 0
         assert "(PASS)" in text
-
-
-class TestTop:
-    def test_top_fuzz_renders_dashboard(self, capsys):
-        code, text = run_cli(
-            "top", "fuzz", "--seed", "1", "--count", "3"
-        )
-        assert code == 0
-        assert "qa fuzz: seed=1" in text
-        dashboard = capsys.readouterr().err
-        assert "repro top fuzz" in dashboard
-        assert "3/3 tasks" in dashboard
-
-    def test_top_sweep_renders_dashboard(self, capsys, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        code, text = run_cli(
-            "top", "sweep", "--limit", "2", "--trace", str(trace)
-        )
-        assert code == 0
-        assert "sweep:" in text
-        dashboard = capsys.readouterr().err
-        assert "repro top sweep" in dashboard
-        code, text = run_cli("obs", "export", str(trace))
-        assert code == 0
-        assert "repro_pipeline_runs 12" in text
-
-    def test_top_prove_renders_dashboard(self, capsys):
-        code, text = run_cli(
-            "top", "prove", "--seed", "0", "--count", "2"
-        )
-        assert code == 0
-        assert "formal prove: seed=0 count=2" in text
-        assert "proved=" in text
-        dashboard = capsys.readouterr().err
-        assert "repro top prove" in dashboard

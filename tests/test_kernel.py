@@ -344,20 +344,3 @@ class TestDesignContainer:
         design.new_signal("a", 1)
         with pytest.raises(KeyError, match="known"):
             design.signal("missing")
-
-    def test_trace_records_changes(self):
-        design = make_design()
-        s = design.new_signal("s", 1, Logic.from_int(0, 1))
-
-        def proc(sim):
-            def body():
-                yield Delay(5)
-                sim.write_signal(s, Logic.from_int(1, 1))
-
-            return body()
-
-        design.add_process(Process("p", proc))
-        simulator = Simulator(design)
-        simulator.trace(s)
-        simulator.run()
-        assert [(t, v.to_int()) for t, v in s.trace] == [(0, 0), (5, 1)]

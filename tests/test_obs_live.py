@@ -1,5 +1,5 @@
 """Tests for cross-process metrics in the trace: periodic flushes and the
-aggregator behind ``repro trace summarize`` and ``repro obs export``.
+aggregator behind ``repro trace summarize``.
 
 Every process flushes its whole registry into the trace as cumulative
 ``metric`` records. Covers the merge semantics over those records (the
@@ -7,8 +7,9 @@ latest record per pid and name counts; counters add, gauges keep the latest
 write, histograms add element-wise), the merge edge cases (overflow
 buckets, disjoint name sets, mid-observation flushes), and the end-to-end
 guarantees: a traced sweep's merged metrics equal the live
-``SweepMetrics`` at any worker count, and a worker killed mid-task keeps
-what it flushed before.
+``SweepMetrics`` at any worker count, a fuzz campaign's summary prints its
+per-op verdict table, and a worker killed mid-task keeps what it flushed
+before.
 """
 
 import io
@@ -291,6 +292,21 @@ class TestSweepEquivalence:
         assert merged.counter("qa.fuzz.divergences") == len(
             report.divergences
         )
+        # the summary prints the per-op verdict table, one line per op kind
+        out = io.StringIO()
+        assert cli_main(["trace", "summarize", str(trace)], out=out) == 0
+        lines = out.getvalue().splitlines()
+        start = lines.index("  per-op verdicts (programs using each op kind):")
+        table = {}
+        for line in lines[start + 1:]:
+            op, cells = line.split(None, 1)
+            table[op] = {
+                verdict: int(count)
+                for verdict, count in (
+                    cell.split("=") for cell in cells.split(", ")
+                )
+            }
+        assert table == report.op_class_counts
 
 
 def _count_task(units, hang):
@@ -318,7 +334,6 @@ class TestKilledWorker:
             Task(index=2, key="hang", fn=_count_task, args=(100, True)),
         ])
         assert [o.status for o in outcomes] == ["ok", "ok", "timeout"]
-        out = io.StringIO()
-        assert cli_main(["obs", "export", str(trace)], out=out) == 0
+        merged = aggregate_records(read_trace(trace))
         # 1 + 2 from the two first tasks; the hung task's 100 died unflushed
-        assert "repro_test_units 3\n" in out.getvalue()
+        assert merged.counter("test.units") == 3

@@ -1,4 +1,4 @@
-"""Tests for the event bus, trace schema validation, and trace summaries.
+"""Tests for sweep metrics, trace schema validation, and trace summaries.
 
 The acceptance-level check lives here: a recorded sweep trace, summarized
 offline, must agree with the live ``SweepMetrics`` the runner aggregated
@@ -17,13 +17,10 @@ from repro.exec.progress import (
     TASK_DONE,
     ProgressEvent,
     SweepMetrics,
-    attach_metrics,
-    progress_adapter,
 )
 from repro.eda.toolchain import Language
 from repro.llm.profiles import CLAUDE_35_SONNET, GPT_4O
 from repro.obs import (
-    EventBus,
     get_tracer,
     render_trace_summary,
     set_tracer,
@@ -42,43 +39,37 @@ def _restore_global_tracer():
     set_tracer(previous)
 
 
-class TestEventBus:
-    def test_delivery_in_subscription_order(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(lambda e: seen.append(("first", e)))
-        bus.subscribe(lambda e: seen.append(("second", e)))
-        bus.publish("x")
-        assert seen == [("first", "x"), ("second", "x")]
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        subscriber = bus.subscribe(seen.append)
-        assert len(bus) == 1
-        bus.unsubscribe(subscriber)
-        bus.publish("x")
-        assert seen == []
-        bus.unsubscribe(subscriber)  # double removal is harmless
-
-    def test_attach_metrics_folds_events(self):
-        bus = EventBus()
-        metrics = attach_metrics(bus, SweepMetrics(total=2))
-        bus.publish(ProgressEvent(kind=TASK_DONE, done=1, total=2))
-        bus.publish(ProgressEvent(kind=TASK_DONE, done=2, total=2))
+class TestSweepMetrics:
+    def test_observe_event_folds_events(self):
+        metrics = SweepMetrics(total=2)
+        metrics.observe_event(ProgressEvent(kind=TASK_DONE, done=1, total=2))
+        metrics.observe_event(ProgressEvent(kind=TASK_DONE, done=2, total=2))
         assert metrics.done == 2
         assert metrics.ok == 2
 
-    def test_progress_adapter_sees_updated_metrics(self):
-        bus = EventBus()
-        metrics = attach_metrics(bus, SweepMetrics(total=1))
-        observed = []
-        bus.subscribe(progress_adapter(
-            lambda event, m: observed.append((event.kind, m.done)), metrics
-        ))
-        bus.publish(ProgressEvent(kind=TASK_DONE, done=1, total=1))
-        # metrics subscriber ran first, so the callback saw done=1
-        assert observed == [(TASK_DONE, 1)]
+    def test_runner_callback_sees_the_event_and_payload_folded(self):
+        """The user's ``(event, metrics)`` callback runs last: by then the
+        metrics hold the event itself and its task's cache counters."""
+        seen = {"calls": 0, "hits": 0, "misses": 0}
+
+        def progress(event, metrics):
+            if event.kind != TASK_DONE:
+                return
+            seen["calls"] += 1
+            delta = event.outcome.value.cache_delta
+            seen["hits"] += delta.hits
+            seen["misses"] += delta.misses
+            assert metrics.done == event.done
+            assert metrics.ok == event.done
+            assert metrics.cache_hits == seen["hits"]
+            assert metrics.cache_misses == seen["misses"]
+
+        runner = ExperimentRunner(
+            suite=build_suite().head(2), progress=progress
+        )
+        runner.run_all()
+        assert seen["calls"] == runner.metrics.total == 12
+        assert seen["hits"] > 0 and seen["misses"] > 0
 
 
 class TestValidateRecord:
@@ -189,6 +180,9 @@ class TestRenderTraceSummary:
         assert "hit rate" in text
         assert "gpt-4o/verilog" in text
         assert "claude-3.5-sonnet/verilog" in text
+        # a sweep carries no fuzz op counters, so no per-op table
+        assert summary.op_classes == {}
+        assert "per-op" not in text
 
     def test_empty_records_render(self):
         text = render_trace_summary(summarize_records([]))

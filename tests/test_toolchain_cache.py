@@ -31,7 +31,6 @@ from repro.obs import (
     configure_tracing,
     get_tracer,
     read_trace,
-    render_prometheus,
     set_tracer,
 )
 
@@ -640,7 +639,7 @@ end architecture;
 
 
 class TestStoreCounters:
-    def test_counters_and_gauges_reach_trace_and_prometheus(self, tmp_path):
+    def test_counters_and_gauges_reach_trace(self, tmp_path):
         trace = tmp_path / "store.trace.jsonl"
         previous_tracer = get_tracer()
         try:
@@ -673,9 +672,6 @@ class TestStoreCounters:
         assert merged.metrics["toolchain.store.bytes"]["value"] == (
             toolchain.store.nbytes
         )
-        text = render_prometheus(merged)
-        assert "repro_toolchain_store_simulate_hit 1" in text
-        assert "# TYPE repro_toolchain_store_bytes gauge" in text
 
 
 # -- per-unit analysis keys ---------------------------------------------------
