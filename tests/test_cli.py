@@ -365,9 +365,16 @@ class TestObsCommands:
          "unrecognized arguments: --spool"),
         (["top", "sweep", "--limit", "1", "--spool", "m.jsonl"],
          "invalid choice: 'top'"),
+        (["top", "fuzz", "--seed", "1", "--count", "3"],
+         "invalid choice: 'top'"),
+        (["top", "prove", "--seed", "0", "--count", "2"],
+         "invalid choice: 'top'"),
         (["obs", "validate", "m.jsonl"], "invalid choice: 'obs'"),
         (["obs", "export", "t.jsonl"], "invalid choice: 'obs'"),
-    ], ids=["sweep", "qa-fuzz", "top-sweep", "obs-validate", "obs-export"])
+    ], ids=[
+        "sweep", "qa-fuzz", "top-sweep", "top-fuzz", "top-prove",
+        "obs-validate", "obs-export",
+    ])
     def test_spool_surface_is_gone(self, argv, message, capsys):
         """Metrics travel in the trace, which ``repro trace summarize``
         reads; argparse rejects the old flags and commands."""
@@ -375,6 +382,50 @@ class TestObsCommands:
             run_cli(*argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_trace_summarize_merges_a_parallel_sweep(self, tmp_path):
+        from repro.obs import aggregate_records, read_trace
+
+        trace = self.record_sweep(tmp_path)
+        merged = aggregate_records(read_trace(trace))
+        assert merged.counter("pipeline.runs") == 12
+        assert len(merged.pids) == 2
+        code, text = run_cli("trace", "summarize", str(trace))
+        assert code == 0
+        assert "tasks: 12/12 done — 12 ok, 0 error(s)" in text
+        assert f"metrics {merged.record_count})" in text
+
+    def test_trace_summarize_of_a_trace_without_metrics(self, tmp_path):
+        path = tmp_path / "meta-only.jsonl"
+        path.write_text(
+            '{"type":"meta","version":1,"pid":1,"time":0.0,"attrs":{}}\n'
+        )
+        code, text = run_cli("trace", "summarize", str(path))
+        assert code == 0
+        assert "records: 1 (spans 0, events 0, metrics 0)" in text
+        assert "store hit rate: no lookups recorded" in text
+        assert "per-op" not in text
+
+    def test_trace_summarize_rejects_a_malformed_metric(self, tmp_path):
+        path = tmp_path / "bad-metric.jsonl"
+        path.write_text(
+            '{"type":"metric","pid":1,"time":1.0,"kind":"counter",'
+            '"value":3}\n'
+        )
+        code, text = run_cli("trace", "summarize", str(path))
+        assert code == 1
+        assert "cannot read trace: malformed metric record" in text
+
+    def test_trace_summarize_names_the_line_that_is_not_json(self, tmp_path):
+        path = tmp_path / "truncated.jsonl"
+        path.write_text(
+            '{"type":"meta","version":1,"pid":1,"time":0.0,"attrs":{}}\n'
+            '{"type": "span", "name":\n'
+        )
+        code, text = run_cli("trace", "summarize", str(path))
+        assert code == 1
+        assert "cannot read trace" in text
+        assert "line 2 is not valid JSON" in text
 
     def test_trace_critical_path(self, tmp_path):
         trace = self.record_sweep(tmp_path)

@@ -252,3 +252,16 @@ class TestProgressStream:
         assert "gpt-4o/verilog/counter8" in line
         assert "attempt 2" in line
         assert "cache 75%" in line
+
+    def test_format_progress_line_without_details(self):
+        event = ProgressEvent(kind=TASK_DONE, done=1, total=3, key="a/b/c")
+        line = format_progress_line(event, SweepMetrics(total=3))
+        assert line == "[1/3]  task-done  a/b/c"
+
+    def test_format_progress_line_flags_warnings_with_the_last_line(self):
+        event = ProgressEvent(
+            kind=TASK_ERROR, done=1, total=1, key="a/b/c",
+            level="warning", message="Traceback ...\n" + "E" * 100,
+        )
+        line = format_progress_line(event, SweepMetrics(total=1))
+        assert line == "[1/1]! task-error a/b/c (" + "E" * 80 + ")"

@@ -344,3 +344,149 @@ class TestDesignContainer:
         design.new_signal("a", 1)
         with pytest.raises(KeyError, match="known"):
             design.signal("missing")
+
+
+def monitor(signal, seen, edge=Edge.ANY):
+    """A process that logs ``(time, bit string)`` on every matching change."""
+
+    def factory(sim):
+        def body():
+            while True:
+                yield WaitChange((Sensitivity(signal, edge),))
+                seen.append((sim.time, signal.value.to_bit_string()))
+
+        return body()
+
+    return Process("monitor", factory)
+
+
+def driver(signal, writes):
+    """A process that performs ``(delay, value)`` blocking writes in order."""
+
+    def factory(sim):
+        def body():
+            for delay, value in writes:
+                yield Delay(delay)
+                sim.write_signal(signal, value)
+
+        return body()
+
+    return Process("driver", factory)
+
+
+class TestValueChanges:
+    """Every value change reaches the processes that wait on the signal."""
+
+    def test_monitor_sees_every_change_in_time_order(self):
+        design = make_design()
+        s = design.new_signal("s", 1, Logic.from_int(0, 1))
+        seen = []
+        design.add_process(monitor(s, seen))
+        design.add_process(driver(s, [
+            (5, Logic.from_int(1, 1)),
+            (7, Logic.from_int(0, 1)),
+            (8, Logic.from_int(0, 1)),  # same value: no change
+            (1, Logic.from_int(1, 1)),
+        ]))
+        Simulator(design).run()
+        assert seen == [(5, "1"), (12, "0"), (21, "1")]
+
+    def test_vector_changes_carry_the_written_value(self):
+        design = make_design()
+        v = design.new_signal("v", 4, Logic.from_int(0, 4))
+        seen = []
+        design.add_process(monitor(v, seen))
+        design.add_process(driver(v, [
+            (2, Logic.from_int(3, 4)),
+            (2, Logic.from_string("1x01")),
+        ]))
+        Simulator(design).run()
+        assert seen == [(2, "0011"), (4, "1x01")]
+
+    def test_signal_without_initial_value_is_unknown(self):
+        design = make_design()
+        s = design.new_signal("s", 3)
+        assert s.value == Logic.unknown(3)
+        assert s.value.to_bit_string() == "xxx"
+
+    def test_first_write_over_unknown_wakes_waiter(self):
+        design = make_design()
+        s = design.new_signal("s", 1)
+        seen = []
+        design.add_process(monitor(s, seen))
+        design.add_process(driver(s, [(2, Logic.from_int(0, 1))]))
+        Simulator(design).run()
+        assert seen == [(2, "0")]
+
+    def test_unknown_over_known_wakes_waiter(self):
+        design = make_design()
+        s = design.new_signal("s", 1, Logic.from_int(1, 1))
+        seen = []
+        design.add_process(monitor(s, seen))
+        design.add_process(driver(s, [(4, Logic.unknown(1))]))
+        Simulator(design).run()
+        assert seen == [(4, "x")]
+
+    def test_rewriting_unknown_does_not_wake(self):
+        design = make_design()
+        s = design.new_signal("s", 2)
+        seen = []
+        design.add_process(monitor(s, seen))
+        design.add_process(driver(s, [(3, Logic.unknown(2))]))
+        Simulator(design).run()
+        assert seen == []
+
+    def test_wide_write_is_truncated_to_signal_width(self):
+        design = make_design()
+        s = design.new_signal("s", 4, Logic.from_int(0, 4))
+        seen = []
+        design.add_process(monitor(s, seen))
+        design.add_process(driver(s, [(1, Logic.from_int(0x3A, 8))]))
+        Simulator(design).run()
+        assert s.value.width == 4
+        assert seen == [(1, "1010")]
+
+    def test_narrow_write_is_zero_extended(self):
+        design = make_design()
+        s = design.new_signal("s", 4, Logic.from_int(0, 4))
+        design.add_process(driver(s, [(1, Logic.from_int(1, 1))]))
+        Simulator(design).run()
+        assert s.value == Logic.from_int(1, 4)
+
+    def test_truncation_to_the_current_value_does_not_wake(self):
+        design = make_design()
+        s = design.new_signal("s", 4, Logic.from_int(0xF, 4))
+        seen = []
+        design.add_process(monitor(s, seen))
+        design.add_process(driver(s, [(1, Logic.from_int(0x1F, 5))]))
+        Simulator(design).run()
+        assert seen == []
+
+    def test_negedge_filter(self):
+        design = make_design()
+        clk = design.new_signal("clk", 1, Logic.from_int(0, 1))
+        seen = []
+        design.add_process(monitor(clk, seen, Edge.NEG))
+        design.add_process(driver(clk, [
+            (5, Logic.from_int(value, 1)) for value in (1, 0, 1, 0)
+        ]))
+        Simulator(design).run()
+        assert seen == [(10, "0"), (20, "0")]  # only falling edges
+
+    def test_write_wakes_every_waiter(self):
+        design = make_design()
+        s = design.new_signal("s", 1, Logic.from_int(0, 1))
+        first, second = [], []
+        design.add_process(monitor(s, first))
+        design.add_process(monitor(s, second))
+        design.add_process(driver(s, [(7, Logic.from_int(1, 1))]))
+        Simulator(design).run()
+        assert first == second == [(7, "1")]
+
+    def test_write_without_waiters_updates_the_value(self):
+        design = make_design()
+        s = design.new_signal("s", 2, Logic.from_int(0, 2))
+        simulator = Simulator(design)
+        simulator.write_signal(s, Logic.from_int(2, 2))
+        assert s.value == Logic.from_int(2, 2)
+        assert s.waiters == {}

@@ -11,16 +11,21 @@ import pytest
 
 from repro.eval.runner import ExperimentRunner
 from repro.evalsuite.suite import build_suite
+from repro.eval import runner as runner_module
 from repro.exec.progress import (
     ENGINE_FINISH,
     ENGINE_START,
     TASK_DONE,
+    TASK_ERROR,
+    TASK_RETRY,
     ProgressEvent,
     SweepMetrics,
 )
 from repro.eda.toolchain import Language
 from repro.llm.profiles import CLAUDE_35_SONNET, GPT_4O
 from repro.obs import (
+    MemorySink,
+    Tracer,
     get_tracer,
     render_trace_summary,
     set_tracer,
@@ -47,6 +52,51 @@ class TestSweepMetrics:
         assert metrics.done == 2
         assert metrics.ok == 2
 
+    def test_task_error_counts_a_finished_failure(self):
+        metrics = SweepMetrics(total=2)
+        metrics.observe_event(ProgressEvent(kind=TASK_DONE, done=1, total=2))
+        metrics.observe_event(ProgressEvent(kind=TASK_ERROR, done=2, total=2))
+        assert (metrics.done, metrics.ok, metrics.errors) == (2, 1, 1)
+
+    def test_retry_counts_without_finishing_a_task(self):
+        metrics = SweepMetrics(total=1)
+        metrics.observe_event(ProgressEvent(kind=TASK_RETRY, key="a/b/c"))
+        assert metrics.retries == 1
+        assert (metrics.done, metrics.ok, metrics.errors) == (0, 0, 0)
+
+    def test_engine_start_and_finish_leave_the_counters_alone(self):
+        metrics = SweepMetrics(total=3)
+        metrics.observe_event(ProgressEvent(kind=ENGINE_START, total=3))
+        metrics.observe_event(
+            ProgressEvent(kind=ENGINE_FINISH, done=3, total=3)
+        )
+        assert metrics == SweepMetrics(total=3)
+
+    def test_task_done_sums_wall_seconds(self):
+        metrics = SweepMetrics(total=2)
+        for done, seconds in ((1, 0.25), (2, 0.5)):
+            metrics.observe_event(ProgressEvent(
+                kind=TASK_DONE, done=done, total=2, seconds=seconds,
+            ))
+        assert metrics.wall_seconds == 0.75
+
+    @pytest.mark.parametrize("retries, text", [
+        (0, "0 retries"), (1, "1 retry"), (2, "2 retries"),
+    ])
+    def test_summary_counts_retries(self, retries, text):
+        summary = SweepMetrics(total=1, retries=retries).summary()
+        assert summary == f"0/1 tasks; 0 error(s); {text}"
+
+    def test_summary_reports_the_cache_only_after_lookups(self):
+        assert "cache" not in SweepMetrics(total=1).summary()
+        metrics = SweepMetrics(total=1, cache_hits=1, cache_misses=3)
+        assert "; cache 25.0% hit" in metrics.summary()
+
+    def test_summary_lists_only_the_stages_that_ran(self):
+        metrics = SweepMetrics(total=1)
+        metrics.stage_seconds["syntax"] = 1.25
+        assert metrics.summary().endswith("; modeled latency: syntax 1.2s")
+
     def test_runner_callback_sees_the_event_and_payload_folded(self):
         """The user's ``(event, metrics)`` callback runs last: by then the
         metrics hold the event itself and its task's cache counters."""
@@ -70,6 +120,85 @@ class TestSweepMetrics:
         runner.run_all()
         assert seen["calls"] == runner.metrics.total == 12
         assert seen["hits"] > 0 and seen["misses"] > 0
+
+    def test_runner_callback_sees_the_modeled_latency_folded(self):
+        stages = {"generation": 0.0, "syntax": 0.0, "functional": 0.0}
+
+        def progress(event, metrics):
+            if event.kind != TASK_DONE:
+                return
+            latency = event.outcome.value.record.aivril_latency
+            stages["generation"] += latency.generation_llm
+            stages["syntax"] += latency.syntax_loop
+            stages["functional"] += latency.functional_loop
+            assert metrics.stage_seconds == stages
+
+        runner = ExperimentRunner(
+            suite=build_suite().head(1), progress=progress
+        )
+        runner.run_all()
+        assert runner.metrics.stage_seconds == stages
+        assert stages["generation"] > 0
+
+    def test_runner_callback_sees_task_errors_folded(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("task exploded")
+
+        monkeypatch.setattr(runner_module, "_task_entry", broken)
+        errors = []
+
+        def progress(event, metrics):
+            if event.kind != TASK_ERROR:
+                return
+            errors.append(event.key)
+            assert metrics.errors == len(errors)
+            assert metrics.done == event.done
+            assert metrics.ok == 0
+
+        runner = ExperimentRunner(
+            suite=build_suite().head(1), progress=progress
+        )
+        results = runner.run_all()
+        assert len(errors) == runner.metrics.total == 6
+        assert all(result.error_count == 1 for result in results)
+
+    def test_runner_callback_runs_after_the_trace_event(self):
+        """With tracing on, the user's callback already finds its event as
+        the trace's newest record."""
+        sink = MemorySink()
+        set_tracer(Tracer(sink))
+        kinds = []
+
+        def progress(event, metrics):
+            kinds.append(event.kind)
+            record = sink.records[-1]
+            assert record["type"] == "event"
+            assert record["name"] == event.kind
+            assert record["attrs"]["key"] == event.key
+            assert record["attrs"]["done"] == event.done
+
+        runner = ExperimentRunner(
+            suite=build_suite().head(1), progress=progress
+        )
+        runner.run_all()
+        assert kinds[0] == ENGINE_START
+        assert kinds[-1] == ENGINE_FINISH
+        assert kinds.count(TASK_DONE) == runner.metrics.total == 6
+
+    def test_runner_callback_brackets_the_sweep(self):
+        """``engine-start`` arrives with the total already known and
+        ``engine-finish`` after every task is folded."""
+        seen = []
+
+        def progress(event, metrics):
+            if event.kind in (ENGINE_START, ENGINE_FINISH):
+                seen.append((event.kind, metrics.total, metrics.done))
+
+        runner = ExperimentRunner(
+            suite=build_suite().head(1), progress=progress
+        )
+        runner.run_all()
+        assert seen == [(ENGINE_START, 6, 0), (ENGINE_FINISH, 6, 6)]
 
 
 class TestValidateRecord:
@@ -256,6 +385,52 @@ class TestRenderTraceSummary:
         ) in text
         empty = render_trace_summary(summarize_records([]))
         assert "store hit rate: no lookups recorded" in empty
+
+
+class TestOpVerdictTable:
+    """A fuzz trace's ``qa.fuzz.op.<kind>.<class>`` counters become the
+    summary's per-op verdict table."""
+
+    @staticmethod
+    def counter(pid, name, value):
+        return {
+            "type": "metric", "pid": pid, "time": 1.0,
+            "kind": "counter", "name": name, "value": value,
+        }
+
+    def test_op_counters_merge_across_processes(self):
+        summary = summarize_records([
+            self.counter(1, "qa.fuzz.op.add.ok", 2),
+            self.counter(2, "qa.fuzz.op.add.ok", 3),
+            self.counter(2, "qa.fuzz.op.add.sim_mismatch", 1),
+            self.counter(1, "qa.fuzz.op.mux.ok", 4),
+        ])
+        assert summary.op_classes == {
+            "add": {"ok": 5, "sim_mismatch": 1},
+            "mux": {"ok": 4},
+        }
+
+    def test_table_lists_ops_and_verdicts_in_sorted_order(self):
+        text = render_trace_summary(summarize_records([
+            self.counter(1, "qa.fuzz.op.xor.ok", 1),
+            self.counter(1, "qa.fuzz.op.add.ok", 6),
+            self.counter(1, "qa.fuzz.op.add.crash", 2),
+        ]))
+        assert text.endswith(
+            "\n\n  per-op verdicts (programs using each op kind):\n"
+            "    add        crash=2, ok=6\n"
+            "    xor        ok=1"
+        )
+
+    def test_campaign_totals_stay_out_of_the_table(self):
+        summary = summarize_records([
+            self.counter(1, "qa.fuzz.programs", 3),
+            self.counter(1, "qa.fuzz.divergences", 0),
+            self.counter(1, "toolchain.store.parse.hit", 2),
+        ])
+        assert summary.op_classes == {}
+        assert summary.store == {"parse": {"hit": 2, "miss": 0, "evict": 0}}
+        assert "per-op" not in render_trace_summary(summary)
 
 
 class TestSummarizeDegenerateInputs:

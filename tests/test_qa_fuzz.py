@@ -95,6 +95,45 @@ class TestEngineFailuresAreClassified:
         assert "DIVERGENCES" in report.render()
 
 
+class TestProgressCallback:
+    """``run_fuzz(progress=)`` hands the caller every engine event."""
+
+    def test_progress_sees_every_program(self):
+        from repro.exec.progress import ENGINE_FINISH, ENGINE_START, TASK_DONE
+
+        events = []
+        report = run_fuzz(1, 3, progress=events.append)
+        assert events[0].kind == ENGINE_START
+        assert events[-1].kind == ENGINE_FINISH
+        done = [e for e in events if e.kind == TASK_DONE]
+        assert [e.key for e in done] == [f"qa/s1/p{i}" for i in range(3)]
+        assert [e.done for e in done] == [1, 2, 3]
+        classes = {}
+        for event in done:
+            verdict = event.outcome.value["class"]
+            classes[verdict] = classes.get(verdict, 0) + 1
+        assert classes == report.class_counts
+
+    def test_progress_sees_a_dead_task_as_an_error(self, monkeypatch):
+        from repro.exec.progress import TASK_ERROR
+
+        real = fuzz_module._fuzz_program
+
+        def flaky(seed, index, formal=False):
+            if index == 1:
+                raise RuntimeError("worker exploded")
+            return real(seed, index, formal)
+
+        monkeypatch.setattr(fuzz_module, "_fuzz_program", flaky)
+        events = []
+        run_fuzz(0, 2, progress=events.append)
+        errors = [e for e in events if e.kind == TASK_ERROR]
+        assert [(e.key, e.done, e.level) for e in errors] == [
+            ("qa/s0/p1", 2, "warning")
+        ]
+        assert "worker exploded" in errors[0].message
+
+
 class TestReportShape:
     def test_class_counts_tally_every_result(self):
         report = FuzzReport(seed=0, count=2, workers=1)
