@@ -36,6 +36,7 @@ from repro.verilog.lexer import VerilogLexer
 from repro.verilog.parser import parse_verilog
 from repro.vhdl.lexer import VhdlLexer
 from repro.vhdl.parser import parse_vhdl
+from tests.simpaths import plain_text
 
 COUNTER_V = """
 module counter #(parameter WIDTH = 8) (
@@ -257,21 +258,11 @@ def test_build_defect_plan(benchmark, full_suite):
     assert len(plans) == 156
 
 
-#: env flags that select a simulation path; _best_ms owns all of them for
-#: the duration of a measurement so ambient settings can't skew a path
-_TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
-
-#: flag values that pin each measured path: with the batch tier off, a
-#: generated testbench runs on the event kernel
-_TIERS = {
-    "kernel": {"REPRO_SIM_NO_BATCH": "1"},
-    "batch": {},
-}
-
-
-def _best_ms(files, top, *, tier, reps=20):
+def _best_ms(files, top, *, reps=20):
     """Best-of-*reps* wall time of one simulate() store miss, in milliseconds.
 
+    The files pick the path: a generated testbench takes the batch tier,
+    its plain text (:func:`~tests.simpaths.plain_text`) the event kernel.
     A fresh Toolchain per path; one warm-up call fills its parse, analysis
     and compile entries. Every timed rep then misses the simulate stage
     alone (see :func:`_simulate_miss`), so the measurement is the
@@ -279,29 +270,20 @@ def _best_ms(files, top, *, tier, reps=20):
     hit: on the batch path that is the DUT's elaboration, its plan and its
     run.
     """
-    previous = {flag: os.environ.pop(flag, None) for flag in _TIER_FLAGS}
-    try:
-        os.environ.update(_TIERS[tier])
-        toolchain = Toolchain()
-        result = toolchain.simulate(files, top)
-        assert result.ok, result.log
-        assert any("All tests passed" in l for l in result.output_lines), (
-            result.log
-        )
-        warm = _warm_stats(toolchain)
-        best = float("inf")
-        for _ in range(reps):
-            started = time.perf_counter()
-            _simulate_miss(toolchain, files, top)
-            best = min(best, time.perf_counter() - started)
-        assert _assert_simulate_misses(toolchain, warm) == reps
-        return best * 1000.0
-    finally:
-        for flag, value in previous.items():
-            if value is None:
-                os.environ.pop(flag, None)
-            else:
-                os.environ[flag] = value
+    toolchain = Toolchain()
+    result = toolchain.simulate(files, top)
+    assert result.ok, result.log
+    assert any("All tests passed" in l for l in result.output_lines), (
+        result.log
+    )
+    warm = _warm_stats(toolchain)
+    best = float("inf")
+    for _ in range(reps):
+        started = time.perf_counter()
+        _simulate_miss(toolchain, files, top)
+        best = min(best, time.perf_counter() - started)
+    assert _assert_simulate_misses(toolchain, warm) == reps
+    return best * 1000.0
 
 
 #: timed reps of the kernel path: each takes about a second, so five keep
@@ -342,8 +324,8 @@ def test_sim_tier_speedup():
     }
     report = {}
     for name, (files, top) in cases.items():
-        kernel_ms = _best_ms(files, top, tier="kernel", reps=KERNEL_REPS)
-        batch_ms = _best_ms(files, top, tier="batch")
+        kernel_ms = _best_ms(plain_text(files), top, reps=KERNEL_REPS)
+        batch_ms = _best_ms(files, top)
         report[name] = {
             "kernel_ms": round(kernel_ms, 3),
             "batch_ms": round(batch_ms, 3),

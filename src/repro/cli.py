@@ -53,14 +53,21 @@ from repro.obs import render_trace_summary, summarize_trace, validate_trace
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(floor: int):
+    """An argparse type: an int no smaller than *floor*."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < floor:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {floor}, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def _language(text: str) -> Language:
@@ -115,11 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="table1",
     )
     sweep.add_argument(
-        "--limit", type=int, default=0,
+        "--limit", type=_at_least(0), default=0,
         help="restrict to the first N problems (0 = full suite)",
     )
     sweep.add_argument(
-        "--workers", type=_worker_count, default=1,
+        "--workers", type=_at_least(1), default=1,
         help="worker processes for the sweep (1 = serial; results are "
              "record-for-record identical at any worker count)",
     )
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     validate = sub.add_parser("validate", help="check suite integrity")
-    validate.add_argument("--limit", type=int, default=0)
+    validate.add_argument("--limit", type=_at_least(0), default=0)
     validate.add_argument("--language", type=_language, default=None)
 
     qa = sub.add_parser(
@@ -224,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument(
-        "--count", type=int, default=50,
+        "--count", type=_at_least(1), default=50,
         help="number of generated programs (each is a pure function of "
              "seed and index)",
     )
     fuzz.add_argument(
-        "--workers", type=_worker_count, default=1,
+        "--workers", type=_at_least(1), default=1,
         help="worker processes; the report is identical at any count",
     )
     fuzz.add_argument(
@@ -297,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prove.add_argument("--seed", type=int, default=0)
     prove.add_argument(
-        "--count", type=int, default=0,
+        "--count", type=_at_least(0), default=0,
         help="prove this many generated fuzz programs instead of the corpus",
     )
     prove.add_argument(
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="BMC unrolling bound for sequential designs",
     )
     prove.add_argument(
-        "--workers", type=_worker_count, default=1,
+        "--workers", type=_at_least(1), default=1,
         help="worker processes for generated-program proving",
     )
 
@@ -319,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     formal_check.add_argument("--seed", type=int, default=0)
     formal_check.add_argument(
-        "--count", type=int, default=8,
+        "--count", type=_at_least(1), default=8,
         help="number of generated specs to check when no case file is given",
     )
     formal_check.add_argument(

@@ -152,9 +152,8 @@ class ResultStore:
     A key is ``(stage, digest)``. The sha256 digest covers everything that
     determines the result: the top unit, every file's name, language and
     full text, and the stage's extra inputs. A simulate key adds
-    ``max_sim_time`` and the ``REPRO_SIM_NO_BATCH`` flag, so a run under
-    the flag takes the kernel instead of replaying a batch result; a
-    compile result does not depend on the path, so its key has no flag.
+    ``max_sim_time``; a generated testbench and its plain text key alike,
+    because both paths give the same result.
     An analysis entry is one unit's: its key covers that file plus the
     interface it reads from the rest of the set (see
     :meth:`Toolchain._analyze_unit`). Keys are derived from the inputs,
@@ -564,7 +563,7 @@ class Toolchain:
             started = _time.perf_counter()
             key = self.store.key(
                 "simulate", files, top,
-                (self.max_sim_time, simcompile.batch_disabled()),
+                (self.max_sim_time,),
             )
             cached = self.store.get(key)
             if cached is not MISS:
@@ -675,7 +674,7 @@ class Toolchain:
         a generated testbench has none."""
         from repro.designs import tbgen
 
-        if top != tbgen.TB_NAME or simcompile.batch_disabled():
+        if top != tbgen.TB_NAME:
             return None
         bundle, dut_files = None, []
         for hdl_file in files:

@@ -478,8 +478,6 @@ class ExperimentRunner:
             # with this event and its task payload folded in
             metrics.observe_event(event)
             self._fold_payload(event, metrics)
-            if tracer.enabled:
-                _record_trace_event(tracer, event)
             if user_progress is not None:
                 user_progress(event, metrics)
 
@@ -534,9 +532,8 @@ class ExperimentRunner:
             pid=pid, error=f"{outcome.status}: {summary}"
         )
 
-    # the pass@1 judgments remain reachable as static helpers (e.g. the
-    # multi-sample pass@k harness scores candidates with them directly)
-    _compiles = staticmethod(_compiles)
+    # the golden-testbench judgment stays reachable as a static helper: the
+    # multi-sample pass@k harness scores candidates with it directly
     _passes_golden = staticmethod(_passes_golden)
 
     @staticmethod
@@ -554,16 +551,3 @@ class ExperimentRunner:
             metrics.stage_seconds["generation"] += latency.generation_llm
             metrics.stage_seconds["syntax"] += latency.syntax_loop
             metrics.stage_seconds["functional"] += latency.functional_loop
-
-
-def _record_trace_event(tracer, event: ProgressEvent) -> None:
-    """Re-emit one engine progress event as a trace event record."""
-    tracer.event(
-        event.kind,
-        key=event.key,
-        done=event.done,
-        total=event.total,
-        attempts=event.attempts,
-        seconds=event.seconds,
-        level=event.level,
-    )

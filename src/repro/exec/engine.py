@@ -175,7 +175,8 @@ class ExecutionEngine:
         out. Task functions that *raise* are not retried.
     progress:
         Optional callback receiving a :class:`ProgressEvent` per
-        transition.
+        transition. Each event is recorded in the trace first, when
+        tracing is on, whoever runs the engine.
     initializer / initargs:
         Run once in each worker (and once in-process for serial runs)
         before any task; the place to build per-process context.
@@ -190,7 +191,6 @@ class ExecutionEngine:
         progress: Callable[[ProgressEvent], None] | None = None,
         initializer: Callable | None = None,
         initargs: tuple = (),
-        start_method: str | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -204,10 +204,6 @@ class ExecutionEngine:
         self.progress = progress
         self.initializer = initializer
         self.initargs = initargs
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
 
     # ------------------------------------------------------------------
 
@@ -301,7 +297,8 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     def _run_parallel(self, tasks: Sequence[Task]) -> list[TaskOutcome]:
-        ctx = mp.get_context(self.start_method)
+        methods = mp.get_all_start_methods()
+        ctx = mp.get_context("fork" if "fork" in methods else methods[0])
         pending: deque[Task] = deque(tasks)
         attempts: dict[int, int] = {t.index: 0 for t in tasks}
         outcomes: dict[int, TaskOutcome] = {}
@@ -446,5 +443,12 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     def _emit(self, event: ProgressEvent) -> None:
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event(
+                event.kind, key=event.key, done=event.done,
+                total=event.total, attempts=event.attempts,
+                seconds=event.seconds, level=event.level,
+            )
         if self.progress is not None:
             self.progress(event)

@@ -1,7 +1,8 @@
 """Progress events and sweep-level metrics.
 
-The engine hands a :class:`ProgressEvent` per transition (engine start and
-finish, task done, retry, final error) to its one ``progress`` callback.
+The engine records a :class:`ProgressEvent` per transition (engine start
+and finish, task done, retry, final error) in the trace, when tracing is
+on, and hands it to its one ``progress`` callback.
 :class:`SweepMetrics` — tasks done, error/retry counts, toolchain-cache hit
 rate, and modeled per-stage latency — folds those events
 (:meth:`SweepMetrics.observe_event`); the experiment runner's callback

@@ -32,8 +32,7 @@ spent, so the toolchain stores neither. Each refusal is counted as
 DESIGN.md), and the kernel runs the testbench instead; a run that meets
 what its plan could not see (a wait other than the process's own, output,
 a future write, an abort, edge-triggered processes racing on a blocking
-write) is refused as ``run-time``. ``REPRO_SIM_NO_BATCH=1`` disables the
-tier wholesale.
+write) is refused as ``run-time``.
 """
 
 from __future__ import annotations

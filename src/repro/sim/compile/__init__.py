@@ -26,15 +26,13 @@ read set, write set, sensitivity, and whether one activation keeps no
 state). The compilers mark, in the elaborator's ``unsettled`` flag, each
 closure they emit that can abort on some operand values or reads
 simulator state; :func:`add_process` records the flag per body as
-``Process.unsettled``, and such a process stays on the kernel.
-``REPRO_SIM_NO_BATCH=1`` turns the batch tier off, so every run takes the
-kernel; tests use it to get the kernel's reference answer. For one set,
-``str(testbench)`` does the same: plain text carries no stimulus bundle.
+``Process.unsettled``, and such a process stays on the kernel. The input
+picks the path: ``str(testbench)`` is plain text with no stimulus bundle,
+so a set that holds it runs on the kernel, which is how tests get the
+kernel's reference answer.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.sim.kernel import SimulationError
 from repro.sim.runtime import Process
@@ -82,8 +80,3 @@ def add_process(elab, name, build, facts):
     process.build = build_or_refuse
     process.facts = facts
     return elab.design.add_process(process)
-
-
-def batch_disabled() -> bool:
-    """True when ``REPRO_SIM_NO_BATCH`` turns off the batch stimulus tier."""
-    return os.environ.get("REPRO_SIM_NO_BATCH", "0") not in ("", "0")

@@ -197,6 +197,24 @@ class TestLogLevel:
             run_cli("--log-level", "loud", "list")
 
 
+@pytest.mark.parametrize("argv, floor", [
+    (["sweep", "--limit", "-154"], 0),
+    (["validate", "--limit", "-155"], 0),
+    (["qa", "fuzz", "--count", "-3"], 1),
+    (["formal", "prove", "--count", "-2"], 0),
+    (["formal", "check", "--count", "-2"], 1),
+    (["sweep", "--workers", "0"], 1),
+], ids=["sweep", "validate", "qa-fuzz", "formal-prove", "formal-check",
+        "sweep-workers"])
+def test_count_below_its_floor_is_a_usage_error(argv, floor, capsys):
+    """A negative limit or count, or no workers, is refused before any
+    work, never read as a slice bound or an empty run."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert f"must be >= {floor}" in capsys.readouterr().err
+
+
 class TestQa:
     def failing_case_path(self, tmp_path):
         from repro.designs.mutations import functional

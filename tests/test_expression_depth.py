@@ -25,9 +25,9 @@ from repro.hdl.cursor import (
     MAX_STMT_DEPTH,
     STMT_TOO_DEEP,
 )
-from repro.obs import NullSink, Tracer, get_tracer, set_tracer
 from repro.verilog.parser import parse_verilog
 from repro.vhdl.parser import parse_vhdl
+from tests.simpaths import observables, simulate, simulate_kernel
 
 #: expression shapes, each ``n`` levels deep
 VERILOG_SHAPES = {
@@ -184,30 +184,15 @@ end architecture;
 @pytest.mark.parametrize("language,name,shape", CASES, ids=IDS)
 def test_expression_at_the_bound_passes_on_both_paths(language, name, shape):
     """A DUT at the bound passes its golden testbench identically on the
-    batch tier, which plans every shape, and under ``REPRO_SIM_NO_BATCH``."""
+    batch tier, which plans every shape, and on the kernel."""
     files = dut_files(language, name, shape(MAX_EXPR_DEPTH))
-    runs = {}
-    for no_batch in ("", "1"):
-        previous = get_tracer()
-        set_tracer(Tracer(NullSink()))
-        try:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setenv("REPRO_SIM_NO_BATCH", no_batch)
-                result = Toolchain().simulate(files, "tb")
-            calls = get_tracer().metrics.counter("sim.batch_calls").value
-        finally:
-            set_tracer(previous)
-        assert result.ok and not result.runtime_error, result.log
-        assert any("All tests passed" in line
-                   for line in result.output_lines), result.log
-        runs[no_batch] = (
-            (tuple(result.output_lines), result.log, result.end_time,
-             result.tool_seconds),
-            calls,
-        )
-    assert runs[""][1] == 1
-    assert runs["1"][1] == 0
-    assert runs[""][0] == runs["1"][0]
+    batched, calls = simulate(files)
+    kernel = simulate_kernel(files)
+    assert calls == 1
+    assert batched.ok and not batched.runtime_error, batched.log
+    assert any("All tests passed" in line
+               for line in batched.output_lines), batched.log
+    assert observables(batched) == observables(kernel)
 
 
 @pytest.mark.parametrize("language,name,shape", CASES, ids=IDS)

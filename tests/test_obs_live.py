@@ -8,8 +8,8 @@ write, histograms add element-wise), the merge edge cases (overflow
 buckets, disjoint name sets, mid-observation flushes), and the end-to-end
 guarantees: a traced sweep's merged metrics equal the live
 ``SweepMetrics`` at any worker count, a fuzz campaign's summary prints its
-per-op verdict table, and a worker killed mid-task keeps what it flushed
-before.
+per-op verdict table and counts its tasks, and a worker killed mid-task
+keeps what it flushed before.
 """
 
 import io
@@ -28,6 +28,7 @@ from repro.obs import (
     get_tracer,
     read_trace,
     set_tracer,
+    summarize_trace,
     validate_trace,
 )
 from repro.obs.summary import merge_metric_records
@@ -307,6 +308,19 @@ class TestSweepEquivalence:
                 )
             }
         assert table == report.op_class_counts
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fuzz_campaign_traces_its_tasks(self, tmp_path, workers):
+        """The engine records its own task events, so a campaign's trace
+        counts every program, not only a sweep's."""
+        from repro.qa.fuzz import run_fuzz
+
+        trace = tmp_path / "fuzz.trace.jsonl"
+        configure_tracing(trace)
+        run_fuzz(0, 4, workers=workers)
+        summary = summarize_trace(trace)
+        assert (summary.tasks_done, summary.tasks_total) == (4, 4)
+        assert (summary.tasks_ok, summary.tasks_error) == (4, 0)
 
 
 def _count_task(units, hang):

@@ -4,10 +4,11 @@ A family-stratified subset of the suite (two problems from each of the four
 largest families, one from each of the others) is swept serially and its
 renderings compared byte for byte with the committed files under
 ``tests/golden/``. An artifact must not depend on which internal
-optimization ran, so every artifact is checked under the default tiers,
-rendered in a fresh process, and again under ``REPRO_SIM_NO_BATCH``, which
-sends every simulation to the event kernel. Figure 3's modeled seconds
-count simulated time, which both paths report alike.
+optimization ran, so every artifact is checked as the suite stands,
+rendered in a fresh process, and again with every golden testbench passed
+as its plain text, which carries no stimulus bundle and so sends every
+simulation to the event kernel. Figure 3's modeled seconds count
+simulated time, which both paths report alike.
 
 Table 2 is rendered from the same sweep as Table 1; it reads only the
 Verilog configurations, which is all ``repro sweep --artifact table2`` runs.
@@ -23,9 +24,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -40,18 +40,21 @@ PROBLEMS = (
     "counter8", "piso8", "edge_any", "running_max4", "struct_addsub4",
 )
 
-#: every tier configuration: the default, then each ``REPRO_SIM_*`` flag
-TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
+
+def subset():
+    from repro.evalsuite.suite import build_suite
+
+    return build_suite().subset(list(PROBLEMS))
 
 
-def render_artifacts() -> dict[str, str]:
-    """Sweep the subset serially; every artifact's rendering by name."""
+def render_artifacts(suite=None) -> dict[str, str]:
+    """Sweep *suite* (default: the subset) serially; every artifact's
+    rendering by name."""
     from repro.eval.figures import render_figure3
     from repro.eval.runner import ExperimentRunner
     from repro.eval.tables import render_table1, render_table2
-    from repro.evalsuite.suite import build_suite
 
-    suite = build_suite().subset(list(PROBLEMS))
+    suite = subset() if suite is None else suite
     results = ExperimentRunner(suite=suite, workers=1).run_all()
     return {
         "table1": render_table1(results) + "\n",
@@ -60,24 +63,20 @@ def render_artifacts() -> dict[str, str]:
     }
 
 
-def _default_tiers_env() -> dict[str, str]:
-    env = {k: v for k, v in os.environ.items() if k not in TIER_FLAGS}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    return env
-
-
 def _fresh_process_artifacts() -> dict[str, str]:
-    """The renderings under the default tiers, from a fresh interpreter."""
+    """The renderings of the subset as it stands, from a fresh
+    interpreter."""
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
         "from test_pinned_artifacts import render_artifacts\n"
         "print(json.dumps(render_artifacts()))\n"
     )
+    path = os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
     done = subprocess.run(
-        [sys.executable, "-c", code], env=_default_tiers_env(),
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -94,12 +93,27 @@ def test_default_tiers_match_the_golden_renderings():
         assert rendered[name] == golden(name), name
 
 
-@pytest.mark.parametrize("flag", TIER_FLAGS)
-def test_artifacts_are_tier_blind(flag, monkeypatch):
-    for other in TIER_FLAGS:
-        monkeypatch.delenv(other, raising=False)
-    monkeypatch.setenv(flag, "1")
-    rendered = render_artifacts()
+def test_artifacts_are_tier_blind():
+    """With each golden testbench as plain text, every simulation takes
+    the event kernel, and every artifact renders the same."""
+    from repro.evalsuite.suite import Suite
+    from repro.obs import NullSink, Tracer, get_tracer, set_tracer
+
+    suite = Suite(problems=[
+        replace(problem, golden_tb={
+            language: str(testbench)
+            for language, testbench in problem.golden_tb.items()
+        })
+        for problem in subset()
+    ])
+    previous = get_tracer()
+    set_tracer(Tracer(NullSink()))
+    try:
+        rendered = render_artifacts(suite)
+        batch_calls = get_tracer().metrics.counter("sim.batch_calls").value
+    finally:
+        set_tracer(previous)
+    assert batch_calls == 0
     for name in ("table1", "table2", "figure3"):
         assert rendered[name] == golden(name), name
 

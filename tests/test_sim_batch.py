@@ -21,7 +21,6 @@ no bundle outlives the testbench holding it.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import pytest
@@ -34,38 +33,15 @@ from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.sim import batch
 from repro.sim.values import Logic
-from tests.test_sim_batch_constructs import (
-    _observables,
-    _simulate,
-    kernel_rows,
-    simulate_vectors,
-)
-
-_TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
+from tests.simpaths import observables, plain_text, simulate, simulate_kernel
+from tests.test_sim_batch_constructs import kernel_rows, simulate_vectors
 
 
-@contextmanager
-def _pin(**flags):
-    """Own every tier flag for the block so ambient settings can't leak in."""
-    previous = {flag: os.environ.pop(flag, None) for flag in _TIER_FLAGS}
-    os.environ.update(flags)
-    try:
-        yield
-    finally:
-        for flag, value in previous.items():
-            if value is None:
-                os.environ.pop(flag, None)
-            else:
-                os.environ[flag] = value
-
-
-def build(source: str, language=Language.VERILOG, top: str = "top_module",
-          **flags):
+def build(source: str, language=Language.VERILOG, top: str = "top_module"):
     ext = language.file_extension
     files = [HdlFile(f"t{ext}", source, language)]
     collector = DiagnosticCollector()
-    with _pin(**flags):
-        design = Toolchain()._build_design(files, top, collector)
+    design = Toolchain()._build_design(files, top, collector)
     assert design is not None, [str(d) for d in collector.diagnostics]
     return design
 
@@ -114,8 +90,7 @@ class TestSimulateVectors:
         design = build(COMB_V)
         vectors = [{"a": a, "b": b} for a, b in
                    ((3, 5), (0, 0), (255, 255), (127, 64))]
-        with _pin():
-            rows = simulate_vectors(design, vectors)
+        rows = simulate_vectors(design, vectors)
         assert rows is not None
         for vector, row in zip(vectors, rows):
             assert row["y"] == Logic.from_int(_comb_expected(vector), 8)
@@ -129,8 +104,7 @@ class TestSimulateVectors:
             {"a": 0x0123_4567_89AB_CDEF_0011_2233, "b": 0xFFFF_0000_FFFF},
             {"a": 1 << 95, "b": 1 << 64},
         ]
-        with _pin():
-            rows = simulate_vectors(design, vectors)
+        rows = simulate_vectors(design, vectors)
         assert rows is not None
         for vector, row in zip(vectors, rows):
             want = ((vector["a"] ^ vector["b"]) + vector["a"]) & mask
@@ -143,8 +117,7 @@ class TestSimulateVectors:
             {"a": Logic.from_string("xxxx0011"), "b": 5},
             {"a": 7, "b": 5},
         ]
-        with _pin():
-            rows = simulate_vectors(design, vectors)
+        rows = simulate_vectors(design, vectors)
         assert rows is not None
         assert rows[0]["y"] == Logic.from_int(_comb_expected(vectors[0]), 8)
         assert rows[2]["y"] == Logic.from_int(((7 ^ 5) + 7) & 0xFF, 8)
@@ -155,10 +128,9 @@ class TestSimulateVectors:
         # the event kernel must agree bit-for-bit
         vectors = [{"a": Logic.from_string("xxxx0011"), "b": 5}]
         inputs, outputs = [("a", 8), ("b", 8)], [("y", 8)]
-        with _pin():
-            rows = simulate_vectors(
-                build(COMB_V), vectors, inputs=inputs, outputs=outputs
-            )
+        rows = simulate_vectors(
+            build(COMB_V), vectors, inputs=inputs, outputs=outputs
+        )
         assert rows == kernel_rows(build(COMB_V), vectors, inputs, outputs)
 
     def test_missing_input_raises(self):
@@ -196,10 +168,9 @@ def test_property_mixed_x_vectors_match_kernel(seed, x_index):
                 {"a": rng.getrandbits(8), "b": rng.getrandbits(8)}
             )
     inputs, outputs = [("a", 8), ("b", 8)], [("y", 8)]
-    with _pin():
-        rows = simulate_vectors(
-            build(COMB_V), vectors, inputs=inputs, outputs=outputs
-        )
+    rows = simulate_vectors(
+        build(COMB_V), vectors, inputs=inputs, outputs=outputs
+    )
     assert rows == kernel_rows(build(COMB_V), vectors, inputs, outputs)
 
 
@@ -229,8 +200,7 @@ def _planned(plan_fn, design, in_ports, out_ports):
     previous = get_tracer()
     set_tracer(Tracer(NullSink()))
     try:
-        with _pin():
-            plan = plan_fn(design, in_ports, out_ports)
+        plan = plan_fn(design, in_ports, out_ports)
         metrics = get_tracer().metrics
         counts = {
             clause: metrics.counter(f"sim.batch_plan.refused.{clause}").value
@@ -534,11 +504,11 @@ class TestNowPlanned:
         ) else {}
         files = _golden_files(language, dut, ports, model, f"now-{name}",
                               **options)
-        default, calls = _simulate(files)
-        kernel, kernel_calls = _simulate(files, REPRO_SIM_NO_BATCH="1")
-        assert (calls, kernel_calls) == (1, 0)
+        default, calls = simulate(files)
+        kernel = simulate_kernel(files)
+        assert calls == 1
         assert default.output_lines == [tbgen.PASS_MESSAGE], default.log
-        assert _observables(default) == _observables(kernel)
+        assert observables(default) == observables(kernel)
 
 
 #: DUTs the kernel fails at time 0, before an operand has settled: its
@@ -614,16 +584,15 @@ def _golden_files(language, dut, ports, model, pid, **options):
             HdlFile(f"tb{ext}", testbench, language)]
 
 
-def _simulate_counted(files, clause, **flags):
+def _simulate_counted(files, clause):
     """``(result, batch calls, refusals counted under clause, compiler
-    refusals)`` of one simulate under *flags* (default: the default path)."""
+    refusals)`` of one simulate in a fresh toolchain."""
     from repro.obs import NullSink, Tracer, get_tracer, set_tracer
 
     previous = get_tracer()
     set_tracer(Tracer(NullSink()))
     try:
-        with _pin(**flags):
-            result = Toolchain().simulate(files, "tb")
+        result = Toolchain().simulate(files, "tb")
         metrics = get_tracer().metrics
         counts = (
             metrics.counter("sim.batch_calls").value,
@@ -651,11 +620,11 @@ class TestSettledValues:
         assert plan is None
         assert refusals == {"unsettled": 1}
         files = _golden_files(language, dut, ports, model, "time0")
-        default, calls = _simulate(files)
-        kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
+        default, calls = simulate(files)
+        kernel = simulate_kernel(files)
         assert calls == 0
         assert kernel.runtime_error
-        assert _observables(default) == _observables(kernel)
+        assert observables(default) == observables(kernel)
 
     def test_abort_on_the_batch_path_falls_back_to_the_kernel(self):
         design = build(OVERWIDE_V)
@@ -668,18 +637,18 @@ class TestSettledValues:
             lambda v: {"y": v["a"]}, "overwide",
         )
         default, calls, refusals, _ = _simulate_counted(files, "run-time")
-        kernel, _ = _simulate(files, REPRO_SIM_NO_BATCH="1")
+        kernel = simulate_kernel(files)
         assert (calls, refusals) == (0, 1)
         assert "replication result width 131072 exceeds" in default.runtime_error
-        assert _observables(default) == _observables(kernel)
+        assert observables(default) == observables(kernel)
 
     @pytest.mark.parametrize("language", list(Language))
     def test_compiler_raising_at_plan_time_is_the_kernels_refusal(
         self, language, monkeypatch
     ):
         """A closure compiler that raises while a plan is built refuses the
-        plan; the kernel then refuses the process by name, as it does
-        under ``REPRO_SIM_NO_BATCH``, and the refusal that fails the run is
+        plan; the kernel then refuses the process by name, as it does for
+        the testbench's plain text, and the refusal that fails the run is
         counted once on either path."""
         from repro.sim.compile import verilog as cv
         from repro.sim.compile import vhdl as cvh
@@ -708,16 +677,16 @@ class TestSettledValues:
         default, calls, refusals, compiled = _simulate_counted(
             files, "compiler"
         )
-        kernel, _, _, kernel_compiled = _simulate_counted(
-            files, "compiler", REPRO_SIM_NO_BATCH="1"
+        kernel, kernel_calls, _, kernel_compiled = _simulate_counted(
+            plain_text(files), "compiler"
         )
         assert (calls, refusals, compiled) == (0, 1, 1)
-        assert kernel_compiled == 1
+        assert (kernel_calls, kernel_compiled) == (0, 1)
         assert default.runtime_error.startswith(
             "simulation compiler refused process"
         )
         assert default.runtime_error.endswith("RuntimeError: compiler exploded")
-        assert _observables(default) == _observables(kernel)
+        assert observables(default) == observables(kernel)
 
 
 #: a 13-member chain written against its dataflow: each assign reads the
@@ -764,8 +733,7 @@ class TestProcessOrder:
         assert targets(design.processes) == (
             ["y"] + [f"s{k}" for k in range(12, 0, -1)]
         )
-        with _pin():
-            plan = batch.plan_combinational(design, [("a", 8)], [("y", 8)])
+        plan = batch.plan_combinational(design, [("a", 8)], [("y", 8)])
         assert targets(plan.comb) == [f"s{k}" for k in range(1, 13)] + ["y"]
         rows = simulate_vectors(
             design, [{"a": a} for a in range(256)],
@@ -842,10 +810,10 @@ class TestSequentialBundle:
         )
 
     def _both_paths(self, files):
-        batched, calls = _simulate(files)
-        kernel, kernel_calls = _simulate(files, REPRO_SIM_NO_BATCH="1")
-        assert (calls, kernel_calls) == (1, 0)
-        assert _observables(batched) == _observables(kernel)
+        batched, calls = simulate(files)
+        kernel = simulate_kernel(files)
+        assert calls == 1
+        assert observables(batched) == observables(kernel)
         return batched
 
     def test_reset_row_and_cycles_match_the_model(self):
@@ -943,8 +911,8 @@ class TestTestbenchBundle:
     def test_plain_copy_runs_on_the_kernel_with_the_same_observables(
         self, language, pid
     ):
-        """``str(testbench)`` is the kernel's reference answer for one set,
-        without the environment flag."""
+        """``str(testbench)`` is the kernel's reference answer for one set:
+        it holds the same text and no stimulus bundle."""
         from repro.evalsuite.suite import build_suite
 
         problem = build_suite().get(pid)
@@ -953,7 +921,7 @@ class TestTestbenchBundle:
         testbench = problem.golden_tb[language]
 
         def run(text):
-            return _simulate([dut, HdlFile(f"tb{ext}", text, language)])
+            return simulate([dut, HdlFile(f"tb{ext}", text, language)])
 
         batched, batch_calls = run(testbench)
         kernel, kernel_calls = run(str(testbench))
@@ -964,7 +932,7 @@ class TestTestbenchBundle:
             for r in (batched.compile_result, kernel.compile_result)
         ]
         assert compiled[0] == compiled[1]
-        assert _observables(batched) == _observables(kernel)
+        assert observables(batched) == observables(kernel)
 
     def test_testbench_pickles_and_copies_with_its_bundle(self):
         import copy
@@ -1093,7 +1061,7 @@ class TestToolchainRouting:
         files = _bundle_files(
             language, lambda v: {"y": (v["a"] ^ v["b"]) + v["a"]}, "route-ok"
         )
-        with self._tracer() as tracer, _pin():
+        with self._tracer() as tracer:
             result = Toolchain().simulate(files, "tb")
         assert result.ok, result.log
         assert any("All tests passed" in l for l in result.output_lines)
@@ -1107,22 +1075,12 @@ class TestToolchainRouting:
         """A kernel simulate() reports its activations and delta cycles."""
         files = [HdlFile("t.v", _REFUSAL_HEAD + "    assign y = a + 1;\n"
                          "endmodule\n" + KERNEL_TB, Language.VERILOG)]
-        with self._tracer() as tracer, _pin():
+        with self._tracer() as tracer:
             result = Toolchain().simulate(files, "tb")
         assert result.ok, result.log
         assert result.output_lines == ["y=4", "y=0"]
         for name in ("activations", "delta_cycles"):
             assert tracer.metrics.counter(f"sim.{name}").value > 0, name
-        assert self._counters(tracer)["batch_calls"] == 0
-
-    def test_no_batch_flag_keeps_the_kernel(self):
-        files = _bundle_files(
-            Language.VERILOG,
-            lambda v: {"y": (v["a"] ^ v["b"]) + v["a"]}, "route-off",
-        )
-        with self._tracer() as tracer, _pin(REPRO_SIM_NO_BATCH="1"):
-            result = Toolchain().simulate(files, "tb")
-        assert result.ok, result.log
         assert self._counters(tracer)["batch_calls"] == 0
 
     @pytest.mark.parametrize("language", list(Language))
@@ -1133,20 +1091,9 @@ class TestToolchainRouting:
             language, lambda v: {"y": v["a"] & v["b"]}, "route-fail"
         )
 
-        def observables(result):
-            return (
-                result.ok,
-                tuple(result.output_lines),
-                result.log,
-                result.end_time,
-                result.finished_cleanly,
-                result.runtime_error,
-            )
-
-        with _pin():
-            batched = Toolchain().simulate(files, "tb")
-        with _pin(REPRO_SIM_NO_BATCH="1"):
-            kernel = Toolchain().simulate(files, "tb")
+        batched, calls = simulate(files)
+        kernel = simulate_kernel(files)
+        assert calls == 1
         assert any("Failed" in l for l in batched.output_lines)
         assert observables(batched) == observables(kernel)
 
@@ -1174,7 +1121,7 @@ class TestToolchainRouting:
             ), Language.VERILOG),
             HdlFile("tb.v", tb, Language.VERILOG),
         ]
-        with self._tracer() as tracer, _pin():
+        with self._tracer() as tracer:
             result = Toolchain().simulate(files, "tb")
         assert result.ok, result.log
         assert any("All tests passed" in l for l in result.output_lines)
@@ -1188,20 +1135,13 @@ class TestModeledCost:
     @pytest.mark.parametrize("path", ["batch", "kernel"])
     @pytest.mark.parametrize("language", list(Language))
     def test_tool_seconds_is_launch_plus_simulated_time(self, language, path):
-        from repro.obs import NullSink, Tracer, get_tracer, set_tracer
-
         files = _bundle_files(
             language, lambda v: {"y": (v["a"] ^ v["b"]) + v["a"]},
             f"cost-{language.value}",
         )
-        previous = get_tracer()
-        set_tracer(Tracer(NullSink()))
-        try:
-            with _pin(REPRO_SIM_NO_BATCH="1" if path == "kernel" else ""):
-                result = Toolchain().simulate(files, "tb")
-            calls = get_tracer().metrics.counter("sim.batch_calls").value
-        finally:
-            set_tracer(previous)
+        if path == "kernel":
+            files = plain_text(files)
+        result, calls = simulate(files)
         assert result.ok, result.log
         assert calls == (path == "batch")
         assert result.end_time > 0

@@ -11,7 +11,8 @@ and a register's store to a part of itself plan, while a dynamic
 part-select, slice or replication count keep their DUT on the kernel.
 Each case pins which
 path runs, the golden testbench passing against a Python model, and
-identical observables under the default and ``REPRO_SIM_NO_BATCH=1``.
+identical observables on that path and on the kernel, reached by passing
+the testbench as plain text.
 The combinational cases that batch also evaluate X-carrying vectors
 through :func:`simulate_vectors`, bit-exact with a
 kernel session.
@@ -19,9 +20,7 @@ kernel session.
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,33 +30,16 @@ from repro.designs.model import CombModel, DesignSpec, PortSpec, SeqModel
 from repro.designs.tbgen import make_testbench
 from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.hdl.diagnostics import DiagnosticCollector
-from repro.obs import NullSink, Tracer, get_tracer, set_tracer
 from repro.sim import batch
 from repro.sim.kernel import Simulator
 from repro.sim.values import Logic
-
-_TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
+from tests.simpaths import observables, simulate, simulate_kernel
 
 _VHDL_HEADER = (
     "library ieee;\n"
     "use ieee.std_logic_1164.all;\n"
     "use ieee.numeric_std.all;\n"
 )
-
-
-@contextmanager
-def _tier(**flags):
-    """Pin the simulation tier flags for the duration of the block."""
-    previous = {flag: os.environ.pop(flag, None) for flag in _TIER_FLAGS}
-    os.environ.update(flags)
-    try:
-        yield
-    finally:
-        for flag, value in previous.items():
-            if value is None:
-                os.environ.pop(flag, None)
-            else:
-                os.environ[flag] = value
 
 
 @dataclass(frozen=True)
@@ -352,44 +334,18 @@ def _files(name: str) -> list[HdlFile]:
     ]
 
 
-def _observables(result):
-    return (
-        result.ok,
-        tuple(result.output_lines),
-        result.log,
-        result.end_time,
-        result.finished_cleanly,
-        result.runtime_error,
-        result.tool_seconds,
-    )
-
-
-def _simulate(files, **flags):
-    """``(result, batch calls)`` of one simulate under *flags*."""
-    previous = get_tracer()
-    set_tracer(Tracer(NullSink()))
-    try:
-        with _tier(**flags):
-            result = Toolchain().simulate(files, "tb")
-        calls = get_tracer().metrics.counter("sim.batch_calls").value
-    finally:
-        set_tracer(previous)
-    return result, calls
-
-
 @pytest.mark.parametrize("name", sorted(CONSTRUCTS))
 def test_construct_passes_identically_on_both_paths(name):
     """The golden testbench passes on the pinned path and on the kernel."""
     files = _files(name)
-    default, batch_calls = _simulate(files)
-    kernel, kernel_batch_calls = _simulate(files, REPRO_SIM_NO_BATCH="1")
+    default, batch_calls = simulate(files)
+    kernel = simulate_kernel(files)
     assert batch_calls == int(CONSTRUCTS[name].batches)
-    assert kernel_batch_calls == 0
     assert default.ok, default.log
     assert any("All tests passed" in line for line in default.output_lines), (
         default.log
     )
-    assert _observables(default) == _observables(kernel)
+    assert observables(default) == observables(kernel)
 
 
 _X_CASES = sorted(
@@ -468,9 +424,8 @@ def test_x_vectors_are_bit_exact_with_the_kernel(name):
         "x" + "0" * (width - 1))})
     vectors[4] = dict(vectors[4], **{first: Logic.from_string(
         "1" * (width - 2) + "xz")})
-    with _tier():
-        rows = simulate_vectors(
-            _design(name), vectors, inputs=inputs, outputs=outputs
-        )
+    rows = simulate_vectors(
+        _design(name), vectors, inputs=inputs, outputs=outputs
+    )
     assert rows is not None
     assert rows == kernel_rows(_design(name), vectors, inputs, outputs)

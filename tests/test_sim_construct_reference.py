@@ -28,9 +28,6 @@ fallback.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import pytest
 
 from repro.eda.toolchain import HdlFile, Language, Toolchain
@@ -38,6 +35,7 @@ from repro.hdl.diagnostics import DiagnosticCollector
 from repro.obs import NullSink, Tracer, get_tracer, set_tracer
 from repro.sim.compile import verilog as compile_verilog
 from repro.sim.compile import vhdl as compile_vhdl
+from tests.simpaths import plain_text, simulate
 
 _VHDL_HEADER = (
     "library ieee;\n"
@@ -661,24 +659,6 @@ EXPECTED: dict[str, tuple[bool, tuple[str, ...], str, str]] = {
     ),
 }
 
-_TIER_FLAGS = ("REPRO_SIM_NO_BATCH",)
-
-
-@contextmanager
-def _tier(**flags):
-    """Pin the simulation tier flags for the duration of the block."""
-    previous = {flag: os.environ.pop(flag, None) for flag in _TIER_FLAGS}
-    os.environ.update(flags)
-    try:
-        yield
-    finally:
-        for flag, value in previous.items():
-            if value is None:
-                os.environ.pop(flag, None)
-            else:
-                os.environ[flag] = value
-
-
 def _simulate(name):
     language, source = CASES[name]
     files = [HdlFile(f"t{language.file_extension}", source, language)]
@@ -697,26 +677,11 @@ def test_every_case_has_a_recorded_answer():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_construct_matches_frozen_answer(name):
-    with _tier():
-        assert _simulate(name) == EXPECTED[name]
+    assert _simulate(name) == EXPECTED[name]
 
 
-_REVERSED = ("v_reversed_read", "v_reversed_store", "v_reversed_dynamic_store")
-
-
-@pytest.mark.parametrize("flags", [{}, {"REPRO_SIM_NO_BATCH": "1"}],
-                         ids=["default", "no-batch"])
-@pytest.mark.parametrize("name", _REVERSED)
-def test_reversed_part_select_on_both_paths(name, flags):
-    """A reversed Verilog range reads X and stores nothing, never raises."""
-    with _tier(**flags):
-        assert _simulate(name) == EXPECTED[name]
-
-
-@pytest.mark.parametrize("flags, batched", [
-    ({}, 1), ({"REPRO_SIM_NO_BATCH": "1"}, 0),
-], ids=["default", "no-batch"])
-def test_reversed_part_select_in_a_batched_dut(flags, batched):
+@pytest.mark.parametrize("path", ["batch", "kernel"])
+def test_reversed_part_select_in_a_batched_dut(path):
     """The batch tier reads a reversed range as X, exactly as the kernel."""
     from repro.designs.model import CombModel, DesignSpec, PortSpec
     from repro.designs.tbgen import make_testbench
@@ -737,15 +702,10 @@ def test_reversed_part_select_in_a_batched_dut(flags, batched):
         HdlFile("tb.v", make_testbench(
             spec, model, Language.VERILOG, "reversed"), Language.VERILOG),
     ]
-    previous = get_tracer()
-    set_tracer(Tracer(NullSink()))
-    try:
-        with _tier(**flags):
-            result = Toolchain().simulate(files, "tb")
-        calls = get_tracer().metrics.counter("sim.batch_calls").value
-    finally:
-        set_tracer(previous)
-    assert calls == batched
+    if path == "kernel":
+        files = plain_text(files)
+    result, calls = simulate(files)
+    assert calls == (path == "batch")
     assert result.ok and not result.runtime_error, result.log
     # every vector whose expected low nibble is nonzero sees X instead
     assert result.output_lines[-1].endswith("test case(s) failed.")
@@ -789,10 +749,9 @@ def test_raising_process_builder_is_a_counted_run_time_refusal(
     previous = get_tracer()
     set_tracer(Tracer(NullSink()))
     try:
-        with _tier():
-            toolchain = Toolchain()
-            compiled = toolchain.compile(files, "tb")
-            result = toolchain.simulate(files, "tb")
+        toolchain = Toolchain()
+        compiled = toolchain.compile(files, "tb")
+        result = toolchain.simulate(files, "tb")
         refusals = get_tracer().metrics.counter("sim.compile.refusals").value
     finally:
         set_tracer(previous)
@@ -848,13 +807,12 @@ def test_process_bodies_build_at_first_start_only(name, builds):
     """compile() builds no body; a kernel run builds each started one once."""
     language, source = CASES[name]
     files = [HdlFile(f"t{language.file_extension}", source, language)]
-    with _tier():
-        toolchain = Toolchain()
-        assert toolchain.compile(files, "tb").ok
-        assert builds == []
-        slots = _kernel_slots(files, "tb")
-        assert builds == []
-        result = toolchain.simulate(files, "tb")
+    toolchain = Toolchain()
+    assert toolchain.compile(files, "tb").ok
+    assert builds == []
+    slots = _kernel_slots(files, "tb")
+    assert builds == []
+    result = toolchain.simulate(files, "tb")
     assert result.ok, result.log
     # every slot starts at time 0, and its body is built exactly then
     assert len(builds) == len(slots) > 0
@@ -890,17 +848,16 @@ def test_batch_tier_simulation_builds_only_dut_bodies(builds):
     previous = get_tracer()
     set_tracer(Tracer(NullSink()))
     try:
-        with _tier():
-            for language, text in dut.items():
-                ext = language.file_extension
-                files = [
-                    HdlFile(f"top_module{ext}", text, language),
-                    HdlFile(f"tb{ext}", make_testbench(
-                        spec, model, language, "andgate"), language),
-                ]
-                result = Toolchain().simulate(files, "tb")
-                assert result.ok, result.log
-                assert any("passed" in line for line in result.output_lines)
+        for language, text in dut.items():
+            ext = language.file_extension
+            files = [
+                HdlFile(f"top_module{ext}", text, language),
+                HdlFile(f"tb{ext}", make_testbench(
+                    spec, model, language, "andgate"), language),
+            ]
+            result = Toolchain().simulate(files, "tb")
+            assert result.ok, result.log
+            assert any("passed" in line for line in result.output_lines)
         batched = get_tracer().metrics.counter("sim.batch_calls").value
     finally:
         set_tracer(previous)

@@ -11,10 +11,13 @@ error, ``tool_seconds``). Each category's digest is a sha256 over its sets'
 records in suite order.
 
 The digests were recorded before the batch tier planned process bodies.
-They must hold on the default path and under ``REPRO_SIM_NO_BATCH=1``
-alike, so the two simulation paths agree on every set: a change to either
-path, to an elaborator or to a closure compiler must leave them unchanged
-unless it means to change what a simulation reports.
+Each is checked on both paths: ``batch`` passes each golden testbench
+itself, so every set whose DUT plans takes the batch tier, and ``kernel``
+passes its plain text, which carries no stimulus bundle, so every set
+takes the event kernel. The two simulation paths thus agree on every set:
+a change to either path, to an elaborator or to a closure compiler must
+leave the digests unchanged unless it means to change what a simulation
+reports.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.evalsuite.suite import build_suite
 from repro.obs import NullSink, Tracer, get_tracer, set_tracer
 from repro.sim.batch import CLAUSES
-from repro.sim.compile import batch_disabled
+from tests.simpaths import plain_text
 
 #: (language, category) -> (file sets, sha256 of their records)
 REFERENCE = {
@@ -109,11 +112,13 @@ def _file_sets(problem, language):
         yield mutation.kind, [dut(mutant), tb], "tb"
 
 
-@pytest.fixture(scope="module")
-def observed():
-    """``(language, category) -> (sets, sha256)``, and each reference +
-    golden-testbench set's path as ``pid/language -> clauses``: None when
-    it took the batch path, else the clauses that refused it."""
+@pytest.fixture(scope="module", params=["batch", "kernel"])
+def observed(request):
+    """On the path ``request.param`` names: ``(language, category) ->
+    (sets, sha256)``; each reference + golden-testbench set's path as
+    ``pid/language -> clauses``, None when it took the batch path, else
+    the clauses that refused it; and the batch calls of all 1,639 sets."""
+    kernel = request.param == "kernel"
     previous = get_tracer()
     set_tracer(Tracer(NullSink()))
     counts: dict = {}
@@ -123,6 +128,8 @@ def observed():
         for problem in build_suite():
             for language in Language:
                 for category, files, top in _file_sets(problem, language):
+                    if kernel:
+                        files = plain_text(files)
                     key = (language.value, category)
                     record, took_batch, refused = _observe(files, top)
                     counts[key] = counts.get(key, 0) + 1
@@ -133,34 +140,45 @@ def observed():
                         paths[f"{problem.pid}/{language.value}"] = (
                             None if took_batch else refused
                         )
+        batch_calls, _ = _counts()
     finally:
         set_tracer(previous)
     return (
         {key: (counts[key], h.hexdigest()) for key, h in digests.items()},
         paths,
+        batch_calls,
     )
 
 
 def test_every_category_is_pinned(observed):
-    digests, _ = observed
+    digests, _, _ = observed
     assert set(digests) == set(REFERENCE)
     assert sum(n for n, _ in digests.values()) == 1639
 
 
 @pytest.mark.parametrize("key", sorted(REFERENCE), ids="/".join)
 def test_category_digest(observed, key):
-    digests, _ = observed
+    digests, _, _ = observed
     assert digests[key] == REFERENCE[key]
 
 
-@pytest.mark.skipif(batch_disabled(), reason="REPRO_SIM_NO_BATCH is set")
+@pytest.mark.parametrize("observed", ["batch"], indirect=True)
 def test_reference_sets_take_the_batch_path(observed):
     """At least 300 of the 312 reference + golden-testbench sets batch;
     each set still refused is counted under exactly one clause."""
-    _, paths = observed
+    _, paths, _ = observed
     assert len(paths) == 312
     refused = {
         name: clauses for name, clauses in paths.items() if clauses is not None
     }
     assert len(paths) - len(refused) >= 300, sorted(refused)
     assert all(len(clauses) == 1 for clauses in refused.values()), refused
+
+
+@pytest.mark.parametrize("observed", ["kernel"], indirect=True)
+def test_plain_text_sets_take_the_kernel(observed):
+    """With each golden testbench as plain text, none of the 1,639 sets
+    makes a batch call or is refused one."""
+    _, paths, batch_calls = observed
+    assert batch_calls == 0
+    assert all(clauses == [] for clauses in paths.values()), paths

@@ -33,6 +33,7 @@ from repro.obs import (
     read_trace,
     set_tracer,
 )
+from tests.simpaths import plain_text, simulate
 
 CORPUS_PROBLEMS = 6
 
@@ -429,7 +430,7 @@ class TestStatsAndToggles:
 
 def _batch_files(language):
     """A generated design with its generated testbench, which carries its
-    stimulus bundle: the default tiers judge it on the batch tier."""
+    stimulus bundle, so it runs on the batch tier."""
     spec = generate_spec(0, 0)
     testbench = make_testbench(
         spec.design_spec(), spec.model(), language, spec.name
@@ -444,36 +445,31 @@ def _batch_files(language):
     ]
 
 
-class TestTierFlagsInKeys:
-    """A result stored with the batch tier on is never served under
-    ``REPRO_SIM_NO_BATCH``, so the flag always gets the kernel's own run;
-    and that run equals the batch result in every field, ``tool_seconds``
-    included, because the modeled cost does not depend on the path."""
+class TestPlainTextKeys:
+    """A key is a function of the inputs alone: a testbench's plain text
+    keys like the :class:`~repro.designs.tbgen.Testbench` it copies, so in
+    one toolchain its simulate replays the batch result. In fresh
+    toolchains the plain text takes the kernel, and the two results agree
+    in every field, ``tool_seconds`` included, because the modeled cost
+    does not depend on the path."""
 
     @pytest.mark.parametrize("language", list(Language))
-    def test_flag_flip_misses_and_matches(self, monkeypatch, language):
+    def test_plain_copy_is_a_store_hit(self, language):
         files = _batch_files(language)
-        monkeypatch.delenv("REPRO_SIM_NO_BATCH", raising=False)
-        previous = get_tracer()
-        set_tracer(Tracer(NullSink()))
-        try:
-            toolchain = Toolchain()
-            default = toolchain.simulate(files, "tb")
-            batch_calls = get_tracer().metrics.counter("sim.batch_calls")
-            assert batch_calls.value == 1
-            monkeypatch.setenv("REPRO_SIM_NO_BATCH", "1")
-            flipped = toolchain.simulate(files, "tb")
-            assert toolchain.store.stats["simulate"].hits == 0
-            assert batch_calls.value == 1  # the flipped run took the kernel
-            assert sim_fields(flipped) == sim_fields(default)
-            assert flipped.tool_seconds == default.tool_seconds
-            # and flipping back serves the first result again
-            monkeypatch.delenv("REPRO_SIM_NO_BATCH")
-            again = toolchain.simulate(files, "tb")
-            assert toolchain.store.stats["simulate"].hits == 1
-            assert sim_fields(again) == sim_fields(default)
-        finally:
-            set_tracer(previous)
+        toolchain = Toolchain()
+        batched = toolchain.simulate(files, "tb")
+        replayed = toolchain.simulate(plain_text(files), "tb")
+        stats = toolchain.store.stats["simulate"]
+        assert (stats.hits, stats.misses) == (1, 1)
+        assert sim_fields(replayed) == sim_fields(batched)
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_fresh_toolchains_agree_on_both_paths(self, language):
+        files = _batch_files(language)
+        batched, batch_calls = simulate(files)
+        kernel, kernel_calls = simulate(plain_text(files))
+        assert (batch_calls, kernel_calls) == (1, 0)
+        assert sim_fields(kernel) == sim_fields(batched)
 
 
 def _elaborations(monkeypatch, language):
@@ -516,9 +512,8 @@ class TestOneElaborationPerMiss:
     DUT alone, after the set's compile; and the store keeps no design."""
 
     @pytest.fixture
-    def batch_calls(self, monkeypatch):
-        """The ``sim.batch_calls`` counter, on the default path."""
-        monkeypatch.delenv("REPRO_SIM_NO_BATCH", raising=False)
+    def batch_calls(self):
+        """The ``sim.batch_calls`` counter."""
         previous = get_tracer()
         set_tracer(Tracer(NullSink()))
         yield get_tracer().metrics.counter("sim.batch_calls")
