@@ -198,7 +198,7 @@ def _simulate_miss(toolchain, files, top):
 
     ``max_sim_time`` is in the simulate key but not in the compile key, so
     raising it by one makes the next call re-run the simulation while
-    parse, analysis and compile entries still hit.
+    parse and compile entries still hit.
     """
     toolchain.max_sim_time += 1
     return toolchain.simulate(files, top)
@@ -211,7 +211,7 @@ def _assert_simulate_misses(toolchain, warm):
         for stage, stats in toolchain.store.stats.items()
     }
     assert delta["simulate"].hits == 0 and delta["simulate"].misses > 0
-    for stage in ("parse", "analyze", "compile"):
+    for stage in ("parse", "compile"):
         assert delta[stage].misses == 0, (stage, delta[stage])
     return delta["simulate"].misses
 
@@ -263,8 +263,8 @@ def _best_ms(files, top, *, reps=20):
 
     The files pick the path: a generated testbench takes the batch tier,
     its plain text (:func:`~tests.simpaths.plain_text`) the event kernel.
-    A fresh Toolchain per path; one warm-up call fills its parse, analysis
-    and compile entries. Every timed rep then misses the simulate stage
+    A fresh Toolchain per path; one warm-up call fills its parse and
+    compile entries. Every timed rep then misses the simulate stage
     alone (see :func:`_simulate_miss`), so the measurement is the
     elaborate+simulate cost the sweeps actually pay per run, never a store
     hit: on the batch path that is the DUT's elaboration, its plan and its

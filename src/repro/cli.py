@@ -70,6 +70,17 @@ def _at_least(floor: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type: a float above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _language(text: str) -> Language:
     try:
         return Language(text.lower())
@@ -131,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
              "record-for-record identical at any worker count)",
     )
     sweep.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=_positive_float, default=None,
+        metavar="SECONDS",
         help="per-problem wall-clock budget when workers > 1; a hung task "
              "degrades to an error record instead of stalling the sweep",
     )
@@ -240,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes; the report is identical at any count",
     )
     fuzz.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=_positive_float, default=None,
+        metavar="SECONDS",
         help="per-program wall-clock budget when workers > 1",
     )
     fuzz.add_argument(
@@ -308,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="prove this many generated fuzz programs instead of the corpus",
     )
     prove.add_argument(
-        "--depth", type=int, default=None,
+        "--depth", type=_at_least(1), default=None,
         help="BMC unrolling bound for sequential designs",
     )
     prove.add_argument(
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of generated specs to check when no case file is given",
     )
     formal_check.add_argument(
-        "--depth", type=int, default=None,
+        "--depth", type=_at_least(1), default=None,
         help="cycles of X-freedom unrolling after reset",
     )
 

@@ -9,7 +9,12 @@ successfully!"). The same stimulus and expectations are rendered into both
 languages, so a functional defect is detected identically in each flow.
 The result is a :class:`Testbench`: the text, carrying the
 :class:`StimulusBundle` it renders, so the batch tier can run the stimulus
-without parsing the text. The module keeps no state between calls.
+without parsing the text, and its declarations, which are what the
+toolchain compiles. Each renderer returns the text in three parts: the
+head (library clauses, signal declarations, the DUT instance and the
+stimulus process's opening), the stimulus body (the drive, wait and check
+statements) and the tail (the final report and the closing lines). The
+module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -49,23 +54,28 @@ class StimulusBundle:
 class Testbench(str):
     """A generated testbench's text that carries the stimulus it renders.
 
-    :func:`make_testbench` sets ``bundle`` once, when it builds the text;
-    the toolchain sends a set with one :class:`Testbench` file to the batch
-    tier. A testbench pickles and copies with its bundle. String operations
-    (``str(tb)``, ``tb.strip()``, slicing, concatenation) return plain
-    text, which has no bundle: text that only *equals* a generated
-    testbench runs on the event kernel, with the same observables.
+    :func:`make_testbench` sets ``bundle`` and ``declarations`` once, when
+    it builds the text. ``declarations`` is the same text with every line
+    of the stimulus body emptied, so every line and column of the head and
+    tail holds; the toolchain compiles a :class:`Testbench` from it, and
+    sends a set with one :class:`Testbench` file to the batch tier. A
+    testbench pickles and copies with both. String operations (``str(tb)``,
+    ``tb.strip()``, slicing, concatenation) return plain text, which has
+    neither: text that only *equals* a generated testbench compiles in full
+    and runs on the event kernel, with the same observables.
     """
 
-    __slots__ = ("bundle",)
+    __slots__ = ("bundle", "declarations")
 
-    def __new__(cls, text: str, bundle: StimulusBundle) -> "Testbench":
+    def __new__(cls, text: str, bundle: StimulusBundle,
+                declarations: str) -> "Testbench":
         self = super().__new__(cls, text)
         self.bundle = bundle
+        self.declarations = declarations
         return self
 
     def __reduce__(self):
-        return Testbench, (str(self), self.bundle)
+        return Testbench, (str(self), self.bundle, self.declarations)
 
 
 #: settle time between driving combinational inputs and checking outputs (ns)
@@ -127,19 +137,25 @@ def make_testbench(
     if spec.clocked:
         expected = model.run(spec, stimulus)
         render = _verilog_seq_tb if verilog else _vhdl_seq_tb
-        text = render(spec, stimulus, expected, reset_outputs)
+        head, body, tail = render(spec, stimulus, expected, reset_outputs)
     else:
         expected = [model.evaluate(spec, v) for v in stimulus]
         reset_outputs = None  # a combinational testbench checks no reset
         render = _verilog_comb_tb if verilog else _vhdl_comb_tb
-        text = render(spec, stimulus, expected)
-    return Testbench(text, StimulusBundle(
-        spec=spec,
-        language=language,
-        stimulus=tuple(dict(v) for v in stimulus),
-        expected=tuple(dict(e) for e in expected),
-        reset_outputs=dict(reset_outputs) if reset_outputs is not None else None,
-    ))
+        head, body, tail = render(spec, stimulus, expected)
+    return Testbench(
+        "\n".join(head + body + tail) + "\n",
+        StimulusBundle(
+            spec=spec,
+            language=language,
+            stimulus=tuple(dict(v) for v in stimulus),
+            expected=tuple(dict(e) for e in expected),
+            reset_outputs=(
+                dict(reset_outputs) if reset_outputs is not None else None
+            ),
+        ),
+        "\n".join(head + [""] * len(body) + tail) + "\n",
+    )
 
 
 # --------------------------------------------------------------------------
@@ -177,6 +193,8 @@ def _v_header(spec: DesignSpec) -> list[str]:
     lines.append("")
     lines.append(f"    {TOP_NAME} dut({_v_connections(spec)});")
     lines.append("")
+    lines.append("    initial begin")
+    lines.append("        errors = 0;")
     return lines
 
 
@@ -210,10 +228,8 @@ def _v_footer() -> list[str]:
     ]
 
 
-def _verilog_comb_tb(spec, vectors, expectations) -> str:
-    lines = _v_header(spec)
-    lines.append("    initial begin")
-    lines.append("        errors = 0;")
+def _verilog_comb_tb(spec, vectors, expectations):
+    body = []
     for case_no, (vector, expected) in enumerate(
         zip(vectors, expectations), start=1
     ):
@@ -222,33 +238,29 @@ def _verilog_comb_tb(spec, vectors, expectations) -> str:
             for p in spec.inputs
         )
         if drives:
-            lines.append(f"        {drives}")
-        lines.append(f"        #{SETTLE_NS};")
-        lines.extend(_v_checks(spec, case_no, expected))
-    lines.extend(_v_footer())
-    return "\n".join(lines) + "\n"
+            body.append(f"        {drives}")
+        body.append(f"        #{SETTLE_NS};")
+        body.extend(_v_checks(spec, case_no, expected))
+    return _v_header(spec), body, _v_footer()
 
 
-def _verilog_seq_tb(spec, stimulus, expected, reset_outputs=None) -> str:
-    lines = _v_header(spec)
-    lines.append("    initial begin")
-    lines.append("        errors = 0;")
-    lines.append("        clk = 0;")
+def _verilog_seq_tb(spec, stimulus, expected, reset_outputs=None):
+    body = ["        clk = 0;"]
     if spec.has_reset:
-        lines.append("        rst = 1;")
+        body.append("        rst = 1;")
     zero_drive = " ".join(
         f"{p.name} = {verilog_literal(0, p.width)};" for p in spec.inputs
     )
     if zero_drive:
-        lines.append(f"        {zero_drive}")
+        body.append(f"        {zero_drive}")
     for _ in range(RESET_CYCLES):
-        lines.append(
+        body.append(
             f"        #{HALF_PERIOD_NS} clk = 1; #{HALF_PERIOD_NS} clk = 0;"
         )
     if spec.has_reset:
-        lines.append("        rst = 0;")
+        body.append("        rst = 0;")
     if reset_outputs is not None:
-        lines.extend(
+        body.extend(
             _v_checks(spec, 0, reset_outputs, suffix=" right after reset")
         )
     for case_no, (vector, want) in enumerate(zip(stimulus, expected), start=1):
@@ -257,15 +269,14 @@ def _verilog_seq_tb(spec, stimulus, expected, reset_outputs=None) -> str:
             for p in spec.inputs
         )
         if drives:
-            lines.append(f"        {drives}")
-        lines.append(
+            body.append(f"        {drives}")
+        body.append(
             f"        #{HALF_PERIOD_NS} clk = 1; #{HALF_PERIOD_NS} clk = 0;"
         )
-        lines.extend(
+        body.extend(
             _v_checks(spec, case_no, want, suffix=f" at cycle {case_no}")
         )
-    lines.extend(_v_footer())
-    return "\n".join(lines) + "\n"
+    return _v_header(spec), body, _v_footer()
 
 
 # --------------------------------------------------------------------------
@@ -341,48 +352,45 @@ def _vhdl_footer() -> list[str]:
     ]
 
 
-def _vhdl_comb_tb(spec, vectors, expectations) -> str:
-    lines = _vhdl_header(spec)
+def _vhdl_comb_tb(spec, vectors, expectations):
+    body = []
     for case_no, (vector, expected) in enumerate(
         zip(vectors, expectations), start=1
     ):
         for port in spec.inputs:
             literal = vhdl_literal(vector[port.name], port.width)
-            lines.append(f"        {port.name} <= {literal};")
-        lines.append(f"        wait for {SETTLE_NS} ns;")
-        lines.extend(_vhdl_checks(spec, case_no, expected))
-    lines.extend(_vhdl_footer())
-    return "\n".join(lines) + "\n"
+            body.append(f"        {port.name} <= {literal};")
+        body.append(f"        wait for {SETTLE_NS} ns;")
+        body.extend(_vhdl_checks(spec, case_no, expected))
+    return _vhdl_header(spec), body, _vhdl_footer()
 
 
-def _vhdl_seq_tb(spec, stimulus, expected, reset_outputs=None) -> str:
-    lines = _vhdl_header(spec)
-    lines.append("        clk <= '0';")
+def _vhdl_seq_tb(spec, stimulus, expected, reset_outputs=None):
+    body = ["        clk <= '0';"]
     if spec.has_reset:
-        lines.append("        rst <= '1';")
+        body.append("        rst <= '1';")
     for port in spec.inputs:
-        lines.append(f"        {port.name} <= {vhdl_literal(0, port.width)};")
+        body.append(f"        {port.name} <= {vhdl_literal(0, port.width)};")
     for _ in range(RESET_CYCLES):
-        lines.append(
+        body.append(
             f"        wait for {HALF_PERIOD_NS} ns; clk <= '1'; "
             f"wait for {HALF_PERIOD_NS} ns; clk <= '0';"
         )
     if spec.has_reset:
-        lines.append("        rst <= '0';")
+        body.append("        rst <= '0';")
     if reset_outputs is not None:
-        lines.extend(
+        body.extend(
             _vhdl_checks(spec, 0, reset_outputs, suffix=" right after reset")
         )
     for case_no, (vector, want) in enumerate(zip(stimulus, expected), start=1):
         for port in spec.inputs:
             literal = vhdl_literal(vector[port.name], port.width)
-            lines.append(f"        {port.name} <= {literal};")
-        lines.append(
+            body.append(f"        {port.name} <= {literal};")
+        body.append(
             f"        wait for {HALF_PERIOD_NS} ns; clk <= '1'; "
             f"wait for {HALF_PERIOD_NS} ns; clk <= '0';"
         )
-        lines.extend(
+        body.extend(
             _vhdl_checks(spec, case_no, want, suffix=f" at cycle {case_no}")
         )
-    lines.extend(_vhdl_footer())
-    return "\n".join(lines) + "\n"
+    return _vhdl_header(spec), body, _vhdl_footer()

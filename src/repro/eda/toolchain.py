@@ -15,18 +15,26 @@ Design goals:
 * **One result store.** Experiment sweeps recompile and resimulate the same
   (sources, top) pairs many times — the baseline and AIVRIL2 judgments of
   every model run the suite's golden testbench against identical text.
-  Every stage of the flow (parse, analyze, compile, simulate) is a pure
-  function of its inputs, so each :class:`Toolchain` keeps one bounded,
+  Every stage of the flow (parse, compile, simulate) is a pure function of
+  its inputs, so each :class:`Toolchain` keeps one bounded,
   content-addressed :class:`ResultStore` of stage results. It is always
   on: a hit returns a result equal field-by-field to a cold run (only
   ``wall_seconds``, the true elapsed time, reflects the cheap lookup).
+* **A generated testbench compiles from its declarations.** The compile
+  stage builds each :class:`~repro.designs.tbgen.Testbench` file from its
+  ``declarations``: its text with the stimulus body emptied. The body
+  names only the testbench's own declarations and system tasks, so it
+  adds no diagnostic that depends on the DUT.
 * **One simulate flow.** A simulate miss compiles the set, then runs it
   on one of two paths and builds one :class:`SimResult`: a set of DUT
   files plus one generated :class:`~repro.designs.tbgen.Testbench` goes
   to the batch tier (:mod:`repro.sim.batch`), which plans and runs the
   DUT alone against the testbench's own stimulus bundle; every other set
   (text that only equals a generated testbench included), and every
-  refused plan or run, goes to the event kernel.
+  refused plan or run, goes to the event kernel, which builds its own
+  design from the set's plain text. That build must report what the
+  compile reported; when it does not, testbench generation is at fault,
+  not the input, and the run raises.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ from repro.sim import compile as simcompile
 from repro.sim.elab_verilog import elaborate_verilog
 from repro.sim.elab_vhdl import elaborate_vhdl
 from repro.sim.kernel import SimulationError, Simulator
-from repro.verilog import ast as verilog_ast
 from repro.verilog.analyzer import VerilogAnalyzer
 from repro.verilog.parser import parse_verilog
 from repro.vhdl.analyzer import VhdlAnalyzer
@@ -140,7 +147,7 @@ class CacheStats:
 
 
 #: the store's stages, in flow order
-STAGES = ("parse", "analyze", "compile", "simulate")
+STAGES = ("parse", "compile", "simulate")
 
 #: what :meth:`ResultStore.get` returns for an absent key
 MISS = object()
@@ -151,26 +158,25 @@ class ResultStore:
 
     A key is ``(stage, digest)``. The sha256 digest covers everything that
     determines the result: the top unit, every file's name, language and
-    full text, and the stage's extra inputs. A simulate key adds
-    ``max_sim_time``; a generated testbench and its plain text key alike,
-    because both paths give the same result.
-    An analysis entry is one unit's: its key covers that file plus the
-    interface it reads from the rest of the set (see
-    :meth:`Toolchain._analyze_unit`). Keys are derived from the inputs,
-    never from the outputs, so two source sets that *render* the same log
-    never collide.
+    text, and the stage's extra inputs. A parse key covers the text the
+    parser reads, which for a generated testbench is its declarations. A
+    compile or simulate key covers every file's full text, and a simulate
+    key adds ``max_sim_time``; a generated testbench and its plain text
+    key alike, because both compile alike and both paths give the same
+    result. Keys are derived from the inputs, never from the outputs, so
+    two source sets that *render* the same log never collide.
 
     The store holds at most :attr:`MAX_ENTRIES` entries and
     :attr:`MAX_BYTES` bytes; the least recently used entries go first. An
     entry's bytes are the characters of text behind it: the source of a
     parse (its AST and line index grow with it), the logs and output lines
-    of a compile or simulate result, the messages of an analysis. Real
-    memory is about ten times that on suite workloads. No entry holds an
-    elaborated design: designs are runtime state, built per run (see
-    :meth:`Toolchain.simulate`). Hits, misses and evictions are counted per
-    stage, both here (:attr:`stats`) and in the metrics registry as
-    ``toolchain.store.<stage>.hit|miss|evict``, next to the
-    ``toolchain.store.entries`` and ``toolchain.store.bytes`` gauges.
+    of a compile or simulate result. Real memory is about ten times that
+    on suite workloads. No entry holds an elaborated design: designs are
+    runtime state, built per run (see :meth:`Toolchain.simulate`). Hits,
+    misses and evictions are counted per stage, both here (:attr:`stats`)
+    and in the metrics registry as ``toolchain.store.<stage>.hit|miss|evict``,
+    next to the ``toolchain.store.entries`` and ``toolchain.store.bytes``
+    gauges.
     """
 
     MAX_ENTRIES = 2048
@@ -274,47 +280,14 @@ def _sim_text_bytes(result: SimResult) -> int:
     return held
 
 
-def _verilog_interface(library) -> tuple:
-    """What :class:`VerilogAnalyzer` reads from the other units' modules.
+def _declarations(hdl_file: HdlFile) -> HdlFile:
+    """What the compile stage builds for *hdl_file*: the declarations of a
+    generated :class:`~repro.designs.tbgen.Testbench`, else the file."""
+    from repro.designs.tbgen import Testbench
 
-    Instantiation checks look a module up by name and read its port names
-    in order and its non-local parameter names; nothing else crosses a
-    unit boundary. Counts lead each list, so the parts stay unambiguous.
-    """
-    parts: list = [len(library)]
-    for name in sorted(library):
-        module = library[name]
-        ports = module.port_names()
-        params = [
-            item.name for item in module.items
-            if isinstance(item, verilog_ast.ParamDecl) and not item.local
-        ]
-        parts += [name, len(ports), *ports, len(params), *params]
-    return tuple(parts)
-
-
-def _vhdl_interface(library, design_file, sources) -> tuple:
-    """What :class:`VhdlAnalyzer` reads from the other units' entities.
-
-    Instantiation checks read an entity's name, port names and generic
-    names. An architecture of an entity declared in another file also
-    reads that entity's types and spans, so such a unit keys on the text
-    of the file declaring it as well.
-    """
-    parts: list = [len(library)]
-    for name in sorted(library):
-        entity = library[name]
-        ports = [port.name for port in entity.ports]
-        generics = [generic.name for generic in entity.generics]
-        parts += [name, len(ports), *ports, len(generics), *generics]
-    foreign = sorted({
-        arch.entity for arch in design_file.architectures
-        if arch.entity in library
-    })
-    parts.append(len(foreign))
-    for name in foreign:
-        parts += [name, sources[name].text]
-    return tuple(parts)
+    if not isinstance(hdl_file.text, Testbench):
+        return hdl_file
+    return replace(hdl_file, text=hdl_file.text.declarations)
 
 
 class Toolchain:
@@ -337,11 +310,9 @@ class Toolchain:
     def __init__(self, *, max_sim_time: int = 200_000):
         self.max_sim_time = max_sim_time
         # Parsed ASTs are frozen dataclasses and diagnostics are immutable,
-        # so parse and analysis entries are shared as they are (analysis
-        # hits replay the recorded diagnostics into the caller's collector
-        # in original order); compile and simulate hits return defensive
-        # copies. Elaborated designs are mutable runtime state and are
-        # never stored.
+        # so parse entries are shared as they are; compile and simulate
+        # hits return defensive copies. Elaborated designs are mutable
+        # runtime state and are never stored.
         self.store = ResultStore()
 
     @property
@@ -362,15 +333,11 @@ class Toolchain:
     # ------------------------------------------------------------------
 
     def compile(self, files: list[HdlFile], top: str) -> CompileResult:
-        """Analyze and elaborate; diagnostics render into one compile log."""
-        return self._compile(files, top)[0]
+        """Analyze and elaborate; diagnostics render into one compile log.
 
-    def _compile(self, files: list[HdlFile], top: str):
-        """The compile stage: ``(result, design)``.
-
-        ``design`` is the design a miss elaborated (``None`` when the result
-        is a failure or a store hit), so a simulation can run it instead of
-        elaborating the same files again.
+        Each generated testbench is built from its ``declarations``; the
+        key, the modeled ``tool_seconds`` and the log come from the full
+        text. The design a miss elaborates is dropped.
         """
         tracer = get_tracer()
         with tracer.span(
@@ -388,12 +355,14 @@ class Toolchain:
                 tracer.metrics.counter("cache.hit").inc()
                 return _copy_compile_result(
                     cached, _time.perf_counter() - started
-                ), None
+                )
             span.set_attr("cache", "miss")
             tracer.metrics.counter("cache.miss").inc()
             collector = DiagnosticCollector()
             language = files[0].language if files else Language.VERILOG
-            design = self._build_design(files, top, collector)
+            design = self._build_design(
+                [_declarations(f) for f in files], top, collector
+            )
             wall = _time.perf_counter() - started
             total_kib = sum(len(f.text) for f in files) / 1024.0
             modeled = self.COMPILE_BASE_SECONDS + self.COMPILE_PER_KIB_SECONDS * total_kib
@@ -419,7 +388,7 @@ class Toolchain:
                 "compile top=%s files=%d ok=%s errors=%d",
                 top, len(files), result.ok, result.error_count,
             )
-            return result, design if result.ok else None
+            return result
 
     def _build_design(
         self, files: list[HdlFile], top: str, collector: DiagnosticCollector
@@ -465,25 +434,6 @@ class Toolchain:
         self.store.put(key, entry, len(hdl_file.text))
         return entry
 
-    def _analyze_unit(self, hdl_file, interface, collector, run) -> None:
-        """Analyze one unit through the store, replaying a hit's diagnostics.
-
-        The key is the unit's own file plus *interface*, exactly what its
-        analyzer reads from the other units of the set (see
-        :func:`_verilog_interface` and :func:`_vhdl_interface`). So a
-        candidate revision that keeps the testbench's view of it unchanged
-        replays the testbench's diagnostics instead of re-analyzing it.
-        """
-        key = self.store.key("analyze", [hdl_file], extra=interface)
-        cached = self.store.get(key)
-        if cached is not MISS:
-            collector.diagnostics.extend(cached)
-            return
-        mark = len(collector.diagnostics)
-        run()
-        found = tuple(collector.diagnostics[mark:])
-        self.store.put(key, found, sum(len(d.message) for d in found))
-
     def _build_verilog(self, files, top, collector):
         modules = {}
         sources: dict[str, SourceFile] = {}
@@ -491,22 +441,17 @@ class Toolchain:
         for hdl_file in files:
             unit, parse_diags, source = self._parse_cached(hdl_file)
             collector.diagnostics.extend(parse_diags)
-            units.append((hdl_file, unit, source))
+            units.append((unit, source))
             for module in unit.modules:
                 modules[module.name] = module
                 sources[module.name] = source
-        for hdl_file, unit, source in units:
+        for unit, source in units:
             local = {m.name for m in unit.modules}
             library = {k: v for k, v in modules.items() if k not in local}
-            self._analyze_unit(
-                hdl_file, _verilog_interface(library), collector,
-                lambda: VerilogAnalyzer(source, collector, library).analyze(
-                    unit
-                ),
-            )
+            VerilogAnalyzer(source, collector, library).analyze(unit)
         if collector.has_errors:
             return None
-        top_source = sources.get(top) or units[0][2]
+        top_source = sources.get(top) or units[0][1]
         design, _ = elaborate_verilog(modules, top, top_source, collector)
         return design
 
@@ -518,27 +463,20 @@ class Toolchain:
         for hdl_file in files:
             design_file, parse_diags, source = self._parse_cached(hdl_file)
             collector.diagnostics.extend(parse_diags)
-            design_files.append((hdl_file, design_file, source))
+            design_files.append((design_file, source))
             for entity in design_file.entities:
                 entities[entity.name] = entity
                 sources[entity.name] = source
             for arch in design_file.architectures:
                 architectures[arch.entity] = arch
-        for hdl_file, design_file, source in design_files:
+        for design_file, source in design_files:
             local = {e.name for e in design_file.entities}
             library = {k: v for k, v in entities.items() if k not in local}
-            self._analyze_unit(
-                hdl_file,
-                _vhdl_interface(library, design_file, sources),
-                collector,
-                lambda: VhdlAnalyzer(source, collector, library).analyze(
-                    design_file
-                ),
-            )
+            VhdlAnalyzer(source, collector, library).analyze(design_file)
         if collector.has_errors:
             return None
         top = top.lower()
-        top_source = sources.get(top) or design_files[0][2]
+        top_source = sources.get(top) or design_files[0][1]
         from repro.vhdl.ast import DesignFile
         from repro.hdl.source import SourceSpan
 
@@ -602,13 +540,14 @@ class Toolchain:
         """One simulate miss: compile the set, then run it on the batch
         tier or the kernel.
 
-        A set of DUT files plus one generated testbench releases the
-        design its compile elaborated and goes to the batch tier
-        (:meth:`_run_batch`); any other set, or a refused plan or run, goes
-        to the kernel, which elaborates the set again only when no design
-        is in hand (a compile hit, or a release).
+        A set of DUT files plus one generated testbench goes to the batch
+        tier (:meth:`_run_batch`); any other set, or a refused plan or run,
+        goes to the kernel, which builds its own design from the set's
+        plain text. That build must report what the compile reported: a
+        testbench body that adds a diagnostic its declarations lack is a
+        tbgen defect, and raises :class:`RuntimeError`.
         """
-        compile_result, design = self._compile(files, top)
+        compile_result = self.compile(files, top)
         if not compile_result.ok:
             return SimResult(
                 ok=False,
@@ -622,7 +561,6 @@ class Toolchain:
         outcome = None
         golden = self._golden_testbench(files, top)
         if golden is not None:
-            design = None  # not held while the batch tier runs the DUT
             outcome = self._run_batch(*golden)
         runtime_error = ""
         if outcome is not None:
@@ -631,8 +569,7 @@ class Toolchain:
             output, end_time = outcome.output_lines, outcome.end_time
             finished_cleanly = outcome.finished_cleanly
         else:
-            if design is None:
-                design = self._build_design(files, top, DiagnosticCollector())
+            design = self._build_plain_text(files, top, compile_result)
             simulator = Simulator(design, max_time=self.max_sim_time)
             try:
                 stats = simulator.run()
@@ -661,6 +598,25 @@ class Toolchain:
             ),
             wall_seconds=_time.perf_counter() - started,
         )
+
+    def _build_plain_text(self, files: list[HdlFile], top: str,
+                          compile_result: CompileResult):
+        """The kernel's design of *files*, built from ``str()`` of each
+        text; raises :class:`RuntimeError` when that build reports other
+        diagnostics than *compile_result*, which came from the
+        declarations of each generated testbench."""
+        collector = DiagnosticCollector()
+        design = self._build_design(
+            [replace(f, text=str(f.text)) for f in files], top, collector
+        )
+        if design is None or collector.diagnostics != compile_result.diagnostics:
+            found = "\n".join(d.render() for d in collector.diagnostics)
+            raise RuntimeError(
+                f"tbgen defect: the full text of the set under top {top!r} "
+                "reports other diagnostics than its declarations compiled "
+                f"with:\n{found or '(none)'}"
+            )
+        return design
 
     # ------------------------------------------------------------------
     # batch tier

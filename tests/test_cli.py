@@ -215,6 +215,24 @@ def test_count_below_its_floor_is_a_usage_error(argv, floor, capsys):
     assert f"must be >= {floor}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["sweep", "--limit", "1", "--task-timeout", "0"], "must be > 0"),
+    (["qa", "fuzz", "--count", "1", "--task-timeout", "-1"], "must be > 0"),
+    (["formal", "check", "--count", "1", "--depth", "-1"], "must be >= 1"),
+    (["formal", "prove", "--count", "1", "--depth", "0"], "must be >= 1"),
+], ids=["sweep-timeout", "qa-fuzz-timeout", "formal-check-depth",
+        "formal-prove-depth"])
+def test_budget_or_depth_below_its_floor_is_a_usage_error(
+    argv, refusal, capsys
+):
+    """A task budget of no time, or a proof depth that checks no cycle, is
+    refused before any work, never a traceback or a vacuous proof."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert refusal in capsys.readouterr().err
+
+
 class TestQa:
     def failing_case_path(self, tmp_path):
         from repro.designs.mutations import functional

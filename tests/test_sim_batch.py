@@ -947,6 +947,7 @@ class TestTestbenchBundle:
             assert isinstance(twin, tbgen.Testbench)
             assert twin == text
             assert twin.bundle == text.bundle
+            assert twin.declarations == text.declarations
 
     def test_no_bundle_outlives_its_fuzz_campaign(self, monkeypatch):
         """Nothing keeps an ad-hoc testbench's bundle once the campaign

@@ -1,8 +1,16 @@
 """Tests for the EDA toolchain facade."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro.eda.toolchain as toolchain_module
+from repro.designs import tbgen
 from repro.eda.toolchain import HdlFile, Language, Toolchain
+from repro.evalsuite.suite import build_suite
+from repro.qa.fuzz import run_fuzz
+from tests.simpaths import plain_text, simulate, simulate_kernel
+from tests.test_toolchain_cache import mutated_corpus
 
 GOOD_V = "module top_module(input a, output y); assign y = a; endmodule"
 BAD_V = "module top_module(input a, output y); assign y = a endmodule"
@@ -109,8 +117,6 @@ class TestCompile:
     def test_parse_memo_hits_build_no_source_file(
         self, toolchain, monkeypatch, hdl_file
     ):
-        import repro.eda.toolchain as toolchain_module
-
         companion = HdlFile(
             "c" + hdl_file.language.file_extension,
             hdl_file.text.replace("top_module", "companion"),
@@ -135,11 +141,13 @@ class TestCompile:
             )
         monkeypatch.setattr(toolchain_module, "SourceFile", CountingSourceFile)
         # the same file in a file set new to the store re-elaborates its
-        # top, and an unknown top (the first file's source is the fallback)
-        # both reuse the SourceFile kept in the parse entry
+        # top, once for the compile and once for the kernel's own build,
+        # and an unknown top (the first file's source is the fallback)
+        # fails the compile; all of them reuse the SourceFile kept in the
+        # parse entry
         assert toolchain.simulate([hdl_file, companion], "top_module").ok
         assert not toolchain.compile([hdl_file], "nonexistent").ok
-        assert elaborated == ["top_module", "nonexistent"]
+        assert elaborated == ["top_module", "top_module", "nonexistent"]
         assert built == []
 
 
@@ -235,3 +243,197 @@ class TestSimulate:
         first = toolchain.simulate(files, "tb")
         second = toolchain.simulate(files, "tb")
         assert first.output_lines == second.output_lines == ["1"]
+
+
+# -- a generated testbench compiles from its declarations --------------------
+
+
+def _stimulus_body_bounds(testbench):
+    """Where the stimulus body of a generated testbench starts and ends, as
+    line indices, found by the lines that open and close it."""
+    lines = testbench.split("\n")
+    if testbench.bundle.language is Language.VERILOG:
+        opening, report = "        errors = 0;", "        if (errors == 0)"
+    else:
+        opening, report = "    begin", "        if errors = 0 then"
+    return lines.index(opening) + 1, lines.index(report)
+
+
+@pytest.fixture(scope="module")
+def fuzz_sets():
+    """The ``(files, top)`` of every simulate in a 16-program campaign:
+    each program's DUT with its generated testbench, in both languages."""
+    sets = []
+    real = Toolchain.simulate
+
+    def recording(self, files, top):
+        sets.append((list(files), top))
+        return real(self, files, top)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Toolchain, "simulate", recording)
+        report = run_fuzz(seed=0, count=16)
+    assert len(report.results) == 16 and len(sets) == 32
+    return sets
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every text the toolchain hands a parser from now on."""
+    texts = []
+    for name in ("parse_verilog", "parse_vhdl"):
+        real = getattr(toolchain_module, name)
+        monkeypatch.setattr(
+            toolchain_module, name,
+            lambda text, *args, real=real, **kwargs: texts.append(text)
+            or real(text, *args, **kwargs),
+        )
+    return texts
+
+
+def _compile_fields(result):
+    return (result.ok, result.log, result.diagnostics, result.tool_seconds)
+
+
+def _testbench_set(pid, language, *, broken=False):
+    """A suite problem's reference with its golden testbench. ``broken``
+    misspells ``errors`` in the testbench's first check, an error that
+    its declarations, copied from the golden testbench, lack."""
+    problem = build_suite().get(pid)
+    ext = language.file_extension
+    testbench = problem.golden_tb[language]
+    if broken:
+        increment = (
+            "errors = errors + 1;" if language is Language.VERILOG
+            else "errors := errors + 1;"
+        )
+        text = testbench.replace(increment, "e" + increment[2:], 1)
+        assert text != testbench
+        testbench = tbgen.Testbench(
+            text, testbench.bundle, testbench.declarations
+        )
+    return [
+        HdlFile(f"top_module{ext}", problem.reference[language], language),
+        HdlFile(f"tb{ext}", testbench, language),
+    ]
+
+
+class TestTestbenchDeclarations:
+    """The compile stage builds a generated testbench from its
+    declarations; the kernel builds the plain text and checks that it
+    reports what the compile reported."""
+
+    def test_declarations_empty_the_stimulus_body(self, fuzz_sets):
+        testbenches = [
+            testbench for problem in build_suite()
+            for testbench in problem.golden_tb.values()
+        ] + [files[-1].text for files, _ in fuzz_sets]
+        assert len(testbenches) == 312 + 32
+        for testbench in testbenches:
+            lines = testbench.split("\n")
+            start, end = _stimulus_body_bounds(testbench)
+            declared = testbench.declarations.split("\n")
+            assert len(declared) == len(lines)
+            assert declared[:start] == lines[:start]
+            assert declared[end:] == lines[end:]
+            assert declared[start:end] == [""] * (end - start)
+            assert all(line.strip() for line in lines[start:end])
+            assert any("Failed" in line for line in lines[start:end])
+
+    @pytest.mark.parametrize("pid", ["gates_and", "dff_en"])
+    @pytest.mark.parametrize("language", list(Language))
+    def test_batch_path_never_parses_the_body(self, parsed, language, pid):
+        files = _testbench_set(pid, language)
+        testbench = files[-1].text
+        assert Toolchain().compile(files, "tb").ok
+        batched, batch_calls = simulate(files)
+        assert batch_calls == 1 and batched.ok
+        assert str(testbench) not in parsed
+        assert testbench.declarations in parsed
+        parsed.clear()
+        kernel = simulate_kernel(files)
+        assert parsed.count(str(testbench)) == 1
+        assert kernel.log == batched.log
+        assert kernel.compile_result.log == batched.compile_result.log
+
+    @pytest.mark.parametrize("language", list(Language))
+    @pytest.mark.parametrize("kernel_by", ["refused plan", "max_sim_time"])
+    def test_a_body_error_its_declarations_lack_is_loud(
+        self, language, kernel_by
+    ):
+        pid = "gray2bin4" if kernel_by == "refused plan" else "dff_en"
+        files = _testbench_set(pid, language, broken=True)
+        toolchain = Toolchain()
+        if kernel_by == "max_sim_time":
+            toolchain.max_sim_time = 1
+        # the compile reads the declarations alone, so it passes
+        assert toolchain.compile(files, "tb").ok
+        with pytest.raises(RuntimeError, match="tbgen defect") as raised:
+            toolchain.simulate(files, "tb")
+        assert "'erors'" in str(raised.value)
+        # the intact testbench takes the same path and passes
+        result = Toolchain(max_sim_time=toolchain.max_sim_time).simulate(
+            _testbench_set(pid, language), "tb"
+        )
+        assert result.ok and not result.runtime_error
+
+    def test_candidates_share_one_parse_of_the_declarations(self, parsed):
+        """What candidate revisions have in common with each other is the
+        testbench: one toolchain parses its declarations once."""
+        toolchain = Toolchain()
+        testbenches = []
+        for files, top in mutated_corpus(Language.VERILOG):
+            toolchain.compile(files, top)
+            testbenches.append(files[-1].text)
+        assert len(testbenches) > len(set(testbenches))
+        for testbench in set(testbenches):
+            assert parsed.count(testbench.declarations) == 1
+            assert str(testbench) not in parsed
+
+    def test_fuzz_programs_compile_alike_from_declarations(self, fuzz_sets):
+        for files, top in fuzz_sets:
+            assert isinstance(files[-1].text, tbgen.Testbench)
+            declared = Toolchain().compile(files, top)
+            full = Toolchain().compile(plain_text(files), top)
+            assert declared.ok
+            assert _compile_fields(declared) == _compile_fields(full)
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_defect_mutants_compile_alike_from_declarations(self, language):
+        """Syntax and functional mutants of the first suite problems, with
+        their golden testbench and with its plain copy."""
+        failing = 0
+        for files, top in mutated_corpus(language):
+            declared = Toolchain().compile(files, top)
+            full = Toolchain().compile(plain_text(files), top)
+            assert _compile_fields(declared) == _compile_fields(full)
+            failing += not declared.ok
+        assert failing > 0
+
+    PORTLESS = {
+        Language.VERILOG: "module top_module;\nendmodule\n",
+        Language.VHDL: (
+            "entity top_module is\nend entity;\n"
+            "architecture rtl of top_module is\nbegin\nend architecture;\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_a_dut_interface_error_keeps_its_testbench_line(self, language):
+        """A DUT without the spec's ports fails the testbench's instance,
+        which is in the head: the error keeps its line and column."""
+        files = _testbench_set("dff_en", language)
+        files[0] = replace(files[0], text=self.PORTLESS[language])
+        declared = Toolchain().compile(files, "tb")
+        full = Toolchain().compile(plain_text(files), "tb")
+        assert not declared.ok
+        assert _compile_fields(declared) == _compile_fields(full)
+        instance = 1 + next(
+            index for index, line in enumerate(files[-1].text.split("\n"))
+            if line.lstrip().startswith(("top_module dut(", "dut: entity"))
+        )
+        lines = {
+            d.location.line for d in declared.diagnostics
+            if d.file_name == files[-1].name
+        }
+        assert lines == {instance}

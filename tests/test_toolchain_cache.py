@@ -90,8 +90,8 @@ class TestCachedEqualsUncached:
     """A result served by a warm store equals a fresh toolchain's result.
 
     The shared toolchain sees the whole corpus, so besides its own repeats
-    it also serves parse and analysis entries across corpus items (every
-    mutant shares its problem's testbench)."""
+    it also serves parse entries across corpus items (every mutant shares
+    its problem's testbench)."""
 
     @pytest.mark.parametrize("language", list(Language))
     def test_compile_corpus(self, language):
@@ -314,9 +314,9 @@ class TestKeyInjectivity:
 
 class TestLruBound:
     def test_eviction_at_capacity(self, monkeypatch):
-        # one compile of a fresh module stores three entries: its parse,
-        # its analysis and its compile result
-        monkeypatch.setattr(ResultStore, "MAX_ENTRIES", 6)
+        # one compile of a fresh module stores two entries: its parse and
+        # its compile result
+        monkeypatch.setattr(ResultStore, "MAX_ENTRIES", 4)
         toolchain = Toolchain()
         store = toolchain.store
         sources = {
@@ -332,10 +332,10 @@ class TestLruBound:
 
         for name in ("m0", "m1", "m2"):
             compile_one(name)
-        assert len(store) == 6
-        # m0's three entries were the least recent: one eviction per stage
+        assert len(store) == 4
+        # m0's two entries were the least recent: one eviction per stage
         assert {stage: store.stats[stage].evictions for stage in STAGES} == {
-            "parse": 1, "analyze": 1, "compile": 1, "simulate": 0,
+            "parse": 1, "compile": 1, "simulate": 0,
         }
         # m0 was evicted: compiling it again is a miss, m2 is still warm
         misses_before = store.stats["compile"].misses
@@ -363,7 +363,7 @@ class TestLruBound:
         monkeypatch.setattr(ResultStore, "MAX_BYTES", 100)
         store = ResultStore()
         store.put(("parse", "a"), "a", 40)
-        store.put(("analyze", "b"), "b", 40)
+        store.put(("compile", "b"), "b", 40)
         assert (len(store), store.nbytes) == (2, 80)
         store.put(("simulate", "c"), "c", 40)  # 120 > 100: a goes
         assert store.get(("parse", "a")) is MISS
@@ -377,7 +377,7 @@ class TestLruBound:
         store.put(("compile", "d"), "d", 101)
         assert (len(store), store.nbytes) == (0, 0)
         assert {stage: store.stats[stage].evictions for stage in STAGES} == {
-            "parse": 1, "analyze": 1, "compile": 1, "simulate": 1,
+            "parse": 1, "compile": 2, "simulate": 1,
         }
 
     def test_toolchain_respects_byte_bound(self, monkeypatch):
@@ -508,8 +508,10 @@ def _reachable(value):
 
 
 class TestOneElaborationPerMiss:
-    """A kernel miss elaborates the set once; a batched miss elaborates the
-    DUT alone, after the set's compile; and the store keeps no design."""
+    """Each stage of a miss elaborates once, and a hit elaborates nothing: a
+    kernel miss elaborates the set for its compile and again for the
+    kernel's own build; a batched miss elaborates the set for its compile
+    and the DUT alone for the batch tier; and the store keeps no design."""
 
     @pytest.fixture
     def batch_calls(self):
@@ -520,7 +522,7 @@ class TestOneElaborationPerMiss:
         set_tracer(previous)
 
     @pytest.mark.parametrize("language", list(Language))
-    def test_kernel_simulate_miss_elaborates_once(
+    def test_kernel_simulate_miss_elaborates_after_its_compile(
         self, monkeypatch, language
     ):
         # the hand-written testbench carries no stimulus bundle, so the
@@ -536,10 +538,10 @@ class TestOneElaborationPerMiss:
         toolchain = Toolchain()
         result = toolchain.simulate(files, "tb")
         assert result.ok and result.output_lines
-        assert calls == ["tb"]
+        assert calls == ["tb", "tb"]
         # a hit does not elaborate at all
         toolchain.simulate(files, "tb")
-        assert calls == ["tb"]
+        assert calls == ["tb", "tb"]
 
     @pytest.mark.parametrize("language", list(Language))
     def test_batched_miss_elaborates_the_dut_alone(
@@ -667,208 +669,3 @@ class TestStoreCounters:
         assert merged.metrics["toolchain.store.bytes"]["value"] == (
             toolchain.store.nbytes
         )
-
-
-# -- per-unit analysis keys ---------------------------------------------------
-
-
-def whole_set_analysis(files):
-    """Parse and analysis diagnostics of a fresh whole-set pass, no store."""
-    from repro.hdl.diagnostics import DiagnosticCollector
-    from repro.hdl.source import SourceFile
-    from repro.verilog.analyzer import VerilogAnalyzer
-    from repro.verilog.parser import parse_verilog
-    from repro.vhdl.analyzer import VhdlAnalyzer
-    from repro.vhdl.parser import parse_vhdl
-
-    collector = DiagnosticCollector()
-    verilog = files[0].language is Language.VERILOG
-    parse = parse_verilog if verilog else parse_vhdl
-    units = []
-    for hdl_file in files:
-        tree, _ = parse(hdl_file.text, name=hdl_file.name, collector=collector)
-        units.append((tree, SourceFile(hdl_file.name, hdl_file.text)))
-    declared = {}
-    for tree, _ in units:
-        for unit in (tree.modules if verilog else tree.entities):
-            declared[unit.name] = unit
-    for tree, source in units:
-        local = {u.name for u in (tree.modules if verilog else tree.entities)}
-        library = {k: v for k, v in declared.items() if k not in local}
-        analyzer = VerilogAnalyzer if verilog else VhdlAnalyzer
-        analyzer(source, collector, library).analyze(tree)
-    return collector.diagnostics
-
-
-@pytest.fixture
-def analysis_only(monkeypatch):
-    """Stop the toolchain's frontend after analysis (no elaboration)."""
-    stop = lambda *args, **kwargs: (None, None)  # noqa: E731
-    monkeypatch.setattr(toolchain_module, "elaborate_verilog", stop)
-    monkeypatch.setattr(toolchain_module, "elaborate_vhdl", stop)
-
-
-def analyzed(toolchain, files, top="tb"):
-    """Parse and analysis diagnostics of *files* through the store."""
-    from repro.hdl.diagnostics import DiagnosticCollector
-
-    collector = DiagnosticCollector()
-    toolchain._build_design(files, top, collector)
-    return collector.diagnostics
-
-
-def qa_corpus(language):
-    """(files, top) pairs of the regression corpus in *language*."""
-    from repro.qa.corpus import load_corpus
-
-    ext = language.file_extension
-    for case in load_corpus():
-        testbench = make_testbench(
-            case.spec.design_spec(), case.spec.model(), language,
-            case.spec.name,
-        )
-        yield [
-            HdlFile(f"top_module{ext}", case_sources(case)[language], language),
-            HdlFile(f"tb{ext}", testbench, language),
-        ], "tb"
-
-
-def analyze_stats(toolchain):
-    return toolchain.store.stats["analyze"].snapshot()
-
-
-class TestPerUnitAnalysis:
-    """Analysis is stored per unit, keyed on the unit's own file plus the
-    interface it reads from the other units of its set."""
-
-    @pytest.mark.parametrize("order", ["dut-first", "tb-first"])
-    @pytest.mark.parametrize("language", list(Language))
-    def test_parity_with_fresh_whole_set_analysis(
-        self, analysis_only, language, order
-    ):
-        """A warm store replays exactly what a fresh pass over the whole
-        set reports: suite references, golden testbenches, every defect
-        mutant and the regression corpus, in either file order."""
-        shared = Toolchain()
-        sets = list(mutated_corpus(language)) + list(qa_corpus(language))
-        for files, top in sets:
-            if order == "tb-first":
-                files = files[::-1]
-            assert analyzed(shared, files, top) == whole_set_analysis(files)
-            alone = files[:1]
-            assert analyzed(shared, alone, top) == whole_set_analysis(alone)
-        stats = shared.store.stats["analyze"]
-        # every mutant's testbench replays its problem's testbench entry
-        assert stats.hits > len(sets) // 2
-
-    @pytest.mark.parametrize("language", list(Language))
-    def test_same_interface_revision_hits_the_testbench(
-        self, analysis_only, language
-    ):
-        toolchain = Toolchain()
-        problem = build_suite().get("counter8")
-        ext = language.file_extension
-        tb = HdlFile(f"tb{ext}", problem.golden_tb[language], language)
-        reference = problem.reference[language]
-        revision = reference + ("\n// revised\n" if language is Language.VERILOG
-                                else "\n-- revised\n")
-        analyzed(toolchain, [HdlFile(f"top_module{ext}", reference, language), tb])
-        before = analyze_stats(toolchain)
-        files = [HdlFile(f"top_module{ext}", revision, language), tb]
-        assert analyzed(toolchain, files) == whole_set_analysis(files)
-        delta = toolchain.store.stats["analyze"].delta(before)
-        assert (delta.hits, delta.misses) == (1, 1)  # the testbench hit
-
-    VERILOG_DUT = (
-        "module top_module #(parameter W = 1) (input a, input b, output y);\n"
-        "  localparam L = 2;\n  assign y = a & b;\nendmodule\n"
-    )
-    VERILOG_TB = (
-        "module tb;\n  reg a, b; wire y;\n"
-        "  top_module #(.W(1)) dut(.a(a), .b(b), .y(y));\n"
-        "  top_module pos(a, b, y);\nendmodule\n"
-    )
-    VERILOG_EDITS = {
-        "module renamed": ("module top_module", "module top_other"),
-        "port renamed": ("input b,", "input c,"),
-        "ports reordered": ("input a, input b,", "input b, input a,"),
-        "port added": ("output y)", "output y, input z)"),
-        "parameter renamed": ("parameter W", "parameter V"),
-        "local parameter made public": ("localparam L", "parameter L"),
-    }
-
-    VHDL_DUT = (
-        "library ieee;\nuse ieee.std_logic_1164.all;\n"
-        "entity top_module is\n  generic (W : integer := 1);\n"
-        "  port (a : in std_logic; b : in std_logic; y : out std_logic);\n"
-        "end entity;\narchitecture rtl of top_module is\nbegin\n"
-        "  y <= a and b;\nend architecture;\n"
-    )
-    VHDL_TB = (
-        "library ieee;\nuse ieee.std_logic_1164.all;\n"
-        "entity tb is end entity;\narchitecture sim of tb is\n"
-        "  signal a, b, y : std_logic;\nbegin\n"
-        "  dut: entity work.top_module generic map (W => 1)\n"
-        "    port map (a => a, b => b, y => y);\nend architecture;\n"
-    )
-    VHDL_EDITS = {
-        "entity renamed": ("entity top_module is", "entity top_other is"),
-        "port renamed": ("b : in std_logic;", "c : in std_logic;"),
-        "ports reordered": ("a : in std_logic; b : in std_logic;",
-                            "b : in std_logic; a : in std_logic;"),
-        "generic renamed": ("generic (W :", "generic (V :"),
-    }
-
-    @pytest.mark.parametrize("language,edit", [
-        (Language.VERILOG, name) for name in VERILOG_EDITS
-    ] + [(Language.VHDL, name) for name in VHDL_EDITS])
-    def test_interface_change_misses_the_testbench(
-        self, analysis_only, language, edit
-    ):
-        if language is Language.VERILOG:
-            dut, tb, (old, new) = (
-                self.VERILOG_DUT, self.VERILOG_TB, self.VERILOG_EDITS[edit]
-            )
-        else:
-            dut, tb, (old, new) = (
-                self.VHDL_DUT, self.VHDL_TB, self.VHDL_EDITS[edit]
-            )
-        assert old in dut
-        ext = language.file_extension
-        tb_file = HdlFile(f"tb{ext}", tb, language)
-        toolchain = Toolchain()
-        files = [HdlFile(f"top_module{ext}", dut, language), tb_file]
-        assert analyzed(toolchain, files) == whole_set_analysis(files) == []
-        before = analyze_stats(toolchain)
-        edited = [HdlFile(f"top_module{ext}", dut.replace(old, new), language),
-                  tb_file]
-        assert analyzed(toolchain, edited) == whole_set_analysis(edited)
-        delta = toolchain.store.stats["analyze"].delta(before)
-        assert (delta.hits, delta.misses) == (0, 2)
-
-    def test_foreign_entity_architecture_keys_on_its_entity_text(
-        self, analysis_only
-    ):
-        """An architecture of an entity declared in another file reads
-        that entity's types: a type-only edit of the entity misses it."""
-        header = "library ieee;\nuse ieee.std_logic_1164.all;\n"
-        entity = (
-            header + "entity top_module is\n"
-            "  port (a : in std_logic; y : out std_logic);\nend entity;\n"
-        )
-        arch = HdlFile(
-            "rtl.vhd",
-            header + "architecture rtl of top_module is\nbegin\n"
-            "  y <= a;\nend architecture;\n",
-            Language.VHDL,
-        )
-        toolchain = Toolchain()
-        files = [HdlFile("top_module.vhd", entity, Language.VHDL), arch]
-        assert analyzed(toolchain, files, "top_module") == []
-        before = analyze_stats(toolchain)
-        retyped = entity.replace("a : in std_logic;", "a : in bogus_type;")
-        edited = [HdlFile("top_module.vhd", retyped, Language.VHDL), arch]
-        diagnostics = analyzed(toolchain, edited, "top_module")
-        assert diagnostics == whole_set_analysis(edited) != []
-        delta = toolchain.store.stats["analyze"].delta(before)
-        assert (delta.hits, delta.misses) == (0, 2)
