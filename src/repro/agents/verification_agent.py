@@ -6,13 +6,6 @@ Functional Optimization loop — only the RTL revisions change — so every
 iteration is judged by the same standard. Failures become corrective
 prompts for the Code Agent; success is the literal
 "All tests passed successfully!" line in the simulation log.
-
-:meth:`VerificationAgent.verify_formal` adds the proof-based path on top of
-the paper's simulation loop: when the candidate lifts into the QA design
-grammar, :mod:`repro.formal` either *proves* it equivalent to the golden
-model — a strictly stronger guarantee than any sampled testbench — or
-returns a concrete counterexample stimulus, which becomes a corrective
-prompt built from inputs the frozen testbench never tried.
 """
 
 from __future__ import annotations
@@ -50,13 +43,7 @@ class TestFailure:
 
 @dataclass
 class VerifyOutcome:
-    """Result of one Functional Optimization iteration.
-
-    ``formal`` carries the :class:`repro.formal.FormalResult` when the
-    iteration was proof-based; ``ok`` then means "no refutation" — check
-    ``formal.verdict`` to distinguish a real proof from an inconclusive
-    (bounded/unsupported) outcome before skipping simulation.
-    """
+    """Result of one Functional Optimization iteration."""
 
     ok: bool
     failures: list[TestFailure] = field(default_factory=list)
@@ -65,7 +52,6 @@ class VerifyOutcome:
     runtime_error: str = ""
     tool_seconds: float = 0.0
     llm_seconds: float = 0.0
-    formal: object | None = None
 
 
 def parse_sim_failures(log: str) -> list[TestFailure]:
@@ -131,81 +117,6 @@ class VerificationAgent(Agent):
             sim_result=result,
             runtime_error=result.runtime_error,
             tool_seconds=result.tool_seconds,
-            llm_seconds=self.take_latency(),
-        )
-
-    def verify_formal(self, spec, source: str) -> VerifyOutcome:
-        """One proof-based iteration over a QA-grammar candidate.
-
-        ``spec`` is a :class:`repro.qa.spec.QaSpec`; ``source`` is the
-        candidate RTL in this agent's language. A refutation converts the
-        counterexample stimulus into :class:`TestFailure` entries — numbered
-        like testbench cases, 1-based by cycle — and a corrective prompt;
-        any other verdict returns ``ok=True`` with the
-        :class:`~repro.formal.FormalResult` attached so the caller can fall
-        back to simulation when the verdict is not an actual proof.
-        """
-        from repro.formal import FormalVerdict, check_source
-
-        self.think(
-            f"Bounded equivalence check of '{spec.name}' against the "
-            "golden reference model."
-        )
-        result = check_source(spec, source, self.language)
-        if result.verdict is not FormalVerdict.REFUTED:
-            self.observe(
-                f"Formal verdict: {result.verdict.value}"
-                + (f" via {result.method}" if result.method else "")
-            )
-            return VerifyOutcome(
-                ok=True, formal=result, tool_seconds=result.seconds
-            )
-        failures = [
-            TestFailure(
-                case=mismatch.cycle + 1,
-                detail=(
-                    f"{mismatch.output} should be {mismatch.expected}, "
-                    f"got {mismatch.actual} (cycle {mismatch.cycle}, "
-                    f"inputs {result.witness[mismatch.cycle]})"
-                ),
-            )
-            for mismatch in result.mismatches
-        ]
-        self.observe(
-            f"Formal refutation: {len(failures)} diverging output(s) on a "
-            f"{len(result.witness)}-cycle counterexample."
-        )
-        witness_text = "\n".join(
-            f"cycle {cycle}: inputs {inputs}"
-            for cycle, inputs in enumerate(result.witness)
-        )
-        analysis_prompt = (
-            f"{protocol.TASK_ANALYZE_FORMAL}\n"
-            f"Target language: {protocol.language_tag(self.language)}\n"
-            f"{protocol.log_block(witness_text)}"
-        )
-        analysis = self.ask_llm(analysis_prompt, system=_SYSTEM).text
-        numbered = "\n".join(
-            f"{index}. {failure.render()}"
-            for index, failure in enumerate(failures, start=1)
-        )
-        corrective = (
-            "Formal equivalence checking found a concrete input sequence "
-            "on which the design diverges from the specification — inputs "
-            "the testbench never sampled:\n"
-            f"{witness_text}\n"
-            "Diverging outputs:\n"
-            f"{numbered}\n"
-            "Keep the testbench unchanged; revise only the RTL so the "
-            "design matches the reference on every input.\n"
-            f"Verifier analysis:\n{analysis}"
-        )
-        return VerifyOutcome(
-            ok=False,
-            failures=failures,
-            corrective_prompt=corrective,
-            formal=result,
-            tool_seconds=result.seconds,
             llm_seconds=self.take_latency(),
         )
 

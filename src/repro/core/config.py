@@ -12,9 +12,9 @@ class PipelineConfig:
     """Knobs of the AIVRIL2 pipeline.
 
     Defaults reflect the paper's setup; the ablation benchmarks toggle
-    ``testbench_first`` and ``freeze_testbench`` to measure the design
-    choices §2.2 argues for (testbench-first methodology; unbiased frozen
-    testbench across the functional loop).
+    ``testbench_first`` to measure the testbench-first methodology §2.2
+    argues for. The testbench stays frozen across the functional loop, as
+    the paper's unbiased-standard argument requires.
     """
 
     language: Language = Language.VERILOG
@@ -24,15 +24,9 @@ class PipelineConfig:
     #: generate the testbench before the RTL (AIVRIL2) instead of after
     #: (AIVRIL-style simultaneous generation)
     testbench_first: bool = True
-    #: keep the same testbench across all functional iterations
-    freeze_testbench: bool = True
     #: stop a loop early when the Code Agent returns byte-identical code —
     #: a stuck model will never converge, so further rounds only burn time
     stop_on_no_progress: bool = True
-    #: name the generated design must use (VerilogEval convention)
-    top_name: str = "top_module"
-    #: testbench module/entity name
-    tb_name: str = "tb"
 
     def __post_init__(self) -> None:
         if self.max_syntax_iterations < 1:

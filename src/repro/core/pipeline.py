@@ -33,6 +33,8 @@ from repro.core.result import (
     PipelineResult,
     TokenUsage,
 )
+from repro.designs.model import TOP_NAME
+from repro.designs.tbgen import TB_NAME
 from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.llm import protocol
 from repro.llm.interface import LLMClient, LLMError
@@ -70,7 +72,6 @@ class Aivril2Pipeline:
             "pipeline.run",
             language=self.config.language.value,
             testbench_first=self.config.testbench_first,
-            freeze_testbench=self.config.freeze_testbench,
         ) as run_span:
             result = self._run_traced(spec, tracer)
             run_span.set_attrs(
@@ -154,7 +155,7 @@ class Aivril2Pipeline:
         functional_iterations = 0
         if syntax_ok:
             try:
-                functional_ok, functional_iterations, rtl, testbench = (
+                functional_ok, functional_iterations, rtl = (
                     self._functional_loop(
                         spec, rtl, testbench, code_agent,
                         verification_agent, latency, tracer,
@@ -209,7 +210,7 @@ class Aivril2Pipeline:
                     "loop.syntax.iteration", iteration=syntax_iterations + 1
                 ) as iteration_span:
                     outcome = review_agent.review(
-                        self._files(rtl, testbench), config.tb_name
+                        self._files(rtl, testbench), TB_NAME
                     )
                     latency.syntax_tool += outcome.tool_seconds
                     latency.syntax_llm += outcome.llm_seconds
@@ -241,7 +242,7 @@ class Aivril2Pipeline:
                 # cap hit: one final check so the report reflects the last code
                 with tracer.span("loop.syntax.final_check") as final_span:
                     outcome = review_agent.review(
-                        self._files(rtl, testbench), config.tb_name
+                        self._files(rtl, testbench), TB_NAME
                     )
                     latency.syntax_tool += outcome.tool_seconds
                     latency.syntax_llm += outcome.llm_seconds
@@ -253,12 +254,9 @@ class Aivril2Pipeline:
     def _functional_loop(
         self, spec, rtl, testbench, code_agent, verification_agent, latency,
         tracer,
-    ) -> tuple[bool, int, str, str]:
-        """Run the Functional Optimization loop.
-
-        Returns (ok, iterations, rtl, testbench) — the testbench only
-        changes in the non-frozen ablation mode.
-        """
+    ) -> tuple[bool, int, str]:
+        """Run the Functional Optimization loop against the frozen
+        testbench; returns (ok, iterations, rtl)."""
         config = self.config
         functional_ok = False
         functional_iterations = 0
@@ -269,7 +267,7 @@ class Aivril2Pipeline:
                     iteration=functional_iterations + 1,
                 ) as iteration_span:
                     outcome = verification_agent.verify(
-                        self._files(rtl, testbench), config.tb_name
+                        self._files(rtl, testbench), TB_NAME
                     )
                     latency.functional_tool += outcome.tool_seconds
                     latency.functional_llm += outcome.llm_seconds
@@ -282,11 +280,6 @@ class Aivril2Pipeline:
                         functional_ok = True
                         break
                     functional_iterations += 1
-                    if not config.freeze_testbench:
-                        # ablation: regenerate the testbench each round (the
-                        # unstable-standard failure mode the paper warns about)
-                        testbench = code_agent.generate_testbench(spec)
-                        latency.functional_llm += code_agent.take_latency()
                     previous_rtl = rtl
                     rtl = code_agent.revise_rtl(
                         spec, outcome.corrective_prompt, kind="functional"
@@ -302,7 +295,7 @@ class Aivril2Pipeline:
             else:
                 with tracer.span("loop.functional.final_check") as final_span:
                     outcome = verification_agent.verify(
-                        self._files(rtl, testbench), config.tb_name
+                        self._files(rtl, testbench), TB_NAME
                     )
                     latency.functional_tool += outcome.tool_seconds
                     latency.functional_llm += outcome.llm_seconds
@@ -311,13 +304,14 @@ class Aivril2Pipeline:
             loop_span.set_attrs(
                 ok=functional_ok, iterations=functional_iterations
             )
-        return functional_ok, functional_iterations, rtl, testbench
+        return functional_ok, functional_iterations, rtl
 
     def _files(self, rtl: str, testbench: str) -> list[HdlFile]:
-        ext = self.config.language.file_extension
+        language = self.config.language
+        ext = language.file_extension
         return [
-            HdlFile(f"{self.config.top_name}{ext}", rtl, self.config.language),
-            HdlFile(f"{self.config.tb_name}{ext}", testbench, self.config.language),
+            HdlFile(f"{TOP_NAME}{ext}", rtl, language),
+            HdlFile(f"{TB_NAME}{ext}", testbench, language),
         ]
 
 

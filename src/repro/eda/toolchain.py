@@ -11,15 +11,15 @@ Design goals:
 * **Deterministic latency model.** Real EDA runtimes are part of the paper's
   Figure 3; each result carries a modeled ``tool_seconds`` derived from the
   workload (file sizes, simulated time) so latency accounting is
-  reproducible, alongside the true wall-clock for transparency.
+  reproducible. A traced span records the true wall-clock.
 * **One result store.** Experiment sweeps recompile and resimulate the same
   (sources, top) pairs many times — the baseline and AIVRIL2 judgments of
   every model run the suite's golden testbench against identical text.
   Every stage of the flow (parse, compile, simulate) is a pure function of
-  its inputs, so each :class:`Toolchain` keeps one bounded,
-  content-addressed :class:`ResultStore` of stage results. It is always
-  on: a hit returns a result equal field-by-field to a cold run (only
-  ``wall_seconds``, the true elapsed time, reflects the cheap lookup).
+  its inputs, so each :class:`Toolchain` keeps one bounded
+  :class:`ResultStore` of stage results, keyed on those inputs. It is
+  always on. Results are frozen values, so a hit returns the object its
+  miss stored.
 * **A generated testbench compiles from its declarations.** The compile
   stage builds each :class:`~repro.designs.tbgen.Testbench` file from its
   ``declarations``: its text with the stimulus body emptied. The body
@@ -40,11 +40,9 @@ Design goals:
 from __future__ import annotations
 
 import enum
-import hashlib
 import logging
-import time as _time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.hdl.diagnostics import Diagnostic, DiagnosticCollector, render_vivado_log
 from repro.obs import get_tracer
@@ -77,7 +75,7 @@ class Language(enum.Enum):
         return "xvlog" if self is Language.VERILOG else "xvhdl"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HdlFile:
     """One named HDL source file submitted to the toolchain."""
 
@@ -86,34 +84,32 @@ class HdlFile:
     language: Language
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompileResult:
     """Outcome of analysis + elaboration."""
 
     ok: bool
     log: str
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: tuple[Diagnostic, ...] = ()
     tool_seconds: float = 0.0
-    wall_seconds: float = 0.0
 
     @property
     def error_count(self) -> int:
         return sum(1 for d in self.diagnostics if d.is_error)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimResult:
     """Outcome of a simulation run."""
 
     ok: bool  # compiled and ran to completion (regardless of test verdicts)
     log: str
-    output_lines: list[str] = field(default_factory=list)
+    output_lines: tuple[str, ...] = ()
     compile_result: CompileResult | None = None
     end_time: int = 0
     finished_cleanly: bool = False
     runtime_error: str = ""
     tool_seconds: float = 0.0
-    wall_seconds: float = 0.0
 
 
 @dataclass
@@ -154,36 +150,45 @@ MISS = object()
 
 
 class ResultStore:
-    """Bounded LRU store of stage results, keyed by stage and content hash.
+    """Bounded LRU store of stage results, keyed by stage and inputs.
 
-    A key is ``(stage, digest)``. The sha256 digest covers everything that
-    determines the result: the top unit, every file's name, language and
-    text, and the stage's extra inputs. A parse key covers the text the
-    parser reads, which for a generated testbench is its declarations. A
-    compile or simulate key covers every file's full text, and a simulate
-    key adds ``max_sim_time``; a generated testbench and its plain text
-    key alike, because both compile alike and both paths give the same
-    result. Keys are derived from the inputs, never from the outputs, so
-    two source sets that *render* the same log never collide.
+    A key is ``(stage, (top, extra, files))``: everything that determines
+    the result, held as it is, so two keys are equal exactly when their
+    inputs are. A parse key holds the file the parser reads, which for a
+    generated testbench holds its declarations. A compile or simulate key
+    holds every file with its full text, and a simulate key adds
+    ``max_sim_time``; a generated testbench and its plain text key alike
+    (``str`` equality and hash go by content), because both compile alike
+    and both paths give the same result. Keys are the inputs, never the
+    outputs, so two source sets that *render* the same log never collide.
+    Python caches each string's hash, so a text (a golden testbench
+    judged against many candidates) is hashed once while it lives, not on
+    every lookup.
+
+    Every value is immutable and shared as it is: a parse entry holds a
+    frozen syntax tree and diagnostics, and compile and simulate results
+    are frozen, so a hit returns the object its miss stored.
 
     The store holds at most :attr:`MAX_ENTRIES` entries and
     :attr:`MAX_BYTES` bytes; the least recently used entries go first. An
-    entry's bytes are the characters of text behind it: the source of a
-    parse (its AST and line index grow with it), the logs and output lines
-    of a compile or simulate result. Real memory is about ten times that
-    on suite workloads. No entry holds an elaborated design: designs are
-    runtime state, built per run (see :meth:`Toolchain.simulate`). Hits,
-    misses and evictions are counted per stage, both here (:attr:`stats`)
-    and in the metrics registry as ``toolchain.store.<stage>.hit|miss|evict``,
-    next to the ``toolchain.store.entries`` and ``toolchain.store.bytes``
-    gauges.
+    entry's bytes are the characters of text its value holds: the source
+    of a parse (its AST and line index grow with it), the logs and output
+    lines of a compile or simulate result. Real memory is about ten times
+    that on suite workloads. The texts a key holds are not counted: they
+    are the caller's inputs, which a parse entry or the suite nearly
+    always holds as well, and :attr:`MAX_ENTRIES` bounds them. No entry holds an elaborated
+    design: designs are runtime state, built per run (see
+    :meth:`Toolchain.simulate`). Each lookup is counted once: hits, misses
+    and evictions per stage, both here (:attr:`stats`) and in the metrics
+    registry as ``toolchain.store.<stage>.hit|miss|evict``, next to the
+    ``toolchain.store.entries`` and ``toolchain.store.bytes`` gauges.
     """
 
     MAX_ENTRIES = 2048
     MAX_BYTES = 2 << 20
 
     def __init__(self):
-        self._entries: "OrderedDict[tuple[str, str], tuple[object, int]]" = (
+        self._entries: "OrderedDict[tuple, tuple[object, int]]" = (
             OrderedDict()
         )
         self.nbytes = 0
@@ -194,21 +199,10 @@ class ResultStore:
 
     @staticmethod
     def key(stage: str, files: list[HdlFile], top: str = "",
-            extra: tuple = ()) -> tuple[str, str]:
-        digest = hashlib.sha256()
-        # every part is length-prefixed and the part counts lead, so no two
-        # different inputs concatenate to the same byte stream
-        digest.update(f"{len(extra)}:{len(files)}\x1e".encode())
-        for part in (top, *map(str, extra)):
-            digest.update(f"{len(part)}\x1f{part}".encode())
-        for hdl_file in files:
-            for part in (hdl_file.name, hdl_file.language.value,
-                         hdl_file.text):
-                digest.update(f"{len(part)}\x1f".encode())
-                digest.update(part.encode())
-        return stage, digest.hexdigest()
+            extra: tuple = ()) -> tuple:
+        return stage, (top, extra, tuple(files))
 
-    def get(self, key: tuple[str, str]):
+    def get(self, key: tuple):
         """The value stored under ``key`` (now most recent), else :data:`MISS`."""
         stage = key[0]
         entry = self._entries.get(key)
@@ -222,7 +216,7 @@ class ResultStore:
         metrics.counter(_METRIC_NAMES[stage, "hit"]).inc()
         return entry[0]
 
-    def put(self, key: tuple[str, str], value, nbytes: int) -> None:
+    def put(self, key: tuple, value, nbytes: int) -> None:
         """Store ``value``, then evict least recent entries to the bounds.
 
         An entry larger than :attr:`MAX_BYTES` on its own is evicted at once.
@@ -250,27 +244,6 @@ _METRIC_NAMES = {
     for stage in STAGES
     for event in ("hit", "miss", "evict")
 }
-
-
-def _copy_compile_result(result: CompileResult,
-                         wall_seconds: float) -> CompileResult:
-    return replace(
-        result, diagnostics=list(result.diagnostics), wall_seconds=wall_seconds
-    )
-
-
-def _copy_sim_result(result: SimResult, wall_seconds: float) -> SimResult:
-    compile_copy = None
-    if result.compile_result is not None:
-        compile_copy = _copy_compile_result(
-            result.compile_result, result.compile_result.wall_seconds
-        )
-    return replace(
-        result,
-        output_lines=list(result.output_lines),
-        compile_result=compile_copy,
-        wall_seconds=wall_seconds,
-    )
 
 
 def _sim_text_bytes(result: SimResult) -> int:
@@ -309,17 +282,13 @@ class Toolchain:
 
     def __init__(self, *, max_sim_time: int = 200_000):
         self.max_sim_time = max_sim_time
-        # Parsed ASTs are frozen dataclasses and diagnostics are immutable,
-        # so parse entries are shared as they are; compile and simulate
-        # hits return defensive copies. Elaborated designs are mutable
-        # runtime state and are never stored.
+        # Elaborated designs are mutable runtime state and are never stored.
         self.store = ResultStore()
 
     @property
     def cache_stats(self) -> CacheStats:
         """Compile and simulate result lookups of this toolchain's store —
-        what the ``cache.hit``/``cache.miss`` counters and the spans'
-        ``cache`` attribute count."""
+        what the spans' ``cache`` attribute counts."""
         compiled = self.store.stats["compile"]
         simulated = self.store.stats["simulate"]
         return CacheStats(
@@ -339,56 +308,42 @@ class Toolchain:
         key, the modeled ``tool_seconds`` and the log come from the full
         text. The design a miss elaborates is dropped.
         """
-        tracer = get_tracer()
-        with tracer.span(
+        with get_tracer().span(
             "toolchain.compile", top=top, files=len(files)
         ) as span:
-            started = _time.perf_counter()
             key = self.store.key("compile", files, top)
-            cached = self.store.get(key)
-            if cached is not MISS:
-                span.set_attrs(
-                    cache="hit", ok=cached.ok,
-                    error_count=cached.error_count,
-                    tool_seconds=cached.tool_seconds,
+            result = self.store.get(key)
+            span.set_attr("cache", "miss" if result is MISS else "hit")
+            if result is MISS:
+                result = self._compile_uncached(files, top)
+                self.store.put(key, result, len(result.log))
+                log.debug(
+                    "compile top=%s files=%d ok=%s errors=%d",
+                    top, len(files), result.ok, result.error_count,
                 )
-                tracer.metrics.counter("cache.hit").inc()
-                return _copy_compile_result(
-                    cached, _time.perf_counter() - started
-                )
-            span.set_attr("cache", "miss")
-            tracer.metrics.counter("cache.miss").inc()
-            collector = DiagnosticCollector()
-            language = files[0].language if files else Language.VERILOG
-            design = self._build_design(
-                [_declarations(f) for f in files], top, collector
-            )
-            wall = _time.perf_counter() - started
-            total_kib = sum(len(f.text) for f in files) / 1024.0
-            modeled = self.COMPILE_BASE_SECONDS + self.COMPILE_PER_KIB_SECONDS * total_kib
-            result = CompileResult(
-                ok=not collector.has_errors and design is not None,
-                log=render_vivado_log(
-                    collector.diagnostics, tool=language.compiler, top=top
-                ),
-                diagnostics=list(collector.diagnostics),
-                tool_seconds=modeled,
-                wall_seconds=wall,
-            )
-            # store a private copy so later caller mutations cannot poison it
-            self.store.put(
-                key, _copy_compile_result(result, wall), len(result.log)
-            )
             span.set_attrs(
                 ok=result.ok, error_count=result.error_count,
                 tool_seconds=result.tool_seconds,
             )
-            tracer.metrics.histogram("toolchain.compile.seconds").observe(wall)
-            log.debug(
-                "compile top=%s files=%d ok=%s errors=%d",
-                top, len(files), result.ok, result.error_count,
-            )
             return result
+
+    def _compile_uncached(self, files: list[HdlFile],
+                          top: str) -> CompileResult:
+        collector = DiagnosticCollector()
+        language = files[0].language if files else Language.VERILOG
+        design = self._build_design(
+            [_declarations(f) for f in files], top, collector
+        )
+        total_kib = sum(len(f.text) for f in files) / 1024.0
+        modeled = self.COMPILE_BASE_SECONDS + self.COMPILE_PER_KIB_SECONDS * total_kib
+        return CompileResult(
+            ok=not collector.has_errors and design is not None,
+            log=render_vivado_log(
+                collector.diagnostics, tool=language.compiler, top=top
+            ),
+            diagnostics=tuple(collector.diagnostics),
+            tool_seconds=modeled,
+        )
 
     def _build_design(
         self, files: list[HdlFile], top: str, collector: DiagnosticCollector
@@ -452,13 +407,15 @@ class Toolchain:
         if collector.has_errors:
             return None
         top_source = sources.get(top) or units[0][1]
-        design, _ = elaborate_verilog(modules, top, top_source, collector)
+        design, _ = elaborate_verilog(
+            modules, top, top_source, collector, sources=sources
+        )
         return design
 
     def _build_vhdl(self, files, top, collector):
         entities = {}
         architectures = {}
-        sources: dict[str, SourceFile] = {}
+        sources: dict[tuple[str, str], SourceFile] = {}
         design_files = []
         for hdl_file in files:
             design_file, parse_diags, source = self._parse_cached(hdl_file)
@@ -466,9 +423,10 @@ class Toolchain:
             design_files.append((design_file, source))
             for entity in design_file.entities:
                 entities[entity.name] = entity
-                sources[entity.name] = source
+                sources["entity", entity.name] = source
             for arch in design_file.architectures:
                 architectures[arch.entity] = arch
+                sources["architecture", arch.entity] = source
         for design_file, source in design_files:
             local = {e.name for e in design_file.entities}
             library = {k: v for k, v in entities.items() if k not in local}
@@ -476,7 +434,7 @@ class Toolchain:
         if collector.has_errors:
             return None
         top = top.lower()
-        top_source = sources.get(top) or design_files[0][1]
+        top_source = sources.get(("entity", top)) or design_files[0][1]
         from repro.vhdl.ast import DesignFile
         from repro.hdl.source import SourceSpan
 
@@ -485,7 +443,9 @@ class Toolchain:
             entities=tuple(entities.values()),
             architectures=tuple(architectures.values()),
         )
-        design, _ = elaborate_vhdl(merged, top, top_source, collector)
+        design, _ = elaborate_vhdl(
+            merged, top, top_source, collector, sources=sources
+        )
         return design
 
     # ------------------------------------------------------------------
@@ -494,49 +454,27 @@ class Toolchain:
 
     def simulate(self, files: list[HdlFile], top: str) -> SimResult:
         """Compile then run the simulation; returns the xsim-style log."""
-        tracer = get_tracer()
-        with tracer.span(
+        with get_tracer().span(
             "toolchain.simulate", top=top, files=len(files)
         ) as span:
-            started = _time.perf_counter()
-            key = self.store.key(
-                "simulate", files, top,
-                (self.max_sim_time,),
-            )
-            cached = self.store.get(key)
-            if cached is not MISS:
-                span.set_attrs(
-                    cache="hit", ok=cached.ok,
-                    tool_seconds=cached.tool_seconds,
+            key = self.store.key("simulate", files, top, (self.max_sim_time,))
+            result = self.store.get(key)
+            span.set_attr("cache", "miss" if result is MISS else "hit")
+            if result is MISS:
+                result = self._simulate_uncached(files, top)
+                self.store.put(key, result, _sim_text_bytes(result))
+                log.debug(
+                    "simulate top=%s files=%d ok=%s end_time=%d",
+                    top, len(files), result.ok, result.end_time,
                 )
-                tracer.metrics.counter("cache.hit").inc()
-                return _copy_sim_result(
-                    cached, _time.perf_counter() - started
-                )
-            span.set_attr("cache", "miss")
-            tracer.metrics.counter("cache.miss").inc()
-            result = self._simulate_uncached(files, top, started)
-            self.store.put(
-                key, _copy_sim_result(result, result.wall_seconds),
-                _sim_text_bytes(result),
-            )
             span.set_attrs(
                 ok=result.ok,
                 finished_cleanly=result.finished_cleanly,
                 tool_seconds=result.tool_seconds,
             )
-            tracer.metrics.histogram("toolchain.simulate.seconds").observe(
-                result.wall_seconds
-            )
-            log.debug(
-                "simulate top=%s files=%d ok=%s end_time=%d",
-                top, len(files), result.ok, result.end_time,
-            )
             return result
 
-    def _simulate_uncached(
-        self, files: list[HdlFile], top: str, started: float
-    ) -> SimResult:
+    def _simulate_uncached(self, files: list[HdlFile], top: str) -> SimResult:
         """One simulate miss: compile the set, then run it on the batch
         tier or the kernel.
 
@@ -555,7 +493,6 @@ class Toolchain:
                 "Simulation not run: compilation failed",
                 compile_result=compile_result,
                 tool_seconds=compile_result.tool_seconds,
-                wall_seconds=_time.perf_counter() - started,
             )
         metrics = get_tracer().metrics
         outcome = None
@@ -585,7 +522,7 @@ class Toolchain:
         return SimResult(
             ok=not runtime_error,
             log=self._render_sim_log(top, output, end_time, runtime_error),
-            output_lines=list(output),
+            output_lines=tuple(output),
             compile_result=compile_result,
             end_time=end_time,
             finished_cleanly=finished_cleanly,
@@ -596,7 +533,6 @@ class Toolchain:
                 compile_result.tool_seconds + self.SIM_BASE_SECONDS
                 + self.SIM_PER_US_SECONDS * end_time / 1000.0
             ),
-            wall_seconds=_time.perf_counter() - started,
         )
 
     def _build_plain_text(self, files: list[HdlFile], top: str,
@@ -609,7 +545,8 @@ class Toolchain:
         design = self._build_design(
             [replace(f, text=str(f.text)) for f in files], top, collector
         )
-        if design is None or collector.diagnostics != compile_result.diagnostics:
+        if (design is None
+                or tuple(collector.diagnostics) != compile_result.diagnostics):
             found = "\n".join(d.render() for d in collector.diagnostics)
             raise RuntimeError(
                 f"tbgen defect: the full text of the set under top {top!r} "

@@ -46,9 +46,9 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import Aivril2Pipeline, run_baseline
 from repro.core.result import LatencyBreakdown
 from repro.designs.model import TOP_NAME
-from repro.designs.tbgen import PASS_MESSAGE
 from repro.eda.toolchain import CacheStats, HdlFile, Language, Toolchain
 from repro.evalsuite.suite import Suite, build_suite
+from repro.evalsuite.validate import run_golden_tb
 from repro.exec.engine import ExecutionEngine
 from repro.exec.progress import ProgressEvent, SweepMetrics
 from repro.exec.task import Task, TaskOutcome
@@ -196,7 +196,6 @@ class RunnerSettings:
     max_syntax_iterations: int = 6
     max_functional_iterations: int = 6
     testbench_first: bool = True
-    freeze_testbench: bool = True
     testbench_quality: str = "full"
     #: when set, worker processes attach a JSONL tracer to this file
     trace_path: str | None = None
@@ -246,7 +245,6 @@ class _TaskContext:
                     max_syntax_iterations=settings.max_syntax_iterations,
                     max_functional_iterations=settings.max_functional_iterations,
                     testbench_first=settings.testbench_first,
-                    freeze_testbench=settings.freeze_testbench,
                 ),
             )
             self._configs[key] = (llm, pipeline)
@@ -317,18 +315,7 @@ def _passes_golden(
     problem, rtl: str, language: Language, toolchain: Toolchain
 ) -> bool:
     """pass@1_F judgment: the suite's golden testbench passes."""
-    files = [
-        HdlFile(f"{TOP_NAME}{language.file_extension}", rtl, language),
-        HdlFile(
-            f"tb{language.file_extension}",
-            problem.golden_tb[language],
-            language,
-        ),
-    ]
-    result = toolchain.simulate(files, "tb")
-    return result.ok and any(
-        PASS_MESSAGE in line for line in result.output_lines
-    )
+    return run_golden_tb(problem, language, rtl, toolchain)[0]
 
 
 #: process-local context, installed by :func:`_init_worker` (suites hold
@@ -387,7 +374,6 @@ class ExperimentRunner:
         max_syntax_iterations: int = 6,
         max_functional_iterations: int = 6,
         testbench_first: bool = True,
-        freeze_testbench: bool = True,
         testbench_quality: str = "full",
         workers: int = 1,
         task_timeout: float | None = None,
@@ -399,7 +385,6 @@ class ExperimentRunner:
         self.max_syntax_iterations = max_syntax_iterations
         self.max_functional_iterations = max_functional_iterations
         self.testbench_first = testbench_first
-        self.freeze_testbench = freeze_testbench
         self.testbench_quality = testbench_quality
         self.workers = workers
         self.task_timeout = task_timeout
@@ -415,7 +400,6 @@ class ExperimentRunner:
             max_syntax_iterations=self.max_syntax_iterations,
             max_functional_iterations=self.max_functional_iterations,
             testbench_first=self.testbench_first,
-            freeze_testbench=self.freeze_testbench,
             testbench_quality=self.testbench_quality,
             trace_path=self.trace_path,
         )

@@ -19,9 +19,6 @@ TASK_FIX_SYNTAX = "TASK: fix the syntax errors reported by the compiler"
 TASK_FIX_FUNCTIONAL = "TASK: fix the functional errors reported by simulation"
 TASK_ANALYZE_COMPILE = "TASK: analyze the compiler log and report each error"
 TASK_ANALYZE_SIM = "TASK: analyze the simulation log and report each failure"
-TASK_ANALYZE_FORMAL = (
-    "TASK: analyze the formal counterexample and explain the divergence"
-)
 TASK_CLARIFY = "TASK: ask the user for the missing specification details"
 
 SPEC_FENCE = "-----SPEC-----"
@@ -81,7 +78,6 @@ def detect_task(prompt: str) -> str | None:
         TASK_FIX_FUNCTIONAL,
         TASK_ANALYZE_COMPILE,
         TASK_ANALYZE_SIM,
-        TASK_ANALYZE_FORMAL,
         TASK_CLARIFY,
     ):
         if prompt.lstrip().startswith(task):

@@ -90,9 +90,14 @@ class VerilogElaborator:
         modules: dict[str, ast.Module],
         source: SourceFile,
         collector: DiagnosticCollector,
+        sources: dict[str, SourceFile] | None = None,
     ):
         self.modules = modules
+        #: the source of the module being elaborated: the top's outside
+        #: :meth:`_elaborate_module`, which locates each module's nodes
+        #: through its own entry of *sources*
         self.source = source
+        self.sources = sources or {}
         self.collector = collector
         self.design = Design()
         self.rng = _Lcg()
@@ -136,11 +141,15 @@ class VerilogElaborator:
         prefix: str,
         param_overrides: dict[str, Logic],
     ) -> _Scope:
-        if len(self._instance_stack) >= self.MAX_DEPTH:
-            self._error(module.span, "instantiation depth limit exceeded (recursion?)")
-            raise _ElabAbort
+        outer = self.source
+        self.source = self.sources.get(module.name, outer)
         self._instance_stack.append(module.name)
         try:
+            if len(self._instance_stack) > self.MAX_DEPTH:
+                self._error(
+                    module.span, "instantiation depth limit exceeded (recursion?)"
+                )
+                raise _ElabAbort
             scope = _Scope(module=module, prefix=prefix)
             self._bind_parameters(scope, param_overrides)
             self._declare_signals(scope)
@@ -149,6 +158,7 @@ class VerilogElaborator:
             return scope
         finally:
             self._instance_stack.pop()
+            self.source = outer
 
     def _bind_parameters(self, scope: _Scope, overrides: dict[str, Logic]) -> None:
         for item in scope.module.items:
@@ -527,6 +537,9 @@ class VerilogElaborator:
     # ------------------------------------------------------------------
 
     def _error(self, span, message: str) -> None:
+        """Report *message* at *span* of the module being elaborated. An
+        error a run raises later (a process body builds at its first start)
+        is located through the top's source; the run reports its message."""
         self.collector.error(_CODE_ELAB, message, source=self.source, span=span)
 
 
@@ -681,9 +694,17 @@ def elaborate_verilog(
     top: str,
     source: SourceFile,
     collector: DiagnosticCollector | None = None,
+    *,
+    sources: dict[str, SourceFile] | None = None,
 ) -> tuple[Design | None, DiagnosticCollector]:
-    """Elaborate *top* against a module library; returns (design, diagnostics)."""
+    """Elaborate *top* against a module library; returns (design, diagnostics).
+
+    *source* is the top module's source. *sources* maps module names to
+    their sources, so a diagnostic or a process name inside a module
+    points into that module's file; a module it lacks is located through
+    *source*.
+    """
     collector = collector if collector is not None else DiagnosticCollector()
-    elaborator = VerilogElaborator(modules, source, collector)
+    elaborator = VerilogElaborator(modules, source, collector, sources)
     design = elaborator.elaborate(top)
     return design, collector

@@ -119,10 +119,15 @@ class VhdlElaborator:
         architectures: dict[str, ast.Architecture],
         source: SourceFile,
         collector: DiagnosticCollector,
+        sources: dict[tuple[str, str], SourceFile] | None = None,
     ):
         self.entities = entities
         self.architectures = architectures
+        #: the source of the design unit being elaborated: the top entity's
+        #: outside :meth:`_elaborate_entity`, which locates an entity's and
+        #: its architecture's nodes through their own entries of *sources*
         self.source = source
+        self.sources = sources or {}
         self.collector = collector
         self.design = Design()
         #: set by the closure compiler when it emits a closure that can
@@ -156,6 +161,9 @@ class VhdlElaborator:
     # ------------------------------------------------------------------
 
     def _error(self, span, message: str) -> None:
+        """Report *message* at *span* of the unit being elaborated. An error
+        a run raises later (a process body builds at its first start) is
+        located through the top's source; the run reports its message."""
         self.collector.error(_CODE_ELAB, message, source=self.source, span=span)
 
     # ------------------------------------------------------------------
@@ -177,21 +185,26 @@ class VhdlElaborator:
             raise _ElabAbort
         entity = self.entities[name]
         arch = self.architectures.get(name)
-        if arch is None:
-            self._error(
-                entity.span, f"entity '{name}' has no architecture"
-            )
-            raise _ElabAbort
+        outer = self.source
+        self.source = self.sources.get(("entity", name), outer)
         self._depth += 1
         try:
+            if arch is None:
+                self._error(
+                    entity.span, f"entity '{name}' has no architecture"
+                )
+                raise _ElabAbort
             scope = _VScope(entity=entity, arch=arch, prefix=prefix)
             self._bind_generics(scope, generic_overrides)
+            self._declare_ports(scope)
+            self.source = self.sources.get(("architecture", name), outer)
             self._declare_objects(scope)
             for statement in arch.statements:
                 self._elaborate_concurrent(statement, scope)
             return scope
         finally:
             self._depth -= 1
+            self.source = outer
 
     def _bind_generics(self, scope: _VScope, overrides: dict[str, Logic]) -> None:
         for generic in scope.entity.generics:
@@ -242,13 +255,15 @@ class VhdlElaborator:
             width=width, left=left, right=right, descending=mark.descending
         )
 
-    def _declare_objects(self, scope: _VScope) -> None:
+    def _declare_ports(self, scope: _VScope) -> None:
         for port in scope.entity.ports:
             info = self._type_info(port.type_mark, scope)
             signal = Signal(scope.prefix + port.name, info.width)
             self.design.add_signal(signal)
             scope.signals[port.name] = signal
             scope.types[port.name] = info
+
+    def _declare_objects(self, scope: _VScope) -> None:
         for decl in scope.arch.declarations:
             info = self._type_info(decl.type_mark, scope)
             if isinstance(decl, ast.ConstantDecl):
@@ -852,11 +867,21 @@ def elaborate_vhdl(
     top: str,
     source: SourceFile,
     collector: DiagnosticCollector | None = None,
+    *,
+    sources: dict[tuple[str, str], SourceFile] | None = None,
 ) -> tuple[Design | None, DiagnosticCollector]:
-    """Elaborate *top* from a design file; returns (design, diagnostics)."""
+    """Elaborate *top* from a design file; returns (design, diagnostics).
+
+    *source* is the top entity's source. *sources* maps each design unit,
+    keyed ``("entity", name)`` or ``("architecture", entity name)``, to its
+    source, so a diagnostic or a process name inside a unit points into
+    that unit's file; a unit it lacks is located through *source*.
+    """
     collector = collector if collector is not None else DiagnosticCollector()
     entities = {entity.name: entity for entity in design_file.entities}
     architectures = {arch.entity: arch for arch in design_file.architectures}
-    elaborator = VhdlElaborator(entities, architectures, source, collector)
+    elaborator = VhdlElaborator(
+        entities, architectures, source, collector, sources
+    )
     design = elaborator.elaborate(top)
     return design, collector

@@ -25,7 +25,7 @@ def observables(result):
     """Everything a simulate reports, ``tool_seconds`` included."""
     return (
         result.ok,
-        tuple(result.output_lines),
+        result.output_lines,
         result.log,
         result.end_time,
         result.finished_cleanly,

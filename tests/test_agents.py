@@ -195,65 +195,3 @@ class TestVerificationAgent:
         assert not outcome.ok
         assert "could not run to completion" in outcome.corrective_prompt
 
-
-class TestVerificationAgentFormal:
-    """Proof-based verification over QA-grammar candidates."""
-
-    def qa_spec(self):
-        from repro.qa.spec import QaSpec
-
-        return QaSpec(
-            name="agent_formal", width=4, inputs=("a0", "a1"),
-            outputs=(("y0", ["xor", ["var", "a0"], ["var", "a1"]]),),
-        )
-
-    def clean_source(self):
-        from repro.qa.oracle import QaCase, case_sources
-
-        return case_sources(QaCase(spec=self.qa_spec()))[Language.VERILOG]
-
-    def test_proof_skips_the_llm(self):
-        from repro.formal import FormalVerdict
-
-        llm = ScriptedLLM(responses=[])
-        agent = VerificationAgent(
-            llm, Toolchain(), Language.VERILOG, Transcript()
-        )
-        outcome = agent.verify_formal(self.qa_spec(), self.clean_source())
-        assert outcome.ok
-        assert outcome.formal.verdict is FormalVerdict.PROVED
-        assert llm.calls == []
-
-    def test_refutation_becomes_corrective_prompt(self):
-        from repro.formal import FormalVerdict
-
-        llm = ScriptedLLM(responses=["formal analysis"])
-        agent = VerificationAgent(
-            llm, Toolchain(), Language.VERILOG, Transcript()
-        )
-        broken = self.clean_source().replace("^", "|")
-        outcome = agent.verify_formal(self.qa_spec(), broken)
-        assert not outcome.ok
-        assert outcome.formal.verdict is FormalVerdict.REFUTED
-        assert outcome.failures
-        assert outcome.failures[0].case == 1
-        assert "inputs" in outcome.failures[0].detail
-        assert "input sequence" in outcome.corrective_prompt
-        assert "Keep the testbench unchanged" in outcome.corrective_prompt
-        prompt = "\n".join(m.content for m in llm.calls[0])
-        assert protocol.TASK_ANALYZE_FORMAL in prompt
-        assert "formal analysis" in outcome.corrective_prompt
-
-    def test_unsupported_source_falls_back_to_ok(self):
-        from repro.formal import FormalVerdict
-
-        llm = ScriptedLLM(responses=[])
-        agent = VerificationAgent(
-            llm, Toolchain(), Language.VERILOG, Transcript()
-        )
-        outcome = agent.verify_formal(
-            self.qa_spec(), "assign y0 = a0 * a1;"
-        )
-        # not a proof: caller must still run the sampling testbench
-        assert outcome.ok
-        assert outcome.formal.verdict is FormalVerdict.UNSUPPORTED

@@ -16,7 +16,7 @@ def simulate(source: str, top: str = "tb"):
 
 
 def outputs(source: str) -> list[str]:
-    return simulate(source).output_lines
+    return list(simulate(source).output_lines)
 
 
 class TestCombinational:
@@ -372,7 +372,7 @@ class TestRuntimeRobustness:
             endmodule
             """
         )
-        assert result.output_lines == ["a=x b=x"]
+        assert result.output_lines == ("a=x b=x",)
 
     def test_zero_delay_oscillation_reported_not_crash(self):
         toolchain = Toolchain()

@@ -22,7 +22,7 @@ def simulate(source: str, top: str = "tb"):
 
 
 def outputs(source: str) -> list[str]:
-    return simulate(source).output_lines
+    return list(simulate(source).output_lines)
 
 
 class TestConcurrent:
@@ -282,7 +282,7 @@ class TestProcesses:
             end architecture;
             """
         )
-        assert result.output_lines == ["FAILURE: stopping"]
+        assert result.output_lines == ("FAILURE: stopping",)
 
 
 class TestTypesAndRanges:

@@ -78,7 +78,7 @@ class TestVerilogLexerExtras:
             ],
             "tb",
         )
-        assert result.output_lines == ["w", "s"]
+        assert result.output_lines == ("w", "s")
 
 
 class TestAgentsBase:
@@ -174,7 +174,7 @@ class TestVhdlParserExtras:
             [HdlFile("t.vhd", source, Language.VHDL)], "tb"
         )
         assert result.ok, result.log
-        assert result.output_lines == ["done"]
+        assert result.output_lines == ("done",)
 
     def test_selected_assign_pipe_choices(self):
         toolchain = Toolchain()
@@ -198,4 +198,4 @@ class TestVhdlParserExtras:
             [HdlFile("t.vhd", source, Language.VHDL)], "tb"
         )
         assert result.ok, result.log
-        assert result.output_lines == ["done"]
+        assert result.output_lines == ("done",)

@@ -41,7 +41,6 @@ class TestCompile:
         assert "Analysis succeeded" in result.log
         assert result.error_count == 0
         assert result.tool_seconds > 0
-        assert result.wall_seconds > 0
 
     def test_clean_vhdl(self, toolchain):
         result = toolchain.compile(
@@ -136,8 +135,8 @@ class TestCompile:
             real = getattr(toolchain_module, name)
             monkeypatch.setattr(
                 toolchain_module, name,
-                lambda *args, real=real: elaborated.append(args[1])
-                or real(*args),
+                lambda *args, real=real, **kwargs: elaborated.append(args[1])
+                or real(*args, **kwargs),
             )
         monkeypatch.setattr(toolchain_module, "SourceFile", CountingSourceFile)
         # the same file in a file set new to the store re-elaborates its
@@ -176,7 +175,7 @@ class TestSimulate:
         assert "INFO: [XSIM 4-301]" in result.log
         assert "Simulation completed" in result.log
         assert result.finished_cleanly
-        assert result.output_lines == ["All tests passed successfully!"]
+        assert result.output_lines == ("All tests passed successfully!",)
 
     def test_compile_failure_skips_simulation(self, toolchain):
         result = toolchain.simulate(
@@ -242,7 +241,7 @@ class TestSimulate:
         files = [HdlFile("t.v", source, Language.VERILOG)]
         first = toolchain.simulate(files, "tb")
         second = toolchain.simulate(files, "tb")
-        assert first.output_lines == second.output_lines == ["1"]
+        assert first.output_lines == second.output_lines == ("1",)
 
 
 # -- a generated testbench compiles from its declarations --------------------
@@ -437,3 +436,108 @@ class TestTestbenchDeclarations:
             if d.file_name == files[-1].name
         }
         assert lines == {instance}
+
+
+# -- an elaboration error names the unit that holds it ------------------------
+
+
+def _bad_range_sets(language):
+    """``dff_en``'s reference with twelve declarations and one reversed
+    range added, alone and with its golden testbench as a ``Testbench`` and
+    as plain text: ``(sets, DUT line of the reversed range)``."""
+    dut, testbench = _testbench_set("dff_en", language)
+    lines = dut.text.split("\n")
+    if language is Language.VERILOG:
+        at = lines.index(");") + 1
+        added = [f"    reg [7:0] r{n};" for n in range(12)]
+        added.append("    reg [0:3] pad;")
+    else:
+        at = lines.index("begin", lines.index("architecture rtl of top_module is"))
+        added = [f"    signal r{n} : std_logic_vector(7 downto 0);"
+                 for n in range(12)]
+        added.append("    signal pad : std_logic_vector(0 downto 3);")
+    lines[at:at] = added
+    dut = replace(dut, text="\n".join(lines))
+    sets = {
+        "alone": ([dut], "top_module"),
+        "Testbench": ([dut, testbench], "tb"),
+        "plain": (plain_text([dut, testbench]), "tb"),
+    }
+    return sets, at + len(added)
+
+
+class TestElaborationErrorsNameTheirUnit:
+    """The elaborators locate each node through the source of the unit
+    that holds it, so an error inside the DUT names the DUT's file and line
+    whatever testbench text shares its set."""
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_a_dut_error_names_the_dut_line_in_every_set(self, language):
+        sets, line = _bad_range_sets(language)
+        for files, top in sets.values():
+            result = Toolchain().compile(files, top)
+            assert not result.ok
+            assert [(d.file_name, d.location.line)
+                    for d in result.diagnostics] == [(files[0].name, line)]
+            assert f"[{files[0].name}:{line}]" in result.log
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_testbench_set_and_plain_copy_compile_alike(self, language):
+        sets, _ = _bad_range_sets(language)
+        declared = Toolchain().compile(*sets["Testbench"])
+        full = Toolchain().compile(*sets["plain"])
+        assert _compile_fields(declared) == _compile_fields(full)
+
+    @pytest.mark.parametrize("first", ["Testbench", "plain"])
+    @pytest.mark.parametrize("language", list(Language))
+    def test_a_shared_hit_equals_the_cold_compile(self, language, first):
+        sets, _ = _bad_range_sets(language)
+        second = "plain" if first == "Testbench" else "Testbench"
+        shared = Toolchain()
+        shared.compile(*sets[first])
+        hit = shared.compile(*sets[second])
+        assert shared.store.stats["compile"].hits == 1
+        cold = Toolchain().compile(*sets[second])
+        assert _compile_fields(hit) == _compile_fields(cold)
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_dut_processes_are_named_by_dut_lines(self, language):
+        from repro.hdl.diagnostics import DiagnosticCollector
+
+        files = _testbench_set("dff_en", language)
+        design = Toolchain()._build_design(files, "tb", DiagnosticCollector())
+        opener = ("always @(posedge clk)" if language is Language.VERILOG
+                  else "process(clk)")
+        line = 1 + next(
+            index for index, text in enumerate(files[0].text.split("\n"))
+            if text.strip().startswith(opener)
+        )
+        kind = "always" if language is Language.VERILOG else "proc"
+        assert f"dut.{kind}@{line}" in [p.name for p in design.processes]
+
+    SPLIT_ENTITY = (
+        "library ieee;\nuse ieee.std_logic_1164.all;\n"
+        "entity top_module is\n"
+        "    port (a : in std_logic_vector(3 downto 0); y : out std_logic);\n"
+        "end entity;\n"
+    )
+    SPLIT_ARCHITECTURE = (
+        "library ieee;\nuse ieee.std_logic_1164.all;\n\n"
+        "architecture rtl of top_module is\n"
+        "    signal pad : std_logic_vector(3 downto 0);\n"
+        "begin\n    y <= '1';\nend architecture;\n"
+    )
+
+    @pytest.mark.parametrize("broken, line", [("entity", 4), ("architecture", 5)])
+    def test_a_vhdl_entity_and_its_architecture_name_their_own_files(
+        self, broken, line
+    ):
+        texts = {"entity": self.SPLIT_ENTITY,
+                 "architecture": self.SPLIT_ARCHITECTURE}
+        texts[broken] = texts[broken].replace("(3 downto 0)", "(0 downto 3)")
+        files = [HdlFile(f"{unit}.vhd", text, Language.VHDL)
+                 for unit, text in texts.items()]
+        result = Toolchain().compile(files, "top_module")
+        assert [(d.file_name, d.location.line) for d in result.diagnostics] == [
+            (f"{broken}.vhd", line)
+        ]

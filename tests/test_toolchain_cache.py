@@ -6,6 +6,8 @@ sources, syntax-broken sources, and functionally-wrong-but-compiling
 sources in both languages.
 """
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,18 +120,24 @@ class TestCachedEqualsUncached:
         assert shared.store.stats["simulate"].hits > 0
 
     def test_cached_result_is_isolated_from_caller_mutation(self):
+        """A result is a frozen value: a caller cannot change what a later
+        hit returns."""
         toolchain = Toolchain()
         files = [HdlFile(
             "top_module.v",
-            "module top_module(input a, output y); assign y = a; endmodule",
+            "module top_module(input a, output y); assign y = ghost; endmodule",
             Language.VERILOG,
         )]
+        want = compile_fields(Toolchain().compile(files, "top_module"))
         first = toolchain.compile(files, "top_module")
-        first.diagnostics.append("poison")
-        first.ok = False
+        assert not first.ok and isinstance(first.diagnostics, tuple)
+        for name, value in (("ok", True), ("diagnostics", ())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(first, name, value)
         second = toolchain.compile(files, "top_module")
-        assert second.ok
-        assert second.diagnostics == []
+        assert toolchain.store.stats["compile"].hits == 1
+        assert second is first
+        assert compile_fields(second) == want
 
     def test_simulate_hit_is_isolated_from_caller_mutation(self):
         toolchain = Toolchain()
@@ -139,11 +147,15 @@ class TestCachedEqualsUncached:
         ]
         want = sim_fields(Toolchain().simulate(files, "tb"))
         first = toolchain.simulate(files, "tb")
-        first.output_lines.append("poison")
-        first.compile_result.diagnostics.append("poison")
-        first.compile_result.ok = False
+        assert isinstance(first.output_lines, tuple)
+        assert isinstance(first.compile_result.diagnostics, tuple)
+        for result, name in ((first, "output_lines"),
+                             (first.compile_result, "ok")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, name, None)
         second = toolchain.simulate(files, "tb")
         assert toolchain.store.stats["simulate"].hits == 1
+        assert second is first
         assert sim_fields(second) == want
 
 
@@ -248,10 +260,10 @@ class TestKeyInjectivity:
     """Property: the store key is injective over everything it must encode.
 
     Two inputs get the same key if and only if they are identical in stage,
-    top, extra inputs (compared as their ``str``, which is how they are
-    hashed) and the exact sequence of (name, text, language) files —
-    permuting file order, switching a language, or renaming the top all
-    produce distinct keys even when every byte of source text is the same.
+    top, extra inputs and the exact sequence of (name, text, language)
+    files — permuting file order, switching a language, or renaming the top
+    all produce distinct keys even when every byte of source text is the
+    same.
     """
 
     @staticmethod
@@ -260,7 +272,7 @@ class TestKeyInjectivity:
             stage,
             tuple((f.name, f.text, f.language) for f in files),
             top,
-            tuple(map(str, extra)),
+            extra,
         )
 
     @given(_key_inputs(), _key_inputs())
@@ -575,11 +587,14 @@ class TestOneElaborationPerMiss:
             HdlFile("top_module.v", AND_GATE, Language.VERILOG),
             HdlFile("tb.v", TB, Language.VERILOG),
         ], "tb").ok
+        # keys hold the caller's inputs, values the results: neither holds
+        # runtime state
         held = [
-            obj for value, _ in toolchain.store._entries.values()
-            for obj in _reachable(value)
+            obj for key, (value, _) in toolchain.store._entries.items()
+            for obj in (*_reachable(key), *_reachable(value))
         ]
         assert len(held) > len(toolchain.store)
+        assert any(isinstance(obj, HdlFile) for obj in held)
         assert not [obj for obj in held if isinstance(obj, (Design, Plan))]
 
     @pytest.mark.parametrize("language", list(Language))

@@ -11,7 +11,7 @@ def outputs(source: str) -> list[str]:
         [HdlFile("t.v", source, Language.VERILOG)], "tb"
     )
     assert result.ok, result.log
-    return result.output_lines
+    return list(result.output_lines)
 
 
 def compile_errors(source: str) -> str:

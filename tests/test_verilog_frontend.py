@@ -398,4 +398,4 @@ endmodule
         assert toolchain.compile(files, "tb").ok
         result = toolchain.simulate(files, "tb")
         assert result.ok, result.log
-        assert result.output_lines == ["end=0", "end=1"]
+        assert result.output_lines == ("end=0", "end=1")

@@ -21,7 +21,7 @@ def simulate(source: str):
 
 
 def outputs(source: str) -> list[str]:
-    return simulate(source).output_lines
+    return list(simulate(source).output_lines)
 
 
 def compile_errors(source: str) -> str:
