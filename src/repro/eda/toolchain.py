@@ -174,9 +174,11 @@ class ResultStore:
     entry's bytes are the characters of text its value holds: the source
     of a parse (its AST and line index grow with it), the logs and output
     lines of a compile or simulate result. Real memory is about ten times
-    that on suite workloads. The texts a key holds are not counted: they
-    are the caller's inputs, which a parse entry or the suite nearly
-    always holds as well, and :attr:`MAX_ENTRIES` bounds them. No entry holds an elaborated
+    that on suite workloads. The texts a key holds are not counted, so
+    only :attr:`MAX_ENTRIES` bounds them. A compile or simulate key keeps
+    each file's full text alive, a generated testbench's together with
+    its ``bundle`` and ``declarations``, while that testbench's parse
+    entry holds only the declarations. No entry holds an elaborated
     design: designs are runtime state, built per run (see
     :meth:`Toolchain.simulate`). Each lookup is counted once: hits, misses
     and evictions per stage, both here (:attr:`stats`) and in the metrics

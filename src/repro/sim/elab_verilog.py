@@ -90,14 +90,15 @@ class VerilogElaborator:
         modules: dict[str, ast.Module],
         source: SourceFile,
         collector: DiagnosticCollector,
-        sources: dict[str, SourceFile] | None = None,
+        *,
+        sources: dict[str, SourceFile],
     ):
         self.modules = modules
         #: the source of the module being elaborated: the top's outside
         #: :meth:`_elaborate_module`, which locates each module's nodes
         #: through its own entry of *sources*
         self.source = source
-        self.sources = sources or {}
+        self.sources = sources
         self.collector = collector
         self.design = Design()
         self.rng = _Lcg()
@@ -142,7 +143,7 @@ class VerilogElaborator:
         param_overrides: dict[str, Logic],
     ) -> _Scope:
         outer = self.source
-        self.source = self.sources.get(module.name, outer)
+        self.source = self.sources[module.name]
         self._instance_stack.append(module.name)
         try:
             if len(self._instance_stack) > self.MAX_DEPTH:
@@ -695,16 +696,17 @@ def elaborate_verilog(
     source: SourceFile,
     collector: DiagnosticCollector | None = None,
     *,
-    sources: dict[str, SourceFile] | None = None,
+    sources: dict[str, SourceFile],
 ) -> tuple[Design | None, DiagnosticCollector]:
     """Elaborate *top* against a module library; returns (design, diagnostics).
 
-    *source* is the top module's source. *sources* maps module names to
-    their sources, so a diagnostic or a process name inside a module
-    points into that module's file; a module it lacks is located through
-    *source*.
+    *source* is the top module's source. *sources* maps every module's
+    name to its source, so a diagnostic or a process name inside a module
+    points into that module's file.
     """
     collector = collector if collector is not None else DiagnosticCollector()
-    elaborator = VerilogElaborator(modules, source, collector, sources)
+    elaborator = VerilogElaborator(
+        modules, source, collector, sources=sources
+    )
     design = elaborator.elaborate(top)
     return design, collector

@@ -119,7 +119,8 @@ class VhdlElaborator:
         architectures: dict[str, ast.Architecture],
         source: SourceFile,
         collector: DiagnosticCollector,
-        sources: dict[tuple[str, str], SourceFile] | None = None,
+        *,
+        sources: dict[tuple[str, str], SourceFile],
     ):
         self.entities = entities
         self.architectures = architectures
@@ -127,7 +128,7 @@ class VhdlElaborator:
         #: outside :meth:`_elaborate_entity`, which locates an entity's and
         #: its architecture's nodes through their own entries of *sources*
         self.source = source
-        self.sources = sources or {}
+        self.sources = sources
         self.collector = collector
         self.design = Design()
         #: set by the closure compiler when it emits a closure that can
@@ -186,7 +187,7 @@ class VhdlElaborator:
         entity = self.entities[name]
         arch = self.architectures.get(name)
         outer = self.source
-        self.source = self.sources.get(("entity", name), outer)
+        self.source = self.sources["entity", name]
         self._depth += 1
         try:
             if arch is None:
@@ -197,7 +198,7 @@ class VhdlElaborator:
             scope = _VScope(entity=entity, arch=arch, prefix=prefix)
             self._bind_generics(scope, generic_overrides)
             self._declare_ports(scope)
-            self.source = self.sources.get(("architecture", name), outer)
+            self.source = self.sources["architecture", name]
             self._declare_objects(scope)
             for statement in arch.statements:
                 self._elaborate_concurrent(statement, scope)
@@ -868,20 +869,20 @@ def elaborate_vhdl(
     source: SourceFile,
     collector: DiagnosticCollector | None = None,
     *,
-    sources: dict[tuple[str, str], SourceFile] | None = None,
+    sources: dict[tuple[str, str], SourceFile],
 ) -> tuple[Design | None, DiagnosticCollector]:
     """Elaborate *top* from a design file; returns (design, diagnostics).
 
-    *source* is the top entity's source. *sources* maps each design unit,
+    *source* is the top entity's source. *sources* maps every design unit,
     keyed ``("entity", name)`` or ``("architecture", entity name)``, to its
     source, so a diagnostic or a process name inside a unit points into
-    that unit's file; a unit it lacks is located through *source*.
+    that unit's file.
     """
     collector = collector if collector is not None else DiagnosticCollector()
     entities = {entity.name: entity for entity in design_file.entities}
     architectures = {arch.entity: arch for arch in design_file.architectures}
     elaborator = VhdlElaborator(
-        entities, architectures, source, collector, sources
+        entities, architectures, source, collector, sources=sources
     )
     design = elaborator.elaborate(top)
     return design, collector
