@@ -24,9 +24,6 @@ class PipelineConfig:
     #: generate the testbench before the RTL (AIVRIL2) instead of after
     #: (AIVRIL-style simultaneous generation)
     testbench_first: bool = True
-    #: stop a loop early when the Code Agent returns byte-identical code —
-    #: a stuck model will never converge, so further rounds only burn time
-    stop_on_no_progress: bool = True
 
     def __post_init__(self) -> None:
         if self.max_syntax_iterations < 1:

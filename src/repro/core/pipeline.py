@@ -12,6 +12,9 @@ Control flow (Fig. 1/Fig. 2 of the paper):
    frozen testbench; each failing run becomes a corrective prompt, until
    all test cases pass or the cap is hit.
 
+Either loop also stops as soon as the Code Agent returns byte-identical
+code: a stuck model will never converge, so further rounds only burn time.
+
 The pipeline never judges functional success itself — that is the suite's
 (hidden) golden testbench's job in the evaluation harness — it reports what
 its own testbench observed, as the paper's tool does.
@@ -38,7 +41,7 @@ from repro.designs.tbgen import TB_NAME
 from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.llm import protocol
 from repro.llm.interface import LLMClient, LLMError
-from repro.obs import DEFAULT_COUNT_BUCKETS, get_tracer
+from repro.obs import get_tracer
 
 log = logging.getLogger(__name__)
 
@@ -85,12 +88,6 @@ class Aivril2Pipeline:
             )
             metrics = tracer.metrics
             metrics.counter("pipeline.runs").inc()
-            metrics.histogram(
-                "loop.syntax.iterations", buckets=DEFAULT_COUNT_BUCKETS
-            ).observe(result.syntax_iterations)
-            metrics.histogram(
-                "loop.functional.iterations", buckets=DEFAULT_COUNT_BUCKETS
-            ).observe(result.functional_iterations)
             metrics.counter("llm.tokens.prompt").inc(
                 result.tokens.prompt_tokens
             )
@@ -232,7 +229,7 @@ class Aivril2Pipeline:
                     )
                     latency.syntax_llm += code_agent.take_latency()
                     iteration_span.set_attr("revised", rtl != previous_rtl)
-                    if config.stop_on_no_progress and rtl == previous_rtl:
+                    if rtl == previous_rtl:
                         code_agent.observe(
                             "The revision is identical to the previous code; "
                             "the syntax loop cannot make further progress."
@@ -286,7 +283,7 @@ class Aivril2Pipeline:
                     )
                     latency.functional_llm += code_agent.take_latency()
                     iteration_span.set_attr("revised", rtl != previous_rtl)
-                    if config.stop_on_no_progress and rtl == previous_rtl:
+                    if rtl == previous_rtl:
                         code_agent.observe(
                             "The revision is identical to the previous code; "
                             "the functional loop cannot make further progress."

@@ -61,7 +61,13 @@ log = logging.getLogger(__name__)
 
 
 class Language(enum.Enum):
-    """Target RTL language; AIVRIL2 is orthogonal to this choice."""
+    """Target RTL language; AIVRIL2 is orthogonal to this choice.
+
+    Members hash by identity: every store lookup hashes the ``HdlFile``s
+    of its key, and ``Enum.__hash__`` is a Python-level call.
+    """
+
+    __hash__ = object.__hash__
 
     VERILOG = "verilog"
     VHDL = "vhdl"
@@ -182,8 +188,8 @@ class ResultStore:
     design: designs are runtime state, built per run (see
     :meth:`Toolchain.simulate`). Each lookup is counted once: hits, misses
     and evictions per stage, both here (:attr:`stats`) and in the metrics
-    registry as ``toolchain.store.<stage>.hit|miss|evict``, next to the
-    ``toolchain.store.entries`` and ``toolchain.store.bytes`` gauges.
+    registry as ``toolchain.store.<stage>.hit|miss|evict``. ``len(store)``
+    and :attr:`nbytes` give its size.
     """
 
     MAX_ENTRIES = 2048
@@ -228,7 +234,6 @@ class ResultStore:
             self.nbytes -= old[1]
         self._entries[key] = (value, nbytes)
         self.nbytes += nbytes
-        metrics = get_tracer().metrics
         while self._entries and (
             len(self._entries) > self.MAX_ENTRIES
             or self.nbytes > self.MAX_BYTES
@@ -236,9 +241,7 @@ class ResultStore:
             (stage, _), (_, size) = self._entries.popitem(last=False)
             self.nbytes -= size
             self.stats[stage].evictions += 1
-            metrics.counter(_METRIC_NAMES[stage, "evict"]).inc()
-        metrics.gauge("toolchain.store.entries").set(len(self._entries))
-        metrics.gauge("toolchain.store.bytes").set(self.nbytes)
+            get_tracer().metrics.counter(_METRIC_NAMES[stage, "evict"]).inc()
 
 
 _METRIC_NAMES = {

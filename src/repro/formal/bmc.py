@@ -350,7 +350,6 @@ def _finished(result: FormalResult, started: float) -> FormalResult:
 def _record_metrics(tracer, result: FormalResult) -> None:
     tracer.metrics.counter("formal.checks").inc()
     tracer.metrics.counter(f"formal.verdict.{result.verdict.value}").inc()
-    tracer.metrics.histogram("formal.seconds").observe(result.seconds)
     if result.stats.conflicts:
         tracer.metrics.counter("formal.sat.conflicts").inc(
             result.stats.conflicts

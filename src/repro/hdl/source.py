@@ -8,7 +8,8 @@ throughout lexing, parsing, semantic analysis, and diagnostic rendering.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -59,20 +60,24 @@ class SourceSpan(_Span):
 
 @dataclass
 class SourceFile:
-    """An HDL source file plus derived line-offset index."""
+    """An HDL source file plus derived line-offset index.
+
+    The index is built on first use, so a file whose offsets are never
+    translated (a parse that reports nothing) never scans its text.
+    """
 
     name: str
     text: str
-    _line_starts: list[int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def _line_starts(self) -> list[int]:
         starts = [0]
         find = self.text.find
         index = find("\n")
         while index >= 0:
             starts.append(index + 1)
             index = find("\n", index + 1)
-        self._line_starts = starts
+        return starts
 
     @property
     def line_count(self) -> int:

@@ -35,6 +35,8 @@ from repro.llm.profiles import CapabilityProfile, count_of
 #: upper bound on assigned convergence cycles (below the pipeline's default
 #: iteration caps, so repairable problems always converge)
 MAX_ASSIGNED_CYCLES = 6
+#: test cases in the self-written testbench of ``testbench_quality="weak"``
+WEAK_TB_CASES = 6
 
 
 def _rank_key(model: str, language: Language, pid: str, salt: str = "") -> int:
@@ -232,7 +234,6 @@ class SyntheticDesignLLM:
         suite: Suite,
         *,
         testbench_quality: str = "full",  # "full" | "weak"
-        weak_tb_cases: int = 6,
         variant: int = 0,
     ):
         if testbench_quality not in ("full", "weak"):
@@ -240,7 +241,6 @@ class SyntheticDesignLLM:
         self.profile = profile
         self.suite = suite
         self.testbench_quality = testbench_quality
-        self.weak_tb_cases = weak_tb_cases
         #: sample index: variant k behaves like an independent draw from the
         #: model's output distribution (same rates, re-ranked defect plan)
         self.variant = variant
@@ -395,7 +395,7 @@ class SyntheticDesignLLM:
             problem.model,
             language,
             problem.pid,
-            max_cases=self.weak_tb_cases,
+            max_cases=WEAK_TB_CASES,
         )
 
     def _render(

@@ -1,4 +1,4 @@
-"""``repro.obs`` — span tracing, metrics, and structured run telemetry.
+"""``repro.obs`` — span tracing, counters, and structured run telemetry.
 
 Public surface:
 
@@ -9,15 +9,15 @@ Public surface:
   :data:`~repro.obs.trace.NULL_TRACER`;
 * :class:`~repro.obs.sink.JsonlSink` / :class:`~repro.obs.sink.MemorySink` —
   process-safe trace outputs (one atomic ``write`` per line);
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
-  fixed-bucket histograms;
+* :class:`~repro.obs.metrics.MetricsRegistry` — named counters, the only
+  metric kind (a timer is a counter of seconds);
 * :func:`~repro.obs.schema.validate_record` /
   :func:`~repro.obs.schema.validate_trace` — dependency-free record
   validation against :data:`~repro.obs.schema.TRACE_RECORD_SCHEMA`;
 * :func:`~repro.obs.summary.summarize_trace` /
   :func:`~repro.obs.summary.render_trace_summary` — the Figure 3-style
   aggregation behind ``repro trace summarize``;
-* :func:`~repro.obs.summary.aggregate_records` — the cross-process merge
+* :func:`~repro.obs.summary.aggregate_records` — the cross-process sum
   of a trace's ``metric`` records that ``repro trace summarize`` reads;
 * :func:`~repro.obs.analyze.critical_path` /
   :func:`~repro.obs.analyze.fold_stacks` — span-tree analytics behind
@@ -45,13 +45,9 @@ from repro.obs.baseline import (
     compare_reports,
 )
 from repro.obs.metrics import (
-    DEFAULT_COUNT_BUCKETS,
-    DEFAULT_SECONDS_BUCKETS,
     NULL_METRIC,
     NULL_REGISTRY,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NullRegistry,
 )
@@ -110,10 +106,6 @@ __all__ = [
     "NULL_REGISTRY",
     "NULL_METRIC",
     "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_SECONDS_BUCKETS",
-    "DEFAULT_COUNT_BUCKETS",
     "TRACE_RECORD_SCHEMA",
     "validate_record",
     "validate_trace",

@@ -1,38 +1,26 @@
-"""In-process metrics: counters, gauges, and fixed-bucket histograms.
+"""In-process metrics: named counters.
 
 The registry is the queryable, in-memory side of the observability layer;
-the JSONL trace is the durable side. Every metric renders itself into one
+the JSONL trace is the durable side. Every counter renders itself into one
 ``metric`` trace record (see :mod:`repro.obs.schema`) via ``to_record`` so a
 :class:`~repro.obs.trace.Tracer` can flush its registry into the trace.
 
-Histograms use **fixed upper-inclusive bucket bounds** chosen at creation
-time (``value <= bound`` lands in that bucket; anything above the last bound
-lands in the implicit overflow bucket). Fixed buckets make histograms from
-different processes mergeable by plain element-wise addition, which is what
-the trace summarizer relies on.
+The counter is the only metric kind. Counts from different processes merge
+by plain addition, which is what the trace summarizer relies on; a timer
+is a counter of seconds (``inc`` takes float amounts).
 
 Null variants (:data:`NULL_REGISTRY`) back the no-op tracer: every lookup
-returns the same do-nothing metric, so instrumented code pays only a couple
-of attribute lookups when tracing is disabled.
+returns the same do-nothing counter, so instrumented code pays only a
+couple of attribute lookups when tracing is disabled.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
 import threading
-
-#: default bounds for second-valued histograms (EDA tool calls, LLM calls)
-DEFAULT_SECONDS_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-)
-#: default bounds for small-count histograms (loop iterations, retries)
-DEFAULT_COUNT_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0)
 
 
 class Counter:
-    """Monotonically increasing count (cache hits, tokens, runs).
+    """Monotonically increasing count (cache hits, tokens, runs, seconds).
 
     Updates and snapshots are serialized by a per-metric lock, so
     concurrent threads never lose an increment and ``to_record`` always
@@ -58,186 +46,49 @@ class Counter:
             return {"kind": self.kind, "name": self.name, "value": self.value}
 
 
-class Gauge:
-    """Last-write-wins instantaneous value (pool size, queue depth)."""
-
-    kind = "gauge"
-    __slots__ = ("name", "value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
-
-    def to_record(self) -> dict:
-        with self._lock:
-            return {"kind": self.kind, "name": self.name, "value": self.value}
-
-
-class Histogram:
-    """Fixed-bucket distribution with sum/count/min/max sidecars.
-
-    ``bounds`` are upper-inclusive and strictly increasing; observations
-    greater than the last bound are counted in an implicit overflow bucket,
-    so ``len(counts) == len(bounds) + 1`` and no observation is ever lost.
-    """
-
-    kind = "histogram"
-    __slots__ = (
-        "name", "bounds", "counts", "total", "count", "min", "max", "_lock",
-    )
-
-    def __init__(self, name: str, buckets=DEFAULT_SECONDS_BUCKETS):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b >= c for b, c in zip(bounds, bounds[1:])):
-            raise ValueError(
-                f"histogram bounds must be strictly increasing, got {bounds}"
-            )
-        self.name = name
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)
-        self.total = 0.0
-        self.count = 0
-        self.min = math.inf
-        self.max = -math.inf
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        bucket = bisect.bisect_left(self.bounds, value)
-        with self._lock:
-            self.counts[bucket] += 1
-            self.total += value
-            self.count += 1
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-
-    @property
-    def mean(self) -> float:
-        if not self.count:
-            return 0.0
-        return self.total / self.count
-
-    def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile estimate; 0.0 with no observations."""
-        if not self.count:
-            return 0.0
-        q = min(max(q, 0.0), 1.0)
-        target = q * self.count
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            if bucket_count and cumulative + bucket_count >= target:
-                if index < len(self.bounds):
-                    upper = self.bounds[index]
-                    lower = self.bounds[index - 1] if index else min(
-                        self.min, upper
-                    )
-                else:  # overflow bucket: bounded by the observed maximum
-                    upper = self.max
-                    lower = self.bounds[-1]
-                fraction = (target - cumulative) / bucket_count
-                return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
-            cumulative += bucket_count
-        return self.max  # pragma: no cover - loop always returns
-
-    def to_record(self) -> dict:
-        with self._lock:
-            return {
-                "kind": self.kind,
-                "name": self.name,
-                "buckets": list(self.bounds),
-                "counts": list(self.counts),
-                "sum": self.total,
-                "count": self.count,
-                "min": self.min if self.count else 0.0,
-                "max": self.max if self.count else 0.0,
-            }
-
-
 class MetricsRegistry:
-    """Named get-or-create store of metrics, thread-safe, one per tracer."""
+    """Named get-or-create store of counters, thread-safe, one per tracer."""
 
     def __init__(self):
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._metrics)
 
     def get(self, name: str):
-        """The metric registered under ``name``, or ``None``."""
+        """The counter registered under ``name``, or ``None``."""
         return self._metrics.get(name)
 
     def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter, lambda: Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge, lambda: Gauge(name))
-
-    def histogram(self, name: str, buckets=DEFAULT_SECONDS_BUCKETS) -> Histogram:
-        histogram = self._get_or_create(
-            name, Histogram, lambda: Histogram(name, buckets)
-        )
-        if histogram.bounds != tuple(float(b) for b in buckets):
-            raise ValueError(
-                f"histogram {name!r} already registered with buckets "
-                f"{histogram.bounds}"
-            )
-        return histogram
-
-    def _get_or_create(self, name, metric_type, factory):
         with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._metrics[name] = factory()
-            elif not isinstance(metric, metric_type):
-                raise ValueError(
-                    f"metric {name!r} is a {type(metric).__name__}, "
-                    f"not a {metric_type.__name__}"
-                )
-            return metric
+            counter = self._metrics.get(name)
+            if counter is None:
+                counter = self._metrics[name] = Counter(name)
+            return counter
 
     def to_records(self) -> list[dict]:
-        """One serializable record per metric, sorted by name."""
+        """One serializable record per counter, sorted by name."""
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         return [metric.to_record() for metric in metrics]
 
 
 class _NullMetric:
-    """Accepts every update, stores nothing; shared by all null lookups."""
+    """Accepts every increment, stores nothing; shared by all null lookups."""
 
     __slots__ = ()
     value = 0
-    count = 0
-    mean = 0.0
 
     def inc(self, amount=1) -> None:
         pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-    def quantile(self, q) -> float:
-        return 0.0
 
 
 NULL_METRIC = _NullMetric()
 
 
 class NullRegistry:
-    """Registry of the no-op tracer: every name maps to the null metric."""
+    """Registry of the no-op tracer: every name maps to the null counter."""
 
     __slots__ = ()
 
@@ -248,12 +99,6 @@ class NullRegistry:
         return None
 
     def counter(self, name) -> _NullMetric:
-        return NULL_METRIC
-
-    def gauge(self, name) -> _NullMetric:
-        return NULL_METRIC
-
-    def histogram(self, name, buckets=DEFAULT_SECONDS_BUCKETS) -> _NullMetric:
         return NULL_METRIC
 
     def to_records(self) -> list[dict]:

@@ -1,7 +1,8 @@
 """Trace record schema and validation.
 
 Every line of a trace file is one JSON object of ``type`` ``meta``, ``span``,
-``event``, or ``metric``. :data:`TRACE_RECORD_SCHEMA` documents the layout
+``event``, or ``metric``; a ``metric`` record is one counter's cumulative
+``value``, never negative. :data:`TRACE_RECORD_SCHEMA` documents the layout
 in JSON-Schema form (for external tooling); :func:`validate_record` is the
 dependency-free validator the test-suite and ``repro trace validate`` use —
 CI runs it over every line of a freshly recorded sweep trace.
@@ -69,12 +70,13 @@ TRACE_RECORD_SCHEMA = {
             "type": "object",
             "properties": {
                 "type": {"const": "metric"},
-                "kind": {"enum": ["counter", "gauge", "histogram"]},
+                "kind": {"const": "counter"},
                 "name": {"type": "string", "minLength": 1},
                 "pid": {"type": "integer"},
                 "time": {"type": "number"},
+                "value": {"type": "number", "minimum": 0},
             },
-            "required": ["type", "kind", "name", "pid", "time"],
+            "required": ["type", "kind", "name", "pid", "time", "value"],
         },
     ],
 }
@@ -168,42 +170,19 @@ def validate_record(record) -> list[str]:
         )
         _check_attrs(errors, record)
     elif rtype == "metric":
-        kind = record.get("kind")
         _check(
-            errors, kind in ("counter", "gauge", "histogram"),
-            "metric.kind must be counter, gauge, or histogram",
+            errors, record.get("kind") == "counter",
+            "metric.kind must be counter",
         )
         name = record.get("name")
         _check(errors, isinstance(name, str) and name, "metric.name must be a non-empty string")
         _check(errors, isinstance(record.get("pid"), int), "pid must be an int")
         _check(errors, _is_number(record.get("time")), "time must be a number")
-        if kind in ("counter", "gauge"):
-            _check(errors, _is_number(record.get("value")), "metric.value must be a number")
-        elif kind == "histogram":
-            buckets = record.get("buckets")
-            counts = record.get("counts")
-            buckets_ok = (
-                isinstance(buckets, list)
-                and buckets
-                and all(_is_number(b) for b in buckets)
-                and all(a < b for a, b in zip(buckets, buckets[1:]))
-            )
-            _check(errors, buckets_ok, "histogram.buckets must be ascending numbers")
-            counts_ok = (
-                isinstance(counts, list)
-                and all(isinstance(c, int) and c >= 0 for c in counts)
-                and (not buckets_ok or len(counts) == len(buckets) + 1)
-            )
-            _check(
-                errors, counts_ok,
-                "histogram.counts must be len(buckets)+1 non-negative ints",
-            )
-            _check(errors, _is_number(record.get("sum")), "histogram.sum must be a number")
-            _check(
-                errors,
-                isinstance(record.get("count"), int) and record.get("count", -1) >= 0,
-                "histogram.count must be a non-negative int",
-            )
+        value = record.get("value")
+        _check(
+            errors, _is_number(value) and value >= 0,
+            "metric.value must be a non-negative number",
+        )
     else:
         errors.append(f"unknown record type {rtype!r}")
     return errors

@@ -20,9 +20,9 @@ the paper's behavioral questions from that record alone:
 
 Everything is derived from spans, events and ``metric`` records, never from
 in-process state, so the numbers are identical whether the sweep ran
-serially or across worker processes. :func:`aggregate_records` merges the
-``metric`` records every process flushes into one cross-process view; the
-summary's simulator, store and per-op counters come from it.
+serially or across worker processes. :func:`aggregate_records` sums the
+counters every process flushes into one cross-process view; the summary's
+simulator, store and per-op counts come from it.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ def read_trace(path) -> list[dict]:
 
 @dataclass
 class MetricsSnapshot:
-    """One cross-process view of every metric a trace carries.
+    """One cross-process view of every counter a trace carries.
 
-    ``metrics`` maps metric name → merged record in the layout the
+    ``metrics`` maps counter name → summed record in the layout the
     registry's ``to_record`` produces.
     """
 
@@ -88,63 +88,20 @@ class MetricsSnapshot:
     record_count: int = 0
 
     def counter(self, name: str) -> float:
-        """Merged value of a counter (0 when absent)."""
+        """Summed value of a counter (0 when absent)."""
         record = self.metrics.get(name)
         return record["value"] if record else 0
 
 
-def merge_metric_records(into: dict, record: dict, *, time_key: float) -> dict:
-    """Fold ``record`` into the accumulated ``into`` record (same name).
-
-    ``time_key`` orders gauge writes: the merged gauge keeps the value from
-    the latest record. Counter values add; histograms add element-wise
-    (their fixed bounds must agree). Kind or bucket disagreements raise
-    ``ValueError`` — they mean two processes registered the same name
-    incompatibly, which the per-process registry already forbids.
-    """
-    if into["kind"] != record["kind"]:
-        raise ValueError(
-            f"metric {record['name']!r} is a {into['kind']} in one process "
-            f"and a {record['kind']} in another"
-        )
-    if record["kind"] == "counter":
-        into["value"] += record["value"]
-    elif record["kind"] == "gauge":
-        if time_key >= into["_gauge_time"]:
-            into["value"] = record["value"]
-            into["_gauge_time"] = time_key
-    else:  # histogram
-        if into["buckets"] != record["buckets"]:
-            raise ValueError(
-                f"histogram {record['name']!r} has buckets "
-                f"{into['buckets']} in one process and "
-                f"{record['buckets']} in another"
-            )
-        into["counts"] = [
-            a + b for a, b in zip(into["counts"], record["counts"])
-        ]
-        into["sum"] += record["sum"]
-        # min/max sidecars are 0.0 placeholders on an empty histogram;
-        # only populated sides participate in the merge
-        if record["count"]:
-            if into["count"]:
-                into["min"] = min(into["min"], record["min"])
-                into["max"] = max(into["max"], record["max"])
-            else:
-                into["min"] = record["min"]
-                into["max"] = record["max"]
-        into["count"] += record["count"]
-    return into
-
-
 def aggregate_records(records: list[dict]) -> MetricsSnapshot:
-    """Merge a trace's ``metric`` records into one :class:`MetricsSnapshot`.
+    """Sum a trace's ``metric`` records into one :class:`MetricsSnapshot`.
 
     Every flush writes a process's whole registry cumulatively, so only the
     **latest** record per pid and name counts: the last one in file order,
-    which is the order one process writes in. The survivors merge across
-    processes, folded by pid so gauge ties resolve stably. Other record
-    types are ignored; a malformed ``metric`` record raises ``ValueError``.
+    which is the order one process writes in. The survivors add across
+    processes, in pid order so float sums come out the same every time.
+    Other record types are ignored; a malformed ``metric`` record (any
+    kind but a counter included) raises ``ValueError``.
     """
     latest: dict[tuple[int, str], dict] = {}
     record_count = 0
@@ -157,29 +114,17 @@ def aggregate_records(records: list[dict]) -> MetricsSnapshot:
         record_count += 1
         latest[(record["pid"], record["name"])] = record
 
-    snapshot = MetricsSnapshot(record_count=record_count)
-    if not latest:
-        return snapshot
-    snapshot.pids = sorted({pid for pid, _ in latest})
-
-    merged: dict[str, dict] = {}
-    for key in sorted(latest):
-        record = latest[key]
-        metric = {
-            field_: value for field_, value in record.items()
-            if field_ not in ("type", "pid", "time")
-        }
-        name = metric["name"]
-        if name not in merged:
-            if metric["kind"] == "gauge":
-                metric["_gauge_time"] = record["time"]
-            merged[name] = metric
-        else:
-            merge_metric_records(merged[name], metric, time_key=record["time"])
-    for metric in merged.values():
-        metric.pop("_gauge_time", None)
-    snapshot.metrics = dict(sorted(merged.items()))
-    return snapshot
+    totals: dict[str, int | float] = {}
+    for (_, name), record in sorted(latest.items()):
+        totals[name] = totals.get(name, 0) + record["value"]
+    return MetricsSnapshot(
+        metrics={
+            name: {"kind": "counter", "name": name, "value": totals[name]}
+            for name in sorted(totals)
+        },
+        pids=sorted({pid for pid, _ in latest}),
+        record_count=record_count,
+    )
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -308,7 +253,7 @@ def summarize_records(records: list[dict], *, path: str = "") -> TraceSummary:
         elif cache == "miss":
             summary.cache_misses += 1
 
-    # -- scheduler and store counters, merged across processes ----------
+    # -- scheduler and store counters, summed across processes ----------
     metrics = aggregate_records(records)
     summary.metric_count = metrics.record_count
     for name, metric in metrics.metrics.items():

@@ -18,9 +18,9 @@ Worker processes forked mid-sweep inherit the configured tracer; the sink
 reopens its file descriptor per pid and every process draws span ids from a
 pid-qualified counter, so one trace file deterministically merges spans from
 any number of workers (``repro.exec`` relies on this). Every process also
-flushes its metrics registry into the same file as cumulative ``metric``
-records (:meth:`Tracer.flush_metrics`), so the trace is the one telemetry
-file a run leaves behind.
+flushes its counters into the same file as cumulative ``metric`` records
+(:meth:`Tracer.flush_metrics`), so the trace is the one telemetry file a
+run leaves behind.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sink import JsonlSink
 
 #: bumped when the record layout changes; written into every meta record
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"

@@ -87,9 +87,9 @@ class FuzzReport:
 
     @property
     def op_class_counts(self) -> dict[str, dict[str, int]]:
-        """Per-op-kind verdict histogram: op kind -> failure class -> n.
+        """Per-op-kind verdict table: op kind -> failure class -> n.
 
-        The same histogram reaches the trace as
+        The same table reaches the trace as
         ``qa.fuzz.op.<kind>.<class>`` counters, and ``repro trace
         summarize`` prints it back from them, one line per op kind.
         """
@@ -287,9 +287,6 @@ def run_fuzz(
                 tracer.metrics.counter(
                     f"qa.fuzz.op.{op}.{result.failure_class.value}"
                 ).inc()
-            tracer.metrics.histogram("qa.program.seconds").observe(
-                result.seconds
-            )
             if result.failure_class is not FailureClass.OK:
                 report.divergences.append(
                     QaCase(

@@ -442,12 +442,17 @@ class TestObsCommands:
         assert "store hit rate: no lookups recorded" in text
         assert "per-op" not in text
 
-    def test_trace_summarize_rejects_a_malformed_metric(self, tmp_path):
+    @pytest.mark.parametrize("metric", [
+        '"kind":"counter","value":3',
+        '"kind":"gauge","name":"toolchain.store.entries","value":9',
+        '"kind":"histogram","name":"formal.seconds","buckets":[1.0],'
+        '"counts":[1,0],"sum":0.5,"count":1,"min":0.5,"max":0.5',
+    ], ids=["unnamed", "gauge", "histogram"])
+    def test_trace_summarize_rejects_a_malformed_metric(
+        self, tmp_path, metric
+    ):
         path = tmp_path / "bad-metric.jsonl"
-        path.write_text(
-            '{"type":"metric","pid":1,"time":1.0,"kind":"counter",'
-            '"value":3}\n'
-        )
+        path.write_text(f'{{"type":"metric","pid":1,"time":1.0,{metric}}}\n')
         code, text = run_cli("trace", "summarize", str(path))
         assert code == 1
         assert "cannot read trace: malformed metric record" in text

@@ -64,6 +64,21 @@ class TestSourceFile:
         line = source.line_text(loc.line)
         assert loc.column - 1 <= len(line) + 1
 
+    def test_line_index_is_built_on_first_use(self):
+        class CountingText(str):
+            finds = 0
+
+            def find(self, *args):
+                CountingText.finds += 1
+                return super().find(*args)
+
+        source = SourceFile("t", CountingText("a\nb\nc"))
+        assert CountingText.finds == 0  # construction scans nothing
+        assert source.location(4).line == 3
+        assert CountingText.finds == 3  # two newlines, then the miss
+        source.location(2)
+        assert CountingText.finds == 3  # the index is kept
+
     @given(st.text(alphabet="ab\n\r", max_size=200))
     def test_line_index_marks_every_newline(self, text):
         starts = [0] + [i + 1 for i, char in enumerate(text) if char == "\n"]

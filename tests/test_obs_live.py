@@ -2,18 +2,16 @@
 aggregator behind ``repro trace summarize``.
 
 Every process flushes its whole registry into the trace as cumulative
-``metric`` records. Covers the merge semantics over those records (the
-latest record per pid and name counts; counters add, gauges keep the latest
-write, histograms add element-wise), the merge edge cases (overflow
-buckets, disjoint name sets, mid-observation flushes), and the end-to-end
-guarantees: a traced sweep's merged metrics equal the live
-``SweepMetrics`` at any worker count, a fuzz campaign's summary prints its
+``metric`` records, one per counter. Covers the sum over those records
+(the latest record per pid and name counts; counters add across pids),
+and the end-to-end guarantees: a traced sweep's summed counters equal the
+live ``SweepMetrics`` at any worker count, every ``metric`` record a sweep
+or fuzz campaign writes is a counter, a fuzz campaign's summary prints its
 per-op verdict table and counts its tasks, and a worker killed mid-task
 keeps what it flushed before.
 """
 
 import io
-import threading
 import time
 
 import pytest
@@ -31,17 +29,12 @@ from repro.obs import (
     summarize_trace,
     validate_trace,
 )
-from repro.obs.summary import merge_metric_records
 
 
-def make_registry(counter=0, gauge=None, observations=()):
+def make_registry(counter=0):
     registry = MetricsRegistry()
     if counter:
         registry.counter("hits").inc(counter)
-    if gauge is not None:
-        registry.gauge("depth").set(gauge)
-    for value in observations:
-        registry.histogram("lat", buckets=(1.0, 2.0)).observe(value)
     return registry
 
 
@@ -51,6 +44,14 @@ def flush_records(registry, *, pid, time=1000.0):
         {"type": "metric", "pid": pid, "time": time, **record}
         for record in registry.to_records()
     ]
+
+
+def assert_only_counters(records):
+    metrics = [r for r in records if r["type"] == "metric"]
+    assert metrics
+    assert {r["kind"] for r in metrics} == {"counter"}
+    assert all(set(r) == {"type", "pid", "time", "kind", "name", "value"}
+               for r in metrics)
 
 
 @pytest.fixture(autouse=True)
@@ -109,126 +110,17 @@ class TestAggregation:
         assert snapshot.counter("hits") == 2
         assert snapshot.record_count == 1
 
-    def test_gauge_latest_write_wins_across_pids(self):
-        records = (
-            flush_records(make_registry(gauge=111), pid=1, time=2000.0)
-            + flush_records(make_registry(gauge=222), pid=2, time=1000.0)
-        )
-        snapshot = aggregate_records(records)
-        assert snapshot.metrics["depth"]["value"] == 111
-        assert "_gauge_time" not in snapshot.metrics["depth"]
-
-    def test_histograms_add_elementwise(self):
-        records = (
-            flush_records(make_registry(observations=[0.5, 1.5]), pid=1)
-            + flush_records(make_registry(observations=[0.25]), pid=2)
-        )
-        merged = aggregate_records(records).metrics["lat"]
-        assert merged["counts"] == [2, 1, 0]
-        assert merged["count"] == 3
-        assert merged["sum"] == pytest.approx(2.25)
-        assert merged["min"] == 0.25
-        assert merged["max"] == 1.5
-        # the merged record has the registry's own layout
-        assert set(merged) == {
-            "kind", "name", "buckets", "counts", "sum", "count", "min", "max",
-        }
-
-    def test_overflow_bucket_accumulates(self):
-        # values beyond the last bound land in the implicit overflow
-        # bucket; the merged overflow count must be the exact sum
-        records = (
-            flush_records(make_registry(observations=[9.0, 8.0]), pid=1)
-            + flush_records(make_registry(observations=[7.0]), pid=2)
-        )
-        merged = aggregate_records(records).metrics["lat"]
-        assert merged["counts"] == [0, 0, 3]
-        assert merged["max"] == 9.0
-
     def test_disjoint_metric_name_sets_union(self):
         left = MetricsRegistry()
         left.counter("only.left").inc(2)
         right = MetricsRegistry()
         right.counter("only.right").inc(5)
-        right.histogram("lat", buckets=(1.0, 2.0)).observe(0.5)
         snapshot = aggregate_records(
             flush_records(left, pid=1) + flush_records(right, pid=2)
         )
         assert snapshot.counter("only.left") == 2
         assert snapshot.counter("only.right") == 5
         assert list(snapshot.metrics) == sorted(snapshot.metrics)
-
-    def test_empty_histogram_side_does_not_poison_min_max(self):
-        # to_record writes min/max as 0.0 placeholders when count == 0;
-        # merging such a side must not drag min/max toward zero
-        empty = MetricsRegistry()
-        empty.histogram("lat", buckets=(1.0, 2.0))
-        records = (
-            flush_records(empty, pid=1)
-            + flush_records(make_registry(observations=[1.7]), pid=2)
-        )
-        merged = aggregate_records(records).metrics["lat"]
-        assert merged["count"] == 1
-        assert merged["min"] == 1.7
-        assert merged["max"] == 1.7
-
-    def test_mid_observation_snapshot_merges_consistently(self):
-        # a flush taken while another thread hammers the histogram must
-        # still be internally consistent (locked to_record) and mergeable
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat", buckets=(1.0, 2.0))
-        stop = threading.Event()
-
-        def hammer():
-            value = 0
-            while not stop.is_set():
-                histogram.observe((value % 30) / 10.0)
-                value += 1
-
-        thread = threading.Thread(target=hammer)
-        thread.start()
-        try:
-            mid_records = [registry.to_records() for _ in range(50)]
-        finally:
-            stop.set()
-            thread.join()
-        records = flush_records(make_registry(observations=[0.5]), pid=1)
-        for seq, metrics in enumerate(mid_records):
-            records.extend(
-                {"type": "metric", "pid": 2, "time": float(seq), **metric}
-                for metric in metrics
-            )
-        for metrics in mid_records:
-            (histo,) = metrics
-            assert sum(histo["counts"]) == histo["count"]
-        merged = aggregate_records(records).metrics["lat"]
-        # latest pid-2 flush + the single pid-1 observation
-        assert merged["count"] == mid_records[-1][0]["count"] + 1
-        assert sum(merged["counts"]) == merged["count"]
-
-    def test_kind_mismatch_raises(self):
-        counter = {"kind": "counter", "name": "m", "value": 1}
-        gauge = {"kind": "gauge", "name": "m", "value": 1}
-        with pytest.raises(ValueError, match="in one process"):
-            merge_metric_records(dict(counter), gauge, time_key=0.0)
-        # and through the aggregator, across two processes' records
-        with pytest.raises(ValueError, match="in one process"):
-            aggregate_records([
-                {"type": "metric", "pid": 1, "time": 0.0, **counter},
-                {"type": "metric", "pid": 2, "time": 0.0, **gauge},
-            ])
-
-    def test_bucket_mismatch_raises(self):
-        def histo(buckets):
-            return {
-                "kind": "histogram", "name": "h", "buckets": buckets,
-                "counts": [0] * (len(buckets) + 1), "sum": 0.0,
-                "count": 0, "min": 0.0, "max": 0.0,
-            }
-        with pytest.raises(ValueError, match="buckets"):
-            merge_metric_records(
-                histo([1.0, 2.0]), histo([1.0, 3.0]), time_key=0.0
-            )
 
     def test_malformed_metric_record_raises_value_error(self):
         # a trace is outside input: a bad record is reported, not a KeyError
@@ -280,6 +172,7 @@ class TestSweepEquivalence:
         assert summary.cache_misses == live.cache_misses
         assert summary.tasks_ok == live.ok
         assert summary.metric_count == merged.record_count
+        assert_only_counters(records)
         # every process that ran tasks flushed: the sweep's own when
         # serial, each worker's when parallel
         assert len(merged.pids) == workers
@@ -293,7 +186,9 @@ class TestSweepEquivalence:
         trace = tmp_path / "fuzz.trace.jsonl"
         configure_tracing(trace)
         report = run_fuzz(3, 4, workers=1)
-        merged = aggregate_records(read_trace(trace))
+        records = read_trace(trace)
+        assert_only_counters(records)
+        merged = aggregate_records(records)
         assert merged.counter("qa.fuzz.programs") == len(report.results)
         assert merged.counter("qa.fuzz.divergences") == len(
             report.divergences

@@ -1,13 +1,9 @@
-"""Tests for the metrics registry: counters, gauges, histogram math."""
+"""Tests for the metrics registry: counters, the only metric kind."""
 
 import pytest
 
 from repro.obs import (
-    DEFAULT_COUNT_BUCKETS,
-    DEFAULT_SECONDS_BUCKETS,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NULL_METRIC,
     NULL_REGISTRY,
@@ -33,102 +29,12 @@ class TestCounter:
         }
 
 
-class TestGauge:
-    def test_last_write_wins(self):
-        gauge = Gauge("g")
-        gauge.set(3.0)
-        gauge.set(1.5)
-        assert gauge.value == 1.5
-        assert gauge.to_record()["kind"] == "gauge"
-
-
-class TestHistogram:
-    def test_bucket_assignment_upper_inclusive(self):
-        h = Histogram("h", buckets=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 9.0):
-            h.observe(value)
-        # <=1: 0.5, 1.0 | <=2: 1.5, 2.0 | <=4: 3.0, 4.0 | overflow: 9.0
-        assert h.counts == [2, 2, 2, 1]
-        assert h.count == 7
-        assert h.total == pytest.approx(21.0)
-        assert h.min == 0.5
-        assert h.max == 9.0
-
-    def test_mean(self):
-        h = Histogram("h", buckets=(10.0,))
-        h.observe(2.0)
-        h.observe(4.0)
-        assert h.mean == 3.0
-
-    def test_empty_histogram_is_degenerate_zero(self):
-        h = Histogram("h", buckets=(1.0,))
-        assert h.mean == 0.0
-        assert h.quantile(0.5) == 0.0
-        record = h.to_record()
-        assert record["count"] == 0
-        assert record["min"] == 0.0 and record["max"] == 0.0
-
-    def test_quantile_interpolates_within_bucket(self):
-        h = Histogram("h", buckets=(0.0, 10.0))
-        for _ in range(10):
-            h.observe(5.0)
-        # all mass in the (0, 10] bucket: median interpolates to its middle
-        assert h.quantile(0.5) == pytest.approx(5.0)
-        assert 0.0 < h.quantile(0.1) < h.quantile(0.9) <= 10.0
-
-    def test_quantile_overflow_bucket_bounded_by_max(self):
-        h = Histogram("h", buckets=(1.0,))
-        h.observe(50.0)
-        assert 1.0 <= h.quantile(0.99) <= 50.0
-
-    def test_quantile_clamps_q(self):
-        h = Histogram("h", buckets=(1.0, 2.0))
-        h.observe(0.5)
-        assert h.quantile(-1.0) <= h.quantile(2.0)
-
-    def test_counts_invariant(self):
-        h = Histogram("h", buckets=DEFAULT_SECONDS_BUCKETS)
-        assert len(h.counts) == len(DEFAULT_SECONDS_BUCKETS) + 1
-
-    def test_rejects_empty_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=())
-
-    def test_rejects_non_increasing_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=(1.0, 1.0, 2.0))
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=(2.0, 1.0))
-
-    def test_record_is_mergeable_shape(self):
-        h = Histogram("h", buckets=(1.0, 2.0))
-        h.observe(1.5)
-        record = h.to_record()
-        assert record["buckets"] == [1.0, 2.0]
-        assert record["counts"] == [0, 1, 0]
-        assert record["sum"] == 1.5
-
-
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_object(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.histogram("h") is registry.histogram("h")
+        assert registry.counter("b") is registry.counter("b")
         assert len(registry) == 2
-
-    def test_type_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.gauge("x")
-        with pytest.raises(ValueError):
-            registry.histogram("x")
-
-    def test_bucket_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            registry.histogram("h", buckets=(1.0, 3.0))
 
     def test_get_without_create(self):
         registry = MetricsRegistry()
@@ -139,8 +45,8 @@ class TestMetricsRegistry:
     def test_records_sorted_by_name(self):
         registry = MetricsRegistry()
         registry.counter("zz")
-        registry.gauge("aa")
-        registry.histogram("mm", buckets=DEFAULT_COUNT_BUCKETS)
+        registry.counter("aa")
+        registry.counter("mm")
         names = [record["name"] for record in registry.to_records()]
         assert names == ["aa", "mm", "zz"]
 
@@ -148,8 +54,7 @@ class TestMetricsRegistry:
 class TestNullRegistry:
     def test_every_lookup_is_the_null_metric(self):
         assert NULL_REGISTRY.counter("a") is NULL_METRIC
-        assert NULL_REGISTRY.gauge("b") is NULL_METRIC
-        assert NULL_REGISTRY.histogram("c") is NULL_METRIC
+        assert NULL_REGISTRY.counter("b") is NULL_METRIC
         assert NULL_REGISTRY.get("a") is None
         assert len(NULL_REGISTRY) == 0
         assert NULL_REGISTRY.to_records() == []
@@ -157,15 +62,12 @@ class TestNullRegistry:
     def test_null_metric_absorbs_everything(self):
         NULL_METRIC.inc()
         NULL_METRIC.inc(10)
-        NULL_METRIC.set(5.0)
-        NULL_METRIC.observe(1.0)
+        NULL_METRIC.inc(0.5)
         assert NULL_METRIC.value == 0
-        assert NULL_METRIC.count == 0
-        assert NULL_METRIC.quantile(0.5) == 0.0
 
 
 class TestThreadSafety:
-    """Concurrent updates must never lose writes or tear records."""
+    """Concurrent increments must never be lost."""
 
     THREADS = 8
     OPS = 2_000
@@ -193,47 +95,3 @@ class TestThreadSafety:
             lambda t: [counter.inc(0.5) for _ in range(self.OPS)]
         )
         assert counter.value == pytest.approx(self.THREADS * self.OPS / 2)
-
-    def test_gauge_keeps_one_written_value(self):
-        gauge = Gauge("g")
-        self._hammer(lambda t: [gauge.set(t) for _ in range(self.OPS)])
-        assert gauge.value in range(self.THREADS)
-
-    def test_histogram_observations_are_exact_and_consistent(self):
-        histogram = Histogram("h", buckets=(1.0, 2.0, 4.0))
-        self._hammer(
-            lambda t: [
-                histogram.observe(t % 5) for _ in range(self.OPS)
-            ]
-        )
-        total = self.THREADS * self.OPS
-        assert histogram.count == total
-        assert sum(histogram.counts) == total
-        expected_sum = sum(
-            (t % 5) * self.OPS for t in range(self.THREADS)
-        )
-        assert histogram.total == pytest.approx(expected_sum)
-        assert histogram.min == 0.0
-        assert histogram.max == 4.0
-
-    def test_to_record_is_internally_consistent_under_writes(self):
-        import threading
-
-        histogram = Histogram("h", buckets=(1.0, 2.0))
-        stop = threading.Event()
-
-        def writer():
-            value = 0
-            while not stop.is_set():
-                histogram.observe((value % 3) * 1.0)
-                value += 1
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        try:
-            for _ in range(200):
-                record = histogram.to_record()
-                assert sum(record["counts"]) == record["count"]
-        finally:
-            stop.set()
-            thread.join()

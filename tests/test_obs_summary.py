@@ -224,14 +224,31 @@ class TestValidateRecord:
         errors = validate_record(record)
         assert any("precedes" in e for e in errors)
 
-    def test_rejects_bad_histogram_counts(self):
+    def test_rejects_gauge_record(self):
+        record = {
+            "type": "metric", "kind": "gauge", "name": "g", "pid": 1,
+            "time": 1.0, "value": 3.0,
+        }
+        assert validate_record(record) == ["metric.kind must be counter"]
+
+    def test_rejects_histogram_record(self):
         record = {
             "type": "metric", "kind": "histogram", "name": "h", "pid": 1,
-            "time": 1.0, "buckets": [1.0, 2.0], "counts": [0, 1],
-            "sum": 0.0, "count": 1,
+            "time": 1.0, "buckets": [1.0, 2.0], "counts": [0, 1, 0],
+            "sum": 1.5, "count": 1, "min": 1.5, "max": 1.5,
         }
         errors = validate_record(record)
-        assert any("counts" in e for e in errors)
+        assert "metric.kind must be counter" in errors
+        assert "metric.value must be a non-negative number" in errors
+
+    def test_rejects_negative_counter(self):
+        record = {
+            "type": "metric", "kind": "counter", "name": "c", "pid": 1,
+            "time": 1.0, "value": -1,
+        }
+        assert validate_record(record) == [
+            "metric.value must be a non-negative number"
+        ]
 
     def test_accepts_valid_meta(self):
         record = {
@@ -358,10 +375,10 @@ class TestRenderTraceSummary:
         assert "batch tier: 3 call(s), 1536 vector(s)\n" in text
 
     def test_store_counters_surface_in_summary(self):
-        def metric(pid, time, name, value, kind="counter"):
+        def metric(pid, time, name, value):
             return {
                 "type": "metric", "pid": pid, "time": time,
-                "kind": kind, "name": name, "value": value,
+                "kind": "counter", "name": name, "value": value,
             }
 
         records = [
@@ -371,7 +388,6 @@ class TestRenderTraceSummary:
             metric(1, 2.0, "toolchain.store.parse.miss", 4),
             metric(2, 2.0, "toolchain.store.parse.evict", 1),
             metric(1, 2.0, "toolchain.store.simulate.miss", 3),
-            metric(1, 2.0, "toolchain.store.entries", 9, kind="gauge"),
         ]
         summary = summarize_records(records)
         assert summary.store == {

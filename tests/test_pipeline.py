@@ -119,23 +119,26 @@ class TestStuckModel:
         assert not result.functional_ok
         assert result.functional_iterations == 1
 
-    def test_no_progress_detector_can_be_disabled(self, suite):
+    def test_slow_repair_runs_to_the_iteration_cap(self, suite):
         llm = SyntheticDesignLLM(CLAUDE_35_SONNET, suite)
         plans = llm.plan(Language.VERILOG)
         pid = pick(
             plans,
-            lambda p: not p.has_syntax_defect
-            and p.has_functional_defect
-            and not p.functional_repairable,
+            lambda p: not p.has_syntax_defect and p.has_functional_defect,
+        )
+        # every revision differs, so only the cap stops the loop: the
+        # defect needs 4 rounds and the loop allows 3
+        llm.override_plan(
+            pid, Language.VERILOG,
+            functional_repairable=True, functional_cycles=4,
         )
         pipeline = make_pipeline(
-            llm,
-            Language.VERILOG,
-            stop_on_no_progress=False,
-            max_functional_iterations=3,
+            llm, Language.VERILOG, max_functional_iterations=3
         )
         result = pipeline.run(suite.get(pid).prompt)
-        assert result.functional_iterations == 3  # runs to the cap
+        assert result.syntax_ok
+        assert result.functional_iterations == 3
+        assert not result.functional_ok  # the final check still fails
 
 
 class TestConfig:
