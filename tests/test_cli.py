@@ -170,6 +170,24 @@ class TestTrace:
         assert code == 1
         assert "INVALID" in text
 
+    @pytest.mark.parametrize("metric", [
+        '"kind":"gauge","name":"toolchain.store.entries","value":9',
+        '"kind":"histogram","name":"formal.seconds","buckets":[1.0],'
+        '"counts":[1,0],"sum":0.5,"count":1,"min":0.5,"max":0.5',
+    ], ids=["gauge", "histogram"])
+    def test_trace_validate_rejects_non_counter_metrics(
+        self, tmp_path, metric
+    ):
+        path = tmp_path / "old-metric.jsonl"
+        path.write_text(
+            '{"type":"meta","version":1,"pid":1,"time":0.0,"attrs":{}}\n'
+            f'{{"type":"metric","pid":1,"time":1.0,{metric}}}\n'
+        )
+        code, text = run_cli("trace", "validate", str(path))
+        assert code == 1
+        assert "INVALID" in text
+        assert "line 2: metric.kind must be counter" in text
+
     def test_trace_summarize(self, tmp_path):
         path = self.record_trace(tmp_path)
         code, text = run_cli("trace", "summarize", str(path))

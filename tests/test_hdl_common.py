@@ -1,5 +1,8 @@
 """Tests for the shared HDL infrastructure (source, diagnostics, tokens)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +12,7 @@ from repro.hdl.diagnostics import (
     Severity,
     render_vivado_log,
 )
-from repro.hdl.source import SourceFile, SourceSpan
+from repro.hdl.source import SourceFile, SourceLocation, SourceSpan
 from repro.hdl.tokens import Token, TokenKind
 from repro.verilog.lexer import VerilogLexer
 from repro.vhdl.lexer import VhdlLexer
@@ -78,6 +81,22 @@ class TestSourceFile:
         assert CountingText.finds == 3  # two newlines, then the miss
         source.location(2)
         assert CountingText.finds == 3  # the index is kept
+
+    @pytest.mark.parametrize("clone", [
+        lambda value: pickle.loads(pickle.dumps(value)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_translate_offsets_alike(self, clone):
+        fresh = SourceFile("x.v", self.source.text)
+        indexed = SourceFile("x.v", self.source.text)
+        indexed.location(0)
+        offset = self.source.text.index("three")
+        for source in (fresh, indexed):
+            twin = clone(source)
+            assert twin == source
+            assert twin.location(offset) == SourceLocation(3, 6)
+            assert twin.line_text(2) == "line two"
 
     @given(st.text(alphabet="ab\n\r", max_size=200))
     def test_line_index_marks_every_newline(self, text):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.designs.tbgen import make_testbench
 from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.evalsuite.suite import build_suite
 from repro.llm import protocol
@@ -16,6 +17,7 @@ from repro.llm.profiles import (
     profile_for,
 )
 from repro.llm.synthetic import (
+    WEAK_TB_CASES,
     SyntheticDesignLLM,
     build_defect_plan,
     plan_statistics,
@@ -177,6 +179,21 @@ class TestSyntheticLLM:
             self._prompt(protocol.TASK_TESTBENCH, problem, Language.VERILOG)
         )
         assert len(response.text) < len(problem.golden_tb[Language.VERILOG])
+
+    def test_weak_testbench_keeps_the_first_cases(self, suite):
+        llm = SyntheticDesignLLM(
+            CLAUDE_35_SONNET, suite, testbench_quality="weak"
+        )
+        problem = suite.get("vec_and8")
+        response = llm.complete(
+            self._prompt(protocol.TASK_TESTBENCH, problem, Language.VERILOG)
+        )
+        assert response.text == make_testbench(
+            problem.spec, problem.model, Language.VERILOG, problem.pid,
+            max_cases=WEAK_TB_CASES,
+        )
+        assert f"Test Case {WEAK_TB_CASES} Failed" in response.text
+        assert f"Test Case {WEAK_TB_CASES + 1} Failed" not in response.text
 
     def test_clean_problem_rtl_is_reference(self, suite):
         llm = SyntheticDesignLLM(CLAUDE_35_SONNET, suite)

@@ -27,6 +27,7 @@ from repro.obs import (
     read_trace,
     set_tracer,
     summarize_trace,
+    validate_record,
     validate_trace,
 )
 
@@ -122,6 +123,32 @@ class TestAggregation:
         assert snapshot.counter("only.right") == 5
         assert list(snapshot.metrics) == sorted(snapshot.metrics)
 
+    def test_float_sums_follow_pid_order(self):
+        # 0.1 + 0.2 + 0.3 depends on the order of the additions; the sum
+        # goes in pid order, whatever order the processes wrote in
+        def seconds(pid, value):
+            return {"type": "metric", "pid": pid, "time": 1.0,
+                    "kind": "counter", "name": "seconds", "value": value}
+
+        records = [seconds(1, 0.1), seconds(2, 0.2), seconds(3, 0.3)]
+        expected = (0.1 + 0.2) + 0.3
+        assert expected != 0.3 + 0.2 + 0.1
+        for ordering in (records, records[::-1], records[1:] + records[:1]):
+            snapshot = aggregate_records(ordering)
+            assert snapshot.counter("seconds") == expected
+            assert snapshot.pids == [1, 2, 3]
+
+    def test_summed_record_has_the_registry_layout(self):
+        records = (
+            flush_records(make_registry(counter=3), pid=1)
+            + flush_records(make_registry(counter=4), pid=2)
+        )
+        merged = aggregate_records(records).metrics["hits"]
+        assert merged == {"kind": "counter", "name": "hits", "value": 7}
+        assert validate_record(
+            {"type": "metric", "pid": 1, "time": 0.0, **merged}
+        ) == []
+
     def test_malformed_metric_record_raises_value_error(self):
         # a trace is outside input: a bad record is reported, not a KeyError
         with pytest.raises(ValueError, match="metric.name"):
@@ -129,6 +156,24 @@ class TestAggregation:
                 {"type": "metric", "pid": 1, "time": 1.0,
                  "kind": "counter", "value": 3},
             ])
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"kind": "gauge", "value": 9}, "metric.kind must be counter"),
+        ({"kind": "histogram", "buckets": [1.0], "counts": [1, 0],
+          "sum": 0.5, "count": 1, "min": 0.5, "max": 0.5},
+         "metric.kind must be counter"),
+        ({"kind": "counter", "value": -2},
+         "metric.value must be a non-negative number"),
+        ({"kind": "counter", "value": True},
+         "metric.value must be a non-negative number"),
+    ], ids=["gauge", "histogram", "negative", "boolean"])
+    def test_non_counter_record_raises_value_error(self, fields, problem):
+        # a well-formed counter of another process does not hide it
+        records = flush_records(make_registry(counter=1), pid=1) + [
+            {"type": "metric", "pid": 2, "time": 1.0, "name": "m", **fields},
+        ]
+        with pytest.raises(ValueError, match=problem):
+            aggregate_records(records)
 
     def test_empty_trace_aggregates_to_empty_snapshot(self):
         snapshot = aggregate_records([])
@@ -208,6 +253,29 @@ class TestSweepEquivalence:
                 )
             }
         assert table == report.op_class_counts
+
+    def test_formal_fuzz_campaign_traces_only_counters(self, tmp_path):
+        """The proofs count their checks and verdicts; their seconds stay
+        on the ``formal.check`` spans."""
+        from repro.qa.fuzz import run_fuzz
+
+        trace = tmp_path / "formal.trace.jsonl"
+        configure_tracing(trace)
+        report = run_fuzz(0, 2, workers=1, formal=True)
+        records = read_trace(trace)
+        assert_only_counters(records)
+        merged = aggregate_records(records)
+        proofs = sum(report.formal_counts.values())
+        assert proofs == 2 * len(report.results)  # both languages
+        assert merged.counter("formal.checks") == proofs
+        assert sum(
+            merged.counter(f"formal.verdict.{verdict}")
+            for verdict in report.formal_counts
+        ) == proofs
+        spans = [r for r in records
+                 if r["type"] == "span" and r["name"] == "formal.check"]
+        assert len(spans) == proofs
+        assert validate_trace(trace)[1] == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fuzz_campaign_traces_its_tasks(self, tmp_path, workers):

@@ -7,6 +7,7 @@ from repro.obs import (
     MetricsRegistry,
     NULL_METRIC,
     NULL_REGISTRY,
+    validate_record,
 )
 
 
@@ -27,6 +28,28 @@ class TestCounter:
         assert counter.to_record() == {
             "kind": "counter", "name": "c", "value": 2
         }
+
+    def test_float_amounts_accumulate(self):
+        # a timer is a counter of seconds
+        counter = Counter("seconds")
+        counter.inc(0.25)
+        counter.inc(0.5)
+        counter.inc(1)
+        assert counter.value == 1.75
+        assert counter.to_record()["value"] == 1.75
+
+    def test_rejected_increment_leaves_the_value(self):
+        counter = Counter("c")
+        counter.inc(3)
+        with pytest.raises(ValueError, match=">= 0"):
+            counter.inc(-0.5)
+        assert counter.value == 3
+
+    def test_zero_increment_is_allowed(self):
+        counter = Counter("c")
+        counter.inc(0)
+        counter.inc(0.0)
+        assert counter.value == 0
 
 
 class TestMetricsRegistry:
@@ -49,6 +72,26 @@ class TestMetricsRegistry:
         registry.counter("mm")
         names = [record["name"] for record in registry.to_records()]
         assert names == ["aa", "mm", "zz"]
+
+    def test_records_are_schema_valid_counters(self):
+        # what a tracer's flush writes: each record plus pid and time
+        registry = MetricsRegistry()
+        registry.counter("runs").inc(4)
+        registry.counter("seconds").inc(0.125)
+        registry.counter("untouched")
+        for record in registry.to_records():
+            assert record["kind"] == "counter"
+            assert validate_record(
+                {"type": "metric", "pid": 1, "time": 0.0, **record}
+            ) == []
+
+    def test_records_are_snapshots(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc(2)
+        (record,) = registry.to_records()
+        registry.counter("c").inc(5)
+        assert record["value"] == 2
+        assert registry.to_records()[0]["value"] == 7
 
 
 class TestNullRegistry:
@@ -95,3 +138,13 @@ class TestThreadSafety:
             lambda t: [counter.inc(0.5) for _ in range(self.OPS)]
         )
         assert counter.value == pytest.approx(self.THREADS * self.OPS / 2)
+
+    def test_concurrent_lookups_share_one_counter(self):
+        # get-or-create runs under the registry lock: threads racing to
+        # create the same name all increment one counter
+        registry = MetricsRegistry()
+        self._hammer(
+            lambda t: [registry.counter("c").inc() for _ in range(self.OPS)]
+        )
+        assert len(registry) == 1
+        assert registry.get("c").value == self.THREADS * self.OPS

@@ -24,6 +24,7 @@ from repro.exec.progress import (
 from repro.eda.toolchain import Language
 from repro.llm.profiles import CLAUDE_35_SONNET, GPT_4O
 from repro.obs import (
+    TRACE_RECORD_SCHEMA,
     MemorySink,
     Tracer,
     get_tracer,
@@ -249,6 +250,40 @@ class TestValidateRecord:
         assert validate_record(record) == [
             "metric.value must be a non-negative number"
         ]
+
+    @pytest.mark.parametrize(
+        "value", [0, 7, 2.5], ids=["zero", "int", "float"]
+    )
+    def test_accepts_counter_values(self, value):
+        record = {
+            "type": "metric", "kind": "counter", "name": "c", "pid": 1,
+            "time": 1.0, "value": value,
+        }
+        assert validate_record(record) == []
+
+    @pytest.mark.parametrize("value", [None, "3", True],
+                             ids=["missing", "string", "boolean"])
+    def test_rejects_non_number_counter_value(self, value):
+        record = {
+            "type": "metric", "kind": "counter", "name": "c", "pid": 1,
+            "time": 1.0,
+        }
+        if value is not None:
+            record["value"] = value
+        assert validate_record(record) == [
+            "metric.value must be a non-negative number"
+        ]
+
+    def test_schema_metric_branch_is_counter_only(self):
+        (branch,) = [
+            branch for branch in TRACE_RECORD_SCHEMA["oneOf"]
+            if branch["properties"]["type"] == {"const": "metric"}
+        ]
+        assert branch["properties"]["kind"] == {"const": "counter"}
+        assert branch["properties"]["value"] == {
+            "type": "number", "minimum": 0
+        }
+        assert set(branch["required"]) == set(branch["properties"])
 
     def test_accepts_valid_meta(self):
         record = {

@@ -23,10 +23,12 @@ from repro.obs import (
     MemorySink,
     NULL_TRACER,
     STATUS_ERROR,
+    TRACE_FORMAT_VERSION,
     Tracer,
     configure_tracing,
     get_tracer,
     set_tracer,
+    validate_record,
     validate_trace,
 )
 from tests.test_exec_differential import deterministic_fields
@@ -155,6 +157,26 @@ class TestMetricFlush:
     def test_null_tracer_flush_writes_nothing(self):
         assert NULL_TRACER.flush_metrics() is False
         assert NULL_TRACER.flush_metrics(force=False) is False
+
+    def test_flush_writes_one_valid_counter_record_per_counter(self):
+        tracer, sink = make_tracer()
+        tracer.metrics.counter("runs").inc(2)
+        tracer.metrics.counter("seconds").inc(0.75)
+        tracer.flush_metrics()
+        assert [(r["name"], r["value"]) for r in sink.records] == [
+            ("runs", 2), ("seconds", 0.75),
+        ]
+        for record in sink.records:
+            assert record["kind"] == "counter"
+            assert validate_record(record) == []
+
+    def test_meta_header_carries_the_format_version(self):
+        tracer, sink = make_tracer()
+        tracer.write_meta()
+        (meta,) = sink.records
+        assert TRACE_FORMAT_VERSION == 2  # counters are the only metric
+        assert meta["version"] == TRACE_FORMAT_VERSION
+        assert validate_record(meta) == []
 
 
 class TestJsonlSink:

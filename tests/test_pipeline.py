@@ -9,6 +9,7 @@ from repro.evalsuite.suite import build_suite
 from repro.evalsuite.validate import run_golden_tb
 from repro.llm.profiles import CLAUDE_35_SONNET, LLAMA3_70B
 from repro.llm.synthetic import SyntheticDesignLLM
+from repro.obs import MemorySink, Tracer, get_tracer, set_tracer
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,46 @@ class TestStuckModel:
         assert result.syntax_ok
         assert result.functional_iterations == 3
         assert not result.functional_ok  # the final check still fails
+
+
+class TestTracedIterations:
+    def test_spans_carry_the_iteration_counts(self, suite):
+        """A trace reads each loop's iteration count off its spans; no
+        metric repeats it."""
+        llm = SyntheticDesignLLM(CLAUDE_35_SONNET, suite)
+        plans = llm.plan(Language.VERILOG)
+        pid = pick(
+            plans,
+            lambda p: p.has_syntax_defect and p.syntax_repairable
+            and p.has_functional_defect and p.functional_repairable,
+        )
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        previous = get_tracer()
+        set_tracer(tracer)
+        try:
+            result = make_pipeline(llm, Language.VERILOG).run(
+                suite.get(pid).prompt
+            )
+        finally:
+            set_tracer(previous)
+        assert result.converged
+        assert result.syntax_iterations == plans[pid].syntax_cycles
+        assert result.functional_iterations == plans[pid].functional_cycles
+        spans = {r["name"]: r for r in sink.records if r["type"] == "span"}
+        assert spans["loop.syntax"]["attrs"]["iterations"] == (
+            result.syntax_iterations
+        )
+        assert spans["loop.functional"]["attrs"]["iterations"] == (
+            result.functional_iterations
+        )
+        run_attrs = spans["pipeline.run"]["attrs"]
+        assert (
+            run_attrs["syntax_iterations"], run_attrs["functional_iterations"]
+        ) == (result.syntax_iterations, result.functional_iterations)
+        names = [r["name"] for r in tracer.metrics.to_records()]
+        assert "pipeline.runs" in names
+        assert not [name for name in names if name.startswith("loop.")]
 
 
 class TestConfig:

@@ -6,6 +6,8 @@ sources, syntax-broken sources, and functionally-wrong-but-compiling
 sources in both languages.
 """
 
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -678,3 +680,65 @@ class TestStoreCounters:
                 )
         assert merged.counter("toolchain.store.simulate.hit") == 1
         assert merged.counter("toolchain.store.parse.miss") == 2
+
+    def test_evictions_reach_trace_as_counters(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ResultStore, "MAX_ENTRIES", 2)
+        trace = tmp_path / "evict.trace.jsonl"
+        previous_tracer = get_tracer()
+        try:
+            tracer = configure_tracing(trace)
+            toolchain = Toolchain()
+            for name in ("m0", "m1"):
+                source = (
+                    f"module {name}(input a, output y); assign y = a;"
+                    " endmodule"
+                )
+                toolchain.compile(
+                    [HdlFile(f"{name}.v", source, Language.VERILOG)], name
+                )
+            tracer.flush_metrics()
+        finally:
+            set_tracer(previous_tracer)
+        records = read_trace(trace)
+        merged = aggregate_records(records)
+        # m1's parse and compile pushed out m0's
+        assert merged.counter("toolchain.store.parse.evict") == 1
+        assert merged.counter("toolchain.store.compile.evict") == 1
+        # the store's size stays in the process: the trace holds counters
+        assert {r["kind"] for r in records if r["type"] == "metric"} == {
+            "counter"
+        }
+        assert all(name.rsplit(".", 1)[-1] in ("hit", "miss", "evict")
+                   for name in merged.metrics)
+        assert len(toolchain.store) == 2
+
+
+class TestLanguageHash:
+    """``Language`` hashes by identity, so store keys hash in C; a member
+    stays itself through every copy a key goes through."""
+
+    def test_members_hash_by_identity(self):
+        for language in Language:
+            assert hash(language) == object.__hash__(language)
+        assert hash(HdlFile("a.v", "x", Language.VERILOG)) == hash(
+            ("a.v", "x", Language.VERILOG)
+        )
+
+    @pytest.mark.parametrize("clone", [
+        lambda value: pickle.loads(pickle.dumps(value)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_keep_identity_and_keys(self, clone):
+        for language in Language:
+            assert clone(language) is language
+        hdl = HdlFile("top_module.v", AND_GATE, Language.VHDL)
+        twin = clone(hdl)
+        assert twin == hdl and hash(twin) == hash(hdl)
+        assert twin.language is Language.VHDL
+        key = ResultStore.key("compile", [hdl], "top_module")
+        store = {key: "stored"}
+        assert clone(store)[key] == "stored"
+        assert store[ResultStore.key("compile", [twin], "top_module")] == (
+            "stored"
+        )
