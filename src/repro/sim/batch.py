@@ -106,14 +106,17 @@ def _ports(design: Design, ports):
 
 
 def _dataflow(comb, facts):
-    """*comb* in dataflow order (Kahn), or None on a combinational cycle."""
-    producer = {s: j for j, p in enumerate(comb) for s in facts[p].writes}
+    """*comb* in dataflow order (Kahn), or None on a combinational cycle.
+    A process comes after every writer of each signal it reads."""
+    producers: dict[Signal, list[int]] = {}
+    for j, process in enumerate(comb):
+        for signal in facts[process].writes:
+            producers.setdefault(signal, []).append(j)
     waiting = [0] * len(comb)
     consumers: list[list[int]] = [[] for _ in comb]
     for j, process in enumerate(comb):
         for signal in facts[process].reads - facts[process].writes:
-            k = producer.get(signal)
-            if k is not None:
+            for k in producers.get(signal, ()):
                 waiting[j] += 1
                 consumers[k].append(j)
     ready = [j for j, count in enumerate(waiting) if not count]
@@ -141,11 +144,15 @@ def _plan(design: Design, in_ports, out_ports, clocked: bool) -> Plan | None:
         reset = design.signals.get("rst")
     driven = {signal for _n, _w, signal in inputs} | {clock, reset}
     facts = {process: process.facts() for process in design.processes}
-    writer: dict[Signal, Process] = {}
-    for process, fact in facts.items():
+    #: the bits of each signal the processes so far write
+    covered: dict[Signal, int] = {}
+    for fact in facts.values():
+        parts = dict(fact.parts)
         for signal in fact.writes:
-            if signal in driven or writer.setdefault(signal, process) is not process:
+            bits = parts.get(signal, _mask(signal.width))
+            if signal in driven or covered.get(signal, 0) & bits:
                 return _refuse("multi-driven")
+            covered[signal] = covered.get(signal, 0) | bits
     comb, on_clock = [], []
     for process, fact in facts.items():
         edges = any(e.edge is not Edge.ANY for e in fact.sensitivity)
@@ -421,17 +428,17 @@ class BatchOutcome:
     vectors: int
 
 
-def _check_case(language, case_no: int, out_ports, expected, observed,
+def _check_case(verilog: bool, case_no: int, checks, expected, observed,
                 suffix: str, lines: list[str]) -> int:
-    """Emulate one case's checks; returns the number of failing checks."""
-    from repro.eda.toolchain import Language
+    """Emulate one case's checks; returns the number of failing checks.
 
+    *checks* holds ``(name, mask of its spec width)`` per output."""
     failures = 0
-    for name, spec_width in out_ports:
+    for name, mask in checks:
         want_raw = expected[name]
-        want = want_raw & _mask(spec_width)
+        want = want_raw & mask
         got = observed[name]
-        if language is Language.VERILOG:
+        if verilog:
             # `!==` case-compare against a fully-known literal
             if got.has_x or got.bits != want:
                 failures += 1
@@ -441,7 +448,7 @@ def _check_case(language, case_no: int, out_ports, expected, observed,
                 )
         else:
             # VHDL `/=` reports only when a *known* bit differs
-            if (got.bits ^ want) & ~got.xmask & _mask(spec_width):
+            if (got.bits ^ want) & ~got.xmask & mask:
                 failures += 1
                 lines.append(
                     f"ERROR: Test Case {case_no} Failed: {name} should be "
@@ -466,8 +473,8 @@ def run_bundle(plan: Plan, bundle) -> BatchOutcome | None:
     clocked = bundle.spec.clocked
     if clocked != (plan.clock is not None):
         return None
-    language = bundle.language
-    out_ports = [(p.name, p.width) for p in bundle.spec.outputs]
+    verilog = bundle.language is Language.VERILOG
+    checks = [(p.name, _mask(p.width)) for p in bundle.spec.outputs]
     lines: list[str] = []
     errors = 0
     try:
@@ -485,30 +492,30 @@ def run_bundle(plan: Plan, bundle) -> BatchOutcome | None:
             zip(rows, bundle.expected), start=1
         ):
             errors += _check_case(
-                language, case_no, out_ports, expected, row, "", lines
+                verilog, case_no, checks, expected, row, "", lines
             )
     else:
         if bundle.reset_outputs is not None:
             errors += _check_case(
-                language, 0, out_ports, bundle.reset_outputs, reset_row,
+                verilog, 0, checks, bundle.reset_outputs, reset_row,
                 " right after reset", lines,
             )
         for case_no, (row, expected) in enumerate(
             zip(rows, bundle.expected), start=1
         ):
             errors += _check_case(
-                language, case_no, out_ports, expected, row,
+                verilog, case_no, checks, expected, row,
                 f" at cycle {case_no}", lines,
             )
     if errors == 0:
         lines.append(tbgen.PASS_MESSAGE)
-    elif language is Language.VERILOG:
+    elif verilog:
         lines.append(f"{errors} test case(s) failed.")
     else:
         lines.append("ERROR: Some test cases failed.")
     return BatchOutcome(
         output_lines=tuple(lines),
         end_time=end_time(bundle),
-        finished_cleanly=language is Language.VERILOG,
+        finished_cleanly=verilog,
         vectors=len(bundle.stimulus),
     )

@@ -285,7 +285,7 @@ class VerilogElaborator:
             ),
             lambda: _activation_facts(
                 self, ast.Assign(target.span, target, value, True), scope,
-                wait_on(read_signals),
+                wait_on(read_signals), _part_masks(target, scope),
             ),
         )
 
@@ -468,13 +468,18 @@ class VerilogElaborator:
 
         from repro.sim.compile import verilog as _cv
 
+        def facts():
+            parts = _part_masks(expr, scope)
+            return ProcessFacts(
+                frozenset((child_signal,)), frozenset(_target_signals(expr, scope)),
+                wait_on((child_signal,)), parts is not None,
+                tuple(parts.items()) if parts else (),
+            )
+
         simcompile.add_process(
             self, f"{scope.prefix}{inst.instance}.out.{child_signal.name}",
             lambda: _cv.wire_output_factory(expr, child_signal, scope, self),
-            lambda: ProcessFacts(
-                frozenset((child_signal,)), frozenset(_target_signals(expr, scope)),
-                wait_on((child_signal,)), _whole_signals(expr, scope) is not None,
-            ),
+            facts,
         )
 
     # ------------------------------------------------------------------
@@ -585,6 +590,37 @@ def _whole_signals(lvalue: ast.LValue, scope: _Scope) -> set[Signal] | None:
     return None
 
 
+def _part_masks(lvalue: ast.LValue, scope: _Scope) -> dict[Signal, int] | None:
+    """The bits an lvalue writes, as ``{signal: mask}``, or None when the
+    bounds of a select do not fold to constants inside its signal.
+
+    Bounds fold by the rule the compiled store uses
+    (:func:`repro.sim.compile.verilog._static_bounds`), which reports
+    nothing; a whole signal covers all its bits.
+    """
+    from repro.sim.compile import verilog as _cv
+
+    if isinstance(lvalue, ast.Concat):
+        masks: dict[Signal, int] = {}
+        for part in lvalue.parts:
+            inner = _part_masks(part, scope)
+            if inner is None:
+                return None
+            for signal, mask in inner.items():
+                masks[signal] = masks.get(signal, 0) | mask
+        return masks
+    if isinstance(lvalue, ast.Identifier):
+        return {s: (1 << s.width) - 1 for s in _target_signals(lvalue, scope)}
+    signal = scope.resolve(lvalue.target)
+    if not isinstance(signal, Signal):
+        return None
+    bounds = _cv._static_bounds(lvalue, scope)
+    if bounds is None or not 0 <= bounds[1] <= bounds[0] < signal.width:
+        return None
+    msb, lsb = bounds
+    return {signal: ((1 << (msb - lsb + 1)) - 1) << lsb}
+
+
 def _index_exprs(lvalue: ast.LValue):
     """The select bounds an lvalue evaluates."""
     if isinstance(lvalue, ast.Concat):
@@ -598,7 +634,9 @@ def _index_exprs(lvalue: ast.LValue):
         yield from (lvalue.base, lvalue.width)
 
 
-def _activation_facts(elab, stmt, scope: _Scope, sensitivity) -> ProcessFacts:
+def _activation_facts(
+    elab, stmt, scope: _Scope, sensitivity, parts=None
+) -> ProcessFacts:
     """The :class:`ProcessFacts` of a process whose activation runs *stmt*.
 
     ``stateless`` follows every path through *stmt*: a read of one of the
@@ -609,6 +647,10 @@ def _activation_facts(elab, stmt, scope: _Scope, sensitivity) -> ProcessFacts:
     its first iteration, and its writes do not count after the loop. A
     statement that waits or prints makes the process stateful. ``reads``
     covers every statement, which makes it an ``@(*)`` block's sensitivity.
+
+    *parts* is given when *stmt* is the process's one unconditional write:
+    its :func:`_part_masks`, or None. Its static parts then count as a
+    whole write, and a stateless process keeps them as ``parts``.
     """
     reads: set[Signal] = set()
     writes: set[Signal] = set()
@@ -633,6 +675,8 @@ def _activation_facts(elab, stmt, scope: _Scope, sensitivity) -> ProcessFacts:
                 read(index, written)
             writes.update(_target_signals(node.target, scope))
             whole = _whole_signals(node.target, scope)
+            if whole is None and parts is not None:
+                whole = set(parts)
             if whole is not None:
                 assigned = assigned | whole
                 if node.blocking:
@@ -680,9 +724,10 @@ def _activation_facts(elab, stmt, scope: _Scope, sensitivity) -> ProcessFacts:
         return written, assigned
 
     _, assigned = walk(stmt, frozenset(), frozenset())
+    stateless = stateless and writes <= assigned and not unwritten & writes
     return ProcessFacts(
-        frozenset(reads), frozenset(writes), tuple(sensitivity),
-        stateless and writes <= assigned and not unwritten & writes,
+        frozenset(reads), frozenset(writes), tuple(sensitivity), stateless,
+        tuple(parts.items()) if stateless and parts else (),
     )
 
 

@@ -332,7 +332,7 @@ class VhdlElaborator:
             ),
             lambda: _activation_facts(
                 (ast.SignalAssign(statement.span, target, statement.value),),
-                scope, (), wait_on(reads),
+                scope, (), wait_on(reads), _part_masks(target, scope, self),
             ),
         )
 
@@ -491,16 +491,21 @@ class VhdlElaborator:
 
         from repro.sim.compile import vhdl as _cvh
 
-        simcompile.add_process(
-            self, f"{scope.prefix}{inst.label}.out.{child_signal.name}",
-            lambda: _cvh.wire_output_factory(expr, child_signal, scope, self),
-            lambda: ProcessFacts(
+        def facts():
+            parts = _part_masks(expr, scope, self)
+            return ProcessFacts(
                 frozenset((child_signal,)),
                 frozenset(
                     s for s in (scope.signals.get(_target_name(expr)),) if s
                 ),
-                wait_on((child_signal,)), isinstance(expr, ast.Name),
-            ),
+                wait_on((child_signal,)), parts is not None,
+                tuple(parts.items()) if parts else (),
+            )
+
+        simcompile.add_process(
+            self, f"{scope.prefix}{inst.label}.out.{child_signal.name}",
+            lambda: _cvh.wire_output_factory(expr, child_signal, scope, self),
+            facts,
         )
 
     # ------------------------------------------------------------------
@@ -558,6 +563,36 @@ def _target_name(target) -> str:
 
 
 _X_INT = "expression with unknown ('X') bits used as an integer"
+
+
+def _part_masks(target, scope: _VScope, elab) -> dict[Signal, int] | None:
+    """The bits a signal target writes, as ``{signal: mask}``, or None when
+    its bounds do not fold to constants inside its signal.
+
+    Bounds fold as the compiled store folds them: the constant of each
+    compiled bound, mapped through the declared range, so a ``to`` range
+    maps as the store maps it. Compiling a bound reports nothing. A name
+    covers all its signal's bits.
+    """
+    from repro.sim.compile import vhdl as _cvh
+
+    signal = scope.signals.get(_target_name(target))
+    if isinstance(target, ast.Name):
+        return {} if signal is None else {signal: (1 << signal.width) - 1}
+    if signal is None:
+        return None
+    env = _cvh._Env(scope, elab)
+    bounds = (target.index,) if isinstance(target, ast.Indexed) else (
+        target.left, target.right
+    )
+    values = [_cvh._const_of(_cvh.compile_expr(b, env)) for b in bounds]
+    if any(value is None or value.has_x for value in values):
+        return None
+    info = scope.types.get(target.name) or _TypeInfo(width=signal.width)
+    msb, lsb = info.slice_offsets(values[0].to_int(), values[-1].to_int())
+    if not 0 <= lsb <= msb < signal.width:
+        return None
+    return {signal: ((1 << (msb - lsb + 1)) - 1) << lsb}
 
 
 def _to_int(value: Logic, span, elab: VhdlElaborator) -> int:
@@ -740,7 +775,8 @@ def _as_case(statement: ast.SelectedAssign) -> ast.CaseStatement:
                              tuple(alternatives))
 
 
-def _activation_facts(body, scope: _VScope, variables, sensitivity):
+def _activation_facts(body, scope: _VScope, variables, sensitivity,
+                      parts=None):
     """The :class:`ProcessFacts` of a process whose activation runs *body*.
 
     A process's signal writes take effect after its activation, in order,
@@ -753,6 +789,10 @@ def _activation_facts(body, scope: _VScope, variables, sensitivity):
     An edge function or ``'event``/``'last_value`` reads the process's edge
     memory, and a statement that waits, prints or writes ``after`` a delay
     makes the process stateful too.
+
+    *parts* is given when *body* is the process's one unconditional write:
+    its :func:`_part_masks`, or None. Its static part then counts as a
+    whole write, and a stateless process keeps it as ``parts``.
     """
     reads: set[Signal] = set()
     writes: set[Signal] = set()
@@ -814,7 +854,7 @@ def _activation_facts(body, scope: _VScope, variables, sensitivity):
                 elif target.name in scope.signals:
                     signal = scope.signals[target.name]
                     writes.add(signal)
-                    if whole:
+                    if whole or signal in (parts or ()):
                         assigned = assigned | {signal}
                     elif signal not in assigned:
                         stateless = False  # it keeps the rest
@@ -851,9 +891,10 @@ def _activation_facts(body, scope: _VScope, variables, sensitivity):
         return written, assigned
 
     _, assigned = walk(body, frozenset(), frozenset(), frozenset())
+    stateless = stateless and writes <= assigned and not reads & writes
     return ProcessFacts(
-        frozenset(reads), frozenset(writes), tuple(sensitivity),
-        stateless and writes <= assigned and not reads & writes,
+        frozenset(reads), frozenset(writes), tuple(sensitivity), stateless,
+        tuple(parts.items()) if stateless and parts else (),
     )
 
 

@@ -88,13 +88,20 @@ class ProcessFacts(NamedTuple):
       of ``writes`` whole before reading it and by the end, reads no VHDL
       variable before writing it, reads no edge memory, and neither waits
       nor prints: each activation's writes are a function of the signals
-      it reads from outside.
+      it reads from outside. A process whose one activation is a single
+      unconditional write of static parts, and which reads no bit of a
+      signal it writes, is stateless too: the bits it keeps are not its
+      own, and the plan checks that no other writer shares its bits;
+    * ``parts`` — ``(signal, mask)`` per signal such a write covers, the
+      mask holding the bits its compiled store writes; a signal of
+      ``writes`` that is not here is written whole.
     """
 
     reads: frozenset[Signal]
     writes: frozenset[Signal]
     sensitivity: tuple[Sensitivity, ...]
     stateless: bool
+    parts: tuple[tuple[Signal, int], ...] = ()
 
 
 def wait_on(signals) -> tuple[Sensitivity, ...]:

@@ -6,17 +6,20 @@ designs plan and which the planner refuses (each clause that remains with
 a refused DUT next to a one-line fix that plans, in both languages where
 the clause exists, counting exactly its own clause), that designs the old
 shape recognizers refused plan and report what the kernel reports, that
-no body may abort on unsettled values, that an evaluation aborting on the
-batch path falls back to the kernel and a compiler raising while a plan is
-built is the kernel's refusal, that processes written against their
-dataflow still plan, that plans stay exact on ports wider than 64 bits,
-that X-carrying vectors evaluate bit-exact with the kernel, how the
-toolchain routes eligible bundles and counts them, that the modeled cost is
-one formula on both paths, and that a generated testbench carries its own
-stimulus bundle — including the ``vectors=``/``extra_vectors=`` replacement
-contract, that every suite problem's golden testbenches carry theirs, that
-a plain-text copy runs on the kernel with the same observables, and that
-no bundle outlives the testbench holding it.
+nets written by disjoint static parts plan and settle as a kernel session
+does, that every suite reference plans against its golden testbench's
+ports, that no body may abort on unsettled values, that an evaluation
+aborting on the batch path falls back to the kernel and a compiler raising
+while a plan is built is the kernel's refusal, that processes written
+against their dataflow still plan, that plans stay exact on ports wider
+than 64 bits, that X-carrying vectors evaluate bit-exact with the kernel,
+how the toolchain routes eligible bundles and counts them, that the
+modeled cost is one formula on both paths, and that a generated testbench
+carries its own stimulus bundle — including the
+``vectors=``/``extra_vectors=`` replacement contract, that every suite
+problem's golden testbenches carry theirs, that a plain-text copy runs on
+the kernel with the same observables, and that no bundle outlives the
+testbench holding it.
 """
 
 from __future__ import annotations
@@ -225,6 +228,7 @@ _VH_REFUSAL_HEAD = (
 _VH_T = "    signal t : std_logic_vector(3 downto 0);\n"
 _VH_PQ = "    signal p, q : std_logic_vector(3 downto 0);\n"
 _VH_C = "    signal c : std_logic;\n"
+_VH_I = "    signal i : integer := 0;\n"
 _VH_END = "end architecture;\n"
 
 
@@ -246,15 +250,39 @@ COMB_REFUSALS = {
         (_V, _REFUSAL_HEAD + "    assign y = a;\n    assign y = ~a;\n"
          "endmodule\n",
          _REFUSAL_HEAD + "    assign y = ~a;\nendmodule\n"),
-        (_V, _REFUSAL_HEAD + "    assign y[1:0] = a[1:0];\n"
+        # parts of one net whose bits overlap
+        (_V, _REFUSAL_HEAD + "    assign y[2:0] = a[2:0];\n"
          "    assign y[3:2] = a[3:2];\nendmodule\n",
          _REFUSAL_HEAD + "    assign y = a;\nendmodule\n"),
         (_VH, _VH_REFUSAL_HEAD + "begin\n    y <= a;\n    y <= not a;\n"
          + _VH_END,
          _VH_REFUSAL_HEAD + "begin\n    y <= not a;\n" + _VH_END),
-        (_VH, _VH_REFUSAL_HEAD + "begin\n    y(1 downto 0) <= a(1 downto 0);\n"
+        (_VH, _VH_REFUSAL_HEAD + "begin\n    y(2 downto 0) <= a(2 downto 0);\n"
          "    y(3 downto 2) <= a(3 downto 2);\n" + _VH_END,
          _VH_REFUSAL_HEAD + "begin\n    y <= a;\n" + _VH_END),
+        # a part writer that reads its own net writes it whole, as far as
+        # the plan knows
+        (_V, _REFUSAL_HEAD + "    assign y[0] = a[0];\n"
+         "    assign y[1] = y[0] ^ a[1];\n    assign y[3:2] = a[3:2];\n"
+         "endmodule\n",
+         _REFUSAL_HEAD + "    assign y[0] = a[0];\n"
+         "    assign y[1] = a[0] ^ a[1];\n    assign y[3:2] = a[3:2];\n"
+         "endmodule\n"),
+        (_VH, _VH_REFUSAL_HEAD + _VH_T + "begin\n    t(0) <= a(0);\n"
+         "    t(1) <= t(0) xor a(1);\n    t(3 downto 2) <= a(3 downto 2);\n"
+         "    y <= t;\n" + _VH_END,
+         _VH_REFUSAL_HEAD + _VH_T + "begin\n    t(0) <= a(0);\n"
+         "    t(1) <= a(0) xor a(1);\n    t(3 downto 2) <= a(3 downto 2);\n"
+         "    y <= t;\n" + _VH_END),
+        # so does a part write whose index is not static
+        (_V, _REFUSAL_HEAD + "    wire i = 1'b0;\n    assign y[i] = a[0];\n"
+         "    assign y[3:1] = a[3:1];\nendmodule\n",
+         _REFUSAL_HEAD + "    wire i = 1'b0;\n    assign y[0] = a[0];\n"
+         "    assign y[3:1] = a[3:1];\nendmodule\n"),
+        (_VH, _VH_REFUSAL_HEAD + _VH_I + "begin\n    y(i) <= a(0);\n"
+         "    y(3 downto 1) <= a(3 downto 1);\n" + _VH_END,
+         _VH_REFUSAL_HEAD + _VH_I + "begin\n    y(0) <= a(0);\n"
+         "    y(3 downto 1) <= a(3 downto 1);\n" + _VH_END),
     ],
     "stateful": [
         # a latch: y keeps its value when a[3] is 0
@@ -443,9 +471,71 @@ def _gated_model(state, inputs):
     return nxt, {"q": nxt}
 
 
-#: DUTs the shape recognizers refused and the one rule plans:
-#: name -> (language, DUT, data ports, model, clocked)
+def _parts_model(a):
+    """The disjoint-part DUTs over ports a -> y: y[3] = a[0], y[2:1] =
+    a[2:1] + 1 and y[0] = a[3]."""
+    return {"y": (a & 1) << 3 | (((a >> 1) + 1) & 3) << 1 | a >> 3}
+
+
+def _port_parts_model(a):
+    """t = ~a[1:0] through two inverter instances; y = {a[3:2] ^ t, t}."""
+    t = ~a & 3
+    return {"y": ((a >> 2) ^ t) << 2 | t}
+
+
+_VH_INV = (
+    "library ieee;\nuse ieee.std_logic_1164.all;\n"
+    "entity inv is\n    port (a : in std_logic; y : out std_logic);\n"
+    "end entity;\narchitecture rtl of inv is\nbegin\n    y <= not a;\n"
+    "end architecture;\n"
+)
+
+#: nets written part by part from several processes, whose bits do not
+#: overlap: name -> (language, DUT over ports a -> y, None, model)
+DISJOINT_PARTS = {
+    "parts-assign": (
+        _V, _REFUSAL_HEAD + "    assign y[1 +: 2] = a[2:1] + 2'd1;\n"
+        "    assign {y[3], y[0]} = {a[0], a[3]};\nendmodule\n", None,
+        lambda v: _parts_model(v["a"]),
+    ),
+    "parts-output-ports": (
+        _V, "module inv(input a, output y);\n    assign y = ~a;\nendmodule\n"
+        + _REFUSAL_HEAD + "    wire [1:0] t;\n"
+        "    inv i0(.a(a[0]), .y(t[0]));\n    inv i1(.a(a[1]), .y(t[1]));\n"
+        "    assign y[1:0] = t;\n    assign y[3:2] = a[3:2] ^ t;\n"
+        "endmodule\n", None,
+        lambda v: _port_parts_model(v["a"]),
+    ),
+    "vhdl-parts-assign": (
+        _VH, _VH_REFUSAL_HEAD + "begin\n    y(3) <= a(0);\n"
+        "    y(2 downto 1) <= std_logic_vector(unsigned(a(2 downto 1)) + 1);\n"
+        "    y(0) <= a(3);\n" + _VH_END, None,
+        lambda v: _parts_model(v["a"]),
+    ),
+    # an ascending range: t(0) is its leftmost, most significant bit, so
+    # y = {a[1], a[0], ~a[2], a[3]}
+    "vhdl-parts-to-range": (
+        _VH, _VH_REFUSAL_HEAD + "    signal t : std_logic_vector(0 to 3);\n"
+        "begin\n    t(0 to 1) <= a(1 downto 0);\n    t(2) <= not a(2);\n"
+        "    t(3) <= a(3);\n    y <= t;\n" + _VH_END, None,
+        lambda v: {"y": (v["a"] & 3) << 2 | (~v["a"] >> 1 & 2)
+                   | v["a"] >> 3},
+    ),
+    "vhdl-parts-output-ports": (
+        _VH, _VH_INV + _VH_REFUSAL_HEAD
+        + "    signal t : std_logic_vector(1 downto 0);\nbegin\n"
+        "    i0: entity work.inv port map (a => a(0), y => t(0));\n"
+        "    i1: entity work.inv port map (a => a(1), y => t(1));\n"
+        "    y(1 downto 0) <= t;\n"
+        "    y(3 downto 2) <= a(3 downto 2) xor t;\n" + _VH_END, None,
+        lambda v: _port_parts_model(v["a"]),
+    ),
+}
+
+#: DUTs the shape recognizers or the whole-signal driver rule refused and
+#: the one rule plans: name -> (language, DUT, data ports, model)
 NOW_PLANNED = {
+    **DISJOINT_PARTS,
     "gated-register": (
         _V, GATED_SEQ_V, (PortSpec("en", 1, "in"), PortSpec("q", 8, "out")),
         SeqModel(reset=lambda: 0, step=_gated_model),
@@ -509,6 +599,76 @@ class TestNowPlanned:
         assert calls == 1
         assert default.output_lines == (tbgen.PASS_MESSAGE,), default.log
         assert observables(default) == observables(kernel)
+
+
+#: X-carrying stimulus for the disjoint-part DUTs, against known rows
+_X_PART_VECTORS = [
+    {"a": 5}, {"a": Logic.from_string("x010")}, {"a": 12},
+    {"a": Logic.from_string("1xz0")}, {"a": Logic.from_string("xxxx")},
+    {"a": 9},
+]
+
+
+class TestDisjointParts:
+    """A net that several processes write part by part plans when their
+    bits do not overlap, and every row settles bit for bit as a kernel
+    session does."""
+
+    @pytest.mark.parametrize("name", sorted(DISJOINT_PARTS))
+    def test_x_vectors_match_the_kernel(self, name):
+        language, dut, _ports, model = DISJOINT_PARTS[name]
+        ports = ([("a", 4)], [("y", 4)])
+        plan, refusals = _planned(
+            batch.plan_combinational, build(dut, language), *ports
+        )
+        assert plan is not None and refusals == {}
+        rows = simulate_vectors(build(dut, language), _X_PART_VECTORS,
+                                inputs=ports[0], outputs=ports[1])
+        assert rows == kernel_rows(build(dut, language), _X_PART_VECTORS,
+                                   *ports)
+        for vector, row in zip(_X_PART_VECTORS, rows):
+            if isinstance(vector["a"], int):
+                assert row["y"] == Logic.from_int(model(vector)["y"], 4)
+            else:
+                assert row["y"].has_x
+
+    def test_parts_record_the_bits_they_write(self):
+        _language, dut, _ports, _model = DISJOINT_PARTS["vhdl-parts-to-range"]
+        design = build(dut, Language.VHDL)
+        t = design.signals["t"]
+        parts = sorted(
+            dict(process.facts().parts)[t] for process in design.processes
+            if t in process.facts().writes
+        )
+        # t(0 to 1) is bits 3..2 of the vector, t(2) bit 1, t(3) bit 0
+        assert parts == [0b0001, 0b0010, 0b1100]
+
+
+class TestSuiteCoverage:
+    """Every suite reference plans against its golden testbench's ports, so
+    none of their simulates falls back to the kernel."""
+
+    def test_every_suite_reference_plans(self):
+        from repro.designs.model import TOP_NAME
+        from repro.evalsuite.suite import build_suite
+
+        refused, planned = [], 0
+        for problem in build_suite():
+            for language, testbench in problem.golden_tb.items():
+                spec = testbench.bundle.spec
+                planner = (batch.plan_sequential if spec.clocked
+                           else batch.plan_combinational)
+                plan, refusals = _planned(
+                    planner,
+                    build(problem.reference[language], language, TOP_NAME),
+                    [(p.name, p.width) for p in spec.inputs],
+                    [(p.name, p.width) for p in spec.outputs],
+                )
+                if plan is None:
+                    refused.append((problem.pid, language.value, refusals))
+                planned += plan is not None
+        assert refused == []
+        assert planned == 312
 
 
 #: DUTs the kernel fails at time 0, before an operand has settled: its

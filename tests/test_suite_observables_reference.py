@@ -164,15 +164,14 @@ def test_category_digest(observed, key):
 
 @pytest.mark.parametrize("observed", ["batch"], indirect=True)
 def test_reference_sets_take_the_batch_path(observed):
-    """At least 300 of the 312 reference + golden-testbench sets batch;
-    each set still refused is counted under exactly one clause."""
+    """All 312 reference + golden-testbench sets batch: no plan and no run
+    of theirs is refused."""
     _, paths, _ = observed
     assert len(paths) == 312
     refused = {
         name: clauses for name, clauses in paths.items() if clauses is not None
     }
-    assert len(paths) - len(refused) >= 300, sorted(refused)
-    assert all(len(clauses) == 1 for clauses in refused.values()), refused
+    assert refused == {}
 
 
 @pytest.mark.parametrize("observed", ["kernel"], indirect=True)

@@ -294,12 +294,31 @@ def _compile_fields(result):
     return (result.ok, result.log, result.diagnostics, result.tool_seconds)
 
 
-def _testbench_set(pid, language, *, broken=False):
+#: gray2bin4's reference with bit 2 of ``b`` also written by the part that
+#: writes bit 3, to the same value: the batch plan refuses its overlapping
+#: drivers as ``multi-driven``, and the kernel runs it
+_OVERLAPPING_GRAY2BIN4 = {
+    Language.VERILOG: (
+        "assign b[3] = g[3];", "assign b[3:2] = {g[3], g[3] ^ g[2]};"
+    ),
+    Language.VHDL: (
+        "b(3) <= g(3);", "b(3 downto 2) <= g(3) & (g(3) xor g(2));"
+    ),
+}
+
+
+def _testbench_set(pid, language, *, broken=False, overlapping=False):
     """A suite problem's reference with its golden testbench. ``broken``
     misspells ``errors`` in the testbench's first check, an error that
-    its declarations, copied from the golden testbench, lack."""
+    its declarations, copied from the golden testbench, lack.
+    ``overlapping`` swaps gray2bin4's reference for its overlapping-driver
+    copy."""
     problem = build_suite().get(pid)
     ext = language.file_extension
+    reference = problem.reference[language]
+    if overlapping:
+        reference = reference.replace(*_OVERLAPPING_GRAY2BIN4[language], 1)
+        assert reference != problem.reference[language]
     testbench = problem.golden_tb[language]
     if broken:
         increment = (
@@ -312,7 +331,7 @@ def _testbench_set(pid, language, *, broken=False):
             text, testbench.bundle, testbench.declarations
         )
     return [
-        HdlFile(f"top_module{ext}", problem.reference[language], language),
+        HdlFile(f"top_module{ext}", reference, language),
         HdlFile(f"tb{ext}", testbench, language),
     ]
 
@@ -360,8 +379,9 @@ class TestTestbenchDeclarations:
     def test_a_body_error_its_declarations_lack_is_loud(
         self, language, kernel_by
     ):
-        pid = "gray2bin4" if kernel_by == "refused plan" else "dff_en"
-        files = _testbench_set(pid, language, broken=True)
+        refused = kernel_by == "refused plan"
+        pid = "gray2bin4" if refused else "dff_en"
+        files = _testbench_set(pid, language, broken=True, overlapping=refused)
         toolchain = Toolchain()
         if kernel_by == "max_sim_time":
             toolchain.max_sim_time = 1
@@ -371,10 +391,15 @@ class TestTestbenchDeclarations:
             toolchain.simulate(files, "tb")
         assert "'erors'" in str(raised.value)
         # the intact testbench takes the same path and passes
+        intact = _testbench_set(pid, language, overlapping=refused)
         result = Toolchain(max_sim_time=toolchain.max_sim_time).simulate(
-            _testbench_set(pid, language), "tb"
+            intact, "tb"
         )
         assert result.ok and not result.runtime_error
+        if refused:
+            # a correct design, which the plan refuses
+            assert result.output_lines == (tbgen.PASS_MESSAGE,)
+            assert simulate(intact)[1] == 0
 
     def test_candidates_share_one_parse_of_the_declarations(self, parsed):
         """What candidate revisions have in common with each other is the
