@@ -39,7 +39,7 @@ class Transcript:
     steps: list[AgentStep] = field(default_factory=list)
 
     def record(self, agent: str, kind: StepKind, content: str) -> None:
-        self.steps.append(AgentStep(agent=agent, kind=kind, content=content))
+        self.steps.append(AgentStep(agent, kind, content))
 
     def render(self, *, max_chars_per_step: int = 200) -> str:
         lines = []
@@ -65,6 +65,9 @@ class Agent:
         self.llm_calls = 0
         self.prompt_tokens = 0
         self.completion_tokens = 0
+        #: the system turn last sent; an agent's system text is fixed, so
+        #: it is built once
+        self._system: ChatMessage | None = None
 
     def think(self, thought: str) -> None:
         self.transcript.record(self.name, StepKind.THOUGHT, thought)
@@ -77,7 +80,9 @@ class Agent:
         self.transcript.record(self.name, StepKind.ACTION, prompt)
         messages = []
         if system:
-            messages.append(ChatMessage(role="system", content=system))
+            if self._system is None or self._system.content != system:
+                self._system = ChatMessage(role="system", content=system)
+            messages.append(self._system)
         messages.append(ChatMessage(role="user", content=prompt))
         response = self.llm.complete(messages)
         self.llm_seconds += response.latency_seconds

@@ -52,6 +52,9 @@ class CodeAgent(Agent):
     ):
         super().__init__("CodeAgent", llm, transcript)
         self.language = language
+        self._system_text = _SYSTEM.format(
+            language=protocol.language_tag(language)
+        )
         self.clarify = clarify
         self.versions: list[CodeVersion] = []
         self._rtl_revision = 0
@@ -96,9 +99,7 @@ class CodeAgent(Agent):
             f"Target language: {protocol.language_tag(self.language)}\n"
             f"{protocol.spec_block(spec)}"
         )
-        question = self.ask_llm(
-            question_prompt, system=self._system()
-        ).text
+        question = self.ask_llm(question_prompt, system=self._system_text).text
         if self.clarify is None:
             raise SpecificationIncomplete(
                 f"specification too short ({len(spec)} chars) and no "
@@ -124,7 +125,7 @@ class CodeAgent(Agent):
             "\"All tests passed successfully!\" when the design is correct.\n"
             f"{protocol.spec_block(spec)}"
         )
-        code = self.ask_llm(prompt, system=self._system()).text
+        code = self.ask_llm(prompt, system=self._system_text).text
         self.versions.append(
             CodeVersion(tag="tb-v1", code=code, reason="initial testbench")
         )
@@ -141,7 +142,7 @@ class CodeAgent(Agent):
             f"{protocol.spec_block(spec)}\n"
             f"{protocol.TB_FENCE}\n{testbench}\n{protocol.TB_FENCE}"
         )
-        code = self.ask_llm(prompt, system=self._system()).text
+        code = self.ask_llm(prompt, system=self._system_text).text
         self._rtl_revision = 1
         self.versions.append(
             CodeVersion(tag="rtl-v1", code=code, reason="initial RTL")
@@ -170,7 +171,7 @@ class CodeAgent(Agent):
             f"Feedback from the {kind} review:\n{corrective_prompt}\n"
             "Return the complete corrected source."
         )
-        code = self.ask_llm(prompt, system=self._system()).text
+        code = self.ask_llm(prompt, system=self._system_text).text
         self._rtl_revision += 1
         self.versions.append(
             CodeVersion(
@@ -180,6 +181,3 @@ class CodeAgent(Agent):
             )
         )
         return code
-
-    def _system(self) -> str:
-        return _SYSTEM.format(language=protocol.language_tag(self.language))

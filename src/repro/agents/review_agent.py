@@ -23,11 +23,11 @@ _SYSTEM = (
     "how to fix it."
 )
 
-#: matches our Vivado-style log lines: SEV: [CODE] message [file:line]
-_LOG_LINE_RE = re.compile(
-    r"^(ERROR|WARNING):\s*\[(?P<code>[^\]]+)\]\s*(?P<message>.*?)"
-    r"(?:\s*\[(?P<file>[^\s\]:]+):(?P<line>\d+)\])?$"
-)
+#: the head of a Vivado-style error line, ``ERROR: [CODE]``
+_ERROR_HEAD_RE = re.compile(r"ERROR:\s*\[([^\]]+)\]")
+#: the ``[file:line]`` that ends a located message: the leftmost ``[``
+#: from which the rest of the line is one
+_LOCATION_RE = re.compile(r"\[([^\s\]:]+):(\d+)\]$")
 
 
 @dataclass(frozen=True)
@@ -59,28 +59,36 @@ class ReviewOutcome:
 
 
 def parse_compile_log(log: str) -> list[ParsedError]:
-    """Structured extraction of error lines (and their snippet lines)."""
+    """Structured extraction of error lines (and their snippet lines).
+
+    One linear pass: a line is an error when it starts with ``ERROR:``
+    and its head names a code; the message runs to the ``[file:line]``
+    that ends the line, if one does. The message is stripped, so the
+    whitespace around it and before the location never matters.
+    """
     errors: list[ParsedError] = []
     lines = log.splitlines()
     for index, line in enumerate(lines):
-        match = _LOG_LINE_RE.match(line)
-        if match is None or not line.startswith("ERROR"):
+        if not line.startswith("ERROR:"):
             continue
-        code = match.group("code")
+        head = _ERROR_HEAD_RE.match(line)
+        if head is None:
+            continue
+        code = head.group(1)
         if code.endswith("1-99"):
             continue  # the summary line, not a defect
+        body = head.end()
+        where = _LOCATION_RE.search(line, body) if line[-1] == "]" else None
         snippet = ""
         if index + 1 < len(lines) and lines[index + 1].startswith("    > "):
             snippet = lines[index + 1][6:].strip()
-        errors.append(
-            ParsedError(
-                code=code,
-                message=match.group("message").strip(),
-                file=match.group("file") or "",
-                line=int(match.group("line") or 0),
-                snippet=snippet,
-            )
-        )
+        if where is None:
+            errors.append(ParsedError(code, line[body:].strip(), "", 0, snippet))
+        else:
+            errors.append(ParsedError(
+                code, line[body:where.start()].strip(), where.group(1),
+                int(where.group(2)), snippet,
+            ))
     return errors
 
 

@@ -57,6 +57,8 @@ class VerifyOutcome:
 def parse_sim_failures(log: str) -> list[TestFailure]:
     failures = []
     for line in log.splitlines():
+        if "Test Case " not in line:
+            continue
         match = _FAILURE_RE.search(line)
         if match is not None:
             failures.append(

@@ -42,12 +42,11 @@ from __future__ import annotations
 import enum
 import logging
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.hdl.diagnostics import Diagnostic, DiagnosticCollector, render_vivado_log
 from repro.obs import get_tracer
-from repro.hdl.source import SourceFile
-from repro.sim import batch as simbatch
+from repro.hdl.source import SourceFile, SourceSpan
 from repro.sim import compile as simcompile
 from repro.sim.elab_verilog import elaborate_verilog
 from repro.sim.elab_vhdl import elaborate_vhdl
@@ -55,6 +54,7 @@ from repro.sim.kernel import SimulationError, Simulator
 from repro.verilog.analyzer import VerilogAnalyzer
 from repro.verilog.parser import parse_verilog
 from repro.vhdl.analyzer import VhdlAnalyzer
+from repro.vhdl.ast import DesignFile
 from repro.vhdl.parser import parse_vhdl
 
 log = logging.getLogger(__name__)
@@ -92,16 +92,23 @@ class HdlFile:
 
 @dataclass(frozen=True)
 class CompileResult:
-    """Outcome of analysis + elaboration."""
+    """Outcome of analysis + elaboration.
+
+    ``error_count`` is counted once, when the result is built; it is
+    derived from ``diagnostics``, so equality, hashing and ``repr`` leave
+    it out.
+    """
 
     ok: bool
     log: str
     diagnostics: tuple[Diagnostic, ...] = ()
     tool_seconds: float = 0.0
+    error_count: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def error_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.is_error)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "error_count", sum(
+            1 for d in self.diagnostics if d.is_error
+        ))
 
 
 @dataclass(frozen=True)
@@ -261,9 +268,7 @@ def _sim_text_bytes(result: SimResult) -> int:
 def _declarations(hdl_file: HdlFile) -> HdlFile:
     """What the compile stage builds for *hdl_file*: the declarations of a
     generated :class:`~repro.designs.tbgen.Testbench`, else the file."""
-    from repro.designs.tbgen import Testbench
-
-    if not isinstance(hdl_file.text, Testbench):
+    if not isinstance(hdl_file.text, tbgen.Testbench):
         return hdl_file
     return replace(hdl_file, text=hdl_file.text.declarations)
 
@@ -440,9 +445,6 @@ class Toolchain:
             return None
         top = top.lower()
         top_source = sources.get(("entity", top)) or design_files[0][1]
-        from repro.vhdl.ast import DesignFile
-        from repro.hdl.source import SourceSpan
-
         merged = DesignFile(
             span=SourceSpan(0, 0),
             entities=tuple(entities.values()),
@@ -570,8 +572,6 @@ class Toolchain:
         ``max_sim_time``; else ``None``, and the kernel runs the set. The
         bundle comes from the testbench object itself: plain text equal to
         a generated testbench has none."""
-        from repro.designs import tbgen
-
         if top != tbgen.TB_NAME:
             return None
         bundle, dut_files = None, []
@@ -593,8 +593,6 @@ class Toolchain:
         the kernel's run of the set, or ``None`` when the plan or the run
         is refused. The batch functions are looked up on their module at
         each call, so a wrapper installed there sees every call."""
-        from repro.designs.model import TOP_NAME
-
         design = self._build_design(dut_files, TOP_NAME, DiagnosticCollector())
         if design is None:
             return None
@@ -623,3 +621,11 @@ class Toolchain:
                 f"INFO: [XSIM 4-302] Simulation completed at time {end_time} ns"
             )
         return "\n".join(lines)
+
+
+# Bound last: tbgen imports Language from this module, and the batch tier
+# imports tbgen, so both need this module's names defined first. Each is
+# read as a module attribute at call time.
+from repro.designs import tbgen  # noqa: E402
+from repro.designs.model import TOP_NAME  # noqa: E402
+from repro.sim import batch as simbatch  # noqa: E402

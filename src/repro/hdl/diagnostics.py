@@ -27,7 +27,13 @@ class Severity(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return self.name if self is not Severity.NOTE else "NOTE"
+        return _LABELS[self]
+
+
+#: each severity's log label, indexed by severity
+_LABELS = tuple(severity.name for severity in Severity)
+_ERROR = Severity.ERROR
+_WARNING = Severity.WARNING
 
 
 @dataclass(frozen=True)
@@ -43,14 +49,14 @@ class Diagnostic:
 
     @property
     def is_error(self) -> bool:
-        return self.severity >= Severity.ERROR
+        return self.severity >= _ERROR
 
     def render(self) -> str:
         """Render one Vivado-style log line."""
         where = ""
         if self.location is not None:
             where = f" [{self.file_name}:{self.location.line}]"
-        return f"{self.severity.label}: [{self.code}] {self.message}{where}"
+        return f"{_LABELS[self.severity]}: [{self.code}] {self.message}{where}"
 
 
 @dataclass
@@ -74,16 +80,8 @@ class DiagnosticCollector:
         if source is not None:
             file_name = source.name
             if span is not None:
-                location = source.location(span.start_offset)
-                snippet = source.snippet(span)
-        diag = Diagnostic(
-            severity=severity,
-            code=code,
-            message=message,
-            file_name=file_name,
-            location=location,
-            snippet=snippet,
-        )
+                location, snippet = source.locate(span)
+        diag = Diagnostic(severity, code, message, file_name, location, snippet)
         self.diagnostics.append(diag)
         return diag
 
@@ -129,26 +127,31 @@ def render_vivado_log(
     The Review Agent parses exactly this format; keeping the shape close to the
     real tool means the agent's log-parsing logic is exercised realistically
     (banner, per-message lines with ``[file:line]`` suffixes, summary line).
+    One pass renders every line and counts errors and warnings.
     """
-    diags = list(diagnostics)
-    lines = [f"INFO: [{tool.upper()} 1-1] Starting static elaboration"]
+    tool = tool.upper()
+    lines = [f"INFO: [{tool} 1-1] Starting static elaboration"]
     if top:
-        lines.append(f"INFO: [{tool.upper()} 1-2] Analyzing design unit {top}")
-    for diag in diags:
+        lines.append(f"INFO: [{tool} 1-2] Analyzing design unit {top}")
+    errors = warnings = 0
+    for diag in diagnostics:
         lines.append(diag.render())
-        if diag.snippet and diag.is_error:
-            for raw in diag.snippet.splitlines():
-                lines.append(f"    > {raw}")
-    errors = sum(1 for d in diags if d.is_error)
-    warnings = sum(1 for d in diags if d.severity is Severity.WARNING)
+        severity = diag.severity
+        if severity >= _ERROR:
+            errors += 1
+            if diag.snippet:
+                for raw in diag.snippet.splitlines():
+                    lines.append(f"    > {raw}")
+        elif severity is _WARNING:
+            warnings += 1
     if errors:
         lines.append(
-            f"ERROR: [{tool.upper()} 1-99] Analysis failed with {errors} error(s), "
+            f"ERROR: [{tool} 1-99] Analysis failed with {errors} error(s), "
             f"{warnings} warning(s)"
         )
     else:
         lines.append(
-            f"INFO: [{tool.upper()} 1-0] Analysis succeeded with 0 error(s), "
+            f"INFO: [{tool} 1-0] Analysis succeeded with 0 error(s), "
             f"{warnings} warning(s)"
         )
     return "\n".join(lines)

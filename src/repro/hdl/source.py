@@ -110,5 +110,25 @@ class SourceFile:
         last = min(self.line_count, self.location(last_offset).line + context)
         return "\n".join(self.line_text(n) for n in range(first, last + 1))
 
+    def locate(self, span: SourceSpan) -> tuple[SourceLocation, str]:
+        """``(location(span.start_offset), snippet(span))`` from one pass:
+        the lines a span covers are one slice of the text."""
+        start, end = span
+        if start < 0:
+            raise ValueError(f"negative offset {start}")
+        size = len(self.text)
+        starts = self._line_starts
+        offset = start if start < size else size
+        first = bisect.bisect_right(starts, offset) - 1
+        last_offset = end - 1 if end - 1 > start else start
+        if last_offset > size:
+            last_offset = size
+        last = bisect.bisect_right(starts, last_offset, first) - 1
+        stop = starts[last + 1] - 1 if last + 1 < len(starts) else size
+        return (
+            SourceLocation(first + 1, offset - starts[first] + 1),
+            self.text[starts[first]:stop],
+        )
+
     def span_text(self, span: SourceSpan) -> str:
         return self.text[span.start_offset : span.end_offset]

@@ -27,15 +27,6 @@ LOG_FENCE = "-----LOG-----"
 TB_FENCE = "-----TESTBENCH-----"
 
 _LANGUAGE_RE = re.compile(r"^Target language:\s*(\w+)\s*$", re.MULTILINE)
-_SPEC_RE = re.compile(
-    re.escape(SPEC_FENCE) + r"\n(.*?)\n" + re.escape(SPEC_FENCE), re.DOTALL
-)
-_CODE_RE = re.compile(
-    re.escape(CODE_FENCE) + r"\n(.*?)\n" + re.escape(CODE_FENCE), re.DOTALL
-)
-_LOG_RE = re.compile(
-    re.escape(LOG_FENCE) + r"\n(.*?)\n" + re.escape(LOG_FENCE), re.DOTALL
-)
 
 
 def language_tag(language: Language) -> str:
@@ -54,33 +45,47 @@ def parse_language(prompt: str) -> Language | None:
     return None
 
 
+def _fenced(prompt: str, fence: str) -> str | None:
+    """The text between the first ``fence`` line opener and the next line
+    that starts with ``fence``, if both are there."""
+    start = prompt.find(fence + "\n")
+    if start < 0:
+        return None
+    start += len(fence) + 1
+    end = prompt.find("\n" + fence, start)
+    return prompt[start:end] if end >= 0 else None
+
+
 def parse_spec(prompt: str) -> str | None:
-    match = _SPEC_RE.search(prompt)
-    return match.group(1).strip() if match else None
+    spec = _fenced(prompt, SPEC_FENCE)
+    return spec.strip() if spec is not None else None
 
 
 def parse_code(prompt: str) -> str | None:
-    match = _CODE_RE.search(prompt)
-    return match.group(1) if match else None
+    return _fenced(prompt, CODE_FENCE)
 
 
 def parse_log(prompt: str) -> str | None:
-    match = _LOG_RE.search(prompt)
-    return match.group(1) if match else None
+    return _fenced(prompt, LOG_FENCE)
+
+
+#: every task header, in the order :func:`detect_task` tries them
+_TASKS = (
+    TASK_TESTBENCH,
+    TASK_RTL,
+    TASK_FIX_SYNTAX,
+    TASK_FIX_FUNCTIONAL,
+    TASK_ANALYZE_COMPILE,
+    TASK_ANALYZE_SIM,
+    TASK_CLARIFY,
+)
 
 
 def detect_task(prompt: str) -> str | None:
     """Which protocol task heads this prompt, if any."""
-    for task in (
-        TASK_TESTBENCH,
-        TASK_RTL,
-        TASK_FIX_SYNTAX,
-        TASK_FIX_FUNCTIONAL,
-        TASK_ANALYZE_COMPILE,
-        TASK_ANALYZE_SIM,
-        TASK_CLARIFY,
-    ):
-        if prompt.lstrip().startswith(task):
+    head = prompt.lstrip()
+    for task in _TASKS:
+        if head.startswith(task):
             return task
     return None
 

@@ -293,7 +293,7 @@ class SyntheticDesignLLM:
             raise LLMError("synthetic LLM received a prompt with no TASK header")
         language = protocol.parse_language(prompt)
         if task in (protocol.TASK_ANALYZE_COMPILE, protocol.TASK_ANALYZE_SIM):
-            return self._analyze(prompt, task)
+            return self._analyze(prompt, task, language)
         if task == protocol.TASK_CLARIFY:
             return self._respond(
                 "Please describe the desired interface (ports and widths) "
@@ -343,20 +343,21 @@ class SyntheticDesignLLM:
 
     # ------------------------------------------------------------------
 
-    def _analyze(self, prompt: str, task: str) -> LLMResponse:
+    def _analyze(self, prompt: str, task: str,
+                 language: Language | None) -> LLMResponse:
         """Summarize a tool log (the Review/Verification agents' LLM step).
 
         A real model reads the log and describes each problem; the synthetic
         model extracts the ERROR/failure lines and phrases them, which
-        produces the same kind of actionable text.
+        produces the same kind of actionable text. ``language`` is the
+        prompt's, as :meth:`complete` parsed it.
         """
         log = protocol.parse_log(prompt) or ""
-        language = protocol.parse_language(prompt)
         behaviour = self._behaviour_or_default(language)
         if task == protocol.TASK_ANALYZE_COMPILE:
             findings = [
                 line for line in log.splitlines()
-                if line.startswith("ERROR:") or line.startswith("    > ")
+                if line.startswith(("ERROR:", "    > "))
             ]
             header = "I reviewed the compiler log; the following must be fixed:"
         else:

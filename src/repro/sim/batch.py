@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.designs import tbgen
+from repro.eda.toolchain import Language
 from repro.obs import get_tracer
 from repro.sim.kernel import SimulationError, Simulator, WaitChange
 from repro.sim.runtime import Design, Edge, Process, Signal
@@ -63,8 +65,6 @@ def _refuse(clause: str) -> None:
 
 def end_time(bundle) -> int:
     """The simulated time at which a bundle's testbench finishes (ns)."""
-    from repro.designs import tbgen
-
     n = len(bundle.stimulus)
     if bundle.spec.clocked:
         return 2 * tbgen.HALF_PERIOD_NS * (tbgen.RESET_CYCLES + n)
@@ -354,9 +354,6 @@ def _run_cycles(plan: Plan, bundle):
     before those the edge wakes, and commits staged writes only after
     both, so the pass settles without committing first.
     """
-    from repro.designs import tbgen
-    from repro.eda.toolchain import Language
-
     run = _Run(plan)
     sim = run.sim
     reset = plan.reset if bundle.spec.has_reset else None
@@ -467,9 +464,6 @@ def run_bundle(plan: Plan, bundle) -> BatchOutcome | None:
     is refused (counted as ``run-time``): the kernel then runs the
     testbench instead.
     """
-    from repro.designs import tbgen
-    from repro.eda.toolchain import Language
-
     clocked = bundle.spec.clocked
     if clocked != (plan.clock is not None):
         return None

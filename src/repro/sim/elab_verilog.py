@@ -237,8 +237,6 @@ class VerilogElaborator:
 
     def _const_eval(self, expr: ast.Expression, scope: _Scope) -> Logic:
         """Evaluate a constant expression (parameters and literals only)."""
-        from repro.sim.compile import verilog as _cv
-
         return _cv.compile_expr(expr, scope, self)(None)
 
     # ------------------------------------------------------------------
@@ -258,8 +256,6 @@ class VerilogElaborator:
         elif isinstance(item, ast.AlwaysBlock):
             self._always_block(item, scope)
         elif isinstance(item, ast.InitialBlock):
-            from repro.sim.compile import verilog as _cv
-
             simcompile.add_process(
                 self, f"{scope.prefix}initial@{_line(self, item)}",
                 lambda: _cv.initial_factory(item.body, scope, self),
@@ -275,8 +271,6 @@ class VerilogElaborator:
     ) -> None:
         read_signals = self._read_set(value, scope)
         read_signals |= self._lvalue_index_reads(target, scope)
-
-        from repro.sim.compile import verilog as _cv
 
         simcompile.add_process(
             self, f"{scope.prefix}assign@{_line(self, target)}",
@@ -300,8 +294,6 @@ class VerilogElaborator:
                     "always block without sensitivity or delay would loop forever",
                 )
                 return
-
-            from repro.sim.compile import verilog as _cv
 
             simcompile.add_process(
                 self, name,
@@ -330,8 +322,6 @@ class VerilogElaborator:
                 entries.append(Sensitivity(signal, edge))
             entries = tuple(entries)
         edge_triggered = any(e.edge is not Edge.ANY for e in entries)
-
-        from repro.sim.compile import verilog as _cv
 
         simcompile.add_process(
             self, name,
@@ -439,8 +429,6 @@ class VerilogElaborator:
     ) -> None:
         reads = self._read_set(expr, scope)
 
-        from repro.sim.compile import verilog as _cv
-
         simcompile.add_process(
             self, f"{scope.prefix}{inst.instance}.in.{child_signal.name}",
             lambda: _cv.wire_input_factory(expr, child_signal, scope, self, reads),
@@ -465,8 +453,6 @@ class VerilogElaborator:
                 "must be a net lvalue",
             )
             return
-
-        from repro.sim.compile import verilog as _cv
 
         def facts():
             parts = _part_masks(expr, scope)
@@ -598,8 +584,6 @@ def _part_masks(lvalue: ast.LValue, scope: _Scope) -> dict[Signal, int] | None:
     (:func:`repro.sim.compile.verilog._static_bounds`), which reports
     nothing; a whole signal covers all its bits.
     """
-    from repro.sim.compile import verilog as _cv
-
     if isinstance(lvalue, ast.Concat):
         masks: dict[Signal, int] = {}
         for part in lvalue.parts:
@@ -755,3 +739,8 @@ def elaborate_verilog(
     )
     design = elaborator.elaborate(top)
     return design, collector
+
+
+# Bound last: the compiler reads this module's names at call time, and is
+# read here only at call time, so either module may be imported first.
+from repro.sim.compile import verilog as _cv  # noqa: E402

@@ -30,6 +30,7 @@ from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.runtime import Design, ProcessFacts, Signal, meet, wait_on
 from repro.sim.values import Logic
 from repro.vhdl import ast
+from repro.vhdl.analyzer import _contains_wait
 
 _CODE_ELAB = "VRFC 10-3780"
 
@@ -173,8 +174,6 @@ class VhdlElaborator:
 
     def _const_eval(self, expr, scope: _VScope, width: int | None = None) -> Logic:
         """Evaluate an elaboration-time expression (generics, bounds, inits)."""
-        from repro.sim.compile import vhdl as _cvh
-
         fn = _cvh.compile_with_width(expr, _cvh._Env(scope, self), width)
         return fn(_EvalCtx(scope=scope, sim=None))
 
@@ -304,8 +303,6 @@ class VhdlElaborator:
         target = statement.target
         target_width = self._target_width(target, scope)
         name = f"{scope.prefix}cassign@{self._line(statement)}"
-        from repro.sim.compile import vhdl as _cvh
-
         if statement.after is not None:
             delay = _to_int(
                 self._const_eval(statement.after, scope), statement.span, self
@@ -344,8 +341,6 @@ class VhdlElaborator:
             _collect_reads(condition, scope, reads)
         width = self._target_width(statement.target, scope)
 
-        from repro.sim.compile import vhdl as _cvh
-
         simcompile.add_process(
             self, f"{scope.prefix}condassign@{self._line(statement)}",
             lambda: _cvh.conditional_assign_factory(
@@ -364,8 +359,6 @@ class VhdlElaborator:
         if statement.otherwise is not None:
             _collect_reads(statement.otherwise, scope, reads)
         width = self._target_width(statement.target, scope)
-
-        from repro.sim.compile import vhdl as _cvh
 
         simcompile.add_process(
             self, f"{scope.prefix}selassign@{self._line(statement)}",
@@ -405,8 +398,6 @@ class VhdlElaborator:
             self._type_info(decl.type_mark, scope)
             for decl in process.declarations
         )
-
-        from repro.sim.compile import vhdl as _cvh
 
         simcompile.add_process(
             self, f"{scope.prefix}{label}",
@@ -470,8 +461,6 @@ class VhdlElaborator:
         reads: set[Signal] = set()
         _collect_reads(expr, scope, reads)
 
-        from repro.sim.compile import vhdl as _cvh
-
         simcompile.add_process(
             self, f"{scope.prefix}{inst.label}.in.{child_signal.name}",
             lambda: _cvh.wire_input_factory(expr, child_signal, scope, self, reads),
@@ -488,8 +477,6 @@ class VhdlElaborator:
                 "a signal name",
             )
             return
-
-        from repro.sim.compile import vhdl as _cvh
 
         def facts():
             parts = _part_masks(expr, scope, self)
@@ -574,8 +561,6 @@ def _part_masks(target, scope: _VScope, elab) -> dict[Signal, int] | None:
     maps as the store maps it. Compiling a bound reports nothing. A name
     covers all its signal's bits.
     """
-    from repro.sim.compile import vhdl as _cvh
-
     signal = scope.signals.get(_target_name(target))
     if isinstance(target, ast.Name):
         return {} if signal is None else {signal: (1 << signal.width) - 1}
@@ -899,8 +884,6 @@ def _activation_facts(body, scope: _VScope, variables, sensitivity,
 
 
 def _body_has_wait(body: tuple) -> bool:
-    from repro.vhdl.analyzer import _contains_wait
-
     return _contains_wait(body)
 
 
@@ -927,3 +910,8 @@ def elaborate_vhdl(
     )
     design = elaborator.elaborate(top)
     return design, collector
+
+
+# Bound last: the compiler reads this module's names at call time, and is
+# read here only at call time, so either module may be imported first.
+from repro.sim.compile import vhdl as _cvh  # noqa: E402

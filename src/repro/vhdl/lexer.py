@@ -42,6 +42,9 @@ VHDL_RULES = [
     ("number", r"[0-9][0-9_]*(?:\.[0-9]*)?", TokenKind.NUMBER),
     ("string", r'"[^"\n]*"', TokenKind.STRING),
     ("open_string", r'"[^"\n]*', LexError(_UNTERMINATED)),
+    # a tick right after a name and before '(' opens a qualified expression,
+    # so std_logic'('1') is no character literal '('
+    ("qualify", r"'(?<=[A-Za-z0-9_]')(?=\()", TokenKind.PUNCT),
     # '0' is a character literal; any other tick is an attribute tick (punct)
     ("char", r"'[\s\S]'", TokenKind.CHAR),
     ("operator", r"\*\*|:=|=>|/=|<=|>=|<>|[=<>+\-*/&|]", TokenKind.OPERATOR),

@@ -31,6 +31,15 @@ _SEVERITIES = frozenset(("note", "warning", "error", "failure"))
 _TIME_SCALE = {"fs": 0, "ps": 0, "ns": 1, "us": 1000, "ms": 1_000_000}
 
 _IDENT = TokenKind.IDENT
+#: type marks whose qualified expression ``T'(e)`` elaborates like the
+#: conversion ``T(e)``
+_QUALIFIED_CONVERSIONS = frozenset(("unsigned", "signed", "std_logic_vector"))
+#: type marks whose qualified expression is its operand: the value of a
+#: scalar operand already has the type
+_QUALIFIED_SCALARS = frozenset((
+    "std_logic", "std_ulogic", "bit", "boolean", "integer", "natural",
+    "positive",
+))
 #: kinds of the tokens that can name an attribute after a tick
 #: (``clk'event``, ``v'range``)
 _ATTRIBUTE_NAMES = frozenset((_IDENT, TokenKind.KEYWORD))
@@ -1105,6 +1114,10 @@ class VhdlParser(TokenCursor):
         name_token = self._advance()
         name = self.texts[name_token].lower()
         result: ast.Expression
+        if (keys[self.pos] == "'" and keys[self.pos + 1] == "("
+                and (name in _QUALIFIED_CONVERSIONS
+                     or name in _QUALIFIED_SCALARS)):
+            return self._parse_qualified(name_token, name)
         if keys[self.pos] == "(":
             self.pos += 1
             first = self.parse_expression()
@@ -1156,6 +1169,18 @@ class VhdlParser(TokenCursor):
                 span=self._span(name_token), name=name, attr=attr
             )
         return result
+
+    def _parse_qualified(self, name_token: int, name: str) -> ast.Expression:
+        """``type_mark'(expression)``, the tick next: a conversion's tree
+        for a vector type mark, else the operand itself."""
+        self.pos += 1  # the tick
+        operand = self._parse_paren_or_aggregate()
+        if name in _QUALIFIED_SCALARS:
+            return operand
+        return ast.Call(
+            span=self._span(name_token, self.pos - 1), name=name,
+            args=(operand,),
+        )
 
     #: primary parsers by the key of the primary's first token
     _PRIMARIES = {

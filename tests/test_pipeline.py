@@ -1,5 +1,8 @@
 """End-to-end tests of the AIVRIL2 pipeline."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.config import PipelineConfig
@@ -7,7 +10,7 @@ from repro.core.pipeline import Aivril2Pipeline, run_baseline
 from repro.eda.toolchain import Language, Toolchain
 from repro.evalsuite.suite import build_suite
 from repro.evalsuite.validate import run_golden_tb
-from repro.llm.profiles import CLAUDE_35_SONNET, LLAMA3_70B
+from repro.llm.profiles import CLAUDE_35_SONNET, LLAMA3_70B, PROFILES
 from repro.llm.synthetic import SyntheticDesignLLM
 from repro.obs import MemorySink, Tracer, get_tracer, set_tracer
 
@@ -263,3 +266,65 @@ class TestTokenAccounting:
         assert result.tokens.total_tokens == (
             result.tokens.prompt_tokens + result.tokens.completion_tokens
         )
+
+
+class _Recording:
+    """An LLM client that records every conversation and answer it passes
+    through, exactly as the model saw and returned it."""
+
+    def __init__(self, llm, sink: list):
+        self.llm, self.sink, self.name = llm, sink, llm.name
+
+    def complete(self, messages):
+        response = self.llm.complete(messages)
+        self.sink.append([[m.role, m.content] for m in messages] + [
+            response.text, response.model, repr(response.latency_seconds),
+            response.prompt_tokens, response.completion_tokens,
+        ])
+        return response
+
+
+#: sha256 over what the agents and the model see on every 7th suite
+#: problem under each profile and language: the baseline's RTL and
+#: latency, then each pipeline run's verdicts, iteration counts, final
+#: RTL, transcript, code versions, token counts and modeled latency, then
+#: every message the model received with its answer and accounting
+PINNED_RUNS_SHA256 = (
+    "da458cc9759bfc216cdfa8cc8dd99d0da74cd357cc1df1af772f946b24c745a3"
+)
+
+
+class TestPinnedRuns:
+    def test_what_the_agents_see_is_pinned(self, suite):
+        """Any change to a prompt, a log, a transcript step, a token count
+        or a modeled latency changes this digest."""
+        latencies = ("generation_llm", "syntax_llm", "syntax_tool",
+                     "functional_llm", "functional_tool")
+        problems = suite.problems[::7]
+        digest = hashlib.sha256()
+        for profile in PROFILES:
+            for language in Language:
+                seen: list = []
+                llm = _Recording(SyntheticDesignLLM(profile, suite), seen)
+                toolchain = Toolchain()
+                for problem in problems:
+                    baseline = run_baseline(llm, problem.prompt, language)
+                    run = Aivril2Pipeline(
+                        llm, toolchain, PipelineConfig(language=language)
+                    ).run(problem.prompt)
+                    digest.update(json.dumps([
+                        problem.pid, profile.name, language.value,
+                        baseline.rtl, repr(baseline.latency_seconds),
+                        run.rtl, run.syntax_ok, run.functional_ok,
+                        run.syntax_iterations, run.functional_iterations,
+                        [[step.agent, step.kind.value, step.content]
+                         for step in run.transcript.steps],
+                        [run.tokens.prompt_tokens,
+                         run.tokens.completion_tokens, run.tokens.llm_calls],
+                        [repr(getattr(run.latency, name))
+                         for name in latencies],
+                        [[v.tag, v.code, v.reason] for v in run.versions],
+                    ]).encode())
+                digest.update(json.dumps(seen).encode())
+        assert len(problems) == 23
+        assert digest.hexdigest() == PINNED_RUNS_SHA256

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.designs.model import TOP_NAME
+from repro.designs.tbgen import PASS_MESSAGE
 from repro.eda.toolchain import HdlFile, Language, Toolchain
+from repro.evalsuite.suite import build_suite
+from tests import simpaths
 
 PRELUDE = (
     "library ieee;\n"
@@ -293,6 +297,67 @@ class TestProcessSemantics:
             """
         )
         assert lines == ["woke"]
+
+
+class TestQualifiedExpressions:
+    SOURCE = """
+        entity tb is end entity;
+        architecture sim of tb is
+            signal a : std_logic_vector(3 downto 0) := "0000";
+            signal y : std_logic_vector(3 downto 0);
+            signal b : std_logic;
+        begin
+            y <= std_logic_vector(unsigned'("0011") + unsigned(a));
+            b <= std_logic'('1') when a = "0101" else std_logic'('0');
+            stim: process begin
+                wait for 1 ns;
+                report "y=" & y & " b=" & b;
+                a <= "0101";
+                wait for 1 ns;
+                report "y=" & y & " b=" & b;
+                a <= "1110";
+                wait for 1 ns;
+                report "y=" & y & " b=" & b;
+                wait;
+            end process;
+        end architecture;
+        """
+
+    def test_compiles(self):
+        toolchain = Toolchain()
+        result = toolchain.compile(
+            [HdlFile("t.vhd", PRELUDE + self.SOURCE, Language.VHDL)], "tb"
+        )
+        assert result.ok and result.error_count == 0, result.log
+
+    def test_simulates_like_the_conversion(self):
+        assert outputs(self.SOURCE) == [
+            "y=0011 b=0", "y=1000 b=1", "y=0001 b=0",
+        ]
+        converted = (self.SOURCE.replace("unsigned'(", "unsigned(")
+                     .replace("std_logic'('1')", "'1'")
+                     .replace("std_logic'('0')", "'0'"))
+        assert outputs(converted) == outputs(self.SOURCE)
+
+    def test_batch_tier_gives_the_kernels_answer(self):
+        problem = build_suite().get("addsub8")
+        reference = problem.reference[Language.VHDL]
+        qualified = reference.replace(
+            "mode = '1'", "mode = std_logic'('1')"
+        ).replace(
+            "unsigned(a) + unsigned(b)", "unsigned(a) + unsigned'(unsigned(b))"
+        )
+        assert qualified.count("'(") == 2
+        files = [
+            HdlFile(f"{TOP_NAME}.vhd", qualified, Language.VHDL),
+            HdlFile("tb.vhd", problem.golden_tb[Language.VHDL], Language.VHDL),
+        ]
+        result, batch_calls = simpaths.simulate(files)
+        assert batch_calls == 1
+        assert PASS_MESSAGE in result.output_lines
+        assert simpaths.observables(result) == simpaths.observables(
+            simpaths.simulate_kernel(files)
+        )
 
 
 class TestDiagnostics:

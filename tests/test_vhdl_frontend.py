@@ -399,3 +399,50 @@ class TestExpressionShapes:
         assert [d.message for d in collector.diagnostics] == [
             "syntax error near '-': expected an expression"
         ]
+
+
+class TestQualifiedExpressions:
+    """``type_mark'(expression)``: a vector type mark parses like its
+    conversion, a scalar one as its operand."""
+
+    def parse(self, text):
+        collector = DiagnosticCollector()
+        parser = VhdlParser(SourceFile("t.vhd", text), collector)
+        expr = parser.parse_expression()
+        assert parser.texts[parser.pos] == "" and not collector.diagnostics
+        return expr
+
+    @pytest.mark.parametrize("mark", ["unsigned", "signed", "std_logic_vector"])
+    def test_vector_mark_parses_like_the_conversion(self, mark):
+        qualified = self.parse(f'{mark}\'("0011") + a')
+        converted = self.parse(f'{mark}("0011") + a')
+        call, conversion = qualified.lhs, converted.lhs
+        assert isinstance(call, ast.Call) and call.name == conversion.name
+        # the same operand, one character later for the tick
+        (operand,), (converted_operand,) = call.args, conversion.args
+        assert operand.value == converted_operand.value == "0011"
+        assert operand.span.start_offset == converted_operand.span.start_offset + 1
+        assert call.span.end_offset == len(mark) + 9
+
+    def test_scalar_mark_is_its_operand(self):
+        expr = self.parse("std_logic'('1')")
+        assert isinstance(expr, ast.CharLiteral) and expr.value == "1"
+        assert isinstance(self.parse("integer'(3)"), ast.IntLiteral)
+
+    def test_tick_after_a_name_opens_the_operand(self):
+        kinds = [t.kind for t in lex("std_logic'('1')")]
+        assert kinds[:3] == [TokenKind.IDENT, TokenKind.PUNCT, TokenKind.PUNCT]
+        assert TokenKind.CHAR in kinds
+        # with a space in between, '(' is still a character literal
+        assert [t.text for t in lex("c = '('")][2] == "'('"
+        assert [t.kind for t in lex("x '('")][1] is TokenKind.CHAR
+
+    def test_attributes_still_parse(self):
+        expr = self.parse("clk'event")
+        assert isinstance(expr, ast.Attribute) and expr.attr == "event"
+
+    def test_other_names_keep_the_syntax_error(self):
+        collector = DiagnosticCollector()
+        parser = VhdlParser(SourceFile("t.vhd", "foo'(a)"), collector)
+        parser.parse_expression()
+        assert parser.texts[parser.pos] == "'"
